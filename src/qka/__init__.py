@@ -32,7 +32,6 @@ from .pauli import (
     validate_scheme,
 )
 from .protocols import (
-    EncodingAlphabet,
     InvalidSchemeError,
     PermutationRecord,
     ProtocolConfig,
@@ -62,7 +61,6 @@ __all__ = [
     "AdversaryModel",
     "BellOutcome",
     "EfficiencyReport",
-    "EncodingAlphabet",
     "EncodingScheme",
     "FourQubitState",
     "GroupElement",

@@ -24,6 +24,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +54,7 @@ from .protocols import (
     ProtocolConfig,
     ProtocolResult,
     bits_to_hex,
+    check_adversary,
     run_protocol,
 )
 from .registers import (
@@ -171,12 +173,6 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
         kind = AdversaryKind(spec["adversary"])
     except ValueError:
         raise ConfigError(f"unknown adversary {spec['adversary']!r}") from None
-    if kind is not AdversaryKind.NONE:
-        if spec["protocol"] == "five-party":
-            raise ConfigError("the five-party protocol does not take an adversary")
-        if kind in (AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE,
-                    AdversaryKind.DISHONEST_BOB_REORDER) and spec["protocol"] != "two-party":
-            raise ConfigError(f"{kind.value} applies to the two-party protocol only")
     config = ProtocolConfig(
         key_bits=spec["key_bits"],
         party_count=PARTY_COUNTS[spec["protocol"]],
@@ -192,6 +188,7 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
             fraction=spec["attack_fraction"],
             swap_count=spec["swap_count"],
         )
+        check_adversary(config.party_count, adversary)
         if kind is AdversaryKind.DISHONEST_BOB_REORDER:
             if 2 * spec["swap_count"] > spec["key_bits"]:
                 raise ValueError("swap count too large for the key length")
@@ -232,17 +229,8 @@ def _run_command(args: argparse.Namespace) -> int:
     config, adversary = _validate_run_spec(spec)
     results = []
     for trial in range(spec["trials"]):
-        trial_config = ProtocolConfig(
-            key_bits=config.key_bits,
-            party_count=config.party_count,
-            error_threshold=config.error_threshold,
-            seed=config.seed,
-            run_index=trial,
-            five_party_state=config.five_party_state,
-            five_party_rounds=config.five_party_rounds,
-        )
         try:
-            results.append(run_protocol(trial_config, adversary))
+            results.append(run_protocol(replace(config, run_index=trial), adversary))
         except InvalidSchemeError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -6,7 +6,8 @@ secret uniform permutation, and stages its disclosures so that the receiver
 can always check the decoys for disturbance before any key-bearing order
 becomes public. The two-party run additionally withholds the return train's
 message order until the initiating party has committed to her key
-announcement, so neither side can steer the final key.
+announcement, so neither side can steer the final key. The three- and
+five-party agreements are one ring construction and share one engine.
 
 Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .pauli import (
     validate_scheme,
 )
 from .registers import (
+    MAX_REGISTER_QUBITS,
     BellOutcome,
     FourQubitState,
     QubitStore,
@@ -65,14 +66,12 @@ PARTY_NAMES = ("Alice", "Bob", "Charlie", "Dave", "Erika")
 
 FIVE_PARTY_ROUND_CHOICES = ("1234", "1256", "3456")
 
+# Qubits per resource copy, by party count: Bell pairs, or a 4-qubit state.
+_COPY_QUBITS = {2: 2, 3: 2, 5: 4}
+
 
 class InvalidSchemeError(ValueError):
     """A five-party round selection fails the encoding-scheme validation."""
-
-
-class EncodingAlphabet(Enum):
-    X_ROUND = "x"
-    Z_ROUND = "z"
 
 
 def bits_to_hex(bits: Sequence[int]) -> str:
@@ -245,16 +244,16 @@ def encode_key(
     store: QubitStore,
     qubits: Sequence[int],
     key: Sequence[int],
-    alphabet: EncodingAlphabet,
+    word: GroupElement,
 ) -> None:
-    """Bitwise encoding: identity on 0, X or Z (per alphabet) on 1."""
-    if len(qubits) != len(key):
-        raise ValueError("qubit list and key must have equal length")
-    letter = PauliLetter.X if alphabet is EncodingAlphabet.X_ROUND else PauliLetter.Z
-    word = GroupElement.of(letter)
-    for qubit, bit in zip(qubits, key):
+    """Round encoding: ``word`` on each ``word.arity``-sized group whose key bit is 1."""
+    arity = word.arity
+    if len(qubits) != arity * len(key):
+        raise ValueError("qubit list must hold one word-sized group per key bit")
+    groups = zip(*[iter(qubits)] * arity)  # consecutive arity-sized groups
+    for group, bit in zip(groups, key):
         if bit:
-            store.apply_pauli(word, (qubit,))
+            store.apply_pauli(word, group)
 
 
 def decode_bell_bits(outcome: BellOutcome) -> tuple[int, int]:
@@ -467,6 +466,23 @@ def _normalize_adversary(adversary: AdversaryModel | None) -> AdversaryModel:
     return adversary if adversary is not None else AdversaryModel.none()
 
 
+def check_adversary(party_count: int, adversary: AdversaryModel) -> None:
+    """Raise ValueError unless the adversary can act on this protocol.
+
+    Intercept-z runs on every protocol and the insiders on two-party only.
+    Intercept-bell Bell-measures adjacent slots, so on copies of more than
+    two qubits it chains copies into ever larger registers.
+    """
+    if adversary.is_insider and party_count != 2:
+        raise ValueError(f"{adversary.kind.value} applies to the two-party protocol only")
+    copy_qubits = _COPY_QUBITS[party_count]
+    if adversary.kind is AdversaryKind.INTERCEPT_RESEND_BELL and copy_qubits > 2:
+        raise ValueError(
+            f"intercept-bell on {copy_qubits}-qubit copies merges registers past "
+            f"the {MAX_REGISTER_QUBITS}-qubit cap"
+        )
+
+
 def run_two_party(
     config: ProtocolConfig, adversary: AdversaryModel | None = None
 ) -> ProtocolResult:
@@ -481,6 +497,7 @@ def run_two_party(
     if config.party_count != 2:
         raise ValueError("two-party run requires party_count == 2")
     adv = _normalize_adversary(adversary)
+    check_adversary(2, adv)
     n = config.key_bits
     names = PARTY_NAMES[:2]
     alice, bob = names
@@ -510,7 +527,7 @@ def run_two_party(
         # Step 4: responder's key, X-encoding, return train.
         key_b = ctx.draw_key(1)
         private[bob] = key_b
-        encode_key(store, at_bob, key_b, EncodingAlphabet.X_ROUND)
+        encode_key(store, at_bob, key_b, GroupElement.of(PauliLetter.X))
         seq2, rec2, idx2 = ctx.send_scrambled("step4", bob, alice, at_bob, n // 2)
 
         # Step 5: decoy coordinates only; the message order stays secret.
@@ -575,6 +592,117 @@ def _claimed_indices(order: Sequence[int], record: PermutationRecord) -> list[in
     return [true_index_of_slot[slot] for slot in order]
 
 
+@dataclass(frozen=True)
+class _Ring:
+    """What sets one ring protocol apart; ``_run_ring`` does everything else.
+
+    Every party prepares n copies with ``prepare`` and circulates the
+    qubits at the ``travel`` positions of each copy. The stream makes one
+    plain hop, then one hop per encoding round, in which its holder applies
+    that round's word to every copy whose key bit is 1. ``hop_steps``
+    holds the (send, check) step labels of each hop, so the ring has
+    ``len(hop_steps)`` parties. Back home, ``decode`` measures one copy and
+    returns the outcome label and the XOR of the round bits it carries.
+    """
+
+    protocol: str
+    prepare: Callable[[QubitStore], tuple[int, ...]]
+    travel: tuple[int, ...]
+    words: tuple[GroupElement, ...]
+    prep_step: str
+    hop_steps: tuple[tuple[str, str], ...]
+    decode: Callable[[QubitStore, tuple[int, ...], np.random.Generator], tuple[str, int]]
+
+
+def _run_ring(
+    ring: _Ring, config: ProtocolConfig, adversary: AdversaryModel | None
+) -> ProtocolResult:
+    adv = _normalize_adversary(adversary)
+    parties = len(ring.hop_steps)
+    check_adversary(parties, adv)
+    n = config.key_bits
+    names = PARTY_NAMES[:parties]
+    ctx = _RunContext(ring.protocol, config, adv)
+    store, rng, t = ctx.store, ctx.rng, ctx.transcript
+
+    copies: list[list[tuple[int, ...]]] = []  # copies[s]: resource copies of party s
+    travels: list[list[int]] = []  # travels[s]: stream s's travel qubits, copy by copy
+    for j in range(parties):
+        copies.append([ring.prepare(store) for _ in range(n)])
+        ctx.log_preparation(ring.prep_step, names[j], _COPY_QUBITS[parties] * n, "message")
+        travels.append([c[p] for c in copies[j] for p in ring.travel])
+    keys = [ctx.draw_key(j) for j in range(parties)]
+    private = dict(zip(names, keys))
+
+    try:
+        for hop, (send_step, check_step) in enumerate(ring.hop_steps):
+            held = [(j - hop) % parties for j in range(parties)]  # stream party j holds
+            if hop:
+                for j in range(parties):
+                    encode_key(store, travels[held[j]], keys[j], ring.words[hop - 1])
+            sent = [
+                ctx.send_scrambled(
+                    send_step, names[j], names[(j + 1) % parties], travels[held[j]], n // 2
+                )
+                for j in range(parties)
+            ]
+            for j, (seq, rec, idx) in enumerate(sent):
+                # The plain hop carries no key yet, so its order may go out
+                # with the decoys; a key-bearing order waits for the check.
+                if hop:
+                    ctx.disclose_decoys(check_step, names[j], rec)
+                else:
+                    ctx.disclose_full(check_step, names[j], rec)
+                ctx.check_decoys(check_step, names[j], names[(j + 1) % parties], seq, rec, idx)
+                if hop:
+                    ctx.disclose_order(check_step, names[j], rec.message_order)
+                travels[held[j]] = _restore_order(seq, rec.message_order)
+            del sent  # free this hop's trains before the next hop's are built
+
+        # Decode each copy with its returned travel qubits in their positions.
+        derived: dict[str, tuple[int, ...] | None] = {}
+        outcome_records: dict[str, tuple[str, ...]] = {}
+        width = len(ring.travel)
+        for j in range(parties):
+            columns = list(zip(*copies[j]))
+            for k, p in enumerate(ring.travel):
+                columns[p] = travels[j][k::width]
+            decoded = [ring.decode(store, qubits, rng) for qubits in zip(*columns)]
+            outcome_records[names[j]] = tuple(label for label, _ in decoded)
+            derived[names[j]] = tuple(kb ^ bit for kb, (_, bit) in zip(keys[j], decoded))
+
+        counts = count_from_transcript(t)
+        return ProtocolResult(
+            ring.protocol, n, names, private, derived, False, None, ctx.checks,
+            counts, t, outcome_records, None,
+        )
+    except _AbortRun as abort:
+        return ProtocolResult(
+            ring.protocol, n, names, private,
+            {name: None for name in names}, True, abort.reason, ctx.checks,
+            None, t, {}, None,
+        )
+
+
+def _decode_bell(
+    store: QubitStore, qubits: tuple[int, ...], rng: np.random.Generator
+) -> tuple[str, int]:
+    """The outcome's bit flip carries the X round, its phase flip the Z round."""
+    outcome = store.measure_bell(qubits[0], qubits[1], rng)
+    return outcome.label, outcome.x_bit ^ outcome.z_bit
+
+
+_THREE_PARTY_RING = _Ring(
+    protocol=THREE_PARTY,
+    prepare=lambda store: store.new_bell(BellOutcome.PSI_PLUS),
+    travel=(1,),
+    words=(GroupElement.of(PauliLetter.X), GroupElement.of(PauliLetter.Z)),
+    prep_step="step1",
+    hop_steps=(("step2", "step3"), ("step4", "step5"), ("step6", "step7")),
+    decode=_decode_bell,
+)
+
+
 def run_three_party(
     config: ProtocolConfig, adversary: AdversaryModel | None = None
 ) -> ProtocolResult:
@@ -588,82 +716,7 @@ def run_three_party(
     config.validate()
     if config.party_count != 3:
         raise ValueError("three-party run requires party_count == 3")
-    adv = _normalize_adversary(adversary)
-    if adv.is_insider:
-        raise ValueError("insider models apply to the two-party protocol only")
-    n = config.key_bits
-    names = PARTY_NAMES[:3]
-    ctx = _RunContext(THREE_PARTY, config, adv)
-    store, rng, t = ctx.store, ctx.rng, ctx.transcript
-
-    private: dict[str, tuple[int, ...]] = {}
-    try:
-        kept: list[list[int]] = []
-        streams: list[list[int]] = []  # streams[s]: train that originated at party s
-        for j in range(3):
-            pairs = [store.new_bell(BellOutcome.PSI_PLUS) for _ in range(n)]
-            ctx.log_preparation("step1", names[j], 2 * n, "message")
-            kept.append([p for p, _ in pairs])
-            streams.append([q for _, q in pairs])
-        keys = [ctx.draw_key(j) for j in range(3)]
-        for j in range(3):
-            private[names[j]] = keys[j]
-
-        # Hop 1 (steps 2-3): full disclosure, like the two-party outbound leg.
-        hop1 = {}
-        for j in range(3):
-            hop1[j] = ctx.send_scrambled(
-                "step2", names[j], names[(j + 1) % 3], streams[j], n // 2
-            )
-        for j in range(3):
-            seq, rec, idx = hop1[j]
-            ctx.disclose_full("step3", names[j], rec)
-            ctx.check_decoys("step3", names[j], names[(j + 1) % 3], seq, rec, idx)
-            streams[j] = _restore_order(seq, rec.message_order)
-
-        # Rounds: (alphabet, step labels, stream held by sender j).
-        rounds = (
-            (EncodingAlphabet.X_ROUND, "step4", "step5", 1),
-            (EncodingAlphabet.Z_ROUND, "step6", "step7", 2),
-        )
-        for alphabet, send_step, check_step, back in rounds:
-            for j in range(3):
-                encode_key(store, streams[(j - back) % 3], keys[j], alphabet)
-            hop = {}
-            for j in range(3):
-                hop[j] = ctx.send_scrambled(
-                    send_step, names[j], names[(j + 1) % 3], streams[(j - back) % 3], n // 2
-                )
-            for j in range(3):
-                seq, rec, idx = hop[j]
-                ctx.disclose_decoys(check_step, names[j], rec)
-                ctx.check_decoys(check_step, names[j], names[(j + 1) % 3], seq, rec, idx)
-                ctx.disclose_order(check_step, names[j], rec.message_order)
-                streams[(j - back) % 3] = _restore_order(seq, rec.message_order)
-
-        # Step 8: every party decodes both neighbors from one Bell outcome.
-        derived: dict[str, tuple[int, ...] | None] = {}
-        outcome_records: dict[str, tuple[str, ...]] = {}
-        for j in range(3):
-            outcomes = [
-                store.measure_bell(kept[j][i], streams[j][i], rng) for i in range(n)
-            ]
-            outcome_records[names[j]] = tuple(o.label for o in outcomes)
-            x_bits = tuple(o.x_bit for o in outcomes)  # key of party j+1
-            z_bits = tuple(o.z_bit for o in outcomes)  # key of party j-1
-            derived[names[j]] = xor_bits(keys[j], x_bits, z_bits)
-
-        counts = count_from_transcript(t)
-        return ProtocolResult(
-            THREE_PARTY, n, names, private, derived, False, None, ctx.checks,
-            counts, t, outcome_records, None,
-        )
-    except _AbortRun as abort:
-        return ProtocolResult(
-            THREE_PARTY, n, names, private,
-            {name: None for name in names}, True, abort.reason, ctx.checks,
-            None, t, {}, None,
-        )
+    return _run_ring(_THREE_PARTY_RING, config, adversary)
 
 
 def five_party_round_subgroups(digits: str):
@@ -672,29 +725,29 @@ def five_party_round_subgroups(digits: str):
     return tuple(subs[int(d) - 1] for d in digits)
 
 
-def run_five_party(config: ProtocolConfig) -> ProtocolResult:
+def run_five_party(
+    config: ProtocolConfig, adversary: AdversaryModel | None = None
+) -> ProtocolResult:
     """Ring of five over 4-qubit resource states.
 
     Each party keeps qubits 2 and 4 of every copy and circulates qubits 1
     and 3. The four downstream parties each encode one key bit per copy
     with their round's subgroup; after five hops the originator measures
-    every copy in the orthogonal basis the product group generates and
-    factors the composite operator back into the four bits.
+    every copy, returned travel qubits included, in the orthogonal basis
+    the product group generates and factors the composite operator back
+    into the four bits. Intercept-z may attack any transmission; see
+    ``check_adversary`` for the adversaries refused.
     """
     config.validate()
     if config.party_count != 5:
         raise ValueError("five-party run requires party_count == 5")
-    n = config.key_bits
-    names = PARTY_NAMES[:5]
 
     subgroups = five_party_round_subgroups(config.five_party_rounds)
     scheme = EncodingScheme(
         total_qubits=4, travel_qubits=2, bits_per_round=1, rounds=4,
         round_subgroups=subgroups,
     )
-    state_kind = (
-        FourQubitState.OMEGA if config.five_party_state == "omega" else FourQubitState.CLUSTER
-    )
+    state_kind = FourQubitState(config.five_party_state)
     reference = StateRegister((0, 1, 2, 3), four_qubit_vector(state_kind))
     if not validate_scheme(scheme, reference, (0, 2)):
         raise InvalidSchemeError(
@@ -702,112 +755,41 @@ def run_five_party(config: ProtocolConfig) -> ProtocolResult:
             "does not form a decodable encoding scheme"
         )
 
-    generators = [sub.non_identity()[0] for sub in subgroups]
-    elements = canonical_order(product_set(subgroups))
-    basis = np.stack(
-        [apply_element(reference, u, (0, 2)).amplitudes for u in elements]
-    )
-    bits_of_element: dict[GroupElement, tuple[int, ...]] = {}
+    generators = tuple(sub.non_identity()[0] for sub in subgroups)
+    parity: dict[GroupElement, int] = {}
     for bits in itertools.product((0, 1), repeat=4):
         word = GroupElement.identity(2)
         for bit, gen in zip(bits, generators):
             if bit:
                 word = word * gen
-        bits_of_element[word] = bits
+        parity[word] = sum(bits) % 2
+    elements = canonical_order(product_set(subgroups))
+    outcomes = [(u.label, parity[u]) for u in elements]
+    basis = np.stack(
+        [apply_element(reference, u, (0, 2)).amplitudes for u in elements]
+    )
 
-    ctx = _RunContext(FIVE_PARTY, config, AdversaryModel.none())
-    store, rng, t = ctx.store, ctx.rng, ctx.transcript
+    def decode(store, qubits, rng):
+        return outcomes[store.measure_in_basis(qubits, basis, rng)]
 
-    private: dict[str, tuple[int, ...]] = {}
-    try:
-        copies: list[list[tuple[int, int, int, int]]] = []
-        travels: list[list[int]] = []  # flattened travel qubits per stream
-        for j in range(5):
-            stream_copies = [store.new_four_qubit(state_kind) for _ in range(n)]
-            ctx.log_preparation("hop0", names[j], 4 * n, "message")
-            copies.append(stream_copies)
-            travels.append([q for c in stream_copies for q in (c[0], c[2])])
-        keys = [ctx.draw_key(j) for j in range(5)]
-        for j in range(5):
-            private[names[j]] = keys[j]
-
-        # Hop 1: fresh travel qubits move one step; full disclosure.
-        hop = {}
-        for j in range(5):
-            hop[j] = ctx.send_scrambled(
-                "hop1", names[j], names[(j + 1) % 5], travels[j], n // 2
-            )
-        for j in range(5):
-            seq, rec, idx = hop[j]
-            ctx.disclose_full("hop1", names[j], rec)
-            ctx.check_decoys("hop1", names[j], names[(j + 1) % 5], seq, rec, idx)
-            travels[j] = _restore_order(seq, rec.message_order)
-
-        # Encoding rounds k=1..4: the holder of stream j-k is party j.
-        for k in range(1, 5):
-            step = f"hop{k + 1}"
-            for j in range(5):
-                stream = (j - k) % 5
-                qubits = travels[stream]
-                for i in range(n):
-                    if keys[j][i]:
-                        store.apply_pauli(
-                            generators[k - 1], (qubits[2 * i], qubits[2 * i + 1])
-                        )
-            hop = {}
-            for j in range(5):
-                stream = (j - k) % 5
-                hop[j] = ctx.send_scrambled(
-                    step, names[j], names[(j + 1) % 5], travels[stream], n // 2
-                )
-            for j in range(5):
-                stream = (j - k) % 5
-                seq, rec, idx = hop[j]
-                ctx.disclose_decoys(step, names[j], rec)
-                ctx.check_decoys(step, names[j], names[(j + 1) % 5], seq, rec, idx)
-                ctx.disclose_order(step, names[j], rec.message_order)
-                travels[stream] = _restore_order(seq, rec.message_order)
-
-        # Decode: measure every copy in the product-group basis.
-        derived: dict[str, tuple[int, ...] | None] = {}
-        outcome_records: dict[str, tuple[str, ...]] = {}
-        for j in range(5):
-            labels = []
-            final = []
-            for i in range(n):
-                q1, q2, q3, q4 = copies[j][i]
-                # travel qubits may have been replaced only by an attack;
-                # honest runs return the original ids rearranged.
-                index = store.measure_in_basis((q1, q2, q3, q4), basis, rng)
-                element = elements[index]
-                labels.append(element.label)
-                bits = bits_of_element[element]
-                final.append(keys[j][i] ^ bits[0] ^ bits[1] ^ bits[2] ^ bits[3])
-            outcome_records[names[j]] = tuple(labels)
-            derived[names[j]] = tuple(final)
-
-        counts = count_from_transcript(t)
-        return ProtocolResult(
-            FIVE_PARTY, n, names, private, derived, False, None, ctx.checks,
-            counts, t, outcome_records, None,
-        )
-    except _AbortRun as abort:
-        return ProtocolResult(
-            FIVE_PARTY, n, names, private,
-            {name: None for name in names}, True, abort.reason, ctx.checks,
-            None, t, {}, None,
-        )
+    ring = _Ring(
+        protocol=FIVE_PARTY,
+        prepare=lambda store: store.new_four_qubit(state_kind),
+        travel=(0, 2),
+        words=generators,
+        prep_step="hop0",
+        hop_steps=tuple((f"hop{h}", f"hop{h}") for h in range(1, 6)),
+        decode=decode,
+    )
+    return _run_ring(ring, config, adversary)
 
 
 def run_protocol(
     config: ProtocolConfig, adversary: AdversaryModel | None = None
 ) -> ProtocolResult:
-    """Dispatch on party_count; the five-party run accepts no adversary."""
+    """Dispatch on party_count; ``check_adversary`` says which adversary each takes."""
     if config.party_count == 2:
         return run_two_party(config, adversary)
     if config.party_count == 3:
         return run_three_party(config, adversary)
-    adv = _normalize_adversary(adversary)
-    if adv.kind is not AdversaryKind.NONE:
-        raise ValueError("the five-party protocol does not take an adversary model")
-    return run_five_party(config)
+    return run_five_party(config, adversary)

@@ -31,17 +31,6 @@ ABORT = "abort"
 STATE_PREPARATION = "state-preparation"
 QUANTUM_SEND = "quantum-send"
 
-MESSAGE_KINDS = frozenset(
-    {
-        ACK,
-        FULL_PERMUTATION_DISCLOSURE,
-        DECOY_POSITIONS_DISCLOSURE,
-        MESSAGE_ORDER_DISCLOSURE,
-        KEY_ANNOUNCEMENT,
-        ABORT,
-    }
-)
-
 
 def payload_digest(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

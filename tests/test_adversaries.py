@@ -24,6 +24,7 @@ from qka.adversaries import (
 from qka.protocols import (
     ProtocolConfig,
     TravelSequence,
+    run_five_party,
     run_three_party,
     run_two_party,
     xor_bits,
@@ -38,6 +39,15 @@ def config(n=16, parties=2, seed=0, run=0, **kw):
 def binomial_band(p, trials, sigmas=3.0):
     sigma = math.sqrt(p * (1 - p) / trials)
     return p - sigmas * sigma, p + sigmas * sigma
+
+
+def wilson_band(successes, trials, z=3.0):
+    """Wilson score interval for an observed binomial proportion."""
+    p = successes / trials
+    denom = 1 + z * z / trials
+    centre = (p + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    return centre - half, centre + half
 
 
 class TestModelValidation:
@@ -109,6 +119,32 @@ class TestInterceptResendZDetection:
         )
         low, high = binomial_band(1 - 0.5**8, trials)
         assert low <= aborts / trials <= high
+
+    def test_five_party_abort_rate(self):
+        # every Z-measured decoy pair fails its Bell check with probability 1/2
+        trials = 400
+        adv = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
+        aborts = sum(
+            run_five_party(config(n=8, parties=5, seed=520, run=i), adv).aborted
+            for i in range(trials)
+        )
+        low, high = wilson_band(aborts, trials)
+        assert low <= 1 - 0.5**4 <= high
+
+    def test_five_party_last_hop_attack_reaches_decode(self):
+        # transmission 24 is the final hop of Alice's stream, so her decode
+        # must measure the resent qubits; the other streams stay honest
+        adv = AdversaryModel(
+            kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0, transmission_index=24
+        )
+        for i in range(20):
+            r = run_five_party(
+                config(n=4, parties=5, seed=902, run=i, error_threshold=1.0), adv
+            )
+            assert not r.aborted
+            assert r.derived_keys["Alice"] is not None
+            truth = r.ground_truth_key()
+            assert all(r.derived_keys[name] == truth for name in r.party_names[1:])
 
     def test_detection_monotone_in_fraction(self):
         trials = 1000

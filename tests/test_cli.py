@@ -141,7 +141,7 @@ class TestConfigHandling:
             ("run", "--protocol", "two-party", "--key-bits", "7"),
             ("run", "--protocol", "two-party", "--key-bits", "8", "--trials", "0"),
             ("run", "--protocol", "five-party", "--key-bits", "8",
-             "--adversary", "intercept-z"),
+             "--adversary", "dishonest-alice"),
             ("run", "--protocol", "three-party", "--key-bits", "8",
              "--adversary", "dishonest-bob"),
             ("run", "--protocol", "two-party", "--key-bits", "8",
@@ -154,6 +154,16 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "configuration error" in err
+
+    def test_five_party_intercept_bell_names_register_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "five-party", "--key-bits", "8",
+            "--adversary", "intercept-bell",
+        )
+        assert code == 2
+        assert out == ""
+        assert "12-qubit cap" in err
+        assert len(err.splitlines()) == 1
 
     def test_unknown_flag_exits_2_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

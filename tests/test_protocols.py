@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qka.efficiency import preset_counts
-from qka.pauli import GroupElement, canonical_order, product_set
+from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
 from qka.protocols import (
-    EncodingAlphabet,
     InvalidSchemeError,
     ProtocolConfig,
     bits_to_hex,
@@ -41,6 +40,9 @@ from qka.transcript import (
     KEY_ANNOUNCEMENT,
     MESSAGE_ORDER_DISCLOSURE,
 )
+
+X_WORD = GroupElement.of(PauliLetter.X)
+Z_WORD = GroupElement.of(PauliLetter.Z)
 
 
 def config(n=8, parties=2, seed=0, run=0, **kw):
@@ -148,27 +150,27 @@ class TestEncodeDecode:
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
         before = store.register_of(a).amplitudes.copy()
-        encode_key(store, [b], [0], EncodingAlphabet.X_ROUND)
+        encode_key(store, [b], [0], X_WORD)
         np.testing.assert_array_equal(store.register_of(a).amplitudes, before)
 
     def test_x_round_bit_flips_to_phi_plus(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
-        encode_key(store, [b], [1], EncodingAlphabet.X_ROUND)
+        encode_key(store, [b], [1], X_WORD)
         assert store.measure_bell(a, b, np.random.default_rng(0)) is BellOutcome.PHI_PLUS
 
     def test_x_then_z_gives_phi_minus(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
-        encode_key(store, [b], [1], EncodingAlphabet.X_ROUND)
-        encode_key(store, [b], [1], EncodingAlphabet.Z_ROUND)
+        encode_key(store, [b], [1], X_WORD)
+        encode_key(store, [b], [1], Z_WORD)
         assert store.measure_bell(a, b, np.random.default_rng(0)) is BellOutcome.PHI_MINUS
 
     def test_length_mismatch(self):
         store = QubitStore()
         _, b = store.new_bell(BellOutcome.PSI_PLUS)
         with pytest.raises(ValueError):
-            encode_key(store, [b], [0, 1], EncodingAlphabet.X_ROUND)
+            encode_key(store, [b], [0, 1], X_WORD)
 
     @pytest.mark.parametrize(
         "outcome,bits",
@@ -279,8 +281,8 @@ class TestThreeParty:
         # the second -> phi+ at the originator, decoding to bits (1, 0)
         store = QubitStore()
         kept, travel = store.new_bell(BellOutcome.PSI_PLUS)
-        encode_key(store, [travel], [1], EncodingAlphabet.X_ROUND)  # K_B = 1
-        encode_key(store, [travel], [0], EncodingAlphabet.Z_ROUND)  # K_C = 0
+        encode_key(store, [travel], [1], X_WORD)  # K_B = 1
+        encode_key(store, [travel], [0], Z_WORD)  # K_C = 0
         outcome = store.measure_bell(kept, travel, np.random.default_rng(0))
         assert outcome is BellOutcome.PHI_PLUS
         assert decode_bell_bits(outcome) == (1, 0)
@@ -403,13 +405,19 @@ class TestFiveParty:
         assert diff == [1]
 
     def test_dispatcher_refuses_adversary(self):
+        # insiders act on two-party only; intercept-bell would chain the
+        # 4-qubit copies past the register cap
         from qka.adversaries import AdversaryKind, AdversaryModel
 
-        with pytest.raises(ValueError):
-            run_protocol(
-                config(n=4, parties=5),
-                AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z),
-            )
+        for kind in (
+            AdversaryKind.INTERCEPT_RESEND_BELL,
+            AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE,
+            AdversaryKind.DISHONEST_BOB_REORDER,
+        ):
+            with pytest.raises(ValueError):
+                run_protocol(config(n=4, parties=5), AdversaryModel(kind=kind))
+            with pytest.raises(ValueError):
+                run_five_party(config(n=4, parties=5), AdversaryModel(kind=kind))
 
     def test_order_disclosure_follows_decoy_check(self):
         t = run_five_party(config(n=4, parties=5, seed=6)).transcript
