@@ -93,6 +93,34 @@ RUN_DEFAULTS = {
 }
 
 
+# The JSON types each config key accepts; a bool is never taken for a number.
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_STR = ((str,), "a string")
+CONFIG_TYPES = {
+    "protocol": _STR,
+    "key_bits": _INT,
+    "seed": ((int, type(None)), "an integer or null"),
+    "trials": _INT,
+    "adversary": _STR,
+    "attack_fraction": _NUMBER,
+    "swap_count": _INT,
+    "threshold": _NUMBER,
+    "five_party_state": _STR,
+    "five_party_rounds": _STR,
+    "format": _STR,
+    "out": ((str, type(None)), "a string or null"),
+    "fail_on_abort": ((bool,), "true or false"),
+}
+
+
+def _check_config_types(values: dict) -> None:
+    for key, value in values.items():
+        allowed, expected = CONFIG_TYPES[key]
+        if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qka",
@@ -140,11 +168,14 @@ def _load_run_spec(args: argparse.Namespace) -> dict:
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_values) - set(RUN_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_types(file_values)
         spec.update(file_values)
     for key in RUN_DEFAULTS:
         value = getattr(args, key, None)
@@ -235,8 +266,10 @@ def _run_command(args: argparse.Namespace) -> int:
             raise ConfigError(str(exc)) from exc
 
     if spec["trials"] == 1:
-        payload = results[0].to_dict()
-        text = _render_single(results[0])
+        if spec["format"] == "text":
+            output = _render_single(results[0])
+        else:
+            output = json.dumps(results[0].to_dict(), sort_keys=True, indent=2)
     else:
         payload = {
             "schema": "qka.batch/1",
@@ -252,12 +285,11 @@ def _run_command(args: argparse.Namespace) -> int:
                 for i, r in enumerate(results)
             ],
         }
-        text = _render_batch(payload)
-    output = (
-        json.dumps(payload, sort_keys=True, indent=2)
-        if spec["format"] == "json"
-        else text
-    )
+        output = (
+            json.dumps(payload, sort_keys=True, indent=2)
+            if spec["format"] == "json"
+            else _render_batch(payload)
+        )
     _emit(output, spec["out"])
     if spec["fail_on_abort"] and any(r.aborted for r in results):
         return 3

@@ -19,6 +19,7 @@ run_index) pairs reproduce byte-identical transcripts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -52,6 +53,7 @@ from .pauli import (
     validate_scheme,
 )
 from .registers import (
+    BELL_VECTORS,
     MAX_REGISTER_QUBITS,
     BellOutcome,
     FourQubitState,
@@ -74,11 +76,12 @@ class InvalidSchemeError(ValueError):
     """A five-party round selection fails the encoding-scheme validation."""
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def bits_to_hex(bits: Sequence[int]) -> str:
     """Big-endian hex rendering, left-padded to whole nibbles."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
+    value = int(bytes(map(int, bits)).translate(_BIT_DIGITS), 2) if len(bits) else 0
     width = (len(bits) + 3) // 4
     return f"{value:0{width}x}"
 
@@ -193,23 +196,18 @@ def insert_decoys_and_permute(
         if m % 2:
             raise ValueError("message qubit count must be even")
         decoy_pair_count = m // 2
-    decoys: list[int] = []
-    for _ in range(decoy_pair_count):
-        decoys.extend(store.new_bell(BellOutcome.PSI_PLUS))
-    items = list(message_qubits) + decoys
+    decoys = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
+    items = [*message_qubits, *decoys]
     total = len(items)
-    inverse = tuple(int(v) for v in rng.permutation(total))
-    forward = [0] * total
-    for slot, item in enumerate(inverse):
-        forward[item] = slot
-    slots = [items[inverse[s]] for s in range(total)]
+    permutation = rng.permutation(total)
+    inverse = tuple(permutation.tolist())
+    forward = tuple(np.argsort(permutation).tolist())  # the inverse permutation
+    slots = [items[item] for item in inverse]
     record = PermutationRecord(
-        forward=tuple(forward),
+        forward=forward,
         inverse=inverse,
-        message_order=tuple(forward[:m]),
-        decoy_pairs=tuple(
-            (forward[m + 2 * p], forward[m + 2 * p + 1]) for p in range(decoy_pair_count)
-        ),
+        message_order=forward[:m],
+        decoy_pairs=tuple(zip(forward[m::2], forward[m + 1 :: 2])),
     )
     return TravelSequence(slots), record
 
@@ -231,11 +229,8 @@ def verify_decoys(
         seen.update((a, b))
     if not decoy_pairs:
         raise ValueError("decoy disclosure is empty")
-    errors = 0
-    for a, b in decoy_pairs:
-        outcome = store.measure_bell(seq.slots[a], seq.slots[b], rng)
-        if outcome is not BellOutcome.PSI_PLUS:
-            errors += 1
+    pairs = [(seq.slots[a], seq.slots[b]) for a, b in decoy_pairs]
+    errors = sum(o is not BellOutcome.PSI_PLUS for o in store.measure_bell_rows(pairs, rng))
     error_rate = errors / len(decoy_pairs)
     return error_rate, error_rate <= threshold
 
@@ -251,9 +246,7 @@ def encode_key(
     if len(qubits) != arity * len(key):
         raise ValueError("qubit list must hold one word-sized group per key bit")
     groups = zip(*[iter(qubits)] * arity)  # consecutive arity-sized groups
-    for group, bit in zip(groups, key):
-        if bit:
-            store.apply_pauli(word, group)
+    store.apply_pauli_groups(word, [group for group, bit in zip(groups, key) if bit])
 
 
 def decode_bell_bits(outcome: BellOutcome) -> tuple[int, int]:
@@ -281,10 +274,10 @@ class ProtocolResult:
         return xor_bits(*self.private_keys.values())
 
     def agreement(self) -> bool:
-        if self.aborted:
-            return False
-        truth = self.ground_truth_key()
-        return all(key == truth for key in self.derived_keys.values())
+        return self._agrees_with(self.ground_truth_key())
+
+    def _agrees_with(self, truth: tuple[int, ...]) -> bool:
+        return not self.aborted and all(key == truth for key in self.derived_keys.values())
 
     def to_dict(self) -> dict:
         report = (
@@ -292,6 +285,7 @@ class ProtocolResult:
             if self.resource_counts
             else None
         )
+        truth = self.ground_truth_key()
         return {
             "schema": "qka.run/1",
             "protocol": self.protocol,
@@ -304,8 +298,8 @@ class ProtocolResult:
                 k: (bits_to_hex(v) if v is not None else None)
                 for k, v in self.derived_keys.items()
             },
-            "ground_truth_key": bits_to_hex(self.ground_truth_key()),
-            "agreement": self.agreement(),
+            "ground_truth_key": bits_to_hex(truth),
+            "agreement": self._agrees_with(truth),
             "checks": [c.to_dict() for c in self.checks],
             "resource_counts": (
                 {"c": self.resource_counts.c, "q": self.resource_counts.q, "b": self.resource_counts.b}
@@ -511,10 +505,10 @@ def run_two_party(
 
     try:
         # Step 1: pair preparation and the initiator's key.
-        pairs = [store.new_bell(BellOutcome.PSI_PLUS) for _ in range(n)]
+        pairs = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], n)
         ctx.log_preparation("step1", alice, 2 * n, "message")
-        kept = [p for p, _ in pairs]
-        travel = [q for _, q in pairs]
+        kept = list(pairs[0::2])
+        travel = list(pairs[1::2])
         key_a = ctx.draw_key(0)
         private[alice] = key_a
 
@@ -563,7 +557,7 @@ def run_two_party(
             derived[alice] = xor_bits(key_a, early_guess)
         else:
             claimed = _restore_order(seq2, order)
-            outcomes = [store.measure_bell(kept[i], claimed[i], rng) for i in range(n)]
+            outcomes = store.measure_bell_rows(list(zip(kept, claimed)), rng)
             outcome_records[alice] = tuple(o.label for o in outcomes)
             decoded = tuple(decode_bell_bits(o)[0] for o in outcomes)
             derived[alice] = xor_bits(key_a, decoded)  # Step 8
@@ -596,22 +590,25 @@ def _claimed_indices(order: Sequence[int], record: PermutationRecord) -> list[in
 class _Ring:
     """What sets one ring protocol apart; ``_run_ring`` does everything else.
 
-    Every party prepares n copies with ``prepare`` and circulates the
-    qubits at the ``travel`` positions of each copy. The stream makes one
-    plain hop, then one hop per encoding round, in which its holder applies
-    that round's word to every copy whose key bit is 1. ``hop_steps``
-    holds the (send, check) step labels of each hop, so the ring has
-    ``len(hop_steps)`` parties. Back home, ``decode`` measures one copy and
-    returns the outcome label and the XOR of the round bits it carries.
+    Every party prepares a train of n copies of ``state`` and circulates
+    the qubits at the ``travel`` positions of each copy. The stream makes
+    one plain hop, then one hop per encoding round, in which its holder
+    applies that round's word to every copy whose key bit is 1.
+    ``hop_steps`` holds the (send, check) step labels of each hop, so the
+    ring has ``len(hop_steps)`` parties. Back home, ``decode`` measures a
+    party's copies, each given as its qubits in copy order, and returns per
+    copy the outcome label and the XOR of the round bits it carries.
     """
 
     protocol: str
-    prepare: Callable[[QubitStore], tuple[int, ...]]
+    state: np.ndarray
     travel: tuple[int, ...]
     words: tuple[GroupElement, ...]
     prep_step: str
     hop_steps: tuple[tuple[str, str], ...]
-    decode: Callable[[QubitStore, tuple[int, ...], np.random.Generator], tuple[str, int]]
+    decode: Callable[
+        [QubitStore, list[tuple[int, ...]], np.random.Generator], list[tuple[str, int]]
+    ]
 
 
 def _run_ring(
@@ -624,13 +621,14 @@ def _run_ring(
     names = PARTY_NAMES[:parties]
     ctx = _RunContext(ring.protocol, config, adv)
     store, rng, t = ctx.store, ctx.rng, ctx.transcript
+    width = _COPY_QUBITS[parties]
 
-    copies: list[list[tuple[int, ...]]] = []  # copies[s]: resource copies of party s
+    copies: list[tuple[int, ...]] = []  # copies[s]: party s's train ids, copy by copy
     travels: list[list[int]] = []  # travels[s]: stream s's travel qubits, copy by copy
     for j in range(parties):
-        copies.append([ring.prepare(store) for _ in range(n)])
-        ctx.log_preparation(ring.prep_step, names[j], _COPY_QUBITS[parties] * n, "message")
-        travels.append([c[p] for c in copies[j] for p in ring.travel])
+        copies.append(store.new_train(ring.state, n))
+        ctx.log_preparation(ring.prep_step, names[j], width * n, "message")
+        travels.append([copies[j][c * width + p] for c in range(n) for p in ring.travel])
     keys = [ctx.draw_key(j) for j in range(parties)]
     private = dict(zip(names, keys))
 
@@ -662,12 +660,11 @@ def _run_ring(
         # Decode each copy with its returned travel qubits in their positions.
         derived: dict[str, tuple[int, ...] | None] = {}
         outcome_records: dict[str, tuple[str, ...]] = {}
-        width = len(ring.travel)
         for j in range(parties):
-            columns = list(zip(*copies[j]))
+            columns = [copies[j][p::width] for p in range(width)]
             for k, p in enumerate(ring.travel):
-                columns[p] = travels[j][k::width]
-            decoded = [ring.decode(store, qubits, rng) for qubits in zip(*columns)]
+                columns[p] = travels[j][k :: len(ring.travel)]
+            decoded = ring.decode(store, list(zip(*columns)), rng)
             outcome_records[names[j]] = tuple(label for label, _ in decoded)
             derived[names[j]] = tuple(kb ^ bit for kb, (_, bit) in zip(keys[j], decoded))
 
@@ -685,16 +682,15 @@ def _run_ring(
 
 
 def _decode_bell(
-    store: QubitStore, qubits: tuple[int, ...], rng: np.random.Generator
-) -> tuple[str, int]:
+    store: QubitStore, pairs: list[tuple[int, ...]], rng: np.random.Generator
+) -> list[tuple[str, int]]:
     """The outcome's bit flip carries the X round, its phase flip the Z round."""
-    outcome = store.measure_bell(qubits[0], qubits[1], rng)
-    return outcome.label, outcome.x_bit ^ outcome.z_bit
+    return [(o.label, o.x_bit ^ o.z_bit) for o in store.measure_bell_rows(pairs, rng)]
 
 
 _THREE_PARTY_RING = _Ring(
     protocol=THREE_PARTY,
-    prepare=lambda store: store.new_bell(BellOutcome.PSI_PLUS),
+    state=BELL_VECTORS[BellOutcome.PSI_PLUS],
     travel=(1,),
     words=(GroupElement.of(PauliLetter.X), GroupElement.of(PauliLetter.Z)),
     prep_step="step1",
@@ -725,6 +721,44 @@ def five_party_round_subgroups(digits: str):
     return tuple(subs[int(d) - 1] for d in digits)
 
 
+@functools.lru_cache(maxsize=None)
+def _five_party_decoder(
+    state: str, rounds: str
+) -> tuple[tuple[GroupElement, ...], tuple[tuple[str, int], ...], np.ndarray]:
+    """Round generators, per-outcome (label, parity) and decode basis.
+
+    Built once per (state, rounds); a selection that fails the scheme
+    validation raises InvalidSchemeError on every call.
+    """
+    subgroups = five_party_round_subgroups(rounds)
+    scheme = EncodingScheme(
+        total_qubits=4, travel_qubits=2, bits_per_round=1, rounds=4,
+        round_subgroups=subgroups,
+    )
+    reference = StateRegister((0, 1, 2, 3), four_qubit_vector(FourQubitState(state)))
+    if not validate_scheme(scheme, reference, (0, 2)):
+        raise InvalidSchemeError(
+            f"round selection {rounds!r} on {state!r} "
+            "does not form a decodable encoding scheme"
+        )
+
+    generators = tuple(sub.non_identity()[0] for sub in subgroups)
+    parity: dict[GroupElement, int] = {}
+    for bits in itertools.product((0, 1), repeat=4):
+        word = GroupElement.identity(2)
+        for bit, gen in zip(bits, generators):
+            if bit:
+                word = word * gen
+        parity[word] = sum(bits) % 2
+    elements = canonical_order(product_set(subgroups))
+    outcomes = tuple((u.label, parity[u]) for u in elements)
+    basis = np.stack(
+        [apply_element(reference, u, (0, 2)).amplitudes for u in elements]
+    )
+    basis.flags.writeable = False
+    return generators, outcomes, basis
+
+
 def run_five_party(
     config: ProtocolConfig, adversary: AdversaryModel | None = None
 ) -> ProtocolResult:
@@ -741,40 +775,16 @@ def run_five_party(
     config.validate()
     if config.party_count != 5:
         raise ValueError("five-party run requires party_count == 5")
-
-    subgroups = five_party_round_subgroups(config.five_party_rounds)
-    scheme = EncodingScheme(
-        total_qubits=4, travel_qubits=2, bits_per_round=1, rounds=4,
-        round_subgroups=subgroups,
-    )
-    state_kind = FourQubitState(config.five_party_state)
-    reference = StateRegister((0, 1, 2, 3), four_qubit_vector(state_kind))
-    if not validate_scheme(scheme, reference, (0, 2)):
-        raise InvalidSchemeError(
-            f"round selection {config.five_party_rounds!r} on {config.five_party_state!r} "
-            "does not form a decodable encoding scheme"
-        )
-
-    generators = tuple(sub.non_identity()[0] for sub in subgroups)
-    parity: dict[GroupElement, int] = {}
-    for bits in itertools.product((0, 1), repeat=4):
-        word = GroupElement.identity(2)
-        for bit, gen in zip(bits, generators):
-            if bit:
-                word = word * gen
-        parity[word] = sum(bits) % 2
-    elements = canonical_order(product_set(subgroups))
-    outcomes = [(u.label, parity[u]) for u in elements]
-    basis = np.stack(
-        [apply_element(reference, u, (0, 2)).amplitudes for u in elements]
+    generators, outcomes, basis = _five_party_decoder(
+        config.five_party_state, config.five_party_rounds
     )
 
-    def decode(store, qubits, rng):
-        return outcomes[store.measure_in_basis(qubits, basis, rng)]
+    def decode(store, groups, rng):
+        return [outcomes[i] for i in store.measure_rows_in_basis(groups, basis, rng)]
 
     ring = _Ring(
         protocol=FIVE_PARTY,
-        prepare=lambda store: store.new_four_qubit(state_kind),
+        state=four_qubit_vector(FourQubitState(config.five_party_state)),
         travel=(0, 2),
         words=generators,
         prep_step="hop0",

@@ -7,21 +7,42 @@ of amplitudes at a time. Registers are merged lazily, only when a joint
 measurement spans two of them; merging caps at 12 qubits and anything larger
 fails loudly. Measured qubits are retired from the store for good.
 
+Trains hold the hot path. A protocol sends n identical, independent copies
+of one resource state, so :meth:`QubitStore.new_train` keeps them as one
+``(n, 2^k)`` amplitude array, one row per copy, with the ids ``n`` calls of
+``new_bell`` or ``new_four_qubit`` would have allocated. Three vector
+operations act on many rows at once: :meth:`QubitStore.apply_pauli_groups`
+(per letter an index permutation plus a sign on the selected rows), and
+:meth:`QubitStore.measure_bell_rows` and
+:meth:`QubitStore.measure_rows_in_basis` (one matmul and one inverse-CDF
+draw per row). Any scalar operation on a train qubit (``register_of`` and
+everything built on it) first *detaches* that qubit's row into an ordinary
+:class:`StateRegister`; from then on the row takes the per-register path,
+merges and entanglement swapping included. A vector operation that meets a
+detached row, or a group that is not one whole row in register order,
+handles that group on the per-register path.
+
 Bit-ordering convention, used everywhere: the first qubit listed in a
 register is the most significant bit of the basis index. Bell states follow
 |psi+-> = (|00> +- |11>)/sqrt(2) and |phi+-> = (|01> +- |10>)/sqrt(2).
 
 Randomness is never ambient: every sampling operation takes a numpy
 Generator, and identical seeds reproduce identical outcome sequences and
-final stores.
+final stores. Every measurement draws exactly one ``rng.random()``; a
+vector measurement of m groups draws ``rng.random(m)``, which yields the
+same values as m scalar draws, so trains leave the random stream, and with
+it every outcome, as the per-register path has it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import TYPE_CHECKING, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -69,6 +90,8 @@ _BELL_LABELS = {
     BellOutcome.PHI_PLUS: "phi+",
     BellOutcome.PHI_MINUS: "phi-",
 }
+
+_BELL_OUTCOMES = tuple(BellOutcome)  # by index, faster than BellOutcome(i)
 
 # Rows indexed by BellOutcome; columns over |00>, |01>, |10>, |11>.
 BELL_VECTORS = np.array(
@@ -174,10 +197,10 @@ def apply_element(
     return out
 
 
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Born-rule draw; zero-probability outcomes are never selected."""
+def _sample_index(probs: np.ndarray, uniform: float) -> int:
+    """Born-rule draw from one uniform in [0, 1); zero-probability outcomes are never selected."""
     total = float(probs.sum())
-    u = rng.random() * total
+    u = uniform * total
     acc = 0.0
     last = 0
     for i, p in enumerate(probs):
@@ -190,6 +213,107 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return last  # float roundoff pushed u past the final bin
 
 
+def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``_sample_index`` on every row of ``probs``, each with its own uniform.
+
+    The running sum only grows at nonzero bins, so the first bin whose
+    running sum exceeds the target is a nonzero one, as in the scalar loop.
+    """
+    targets = uniforms * probs.sum(axis=1)
+    outcomes = (np.cumsum(probs, axis=1) <= targets[:, None]).sum(axis=1)
+    for i in np.flatnonzero(outcomes == probs.shape[1]).tolist():
+        nonzero = np.flatnonzero(probs[i] > 0.0)
+        outcomes[i] = nonzero[-1] if nonzero.size else 0  # roundoff: last nonzero bin
+    return outcomes
+
+
+def _to_front(register: StateRegister, positions: Sequence[int]) -> np.ndarray:
+    """The register's amplitude tensor with the given qubit axes moved first, in order."""
+    rest = [p for p in range(register.size) if p not in positions]
+    return register.amplitudes.reshape([2] * register.size).transpose([*positions, *rest])
+
+
+def _members(labels: np.ndarray):
+    """(label, indices holding it) for each nonnegative label, in label order."""
+    if not labels.size:
+        return
+    low, high = int(labels.min()), int(labels.max())
+    if low == high:  # the common case: one train, or one position
+        if low >= 0:
+            yield low, np.arange(labels.size)
+        return
+    for label in range(max(low, 0), high + 1):
+        indices = np.flatnonzero(labels == label)
+        if indices.size:
+            yield label, indices
+
+
+def _id_table(groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """Nonempty equal-sized groups of qubit ids as one (groups, size) array."""
+    sizes = set(map(len, groups))
+    if len(sizes) != 1:
+        raise ValueError("every group must hold the same number of qubits")
+    (size,) = sizes
+    flat = itertools.chain.from_iterable(groups)
+    return np.fromiter(flat, dtype=np.int64, count=len(groups) * size).reshape(-1, size)
+
+
+def _has_repeats(values: np.ndarray) -> bool:
+    ordered = np.sort(values, axis=None)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
+def _bell_probs(amplitudes: np.ndarray) -> np.ndarray:
+    return np.abs(amplitudes) ** 2
+
+
+def _basis_probs(amplitudes: np.ndarray) -> np.ndarray:
+    return (amplitudes * amplitudes.conj()).real
+
+
+@lru_cache(maxsize=None)
+def _letter_action(letter, width: int, pos: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """How one letter acts at ``pos`` of a ``width``-qubit amplitude row.
+
+    Every Pauli letter maps each basis ket to one ket times a sign, so the
+    new row is ``old[perm] * sign``. Returns (perm, sign), with sign None
+    when it is all ones, or None for the identity.
+    """
+    mat = letter.matrix
+    source = np.abs(mat).argmax(axis=1)  # the input bit feeding each output bit
+    coef = mat[[0, 1], source]
+    if source[0] == source[1] or np.count_nonzero(mat) != 2 or np.any(coef.imag):
+        raise ValueError("letter matrix must map each basis ket to one basis ket, up to a sign")
+    shift = width - 1 - pos
+    index = np.arange(2**width)
+    bit = (index >> shift) & 1
+    perm = index ^ ((bit ^ source[bit]) << shift)
+    sign = coef[bit].real  # Pauli letters carry real signs
+    trivial_sign = bool(np.all(sign == 1))
+    if trivial_sign and np.array_equal(perm, index):
+        return None
+    perm.flags.writeable = sign.flags.writeable = False  # shared through the cache
+    return perm, (None if trivial_sign else sign)
+
+
+@dataclass(eq=False)
+class _Train:
+    """``live.size`` copies of one ``width``-qubit state, one amplitude row each.
+
+    Row r holds the ids ``first + r*width`` onward, first qubit as MSB;
+    ``live[r]`` turns False once the row is measured or detached.
+    """
+
+    first: int
+    width: int
+    amplitudes: np.ndarray
+    live: np.ndarray
+
+    def row_ids(self, row: int) -> tuple[int, ...]:
+        start = self.first + row * self.width
+        return tuple(range(start, start + self.width))
+
+
 class QubitStore:
     """Registry of live qubits; owns allocation, Pauli action and measurement.
 
@@ -199,6 +323,7 @@ class QubitStore:
 
     def __init__(self):
         self._registers: dict[int, StateRegister] = {}
+        self._trains: list[_Train] = []  # in id order; spent trains are dropped
         self._next_id = 0
 
     # -- allocation ----------------------------------------------------
@@ -232,19 +357,84 @@ class QubitStore:
         self._install(StateRegister((q,), vec))
         return q
 
+    def new_train(self, vector: np.ndarray, count: int) -> tuple[int, ...]:
+        """Allocate ``count`` copies of one k-qubit state as a train.
+
+        Returns the ids copy by copy: the ones ``count`` calls of
+        ``new_bell`` or ``new_four_qubit`` would have returned.
+        """
+        if count < 0:
+            raise ValueError("train length must be nonnegative")
+        template = np.asarray(vector, dtype=complex).reshape(-1)
+        width = template.size.bit_length() - 1
+        StateRegister(tuple(range(width)), template)  # validates size and norm
+        ids = self._fresh_ids(count * width)
+        if count:
+            amplitudes = np.tile(template, (count, 1))
+            self._trains.append(_Train(ids[0], width, amplitudes, np.ones(count, dtype=bool)))
+        return ids
+
     # -- introspection ---------------------------------------------------
 
+    def _train_row(self, qubit: int) -> tuple[_Train, int] | None:
+        """The train and row holding ``qubit``, while that row is in the train."""
+        i = bisect_right(self._trains, qubit, key=lambda t: t.first) - 1
+        if i < 0:
+            return None
+        train = self._trains[i]
+        row = (qubit - train.first) // train.width
+        if row < train.live.size and train.live[row]:
+            return train, row
+        return None
+
+    def _locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Train index, row and position in the row of each id.
+
+        The train index is -1 for an id that is not in a live train row.
+        """
+        where = np.searchsorted([t.first for t in self._trains], ids, side="right") - 1
+        rows = np.zeros_like(ids)
+        positions = np.zeros_like(ids)
+        for t, sel in _members(where):
+            train = self._trains[t]
+            row, pos = np.divmod(ids[sel] - train.first, train.width)
+            held = row < train.live.size
+            held[held] = train.live[row[held]]
+            where[sel[~held]] = -1
+            rows[sel] = row
+            positions[sel] = pos
+        return where, rows, positions
+
+    def _detach(self, train: _Train, row: int) -> StateRegister:
+        """Move one train row into its own register, for good."""
+        register = StateRegister(train.row_ids(row), train.amplitudes[row].copy())
+        train.live[row] = False
+        if not train.live.any():
+            self._trains.remove(train)
+        self._install(register)
+        return register
+
     def tracked(self, qubit: int) -> bool:
-        return qubit in self._registers
+        return qubit in self._registers or self._train_row(qubit) is not None
 
     def live_qubits(self) -> list[int]:
-        return sorted(self._registers)
+        in_trains = [
+            q
+            for train in self._trains
+            for row in np.flatnonzero(train.live).tolist()
+            for q in train.row_ids(row)
+        ]
+        return sorted([*self._registers, *in_trains])
 
     def register_of(self, qubit: int) -> StateRegister:
-        try:
-            return self._registers[qubit]
-        except KeyError:
-            raise UnknownQubitError(qubit) from None
+        """The register holding ``qubit``; a train row is detached first."""
+        register = self._registers.get(qubit)
+        if register is not None:
+            return register
+        held = self._train_row(qubit)
+        if held is None:
+            raise UnknownQubitError(qubit)
+        return self._detach(*held)
 
     # -- unitaries -------------------------------------------------------
 
@@ -257,6 +447,43 @@ class QubitStore:
         for letter, qubit in zip(element.letters, targets):
             reg = self.register_of(qubit)
             reg.apply_matrix(reg.position(qubit), letter.matrix)
+
+    def apply_pauli_groups(
+        self, element: "GroupElement", groups: Sequence[Sequence[int]]
+    ) -> None:
+        """``apply_pauli(element, group)`` for every group, train rows in bulk.
+
+        Per letter, the qubits it hits in live train rows change by one
+        index permutation and sign per (train, position); every other qubit
+        takes the per-register path. Rows are never detached.
+        """
+        if not len(groups):
+            return
+        targets = _id_table(groups)
+        if targets.shape[1] != element.arity:
+            raise ValueError(
+                f"arity mismatch: element has {element.arity} letters, "
+                f"groups hold {targets.shape[1]} targets"
+            )
+        if _has_repeats(targets):
+            raise ValueError("groups must name distinct qubits")
+        where, rows, positions = (
+            a.reshape(targets.shape) for a in self._locate(targets.reshape(-1))
+        )
+        for j, letter in enumerate(element.letters):
+            for t, in_train in _members(where[:, j]):
+                train = self._trains[t]
+                for pos, at_pos in _members(positions[in_train, j]):
+                    action = _letter_action(letter, train.width, pos)
+                    if action is None:
+                        continue
+                    perm, sign = action
+                    sel = rows[in_train[at_pos], j]
+                    moved = train.amplitudes[np.ix_(sel, perm)]
+                    train.amplitudes[sel] = moved if sign is None else moved * sign
+            for qubit in targets[where[:, j] < 0, j].tolist():
+                reg = self.register_of(qubit)
+                reg.apply_matrix(reg.position(qubit), letter.matrix)
 
     # -- measurement -----------------------------------------------------
 
@@ -277,7 +504,7 @@ class QubitStore:
         amps = regs[0].amplitudes
         joined: tuple[int, ...] = regs[0].qubits
         for reg in regs[1:]:
-            amps = np.kron(amps, reg.amplitudes)
+            amps = np.multiply.outer(amps, reg.amplitudes).reshape(-1)  # kron of vectors
             joined = joined + reg.qubits
         merged = StateRegister(joined, amps)
         self._install(merged)
@@ -298,6 +525,58 @@ class QubitStore:
             post = branch_amplitudes / math.sqrt(probability)
             self._install(StateRegister(remaining, post))
 
+    def _sampled(
+        self,
+        register: StateRegister,
+        measured: Sequence[int],
+        branches: np.ndarray,
+        probs: np.ndarray,
+        uniform: float,
+    ) -> int:
+        """Draw the outcome with ``uniform``, then retire and collapse."""
+        outcome = _sample_index(probs, uniform)
+        self._collapse(register, measured, branches[outcome], float(probs[outcome]))
+        return outcome
+
+    # Each *_branches method returns (register, measured qubits, branch
+    # amplitudes per outcome, outcome probabilities) and draws nothing.
+
+    def _bell_branches(self, pair: Sequence[int]):
+        a, b = pair
+        if a == b:
+            raise ValueError("cannot Bell-measure a qubit against itself")
+        reg = self._joint_register((a, b))
+        pa, pb = reg.position(a), reg.position(b)
+        if reg.size == 2:
+            vec = reg.amplitudes if pa == 0 else reg.amplitudes[[0, 2, 1, 3]]
+            return reg, (a, b), np.empty((4, 0)), _bell_probs(BELL_VECTORS.conj() @ vec)
+        arr = _to_front(reg, (pa, pb)).reshape(4, -1)
+        branches = BELL_VECTORS.conj() @ arr  # (4, 2^(k-2))
+        probs = np.einsum("ij,ij->i", branches, branches.conj()).real
+        return reg, (a, b), branches, probs
+
+    def _z_branches(self, qubit: int):
+        reg = self.register_of(qubit)
+        if reg.size == 1:
+            return reg, (qubit,), np.empty((2, 0)), np.abs(reg.amplitudes) ** 2
+        arr = _to_front(reg, (reg.position(qubit),)).reshape(2, -1)
+        probs = np.einsum("ij,ij->i", arr, arr.conj()).real
+        return reg, (qubit,), arr, probs
+
+    def _basis_branches(self, qubits: Sequence[int], basis: np.ndarray):
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("measured qubits must be distinct")
+        reg = self._joint_register(qubits)
+        m = len(qubits)
+        if basis.shape[1] != 2**m:
+            raise ValueError("basis row length must be 2^(number of measured qubits)")
+        arr = _to_front(reg, [reg.position(q) for q in qubits]).reshape(2**m, -1)
+        branches = basis.conj() @ arr
+        probs = np.einsum("ij,ij->i", branches, branches.conj()).real
+        if abs(float(probs.sum()) - 1.0) > 1e-9:
+            raise ValueError("basis does not resolve the state's probability mass")
+        return reg, tuple(qubits), branches, probs
+
     def measure_bell(self, a: int, b: int, rng: np.random.Generator) -> BellOutcome:
         """Projective Bell-basis measurement of qubits (a, b).
 
@@ -305,40 +584,11 @@ class QubitStore:
         across two entangled pairs performs entanglement swapping on the
         partners left behind. Both measured qubits are retired.
         """
-        if a == b:
-            raise ValueError("cannot Bell-measure a qubit against itself")
-        reg = self._joint_register((a, b))
-        pa, pb = reg.position(a), reg.position(b)
-        if reg.size == 2:
-            vec = reg.amplitudes if pa == 0 else reg.amplitudes[[0, 2, 1, 3]]
-            amps = BELL_VECTORS.conj() @ vec
-            probs = np.abs(amps) ** 2
-            outcome = _sample_index(probs, rng)
-            self._collapse(reg, (a, b), np.empty(0), float(probs[outcome]))
-        else:
-            arr = reg.amplitudes.reshape([2] * reg.size)
-            arr = np.moveaxis(arr, (pa, pb), (0, 1)).reshape(4, -1)
-            branches = BELL_VECTORS.conj() @ arr  # (4, 2^(k-2))
-            probs = np.einsum("ij,ij->i", branches, branches.conj()).real
-            outcome = _sample_index(probs, rng)
-            self._collapse(reg, (a, b), branches[outcome], float(probs[outcome]))
-        return BellOutcome(outcome)
+        return BellOutcome(self._sampled(*self._bell_branches((a, b)), rng.random()))
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Computational-basis measurement; the qubit is retired."""
-        reg = self.register_of(qubit)
-        pos = reg.position(qubit)
-        if reg.size == 1:
-            probs = np.abs(reg.amplitudes) ** 2
-            outcome = _sample_index(probs, rng)
-            self._collapse(reg, (qubit,), np.empty(0), float(probs[outcome]))
-        else:
-            arr = reg.amplitudes.reshape([2] * reg.size)
-            arr = np.moveaxis(arr, pos, 0).reshape(2, -1)
-            probs = np.einsum("ij,ij->i", arr, arr.conj()).real
-            outcome = _sample_index(probs, rng)
-            self._collapse(reg, (qubit,), arr[outcome], float(probs[outcome]))
-        return int(outcome)
+        return int(self._sampled(*self._z_branches(qubit), rng.random()))
 
     def measure_in_basis(
         self,
@@ -352,20 +602,71 @@ class QubitStore:
         order; it must resolve (within tolerance) all probability mass of
         the state. Returns the sampled row index; measured qubits retire.
         """
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("measured qubits must be distinct")
-        reg = self._joint_register(qubits)
-        m = len(qubits)
         basis = np.asarray(basis, dtype=complex)
-        if basis.shape[1] != 2**m:
-            raise ValueError("basis row length must be 2^(number of measured qubits)")
-        positions = [reg.position(q) for q in qubits]
-        arr = reg.amplitudes.reshape([2] * reg.size)
-        arr = np.moveaxis(arr, positions, range(m)).reshape(2**m, -1)
-        branches = basis.conj() @ arr
-        probs = np.einsum("ij,ij->i", branches, branches.conj()).real
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("basis does not resolve the state's probability mass")
-        outcome = _sample_index(probs, rng)
-        self._collapse(reg, tuple(qubits), branches[outcome], float(probs[outcome]))
-        return int(outcome)
+        return int(self._sampled(*self._basis_branches(qubits, basis), rng.random()))
+
+    def measure_bell_rows(
+        self, pairs: Sequence[Sequence[int]], rng: np.random.Generator
+    ) -> list[BellOutcome]:
+        """``measure_bell`` on each pair in list order, train rows in bulk."""
+        outcomes = self._measure_groups(pairs, BELL_VECTORS, _bell_probs, self._bell_branches, rng)
+        return [_BELL_OUTCOMES[o] for o in outcomes]
+
+    def measure_rows_in_basis(
+        self,
+        groups: Sequence[Sequence[int]],
+        basis: np.ndarray,
+        rng: np.random.Generator,
+    ) -> list[int]:
+        """``measure_in_basis`` on each group in list order, train rows in bulk."""
+        basis = np.asarray(basis, dtype=complex)
+        return self._measure_groups(
+            groups, basis, _basis_probs, lambda group: self._basis_branches(group, basis), rng
+        )
+
+    def _measure_groups(
+        self,
+        groups: Sequence[Sequence[int]],
+        basis: np.ndarray,
+        probs_of: Callable[[np.ndarray], np.ndarray],
+        branches_of: Callable,
+        rng: np.random.Generator,
+    ) -> list[int]:
+        """Measure every group in ``basis``, drawing all uniforms up front.
+
+        Group i uses uniform i of ``rng.random(len(groups))``, the value the
+        i-th of as many scalar measurements would draw. A group that is one
+        whole live train row, in register order, is measured with the other
+        rows of its train in one matmul; every other group goes through
+        ``branches_of``, the per-register path, in list order.
+        """
+        if not len(groups):
+            return []
+        targets = _id_table(groups)
+        if _has_repeats(targets):
+            raise ValueError("measured qubits must be distinct")
+        uniforms = rng.random(len(groups))
+        m = targets.shape[1]
+        where, rows, positions = self._locate(targets[:, 0])
+        widths = np.array([t.width for t in self._trains] + [0])  # index -1 reads the 0
+        whole = (
+            (widths[where] == m)
+            & (positions == 0)
+            & (targets == targets[:, :1] + np.arange(m)).all(axis=1)
+        )
+        outcomes = np.zeros(len(groups), dtype=np.int64)
+        if whole.any():
+            if basis.shape[1] != 2**m:
+                raise ValueError("basis row length must be 2^(number of measured qubits)")
+            bras = basis.conj().T
+            for t, sel in _members(np.where(whole, where, -1)):
+                train = self._trains[t]
+                probs = probs_of(train.amplitudes[rows[sel]] @ bras)
+                if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+                    raise ValueError("basis does not resolve the state's probability mass")
+                outcomes[sel] = _sample_rows(probs, uniforms[sel])
+                train.live[rows[sel]] = False
+            self._trains = [t for t in self._trains if t.live.any()]
+        for i in np.flatnonzero(~whole).tolist():
+            outcomes[i] = self._sampled(*branches_of(groups[i]), float(uniforms[i]))
+        return outcomes.tolist()

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qka.cli import batch_summary, main
+from qka.cli import RUN_DEFAULTS, batch_summary, main
 from qka.protocols import ProtocolConfig, run_two_party
 
 
@@ -183,6 +185,105 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
         assert "configuration error" in err
+
+
+def _junk(ints=st.integers()):
+    """JSON values of every type, some nested."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 40), ints,
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    )
+    return st.one_of(scalars, st.lists(scalars, max_size=2),
+                     st.dictionaries(st.text(max_size=3), scalars, max_size=2))
+
+
+# Values a run accepts, sized so a valid spec finishes quickly; ``out`` gets
+# no string, so the fuzz never writes a file.
+_VALID = {
+    "protocol": st.sampled_from(["two-party", "three-party", "five-party"]),
+    "key_bits": st.sampled_from([2, 4, 8]),
+    "seed": st.integers(0, 2**70),
+    "trials": st.integers(1, 3),
+    "adversary": st.sampled_from(
+        ["none", "intercept-z", "intercept-bell", "dishonest-bob", "dishonest-alice"]
+    ),
+    "attack_fraction": st.floats(0, 1),
+    "swap_count": st.integers(0, 3),
+    "threshold": st.floats(0, 1),
+    "five_party_state": st.sampled_from(["omega", "cluster"]),
+    "five_party_rounds": st.sampled_from(["1234", "1256", "3456", "1245", "12"]),
+    "format": st.sampled_from(["json", "text", "csv"]),
+    "out": st.none(),
+    "fail_on_abort": st.booleans(),
+}
+assert set(_VALID) == set(RUN_DEFAULTS)
+# Sizes stay small: a huge valid key_bits or trials is accepted and runs until
+# memory runs out (see CHANGES.md), which is no type error and no test to run.
+_SIZE_JUNK = _junk(st.integers(-2**70, 0))
+
+
+def _with_one_junk_value(spec: dict):
+    key = st.sampled_from(sorted(RUN_DEFAULTS))
+    return key.flatmap(
+        lambda k: (_SIZE_JUNK if k in ("key_bits", "trials") else _junk()).map(
+            lambda value: {**spec, k: value}
+        )
+    )
+
+
+_SPECS = st.fixed_dictionaries({}, optional=_VALID)
+_CONFIGS = st.one_of(
+    _SPECS,
+    _SPECS.flatmap(_with_one_junk_value),
+    st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text(max_size=4)),
+)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"key_bits": "16"}, "key_bits"),
+            ({"trials": "3"}, "trials"),
+            ({"key_bits": 16.0}, "key_bits"),
+            ({"threshold": "0.1"}, "threshold"),
+            ({"key_bits": True}, "key_bits"),
+            ({"fail_on_abort": 1}, "fail_on_abort"),
+            ({"out": 5}, "out"),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_the_key(self, capsys, tmp_path, values, key):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("qka: configuration error: ") and repr(key) in err
+
+    def test_top_level_must_be_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert "must hold a JSON object" in err
+
+    def test_integral_numbers_still_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"key_bits": 8, "threshold": 0, "attack_fraction": 1,
+                                   "seed": None, "fail_on_abort": False}))
+        code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=_CONFIGS)
+    def test_fuzzed_config_never_crashes(self, capsys, tmp_path, config):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("qka: configuration error: ")
 
 
 class TestEfficiencyCommand:

@@ -1,0 +1,90 @@
+"""Golden bytes: SHA-256 of ``qka run`` stdout for fixed configurations.
+
+The digests pin the exact output, keys, outcomes and transcript digests
+included, so any change to the random stream or to what a run computes
+shows up here. A change that alters the stream on purpose updates the
+digests and records why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from qka.cli import main
+
+TWO, THREE, FIVE = "two-party", "three-party", "five-party"
+
+
+def _run(protocol, n, seed, *flags):
+    return ("run", "--protocol", protocol, "--key-bits", str(n), "--seed", str(seed), *flags)
+
+
+CASES = {
+    **{
+        f"{protocol}-n64-seed{seed}": _run(protocol, 64, seed)
+        for protocol in (TWO, THREE, FIVE)
+        for seed in range(3)
+    },
+    **{
+        f"five-party-{state}-{rounds}": _run(
+            FIVE, 16, 1, "--five-party-state", state, "--five-party-rounds", rounds
+        )
+        for state in ("omega", "cluster")
+        for rounds in ("1234", "1256", "3456")
+    },
+    "batch-intercept-z": _run(TWO, 16, 2, "--trials", "40", "--adversary", "intercept-z"),
+    "batch-intercept-bell": _run(
+        TWO, 16, 2, "--trials", "40", "--adversary", "intercept-bell", "--attack-fraction", "0.5"
+    ),
+    "batch-dishonest-bob": _run(
+        TWO, 32, 2, "--trials", "30", "--adversary", "dishonest-bob", "--swap-count", "4"
+    ),
+    "batch-dishonest-alice": _run(TWO, 16, 2, "--trials", "30", "--adversary", "dishonest-alice"),
+    "batch-three-party-intercept-bell": _run(
+        THREE, 16, 2, "--trials", "40", "--adversary", "intercept-bell", "--attack-fraction", "0.25"
+    ),
+    "three-party-intercept-bell": _run(
+        THREE, 16, 5, "--adversary", "intercept-bell", "--attack-fraction", "0.5",
+        "--threshold", "1",
+    ),
+    "five-party-intercept-z": _run(
+        FIVE, 16, 5, "--adversary", "intercept-z", "--attack-fraction", "0.3", "--threshold", "1"
+    ),
+    "two-party-dishonest-bob": _run(TWO, 16, 5, "--adversary", "dishonest-bob"),
+    "two-party-text": _run(TWO, 16, 5, "--format", "text"),
+}
+
+# Generated from the output of the per-register implementation.
+DIGESTS = {
+    "batch-dishonest-alice": "11df56a2b63dc4514e60cd5985569f2e5f7ee4470e893561062c8d98af2ae5bc",
+    "batch-dishonest-bob": "04a94f44b0002022623585b66e674107e11ff3b9060d3fb29e10409fb1fb459f",
+    "batch-intercept-bell": "d6ac84f403897fa877a8c02bbc124f4eee67f73b4d4a53152b8370710eed2776",
+    "batch-intercept-z": "930d56d5edd5c3685e6a9962f5024ac79f4f31aa54d0799fce6173affadddc57",
+    "batch-three-party-intercept-bell": "34b112cfd14e99a31f7a2043a04913120c2c8d2096466a74524589273f519a1b",
+    "five-party-cluster-1234": "f3fb85b07edd0b7ba6368fc8c1834719ad4e5d81297c6d4f7d1f5b06ee03cebd",
+    "five-party-cluster-1256": "a130365445a92ae65ba7a3ff501b885d3bd6f6b24e8fe1c67168c0b5f374664d",
+    "five-party-cluster-3456": "e5fc925fb145d74bbdeb46de6693f04035f7ac6d0baddf05ca775602bebd3b8c",
+    "five-party-intercept-z": "b7159cdc40b2fd4f86a36b8e92ad73fe4c12d9012ee91d3100c29824d7881c49",
+    "five-party-n64-seed0": "78f6a6d8b846f3d7e7ad2c4b6e5e47b116365f49cc7fe7e7a134cf2914d45dbc",
+    "five-party-n64-seed1": "5f9672b65cc65aa5341f1ef667bf68f96ddec8e5af5d5debb045264974ffee4e",
+    "five-party-n64-seed2": "3d84d69215983a04295f9484062fa991636d4a537df96e0d65b5b3910425c858",
+    "five-party-omega-1234": "f3fb85b07edd0b7ba6368fc8c1834719ad4e5d81297c6d4f7d1f5b06ee03cebd",
+    "five-party-omega-1256": "a130365445a92ae65ba7a3ff501b885d3bd6f6b24e8fe1c67168c0b5f374664d",
+    "five-party-omega-3456": "e5fc925fb145d74bbdeb46de6693f04035f7ac6d0baddf05ca775602bebd3b8c",
+    "three-party-intercept-bell": "7567f320c12a58443ec909364ba6e84887302749c723932e63f5d77249a8ed53",
+    "three-party-n64-seed0": "89a9c3c645747845110fc9c568f0c1f3de330c07c9493cacbf84d3cb08062037",
+    "three-party-n64-seed1": "d26a97c0c847001839c8d969fcd90ca5be353134a13379412e831fb53645332c",
+    "three-party-n64-seed2": "c58f7f8f1febe220e8699a91f9350f700c54c13cccabae86f5d4d10630087344",
+    "two-party-dishonest-bob": "52e3da6353be7f783aed00f26168d077f77da7eddf26b0d04d81b875b7ff2428",
+    "two-party-n64-seed0": "95efe839cab5ce1528f6d44d9e41f3a45ee683f19d96b9dd5f4f84aa0fac3d54",
+    "two-party-n64-seed1": "1c652fea16b00ab3ec22487b99de8c79174db17d76126e31adbc3c478d6c6c3d",
+    "two-party-n64-seed2": "257b45b16ce2082b2960a7a71a66350589e03989f0674a4f42a80cc1dd41e7e8",
+    "two-party-text": "c9145b0ebae90b698126936e607573303fbef2c20525e5da2cce8eeafa039b28",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_digest(name, capsys):
+    assert main(list(CASES[name])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

@@ -383,6 +383,14 @@ class TestFiveParty:
         with pytest.raises(InvalidSchemeError):
             run_five_party(config(n=4, parties=5, five_party_rounds="1235"))
 
+    def test_decode_table_is_built_once_and_bad_rounds_always_raise(self):
+        from qka.protocols import _five_party_decoder
+
+        assert _five_party_decoder("cluster", "1256") is _five_party_decoder("cluster", "1256")
+        for _ in range(2):
+            with pytest.raises(InvalidSchemeError):
+                run_five_party(config(n=4, parties=5, five_party_rounds="1245"))
+
     def test_resource_counts_match_preset(self):
         r = run_five_party(config(n=4, parties=5, seed=2))
         assert r.resource_counts == preset_counts("five-party", 4)
