@@ -86,24 +86,28 @@ def attack_transit(
 ) -> None:
     """Apply an external attack to a travel sequence, mutating its slots.
 
-    ``seq`` is any object with a mutable ``slots`` list of qubit ids. A
-    NONE model is a no-op (and draws no randomness); insider kinds raise.
+    ``seq`` is any object with a mutable ``slots`` sequence of qubit ids (a
+    list, or the engines' int64 array). The attack runs slot by slot on a
+    list of Python ints and writes it back in place. A NONE model is a
+    no-op (and draws no randomness); insider kinds raise.
     """
     if model.kind is AdversaryKind.NONE:
         return
     if not model.is_external:
         raise ValueError(f"{model.kind.value} is not an external transit attack")
+    slots = np.asarray(seq.slots).tolist()
     if model.kind is AdversaryKind.INTERCEPT_RESEND_Z:
-        for k in range(len(seq.slots)):
+        for k in range(len(slots)):
             if rng.random() < model.fraction:
-                bit = store.measure_z(seq.slots[k], rng)
-                seq.slots[k] = store.new_computational(bit)
+                bit = store.measure_z(slots[k], rng)
+                slots[k] = store.new_computational(bit)
     else:
         # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.
-        for k in range(0, len(seq.slots) - 1, 2):
+        for k in range(0, len(slots) - 1, 2):
             if rng.random() < model.fraction:
-                outcome = store.measure_bell(seq.slots[k], seq.slots[k + 1], rng)
-                seq.slots[k], seq.slots[k + 1] = store.new_bell(outcome)
+                outcome = store.measure_bell(slots[k], slots[k + 1], rng)
+                slots[k], slots[k + 1] = store.new_bell(outcome)
+    seq.slots[:] = slots
 
 
 def choose_swap_pairs(
@@ -158,16 +162,18 @@ def dishonest_alice_early_measure(
     against the true key (known to the harness, not the attacker).
     """
     n = len(kept)
-    message_slots = sorted(set(range(len(seq.slots))) - set(record.decoy_positions))
+    slots = np.asarray(seq.slots).tolist()
+    message_slots = sorted(set(range(len(slots))) - set(record.decoy_positions))
     if len(message_slots) != n:
         raise ValueError("message slot count does not match kept qubits")
     guess = rng.permutation(n)
     guessed_slots = [message_slots[int(guess[i])] for i in range(n)]
     guessed_bits = tuple(
-        store.measure_bell(kept[i], seq.slots[guessed_slots[i]], rng).x_bit
+        store.measure_bell(kept[i], slots[guessed_slots[i]], rng).x_bit
         for i in range(n)
     )
-    correct_pairing = [guessed_slots[i] == record.message_order[i] for i in range(n)]
+    message_order = np.asarray(record.message_order).tolist()
+    correct_pairing = [guessed_slots[i] == message_order[i] for i in range(n)]
     hits = [int(guessed_bits[i] == true_partner_key[i]) for i in range(n)]
     wrong = [i for i in range(n) if not correct_pairing[i]]
     report = {

@@ -35,6 +35,7 @@ from .efficiency import (
     efficiency_table_csv,
     efficiency_table_json,
     efficiency_table_text,
+    qubit_efficiency,
 )
 from .pauli import (
     GroupElement,
@@ -67,6 +68,9 @@ from .registers import (
 )
 
 PROTOCOL_CHOICES = ("two-party", "three-party", "five-party")
+# A batch keeps every trial's result for its summary, about 1.5-2.5 KB per
+# five-party key bit, so one command may ask for at most this many key bits.
+MAX_COMMAND_KEY_BITS = 2**17
 PARTY_COUNTS = {"two-party": 2, "three-party": 3, "five-party": 5}
 ADVERSARY_CHOICES = tuple(kind.value for kind in AdversaryKind)
 
@@ -214,6 +218,12 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
     )
     try:
         config.validate()
+        total = spec["trials"] * config.key_bits
+        if total > MAX_COMMAND_KEY_BITS:
+            raise ValueError(
+                f"trials * key_bits = {total} exceeds the limit of "
+                f"{MAX_COMMAND_KEY_BITS} key bits per command"
+            )
         adversary = AdversaryModel(
             kind=kind,
             fraction=spec["attack_fraction"],
@@ -304,27 +314,27 @@ def _shared_key_hex(result: ProtocolResult) -> str | None:
 
 
 def _render_single(result: ProtocolResult) -> str:
-    d = result.to_dict()
+    """The text view, read off the result; the transcript is never serialized."""
     lines = [
-        f"protocol       {d['protocol']}",
-        f"key bits       {d['key_bits']}",
-        f"aborted        {d['aborted']}",
+        f"protocol       {result.protocol}",
+        f"key bits       {result.key_bits}",
+        f"aborted        {result.aborted}",
     ]
-    if d["abort_reason"]:
-        lines.append(f"abort reason   {d['abort_reason']}")
-    for name in d["parties"]:
-        key = d["derived_keys"][name]
-        lines.append(f"key[{name:<7}]  {key if key is not None else '-'}")
-    lines.append(f"agreement      {d['agreement']}")
-    for check in d["checks"]:
+    if result.abort_reason:
+        lines.append(f"abort reason   {result.abort_reason}")
+    for name in result.party_names:
+        key = result.derived_keys[name]
+        lines.append(f"key[{name:<7}]  {bits_to_hex(key) if key is not None else '-'}")
+    lines.append(f"agreement      {result.agreement()}")
+    for check in result.checks:
         lines.append(
-            f"check t{check['transmission']:<3} {check['sender']}->{check['receiver']}"
-            f" error {check['error_rate']:.4f} {'ok' if check['passed'] else 'FAIL'}"
+            f"check t{check.transmission:<3} {check.sender}->{check.receiver}"
+            f" error {check.error_rate:.4f} {'ok' if check.passed else 'FAIL'}"
         )
-    if d["resource_counts"]:
-        rc = d["resource_counts"]
-        eff = d["efficiency"]
-        lines.append(f"resources      c={rc['c']} q={rc['q']} b={rc['b']}")
+    rc = result.resource_counts
+    if rc:
+        eff = qubit_efficiency(rc).to_dict()
+        lines.append(f"resources      c={rc.c} q={rc.q} b={rc.b}")
         lines.append(f"efficiency     {eff['eta_fraction']} = {eff['eta_percent']}")
     return "\n".join(lines)
 

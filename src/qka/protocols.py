@@ -71,6 +71,10 @@ FIVE_PARTY_ROUND_CHOICES = ("1234", "1256", "3456")
 # Qubits per resource copy, by party count: Bell pairs, or a 4-qubit state.
 _COPY_QUBITS = {2: 2, 3: 2, 5: 4}
 
+# The largest key a run accepts; a five-party run at this size peaks near
+# 300 MB of resident memory.
+MAX_KEY_BITS = 65_536
+
 
 class InvalidSchemeError(ValueError):
     """A five-party round selection fails the encoding-scheme validation."""
@@ -87,11 +91,7 @@ def bits_to_hex(bits: Sequence[int]) -> str:
 
 
 def xor_bits(*keys: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(keys[0])
-    for key in keys:
-        for i, b in enumerate(key):
-            out[i] ^= int(b)
-    return tuple(out)
+    return tuple(np.bitwise_xor.reduce(np.array(keys, dtype=np.int64), axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,8 @@ class ProtocolConfig:
     def validate(self) -> None:
         if self.key_bits <= 0 or self.key_bits % 2:
             raise ValueError("key_bits must be a positive even integer")
+        if self.key_bits > MAX_KEY_BITS:
+            raise ValueError(f"key_bits {self.key_bits} exceeds the limit of {MAX_KEY_BITS}")
         if self.party_count not in (2, 3, 5):
             raise ValueError("party_count must be 2, 3 or 5")
         if not 0.0 <= self.error_threshold <= 1.0:
@@ -135,33 +137,33 @@ class ProtocolConfig:
 
 @dataclass
 class TravelSequence:
-    """The scrambled qubit train in transit; slots mutate under attack."""
+    """The scrambled qubit train in transit, an int64 id array; slots mutate under attack."""
 
-    slots: list[int]
+    slots: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationRecord:
-    """The sender's secret map for one scrambled train.
+    """The sender's secret map for one scrambled train, as read-only int64 arrays.
 
     ``forward[i]`` is the slot of concatenated item i (messages first, then
     decoy qubits pair by pair); ``inverse`` undoes it. ``message_order[i]``
-    is the slot of message qubit i, and ``decoy_pairs`` lists the slot pair
-    of each decoy Bell pair.
+    is the slot of message qubit i, and ``decoy_pairs`` is an (m, 2) array
+    holding the slot pair of each decoy Bell pair.
     """
 
-    forward: tuple[int, ...]
-    inverse: tuple[int, ...]
-    message_order: tuple[int, ...]
-    decoy_pairs: tuple[tuple[int, int], ...]
+    forward: np.ndarray
+    inverse: np.ndarray
+    message_order: np.ndarray
+    decoy_pairs: np.ndarray
 
     @property
     def decoy_positions(self) -> frozenset[int]:
-        return frozenset(s for pair in self.decoy_pairs for s in pair)
+        return frozenset(self.decoy_pairs.ravel().tolist())
 
     @property
     def message_positions(self) -> frozenset[int]:
-        return frozenset(self.message_order)
+        return frozenset(self.message_order.tolist())
 
 
 @dataclass(frozen=True)
@@ -184,69 +186,86 @@ class TransmissionCheck:
         }
 
 
+def _train_ids(store: QubitStore, vector: np.ndarray, count: int) -> np.ndarray:
+    """``store.new_train`` ids as a (count, k) int64 array, one row per copy."""
+    width = np.size(vector).bit_length() - 1
+    ids = store.new_train(vector, count)
+    first = ids[0] if ids else 0  # a train's ids are consecutive
+    return np.arange(first, first + len(ids), dtype=np.int64).reshape(count, width)
+
+
 def insert_decoys_and_permute(
-    message_qubits: Sequence[int],
+    message_qubits: Sequence[int] | np.ndarray,
     store: QubitStore,
     rng: np.random.Generator,
     decoy_pair_count: int | None = None,
 ) -> tuple[TravelSequence, PermutationRecord]:
     """Append fresh decoy pairs and scramble everything uniformly."""
-    m = len(message_qubits)
+    message = np.asarray(message_qubits, dtype=np.int64)
+    m = message.size
     if decoy_pair_count is None:
         if m % 2:
             raise ValueError("message qubit count must be even")
         decoy_pair_count = m // 2
-    decoys = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
-    items = [*message_qubits, *decoys]
-    total = len(items)
-    permutation = rng.permutation(total)
-    inverse = tuple(permutation.tolist())
-    forward = tuple(np.argsort(permutation).tolist())  # the inverse permutation
-    slots = [items[item] for item in inverse]
+    decoys = _train_ids(store, BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
+    items = np.concatenate([message, decoys.reshape(-1)])
+    total = items.size
+    inverse = rng.permutation(total)
+    forward = np.empty_like(inverse)
+    forward[inverse] = np.arange(total)  # the inverse permutation
+    inverse.flags.writeable = forward.flags.writeable = False
     record = PermutationRecord(
         forward=forward,
         inverse=inverse,
         message_order=forward[:m],
-        decoy_pairs=tuple(zip(forward[m::2], forward[m + 1 :: 2])),
+        decoy_pairs=forward[m:].reshape(-1, 2),
     )
-    return TravelSequence(slots), record
+    return TravelSequence(items[inverse]), record
 
 
 def verify_decoys(
     store: QubitStore,
     seq: TravelSequence,
-    decoy_pairs: Sequence[tuple[int, int]],
+    decoy_pairs: Sequence[tuple[int, int]] | np.ndarray,
     threshold: float,
     rng: np.random.Generator,
 ) -> tuple[float, bool]:
-    """Bell-measure the disclosed decoy pairs; any non-psi+ outcome is an error."""
-    seen: set[int] = set()
-    for a, b in decoy_pairs:
-        if a == b or not (0 <= a < len(seq.slots)) or not (0 <= b < len(seq.slots)):
-            raise ValueError(f"malformed decoy pair ({a}, {b})")
-        if a in seen or b in seen:
-            raise ValueError("decoy pairs must be disjoint")
-        seen.update((a, b))
-    if not decoy_pairs:
+    """Bell-measure the disclosed decoy pairs; any non-psi+ outcome is an error.
+
+    The disclosure is checked whole before anything is measured or drawn:
+    it must be nonempty, (m, 2)-shaped, and name m disjoint pairs of
+    distinct slots in range.
+    """
+    slots = np.asarray(seq.slots, dtype=np.int64)
+    pairs = np.asarray(decoy_pairs, dtype=np.int64)
+    if not pairs.size:
         raise ValueError("decoy disclosure is empty")
-    pairs = [(seq.slots[a], seq.slots[b]) for a, b in decoy_pairs]
-    errors = sum(o is not BellOutcome.PSI_PLUS for o in store.measure_bell_rows(pairs, rng))
-    error_rate = errors / len(decoy_pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"decoy disclosure must hold slot pairs, got shape {pairs.shape}")
+    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= slots.size)).any(axis=1)
+    if bad.any():
+        a, b = pairs[bad.argmax()].tolist()
+        raise ValueError(f"malformed decoy pair ({a}, {b})")
+    if np.bincount(pairs.ravel()).max() > 1:
+        raise ValueError("decoy pairs must be disjoint")
+    outcomes = store.measure_bell_rows(slots[pairs], rng)
+    error_rate = (len(outcomes) - outcomes.count(BellOutcome.PSI_PLUS)) / len(pairs)
     return error_rate, error_rate <= threshold
 
 
 def encode_key(
     store: QubitStore,
-    qubits: Sequence[int],
+    qubits: Sequence[int] | np.ndarray,
     key: Sequence[int],
     word: GroupElement,
 ) -> None:
     """Round encoding: ``word`` on each ``word.arity``-sized group whose key bit is 1."""
     arity = word.arity
-    if len(qubits) != arity * len(key):
+    qubits = np.asarray(qubits, dtype=np.int64)
+    if qubits.size != arity * len(key):
         raise ValueError("qubit list must hold one word-sized group per key bit")
-    groups = zip(*[iter(qubits)] * arity)  # consecutive arity-sized groups
-    store.apply_pauli_groups(word, [group for group, bit in zip(groups, key) if bit])
+    key_mask = np.asarray(key, dtype=bool)
+    store.apply_pauli_groups(word, qubits.reshape(-1, arity)[key_mask])
 
 
 def decode_bell_bits(outcome: BellOutcome) -> tuple[int, int]:
@@ -345,7 +364,7 @@ class _RunContext:
         fixed = self.config.fixed_keys
         if fixed is not None:
             return tuple(int(b) for b in fixed[party_index])
-        return tuple(int(b) for b in self.rng.integers(0, 2, size=self.config.key_bits))
+        return tuple(self.rng.integers(0, 2, size=self.config.key_bits).tolist())
 
     def log_preparation(self, step: str, actor: str, qubit_count: int, purpose: str) -> None:
         self.transcript.log(
@@ -362,7 +381,7 @@ class _RunContext:
         step: str,
         sender: str,
         receiver: str,
-        message_qubits: Sequence[int],
+        message_qubits: np.ndarray,
         decoy_pair_count: int,
     ) -> tuple[TravelSequence, PermutationRecord, int]:
         """Decoy prep + scramble + send + ack; transit attack happens here."""
@@ -376,7 +395,7 @@ class _RunContext:
             step,
             sender,
             tr.QUANTUM_SEND,
-            {"to": receiver, "slots": list(seq.slots), "transmission": index},
+            {"to": receiver, "slots": seq.slots, "transmission": index},
             qubit_count=len(seq.slots),
         )
         if self.adversary.is_external and self.adversary.transmission_index == index:
@@ -389,10 +408,7 @@ class _RunContext:
             step,
             actor,
             tr.FULL_PERMUTATION_DISCLOSURE,
-            {
-                "message_order": list(record.message_order),
-                "decoy_pairs": [list(p) for p in record.decoy_pairs],
-            },
+            {"message_order": record.message_order, "decoy_pairs": record.decoy_pairs},
             counted_bits=len(record.message_order),
         )
 
@@ -401,15 +417,15 @@ class _RunContext:
             step,
             actor,
             tr.DECOY_POSITIONS_DISCLOSURE,
-            {"decoy_pairs": [list(p) for p in record.decoy_pairs]},
+            {"decoy_pairs": record.decoy_pairs},
         )
 
-    def disclose_order(self, step: str, actor: str, order: Sequence[int]) -> None:
+    def disclose_order(self, step: str, actor: str, order: np.ndarray) -> None:
         self.transcript.log(
             step,
             actor,
             tr.MESSAGE_ORDER_DISCLOSURE,
-            {"message_order": list(order)},
+            {"message_order": order},
             counted_bits=len(order),
         )
 
@@ -452,8 +468,8 @@ class _RunContext:
             )
 
 
-def _restore_order(seq: TravelSequence, order: Sequence[int]) -> list[int]:
-    return [seq.slots[s] for s in order]
+def _restore_order(seq: TravelSequence, order: np.ndarray) -> np.ndarray:
+    return seq.slots[order]
 
 
 def _normalize_adversary(adversary: AdversaryModel | None) -> AdversaryModel:
@@ -505,10 +521,9 @@ def run_two_party(
 
     try:
         # Step 1: pair preparation and the initiator's key.
-        pairs = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], n)
+        pairs = _train_ids(store, BELL_VECTORS[BellOutcome.PSI_PLUS], n)
         ctx.log_preparation("step1", alice, 2 * n, "message")
-        kept = list(pairs[0::2])
-        travel = list(pairs[1::2])
+        kept, travel = pairs[:, 0], pairs[:, 1]
         key_a = ctx.draw_key(0)
         private[alice] = key_a
 
@@ -533,7 +548,7 @@ def run_two_party(
         early_guess: tuple[int, ...] | None = None
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
             early_guess, attack_report = dishonest_alice_early_measure(
-                store, kept, seq2, rec2, rng, key_b
+                store, kept.tolist(), seq2, rec2, rng, key_b
             )
 
         # Step 6: the initiator commits; the responder can already finish.
@@ -541,10 +556,10 @@ def run_two_party(
         derived[bob] = xor_bits(key_a, key_b)
 
         # Step 7: message order (honest or reordered), then pairwise decoding.
-        order = list(rec2.message_order)
+        order = rec2.message_order
         if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
             swap_pairs = adv.swap_pairs or choose_swap_pairs(n, adv.swap_count, rng)
-            order = dishonest_bob_reorder(order, swap_pairs)
+            order = np.array(dishonest_bob_reorder(order.tolist(), swap_pairs), dtype=np.int64)
             claimed_bits = tuple(key_b[i] for i in _claimed_indices(order, rec2))
             attack_report = {
                 "kind": "reorder",
@@ -557,7 +572,7 @@ def run_two_party(
             derived[alice] = xor_bits(key_a, early_guess)
         else:
             claimed = _restore_order(seq2, order)
-            outcomes = store.measure_bell_rows(list(zip(kept, claimed)), rng)
+            outcomes = store.measure_bell_rows(np.column_stack([kept, claimed]), rng)
             outcome_records[alice] = tuple(o.label for o in outcomes)
             decoded = tuple(decode_bell_bits(o)[0] for o in outcomes)
             derived[alice] = xor_bits(key_a, decoded)  # Step 8
@@ -580,10 +595,10 @@ def run_two_party(
         )
 
 
-def _claimed_indices(order: Sequence[int], record: PermutationRecord) -> list[int]:
+def _claimed_indices(order: np.ndarray, record: PermutationRecord) -> list[int]:
     """Which true message index each announced slot actually carries."""
-    true_index_of_slot = {slot: i for i, slot in enumerate(record.message_order)}
-    return [true_index_of_slot[slot] for slot in order]
+    true_index_of_slot = {slot: i for i, slot in enumerate(record.message_order.tolist())}
+    return [true_index_of_slot[slot] for slot in order.tolist()]
 
 
 @dataclass(frozen=True)
@@ -596,8 +611,9 @@ class _Ring:
     applies that round's word to every copy whose key bit is 1.
     ``hop_steps`` holds the (send, check) step labels of each hop, so the
     ring has ``len(hop_steps)`` parties. Back home, ``decode`` measures a
-    party's copies, each given as its qubits in copy order, and returns per
-    copy the outcome label and the XOR of the round bits it carries.
+    party's copies, given as an (n, k) id array with one copy's qubits per
+    row, and returns per copy the outcome label and the XOR of the round
+    bits it carries.
     """
 
     protocol: str
@@ -606,9 +622,7 @@ class _Ring:
     words: tuple[GroupElement, ...]
     prep_step: str
     hop_steps: tuple[tuple[str, str], ...]
-    decode: Callable[
-        [QubitStore, list[tuple[int, ...]], np.random.Generator], list[tuple[str, int]]
-    ]
+    decode: Callable[[QubitStore, np.ndarray, np.random.Generator], list[tuple[str, int]]]
 
 
 def _run_ring(
@@ -623,12 +637,13 @@ def _run_ring(
     store, rng, t = ctx.store, ctx.rng, ctx.transcript
     width = _COPY_QUBITS[parties]
 
-    copies: list[tuple[int, ...]] = []  # copies[s]: party s's train ids, copy by copy
-    travels: list[list[int]] = []  # travels[s]: stream s's travel qubits, copy by copy
+    travel = list(ring.travel)
+    copies: list[np.ndarray] = []  # copies[s]: party s's (n, width) train ids
+    travels: list[np.ndarray] = []  # travels[s]: stream s's travel qubits, copy by copy
     for j in range(parties):
-        copies.append(store.new_train(ring.state, n))
+        copies.append(_train_ids(store, ring.state, n))
         ctx.log_preparation(ring.prep_step, names[j], width * n, "message")
-        travels.append([copies[j][c * width + p] for c in range(n) for p in ring.travel])
+        travels.append(copies[j][:, travel].reshape(-1))
     keys = [ctx.draw_key(j) for j in range(parties)]
     private = dict(zip(names, keys))
 
@@ -661,10 +676,9 @@ def _run_ring(
         derived: dict[str, tuple[int, ...] | None] = {}
         outcome_records: dict[str, tuple[str, ...]] = {}
         for j in range(parties):
-            columns = [copies[j][p::width] for p in range(width)]
-            for k, p in enumerate(ring.travel):
-                columns[p] = travels[j][k :: len(ring.travel)]
-            decoded = ring.decode(store, list(zip(*columns)), rng)
+            groups = copies[j].copy()
+            groups[:, travel] = travels[j].reshape(n, len(travel))
+            decoded = ring.decode(store, groups, rng)
             outcome_records[names[j]] = tuple(label for label, _ in decoded)
             derived[names[j]] = tuple(kb ^ bit for kb, (_, bit) in zip(keys[j], decoded))
 
@@ -682,7 +696,7 @@ def _run_ring(
 
 
 def _decode_bell(
-    store: QubitStore, pairs: list[tuple[int, ...]], rng: np.random.Generator
+    store: QubitStore, pairs: np.ndarray, rng: np.random.Generator
 ) -> list[tuple[str, int]]:
     """The outcome's bit flip carries the X round, its phase flip the Z round."""
     return [(o.label, o.x_bit ^ o.z_bit) for o in store.measure_bell_rows(pairs, rng)]

@@ -248,8 +248,13 @@ def _members(labels: np.ndarray):
             yield label, indices
 
 
-def _id_table(groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Nonempty equal-sized groups of qubit ids as one (groups, size) array."""
+def _id_table(groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Nonempty equal-sized groups of qubit ids as one (groups, size) array.
+
+    A 2-D integer array is taken as it is.
+    """
+    if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
+        return groups.astype(np.int64, copy=False)
     sizes = set(map(len, groups))
     if len(sizes) != 1:
         raise ValueError("every group must hold the same number of qubits")
@@ -449,7 +454,7 @@ class QubitStore:
             reg.apply_matrix(reg.position(qubit), letter.matrix)
 
     def apply_pauli_groups(
-        self, element: "GroupElement", groups: Sequence[Sequence[int]]
+        self, element: "GroupElement", groups: Sequence[Sequence[int]] | np.ndarray
     ) -> None:
         """``apply_pauli(element, group)`` for every group, train rows in bulk.
 
@@ -606,7 +611,7 @@ class QubitStore:
         return int(self._sampled(*self._basis_branches(qubits, basis), rng.random()))
 
     def measure_bell_rows(
-        self, pairs: Sequence[Sequence[int]], rng: np.random.Generator
+        self, pairs: Sequence[Sequence[int]] | np.ndarray, rng: np.random.Generator
     ) -> list[BellOutcome]:
         """``measure_bell`` on each pair in list order, train rows in bulk."""
         outcomes = self._measure_groups(pairs, BELL_VECTORS, _bell_probs, self._bell_branches, rng)
@@ -614,7 +619,7 @@ class QubitStore:
 
     def measure_rows_in_basis(
         self,
-        groups: Sequence[Sequence[int]],
+        groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
         rng: np.random.Generator,
     ) -> list[int]:
@@ -626,7 +631,7 @@ class QubitStore:
 
     def _measure_groups(
         self,
-        groups: Sequence[Sequence[int]],
+        groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
         probs_of: Callable[[np.ndarray], np.ndarray],
         branches_of: Callable,
@@ -668,5 +673,6 @@ class QubitStore:
                 train.live[rows[sel]] = False
             self._trains = [t for t in self._trains if t.live.any()]
         for i in np.flatnonzero(~whole).tolist():
-            outcomes[i] = self._sampled(*branches_of(groups[i]), float(uniforms[i]))
+            group = targets[i].tolist()
+            outcomes[i] = self._sampled(*branches_of(group), float(uniforms[i]))
         return outcomes.tolist()

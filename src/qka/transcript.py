@@ -7,6 +7,12 @@ tally needs: ``qubit_count`` for preparations/sends and ``counted_bits``
 for classical bits that pay for decoding (eavesdropping-check traffic
 carries zero).
 
+Payload values are JSON data or int64 arrays (qubit ids, permutations,
+decoy pairs). The log keeps each array as a read-only snapshot, so a later
+change to the array it came from (a transit attack rewriting the train's
+slots) never reaches the record, and the digest serializes an array as the
+list it holds, so digests are those of the equal list payload.
+
 The classical channel this models is authenticated, ordered and lossless;
 logging an event is the delivery.
 """
@@ -16,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 SCHEMA = "qka.transcript/1"
 
@@ -33,8 +41,18 @@ QUANTUM_SEND = "quantum-send"
 
 
 def payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist
+    )
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _snapshot(value):
+    """A read-only array stays as it is; any other array is copied read-only."""
+    if isinstance(value, np.ndarray) and value.flags.writeable:
+        value = value.copy()
+        value.flags.writeable = False
+    return value
 
 
 @dataclass
@@ -88,7 +106,7 @@ class Transcript:
             step=step,
             actor=actor,
             kind=kind,
-            payload=payload or {},
+            payload={key: _snapshot(value) for key, value in (payload or {}).items()},
             qubit_count=qubit_count,
             counted_bits=counted_bits,
             purpose=purpose,

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qka.cli import RUN_DEFAULTS, batch_summary, main
-from qka.protocols import ProtocolConfig, run_two_party
+from qka import cli, transcript
+from qka.cli import MAX_COMMAND_KEY_BITS, RUN_DEFAULTS, batch_summary, main
+from qka.protocols import MAX_KEY_BITS, ProtocolConfig, run_two_party
 
 
 def run_cli(capsys, *argv):
@@ -201,9 +202,11 @@ def _junk(ints=st.integers()):
 # no string, so the fuzz never writes a file.
 _VALID = {
     "protocol": st.sampled_from(["two-party", "three-party", "five-party"]),
-    "key_bits": st.sampled_from([2, 4, 8]),
+    "key_bits": st.one_of(st.sampled_from([2, 4, 8]), st.integers(MAX_KEY_BITS + 1, 2**70)),
     "seed": st.integers(0, 2**70),
-    "trials": st.integers(1, 3),
+    "trials": st.one_of(
+        st.integers(1, 3), st.integers(MAX_COMMAND_KEY_BITS // 2 + 1, 2**70)
+    ),
     "adversary": st.sampled_from(
         ["none", "intercept-z", "intercept-bell", "dishonest-bob", "dishonest-alice"]
     ),
@@ -217,8 +220,9 @@ _VALID = {
     "fail_on_abort": st.booleans(),
 }
 assert set(_VALID) == set(RUN_DEFAULTS)
-# Sizes stay small: a huge valid key_bits or trials is accepted and runs until
-# memory runs out (see CHANGES.md), which is no type error and no test to run.
+# Accepted sizes stay small so a valid spec finishes quickly; the other draws
+# lie above MAX_KEY_BITS, or make trials * key_bits exceed MAX_COMMAND_KEY_BITS
+# for any accepted key_bits, and must exit 2 before anything runs.
 _SIZE_JUNK = _junk(st.integers(-2**70, 0))
 
 
@@ -284,6 +288,64 @@ class TestConfigTypes:
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("qka: configuration error: ")
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an oversized request reached run_protocol")
+
+
+class TestSizeLimits:
+    def test_key_bits_above_the_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_protocol", _must_not_run)
+        code, out, err = run_cli(capsys, "run", "--key-bits", str(MAX_KEY_BITS + 2))
+        assert code == 2 and out == ""
+        assert err.startswith("qka: configuration error: ") and str(MAX_KEY_BITS) in err
+
+    def test_largest_key_is_accepted(self):
+        ProtocolConfig(key_bits=MAX_KEY_BITS, party_count=5).validate()
+        with pytest.raises(ValueError, match=str(MAX_KEY_BITS)):
+            ProtocolConfig(key_bits=MAX_KEY_BITS + 2, party_count=5).validate()
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_trials_times_key_bits_above_the_limit_exits_2(
+        self, capsys, monkeypatch, tmp_path, source
+    ):
+        monkeypatch.setattr(cli, "run_protocol", _must_not_run)
+        trials = MAX_COMMAND_KEY_BITS // 1024 + 1
+        if source == "flags":
+            argv = ("run", "--key-bits", "1024", "--trials", str(trials))
+        else:
+            cfg = tmp_path / "spec.json"
+            cfg.write_text(json.dumps({"key_bits": 1024, "trials": trials}))
+            argv = ("run", "--config", str(cfg))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("qka: configuration error: ")
+        assert str(MAX_COMMAND_KEY_BITS) in err and str(trials * 1024) in err
+
+    def test_command_at_the_limit_is_accepted(self):
+        spec = {**RUN_DEFAULTS, "seed": 0, "key_bits": 1024,
+                "trials": MAX_COMMAND_KEY_BITS // 1024}
+        config, _ = cli._validate_run_spec(spec)
+        assert config.key_bits == 1024
+
+
+class TestTextOutput:
+    def test_text_single_run_computes_no_digest(self, capsys, monkeypatch):
+        calls = []
+        digest = transcript.payload_digest
+
+        def counted(payload):
+            calls.append(1)
+            return digest(payload)
+
+        monkeypatch.setattr(transcript, "payload_digest", counted)
+        code, out, _ = run_cli(capsys, "run", "--format", "text", "--seed", "3")
+        assert code == 0 and "agreement      True" in out
+        assert calls == []
+        # the patch point is live: a JSON run digests every event
+        code, _, _ = run_cli(capsys, "run", "--format", "json", "--seed", "3")
+        assert code == 0 and calls
 
 
 class TestEfficiencyCommand:

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qka.efficiency import preset_counts
+from qka.adversaries import AdversaryKind, AdversaryModel
+from qka.efficiency import TWO_PARTY, preset_counts
 from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
 from qka.protocols import (
     InvalidSchemeError,
     ProtocolConfig,
+    _restore_order,
+    _RunContext,
     bits_to_hex,
     decode_bell_bits,
     encode_key,
@@ -27,6 +30,7 @@ from qka.protocols import (
     xor_bits,
 )
 from qka.registers import (
+    BELL_VECTORS,
     BellOutcome,
     FourQubitState,
     QubitStore,
@@ -39,6 +43,9 @@ from qka.transcript import (
     FULL_PERMUTATION_DISCLOSURE,
     KEY_ANNOUNCEMENT,
     MESSAGE_ORDER_DISCLOSURE,
+    QUANTUM_SEND,
+    Transcript,
+    payload_digest,
 )
 
 X_WORD = GroupElement.of(PauliLetter.X)
@@ -47,6 +54,29 @@ Z_WORD = GroupElement.of(PauliLetter.Z)
 
 def config(n=8, parties=2, seed=0, run=0, **kw):
     return ProtocolConfig(key_bits=n, party_count=parties, seed=seed, run_index=run, **kw)
+
+
+def reference_scramble(message_qubits, store, rng, decoy_pair_count=None):
+    """The tuple-based scramble the array version replaced, kept as its oracle.
+
+    Returns (slots, forward, inverse, message_order, decoy_pairs).
+    """
+    m = len(message_qubits)
+    if decoy_pair_count is None:
+        if m % 2:
+            raise ValueError("message qubit count must be even")
+        decoy_pair_count = m // 2
+    decoys = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
+    items = [*message_qubits, *decoys]
+    permutation = rng.permutation(len(items))
+    inverse = tuple(permutation.tolist())
+    forward = tuple(np.argsort(permutation).tolist())
+    slots = [items[item] for item in inverse]
+    return slots, forward, inverse, forward[:m], tuple(zip(forward[m::2], forward[m + 1 :: 2]))
+
+
+def reference_restore_order(slots, order):
+    return [slots[s] for s in order]
 
 
 class TestScrambling:
@@ -83,7 +113,7 @@ class TestScrambling:
         draws = 10_000
         for _ in range(draws):
             _, rec = insert_decoys_and_permute([0, 1], store, rng, decoy_pair_count=1)
-            counts[rec.forward] += 1
+            counts[tuple(rec.forward.tolist())] += 1
         assert len(counts) == 24
         for freq in counts.values():
             assert abs(freq / draws - 1 / 24) < 0.01
@@ -96,6 +126,48 @@ class TestScrambling:
         seq, rec = insert_decoys_and_permute(message, store, np.random.default_rng(seed))
         restored = [seq.slots[rec.forward[i]] for i in range(len(message))]
         assert restored == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        pairs=st.integers(0, 24),
+        decoys=st.one_of(st.none(), st.integers(0, 30)),
+    )
+    def test_matches_tuple_reference(self, seed, pairs, decoys):
+        # twin stores: message qubits are the travel halves of a Bell train
+        stores = [QubitStore(), QubitStore()]
+        message = [
+            s.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], pairs)[1::2] for s in stores
+        ][0]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if decoys is None and pairs % 2:
+            for run, store, generator in (
+                (insert_decoys_and_permute, stores[0], rng),
+                (reference_scramble, stores[1], ref_rng),
+            ):
+                with pytest.raises(ValueError):
+                    run(message, store, generator)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            return
+        seq, rec = insert_decoys_and_permute(np.array(message), stores[0], rng, decoys)
+        slots, forward, inverse, order, decoy_pairs = reference_scramble(
+            message, stores[1], ref_rng, decoys
+        )
+        m, k = len(message), len(decoy_pairs)
+        assert seq.slots.dtype == np.int64 and seq.slots.tolist() == slots
+        assert rec.forward.tolist() == list(forward)
+        assert rec.inverse.tolist() == list(inverse)
+        assert rec.message_order.tolist() == list(order)
+        assert rec.decoy_pairs.shape == (k, 2)
+        assert rec.decoy_pairs.tolist() == [list(p) for p in decoy_pairs]
+        assert k == (m // 2 if decoys is None else decoys)
+        assert _restore_order(seq, rec.message_order).tolist() == reference_restore_order(
+            slots, order
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert stores[0].live_qubits() == stores[1].live_qubits()
+        for field in (rec.forward, rec.inverse, rec.message_order, rec.decoy_pairs):
+            assert field.dtype == np.int64 and not field.flags.writeable
 
 
 class TestVerifyDecoys:
@@ -126,6 +198,19 @@ class TestVerifyDecoys:
             verify_decoys(store, seq, [(0, 0)], 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             verify_decoys(store, seq, [(0, 1), (1, 2)], 0.0, np.random.default_rng(0))
+        # out of range, overlapping or empty: rejected before any random draw
+        for disclosure, reason in (
+            ([(-1, 0)], "malformed"),
+            ([(0, len(seq.slots))], "malformed"),
+            ([(0, 1), (2, 1)], "disjoint"),
+            ([], "empty"),
+            (np.empty((0, 2), np.int64), "empty"),
+        ):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=reason):
+                verify_decoys(store, seq, disclosure, 0.0, rng)
+            assert rng.bit_generator.state == before
 
     def test_intercepted_pair_fails_half_the_time(self):
         # post intercept-resend a decoy pair reads |bb>: psi+ or psi- evenly
@@ -143,6 +228,47 @@ class TestVerifyDecoys:
             rate, ok = verify_decoys(store, seq_like, [(0, 1)], 0.0, rng)
             fails += not ok
         assert abs(fails / trials - 0.5) < 0.05
+
+
+class TestTranscriptSnapshots:
+    def _send(self, adversary):
+        ctx = _RunContext(TWO_PARTY, config(n=8, seed=12), adversary)
+        travel = np.array(ctx.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[1::2])
+        seq, rec, _ = ctx.send_scrambled("step2", "Alice", "Bob", travel, 4)
+        (send,) = [e for e in ctx.transcript.events if e.kind == QUANTUM_SEND]
+        return travel, seq, rec, send.payload
+
+    def test_transit_attack_leaves_logged_send_unchanged(self):
+        attack = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
+        travel, seq, rec, logged = self._send(attack)
+        _, _, _, honest = self._send(AdversaryModel.none())
+        # every slot was replaced in transit, yet the log names the sent train
+        assert not np.isin(seq.slots, logged["slots"]).any()
+        assert np.array_equal(logged["slots"][rec.message_order], travel)
+        assert np.array_equal(logged["slots"], honest["slots"])
+        assert payload_digest(logged) == payload_digest(honest)
+        assert not logged["slots"].flags.writeable
+
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    def test_payload_arrays_are_read_only(self, parties):
+        r = run_protocol(config(n=8, parties=parties, seed=4))
+        arrays = [
+            v for e in r.transcript.events for v in e.payload.values() if isinstance(v, np.ndarray)
+        ]
+        assert arrays
+        for values in arrays:
+            assert values.dtype == np.int64 and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[...] = 0
+
+    def test_log_copies_a_writeable_array(self):
+        t = Transcript("two-party", 2)
+        order = np.array([1, 0])
+        event = t.log("step7", "Bob", MESSAGE_ORDER_DISCLOSURE, {"message_order": order})
+        digest = event.to_dict()["digest"]
+        order[0] = 5
+        assert event.payload["message_order"].tolist() == [1, 0]
+        assert event.to_dict()["digest"] == digest == payload_digest({"message_order": [1, 0]})
 
 
 class TestEncodeDecode:
