@@ -268,6 +268,7 @@ def batch_summary(results: Sequence[ProtocolResult]) -> dict:
 def _run_command(args: argparse.Namespace) -> int:
     spec = _load_run_spec(args)
     config, adversary = _validate_run_spec(spec)
+    _check_out_path(spec["out"])
     results = []
     for trial in range(spec["trials"]):
         try:
@@ -279,7 +280,7 @@ def _run_command(args: argparse.Namespace) -> int:
         if spec["format"] == "text":
             output = _render_single(results[0])
         else:
-            output = json.dumps(results[0].to_dict(), sort_keys=True, indent=2)
+            output = results[0].to_json()
     else:
         payload = {
             "schema": "qka.batch/1",
@@ -478,12 +479,29 @@ def _render_ket(amplitudes: np.ndarray) -> str:
     return "1/2(" + " ".join(terms) + ")" if len(terms) == 4 else " ".join(terms)
 
 
+def _check_out_path(path: str | None) -> None:
+    """Refuse, before any trial runs, an ``--out`` that is a directory or lies in none."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        reason = "No such directory"
+    else:
+        return
+    raise ConfigError(f"cannot write output to {path!r}: {reason}")
+
+
 def _emit(output: str, path: str | None) -> None:
-    if path:
+    if not path:
+        print(output)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(output + "\n")
-    else:
-        print(output)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = exc.strerror if isinstance(exc, OSError) else str(exc)
+        raise ConfigError(f"cannot write output to {path!r}: {reason}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

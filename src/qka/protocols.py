@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -332,8 +333,6 @@ class ProtocolResult:
         }
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 

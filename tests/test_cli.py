@@ -330,6 +330,90 @@ class TestSizeLimits:
         assert config.key_bits == 1024
 
 
+def _out_path(tmp_path, where: str) -> str | None:
+    return {
+        "none": None,
+        "file": str(tmp_path / "out.txt"),
+        "missing": str(tmp_path / "missing" / "out.txt"),
+        "directory": str(tmp_path),
+    }[where]
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("run",), ("run", "--trials", "3"), ("efficiency", "--table"), ("verify-groups",)],
+    )
+    def test_exits_2_naming_the_path(self, capsys, monkeypatch, tmp_path, argv, where):
+        # run refuses before any trial
+        monkeypatch.setattr(cli, "run_protocol", _must_not_run)
+        path = _out_path(tmp_path, where)
+        code, out, err = run_cli(capsys, *argv, "--out", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"qka: configuration error: cannot write output to {path!r}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["x" * 300, "nul\0byte"], ids=["long-name", "nul-byte"])
+    def test_failed_open_exits_2(self, capsys, tmp_path, name):
+        # the directory exists, so only opening the file fails
+        path = str(tmp_path / name)
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"key_bits": 2, "out": path}))
+        for argv in (("run", "--config", str(cfg)), ("efficiency", "--out", path)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"qka: configuration error: cannot write output to {path!r}: ")
+
+
+_FLOATS = st.one_of(st.floats(0, 1), st.floats(-1, 2), st.sampled_from(["nan", "inf", "-inf"]))
+_RUN_FLAGS = {
+    "--protocol": st.sampled_from(cli.PROTOCOL_CHOICES),
+    "--key-bits": st.one_of(
+        st.integers(1, 32).map(lambda half: 2 * half),
+        st.integers(-2, 64),
+        st.integers(MAX_KEY_BITS + 1, 2**70),
+    ),
+    "--seed": st.integers(-1, 2**70),
+    "--trials": st.one_of(
+        st.integers(0, 4), st.integers(MAX_COMMAND_KEY_BITS // 2 + 1, 2**70)
+    ),
+    "--adversary": st.sampled_from(cli.ADVERSARY_CHOICES),
+    "--attack-fraction": _FLOATS,
+    "--swap-count": st.integers(-1, 4),
+    "--threshold": _FLOATS,
+    "--five-party-state": st.sampled_from(["omega", "cluster"]),
+    "--five-party-rounds": st.sampled_from(cli.FIVE_PARTY_ROUND_CHOICES),
+    "--format": st.sampled_from(["json", "text"]),
+}
+
+
+class TestRunFlagFuzz:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        flags=st.fixed_dictionaries({}, optional=_RUN_FLAGS),
+        fail_on_abort=st.booleans(),
+        where=st.sampled_from(["none", "file", "missing", "directory"]),
+    )
+    def test_fuzzed_flags_never_crash(self, capsys, tmp_path, flags, fail_on_abort, where):
+        argv = ["run", *(f"{flag}={value}" for flag, value in flags.items())]
+        if fail_on_abort:
+            argv.append("--fail-on-abort")
+        out_path = _out_path(tmp_path, where)
+        if out_path:
+            argv.append(f"--out={out_path}")
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("qka: configuration error: ") and out == ""
+        else:
+            assert where in ("none", "file") and bool(out) == (where == "none")
+        if where in ("missing", "directory"):
+            assert code == 2
+
+
 class TestTextOutput:
     def test_text_single_run_computes_no_digest(self, capsys, monkeypatch):
         calls = []

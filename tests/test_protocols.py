@@ -1,14 +1,18 @@
 """Protocol engines: transport machinery, choreography and agreement."""
 
+import hashlib
 import itertools
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from qka import transcript
 from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.efficiency import TWO_PARTY, preset_counts
 from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
@@ -77,6 +81,14 @@ def reference_scramble(message_qubits, store, rng, decoy_pair_count=None):
 
 def reference_restore_order(slots, order):
     return [slots[s] for s in order]
+
+
+def reference_payload_digest(payload):
+    """The one-line digest the streamed, gathered one replaced, kept as its oracle."""
+    canonical = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestScrambling:
@@ -584,3 +596,135 @@ class TestResultRendering:
         d1 = [e["digest"] for e in t1["events"]]
         d2 = [e["digest"] for e in t2["events"]]
         assert d1 != d2
+
+
+_INT_DTYPES = [np.dtype(f"{kind}{size}") for kind in "iu" for size in (1, 2, 4, 8)]
+# 0, both sides of every power of ten, the table's edge and the dtype limits
+_EDGES = sorted(
+    {0, 1, transcript._TABLE_BOUND - 1, transcript._TABLE_BOUND, np.iinfo(np.int64).max}
+    | {10**k + d for k in range(20) for d in (-1, 0, 1)}
+    | {-1, -10, np.iinfo(np.int64).min}
+)
+
+
+@st.composite
+def _int_arrays(draw):
+    dtype = draw(st.sampled_from(_INT_DTYPES))
+    info = np.iinfo(dtype)
+    # mostly values the table covers; sometimes any value of the dtype
+    top = draw(st.sampled_from([10, 1000, 50_000, transcript._TABLE_BOUND - 1, info.max]))
+    low = draw(st.sampled_from([0, 0, 0, info.min]))
+    top = min(top, info.max)
+    edges = [v for v in _EDGES if low <= v <= top]
+    elements = st.one_of(st.integers(low, top), st.sampled_from(edges))
+    shape = draw(st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, 120)),
+        st.tuples(st.integers(0, 60), st.integers(0, 5)),
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    ))
+    values = draw(hnp.arrays(dtype, shape, elements=elements))
+    view = draw(st.sampled_from(["as-is", "step", "reverse", "transpose", "pairs", "read-only"]))
+    if view == "step" and values.ndim:
+        values = values[:: draw(st.integers(2, 3))]
+    elif view == "reverse" and values.ndim:
+        values = values[::-1]
+    elif view == "transpose":
+        values = values.T
+    elif view == "pairs":
+        # the decoy_pairs view of a record: the tail of forward, two to a row
+        flat = values.ravel()
+        m = draw(st.integers(0, flat.size))
+        values = flat[m : m + (flat.size - m) // 2 * 2].reshape(-1, 2)
+    elif view == "read-only":
+        values.flags.writeable = False
+    return values
+
+
+_OTHER_ARRAYS = st.one_of(
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40)),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40)),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_PAYLOADS = st.one_of(
+    st.dictionaries(
+        st.text(max_size=8),
+        st.one_of(_int_arrays(), st.one_of(_OTHER_ARRAYS, _JSON_VALUES)),
+        max_size=4,
+    ),
+    _JSON_VALUES,
+    _int_arrays(),
+)
+
+
+def _json_bytes(values) -> bytes:
+    return json.dumps(values.tolist(), separators=(",", ":")).encode()
+
+
+class TestPayloadDigest:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=_PAYLOADS, min_size=st.sampled_from([1, transcript._GATHER_MIN_SIZE]))
+    def test_matches_reference(self, payload, min_size):
+        with mock.patch.object(transcript, "_GATHER_MIN_SIZE", min_size):
+            assert payload_digest(payload) == reference_payload_digest(payload)
+            values = payload.values() if isinstance(payload, dict) else [payload]
+            for value in values:
+                if isinstance(value, np.ndarray):
+                    assert transcript._int_array_json(value) in (None, _json_bytes(value))
+
+    @pytest.mark.parametrize(
+        "values, gathered",
+        [
+            (np.arange(64), True),
+            (np.arange(64).reshape(32, 2), True),
+            (np.arange(64, dtype=np.uint64)[::-1], True),
+            (np.arange(64).reshape(2, 32).T, True),
+            (np.arange(31), False),  # below the size cutoff
+            (np.arange(64) - 1, False),  # a negative value
+            (np.full(64, transcript._TABLE_BOUND), False),  # above the table
+            (np.arange(64) > 3, False),  # bool
+            (np.arange(64, dtype=float), False),
+            (np.arange(64).reshape(4, 4, 4), False),
+            (np.zeros((64, 0), dtype=np.int64), False),
+            (np.array(7), False),
+        ],
+    )
+    def test_which_arrays_are_gathered(self, values, gathered):
+        text = transcript._int_array_json(values)
+        assert (text is not None) == gathered
+        if gathered:
+            assert text == _json_bytes(values)
+        payload = {"values": values}
+        assert payload_digest(payload) == reference_payload_digest(payload)
+
+    def test_table_grows_to_cover_each_top(self, monkeypatch):
+        monkeypatch.setattr(transcript, "_DECIMALS", transcript._DecimalTable())
+        start, bound = transcript._TABLE_START, transcript._TABLE_BOUND
+        for top in (100, start - 1, start, 2 * start, 2**16 - 1, 2**16, bound - 1):
+            values = np.arange(top - 40, top + 1)
+            assert transcript._int_array_json(values) == _json_bytes(values)
+            size = transcript._DECIMALS.words.size
+            assert top < size <= max(2 * top, start) and size & (size - 1) == 0
+        assert transcript._int_array_json(np.arange(bound - 40, bound + 1)) is None
+
+    def test_empty_payload(self):
+        assert payload_digest({}) == reference_payload_digest({})
+
+    def test_full_size_runs_and_table_growth(self, monkeypatch):
+        # a fresh table: it grows from its first size while the runs below go on
+        monkeypatch.setattr(transcript, "_DECIMALS", transcript._DecimalTable())
+        sizes = []
+        for parties in (2, 3, 5):
+            for n in (16, 1024, 64):
+                result = run_protocol(config(n=n, parties=parties, seed=n + parties))
+                for event in result.transcript.events:
+                    assert event.to_dict()["digest"] == reference_payload_digest(event.payload)
+                sizes.append(transcript._DECIMALS.words.size)
+        assert sizes[0] == transcript._TABLE_START
+        assert sizes[-1] == 2**16  # five-party n=1024 ids reach 46,079
