@@ -51,7 +51,6 @@ from .pauli import (
 )
 from .protocols import (
     FIVE_PARTY_ROUND_CHOICES,
-    InvalidSchemeError,
     ProtocolConfig,
     ProtocolResult,
     bits_to_hex,
@@ -146,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--threshold", type=float, help="decoy error-rate tolerance")
     run_p.add_argument("--five-party-state", choices=("omega", "cluster"),
                        dest="five_party_state")
-    run_p.add_argument("--five-party-rounds", choices=FIVE_PARTY_ROUND_CHOICES,
-                       dest="five_party_rounds")
+    run_p.add_argument("--five-party-rounds", dest="five_party_rounds",
+                       help="four digits 1-6 naming a decodable round selection, e.g. 1234")
     run_p.add_argument("--format", choices=("json", "text"))
     run_p.add_argument("--out", help="write output to this path instead of stdout")
     run_p.add_argument("--fail-on-abort", action="store_true", default=None,
@@ -271,10 +270,7 @@ def _run_command(args: argparse.Namespace) -> int:
     _check_out_path(spec["out"])
     results = []
     for trial in range(spec["trials"]):
-        try:
-            results.append(run_protocol(replace(config, run_index=trial), adversary))
-        except InvalidSchemeError as exc:
-            raise ConfigError(str(exc)) from exc
+        results.append(run_protocol(replace(config, run_index=trial), adversary))
 
     if spec["trials"] == 1:
         if spec["format"] == "text":

@@ -67,6 +67,8 @@ from .transcript import Transcript
 
 PARTY_NAMES = ("Alice", "Bob", "Charlie", "Dave", "Erika")
 
+# The three subgroup sets that decode; any order of one of them is a valid
+# selection too, which ``ProtocolConfig.validate`` decides.
 FIVE_PARTY_ROUND_CHOICES = ("1234", "1256", "3456")
 
 # Qubits per resource copy, by party count: Bell pairs, or a 4-qubit state.
@@ -131,6 +133,8 @@ class ProtocolConfig:
             for key in self.fixed_keys:
                 if len(key) != self.key_bits or any(b not in (0, 1) for b in key):
                     raise ValueError("each fixed key must be key_bits bits")
+        if self.party_count == 5:  # raises InvalidSchemeError for an undecodable selection
+            _five_party_decoder(self.five_party_state, self.five_party_rounds)
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.run_index])

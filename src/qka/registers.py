@@ -1,26 +1,30 @@
 """Exact statevector simulation of small qubit registers.
 
 A :class:`QubitStore` tracks qubits by globally unique ids and keeps each
-group of entangled qubits in its own minimal :class:`StateRegister`, so a
-protocol run over thousands of Bell pairs never touches more than a handful
-of amplitudes at a time. Registers are merged lazily, only when a joint
-measurement spans two of them; merging caps at 12 qubits and anything larger
-fails loudly. Measured qubits are retired from the store for good.
+group of entangled qubits in its own minimal register, so a protocol run
+over thousands of Bell pairs never touches more than a handful of
+amplitudes at a time. Measured qubits are retired from the store for good.
 
-Trains hold the hot path. A protocol sends n identical, independent copies
-of one resource state, so :meth:`QubitStore.new_train` keeps them as one
-``(n, 2^k)`` amplitude array, one row per copy, with the ids ``n`` calls of
-``new_bell`` or ``new_four_qubit`` would have allocated. Three vector
-operations act on many rows at once: :meth:`QubitStore.apply_pauli_groups`
-(per letter an index permutation plus a sign on the selected rows), and
-:meth:`QubitStore.measure_bell_rows` and
-:meth:`QubitStore.measure_rows_in_basis` (one matmul and one inverse-CDF
-draw per row). Any scalar operation on a train qubit (``register_of`` and
-everything built on it) first *detaches* that qubit's row into an ordinary
-:class:`StateRegister`; from then on the row takes the per-register path,
-merges and entanglement swapping included. A vector operation that meets a
-detached row, or a group that is not one whole row in register order,
-handles that group on the per-register path.
+Every register is one row of a *block*: ``r`` registers of one width ``w``
+held as an ``(r, 2^w)`` amplitude array. :meth:`QubitStore.new_train` makes
+an r-row block of n identical copies of one resource state, the ids that n
+calls of ``new_bell`` or ``new_four_qubit`` would have allocated; those
+calls, ``new_computational``, every merge and every post-measurement
+remainder make one-row blocks. One int32 map from qubit id to block (-1
+once measured) locates every qubit: on a block made by allocation, row and
+position are ``divmod(id - first, w)``; any other block is one row over the
+qubits it lists.
+
+A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
+is one index permutation and sign per (block, position), applied to all the
+rows it hits at once. Measurement has two routines. Groups that are whole
+rows in register order are measured per block with one matmul and one
+inverse-CDF draw per row. Every other group, and every scalar
+``measure_bell``, ``measure_z`` and ``measure_in_basis`` call, merges the
+rows it touches (a Kronecker product in first-seen order, capped at 12
+qubits; anything larger fails loudly), samples one outcome and stores what
+remains as a one-row block. Measuring across two entangled pairs this way
+is what performs entanglement swapping.
 
 Bit-ordering convention, used everywhere: the first qubit listed in a
 register is the most significant bit of the basis index. Bell states follow
@@ -30,15 +34,14 @@ Randomness is never ambient: every sampling operation takes a numpy
 Generator, and identical seeds reproduce identical outcome sequences and
 final stores. Every measurement draws exactly one ``rng.random()``; a
 vector measurement of m groups draws ``rng.random(m)``, which yields the
-same values as m scalar draws, so trains leave the random stream, and with
-it every outcome, as the per-register path has it.
+same values as m scalar draws, so bulk and one-by-one measurement give the
+same outcomes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -103,6 +106,8 @@ BELL_VECTORS = np.array(
     ],
     dtype=complex,
 )
+_BELL_BRAS = BELL_VECTORS.conj()
+_Z_BRAS = np.eye(2, dtype=complex)
 
 
 class FourQubitState(Enum):
@@ -124,7 +129,11 @@ def four_qubit_vector(which: FourQubitState) -> np.ndarray:
 
 @dataclass
 class StateRegister:
-    """Ordered qubits plus their joint amplitude vector (first qubit = MSB)."""
+    """Ordered qubits plus their joint amplitude vector (first qubit = MSB).
+
+    The constructor checks size, distinct qubits and norm: it is where a
+    state enters from outside. Registers the store hands out skip it.
+    """
 
     qubits: tuple[int, ...]
     amplitudes: np.ndarray = field(repr=False)
@@ -143,6 +152,13 @@ class StateRegister:
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"register norm^2 {norm_sq} deviates from 1")
 
+    @classmethod
+    def _trusted(cls, qubits: tuple[int, ...], amplitudes: np.ndarray) -> "StateRegister":
+        """A register over a state already known to be valid; nothing is checked or copied."""
+        register = cls.__new__(cls)
+        register.qubits, register.amplitudes = qubits, amplitudes
+        return register
+
     @property
     def size(self) -> int:
         return len(self.qubits)
@@ -154,7 +170,7 @@ class StateRegister:
             raise UnknownQubitError(qubit) from None
 
     def copy(self) -> "StateRegister":
-        return StateRegister(self.qubits, self.amplitudes.copy())
+        return StateRegister._trusted(self.qubits, self.amplitudes.copy())
 
     def apply_matrix(self, pos: int, mat: np.ndarray) -> None:
         """Apply a single-qubit operator in place at the given position."""
@@ -168,14 +184,6 @@ class StateRegister:
             arr = self.amplitudes.reshape([2] * k)
             arr = np.tensordot(mat, arr, axes=([1], [pos]))
             self.amplitudes = np.moveaxis(arr, 0, pos).reshape(-1)
-
-    def reordered(self, new_order: Sequence[int]) -> "StateRegister":
-        """Same state with qubits listed in ``new_order``."""
-        if sorted(new_order) != sorted(self.qubits):
-            raise ValueError("new order must be a permutation of the register's qubits")
-        perm = [self.position(q) for q in new_order]
-        arr = self.amplitudes.reshape([2] * self.size)
-        return StateRegister(tuple(new_order), np.transpose(arr, perm).reshape(-1))
 
 
 def inner_product(a: StateRegister, b: StateRegister) -> complex:
@@ -227,25 +235,17 @@ def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return outcomes
 
 
-def _to_front(register: StateRegister, positions: Sequence[int]) -> np.ndarray:
-    """The register's amplitude tensor with the given qubit axes moved first, in order."""
-    rest = [p for p in range(register.size) if p not in positions]
-    return register.amplitudes.reshape([2] * register.size).transpose([*positions, *rest])
-
-
 def _members(labels: np.ndarray):
-    """(label, indices holding it) for each nonnegative label, in label order."""
+    """(label, indices holding it) for each distinct label, in label order."""
     if not labels.size:
         return
-    low, high = int(labels.min()), int(labels.max())
-    if low == high:  # the common case: one train, or one position
-        if low >= 0:
-            yield low, np.arange(labels.size)
+    if (labels == labels[0]).all():  # the common case: one block, or one position
+        yield int(labels[0]), np.arange(labels.size)
         return
-    for label in range(max(low, 0), high + 1):
-        indices = np.flatnonzero(labels == label)
-        if indices.size:
-            yield label, indices
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    for chunk in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        yield int(labels[chunk[0]]), chunk
 
 
 def _id_table(groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -268,6 +268,9 @@ def _has_repeats(values: np.ndarray) -> bool:
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
+# Two spellings of |a|^2 whose last bits can differ: Bell and Z measurements
+# have always used the first and basis measurements the second, and keeping
+# them keeps every sampled outcome bit for bit.
 def _bell_probs(amplitudes: np.ndarray) -> np.ndarray:
     return np.abs(amplitudes) ** 2
 
@@ -301,22 +304,39 @@ def _letter_action(letter, width: int, pos: int) -> tuple[np.ndarray, np.ndarray
     return perm, (None if trivial_sign else sign)
 
 
-@dataclass(eq=False)
-class _Train:
-    """``live.size`` copies of one ``width``-qubit state, one amplitude row each.
+class _Block:
+    """``live`` registers of one ``width``, one row each of ``amplitudes``.
 
-    Row r holds the ids ``first + r*width`` onward, first qubit as MSB;
-    ``live[r]`` turns False once the row is measured or detached.
+    A block made by allocation (``qubits`` None) holds the ids ``first +
+    r*width`` onward in row r; any other block is one row over ``qubits``.
+    ``views`` caches the register ``register_of`` hands out, by row.
     """
 
-    first: int
-    width: int
-    amplitudes: np.ndarray
-    live: np.ndarray
+    __slots__ = ("first", "width", "qubits", "amplitudes", "live", "views")
+
+    def __init__(self, amplitudes: np.ndarray, width: int, first: int = -1, qubits=None):
+        self.amplitudes = amplitudes
+        self.width = width
+        self.first = first
+        self.qubits = qubits
+        self.live = len(amplitudes)
+        self.views: dict[int, StateRegister] = {}
+
+    def row_of(self, qubit: int) -> int:
+        return 0 if self.qubits is not None else (qubit - self.first) // self.width
 
     def row_ids(self, row: int) -> tuple[int, ...]:
+        if self.qubits is not None:
+            return self.qubits
         start = self.first + row * self.width
         return tuple(range(start, start + self.width))
+
+    def locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row and position in the row of each id."""
+        if self.qubits is None:
+            return np.divmod(ids - self.first, self.width)
+        positions = [self.qubits.index(q) for q in ids.tolist()]
+        return np.zeros_like(ids), np.array(positions, dtype=np.int64)
 
 
 class QubitStore:
@@ -327,43 +347,47 @@ class QubitStore:
     """
 
     def __init__(self):
-        self._registers: dict[int, StateRegister] = {}
-        self._trains: list[_Train] = []  # in id order; spent trains are dropped
+        self._blocks: list[_Block | None] = []  # spent blocks become None
+        self._block_of = np.empty(0, dtype=np.int32)  # id -> block index, -1 once measured
         self._next_id = 0
 
     # -- allocation ----------------------------------------------------
 
-    def _fresh_ids(self, count: int) -> tuple[int, ...]:
-        ids = tuple(range(self._next_id, self._next_id + count))
-        self._next_id += count
-        return ids
+    def _new_block(self, amplitudes: np.ndarray, width: int) -> tuple[int, ...]:
+        """Store fresh rows of ``width`` qubits under the next ids; return the ids."""
+        first, count = self._next_id, len(amplitudes) * width
+        end = first + count
+        if end > self._block_of.size:
+            grown = np.empty(max(end, self._block_of.size * 5 // 4 + 64), dtype=np.int32)
+            grown[:first] = self._block_of[:first]
+            self._block_of = grown
+        self._block_of[first:end] = len(self._blocks)
+        self._blocks.append(_Block(amplitudes, width, first))
+        self._next_id = end
+        return tuple(range(first, end))
 
-    def _install(self, register: StateRegister) -> None:
-        for q in register.qubits:
-            self._registers[q] = register
+    def _add_register(self, qubits: tuple[int, ...], amplitudes: np.ndarray) -> None:
+        index = len(self._blocks)
+        self._blocks.append(_Block(amplitudes.reshape(1, -1), len(qubits), qubits=qubits))
+        for q in qubits:
+            self._block_of[q] = index
 
     def new_bell(self, kind: BellOutcome) -> tuple[int, int]:
         """Allocate a fresh pair prepared in the named Bell state."""
-        a, b = self._fresh_ids(2)
-        self._install(StateRegister((a, b), BELL_VECTORS[kind].copy()))
-        return a, b
+        return self._new_block(BELL_VECTORS[kind : kind + 1].copy(), 2)
 
     def new_four_qubit(self, which: FourQubitState) -> tuple[int, int, int, int]:
         """Allocate four fresh qubits in the named 4-qubit resource state."""
-        ids = self._fresh_ids(4)
-        self._install(StateRegister(ids, four_qubit_vector(which)))
-        return ids
+        return self._new_block(four_qubit_vector(which).reshape(1, -1), 4)
 
     def new_computational(self, bit: int) -> int:
         """Allocate one fresh qubit in |0> or |1>."""
-        (q,) = self._fresh_ids(1)
-        vec = np.zeros(2, dtype=complex)
-        vec[int(bit)] = 1.0
-        self._install(StateRegister((q,), vec))
-        return q
+        vec = np.zeros((1, 2), dtype=complex)
+        vec[0, int(bit)] = 1.0
+        return self._new_block(vec, 1)[0]
 
     def new_train(self, vector: np.ndarray, count: int) -> tuple[int, ...]:
-        """Allocate ``count`` copies of one k-qubit state as a train.
+        """Allocate ``count`` copies of one k-qubit state as one block.
 
         Returns the ids copy by copy: the ones ``count`` calls of
         ``new_bell`` or ``new_four_qubit`` would have returned.
@@ -373,94 +397,65 @@ class QubitStore:
         template = np.asarray(vector, dtype=complex).reshape(-1)
         width = template.size.bit_length() - 1
         StateRegister(tuple(range(width)), template)  # validates size and norm
-        ids = self._fresh_ids(count * width)
-        if count:
-            amplitudes = np.tile(template, (count, 1))
-            self._trains.append(_Train(ids[0], width, amplitudes, np.ones(count, dtype=bool)))
-        return ids
+        if not count:
+            return ()
+        return self._new_block(np.tile(template, (count, 1)), width)
 
     # -- introspection ---------------------------------------------------
 
-    def _train_row(self, qubit: int) -> tuple[_Train, int] | None:
-        """The train and row holding ``qubit``, while that row is in the train."""
-        i = bisect_right(self._trains, qubit, key=lambda t: t.first) - 1
-        if i < 0:
-            return None
-        train = self._trains[i]
-        row = (qubit - train.first) // train.width
-        if row < train.live.size and train.live[row]:
-            return train, row
-        return None
+    def _index(self, qubit: int) -> int:
+        """The block holding ``qubit``."""
+        if 0 <= qubit < self._next_id:
+            b = int(self._block_of[qubit])
+            if b >= 0:
+                return b
+        raise UnknownQubitError(qubit)
 
-    def _locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Train index, row and position in the row of each id.
+    def _indices(self, ids: np.ndarray) -> np.ndarray:
+        """``_index`` of every id in an int64 array."""
+        if ids.size and (ids.min() < 0 or ids.max() >= self._next_id):
+            raise UnknownQubitError(int(ids[(ids < 0) | (ids >= self._next_id)][0]))
+        where = self._block_of[ids]
+        if ids.size and where.min() < 0:
+            raise UnknownQubitError(int(ids[where < 0][0]))
+        return where
 
-        The train index is -1 for an id that is not in a live train row.
-        """
-        where = np.searchsorted([t.first for t in self._trains], ids, side="right") - 1
-        rows = np.zeros_like(ids)
-        positions = np.zeros_like(ids)
-        for t, sel in _members(where):
-            train = self._trains[t]
-            row, pos = np.divmod(ids[sel] - train.first, train.width)
-            held = row < train.live.size
-            held[held] = train.live[row[held]]
-            where[sel[~held]] = -1
-            rows[sel] = row
-            positions[sel] = pos
-        return where, rows, positions
-
-    def _detach(self, train: _Train, row: int) -> StateRegister:
-        """Move one train row into its own register, for good."""
-        register = StateRegister(train.row_ids(row), train.amplitudes[row].copy())
-        train.live[row] = False
-        if not train.live.any():
-            self._trains.remove(train)
-        self._install(register)
-        return register
+    def _retire(self, b: int, rows: int) -> None:
+        """Drop ``rows`` of block ``b`` from the count of live ones."""
+        block = self._blocks[b]
+        block.live -= rows
+        if not block.live:
+            self._blocks[b] = None
 
     def tracked(self, qubit: int) -> bool:
-        return qubit in self._registers or self._train_row(qubit) is not None
+        return 0 <= qubit < self._next_id and self._block_of[qubit] >= 0
 
     def live_qubits(self) -> list[int]:
-        in_trains = [
-            q
-            for train in self._trains
-            for row in np.flatnonzero(train.live).tolist()
-            for q in train.row_ids(row)
-        ]
-        return sorted([*self._registers, *in_trains])
+        return np.flatnonzero(self._block_of[: self._next_id] >= 0).tolist()
 
     def register_of(self, qubit: int) -> StateRegister:
-        """The register holding ``qubit``; a train row is detached first."""
-        register = self._registers.get(qubit)
-        if register is not None:
-            return register
-        held = self._train_row(qubit)
-        if held is None:
-            raise UnknownQubitError(qubit)
-        return self._detach(*held)
+        """The register holding ``qubit``: a view of its row, one object per register."""
+        block = self._blocks[self._index(qubit)]
+        row = block.row_of(qubit)
+        view = block.views.get(row)
+        if view is None:
+            view = StateRegister._trusted(block.row_ids(row), block.amplitudes[row])
+            block.views[row] = view
+        return view
 
     # -- unitaries -------------------------------------------------------
 
     def apply_pauli(self, element: "GroupElement", targets: Sequence[int]) -> None:
         """Apply a Pauli word letter-by-letter; no merging is ever needed."""
-        if element.arity != len(targets):
-            raise ValueError(
-                f"arity mismatch: element has {element.arity} letters, {len(targets)} targets"
-            )
-        for letter, qubit in zip(element.letters, targets):
-            reg = self.register_of(qubit)
-            reg.apply_matrix(reg.position(qubit), letter.matrix)
+        self.apply_pauli_groups(element, [targets])
 
     def apply_pauli_groups(
         self, element: "GroupElement", groups: Sequence[Sequence[int]] | np.ndarray
     ) -> None:
-        """``apply_pauli(element, group)`` for every group, train rows in bulk.
+        """``apply_pauli(element, group)`` for every group.
 
-        Per letter, the qubits it hits in live train rows change by one
-        index permutation and sign per (train, position); every other qubit
-        takes the per-register path. Rows are never detached.
+        Per letter, the qubits it hits change by one index permutation and
+        sign per (block, position), on all of that block's rows at once.
         """
         if not len(groups):
             return
@@ -472,115 +467,72 @@ class QubitStore:
             )
         if _has_repeats(targets):
             raise ValueError("groups must name distinct qubits")
-        where, rows, positions = (
-            a.reshape(targets.shape) for a in self._locate(targets.reshape(-1))
-        )
+        where = self._indices(targets)
         for j, letter in enumerate(element.letters):
-            for t, in_train in _members(where[:, j]):
-                train = self._trains[t]
-                for pos, at_pos in _members(positions[in_train, j]):
-                    action = _letter_action(letter, train.width, pos)
+            for b, sel in _members(where[:, j]):
+                block = self._blocks[b]
+                rows, positions = block.locate(targets[sel, j])
+                for pos, at_pos in _members(positions):
+                    action = _letter_action(letter, block.width, pos)
                     if action is None:
                         continue
                     perm, sign = action
-                    sel = rows[in_train[at_pos], j]
-                    moved = train.amplitudes[np.ix_(sel, perm)]
-                    train.amplitudes[sel] = moved if sign is None else moved * sign
-            for qubit in targets[where[:, j] < 0, j].tolist():
-                reg = self.register_of(qubit)
-                reg.apply_matrix(reg.position(qubit), letter.matrix)
+                    chosen = rows[at_pos]
+                    moved = block.amplitudes[np.ix_(chosen, perm)]
+                    block.amplitudes[chosen] = moved if sign is None else moved * sign
 
     # -- measurement -----------------------------------------------------
 
-    def _joint_register(self, qubits: Sequence[int]) -> StateRegister:
-        """Register containing all the qubits, merging lazily if needed."""
-        regs: list[StateRegister] = []
-        for q in qubits:
-            reg = self.register_of(q)
-            if all(reg is not seen for seen in regs):
-                regs.append(reg)
-        if len(regs) == 1:
-            return regs[0]
-        total = sum(r.size for r in regs)
-        if total > MAX_REGISTER_QUBITS:
-            raise RegisterCapacityError(
-                f"merge of {total} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit cap"
-            )
-        amps = regs[0].amplitudes
-        joined: tuple[int, ...] = regs[0].qubits
-        for reg in regs[1:]:
-            amps = np.multiply.outer(amps, reg.amplitudes).reshape(-1)  # kron of vectors
-            joined = joined + reg.qubits
-        merged = StateRegister(joined, amps)
-        self._install(merged)
-        return merged
-
-    def _collapse(
+    def _measure(
         self,
-        register: StateRegister,
-        measured: Sequence[int],
-        branch_amplitudes: np.ndarray,
-        probability: float,
-    ) -> None:
-        """Retire measured qubits; renormalize whatever remains."""
-        for q in measured:
-            del self._registers[q]
-        remaining = tuple(q for q in register.qubits if q not in measured)
-        if remaining:
-            post = branch_amplitudes / math.sqrt(probability)
-            self._install(StateRegister(remaining, post))
-
-    def _sampled(
-        self,
-        register: StateRegister,
-        measured: Sequence[int],
-        branches: np.ndarray,
-        probs: np.ndarray,
-        uniform: float,
+        qubits: Sequence[int],
+        bras: np.ndarray,
+        probs_of: Callable[[np.ndarray], np.ndarray],
+        draw: Callable[[], float],
     ) -> int:
-        """Draw the outcome with ``uniform``, then retire and collapse."""
-        outcome = _sample_index(probs, uniform)
-        self._collapse(register, measured, branches[outcome], float(probs[outcome]))
-        return outcome
+        """Measure distinct ``qubits`` against the rows of ``bras``.
 
-    # Each *_branches method returns (register, measured qubits, branch
-    # amplitudes per outcome, outcome probabilities) and draws nothing.
-
-    def _bell_branches(self, pair: Sequence[int]):
-        a, b = pair
-        if a == b:
-            raise ValueError("cannot Bell-measure a qubit against itself")
-        reg = self._joint_register((a, b))
-        pa, pb = reg.position(a), reg.position(b)
-        if reg.size == 2:
-            vec = reg.amplitudes if pa == 0 else reg.amplitudes[[0, 2, 1, 3]]
-            return reg, (a, b), np.empty((4, 0)), _bell_probs(BELL_VECTORS.conj() @ vec)
-        arr = _to_front(reg, (pa, pb)).reshape(4, -1)
-        branches = BELL_VECTORS.conj() @ arr  # (4, 2^(k-2))
-        probs = np.einsum("ij,ij->i", branches, branches.conj()).real
-        return reg, (a, b), branches, probs
-
-    def _z_branches(self, qubit: int):
-        reg = self.register_of(qubit)
-        if reg.size == 1:
-            return reg, (qubit,), np.empty((2, 0)), np.abs(reg.amplitudes) ** 2
-        arr = _to_front(reg, (reg.position(qubit),)).reshape(2, -1)
-        probs = np.einsum("ij,ij->i", arr, arr.conj()).real
-        return reg, (qubit,), arr, probs
-
-    def _basis_branches(self, qubits: Sequence[int], basis: np.ndarray):
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("measured qubits must be distinct")
-        reg = self._joint_register(qubits)
-        m = len(qubits)
-        if basis.shape[1] != 2**m:
-            raise ValueError("basis row length must be 2^(number of measured qubits)")
-        arr = _to_front(reg, [reg.position(q) for q in qubits]).reshape(2**m, -1)
-        branches = basis.conj() @ arr
-        probs = np.einsum("ij,ij->i", branches, branches.conj()).real
+        The rows holding the qubits merge in first-seen order. Once the
+        group is known to be measurable, ``draw()`` gives the uniform that
+        picks the outcome; the measured qubits retire, and what remains of
+        the merged register, renormalized, becomes a one-row block.
+        """
+        touched: list[tuple[_Block, int, int]] = []  # (block, index, row), first seen first
+        order: list[int] = []  # the merged register's qubits
+        for q in qubits:
+            b = self._index(q)
+            block = self._blocks[b]
+            row = block.row_of(q)
+            if all(b != seen or row != r for _, seen, r in touched):
+                touched.append((block, b, row))
+                order.extend(block.row_ids(row))
+        if len(order) > MAX_REGISTER_QUBITS:
+            raise RegisterCapacityError(
+                f"merge of {len(order)} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit cap"
+            )
+        (block, _, row), *others = touched
+        amps = block.amplitudes[row]
+        for block, _, row in others:
+            amps = np.multiply.outer(amps, block.amplitudes[row]).reshape(-1)  # kron of vectors
+        front = [order.index(q) for q in qubits]
+        rest = [p for p in range(len(order)) if p not in front]
+        arr = amps.reshape((2,) * len(order)).transpose(front + rest)
+        branches = bras @ arr.reshape(2 ** len(front), -1)
+        if rest:
+            probs = np.einsum("ij,ij->i", branches, branches.conj()).real
+        else:
+            probs = probs_of(branches[:, 0])
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError("basis does not resolve the state's probability mass")
-        return reg, tuple(qubits), branches, probs
+        outcome = _sample_index(probs, draw())
+        for q in qubits:
+            self._block_of[q] = -1
+        for _, b, _ in touched:
+            self._retire(b, 1)
+        if rest:
+            post = branches[outcome] / math.sqrt(probs[outcome])
+            self._add_register(tuple(order[p] for p in rest), post)
+        return outcome
 
     def measure_bell(self, a: int, b: int, rng: np.random.Generator) -> BellOutcome:
         """Projective Bell-basis measurement of qubits (a, b).
@@ -589,11 +541,13 @@ class QubitStore:
         across two entangled pairs performs entanglement swapping on the
         partners left behind. Both measured qubits are retired.
         """
-        return BellOutcome(self._sampled(*self._bell_branches((a, b)), rng.random()))
+        if a == b:
+            raise ValueError("cannot Bell-measure a qubit against itself")
+        return _BELL_OUTCOMES[self._measure((a, b), _BELL_BRAS, _bell_probs, rng.random)]
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Computational-basis measurement; the qubit is retired."""
-        return int(self._sampled(*self._z_branches(qubit), rng.random()))
+        return self._measure((qubit,), _Z_BRAS, _bell_probs, rng.random)
 
     def measure_in_basis(
         self,
@@ -607,14 +561,18 @@ class QubitStore:
         order; it must resolve (within tolerance) all probability mass of
         the state. Returns the sampled row index; measured qubits retire.
         """
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("measured qubits must be distinct")
         basis = np.asarray(basis, dtype=complex)
-        return int(self._sampled(*self._basis_branches(qubits, basis), rng.random()))
+        if basis.shape[1] != 2 ** len(qubits):
+            raise ValueError("basis row length must be 2^(number of measured qubits)")
+        return self._measure(tuple(qubits), basis.conj(), _basis_probs, rng.random)
 
     def measure_bell_rows(
         self, pairs: Sequence[Sequence[int]] | np.ndarray, rng: np.random.Generator
     ) -> list[BellOutcome]:
-        """``measure_bell`` on each pair in list order, train rows in bulk."""
-        outcomes = self._measure_groups(pairs, BELL_VECTORS, _bell_probs, self._bell_branches, rng)
+        """``measure_bell`` on each pair in list order, whole rows in bulk."""
+        outcomes = self._measure_groups(pairs, BELL_VECTORS, _bell_probs, rng)
         return [_BELL_OUTCOMES[o] for o in outcomes]
 
     def measure_rows_in_basis(
@@ -623,56 +581,61 @@ class QubitStore:
         basis: np.ndarray,
         rng: np.random.Generator,
     ) -> list[int]:
-        """``measure_in_basis`` on each group in list order, train rows in bulk."""
-        basis = np.asarray(basis, dtype=complex)
-        return self._measure_groups(
-            groups, basis, _basis_probs, lambda group: self._basis_branches(group, basis), rng
-        )
+        """``measure_in_basis`` on each group in list order, whole rows in bulk."""
+        return self._measure_groups(groups, np.asarray(basis, dtype=complex), _basis_probs, rng)
 
     def _measure_groups(
         self,
         groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
         probs_of: Callable[[np.ndarray], np.ndarray],
-        branches_of: Callable,
         rng: np.random.Generator,
     ) -> list[int]:
         """Measure every group in ``basis``, drawing all uniforms up front.
 
         Group i uses uniform i of ``rng.random(len(groups))``, the value the
-        i-th of as many scalar measurements would draw. A group that is one
-        whole live train row, in register order, is measured with the other
-        rows of its train in one matmul; every other group goes through
-        ``branches_of``, the per-register path, in list order.
+        i-th of as many scalar measurements would draw. Groups that are
+        whole rows of one allocated block, in register order, are measured
+        together in one matmul; every other group goes through ``_measure``
+        in list order.
         """
         if not len(groups):
             return []
         targets = _id_table(groups)
         if _has_repeats(targets):
             raise ValueError("measured qubits must be distinct")
-        uniforms = rng.random(len(groups))
         m = targets.shape[1]
-        where, rows, positions = self._locate(targets[:, 0])
-        widths = np.array([t.width for t in self._trains] + [0])  # index -1 reads the 0
-        whole = (
-            (widths[where] == m)
-            & (positions == 0)
-            & (targets == targets[:, :1] + np.arange(m)).all(axis=1)
-        )
+        if basis.shape[1] != 2**m:
+            raise ValueError("basis row length must be 2^(number of measured qubits)")
+        where = self._indices(targets[:, 0])
+        uniforms = rng.random(len(groups))
+        bras = basis.conj()
         outcomes = np.zeros(len(groups), dtype=np.int64)
-        if whole.any():
-            if basis.shape[1] != 2**m:
-                raise ValueError("basis row length must be 2^(number of measured qubits)")
-            bras = basis.conj().T
-            for t, sel in _members(np.where(whole, where, -1)):
-                train = self._trains[t]
-                probs = probs_of(train.amplitudes[rows[sel]] @ bras)
-                if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-                    raise ValueError("basis does not resolve the state's probability mass")
-                outcomes[sel] = _sample_rows(probs, uniforms[sel])
-                train.live[rows[sel]] = False
-            self._trains = [t for t in self._trains if t.live.any()]
-        for i in np.flatnonzero(~whole).tolist():
-            group = targets[i].tolist()
-            outcomes[i] = self._sampled(*branches_of(group), float(uniforms[i]))
+        one_by_one = np.ones(len(groups), dtype=bool)
+        firsts = targets[:, 0]
+        for b, sel in _members(where):
+            block = self._blocks[b]
+            if block.qubits is not None or block.width != m:
+                continue
+            rows, positions = np.divmod(firsts[sel] - block.first, m)
+            consecutive = (targets[sel] == firsts[sel, None] + np.arange(m)).all(axis=1)
+            whole = (positions == 0) & consecutive
+            if not whole.any():
+                continue
+            sel, rows = sel[whole], rows[whole]
+            amps = block.amplitudes
+            # A decode reads a whole block in order; not copying it there
+            # keeps the copy out of a large run's peak memory.
+            if not np.array_equal(rows, np.arange(len(amps))):
+                amps = amps[rows]
+            probs = probs_of(amps @ bras.T)
+            if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+                raise ValueError("basis does not resolve the state's probability mass")
+            outcomes[sel] = _sample_rows(probs, uniforms[sel])
+            self._block_of[targets[sel]] = -1
+            self._retire(b, sel.size)
+            one_by_one[sel] = False
+        draw = iter(uniforms[one_by_one].tolist()).__next__  # their uniforms, in list order
+        for i in np.flatnonzero(one_by_one).tolist():
+            outcomes[i] = self._measure(targets[i].tolist(), bras, probs_of, draw)
         return outcomes.tolist()

@@ -1,5 +1,6 @@
 """Command-line surface: flags, config file, formats, exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qka import cli, transcript
 from qka.cli import MAX_COMMAND_KEY_BITS, RUN_DEFAULTS, batch_summary, main
-from qka.protocols import MAX_KEY_BITS, ProtocolConfig, run_two_party
+from qka.protocols import MAX_KEY_BITS, InvalidSchemeError, ProtocolConfig, run_two_party
 
 
 def run_cli(capsys, *argv):
@@ -175,8 +176,8 @@ class TestConfigHandling:
         assert "usage" in capsys.readouterr().err
 
     def test_config_file_with_unsupported_rounds_exits_2(self, capsys, tmp_path):
-        # the flag restricts choices; a config file can smuggle any digits,
-        # which the scheme validator then rejects as a configuration error
+        # the scheme validator rejects an undecodable selection as a
+        # configuration error
         cfg = tmp_path / "spec.json"
         cfg.write_text(
             json.dumps(
@@ -186,6 +187,35 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
         assert "configuration error" in err
+
+
+class TestFivePartyRounds:
+    @pytest.mark.parametrize("rounds", ["2134", "1245", "12"])
+    def test_flag_and_config_share_one_rule(self, capsys, tmp_path, rounds):
+        base = ["run", "--protocol", "five-party", "--key-bits", "4", "--seed", "3"]
+        by_flag = run_cli(capsys, *base, "--five-party-rounds", rounds)
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"five_party_rounds": rounds}))
+        by_config = run_cli(capsys, *base, "--config", str(cfg))
+        assert by_flag == by_config
+        code, out, err = by_flag
+        if rounds == "2134":  # an order of the decodable set {1, 2, 3, 4}
+            assert code == 0 and err == "" and json.loads(out)["agreement"] is True
+        else:
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert err.startswith("qka: configuration error: ")
+
+    def test_exactly_the_orders_of_three_subgroup_sets_decode(self):
+        decodable = set()
+        for digits in itertools.product("123456", repeat=4):
+            rounds = "".join(digits)
+            try:
+                ProtocolConfig(key_bits=2, party_count=5, five_party_rounds=rounds).validate()
+            except InvalidSchemeError:
+                continue
+            decodable.add(rounds)
+        assert len(decodable) == 72
+        assert {"".join(sorted(r)) for r in decodable} == set(cli.FIVE_PARTY_ROUND_CHOICES)
 
 
 def _junk(ints=st.integers()):
@@ -383,7 +413,9 @@ _RUN_FLAGS = {
     "--swap-count": st.integers(-1, 4),
     "--threshold": _FLOATS,
     "--five-party-state": st.sampled_from(["omega", "cluster"]),
-    "--five-party-rounds": st.sampled_from(cli.FIVE_PARTY_ROUND_CHOICES),
+    "--five-party-rounds": st.sampled_from(
+        [*cli.FIVE_PARTY_ROUND_CHOICES, "2134", "1245", "12"]
+    ),
     "--format": st.sampled_from(["json", "text"]),
 }
 

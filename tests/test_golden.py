@@ -52,19 +52,40 @@ CASES = {
     ),
     "two-party-dishonest-bob": _run(TWO, 16, 5, "--adversary", "dishonest-bob"),
     "two-party-text": _run(TWO, 16, 5, "--format", "text"),
+    **{f"{protocol}-n1024": _run(protocol, 1024, 3) for protocol in (TWO, THREE, FIVE)},
+    # Single attacked runs that finish: their decode measures across registers.
+    "two-party-intercept-z": _run(
+        TWO, 16, 6, "--adversary", "intercept-z", "--attack-fraction", "0.5", "--threshold", "1"
+    ),
+    "two-party-intercept-bell": _run(
+        TWO, 16, 6, "--adversary", "intercept-bell", "--attack-fraction", "0.5",
+        "--threshold", "1",
+    ),
+    "two-party-dishonest-alice": _run(
+        TWO, 16, 6, "--adversary", "dishonest-alice", "--threshold", "1"
+    ),
+    "three-party-intercept-z": _run(
+        THREE, 16, 6, "--adversary", "intercept-z", "--attack-fraction", "0.5",
+        "--threshold", "1",
+    ),
+    "batch-text": _run(THREE, 16, 4, "--trials", "12", "--format", "text"),
 }
 
-# Generated from the output of the per-register implementation.
+# The first 24 were generated from the output of the per-register
+# implementation; the n=1024, attacked single-run and text-batch cases from
+# the batched-train store that kept the per-register path beside it.
 DIGESTS = {
     "batch-dishonest-alice": "11df56a2b63dc4514e60cd5985569f2e5f7ee4470e893561062c8d98af2ae5bc",
     "batch-dishonest-bob": "04a94f44b0002022623585b66e674107e11ff3b9060d3fb29e10409fb1fb459f",
     "batch-intercept-bell": "d6ac84f403897fa877a8c02bbc124f4eee67f73b4d4a53152b8370710eed2776",
     "batch-intercept-z": "930d56d5edd5c3685e6a9962f5024ac79f4f31aa54d0799fce6173affadddc57",
+    "batch-text": "bd7814c9907c0e848a96778e2e7e1e78c782fc56e40fe452d1c7224384fe95e4",
     "batch-three-party-intercept-bell": "34b112cfd14e99a31f7a2043a04913120c2c8d2096466a74524589273f519a1b",
     "five-party-cluster-1234": "f3fb85b07edd0b7ba6368fc8c1834719ad4e5d81297c6d4f7d1f5b06ee03cebd",
     "five-party-cluster-1256": "a130365445a92ae65ba7a3ff501b885d3bd6f6b24e8fe1c67168c0b5f374664d",
     "five-party-cluster-3456": "e5fc925fb145d74bbdeb46de6693f04035f7ac6d0baddf05ca775602bebd3b8c",
     "five-party-intercept-z": "b7159cdc40b2fd4f86a36b8e92ad73fe4c12d9012ee91d3100c29824d7881c49",
+    "five-party-n1024": "b27ccfe09b9fc0568462783e500aedb384ab25f7bbd6128c646733b3b6a634e0",
     "five-party-n64-seed0": "78f6a6d8b846f3d7e7ad2c4b6e5e47b116365f49cc7fe7e7a134cf2914d45dbc",
     "five-party-n64-seed1": "5f9672b65cc65aa5341f1ef667bf68f96ddec8e5af5d5debb045264974ffee4e",
     "five-party-n64-seed2": "3d84d69215983a04295f9484062fa991636d4a537df96e0d65b5b3910425c858",
@@ -72,10 +93,16 @@ DIGESTS = {
     "five-party-omega-1256": "a130365445a92ae65ba7a3ff501b885d3bd6f6b24e8fe1c67168c0b5f374664d",
     "five-party-omega-3456": "e5fc925fb145d74bbdeb46de6693f04035f7ac6d0baddf05ca775602bebd3b8c",
     "three-party-intercept-bell": "7567f320c12a58443ec909364ba6e84887302749c723932e63f5d77249a8ed53",
+    "three-party-intercept-z": "90e77519f15f4d8f998708e3ddaa85870e622ec660cdd2d622e893eca7dff2bf",
+    "three-party-n1024": "647d59972594723f1121128e77a9c35913ac5b6bd476320a7333e4900833a360",
     "three-party-n64-seed0": "89a9c3c645747845110fc9c568f0c1f3de330c07c9493cacbf84d3cb08062037",
     "three-party-n64-seed1": "d26a97c0c847001839c8d969fcd90ca5be353134a13379412e831fb53645332c",
     "three-party-n64-seed2": "c58f7f8f1febe220e8699a91f9350f700c54c13cccabae86f5d4d10630087344",
+    "two-party-dishonest-alice": "93adcba0d2c4fd5690c54d336520ef69dd015cdadeb71eebded389377f06c8fe",
     "two-party-dishonest-bob": "52e3da6353be7f783aed00f26168d077f77da7eddf26b0d04d81b875b7ff2428",
+    "two-party-intercept-bell": "7e8e45786e4ccb9b3f9dd7a8479481658a3d88f55559da04181578c0fd7557ea",
+    "two-party-intercept-z": "71d6a2d3d476c81f2678f5bebda256f3ea63ad9a5c531cab91192498f2bcafe5",
+    "two-party-n1024": "8c190085e6acd4bf54ad09a02b42cab53dcdca26f260871ad1d4b6b221331fbe",
     "two-party-n64-seed0": "95efe839cab5ce1528f6d44d9e41f3a45ee683f19d96b9dd5f4f84aa0fac3d54",
     "two-party-n64-seed1": "1c652fea16b00ab3ec22487b99de8c79174db17d76126e31adbc3c478d6c6c3d",
     "two-party-n64-seed2": "257b45b16ce2082b2960a7a71a66350589e03989f0674a4f42a80cc1dd41e7e8",

@@ -36,8 +36,38 @@ ORACLE_BELL = {
 }
 
 
+# Independent Pauli letters; iY is the real letter Z X.
+ORACLE_PAULI = {
+    PauliLetter.I: np.eye(2, dtype=complex),
+    PauliLetter.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    PauliLetter.IY: np.array([[0, 1], [-1, 0]], dtype=complex),
+    PauliLetter.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+# Independent 4-qubit resource states: {basis index: amplitude}.
+ORACLE_FOUR = {
+    FourQubitState.OMEGA: {0b0000: 0.5, 0b0110: 0.5, 0b1001: 0.5, 0b1111: -0.5},
+    FourQubitState.CLUSTER: {0b0000: 0.5, 0b0011: 0.5, 0b1100: 0.5, 0b1111: -0.5},
+}
+
+
+def oracle_four(which):
+    vec = np.zeros(16, dtype=complex)
+    for index, amp in ORACLE_FOUR[which].items():
+        vec[index] = amp
+    return vec
+
+
 def fresh_pair(store, kind=BellOutcome.PSI_PLUS):
     return store.new_bell(kind)
+
+
+def reordered(register, new_order):
+    """The register's amplitudes with its qubits listed in ``new_order``."""
+    assert sorted(new_order) == sorted(register.qubits)
+    perm = [register.position(q) for q in new_order]
+    arr = register.amplitudes.reshape([2] * register.size)
+    return np.transpose(arr, perm).reshape(-1)
 
 
 class TestPreparation:
@@ -230,7 +260,7 @@ class TestMeasureBell:
             assert set(remainder.qubits) == {q1, q4}
             expected = branches[outcome] / math.sqrt(probs[outcome])
             np.testing.assert_allclose(
-                remainder.reordered((q1, q4)).amplitudes, expected, atol=1e-10
+                reordered(remainder, (q1, q4)), expected, atol=1e-10
             )
 
     def test_swapping_statistics_uniform(self):
@@ -374,3 +404,188 @@ class TestStoreDiscipline:
         assert snap1.keys() == snap2.keys()
         for q in snap1:
             np.testing.assert_array_equal(snap1[q], snap2[q])
+
+
+# -- dense statevector oracle --------------------------------------------------
+
+ORACLE_BELL_BRAS = np.stack([ORACLE_BELL[o] for o in BellOutcome]).conj()
+LIVE_CAP = 12  # live qubits at any time; a merge can then reach the cap, not pass it
+
+
+def random_basis(seed, dim):
+    """Rows of a random unitary: an orthonormal basis with uneven probabilities."""
+    plan = np.random.default_rng(seed)
+    z = plan.normal(size=(dim, dim)) + 1j * plan.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return (q * (np.diag(r) / np.abs(np.diag(r)))).T
+
+
+class DenseOracle:
+    """Every live qubit in one statevector, ids ascending (the first is the MSB).
+
+    Preparations extend it by kron, Pauli words act as kron-built matrices
+    on the targeted axes, and a measurement projects the measured axes onto
+    each bra and samples the outcome by inverse CDF over the nonzero bins,
+    with one ``rng.random()`` per measured group, as the store draws them.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.qubits: list[int] = []
+        self.state = np.ones(1, dtype=complex)
+
+    def prepare(self, ids, vector):
+        self.qubits += list(ids)
+        self.state = np.kron(self.state, vector)
+
+    def front(self, qubits):
+        """The state as a (2^m, rest) matrix with ``qubits`` first, and the rest's ids."""
+        axes = [self.qubits.index(q) for q in qubits]
+        rest = [p for p in range(len(self.qubits)) if p not in axes]
+        tensor = self.state.reshape((2,) * len(self.qubits)).transpose(axes + rest)
+        return tensor.reshape(2 ** len(qubits), -1), [self.qubits[p] for p in rest]
+
+    def pauli(self, letters, targets):
+        op = np.ones((1, 1), dtype=complex)
+        for letter in letters:
+            op = np.kron(op, ORACLE_PAULI[letter])
+        matrix, rest = self.front(targets)
+        order = list(targets) + rest
+        tensor = (op @ matrix).reshape((2,) * len(order))
+        self.state = tensor.transpose([order.index(q) for q in self.qubits]).reshape(-1)
+
+    def measure(self, qubits, bras) -> int:
+        matrix, rest = self.front(qubits)
+        branches = bras @ matrix
+        probs = (np.abs(branches) ** 2).sum(axis=1)
+        nonzero = np.flatnonzero(probs > 1e-20)  # bins that are zero up to roundoff drop out
+        cdf = np.cumsum(probs[nonzero])
+        pick = np.searchsorted(cdf, self.rng.random() * probs.sum(), side="right")
+        outcome = int(nonzero[min(pick, nonzero.size - 1)])
+        self.qubits = rest
+        self.state = branches[outcome] / math.sqrt(probs[outcome])
+        return outcome
+
+
+def assert_matches(store, oracle):
+    """Same live qubits; each register of the store factors out of the oracle state.
+
+    A register r over qubits Q matches when the oracle state, read as a
+    (Q, rest) matrix M, equals outer(r, r^dagger M). That pins every
+    amplitude of r, its norm included, up to one global phase, which a
+    measurement that retires a whole register leaves behind in the oracle.
+    """
+    assert store.live_qubits() == oracle.qubits
+    seen = set()
+    for q in oracle.qubits:
+        reg = store.register_of(q)
+        if reg.qubits in seen:
+            continue
+        seen.add(reg.qubits)
+        assert all(store.register_of(p) is reg for p in reg.qubits)
+        matrix, _ = oracle.front(reg.qubits)
+        partner = reg.amplitudes.conj() @ matrix
+        np.testing.assert_allclose(np.outer(reg.amplitudes, partner), matrix, rtol=0, atol=1e-10)
+
+
+def _pick(data, live, count):
+    return data.draw(st.permutations(live))[:count]
+
+
+def _pick_across(data, store, live, count):
+    """Up to ``count`` qubits, each from a different register: the widest merges."""
+    heads = {store.register_of(q).qubits: q for q in data.draw(st.permutations(live))}
+    return list(heads.values())[:count]
+
+
+def _groups(data, live, size):
+    """Disjoint groups: runs of ascending ids (often whole rows) or shuffled ones."""
+    if data.draw(st.booleans()):
+        pool = sorted(live)
+    else:
+        pool = data.draw(st.permutations(live))
+    count = data.draw(st.integers(1, len(pool) // size))
+    return [tuple(pool[i * size : (i + 1) * size]) for i in range(count)]
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_op_sequences(self, seed, data):
+        store, rng = QubitStore(), np.random.default_rng(seed)
+        oracle = DenseOracle(np.random.default_rng(seed))
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            live = list(oracle.qubits)
+            room = LIVE_CAP - len(live)
+            ops = [op for op, need in (("bell", 2), ("four", 4), ("one", 1), ("train", 1))
+                   if need <= room]
+            if live:
+                ops += ["pauli", "pauli_groups", "z", "basis"]
+            if len(live) >= 2:
+                ops += ["bell_measure", "bell_rows", "basis_rows"]
+            op = data.draw(st.sampled_from(ops), label="op")
+            if op == "bell":
+                kind = data.draw(st.sampled_from(list(BellOutcome)))
+                oracle.prepare(store.new_bell(kind), ORACLE_BELL[kind])
+            elif op == "four":
+                which = data.draw(st.sampled_from(list(FourQubitState)))
+                oracle.prepare(store.new_four_qubit(which), oracle_four(which))
+            elif op == "one":
+                bit = data.draw(st.integers(0, 1))
+                oracle.prepare((store.new_computational(bit),), np.eye(2)[bit])
+            elif op == "train":
+                choice = data.draw(st.sampled_from(["bell", "four", "random1", "random2"]))
+                if choice == "bell":
+                    vector = ORACLE_BELL[data.draw(st.sampled_from(list(BellOutcome)))]
+                elif choice == "four":
+                    vector = oracle_four(data.draw(st.sampled_from(list(FourQubitState))))
+                else:
+                    vector = random_basis(data.draw(st.integers(0, 2**32 - 1)),
+                                          2 ** int(choice[-1]))[0].conj()
+                width = vector.size.bit_length() - 1
+                if width > room:
+                    continue
+                count = data.draw(st.integers(1, room // width))
+                ids = store.new_train(vector, count)
+                for i in range(count):
+                    oracle.prepare(ids[i * width : (i + 1) * width], vector)
+            elif op == "pauli":
+                targets = _pick(data, live, data.draw(st.integers(1, min(3, len(live)))))
+                letters = data.draw(st.lists(st.sampled_from(list(PauliLetter)),
+                                             min_size=len(targets), max_size=len(targets)))
+                store.apply_pauli(GroupElement(tuple(letters)), targets)
+                oracle.pauli(letters, targets)
+            elif op == "pauli_groups":
+                size = data.draw(st.integers(1, min(2, len(live))))
+                groups = _groups(data, live, size)
+                letters = data.draw(st.lists(st.sampled_from(list(PauliLetter)),
+                                             min_size=size, max_size=size))
+                store.apply_pauli_groups(GroupElement(tuple(letters)), groups)
+                for group in groups:
+                    oracle.pauli(letters, group)
+            elif op == "z":
+                (q,) = _pick(data, live, 1)
+                assert store.measure_z(q, rng) == oracle.measure([q], np.eye(2))
+            elif op == "bell_measure":
+                a, b = _pick(data, live, 2)
+                assert store.measure_bell(a, b, rng) == oracle.measure([a, b], ORACLE_BELL_BRAS)
+            elif op == "basis":
+                count = data.draw(st.integers(1, min(4, len(live))))
+                if count == 4 or data.draw(st.booleans()):
+                    qubits = _pick_across(data, store, live, count)
+                else:
+                    qubits = _pick(data, live, count)
+                basis = random_basis(data.draw(st.integers(0, 2**32 - 1)), 2 ** len(qubits))
+                got = store.measure_in_basis(qubits, basis, rng)
+                assert got == oracle.measure(qubits, basis.conj())
+            elif op == "bell_rows":
+                pairs = _groups(data, live, 2)
+                got = store.measure_bell_rows(pairs, rng)
+                assert got == [oracle.measure(p, ORACLE_BELL_BRAS) for p in pairs]
+            else:
+                size = data.draw(st.sampled_from([m for m in (2, 4) if m <= len(live)]))
+                groups = _groups(data, live, size)
+                basis = random_basis(data.draw(st.integers(0, 2**32 - 1)), 2**size)
+                got = store.measure_rows_in_basis(groups, basis, rng)
+                assert got == [oracle.measure(g, basis.conj()) for g in groups]
+            assert_matches(store, oracle)

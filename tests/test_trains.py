@@ -257,20 +257,21 @@ class TestValidation:
 
 class TestProtocolRuns:
     @pytest.mark.parametrize("parties", [2, 3, 5])
-    def test_honest_runs_never_detach_a_row(self, parties, monkeypatch):
-        detached = []
-        original = QubitStore._detach
+    def test_honest_runs_stay_in_bulk(self, parties, monkeypatch):
+        """Honest runs measure whole rows only; the general routine is for attacks."""
+        one_by_one = []
+        original = QubitStore._measure
 
-        def counting(self, train, row):
-            detached.append(row)
-            return original(self, train, row)
+        def counting(self, qubits, *args):
+            one_by_one.append(tuple(qubits))
+            return original(self, qubits, *args)
 
-        monkeypatch.setattr(QubitStore, "_detach", counting)
+        monkeypatch.setattr(QubitStore, "_measure", counting)
         result = run_protocol(ProtocolConfig(key_bits=16, party_count=parties, seed=4))
         assert result.agreement()
-        assert detached == []
+        assert one_by_one == []
         attacked = run_protocol(
             ProtocolConfig(key_bits=16, party_count=parties, seed=4, error_threshold=1.0),
             AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5),
         )
-        assert not attacked.aborted and detached
+        assert not attacked.aborted and one_by_one
