@@ -26,9 +26,7 @@ from .pauli import (
     dense_coding_orthogonal,
     mul,
     product_set,
-    standard_subgroups_g1,
     standard_subgroups_g2,
-    tensor,
     validate_scheme,
 )
 from .protocols import (
@@ -36,7 +34,6 @@ from .protocols import (
     PermutationRecord,
     ProtocolConfig,
     ProtocolResult,
-    TravelSequence,
     decode_bell_bits,
     encode_key,
     insert_decoys_and_permute,
@@ -74,7 +71,6 @@ __all__ = [
     "ResourceCount",
     "StateRegister",
     "Subgroup",
-    "TravelSequence",
     "UnknownQubitError",
     "attack_transit",
     "check_disjoint",
@@ -93,9 +89,7 @@ __all__ = [
     "run_protocol",
     "run_three_party",
     "run_two_party",
-    "standard_subgroups_g1",
     "standard_subgroups_g2",
-    "tensor",
     "validate_scheme",
     "verify_decoys",
 ]

@@ -81,33 +81,33 @@ class AdversaryModel:
 def attack_transit(
     model: AdversaryModel,
     store: QubitStore,
-    seq,
+    slots: list[int] | np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Apply an external attack to a travel sequence, mutating its slots.
+    """Apply an external attack to a train in transit, rewriting its slots.
 
-    ``seq`` is any object with a mutable ``slots`` sequence of qubit ids (a
-    list, or the engines' int64 array). The attack runs slot by slot on a
-    list of Python ints and writes it back in place. A NONE model is a
-    no-op (and draws no randomness); insider kinds raise.
+    ``slots`` is a mutable sequence of qubit ids (a list, or the engines'
+    int64 array). The attack runs slot by slot on a list of Python ints and
+    writes it back in place. A NONE model is a no-op (and draws no
+    randomness); insider kinds raise.
     """
     if model.kind is AdversaryKind.NONE:
         return
     if not model.is_external:
         raise ValueError(f"{model.kind.value} is not an external transit attack")
-    slots = np.asarray(seq.slots).tolist()
+    ids = np.asarray(slots).tolist()
     if model.kind is AdversaryKind.INTERCEPT_RESEND_Z:
-        for k in range(len(slots)):
+        for k in range(len(ids)):
             if rng.random() < model.fraction:
-                bit = store.measure_z(slots[k], rng)
-                slots[k] = store.new_computational(bit)
+                bit = store.measure_z(ids[k], rng)
+                ids[k] = store.new_computational(bit)
     else:
         # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.
-        for k in range(0, len(slots) - 1, 2):
+        for k in range(0, len(ids) - 1, 2):
             if rng.random() < model.fraction:
-                outcome = store.measure_bell(slots[k], slots[k + 1], rng)
-                slots[k], slots[k + 1] = store.new_bell(outcome)
-    seq.slots[:] = slots
+                outcome = store.measure_bell(ids[k], ids[k + 1], rng)
+                ids[k], ids[k + 1] = store.new_bell(outcome)
+    slots[:] = ids
 
 
 def choose_swap_pairs(
@@ -145,7 +145,7 @@ def dishonest_bob_reorder(
 def dishonest_alice_early_measure(
     store: QubitStore,
     kept: Sequence[int],
-    seq,
+    slots: Sequence[int] | np.ndarray,
     record,
     rng: np.random.Generator,
     true_partner_key: Sequence[int],
@@ -162,14 +162,16 @@ def dishonest_alice_early_measure(
     against the true key (known to the harness, not the attacker).
     """
     n = len(kept)
-    slots = np.asarray(seq.slots).tolist()
-    message_slots = sorted(set(range(len(slots))) - set(record.decoy_positions))
+    ids = np.asarray(slots).tolist()
+    is_message = np.ones(len(ids), dtype=bool)
+    is_message[record.decoy_pairs] = False
+    message_slots = np.flatnonzero(is_message).tolist()
     if len(message_slots) != n:
         raise ValueError("message slot count does not match kept qubits")
     guess = rng.permutation(n)
     guessed_slots = [message_slots[int(guess[i])] for i in range(n)]
     guessed_bits = tuple(
-        store.measure_bell(kept[i], slots[guessed_slots[i]], rng).x_bit
+        store.measure_bell(kept[i], ids[guessed_slots[i]], rng).x_bit
         for i in range(n)
     )
     message_order = np.asarray(record.message_order).tolist()

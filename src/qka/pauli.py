@@ -132,9 +132,6 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return mul(self, other)
 
-    def tensor(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.letters + other.letters)
-
     def __str__(self) -> str:
         return self.label
 
@@ -144,11 +141,6 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     if a.arity != b.arity:
         raise ValueError(f"arity mismatch: {a.arity} vs {b.arity}")
     return GroupElement(tuple(_MUL[x, y] for x, y in zip(a.letters, b.letters)))
-
-
-def tensor(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Concatenate letter lists; arities add."""
-    return a.tensor(b)
 
 
 def canonical_order(elements: Iterable[GroupElement]) -> list[GroupElement]:
@@ -196,16 +188,6 @@ def group_g2() -> frozenset[GroupElement]:
     return frozenset(
         GroupElement.of(a, b) for a in PauliLetter for b in PauliLetter
     )
-
-
-def standard_subgroups_g1() -> list[Subgroup]:
-    """The three order-2 subgroups {I,X}, {I,Z}, {I,iY} of the letter group."""
-    identity = GroupElement.identity(1)
-    gens = [PauliLetter.X, PauliLetter.Z, PauliLetter.IY]
-    return [
-        Subgroup(f"g{k + 1}", frozenset({identity, GroupElement.of(gen)}))
-        for k, gen in enumerate(gens)
-    ]
 
 
 def standard_subgroups_g2() -> list[Subgroup]:

@@ -140,13 +140,6 @@ class ProtocolConfig:
         return np.random.default_rng([self.seed, self.run_index])
 
 
-@dataclass
-class TravelSequence:
-    """The scrambled qubit train in transit, an int64 id array; slots mutate under attack."""
-
-    slots: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class PermutationRecord:
     """The sender's secret map for one scrambled train, as read-only int64 arrays.
@@ -161,14 +154,6 @@ class PermutationRecord:
     inverse: np.ndarray
     message_order: np.ndarray
     decoy_pairs: np.ndarray
-
-    @property
-    def decoy_positions(self) -> frozenset[int]:
-        return frozenset(self.decoy_pairs.ravel().tolist())
-
-    @property
-    def message_positions(self) -> frozenset[int]:
-        return frozenset(self.message_order.tolist())
 
 
 @dataclass(frozen=True)
@@ -191,28 +176,24 @@ class TransmissionCheck:
         }
 
 
-def _train_ids(store: QubitStore, vector: np.ndarray, count: int) -> np.ndarray:
-    """``store.new_train`` ids as a (count, k) int64 array, one row per copy."""
-    width = np.size(vector).bit_length() - 1
-    ids = store.new_train(vector, count)
-    first = ids[0] if ids else 0  # a train's ids are consecutive
-    return np.arange(first, first + len(ids), dtype=np.int64).reshape(count, width)
-
-
 def insert_decoys_and_permute(
     message_qubits: Sequence[int] | np.ndarray,
     store: QubitStore,
     rng: np.random.Generator,
     decoy_pair_count: int | None = None,
-) -> tuple[TravelSequence, PermutationRecord]:
-    """Append fresh decoy pairs and scramble everything uniformly."""
+) -> tuple[np.ndarray, PermutationRecord]:
+    """Append fresh decoy pairs and scramble everything uniformly.
+
+    Returns the train in transit, an int64 id array by slot, and the
+    sender's record; ``slots[record.message_order]`` restores the message.
+    """
     message = np.asarray(message_qubits, dtype=np.int64)
     m = message.size
     if decoy_pair_count is None:
         if m % 2:
             raise ValueError("message qubit count must be even")
         decoy_pair_count = m // 2
-    decoys = _train_ids(store, BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
+    decoys = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
     items = np.concatenate([message, decoys.reshape(-1)])
     total = items.size
     inverse = rng.permutation(total)
@@ -225,12 +206,12 @@ def insert_decoys_and_permute(
         message_order=forward[:m],
         decoy_pairs=forward[m:].reshape(-1, 2),
     )
-    return TravelSequence(items[inverse]), record
+    return items[inverse], record
 
 
 def verify_decoys(
     store: QubitStore,
-    seq: TravelSequence,
+    slots: Sequence[int] | np.ndarray,
     decoy_pairs: Sequence[tuple[int, int]] | np.ndarray,
     threshold: float,
     rng: np.random.Generator,
@@ -241,7 +222,7 @@ def verify_decoys(
     it must be nonempty, (m, 2)-shaped, and name m disjoint pairs of
     distinct slots in range.
     """
-    slots = np.asarray(seq.slots, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64)
     pairs = np.asarray(decoy_pairs, dtype=np.int64)
     if not pairs.size:
         raise ValueError("decoy disclosure is empty")
@@ -386,10 +367,10 @@ class _RunContext:
         receiver: str,
         message_qubits: np.ndarray,
         decoy_pair_count: int,
-    ) -> tuple[TravelSequence, PermutationRecord, int]:
+    ) -> tuple[np.ndarray, PermutationRecord, int]:
         """Decoy prep + scramble + send + ack; transit attack happens here."""
         self.log_preparation(step, sender, 2 * decoy_pair_count, "decoy")
-        seq, record = insert_decoys_and_permute(
+        slots, record = insert_decoys_and_permute(
             message_qubits, self.store, self.rng, decoy_pair_count
         )
         index = self._transmissions
@@ -398,13 +379,13 @@ class _RunContext:
             step,
             sender,
             tr.QUANTUM_SEND,
-            {"to": receiver, "slots": seq.slots, "transmission": index},
-            qubit_count=len(seq.slots),
+            {"to": receiver, "slots": slots, "transmission": index},
+            qubit_count=len(slots),
         )
         if self.adversary.is_external and self.adversary.transmission_index == index:
-            attack_transit(self.adversary, self.store, seq, self.rng)
+            attack_transit(self.adversary, self.store, slots, self.rng)
         self.transcript.log(step, receiver, tr.ACK, {"transmission": index})
-        return seq, record, index
+        return slots, record, index
 
     def disclose_full(self, step: str, actor: str, record: PermutationRecord) -> None:
         self.transcript.log(
@@ -446,13 +427,13 @@ class _RunContext:
         step: str,
         sender: str,
         receiver: str,
-        seq: TravelSequence,
+        slots: np.ndarray,
         record: PermutationRecord,
         index: int,
     ) -> None:
         """Receiver-side disturbance estimate; a failure aborts the run."""
         error_rate, passed = verify_decoys(
-            self.store, seq, record.decoy_pairs, self.config.error_threshold, self.rng
+            self.store, slots, record.decoy_pairs, self.config.error_threshold, self.rng
         )
         self.checks.append(
             TransmissionCheck(index, step, sender, receiver, error_rate, passed)
@@ -469,10 +450,6 @@ class _RunContext:
                 f"decoy check failed on transmission {index} "
                 f"(error rate {error_rate:.4f} > threshold {self.config.error_threshold})"
             )
-
-
-def _restore_order(seq: TravelSequence, order: np.ndarray) -> np.ndarray:
-    return seq.slots[order]
 
 
 def _normalize_adversary(adversary: AdversaryModel | None) -> AdversaryModel:
@@ -524,34 +501,34 @@ def run_two_party(
 
     try:
         # Step 1: pair preparation and the initiator's key.
-        pairs = _train_ids(store, BELL_VECTORS[BellOutcome.PSI_PLUS], n)
+        pairs = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], n)
         ctx.log_preparation("step1", alice, 2 * n, "message")
         kept, travel = pairs[:, 0], pairs[:, 1]
         key_a = ctx.draw_key(0)
         private[alice] = key_a
 
         # Steps 2-3: outbound train, full disclosure, responder's decoy check.
-        seq1, rec1, idx1 = ctx.send_scrambled("step2", alice, bob, travel, n // 2)
+        slots1, rec1, idx1 = ctx.send_scrambled("step2", alice, bob, travel, n // 2)
         ctx.disclose_full("step3", alice, rec1)
-        ctx.check_decoys("step3", alice, bob, seq1, rec1, idx1)
-        at_bob = _restore_order(seq1, rec1.message_order)
+        ctx.check_decoys("step3", alice, bob, slots1, rec1, idx1)
+        at_bob = slots1[rec1.message_order]
 
         # Step 4: responder's key, X-encoding, return train.
         key_b = ctx.draw_key(1)
         private[bob] = key_b
         encode_key(store, at_bob, key_b, GroupElement.of(PauliLetter.X))
-        seq2, rec2, idx2 = ctx.send_scrambled("step4", bob, alice, at_bob, n // 2)
+        slots2, rec2, idx2 = ctx.send_scrambled("step4", bob, alice, at_bob, n // 2)
 
         # Step 5: decoy coordinates only; the message order stays secret.
         ctx.disclose_decoys("step5", bob, rec2)
-        ctx.check_decoys("step5", bob, alice, seq2, rec2, idx2)
+        ctx.check_decoys("step5", bob, alice, slots2, rec2, idx2)
 
         # Insider hook: an impatient initiator measures on guessed pairings
         # now, before committing to her announcement.
         early_guess: tuple[int, ...] | None = None
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
             early_guess, attack_report = dishonest_alice_early_measure(
-                store, kept.tolist(), seq2, rec2, rng, key_b
+                store, kept.tolist(), slots2, rec2, rng, key_b
             )
 
         # Step 6: the initiator commits; the responder can already finish.
@@ -574,7 +551,7 @@ def run_two_party(
         if early_guess is not None:
             derived[alice] = xor_bits(key_a, early_guess)
         else:
-            claimed = _restore_order(seq2, order)
+            claimed = slots2[order]
             outcomes = store.measure_bell_rows(np.column_stack([kept, claimed]), rng)
             outcome_records[alice] = tuple(o.label for o in outcomes)
             decoded = tuple(decode_bell_bits(o)[0] for o in outcomes)
@@ -644,7 +621,7 @@ def _run_ring(
     copies: list[np.ndarray] = []  # copies[s]: party s's (n, width) train ids
     travels: list[np.ndarray] = []  # travels[s]: stream s's travel qubits, copy by copy
     for j in range(parties):
-        copies.append(_train_ids(store, ring.state, n))
+        copies.append(store.new_train(ring.state, n))
         ctx.log_preparation(ring.prep_step, names[j], width * n, "message")
         travels.append(copies[j][:, travel].reshape(-1))
     keys = [ctx.draw_key(j) for j in range(parties)]
@@ -662,17 +639,17 @@ def _run_ring(
                 )
                 for j in range(parties)
             ]
-            for j, (seq, rec, idx) in enumerate(sent):
+            for j, (slots, rec, idx) in enumerate(sent):
                 # The plain hop carries no key yet, so its order may go out
                 # with the decoys; a key-bearing order waits for the check.
                 if hop:
                     ctx.disclose_decoys(check_step, names[j], rec)
                 else:
                     ctx.disclose_full(check_step, names[j], rec)
-                ctx.check_decoys(check_step, names[j], names[(j + 1) % parties], seq, rec, idx)
+                ctx.check_decoys(check_step, names[j], names[(j + 1) % parties], slots, rec, idx)
                 if hop:
                     ctx.disclose_order(check_step, names[j], rec.message_order)
-                travels[held[j]] = _restore_order(seq, rec.message_order)
+                travels[held[j]] = slots[rec.message_order]
             del sent  # free this hop's trains before the next hop's are built
 
         # Decode each copy with its returned travel qubits in their positions.

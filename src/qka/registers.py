@@ -7,13 +7,13 @@ amplitudes at a time. Measured qubits are retired from the store for good.
 
 Every register is one row of a *block*: ``r`` registers of one width ``w``
 held as an ``(r, 2^w)`` amplitude array. :meth:`QubitStore.new_train` makes
-an r-row block of n identical copies of one resource state, the ids that n
-calls of ``new_bell`` or ``new_four_qubit`` would have allocated; those
-calls, ``new_computational``, every merge and every post-measurement
-remainder make one-row blocks. One int32 map from qubit id to block (-1
-once measured) locates every qubit: on a block made by allocation, row and
-position are ``divmod(id - first, w)``; any other block is one row over the
-qubits it lists.
+an r-row block of r identical copies of one resource state and returns its
+``(r, w)`` id matrix, the ids that r calls of ``new_bell`` or
+``new_four_qubit`` would have allocated; those calls, ``new_computational``,
+every merge and every post-measurement remainder make one-row blocks. One
+int32 map from qubit id to block (-1 once measured) locates every qubit: on
+a block made by allocation, row and position are ``divmod(id - first, w)``;
+any other block is one row over the qubits it lists.
 
 A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
 is one index permutation and sign per (block, position), applied to all the
@@ -172,37 +172,12 @@ class StateRegister:
     def copy(self) -> "StateRegister":
         return StateRegister._trusted(self.qubits, self.amplitudes.copy())
 
-    def apply_matrix(self, pos: int, mat: np.ndarray) -> None:
-        """Apply a single-qubit operator in place at the given position."""
-        k = self.size
-        if k == 1:
-            self.amplitudes = mat @ self.amplitudes
-        elif k == 2:
-            arr = self.amplitudes.reshape(2, 2)
-            self.amplitudes = (mat @ arr if pos == 0 else arr @ mat.T).reshape(-1)
-        else:
-            arr = self.amplitudes.reshape([2] * k)
-            arr = np.tensordot(mat, arr, axes=([1], [pos]))
-            self.amplitudes = np.moveaxis(arr, 0, pos).reshape(-1)
-
 
 def inner_product(a: StateRegister, b: StateRegister) -> complex:
     """Hermitian inner product <a|b> of two same-sized registers."""
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size} qubits")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def apply_element(
-    register: StateRegister, element: "GroupElement", targets: Sequence[int]
-) -> StateRegister:
-    """Return a copy of ``register`` with a Pauli word applied to target qubits."""
-    if element.arity != len(targets):
-        raise ValueError("element arity must equal the number of targets")
-    out = register.copy()
-    for letter, qubit in zip(element.letters, targets):
-        out.apply_matrix(out.position(qubit), letter.matrix)
-    return out
 
 
 def _sample_index(probs: np.ndarray, uniform: float) -> int:
@@ -304,6 +279,24 @@ def _letter_action(letter, width: int, pos: int) -> tuple[np.ndarray, np.ndarray
     return perm, (None if trivial_sign else sign)
 
 
+def apply_element(
+    register: StateRegister, element: "GroupElement", targets: Sequence[int]
+) -> StateRegister:
+    """Return a copy of ``register`` with a Pauli word applied to target qubits.
+
+    Each letter acts through its cached ``_letter_action``, as in the store.
+    """
+    if element.arity != len(targets):
+        raise ValueError("element arity must equal the number of targets")
+    amplitudes = register.amplitudes.copy()
+    for letter, qubit in zip(element.letters, targets):
+        action = _letter_action(letter, register.size, register.position(qubit))
+        if action is not None:
+            perm, sign = action
+            amplitudes = amplitudes[perm] if sign is None else amplitudes[perm] * sign
+    return StateRegister._trusted(register.qubits, amplitudes)
+
+
 class _Block:
     """``live`` registers of one ``width``, one row each of ``amplitudes``.
 
@@ -353,8 +346,8 @@ class QubitStore:
 
     # -- allocation ----------------------------------------------------
 
-    def _new_block(self, amplitudes: np.ndarray, width: int) -> tuple[int, ...]:
-        """Store fresh rows of ``width`` qubits under the next ids; return the ids."""
+    def _new_block(self, amplitudes: np.ndarray, width: int) -> int:
+        """Store fresh rows of ``width`` qubits under the next ids; return the first."""
         first, count = self._next_id, len(amplitudes) * width
         end = first + count
         if end > self._block_of.size:
@@ -364,7 +357,7 @@ class QubitStore:
         self._block_of[first:end] = len(self._blocks)
         self._blocks.append(_Block(amplitudes, width, first))
         self._next_id = end
-        return tuple(range(first, end))
+        return first
 
     def _add_register(self, qubits: tuple[int, ...], amplitudes: np.ndarray) -> None:
         index = len(self._blocks)
@@ -374,32 +367,34 @@ class QubitStore:
 
     def new_bell(self, kind: BellOutcome) -> tuple[int, int]:
         """Allocate a fresh pair prepared in the named Bell state."""
-        return self._new_block(BELL_VECTORS[kind : kind + 1].copy(), 2)
+        first = self._new_block(BELL_VECTORS[kind : kind + 1].copy(), 2)
+        return first, first + 1
 
     def new_four_qubit(self, which: FourQubitState) -> tuple[int, int, int, int]:
         """Allocate four fresh qubits in the named 4-qubit resource state."""
-        return self._new_block(four_qubit_vector(which).reshape(1, -1), 4)
+        first = self._new_block(four_qubit_vector(which).reshape(1, -1), 4)
+        return first, first + 1, first + 2, first + 3
 
     def new_computational(self, bit: int) -> int:
         """Allocate one fresh qubit in |0> or |1>."""
         vec = np.zeros((1, 2), dtype=complex)
         vec[0, int(bit)] = 1.0
-        return self._new_block(vec, 1)[0]
+        return self._new_block(vec, 1)
 
-    def new_train(self, vector: np.ndarray, count: int) -> tuple[int, ...]:
+    def new_train(self, vector: np.ndarray, count: int) -> np.ndarray:
         """Allocate ``count`` copies of one k-qubit state as one block.
 
-        Returns the ids copy by copy: the ones ``count`` calls of
-        ``new_bell`` or ``new_four_qubit`` would have returned.
+        Returns the (count, k) int64 id matrix, one copy per row: row i holds
+        the ids the i-th of ``count`` calls of ``new_bell`` or
+        ``new_four_qubit`` would have returned.
         """
         if count < 0:
             raise ValueError("train length must be nonnegative")
         template = np.asarray(vector, dtype=complex).reshape(-1)
         width = template.size.bit_length() - 1
         StateRegister(tuple(range(width)), template)  # validates size and norm
-        if not count:
-            return ()
-        return self._new_block(np.tile(template, (count, 1)), width)
+        first = self._new_block(np.tile(template, (count, 1)), width) if count else self._next_id
+        return np.arange(first, first + count * width, dtype=np.int64).reshape(count, width)
 
     # -- introspection ---------------------------------------------------
 

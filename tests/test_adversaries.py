@@ -23,7 +23,6 @@ from qka.adversaries import (
 )
 from qka.protocols import (
     ProtocolConfig,
-    TravelSequence,
     run_five_party,
     run_three_party,
     run_two_party,
@@ -61,11 +60,11 @@ class TestModelValidation:
 
     def test_insider_kind_rejected_by_attack_transit(self):
         store = QubitStore()
-        seq = TravelSequence([store.new_computational(0)])
+        slots = [store.new_computational(0)]
         with pytest.raises(ValueError):
             attack_transit(
                 AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER),
-                store, seq, np.random.default_rng(0),
+                store, slots, np.random.default_rng(0),
             )
 
 
@@ -73,40 +72,40 @@ class TestTransitAttacks:
     def test_none_leaves_everything_alone(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
-        seq = TravelSequence([a, b])
+        slots = [a, b]
         before = store.register_of(a).amplitudes.copy()
-        attack_transit(AdversaryModel.none(), store, seq, np.random.default_rng(0))
-        assert seq.slots == [a, b]
+        attack_transit(AdversaryModel.none(), store, slots, np.random.default_rng(0))
+        assert slots == [a, b]
         np.testing.assert_array_equal(store.register_of(a).amplitudes, before)
 
     def test_intercept_z_replaces_slots_with_fresh_ids(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
-        seq = TravelSequence([a, b])
+        slots = [a, b]
         model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
-        attack_transit(model, store, seq, np.random.default_rng(4))
-        assert set(seq.slots).isdisjoint({a, b})
+        attack_transit(model, store, slots, np.random.default_rng(4))
+        assert set(slots).isdisjoint({a, b})
         assert not store.tracked(a) and not store.tracked(b)
         # the resent pair is a correlated computational product state
-        bits = [store.measure_z(q, np.random.default_rng(0)) for q in seq.slots]
+        bits = [store.measure_z(q, np.random.default_rng(0)) for q in slots]
         assert bits[0] == bits[1]
 
     def test_intercept_bell_repreps_observed_state(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PHI_MINUS)
-        seq = TravelSequence([a, b])
+        slots = [a, b]
         model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_BELL, fraction=1.0)
-        attack_transit(model, store, seq, np.random.default_rng(1))
+        attack_transit(model, store, slots, np.random.default_rng(1))
         # adjacent pairing hits the true pair here, so the state is faithful
-        assert store.measure_bell(*seq.slots, np.random.default_rng(2)) is BellOutcome.PHI_MINUS
+        assert store.measure_bell(*slots, np.random.default_rng(2)) is BellOutcome.PHI_MINUS
 
     def test_fraction_zero_never_draws_an_attack(self):
         store = QubitStore()
         qubits = [store.new_computational(0) for _ in range(6)]
-        seq = TravelSequence(list(qubits))
+        slots = list(qubits)
         model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.0)
-        attack_transit(model, store, seq, np.random.default_rng(9))
-        assert seq.slots == qubits
+        attack_transit(model, store, slots, np.random.default_rng(9))
+        assert slots == qubits
 
 
 class TestInterceptResendZDetection:

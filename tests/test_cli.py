@@ -2,11 +2,16 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qka
 from qka import cli, transcript
 from qka.cli import MAX_COMMAND_KEY_BITS, RUN_DEFAULTS, batch_summary, main
 from qka.protocols import MAX_KEY_BITS, InvalidSchemeError, ProtocolConfig, run_two_party
@@ -394,6 +399,23 @@ class TestUnwritableOut:
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == ""
             assert err.startswith(f"qka: configuration error: cannot write output to {path!r}: ")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # Megabytes of JSON against a pipe whose reader is already gone, so
+        # the write fails with EPIPE whatever the pipe buffer holds.
+        path = [str(Path(qka.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qka.cli", "run", "--key-bits", "4096"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 _FLOATS = st.one_of(st.floats(0, 1), st.floats(-1, 2), st.sampled_from(["nan", "inf", "-inf"]))

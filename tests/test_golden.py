@@ -1,9 +1,10 @@
-"""Golden bytes: SHA-256 of ``qka run`` stdout for fixed configurations.
+"""Golden bytes: SHA-256 of ``qka`` stdout for fixed configurations.
 
 The digests pin the exact output, keys, outcomes and transcript digests
 included, so any change to the random stream or to what a run computes
 shows up here. A change that alters the stream on purpose updates the
-digests and records why in CHANGES.md.
+digests and records why in CHANGES.md. ``verify-groups`` and the
+``efficiency`` table are pinned the same way.
 """
 
 import hashlib
@@ -69,11 +70,18 @@ CASES = {
         "--threshold", "1",
     ),
     "batch-text": _run(THREE, 16, 4, "--trials", "12", "--format", "text"),
+    "verify-groups": ("verify-groups",),
+    **{
+        f"efficiency-table-{fmt}": ("efficiency", "--table", "--format", fmt)
+        for fmt in ("text", "json", "csv")
+    },
 }
 
 # The first 24 were generated from the output of the per-register
 # implementation; the n=1024, attacked single-run and text-batch cases from
-# the batched-train store that kept the per-register path beside it.
+# the batched-train store that kept the per-register path beside it; the
+# verify-groups and efficiency cases from the code that still checked the
+# letter products against a copy of the phase-stripping algorithm.
 DIGESTS = {
     "batch-dishonest-alice": "11df56a2b63dc4514e60cd5985569f2e5f7ee4470e893561062c8d98af2ae5bc",
     "batch-dishonest-bob": "04a94f44b0002022623585b66e674107e11ff3b9060d3fb29e10409fb1fb459f",
@@ -81,6 +89,9 @@ DIGESTS = {
     "batch-intercept-z": "930d56d5edd5c3685e6a9962f5024ac79f4f31aa54d0799fce6173affadddc57",
     "batch-text": "bd7814c9907c0e848a96778e2e7e1e78c782fc56e40fe452d1c7224384fe95e4",
     "batch-three-party-intercept-bell": "34b112cfd14e99a31f7a2043a04913120c2c8d2096466a74524589273f519a1b",
+    "efficiency-table-csv": "9a6da73e1251755b6e82c878e1b3a9d9082f87a10bae4b4d26bbba7b1d38e168",
+    "efficiency-table-json": "32de63cb45bc24138fd6e83ceeb8fe2c0fe28a5457375062b4d7868d8192d61d",
+    "efficiency-table-text": "ea4651fc31c11f5a3027a5c75646e56a0e49d78e323492296f679072b831431b",
     "five-party-cluster-1234": "f3fb85b07edd0b7ba6368fc8c1834719ad4e5d81297c6d4f7d1f5b06ee03cebd",
     "five-party-cluster-1256": "a130365445a92ae65ba7a3ff501b885d3bd6f6b24e8fe1c67168c0b5f374664d",
     "five-party-cluster-3456": "e5fc925fb145d74bbdeb46de6693f04035f7ac6d0baddf05ca775602bebd3b8c",
@@ -107,6 +118,7 @@ DIGESTS = {
     "two-party-n64-seed1": "1c652fea16b00ab3ec22487b99de8c79174db17d76126e31adbc3c478d6c6c3d",
     "two-party-n64-seed2": "257b45b16ce2082b2960a7a71a66350589e03989f0674a4f42a80cc1dd41e7e8",
     "two-party-text": "c9145b0ebae90b698126936e607573303fbef2c20525e5da2cce8eeafa039b28",
+    "verify-groups": "641fc6fb37905a824c24588f93a0bc40b1ac7ea56474b3069ac53ce8d8f07a30",
 }
 
 

@@ -27,9 +27,7 @@ from qka.pauli import (
     is_subgroup,
     mul,
     product_set,
-    standard_subgroups_g1,
     standard_subgroups_g2,
-    tensor,
     validate_scheme,
 )
 from qka.registers import (
@@ -65,6 +63,20 @@ def oracle_mul(a: PauliLetter, b: PauliLetter) -> PauliLetter:
 
 def element(*letters):
     return GroupElement.of(*letters)
+
+
+def tensor(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Concatenate letter lists; arities add."""
+    return GroupElement(a.letters + b.letters)
+
+
+def standard_subgroups_g1() -> list[Subgroup]:
+    """The three order-2 subgroups {I,X}, {I,Z}, {I,iY} of the letter group."""
+    identity = element(I)
+    return [
+        Subgroup(f"g{k + 1}", frozenset({identity, element(gen)}))
+        for k, gen in enumerate((X, Z, IY))
+    ]
 
 
 def psi_plus_register():

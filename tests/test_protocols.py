@@ -19,7 +19,6 @@ from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
 from qka.protocols import (
     InvalidSchemeError,
     ProtocolConfig,
-    _restore_order,
     _RunContext,
     bits_to_hex,
     decode_bell_bits,
@@ -71,7 +70,7 @@ def reference_scramble(message_qubits, store, rng, decoy_pair_count=None):
             raise ValueError("message qubit count must be even")
         decoy_pair_count = m // 2
     decoys = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
-    items = [*message_qubits, *decoys]
+    items = [*message_qubits, *decoys.ravel().tolist()]
     permutation = rng.permutation(len(items))
     inverse = tuple(permutation.tolist())
     forward = tuple(np.argsort(permutation).tolist())
@@ -95,21 +94,23 @@ class TestScrambling:
     def test_sequence_and_record_shapes(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2)]
-        seq, rec = insert_decoys_and_permute(message, store, np.random.default_rng(0))
-        assert len(seq.slots) == 4
+        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(0))
+        assert len(slots) == 4
         assert len(rec.decoy_pairs) == 1
-        assert len(rec.decoy_positions) == 2
-        assert rec.message_positions | rec.decoy_positions == set(range(4))
-        assert rec.message_positions & rec.decoy_positions == set()
+        message_positions = set(rec.message_order.tolist())
+        decoy_positions = set(rec.decoy_pairs.ravel().tolist())
+        assert len(decoy_positions) == 2
+        assert message_positions | decoy_positions == set(range(4))
+        assert message_positions & decoy_positions == set()
 
     def test_forward_inverse_roundtrip(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(6)]
-        seq, rec = insert_decoys_and_permute(message, store, np.random.default_rng(3))
+        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(3))
         for item in range(12):
             assert rec.inverse[rec.forward[item]] == item
         for i, qubit in enumerate(message):
-            assert seq.slots[rec.message_order[i]] == qubit
+            assert slots[rec.message_order[i]] == qubit
 
     def test_odd_message_count_rejected(self):
         store = QubitStore()
@@ -135,8 +136,8 @@ class TestScrambling:
     def test_roundtrip_property(self, seed, half_n):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2 * half_n)]
-        seq, rec = insert_decoys_and_permute(message, store, np.random.default_rng(seed))
-        restored = [seq.slots[rec.forward[i]] for i in range(len(message))]
+        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(seed))
+        restored = [slots[rec.forward[i]] for i in range(len(message))]
         assert restored == message
 
     @settings(max_examples=60, deadline=None)
@@ -149,7 +150,7 @@ class TestScrambling:
         # twin stores: message qubits are the travel halves of a Bell train
         stores = [QubitStore(), QubitStore()]
         message = [
-            s.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], pairs)[1::2] for s in stores
+            s.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], pairs)[:, 1].tolist() for s in stores
         ][0]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if decoys is None and pairs % 2:
@@ -161,21 +162,19 @@ class TestScrambling:
                     run(message, store, generator)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             return
-        seq, rec = insert_decoys_and_permute(np.array(message), stores[0], rng, decoys)
+        sent, rec = insert_decoys_and_permute(np.array(message), stores[0], rng, decoys)
         slots, forward, inverse, order, decoy_pairs = reference_scramble(
             message, stores[1], ref_rng, decoys
         )
         m, k = len(message), len(decoy_pairs)
-        assert seq.slots.dtype == np.int64 and seq.slots.tolist() == slots
+        assert sent.dtype == np.int64 and sent.tolist() == slots
         assert rec.forward.tolist() == list(forward)
         assert rec.inverse.tolist() == list(inverse)
         assert rec.message_order.tolist() == list(order)
         assert rec.decoy_pairs.shape == (k, 2)
         assert rec.decoy_pairs.tolist() == [list(p) for p in decoy_pairs]
         assert k == (m // 2 if decoys is None else decoys)
-        assert _restore_order(seq, rec.message_order).tolist() == reference_restore_order(
-            slots, order
-        )
+        assert sent[rec.message_order].tolist() == reference_restore_order(slots, order)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert stores[0].live_qubits() == stores[1].live_qubits()
         for field in (rec.forward, rec.inverse, rec.message_order, rec.decoy_pairs):
@@ -186,34 +185,34 @@ class TestVerifyDecoys:
     def test_undisturbed_channel_passes(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(4)]
-        seq, rec = insert_decoys_and_permute(message, store, np.random.default_rng(1))
-        rate, ok = verify_decoys(store, seq, rec.decoy_pairs, 0.0, np.random.default_rng(2))
+        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(1))
+        rate, ok = verify_decoys(store, slots, rec.decoy_pairs, 0.0, np.random.default_rng(2))
         assert rate == 0.0 and ok
 
     def test_vacuous_threshold_always_passes(self):
         store = QubitStore()
         a = store.new_computational(0)
         b = store.new_computational(0)
-        seq, rec = insert_decoys_and_permute([a, b], store, np.random.default_rng(1))
+        slots, rec = insert_decoys_and_permute([a, b], store, np.random.default_rng(1))
         # wreck the decoy pair by measuring one half in Z
-        decoy_slot = next(iter(rec.decoy_positions))
-        store.measure_z(seq.slots[decoy_slot], np.random.default_rng(0))
-        seq.slots[decoy_slot] = store.new_computational(0)
-        rate, ok = verify_decoys(store, seq, rec.decoy_pairs, 1.0, np.random.default_rng(3))
+        decoy_slot = next(iter(set(rec.decoy_pairs.ravel().tolist())))
+        store.measure_z(slots[decoy_slot], np.random.default_rng(0))
+        slots[decoy_slot] = store.new_computational(0)
+        rate, ok = verify_decoys(store, slots, rec.decoy_pairs, 1.0, np.random.default_rng(3))
         assert ok
 
     def test_malformed_disclosure(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2)]
-        seq, _ = insert_decoys_and_permute(message, store, np.random.default_rng(1))
+        slots, _ = insert_decoys_and_permute(message, store, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            verify_decoys(store, seq, [(0, 0)], 0.0, np.random.default_rng(0))
+            verify_decoys(store, slots, [(0, 0)], 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            verify_decoys(store, seq, [(0, 1), (1, 2)], 0.0, np.random.default_rng(0))
+            verify_decoys(store, slots, [(0, 1), (1, 2)], 0.0, np.random.default_rng(0))
         # out of range, overlapping or empty: rejected before any random draw
         for disclosure, reason in (
             ([(-1, 0)], "malformed"),
-            ([(0, len(seq.slots))], "malformed"),
+            ([(0, len(slots))], "malformed"),
             ([(0, 1), (2, 1)], "disjoint"),
             ([], "empty"),
             (np.empty((0, 2), np.int64), "empty"),
@@ -221,7 +220,7 @@ class TestVerifyDecoys:
             rng = np.random.default_rng(0)
             before = rng.bit_generator.state
             with pytest.raises(ValueError, match=reason):
-                verify_decoys(store, seq, disclosure, 0.0, rng)
+                verify_decoys(store, slots, disclosure, 0.0, rng)
             assert rng.bit_generator.state == before
 
     def test_intercepted_pair_fails_half_the_time(self):
@@ -236,8 +235,7 @@ class TestVerifyDecoys:
             bit_b = store.measure_z(b, rng)
             assert bit_a == bit_b
             resent = [store.new_computational(bit_a), store.new_computational(bit_b)]
-            seq_like = type("Seq", (), {"slots": resent})()
-            rate, ok = verify_decoys(store, seq_like, [(0, 1)], 0.0, rng)
+            rate, ok = verify_decoys(store, resent, [(0, 1)], 0.0, rng)
             fails += not ok
         assert abs(fails / trials - 0.5) < 0.05
 
@@ -245,17 +243,17 @@ class TestVerifyDecoys:
 class TestTranscriptSnapshots:
     def _send(self, adversary):
         ctx = _RunContext(TWO_PARTY, config(n=8, seed=12), adversary)
-        travel = np.array(ctx.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[1::2])
-        seq, rec, _ = ctx.send_scrambled("step2", "Alice", "Bob", travel, 4)
+        travel = ctx.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[:, 1]
+        slots, rec, _ = ctx.send_scrambled("step2", "Alice", "Bob", travel, 4)
         (send,) = [e for e in ctx.transcript.events if e.kind == QUANTUM_SEND]
-        return travel, seq, rec, send.payload
+        return travel, slots, rec, send.payload
 
     def test_transit_attack_leaves_logged_send_unchanged(self):
         attack = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
-        travel, seq, rec, logged = self._send(attack)
+        travel, slots, rec, logged = self._send(attack)
         _, _, _, honest = self._send(AdversaryModel.none())
         # every slot was replaced in transit, yet the log names the sent train
-        assert not np.isin(seq.slots, logged["slots"]).any()
+        assert not np.isin(slots, logged["slots"]).any()
         assert np.array_equal(logged["slots"][rec.message_order], travel)
         assert np.array_equal(logged["slots"], honest["slots"])
         assert payload_digest(logged) == payload_digest(honest)

@@ -546,9 +546,8 @@ class TestAgainstDenseOracle:
                 if width > room:
                     continue
                 count = data.draw(st.integers(1, room // width))
-                ids = store.new_train(vector, count)
-                for i in range(count):
-                    oracle.prepare(ids[i * width : (i + 1) * width], vector)
+                for row in store.new_train(vector, count).tolist():
+                    oracle.prepare(row, vector)
             elif op == "pauli":
                 targets = _pick(data, live, data.draw(st.integers(1, min(3, len(live)))))
                 letters = data.draw(st.lists(st.sampled_from(list(PauliLetter)),

@@ -29,13 +29,16 @@ from qka.registers import (
 
 
 def twin_stores(bell_kind, four_kind, n_bell, n_four):
-    """Two identical stores: a Bell train, two lone qubits, a 4-qubit train."""
+    """Two identical stores: a Bell train, two lone qubits, a 4-qubit train.
+
+    The trains' ids come back flattened, copy after copy.
+    """
     stores = []
     for _ in range(2):
         store = QubitStore()
-        bell = store.new_train(BELL_VECTORS[bell_kind], n_bell)
+        bell = store.new_train(BELL_VECTORS[bell_kind], n_bell).ravel().tolist()
         lone = [store.new_computational(bit) for bit in (0, 1)]
-        four = store.new_train(four_qubit_vector(four_kind), n_four)
+        four = store.new_train(four_qubit_vector(four_kind), n_four).ravel().tolist()
         stores.append(store)
     return stores, bell, lone, four
 
@@ -64,18 +67,19 @@ def random_basis(plan, dim):
 class TestAllocation:
     def test_ids_are_the_ones_scalar_allocation_gives(self):
         trains, scalar = QubitStore(), QubitStore()
-        assert trains.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 3) == sum(
-            (scalar.new_bell(BellOutcome.PSI_PLUS) for _ in range(3)), ()
-        )
+        bell = trains.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 3)
+        assert bell.dtype == np.int64 and bell.tolist() == [
+            list(scalar.new_bell(BellOutcome.PSI_PLUS)) for _ in range(3)
+        ]
         omega = four_qubit_vector(FourQubitState.OMEGA)
-        assert trains.new_train(omega, 2) == sum(
-            (scalar.new_four_qubit(FourQubitState.OMEGA) for _ in range(2)), ()
-        )
+        assert trains.new_train(omega, 2).tolist() == [
+            list(scalar.new_four_qubit(FourQubitState.OMEGA)) for _ in range(2)
+        ]
         assert trains.live_qubits() == scalar.live_qubits()
 
     def test_empty_train_allocates_nothing(self):
         store = QubitStore()
-        assert store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 0) == ()
+        assert store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 0).shape == (0, 2)
         assert store.new_computational(0) == 0
 
     def test_invalid_state_rejected(self):
@@ -90,17 +94,17 @@ class TestDetaching:
     def test_register_of_detaches_the_row_once(self):
         store = QubitStore()
         ids = store.new_train(four_qubit_vector(FourQubitState.CLUSTER), 3)
-        row = ids[4:8]
+        row = tuple(ids[1].tolist())
         reg = store.register_of(row[2])
         assert reg.qubits == row
         assert all(store.register_of(q) is reg for q in row)
         np.testing.assert_array_equal(reg.amplitudes, four_qubit_vector(FourQubitState.CLUSTER))
-        assert store.register_of(ids[0]) is not reg
-        assert store.live_qubits() == list(ids)
+        assert store.register_of(ids[0, 0]) is not reg
+        assert store.live_qubits() == ids.ravel().tolist()
 
     def test_measured_rows_are_gone(self):
         store = QubitStore()
-        a, b, c, d = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        (a, b), (c, d) = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).tolist()
         rng = np.random.default_rng(0)
         assert store.measure_bell_rows([(a, b)], rng) == [BellOutcome.PSI_PLUS]
         assert not store.tracked(a) and not store.tracked(b) and store.tracked(c)
@@ -114,7 +118,7 @@ class TestDetaching:
 
     def test_detached_row_takes_the_scalar_path(self):
         store = QubitStore()
-        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).ravel().tolist()
         store.register_of(ids[0])  # row 0 leaves the train
         store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(ids[1],), (ids[3],)])
         rng = np.random.default_rng(0)
@@ -210,9 +214,8 @@ class TestDifferential:
         vector = random_basis(plan, 2**width)[0].conj()
         n = int(plan.integers(1, 40))
         stores = [QubitStore(), QubitStore()]
-        ids = [s.new_train(vector, n) for s in stores][0]
+        groups = [s.new_train(vector, n) for s in stores][0].tolist()
         basis = random_basis(plan, 2**width)
-        groups = [ids[width * r : width * (r + 1)] for r in range(n)]
         ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
         outcomes = stores[0].measure_rows_in_basis(groups, basis, ga)
         assert outcomes == [stores[1].measure_in_basis(g, basis, gb) for g in groups]
@@ -235,7 +238,7 @@ class TestDifferential:
 class TestValidation:
     def test_groups_must_match_the_word(self):
         store = QubitStore()
-        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).ravel().tolist()
         with pytest.raises(ValueError):
             store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(ids[0], ids[1])])
         with pytest.raises(ValueError):
@@ -245,14 +248,14 @@ class TestValidation:
         store = QubitStore()
         ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
         with pytest.raises(ValueError):
-            store.measure_bell_rows([ids[:2], ids[:2]], np.random.default_rng(0))
+            store.measure_bell_rows([ids[0], ids[0]], np.random.default_rng(0))
 
     def test_basis_must_resolve_each_row(self):
         store = QubitStore()
         ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
         partial = BELL_VECTORS[1:]  # misses psi+, which holds all the mass
         with pytest.raises(ValueError, match="does not resolve"):
-            store.measure_rows_in_basis([ids[:2], ids[2:]], partial, np.random.default_rng(0))
+            store.measure_rows_in_basis(ids, partial, np.random.default_rng(0))
 
 
 class TestProtocolRuns:
