@@ -374,9 +374,10 @@ def _verify_groups_command(args: argparse.Namespace) -> int:
         lines.append(f"{'ok  ' if passed else 'FAIL'} {name}")
 
     # The table's entry C for (A, B) equals AB up to a unit phase exactly
-    # when the Hilbert-Schmidt overlap |tr(C^dagger A B)| reaches its maximum, 2.
+    # when the Hilbert-Schmidt overlap |tr(C^T A B)| reaches its maximum, 2
+    # (every letter matrix is real).
     overlaps = [
-        np.trace(mul(GroupElement.of(a), GroupElement.of(b)).letters[0].matrix.conj().T
+        np.trace(mul(GroupElement.of(a), GroupElement.of(b)).letters[0].matrix.T
                  @ a.matrix @ b.matrix)
         for a in PauliLetter for b in PauliLetter
     ]
@@ -437,7 +438,7 @@ def _dense_coding_table_bell(psi: StateRegister) -> list[str]:
         hits = [
             name
             for o, name in bell_names.items()
-            if abs(abs(complex(np.vdot(BELL_VECTORS[o], out.amplitudes))) - 1) < 1e-10
+            if abs(abs(BELL_VECTORS[o] @ out.amplitudes) - 1) < 1e-10
         ]
         lines.append(f"  {GroupElement.of(letter).label:<3} -> |{hits[0]}>")
     return lines
@@ -458,7 +459,7 @@ def _render_ket(amplitudes: np.ndarray) -> str:
     for idx, amp in enumerate(amplitudes):
         if abs(amp) < 1e-12:
             continue
-        sign = "+" if amp.real > 0 else "-"
+        sign = "+" if amp > 0 else "-"
         terms.append(f"{sign}|{idx:0{k}b}>")
     return "1/2(" + " ".join(terms) + ")" if len(terms) == 4 else " ".join(terms)
 

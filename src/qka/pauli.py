@@ -1,10 +1,12 @@
 """Phase-free multi-qubit Pauli algebra.
 
 The single-qubit alphabet is {I, X, iY, Z}, where iY is the phase-absorbed
-Y with the real matrix [[0, 1], [-1, 0]]. Multiplication discards the global
-phase of the matrix product, which turns the set into an abelian group in
-which every element is its own inverse. Multi-qubit elements are words over
-this alphabet and multiply letter-wise.
+Y with the real matrix [[0, 1], [-1, 0]]. Every letter matrix is real, as is
+every resource state in :mod:`qka.registers`, so every reachable state is
+real. Multiplication discards the global phase of the matrix product, which
+turns the set into an abelian group in which every element is its own
+inverse. Multi-qubit elements are words over this alphabet and multiply
+letter-wise.
 
 Canonical element ordering is I < X < iY < Z, extended lexicographically
 over letters; every enumeration in this module uses it so that tables and
@@ -48,10 +50,10 @@ class PauliLetter(IntEnum):
 
 
 _MATRICES = {
-    PauliLetter.I: np.array([[1, 0], [0, 1]], dtype=complex),
-    PauliLetter.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliLetter.IY: np.array([[0, 1], [-1, 0]], dtype=complex),
-    PauliLetter.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    PauliLetter.I: np.array([[1, 0], [0, 1]], dtype=float),
+    PauliLetter.X: np.array([[0, 1], [1, 0]], dtype=float),
+    PauliLetter.IY: np.array([[0, 1], [-1, 0]], dtype=float),
+    PauliLetter.Z: np.array([[1, 0], [0, -1]], dtype=float),
 }
 
 _SYMBOLS = {

@@ -75,7 +75,7 @@ FIVE_PARTY_ROUND_CHOICES = ("1234", "1256", "3456")
 _COPY_QUBITS = {2: 2, 3: 2, 5: 4}
 
 # The largest key a run accepts; a five-party run at this size peaks near
-# 300 MB of resident memory.
+# 230 MB of resident memory.
 MAX_KEY_BITS = 65_536
 
 
@@ -539,8 +539,9 @@ def run_two_party(
         order = rec2.message_order
         if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
             swap_pairs = adv.swap_pairs or choose_swap_pairs(n, adv.swap_count, rng)
-            order = np.array(dishonest_bob_reorder(order.tolist(), swap_pairs), dtype=np.int64)
-            claimed_bits = tuple(key_b[i] for i in _claimed_indices(order, rec2))
+            claimed = dishonest_bob_reorder(range(n), swap_pairs)  # the index each slot carries
+            order = rec2.message_order[claimed]
+            claimed_bits = tuple(key_b[i] for i in claimed)
             attack_report = {
                 "kind": "reorder",
                 "swap_pairs": [list(p) for p in swap_pairs],
@@ -573,12 +574,6 @@ def run_two_party(
             {name: None for name in names}, True, abort.reason, ctx.checks,
             None, t, outcome_records, attack_report,
         )
-
-
-def _claimed_indices(order: np.ndarray, record: PermutationRecord) -> list[int]:
-    """Which true message index each announced slot actually carries."""
-    true_index_of_slot = {slot: i for i, slot in enumerate(record.message_order.tolist())}
-    return [true_index_of_slot[slot] for slot in order.tolist()]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,11 @@ qubits; anything larger fails loudly), samples one outcome and stores what
 remains as a one-row block. Measuring across two entangled pairs this way
 is what performs entanglement swapping.
 
+Every amplitude is float64: the resource states and the letter matrices of
+:mod:`qka.pauli` are real, so every reachable state is, a bra is its ket and
+a probability is an amplitude squared. Input with a nonzero imaginary part
+is refused with ``ValueError`` before anything is drawn.
+
 Bit-ordering convention, used everywhere: the first qubit listed in a
 register is the most significant bit of the basis index. Bell states follow
 |psi+-> = (|00> +- |11>)/sqrt(2) and |phi+-> = (|01> +- |10>)/sqrt(2).
@@ -103,11 +108,9 @@ BELL_VECTORS = np.array(
         [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
         [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
         [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
-    ],
-    dtype=complex,
+    ]
 )
-_BELL_BRAS = BELL_VECTORS.conj()
-_Z_BRAS = np.eye(2, dtype=complex)
+_Z_BRAS = np.eye(2)
 
 
 class FourQubitState(Enum):
@@ -117,7 +120,7 @@ class FourQubitState(Enum):
 
 def four_qubit_vector(which: FourQubitState) -> np.ndarray:
     """Amplitudes of the named 4-qubit resource state, ±1/2 on four kets."""
-    vec = np.zeros(16, dtype=complex)
+    vec = np.zeros(16)
     if which is FourQubitState.OMEGA:
         terms = {0b0000: 0.5, 0b0110: 0.5, 0b1001: 0.5, 0b1111: -0.5}
     else:
@@ -129,10 +132,11 @@ def four_qubit_vector(which: FourQubitState) -> np.ndarray:
 
 @dataclass
 class StateRegister:
-    """Ordered qubits plus their joint amplitude vector (first qubit = MSB).
+    """Ordered qubits plus their joint real amplitude vector (first qubit = MSB).
 
-    The constructor checks size, distinct qubits and norm: it is where a
-    state enters from outside. Registers the store hands out skip it.
+    The constructor checks size, distinct qubits, realness and norm, and
+    stores the amplitudes as float64: it is where a state enters from
+    outside. Registers the store hands out skip it.
     """
 
     qubits: tuple[int, ...]
@@ -145,10 +149,10 @@ class StateRegister:
             raise RegisterCapacityError(f"register size {k} outside 1..{MAX_REGISTER_QUBITS}")
         if len(set(self.qubits)) != k:
             raise ValueError("duplicate qubit in register")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        self.amplitudes = _real(self.amplitudes).reshape(-1)
         if self.amplitudes.shape != (2**k,):
             raise ValueError("amplitude vector length must be 2^k")
-        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        norm_sq = float(self.amplitudes @ self.amplitudes)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"register norm^2 {norm_sq} deviates from 1")
 
@@ -173,11 +177,21 @@ class StateRegister:
         return StateRegister._trusted(self.qubits, self.amplitudes.copy())
 
 
-def inner_product(a: StateRegister, b: StateRegister) -> complex:
-    """Hermitian inner product <a|b> of two same-sized registers."""
+def inner_product(a: StateRegister, b: StateRegister) -> float:
+    """Inner product <a|b> of two same-sized real registers."""
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size} qubits")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return float(a.amplitudes @ b.amplitudes)
+
+
+def _real(values) -> np.ndarray:
+    """Outside amplitudes or basis rows as float64; a nonzero imaginary part is refused."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        if np.any(values.imag):
+            raise ValueError("amplitudes and basis rows must be real")
+        values = values.real
+    return values.astype(np.float64, copy=False)
 
 
 def _sample_index(probs: np.ndarray, uniform: float) -> int:
@@ -243,17 +257,6 @@ def _has_repeats(values: np.ndarray) -> bool:
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
-# Two spellings of |a|^2 whose last bits can differ: Bell and Z measurements
-# have always used the first and basis measurements the second, and keeping
-# them keeps every sampled outcome bit for bit.
-def _bell_probs(amplitudes: np.ndarray) -> np.ndarray:
-    return np.abs(amplitudes) ** 2
-
-
-def _basis_probs(amplitudes: np.ndarray) -> np.ndarray:
-    return (amplitudes * amplitudes.conj()).real
-
-
 @lru_cache(maxsize=None)
 def _letter_action(letter, width: int, pos: int) -> tuple[np.ndarray, np.ndarray | None] | None:
     """How one letter acts at ``pos`` of a ``width``-qubit amplitude row.
@@ -265,13 +268,13 @@ def _letter_action(letter, width: int, pos: int) -> tuple[np.ndarray, np.ndarray
     mat = letter.matrix
     source = np.abs(mat).argmax(axis=1)  # the input bit feeding each output bit
     coef = mat[[0, 1], source]
-    if source[0] == source[1] or np.count_nonzero(mat) != 2 or np.any(coef.imag):
+    if source[0] == source[1] or np.count_nonzero(mat) != 2:
         raise ValueError("letter matrix must map each basis ket to one basis ket, up to a sign")
     shift = width - 1 - pos
     index = np.arange(2**width)
     bit = (index >> shift) & 1
     perm = index ^ ((bit ^ source[bit]) << shift)
-    sign = coef[bit].real  # Pauli letters carry real signs
+    sign = coef[bit]
     trivial_sign = bool(np.all(sign == 1))
     if trivial_sign and np.array_equal(perm, index):
         return None
@@ -377,7 +380,7 @@ class QubitStore:
 
     def new_computational(self, bit: int) -> int:
         """Allocate one fresh qubit in |0> or |1>."""
-        vec = np.zeros((1, 2), dtype=complex)
+        vec = np.zeros((1, 2))
         vec[0, int(bit)] = 1.0
         return self._new_block(vec, 1)
 
@@ -390,9 +393,8 @@ class QubitStore:
         """
         if count < 0:
             raise ValueError("train length must be nonnegative")
-        template = np.asarray(vector, dtype=complex).reshape(-1)
-        width = template.size.bit_length() - 1
-        StateRegister(tuple(range(width)), template)  # validates size and norm
+        width = np.size(vector).bit_length() - 1
+        template = StateRegister(tuple(range(width)), vector).amplitudes  # checked
         first = self._new_block(np.tile(template, (count, 1)), width) if count else self._next_id
         return np.arange(first, first + count * width, dtype=np.int64).reshape(count, width)
 
@@ -478,14 +480,8 @@ class QubitStore:
 
     # -- measurement -----------------------------------------------------
 
-    def _measure(
-        self,
-        qubits: Sequence[int],
-        bras: np.ndarray,
-        probs_of: Callable[[np.ndarray], np.ndarray],
-        draw: Callable[[], float],
-    ) -> int:
-        """Measure distinct ``qubits`` against the rows of ``bras``.
+    def _measure(self, qubits: Sequence[int], basis: np.ndarray, draw: Callable[[], float]) -> int:
+        """Measure distinct ``qubits`` in the orthonormal rows of ``basis``.
 
         The rows holding the qubits merge in first-seen order. Once the
         group is known to be measurable, ``draw()`` gives the uniform that
@@ -512,11 +508,8 @@ class QubitStore:
         front = [order.index(q) for q in qubits]
         rest = [p for p in range(len(order)) if p not in front]
         arr = amps.reshape((2,) * len(order)).transpose(front + rest)
-        branches = bras @ arr.reshape(2 ** len(front), -1)
-        if rest:
-            probs = np.einsum("ij,ij->i", branches, branches.conj()).real
-        else:
-            probs = probs_of(branches[:, 0])
+        branches = basis @ arr.reshape(2 ** len(front), -1)
+        probs = np.einsum("ij,ij->i", branches, branches)
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError("basis does not resolve the state's probability mass")
         outcome = _sample_index(probs, draw())
@@ -538,11 +531,11 @@ class QubitStore:
         """
         if a == b:
             raise ValueError("cannot Bell-measure a qubit against itself")
-        return _BELL_OUTCOMES[self._measure((a, b), _BELL_BRAS, _bell_probs, rng.random)]
+        return _BELL_OUTCOMES[self._measure((a, b), BELL_VECTORS, rng.random)]
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Computational-basis measurement; the qubit is retired."""
-        return self._measure((qubit,), _Z_BRAS, _bell_probs, rng.random)
+        return self._measure((qubit,), _Z_BRAS, rng.random)
 
     def measure_in_basis(
         self,
@@ -558,16 +551,16 @@ class QubitStore:
         """
         if len(set(qubits)) != len(qubits):
             raise ValueError("measured qubits must be distinct")
-        basis = np.asarray(basis, dtype=complex)
+        basis = _real(basis)
         if basis.shape[1] != 2 ** len(qubits):
             raise ValueError("basis row length must be 2^(number of measured qubits)")
-        return self._measure(tuple(qubits), basis.conj(), _basis_probs, rng.random)
+        return self._measure(tuple(qubits), basis, rng.random)
 
     def measure_bell_rows(
         self, pairs: Sequence[Sequence[int]] | np.ndarray, rng: np.random.Generator
     ) -> list[BellOutcome]:
         """``measure_bell`` on each pair in list order, whole rows in bulk."""
-        outcomes = self._measure_groups(pairs, BELL_VECTORS, _bell_probs, rng)
+        outcomes = self._measure_groups(pairs, BELL_VECTORS, rng)
         return [_BELL_OUTCOMES[o] for o in outcomes]
 
     def measure_rows_in_basis(
@@ -577,13 +570,12 @@ class QubitStore:
         rng: np.random.Generator,
     ) -> list[int]:
         """``measure_in_basis`` on each group in list order, whole rows in bulk."""
-        return self._measure_groups(groups, np.asarray(basis, dtype=complex), _basis_probs, rng)
+        return self._measure_groups(groups, _real(basis), rng)
 
     def _measure_groups(
         self,
         groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
-        probs_of: Callable[[np.ndarray], np.ndarray],
         rng: np.random.Generator,
     ) -> list[int]:
         """Measure every group in ``basis``, drawing all uniforms up front.
@@ -604,7 +596,6 @@ class QubitStore:
             raise ValueError("basis row length must be 2^(number of measured qubits)")
         where = self._indices(targets[:, 0])
         uniforms = rng.random(len(groups))
-        bras = basis.conj()
         outcomes = np.zeros(len(groups), dtype=np.int64)
         one_by_one = np.ones(len(groups), dtype=bool)
         firsts = targets[:, 0]
@@ -623,7 +614,7 @@ class QubitStore:
             # keeps the copy out of a large run's peak memory.
             if not np.array_equal(rows, np.arange(len(amps))):
                 amps = amps[rows]
-            probs = probs_of(amps @ bras.T)
+            probs = np.square(amps @ basis.T)
             if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError("basis does not resolve the state's probability mass")
             outcomes[sel] = _sample_rows(probs, uniforms[sel])
@@ -632,5 +623,5 @@ class QubitStore:
             one_by_one[sel] = False
         draw = iter(uniforms[one_by_one].tolist()).__next__  # their uniforms, in list order
         for i in np.flatnonzero(one_by_one).tolist():
-            outcomes[i] = self._measure(targets[i].tolist(), bras, probs_of, draw)
+            outcomes[i] = self._measure(targets[i].tolist(), basis, draw)
         return outcomes.tolist()

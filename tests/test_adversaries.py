@@ -23,6 +23,7 @@ from qka.adversaries import (
 )
 from qka.protocols import (
     ProtocolConfig,
+    bits_to_hex,
     run_five_party,
     run_three_party,
     run_two_party,
@@ -216,6 +217,17 @@ class TestDishonestBob:
         )
         assert honest.derived_keys == attacked.derived_keys
         assert attacked.attack_report["alice_key_matches_target"]
+
+    def test_target_key_uses_the_bits_the_announced_slots_carry(self):
+        pairs = ((0, 5), (2, 3))
+        adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=pairs)
+        for i in range(20):
+            r = run_two_party(config(n=8, seed=41, run=i), adv)
+            carried = list(r.private_keys["Bob"])
+            for a, b in pairs:
+                carried[a], carried[b] = carried[b], carried[a]
+            target = bits_to_hex(xor_bits(r.private_keys["Alice"], carried))
+            assert r.attack_report["target_key"] == target
 
     def test_reorder_helper_validates(self):
         with pytest.raises(ValueError):

@@ -406,6 +406,53 @@ class TestStoreDiscipline:
             np.testing.assert_array_equal(snap1[q], snap2[q])
 
 
+# A genuinely complex state and basis: |+i> and the rows of diag(1, i, 1, 1).
+PLUS_I = np.array([S, 1j * S])
+PHASED_BASIS = np.diag([1, 1j, 1, 1])
+
+
+class TestRealAmplitudes:
+    """Every state is real: complex input is refused, all-real complex dtype is not."""
+
+    def test_register_refuses_an_imaginary_part(self):
+        with pytest.raises(ValueError, match="real"):
+            StateRegister((0,), PLUS_I)
+        reg = StateRegister((0, 1), ORACLE_BELL[BellOutcome.PHI_MINUS])
+        assert reg.amplitudes.dtype == np.float64
+        np.testing.assert_array_equal(reg.amplitudes, [0, S, -S, 0])
+
+    def test_train_refuses_an_imaginary_part(self):
+        store = QubitStore()
+        held = store.new_bell(BellOutcome.PSI_PLUS)
+        with pytest.raises(ValueError, match="real"):
+            store.new_train(PLUS_I, 3)
+        assert store.live_qubits() == list(held)
+        ids = store.new_train(ORACLE_BELL[BellOutcome.PSI_MINUS], 3)
+        assert ids.tolist() == [[2, 3], [4, 5], [6, 7]]
+        for row in ids.tolist():
+            amplitudes = store.register_of(row[0]).amplitudes
+            assert amplitudes.dtype == np.float64
+            np.testing.assert_array_equal(amplitudes, [S, 0, 0, -S])
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_measurement_refuses_an_imaginary_basis_before_drawing(self, bulk):
+        store = QubitStore()
+        ids = store.new_train(ORACLE_BELL[BellOutcome.PHI_PLUS], 2)
+        rng = np.random.default_rng(5)
+        live, state = store.live_qubits(), rng.bit_generator.state
+        with pytest.raises(ValueError, match="real"):
+            if bulk:
+                store.measure_rows_in_basis(ids, PHASED_BASIS, rng)
+            else:
+                store.measure_in_basis(ids[0].tolist(), PHASED_BASIS, rng)
+        assert store.live_qubits() == live
+        assert rng.bit_generator.state == state
+        if bulk:
+            assert store.measure_rows_in_basis(ids, ORACLE_BELL_BRAS, rng) == [2, 2]
+        else:
+            assert store.measure_in_basis(ids[0].tolist(), ORACLE_BELL_BRAS, rng) == 2
+
+
 # -- dense statevector oracle --------------------------------------------------
 
 ORACLE_BELL_BRAS = np.stack([ORACLE_BELL[o] for o in BellOutcome]).conj()
@@ -413,9 +460,9 @@ LIVE_CAP = 12  # live qubits at any time; a merge can then reach the cap, not pa
 
 
 def random_basis(seed, dim):
-    """Rows of a random unitary: an orthonormal basis with uneven probabilities."""
+    """Rows of a random orthogonal matrix: a real basis with uneven probabilities."""
     plan = np.random.default_rng(seed)
-    z = plan.normal(size=(dim, dim)) + 1j * plan.normal(size=(dim, dim))
+    z = plan.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return (q * (np.diag(r) / np.abs(np.diag(r)))).T
 
@@ -541,7 +588,7 @@ class TestAgainstDenseOracle:
                     vector = oracle_four(data.draw(st.sampled_from(list(FourQubitState))))
                 else:
                     vector = random_basis(data.draw(st.integers(0, 2**32 - 1)),
-                                          2 ** int(choice[-1]))[0].conj()
+                                          2 ** int(choice[-1]))[0]
                 width = vector.size.bit_length() - 1
                 if width > room:
                     continue
