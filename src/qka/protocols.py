@@ -75,7 +75,7 @@ FIVE_PARTY_ROUND_CHOICES = ("1234", "1256", "3456")
 _COPY_QUBITS = {2: 2, 3: 2, 5: 4}
 
 # The largest key a run accepts; a five-party run at this size peaks near
-# 230 MB of resident memory.
+# 220 MB of resident memory, during its last hop's decoy checks.
 MAX_KEY_BITS = 65_536
 
 
@@ -211,32 +211,49 @@ def insert_decoys_and_permute(
 
 def verify_decoys(
     store: QubitStore,
-    slots: Sequence[int] | np.ndarray,
-    decoy_pairs: Sequence[tuple[int, int]] | np.ndarray,
+    trains: Sequence[tuple[Sequence[int] | np.ndarray, Sequence[tuple[int, int]] | np.ndarray]],
     threshold: float,
     rng: np.random.Generator,
-) -> tuple[float, bool]:
-    """Bell-measure the disclosed decoy pairs; any non-psi+ outcome is an error.
+) -> tuple[int, tuple[float, ...]]:
+    """Bell-measure each train's disclosed decoy pairs; any non-psi+ outcome is an error.
 
-    The disclosure is checked whole before anything is measured or drawn:
-    it must be nonempty, (m, 2)-shaped, and name m disjoint pairs of
-    distinct slots in range.
+    ``trains`` holds one ``(slots, decoy_pairs)`` per train. Every
+    disclosure is checked whole before anything is measured or drawn: it
+    must be nonempty, (m, 2)-shaped, and name m disjoint pairs of distinct
+    slots in range. All pairs are then measured in one bulk call, train
+    after train, so each train draws the uniforms a call of its own would
+    draw in turn.
+
+    Returns ``(passes, error_rates)``: how many trains, from the first,
+    pass (an error rate at most ``threshold``) before one fails, and each
+    train's error rate.
     """
-    slots = np.asarray(slots, dtype=np.int64)
-    pairs = np.asarray(decoy_pairs, dtype=np.int64)
-    if not pairs.size:
-        raise ValueError("decoy disclosure is empty")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"decoy disclosure must hold slot pairs, got shape {pairs.shape}")
-    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= slots.size)).any(axis=1)
-    if bad.any():
-        a, b = pairs[bad.argmax()].tolist()
-        raise ValueError(f"malformed decoy pair ({a}, {b})")
-    if np.bincount(pairs.ravel()).max() > 1:
-        raise ValueError("decoy pairs must be disjoint")
-    outcomes = store.measure_bell_rows(slots[pairs], rng)
-    error_rate = (len(outcomes) - outcomes.count(BellOutcome.PSI_PLUS)) / len(pairs)
-    return error_rate, error_rate <= threshold
+    groups = []
+    for slots, decoy_pairs in trains:
+        slots = np.asarray(slots, dtype=np.int64)
+        pairs = np.asarray(decoy_pairs, dtype=np.int64)
+        if not pairs.size:
+            raise ValueError("decoy disclosure is empty")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"decoy disclosure must hold slot pairs, got shape {pairs.shape}")
+        named = pairs.ravel()  # every slot must be in range and named once
+        if named.min() < 0 or named.max() >= slots.size or np.bincount(named).max() > 1:
+            bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= slots.size)).any(axis=1)
+            if bad.any():
+                a, b = pairs[bad.argmax()].tolist()
+                raise ValueError(f"malformed decoy pair ({a}, {b})")
+            raise ValueError("decoy pairs must be disjoint")
+        groups.append(slots[pairs])
+    counts = [len(g) for g in groups]
+    groups = np.concatenate(groups)  # one array; the per-train ones go before measuring
+    outcomes = store.measure_bell_rows(groups, rng)
+    error_rates = []
+    end = 0
+    for count in counts:
+        start, end = end, end + count
+        error_rates.append((count - outcomes[start:end].count(BellOutcome.PSI_PLUS)) / count)
+    passes = next((i for i, rate in enumerate(error_rates) if rate > threshold), len(counts))
+    return passes, tuple(error_rates)
 
 
 def encode_key(
@@ -422,19 +439,33 @@ class _RunContext:
             counted_bits=len(key),
         )
 
-    def check_decoys(
+    def measure_decoys(
+        self, trains: Sequence[tuple[np.ndarray, PermutationRecord]]
+    ) -> list[tuple[float, bool]]:
+        """Receiver-side disturbance estimates: (error rate, passed) per (slots, record).
+
+        One ``verify_decoys`` call measures every train; a train after the
+        first failing one reads as failed, since the run never gets there.
+        """
+        # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
+        passes, error_rates = verify_decoys(
+            self.store,
+            [(slots, record.decoy_pairs) for slots, record in trains],
+            threshold=self.config.error_threshold,
+            rng=self.rng,
+        )
+        return [(rate, i < passes) for i, rate in enumerate(error_rates)]
+
+    def record_check(
         self,
         step: str,
         sender: str,
         receiver: str,
-        slots: np.ndarray,
-        record: PermutationRecord,
         index: int,
+        error_rate: float,
+        passed: bool,
     ) -> None:
-        """Receiver-side disturbance estimate; a failure aborts the run."""
-        error_rate, passed = verify_decoys(
-            self.store, slots, record.decoy_pairs, self.config.error_threshold, self.rng
-        )
+        """Record one transmission's check; a failure aborts the run."""
         self.checks.append(
             TransmissionCheck(index, step, sender, receiver, error_rate, passed)
         )
@@ -510,7 +541,8 @@ def run_two_party(
         # Steps 2-3: outbound train, full disclosure, responder's decoy check.
         slots1, rec1, idx1 = ctx.send_scrambled("step2", alice, bob, travel, n // 2)
         ctx.disclose_full("step3", alice, rec1)
-        ctx.check_decoys("step3", alice, bob, slots1, rec1, idx1)
+        (check1,) = ctx.measure_decoys([(slots1, rec1)])
+        ctx.record_check("step3", alice, bob, idx1, *check1)
         at_bob = slots1[rec1.message_order]
 
         # Step 4: responder's key, X-encoding, return train.
@@ -521,7 +553,8 @@ def run_two_party(
 
         # Step 5: decoy coordinates only; the message order stays secret.
         ctx.disclose_decoys("step5", bob, rec2)
-        ctx.check_decoys("step5", bob, alice, slots2, rec2, idx2)
+        (check2,) = ctx.measure_decoys([(slots2, rec2)])
+        ctx.record_check("step5", bob, alice, idx2, *check2)
 
         # Insider hook: an impatient initiator measures on guessed pairings
         # now, before committing to her announcement.
@@ -613,35 +646,39 @@ def _run_ring(
     width = _COPY_QUBITS[parties]
 
     travel = list(ring.travel)
-    copies: list[np.ndarray] = []  # copies[s]: party s's (n, width) train ids
-    travels: list[np.ndarray] = []  # travels[s]: stream s's travel qubits, copy by copy
+    # One train holds every party's copies: copies[j] is party j's (n, width)
+    # ids, the ids the j-th of back-to-back trains of n would have had.
+    copies = store.new_train(ring.state, parties * n).reshape(parties, n, width)
     for j in range(parties):
-        copies.append(store.new_train(ring.state, n))
         ctx.log_preparation(ring.prep_step, names[j], width * n, "message")
-        travels.append(copies[j][:, travel].reshape(-1))
+    travels = list(copies[:, :, travel].reshape(parties, -1))  # stream s's travel qubits
     keys = [ctx.draw_key(j) for j in range(parties)]
     private = dict(zip(names, keys))
+    key_mask = np.array(keys, dtype=bool).reshape(-1)  # party by party
 
     try:
+        # Each hop runs in lockstep: all parties encode, then send, then
+        # every receiver checks, each check recorded between its disclosures.
         for hop, (send_step, check_step) in enumerate(ring.hop_steps):
             held = [(j - hop) % parties for j in range(parties)]  # stream party j holds
             if hop:
-                for j in range(parties):
-                    encode_key(store, travels[held[j]], keys[j], ring.words[hop - 1])
+                held_travel = np.concatenate([travels[s] for s in held])
+                encode_key(store, held_travel, key_mask, ring.words[hop - 1])
             sent = [
                 ctx.send_scrambled(
                     send_step, names[j], names[(j + 1) % parties], travels[held[j]], n // 2
                 )
                 for j in range(parties)
             ]
-            for j, (slots, rec, idx) in enumerate(sent):
+            checks = ctx.measure_decoys([(slots, rec) for slots, rec, _ in sent])
+            for j, ((slots, rec, idx), check) in enumerate(zip(sent, checks)):
                 # The plain hop carries no key yet, so its order may go out
                 # with the decoys; a key-bearing order waits for the check.
                 if hop:
                     ctx.disclose_decoys(check_step, names[j], rec)
                 else:
                     ctx.disclose_full(check_step, names[j], rec)
-                ctx.check_decoys(check_step, names[j], names[(j + 1) % parties], slots, rec, idx)
+                ctx.record_check(check_step, names[j], names[(j + 1) % parties], idx, *check)
                 if hop:
                     ctx.disclose_order(check_step, names[j], rec.message_order)
                 travels[held[j]] = slots[rec.message_order]

@@ -17,8 +17,9 @@ any other block is one row over the qubits it lists.
 
 A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
 is one index permutation and sign per (block, position), applied to all the
-rows it hits at once. Measurement has two routines. Groups that are whole
-rows in register order are measured per block with one matmul and one
+rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. Measurement has
+two routines. Groups that are whole rows in register order are measured in
+bulk, whatever blocks they lie in: one matmul per pass, then one
 inverse-CDF draw per row. Every other group, and every scalar
 ``measure_bell``, ``measure_z`` and ``measure_in_basis`` call, merges the
 rows it touches (a Kronecker product in first-seen order, capped at 12
@@ -59,6 +60,10 @@ if TYPE_CHECKING:
 
 NORM_TOL = 1e-10
 MAX_REGISTER_QUBITS = 12
+
+# The bulk ops work through at most this many groups, and so rows, at a time,
+# so a call over a whole large train keeps its temporaries small.
+_ROWS_PER_PASS = 4096
 
 _INV_SQRT2 = math.sqrt(0.5)
 
@@ -233,8 +238,9 @@ def _members(labels: np.ndarray):
         return
     order = np.argsort(labels, kind="stable")
     ranked = labels[order]
-    for chunk in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
-        yield int(labels[chunk[0]]), chunk
+    bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), labels.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield int(ranked[lo]), order[lo:hi]
 
 
 def _id_table(groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -395,7 +401,8 @@ class QubitStore:
             raise ValueError("train length must be nonnegative")
         width = np.size(vector).bit_length() - 1
         template = StateRegister(tuple(range(width)), vector).amplitudes  # checked
-        first = self._new_block(np.tile(template, (count, 1)), width) if count else self._next_id
+        rows = np.repeat(template[None], count, axis=0)
+        first = self._new_block(rows, width) if count else self._next_id
         return np.arange(first, first + count * width, dtype=np.int64).reshape(count, width)
 
     # -- introspection ---------------------------------------------------
@@ -451,8 +458,9 @@ class QubitStore:
     ) -> None:
         """``apply_pauli(element, group)`` for every group.
 
-        Per letter, the qubits it hits change by one index permutation and
-        sign per (block, position), on all of that block's rows at once.
+        Every id is checked before any amplitude changes. Then, for at most
+        ``_ROWS_PER_PASS`` groups at a time, the qubits each letter hits change
+        by one index permutation and sign per (block, position).
         """
         if not len(groups):
             return
@@ -465,18 +473,20 @@ class QubitStore:
         if _has_repeats(targets):
             raise ValueError("groups must name distinct qubits")
         where = self._indices(targets)
-        for j, letter in enumerate(element.letters):
-            for b, sel in _members(where[:, j]):
-                block = self._blocks[b]
-                rows, positions = block.locate(targets[sel, j])
-                for pos, at_pos in _members(positions):
-                    action = _letter_action(letter, block.width, pos)
-                    if action is None:
-                        continue
-                    perm, sign = action
-                    chosen = rows[at_pos]
-                    moved = block.amplitudes[np.ix_(chosen, perm)]
-                    block.amplitudes[chosen] = moved if sign is None else moved * sign
+        for lo in range(0, len(targets), _ROWS_PER_PASS):
+            for j, letter in enumerate(element.letters):
+                ids = targets[lo : lo + _ROWS_PER_PASS, j]
+                for b, sel in _members(where[lo : lo + _ROWS_PER_PASS, j]):
+                    block = self._blocks[b]
+                    rows, positions = block.locate(ids[sel])
+                    for pos, at_pos in _members(positions):
+                        action = _letter_action(letter, block.width, pos)
+                        if action is None:
+                            continue
+                        perm, sign = action
+                        chosen = rows[at_pos]
+                        moved = block.amplitudes[np.ix_(chosen, perm)]
+                        block.amplitudes[chosen] = moved if sign is None else moved * sign
 
     # -- measurement -----------------------------------------------------
 
@@ -578,13 +588,14 @@ class QubitStore:
         basis: np.ndarray,
         rng: np.random.Generator,
     ) -> list[int]:
-        """Measure every group in ``basis``, drawing all uniforms up front.
+        """Measure every group in ``basis``, drawing all uniforms at once.
 
         Group i uses uniform i of ``rng.random(len(groups))``, the value the
         i-th of as many scalar measurements would draw. Groups that are
-        whole rows of one allocated block, in register order, are measured
-        together in one matmul; every other group goes through ``_measure``
-        in list order.
+        whole rows of an allocated block, in register order, are measured
+        together across blocks, and every one's probability mass is checked
+        before anything is drawn or retired. Every other group goes through
+        ``_measure`` in list order.
         """
         if not len(groups):
             return []
@@ -594,34 +605,66 @@ class QubitStore:
         m = targets.shape[1]
         if basis.shape[1] != 2**m:
             raise ValueError("basis row length must be 2^(number of measured qubits)")
-        where = self._indices(targets[:, 0])
+        # Every whole-row group's mass is checked, pass by pass, before
+        # anything is drawn or retired; the last pass checked is then measured
+        # without computing its probabilities again.
+        starts = range(0, len(targets), _ROWS_PER_PASS)
+        for lo in starts:
+            last = self._pass_probs(targets[lo : lo + _ROWS_PER_PASS], basis)
         uniforms = rng.random(len(groups))
-        outcomes = np.zeros(len(groups), dtype=np.int64)
+        outcomes = np.empty(len(groups), dtype=np.int64)
         one_by_one = np.ones(len(groups), dtype=bool)
+        for lo in starts:
+            chunk = targets[lo : lo + _ROWS_PER_PASS]
+            parts, probs = last if lo == starts[-1] else self._pass_probs(chunk, basis)
+            if not parts:
+                continue
+            whole = np.concatenate([sel for _, sel, _ in parts])
+            self._block_of[chunk[whole]] = -1
+            for b, sel, _ in parts:
+                self._retire(b, sel.size)
+            whole += lo
+            outcomes[whole] = _sample_rows(probs, uniforms[whole])
+            one_by_one[whole] = False
+        rest = np.flatnonzero(one_by_one)
+        draw = iter(uniforms[rest].tolist()).__next__  # their uniforms, in list order
+        for i in rest.tolist():
+            outcomes[i] = self._measure(targets[i].tolist(), basis, draw)
+        return outcomes.tolist()
+
+    def _pass_probs(
+        self, targets: np.ndarray, basis: np.ndarray
+    ) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray | None]:
+        """One pass's whole-row groups and their outcome probabilities, from one matmul.
+
+        A group is a whole row if it lists, in register order, every qubit of
+        one row of a block made by allocation. Returns (block, groups, their
+        rows) for each block holding such groups, and the probabilities in
+        that order. A run of consecutive ascending rows is read in place, as
+        a decode reads its copies; other rows are gathered. Raises ValueError
+        if ``basis`` leaves a row's mass unresolved.
+        """
+        m = targets.shape[1]
         firsts = targets[:, 0]
-        for b, sel in _members(where):
+        consecutive = (targets[:, 1:] == targets[:, :-1] + 1).all(axis=1)
+        parts, amps = [], []
+        for b, sel in _members(self._indices(firsts)):
             block = self._blocks[b]
             if block.qubits is not None or block.width != m:
                 continue
             rows, positions = np.divmod(firsts[sel] - block.first, m)
-            consecutive = (targets[sel] == firsts[sel, None] + np.arange(m)).all(axis=1)
-            whole = (positions == 0) & consecutive
-            if not whole.any():
+            whole = (positions == 0) & consecutive[sel]
+            if not whole.all():
+                sel, rows = sel[whole], rows[whole]
+            if not sel.size:
                 continue
-            sel, rows = sel[whole], rows[whole]
-            amps = block.amplitudes
-            # A decode reads a whole block in order; not copying it there
-            # keeps the copy out of a large run's peak memory.
-            if not np.array_equal(rows, np.arange(len(amps))):
-                amps = amps[rows]
-            probs = np.square(amps @ basis.T)
-            if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("basis does not resolve the state's probability mass")
-            outcomes[sel] = _sample_rows(probs, uniforms[sel])
-            self._block_of[targets[sel]] = -1
-            self._retire(b, sel.size)
-            one_by_one[sel] = False
-        draw = iter(uniforms[one_by_one].tolist()).__next__  # their uniforms, in list order
-        for i in np.flatnonzero(one_by_one).tolist():
-            outcomes[i] = self._measure(targets[i].tolist(), basis, draw)
-        return outcomes.tolist()
+            parts.append((b, sel, rows))
+            first, span = int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
+            in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
+            amps.append(block.amplitudes[slice(first, first + span) if in_place else rows])
+        if not parts:
+            return parts, None
+        probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)
+        if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+            raise ValueError("basis does not resolve the state's probability mass")
+        return parts, probs

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -233,8 +234,9 @@ def _junk(ints=st.integers()):
                      st.dictionaries(st.text(max_size=3), scalars, max_size=2))
 
 
-# Values a run accepts, sized so a valid spec finishes quickly; ``out`` gets
-# no string, so the fuzz never writes a file.
+# Values a run accepts, sized so a valid spec finishes quickly. ``out`` gets
+# no string here, but a junk value may be one, so each example runs in a
+# temporary directory of its own.
 _VALID = {
     "protocol": st.sampled_from(["two-party", "three-party", "five-party"]),
     "key_bits": st.one_of(st.sampled_from([2, 4, 8]), st.integers(MAX_KEY_BITS + 1, 2**70)),
@@ -315,10 +317,16 @@ class TestConfigTypes:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(config=_CONFIGS)
-    def test_fuzzed_config_never_crashes(self, capsys, tmp_path, config):
-        cfg = tmp_path / "spec.json"
-        cfg.write_text(json.dumps(config))
-        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    def test_fuzzed_config_never_crashes(self, capsys, config):
+        with tempfile.TemporaryDirectory() as work:
+            cfg = Path(work) / "spec.json"
+            cfg.write_text(json.dumps(config))
+            home = os.getcwd()
+            os.chdir(work)
+            try:
+                code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+            finally:
+                os.chdir(home)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
         if code == 2:

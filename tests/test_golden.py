@@ -11,7 +11,9 @@ import hashlib
 
 import pytest
 
+from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.cli import main
+from qka.protocols import ProtocolConfig, run_protocol
 
 TWO, THREE, FIVE = "two-party", "three-party", "five-party"
 
@@ -127,3 +129,29 @@ def test_stdout_digest(name, capsys):
     assert main(list(CASES[name])) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+# Runs that abort at a later party's check, which pins the order of each
+# party's disclosure, check and abort within a hop: ``ProtocolResult.to_json()``
+# of n=16 runs under intercept-z at fraction 1 and threshold 0, seed 0, on
+# the transmission (parties, index). Generated from the engine that checked
+# one party at a time.
+ABORT_DIGESTS = {
+    (3, 1): "9014e0a6668d447e578d71333dea1868241ae507521124a51e9b997409c36045",
+    (3, 2): "ecbbece73a8598ba82e7994ed27d6db0d338646aab1777032f303cecc5b86d14",
+    (3, 4): "890d72d8ef0752b828fd16e95e1673d2bba2d834d3816d89ca700140d5ee8533",
+    (5, 3): "2db13f9cafb510be0cc1061c8307584e598ae692e657ae87bc51b81a4397ceb8",
+    (5, 8): "c69aa2cd7f47aca9a5e829f71b58878268e60973f37d0922bdc4774e4d39fbbf",
+}
+
+
+@pytest.mark.parametrize("parties, index", sorted(ABORT_DIGESTS))
+def test_later_party_abort_digest(parties, index):
+    config = ProtocolConfig(key_bits=16, party_count=parties, seed=0, error_threshold=0.0)
+    adversary = AdversaryModel(
+        kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0, transmission_index=index
+    )
+    result = run_protocol(config, adversary)
+    assert result.aborted and len(result.checks) == index + 1
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    assert digest == ABORT_DIGESTS[(parties, index)]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qka import transcript
+from qka import protocols, transcript
 from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.efficiency import TWO_PARTY, preset_counts
 from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
@@ -186,8 +186,10 @@ class TestVerifyDecoys:
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(4)]
         slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(1))
-        rate, ok = verify_decoys(store, slots, rec.decoy_pairs, 0.0, np.random.default_rng(2))
-        assert rate == 0.0 and ok
+        passes, (rate,) = verify_decoys(
+            store, [(slots, rec.decoy_pairs)], 0.0, np.random.default_rng(2)
+        )
+        assert rate == 0.0 and passes == 1
 
     def test_vacuous_threshold_always_passes(self):
         store = QubitStore()
@@ -198,17 +200,17 @@ class TestVerifyDecoys:
         decoy_slot = next(iter(set(rec.decoy_pairs.ravel().tolist())))
         store.measure_z(slots[decoy_slot], np.random.default_rng(0))
         slots[decoy_slot] = store.new_computational(0)
-        rate, ok = verify_decoys(store, slots, rec.decoy_pairs, 1.0, np.random.default_rng(3))
-        assert ok
+        passes, _ = verify_decoys(store, [(slots, rec.decoy_pairs)], 1.0, np.random.default_rng(3))
+        assert passes == 1
 
     def test_malformed_disclosure(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2)]
         slots, _ = insert_decoys_and_permute(message, store, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            verify_decoys(store, slots, [(0, 0)], 0.0, np.random.default_rng(0))
+            verify_decoys(store, [(slots, [(0, 0)])], 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            verify_decoys(store, slots, [(0, 1), (1, 2)], 0.0, np.random.default_rng(0))
+            verify_decoys(store, [(slots, [(0, 1), (1, 2)])], 0.0, np.random.default_rng(0))
         # out of range, overlapping or empty: rejected before any random draw
         for disclosure, reason in (
             ([(-1, 0)], "malformed"),
@@ -220,8 +222,48 @@ class TestVerifyDecoys:
             rng = np.random.default_rng(0)
             before = rng.bit_generator.state
             with pytest.raises(ValueError, match=reason):
-                verify_decoys(store, slots, disclosure, 0.0, rng)
+                verify_decoys(store, [(slots, disclosure)], 0.0, rng)
             assert rng.bit_generator.state == before
+
+    @staticmethod
+    def _wrecked_trains(seed):
+        """A store and three scrambled trains, some decoys of the last two wrecked."""
+        store = QubitStore()
+        rng = np.random.default_rng(seed)
+        trains = []
+        for wrecked in (0, 2, 4):
+            message = [store.new_computational(0) for _ in range(8)]
+            slots, rec = insert_decoys_and_permute(message, store, rng)
+            for a, b in rec.decoy_pairs[:wrecked].tolist():
+                bits = [store.measure_z(slots[q], rng) for q in (a, b)]
+                slots[a], slots[b] = (store.new_computational(bit) for bit in bits)
+            trains.append((slots, rec.decoy_pairs))
+        return store, trains
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_several_trains_read_as_each_alone(self, seed):
+        together, trains = self._wrecked_trains(seed)
+        alone, alone_trains = self._wrecked_trains(seed)
+        g1, g2 = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        passes, rates = verify_decoys(together, trains, 0.2, g1)
+        one_by_one = [verify_decoys(alone, [train], 0.2, g2) for train in alone_trains]
+        assert rates == tuple(rate for _, (rate,) in one_by_one)
+        assert passes == next(
+            (i for i, (ok, _) in enumerate(one_by_one) if not ok), len(trains)
+        )
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert together.live_qubits() == alone.live_qubits()
+
+    def test_malformed_second_train_raises_before_any_draw(self):
+        store, trains = self._wrecked_trains(0)
+        slots, _ = trains[1]
+        live = store.live_qubits()
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="disjoint"):
+            verify_decoys(store, [trains[0], (slots, [(0, 1), (2, 1)]), trains[2]], 0.0, rng)
+        assert rng.bit_generator.state == before
+        assert store.live_qubits() == live
 
     def test_intercepted_pair_fails_half_the_time(self):
         # post intercept-resend a decoy pair reads |bb>: psi+ or psi- evenly
@@ -235,8 +277,8 @@ class TestVerifyDecoys:
             bit_b = store.measure_z(b, rng)
             assert bit_a == bit_b
             resent = [store.new_computational(bit_a), store.new_computational(bit_b)]
-            rate, ok = verify_decoys(store, resent, [(0, 1)], 0.0, rng)
-            fails += not ok
+            passes, _ = verify_decoys(store, [(resent, [(0, 1)])], 0.0, rng)
+            fails += passes == 0
         assert abs(fails / trials - 0.5) < 0.05
 
 
@@ -464,6 +506,23 @@ class TestThreeParty:
             if base.derived_keys["Bob"][i] != flipped.derived_keys["Bob"][i]
         ]
         assert diff == [4]
+
+
+class TestLockstepHops:
+    @pytest.mark.parametrize("parties, checks, encodes", [(3, 3, 2), (5, 5, 4)])
+    def test_each_hop_is_one_check_and_one_encode(self, parties, checks, encodes, monkeypatch):
+        calls = Counter()
+        for name in ("verify_decoys", "encode_key"):
+            original = getattr(protocols, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(protocols, name, counting)
+        r = run_protocol(config(n=16, parties=parties, seed=4))
+        assert r.agreement()
+        assert calls == {"verify_decoys": checks, "encode_key": encodes}
 
 
 class TestFiveParty:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qka import registers
 from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.pauli import GroupElement, PauliLetter
 from qka.protocols import ProtocolConfig, _five_party_decoder, run_protocol
@@ -256,6 +257,94 @@ class TestValidation:
         partial = BELL_VECTORS[1:]  # misses psi+, which holds all the mass
         with pytest.raises(ValueError, match="does not resolve"):
             store.measure_rows_in_basis(ids, partial, np.random.default_rng(0))
+
+
+    def test_refused_bulk_measurement_changes_nothing(self):
+        store = QubitStore()
+        a = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 3)
+        b = store.new_train(BELL_VECTORS[BellOutcome.PHI_PLUS], 2)
+        psi_only = np.vstack([BELL_VECTORS[:2], np.zeros((2, 4))])  # misses b's mass
+        live, rng = store.live_qubits(), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="does not resolve"):
+            store.measure_rows_in_basis(np.concatenate([a, b]), psi_only, rng)
+        assert store.live_qubits() == live
+        assert rng.bit_generator.state == before
+        assert store.measure_bell_rows(np.concatenate([a, b]), rng) == [
+            BellOutcome.PSI_PLUS
+        ] * 3 + [BellOutcome.PHI_PLUS] * 2
+
+
+def _pass_workout(store: QubitStore, seed: int) -> list:
+    """Paulis and measurements over trains longer than a pass of three rows.
+
+    Groups come from several blocks, as runs of consecutive rows, in
+    scrambled order and across rows, so both bulk ops split and stack rows.
+    """
+    plan, rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    bells = [
+        store.new_train(BELL_VECTORS[k], 7) for k in (BellOutcome.PSI_PLUS, BellOutcome.PHI_MINUS)
+    ]
+    four = store.new_train(four_qubit_vector(FourQubitState.CLUSTER), 11)
+    lone = store.new_computational(1)
+    qubits = np.concatenate([b.ravel() for b in bells])
+    store.apply_pauli_groups(random_word(plan, 1), qubits[plan.random(qubits.size) < 0.6, None])
+    store.apply_pauli_groups(random_word(plan, 2), four[plan.random(11) < 0.7][:, [0, 2]])
+    store.measure_z(int(bells[0][2, 1]), rng)  # row 2 leaves the bulk path
+    pairs = np.concatenate([bells[1][:5], bells[0][[6, 0, 5, 3]]])
+    pairs = np.vstack([pairs, [bells[0][2, 0], lone], bells[0][4], bells[1][5:]])
+    outcomes = store.measure_bell_rows(pairs, rng)
+    basis = _five_party_decoder("cluster", "1256")[2]
+    outcomes += store.measure_rows_in_basis(four[np.r_[2:9, 0, 10, 1, 9]], basis, rng)
+    return outcomes
+
+
+class TestRowPasses:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_short_passes_change_no_outcome_or_amplitude(self, seed, monkeypatch):
+        default, short = QubitStore(), QubitStore()
+        want = _pass_workout(default, seed)
+        monkeypatch.setattr(registers, "_ROWS_PER_PASS", 3)
+        sizes = []
+        pass_probs = QubitStore._pass_probs
+
+        def recording(self, targets, basis):
+            sizes.append(len(targets))
+            return pass_probs(self, targets, basis)
+
+        monkeypatch.setattr(QubitStore, "_pass_probs", recording)
+        assert _pass_workout(short, seed) == want
+        assert max(sizes) == 3 and len(sizes) > 1
+        assert short.live_qubits() == default.live_qubits()
+        for q in default.live_qubits():
+            got, expected = short.register_of(q), default.register_of(q)
+            assert got.qubits == expected.qubits
+            assert np.array_equal(got.amplitudes, expected.amplitudes)
+
+    @pytest.mark.parametrize("rows_per_pass", [3, registers._ROWS_PER_PASS])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_uneven_rows_across_blocks_match_scalar_loop(self, seed, rows_per_pass, monkeypatch):
+        monkeypatch.setattr(registers, "_ROWS_PER_PASS", rows_per_pass)
+        plan = np.random.default_rng(seed)
+        stores = [QubitStore(), QubitStore()]
+        vectors = random_basis(plan, 4)[:2]
+        for store in stores:
+            trains = [store.new_train(v, 5) for v in vectors]  # the same ids in both
+        groups = np.concatenate([trains[0][1:], trains[1][1:]])[plan.permutation(8)].tolist()
+        groups.insert(3, [int(trains[0][0, 0]), int(trains[1][0, 1])])  # across rows
+        basis = random_basis(plan, 4)
+        ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcomes = stores[0].measure_rows_in_basis(groups, basis, ga)
+        assert outcomes == [stores[1].measure_in_basis(g, basis, gb) for g in groups]
+        assert_same_state(*stores)
+
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    def test_short_passes_change_no_run(self, parties, monkeypatch):
+        cfg = ProtocolConfig(key_bits=32, party_count=parties, seed=3, error_threshold=1.0)
+        adversary = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5)
+        want = [run_protocol(cfg).to_json(), run_protocol(cfg, adversary).to_json()]
+        monkeypatch.setattr(registers, "_ROWS_PER_PASS", 3)
+        assert [run_protocol(cfg).to_json(), run_protocol(cfg, adversary).to_json()] == want
 
 
 class TestProtocolRuns:
