@@ -34,7 +34,6 @@ from .protocols import (
     PermutationRecord,
     ProtocolConfig,
     ProtocolResult,
-    decode_bell_bits,
     encode_key,
     insert_decoys_and_permute,
     run_five_party,
@@ -76,7 +75,6 @@ __all__ = [
     "check_disjoint",
     "count_from_transcript",
     "decode_operator",
-    "decode_bell_bits",
     "dense_coding_orthogonal",
     "encode_key",
     "inner_product",

@@ -144,7 +144,7 @@ def dishonest_bob_reorder(
 
 def dishonest_alice_early_measure(
     store: QubitStore,
-    kept: Sequence[int],
+    kept: Sequence[int] | np.ndarray,
     slots: Sequence[int] | np.ndarray,
     record,
     rng: np.random.Generator,
@@ -162,21 +162,16 @@ def dishonest_alice_early_measure(
     against the true key (known to the harness, not the attacker).
     """
     n = len(kept)
-    ids = np.asarray(slots).tolist()
-    is_message = np.ones(len(ids), dtype=bool)
+    is_message = np.ones(len(slots), dtype=bool)
     is_message[record.decoy_pairs] = False
-    message_slots = np.flatnonzero(is_message).tolist()
-    if len(message_slots) != n:
+    message_slots = np.flatnonzero(is_message)
+    if message_slots.size != n:
         raise ValueError("message slot count does not match kept qubits")
-    guess = rng.permutation(n)
-    guessed_slots = [message_slots[int(guess[i])] for i in range(n)]
-    guessed_bits = tuple(
-        store.measure_bell(kept[i], ids[guessed_slots[i]], rng).x_bit
-        for i in range(n)
-    )
-    message_order = np.asarray(record.message_order).tolist()
-    correct_pairing = [guessed_slots[i] == message_order[i] for i in range(n)]
-    hits = [int(guessed_bits[i] == true_partner_key[i]) for i in range(n)]
+    guessed_slots = message_slots[rng.permutation(n)]
+    pairs = np.column_stack([kept, np.asarray(slots)[guessed_slots]])
+    guessed_bits = tuple(o.x_bit for o in store.measure_bell_rows(pairs, rng))
+    correct_pairing = (guessed_slots == record.message_order).tolist()
+    hits = [int(bit == key_bit) for bit, key_bit in zip(guessed_bits, true_partner_key)]
     wrong = [i for i in range(n) if not correct_pairing[i]]
     report = {
         "kind": "early-measure",

@@ -228,10 +228,7 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
             fraction=spec["attack_fraction"],
             swap_count=spec["swap_count"],
         )
-        check_adversary(config.party_count, adversary)
-        if kind is AdversaryKind.DISHONEST_BOB_REORDER:
-            if 2 * spec["swap_count"] > spec["key_bits"]:
-                raise ValueError("swap count too large for the key length")
+        check_adversary(config, adversary)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, adversary

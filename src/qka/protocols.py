@@ -23,7 +23,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .pauli import (
     GroupElement,
     PauliLetter,
     canonical_order,
+    mul,
     product_set,
     standard_subgroups_g2,
     validate_scheme,
@@ -134,7 +135,7 @@ class ProtocolConfig:
                 if len(key) != self.key_bits or any(b not in (0, 1) for b in key):
                     raise ValueError("each fixed key must be key_bits bits")
         if self.party_count == 5:  # raises InvalidSchemeError for an undecodable selection
-            _five_party_decoder(self.five_party_state, self.five_party_rounds)
+            _five_party_ring(self.five_party_state, self.five_party_rounds)
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.run_index])
@@ -269,11 +270,6 @@ def encode_key(
         raise ValueError("qubit list must hold one word-sized group per key bit")
     key_mask = np.asarray(key, dtype=bool)
     store.apply_pauli_groups(word, qubits.reshape(-1, arity)[key_mask])
-
-
-def decode_bell_bits(outcome: BellOutcome) -> tuple[int, int]:
-    """Map a Bell outcome on an initial psi+ pair to (x-round bit, z-round bit)."""
-    return outcome.x_bit, outcome.z_bit
 
 
 @dataclass
@@ -487,21 +483,28 @@ def _normalize_adversary(adversary: AdversaryModel | None) -> AdversaryModel:
     return adversary if adversary is not None else AdversaryModel.none()
 
 
-def check_adversary(party_count: int, adversary: AdversaryModel) -> None:
-    """Raise ValueError unless the adversary can act on this protocol.
+def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
+    """Raise ValueError unless the adversary can act on this run.
 
     Intercept-z runs on every protocol and the insiders on two-party only.
     Intercept-bell Bell-measures adjacent slots, so on copies of more than
-    two qubits it chains copies into ever larger registers.
+    two qubits it chains copies into ever larger registers. A reordering
+    receiver with no pinned swaps needs room for its disjoint swaps.
     """
-    if adversary.is_insider and party_count != 2:
+    if adversary.is_insider and config.party_count != 2:
         raise ValueError(f"{adversary.kind.value} applies to the two-party protocol only")
-    copy_qubits = _COPY_QUBITS[party_count]
+    copy_qubits = _COPY_QUBITS[config.party_count]
     if adversary.kind is AdversaryKind.INTERCEPT_RESEND_BELL and copy_qubits > 2:
         raise ValueError(
             f"intercept-bell on {copy_qubits}-qubit copies merges registers past "
             f"the {MAX_REGISTER_QUBITS}-qubit cap"
         )
+    if (
+        adversary.kind is AdversaryKind.DISHONEST_BOB_REORDER
+        and adversary.swap_pairs is None
+        and 2 * adversary.swap_count > config.key_bits
+    ):
+        raise ValueError("swap count too large for the key length")
 
 
 def run_two_party(
@@ -518,7 +521,7 @@ def run_two_party(
     if config.party_count != 2:
         raise ValueError("two-party run requires party_count == 2")
     adv = _normalize_adversary(adversary)
-    check_adversary(2, adv)
+    check_adversary(config, adv)
     n = config.key_bits
     names = PARTY_NAMES[:2]
     alice, bob = names
@@ -561,7 +564,7 @@ def run_two_party(
         early_guess: tuple[int, ...] | None = None
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
             early_guess, attack_report = dishonest_alice_early_measure(
-                store, kept.tolist(), slots2, rec2, rng, key_b
+                store, kept, slots2, rec2, rng, key_b
             )
 
         # Step 6: the initiator commits; the responder can already finish.
@@ -571,7 +574,9 @@ def run_two_party(
         # Step 7: message order (honest or reordered), then pairwise decoding.
         order = rec2.message_order
         if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
-            swap_pairs = adv.swap_pairs or choose_swap_pairs(n, adv.swap_count, rng)
+            swap_pairs = adv.swap_pairs
+            if swap_pairs is None:
+                swap_pairs = choose_swap_pairs(n, adv.swap_count, rng)
             claimed = dishonest_bob_reorder(range(n), swap_pairs)  # the index each slot carries
             order = rec2.message_order[claimed]
             claimed_bits = tuple(key_b[i] for i in claimed)
@@ -588,7 +593,7 @@ def run_two_party(
             claimed = slots2[order]
             outcomes = store.measure_bell_rows(np.column_stack([kept, claimed]), rng)
             outcome_records[alice] = tuple(o.label for o in outcomes)
-            decoded = tuple(decode_bell_bits(o)[0] for o in outcomes)
+            decoded = tuple(o.x_bit for o in outcomes)
             derived[alice] = xor_bits(key_a, decoded)  # Step 8
 
         if attack_report is not None and attack_report.get("kind") == "reorder":
@@ -618,10 +623,10 @@ class _Ring:
     one plain hop, then one hop per encoding round, in which its holder
     applies that round's word to every copy whose key bit is 1.
     ``hop_steps`` holds the (send, check) step labels of each hop, so the
-    ring has ``len(hop_steps)`` parties. Back home, ``decode`` measures a
-    party's copies, given as an (n, k) id array with one copy's qubits per
-    row, and returns per copy the outcome label and the XOR of the round
-    bits it carries.
+    ring has ``len(hop_steps)`` parties. Back home, each party measures its
+    copies, returned travel qubits in place, in the orthonormal ``basis``
+    the encoding group generates; ``outcomes`` holds, per basis row, the
+    outcome label and the XOR of the round bits that row carries.
     """
 
     protocol: str
@@ -630,7 +635,8 @@ class _Ring:
     words: tuple[GroupElement, ...]
     prep_step: str
     hop_steps: tuple[tuple[str, str], ...]
-    decode: Callable[[QubitStore, np.ndarray, np.random.Generator], list[tuple[str, int]]]
+    basis: np.ndarray
+    outcomes: tuple[tuple[str, int], ...]
 
 
 def _run_ring(
@@ -638,7 +644,7 @@ def _run_ring(
 ) -> ProtocolResult:
     adv = _normalize_adversary(adversary)
     parties = len(ring.hop_steps)
-    check_adversary(parties, adv)
+    check_adversary(config, adv)
     n = config.key_bits
     names = PARTY_NAMES[:parties]
     ctx = _RunContext(ring.protocol, config, adv)
@@ -690,7 +696,8 @@ def _run_ring(
         for j in range(parties):
             groups = copies[j].copy()
             groups[:, travel] = travels[j].reshape(n, len(travel))
-            decoded = ring.decode(store, groups, rng)
+            rows = store.measure_rows_in_basis(groups, ring.basis, rng)
+            decoded = [ring.outcomes[i] for i in rows]
             outcome_records[names[j]] = tuple(label for label, _ in decoded)
             derived[names[j]] = tuple(kb ^ bit for kb, (_, bit) in zip(keys[j], decoded))
 
@@ -707,13 +714,6 @@ def _run_ring(
         )
 
 
-def _decode_bell(
-    store: QubitStore, pairs: np.ndarray, rng: np.random.Generator
-) -> list[tuple[str, int]]:
-    """The outcome's bit flip carries the X round, its phase flip the Z round."""
-    return [(o.label, o.x_bit ^ o.z_bit) for o in store.measure_bell_rows(pairs, rng)]
-
-
 _THREE_PARTY_RING = _Ring(
     protocol=THREE_PARTY,
     state=BELL_VECTORS[BellOutcome.PSI_PLUS],
@@ -721,7 +721,9 @@ _THREE_PARTY_RING = _Ring(
     words=(GroupElement.of(PauliLetter.X), GroupElement.of(PauliLetter.Z)),
     prep_step="step1",
     hop_steps=(("step2", "step3"), ("step4", "step5"), ("step6", "step7")),
-    decode=_decode_bell,
+    basis=BELL_VECTORS,
+    # The outcome's bit flip carries the X round, its phase flip the Z round.
+    outcomes=tuple((o.label, o.x_bit ^ o.z_bit) for o in BellOutcome),
 )
 
 
@@ -748,11 +750,12 @@ def five_party_round_subgroups(digits: str):
 
 
 @functools.lru_cache(maxsize=None)
-def _five_party_decoder(
-    state: str, rounds: str
-) -> tuple[tuple[GroupElement, ...], tuple[tuple[str, int], ...], np.ndarray]:
-    """Round generators, per-outcome (label, parity) and decode basis.
+def _five_party_ring(state: str, rounds: str) -> _Ring:
+    """The five-party ring for one resource state and round selection.
 
+    Each round's generator is the word its party encodes with; the decode
+    basis is the state under each of the 16 products of the round
+    subgroups, labelled by that product and the parity of its round bits.
     Built once per (state, rounds); a selection that fails the scheme
     validation raises InvalidSchemeError on every call.
     """
@@ -761,7 +764,8 @@ def _five_party_decoder(
         total_qubits=4, travel_qubits=2, bits_per_round=1, rounds=4,
         round_subgroups=subgroups,
     )
-    reference = StateRegister((0, 1, 2, 3), four_qubit_vector(FourQubitState(state)))
+    vector = four_qubit_vector(FourQubitState(state))
+    reference = StateRegister((0, 1, 2, 3), vector)
     if not validate_scheme(scheme, reference, (0, 2)):
         raise InvalidSchemeError(
             f"round selection {rounds!r} on {state!r} "
@@ -769,20 +773,25 @@ def _five_party_decoder(
         )
 
     generators = tuple(sub.non_identity()[0] for sub in subgroups)
-    parity: dict[GroupElement, int] = {}
+    parity: dict[GroupElement, int] = {}  # each product of generators: its round bits' parity
     for bits in itertools.product((0, 1), repeat=4):
-        word = GroupElement.identity(2)
-        for bit, gen in zip(bits, generators):
-            if bit:
-                word = word * gen
+        word = functools.reduce(mul, itertools.compress(generators, bits), GroupElement.identity(2))
         parity[word] = sum(bits) % 2
     elements = canonical_order(product_set(subgroups))
-    outcomes = tuple((u.label, parity[u]) for u in elements)
     basis = np.stack(
         [apply_element(reference, u, (0, 2)).amplitudes for u in elements]
     )
-    basis.flags.writeable = False
-    return generators, outcomes, basis
+    vector.flags.writeable = basis.flags.writeable = False  # shared through the cache
+    return _Ring(
+        protocol=FIVE_PARTY,
+        state=vector,
+        travel=(0, 2),
+        words=generators,
+        prep_step="hop0",
+        hop_steps=tuple((f"hop{h}", f"hop{h}") for h in range(1, 6)),
+        basis=basis,
+        outcomes=tuple((u.label, parity[u]) for u in elements),
+    )
 
 
 def run_five_party(
@@ -801,22 +810,7 @@ def run_five_party(
     config.validate()
     if config.party_count != 5:
         raise ValueError("five-party run requires party_count == 5")
-    generators, outcomes, basis = _five_party_decoder(
-        config.five_party_state, config.five_party_rounds
-    )
-
-    def decode(store, groups, rng):
-        return [outcomes[i] for i in store.measure_rows_in_basis(groups, basis, rng)]
-
-    ring = _Ring(
-        protocol=FIVE_PARTY,
-        state=four_qubit_vector(FourQubitState(config.five_party_state)),
-        travel=(0, 2),
-        words=generators,
-        prep_step="hop0",
-        hop_steps=tuple((f"hop{h}", f"hop{h}") for h in range(1, 6)),
-        decode=decode,
-    )
+    ring = _five_party_ring(config.five_party_state, config.five_party_rounds)
     return _run_ring(ring, config, adversary)
 
 

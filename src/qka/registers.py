@@ -17,15 +17,17 @@ any other block is one row over the qubits it lists.
 
 A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
 is one index permutation and sign per (block, position), applied to all the
-rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. Measurement has
-two routines. Groups that are whole rows in register order are measured in
-bulk, whatever blocks they lie in: one matmul per pass, then one
-inverse-CDF draw per row. Every other group, and every scalar
-``measure_bell``, ``measure_z`` and ``measure_in_basis`` call, merges the
-rows it touches (a Kronecker product in first-seen order, capped at 12
-qubits; anything larger fails loudly), samples one outcome and stores what
-remains as a one-row block. Measuring across two entangled pairs this way
-is what performs entanglement swapping.
+rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. A measurement
+refuses bad input before it draws: every id must be live and named once, and
+a basis from outside must be real, square and orthonormal, so that it
+resolves every state. Measurement has two routines. Groups that are whole
+rows in register order are measured in bulk, whatever blocks they lie in:
+one matmul per pass, then one inverse-CDF draw per row. Every other group,
+and every scalar ``measure_bell``, ``measure_z`` and ``measure_in_basis``
+call, merges the rows it touches (a Kronecker product in first-seen order,
+capped at 12 qubits; anything larger fails loudly), samples one outcome and
+stores what remains as a one-row block. Measuring across two entangled pairs
+this way is what performs entanglement swapping.
 
 Every amplitude is float64: the resource states and the letter matrices of
 :mod:`qka.pauli` are real, so every reachable state is, a bra is its ket and
@@ -51,7 +53,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -197,6 +199,20 @@ def _real(values) -> np.ndarray:
             raise ValueError("amplitudes and basis rows must be real")
         values = values.real
     return values.astype(np.float64, copy=False)
+
+
+def _checked_basis(basis) -> np.ndarray:
+    """Outside basis rows as float64; the one home of the basis rule.
+
+    A basis must be real, square, and orthonormal within ``NORM_TOL``: then
+    it resolves every state, and a register's mass under it is its norm.
+    """
+    basis = _real(basis)
+    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+        raise ValueError(f"a basis of shape {basis.shape} is not square: it does not resolve")
+    if np.abs(basis @ basis.T - np.eye(len(basis))).sum(axis=1).max() > NORM_TOL:
+        raise ValueError("basis rows are not orthonormal: the basis does not resolve")
+    return basis
 
 
 def _sample_index(probs: np.ndarray, uniform: float) -> int:
@@ -490,7 +506,7 @@ class QubitStore:
 
     # -- measurement -----------------------------------------------------
 
-    def _measure(self, qubits: Sequence[int], basis: np.ndarray, draw: Callable[[], float]) -> int:
+    def _measure(self, qubits: Sequence[int], basis: np.ndarray, draw) -> int:
         """Measure distinct ``qubits`` in the orthonormal rows of ``basis``.
 
         The rows holding the qubits merge in first-seen order. Once the
@@ -520,8 +536,8 @@ class QubitStore:
         arr = amps.reshape((2,) * len(order)).transpose(front + rest)
         branches = basis @ arr.reshape(2 ** len(front), -1)
         probs = np.einsum("ij,ij->i", branches, branches)
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("basis does not resolve the state's probability mass")
+        if abs(float(probs.sum()) - 1.0) > 1e-9:  # a complete basis: the state is at fault
+            raise ValueError("the merged register's probability mass deviates from 1")
         outcome = _sample_index(probs, draw())
         for q in qubits:
             self._block_of[q] = -1
@@ -555,14 +571,14 @@ class QubitStore:
     ) -> int:
         """Projective measurement of ``qubits`` in an orthonormal basis.
 
-        ``basis`` is a (d, 2^m) array of bra rows over the listed qubit
-        order; it must resolve (within tolerance) all probability mass of
-        the state. Returns the sampled row index; measured qubits retire.
+        ``basis`` is a (2^m, 2^m) array of orthonormal bra rows over the
+        listed qubit order. Returns the sampled row index; measured qubits
+        retire.
         """
         if len(set(qubits)) != len(qubits):
             raise ValueError("measured qubits must be distinct")
-        basis = _real(basis)
-        if basis.shape[1] != 2 ** len(qubits):
+        basis = _checked_basis(basis)
+        if len(basis) != 2 ** len(qubits):
             raise ValueError("basis row length must be 2^(number of measured qubits)")
         return self._measure(tuple(qubits), basis, rng.random)
 
@@ -580,7 +596,7 @@ class QubitStore:
         rng: np.random.Generator,
     ) -> list[int]:
         """``measure_in_basis`` on each group in list order, whole rows in bulk."""
-        return self._measure_groups(groups, _real(basis), rng)
+        return self._measure_groups(groups, _checked_basis(basis), rng)
 
     def _measure_groups(
         self,
@@ -590,33 +606,31 @@ class QubitStore:
     ) -> list[int]:
         """Measure every group in ``basis``, drawing all uniforms at once.
 
-        Group i uses uniform i of ``rng.random(len(groups))``, the value the
-        i-th of as many scalar measurements would draw. Groups that are
-        whole rows of an allocated block, in register order, are measured
-        together across blocks, and every one's probability mass is checked
-        before anything is drawn or retired. Every other group goes through
-        ``_measure`` in list order.
+        The group size, and that every id is live and named once, are checked
+        before the one draw of ``rng.random(len(groups))``; group i uses
+        uniform i, the value the i-th of as many scalar measurements would
+        draw. One walk over passes then measures, retires and samples the
+        groups that are whole rows of an allocated block, in register order,
+        across blocks. Every other group then goes through ``_measure`` in
+        list order. The only refusal left after the draw is the 12-qubit
+        cap, should such a merge outgrow it; no engine reaches it, as
+        ``check_adversary`` refuses five-party intercept-bell.
         """
         if not len(groups):
             return []
         targets = _id_table(groups)
         if _has_repeats(targets):
             raise ValueError("measured qubits must be distinct")
-        m = targets.shape[1]
-        if basis.shape[1] != 2**m:
+        if basis.shape[1] != 2 ** targets.shape[1]:
             raise ValueError("basis row length must be 2^(number of measured qubits)")
-        # Every whole-row group's mass is checked, pass by pass, before
-        # anything is drawn or retired; the last pass checked is then measured
-        # without computing its probabilities again.
-        starts = range(0, len(targets), _ROWS_PER_PASS)
-        for lo in starts:
-            last = self._pass_probs(targets[lo : lo + _ROWS_PER_PASS], basis)
+        for lo in range(0, len(targets), _ROWS_PER_PASS):  # in passes: small gathers
+            self._indices(targets[lo : lo + _ROWS_PER_PASS])
         uniforms = rng.random(len(groups))
         outcomes = np.empty(len(groups), dtype=np.int64)
         one_by_one = np.ones(len(groups), dtype=bool)
-        for lo in starts:
+        for lo in range(0, len(targets), _ROWS_PER_PASS):
             chunk = targets[lo : lo + _ROWS_PER_PASS]
-            parts, probs = last if lo == starts[-1] else self._pass_probs(chunk, basis)
+            parts, probs = self._pass_probs(chunk, basis)
             if not parts:
                 continue
             whole = np.concatenate([sel for _, sel, _ in parts])
@@ -637,18 +651,19 @@ class QubitStore:
     ) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray | None]:
         """One pass's whole-row groups and their outcome probabilities, from one matmul.
 
-        A group is a whole row if it lists, in register order, every qubit of
-        one row of a block made by allocation. Returns (block, groups, their
-        rows) for each block holding such groups, and the probabilities in
-        that order. A run of consecutive ascending rows is read in place, as
-        a decode reads its copies; other rows are gathered. Raises ValueError
-        if ``basis`` leaves a row's mass unresolved.
+        The ids are known to be live. A group is a whole row if it lists, in
+        register order, every qubit of one row of a block made by allocation.
+        Returns (block, groups, their rows) for each block holding such
+        groups, and the probabilities in that order. A run of consecutive
+        ascending rows is read in place, as a decode reads its copies; other
+        rows are gathered. Since every basis is complete, a row whose mass is
+        not 1 means the store's own state is corrupt; that raises ValueError.
         """
         m = targets.shape[1]
         firsts = targets[:, 0]
         consecutive = (targets[:, 1:] == targets[:, :-1] + 1).all(axis=1)
         parts, amps = [], []
-        for b, sel in _members(self._indices(firsts)):
+        for b, sel in _members(self._block_of[firsts]):
             block = self._blocks[b]
             if block.qubits is not None or block.width != m:
                 continue
@@ -666,5 +681,5 @@ class QubitStore:
             return parts, None
         probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("basis does not resolve the state's probability mass")
+            raise ValueError("a register's probability mass deviates from 1")
         return parts, probs

@@ -245,6 +245,31 @@ class TestDishonestBob:
         with pytest.raises(ValueError):
             choose_swap_pairs(4, 3, np.random.default_rng(0))
 
+    def test_library_run_refuses_too_many_swaps_before_allocating(self, monkeypatch):
+        allocations = []
+        new_train = QubitStore.new_train
+
+        def recording(self, vector, count):
+            allocations.append(count)
+            return new_train(self, vector, count)
+
+        monkeypatch.setattr(QubitStore, "new_train", recording)
+        adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_count=3)
+        with pytest.raises(ValueError, match="swap count too large"):
+            run_two_party(config(n=4, seed=2), adv)
+        assert allocations == []
+        pinned = AdversaryModel(
+            kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_count=3, swap_pairs=((0, 1),)
+        )
+        assert run_two_party(config(n=4, seed=2), pinned).attack_report["swap_pairs"] == [[0, 1]]
+
+    def test_empty_swap_pairs_swap_nothing(self):
+        adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=())
+        r = run_two_party(config(n=8, seed=2), adv)
+        assert r.attack_report["swap_pairs"] == []
+        assert r.attack_report["alice_key_matches_target"]
+        assert r.derived_keys == run_two_party(config(n=8, seed=2)).derived_keys
+
     def test_single_swap_outcomes_uniform_and_correlated(self):
         adv = AdversaryModel(
             kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=((0, 1),)

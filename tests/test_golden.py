@@ -72,6 +72,16 @@ CASES = {
         "--threshold", "1",
     ),
     "batch-text": _run(THREE, 16, 4, "--trials", "12", "--format", "text"),
+    # Attacked batches that never abort: each decode measures the attacked
+    # copies across registers, off the bulk path.
+    "batch-five-party-intercept-z": _run(
+        FIVE, 16, 7, "--trials", "8", "--adversary", "intercept-z", "--attack-fraction", "0.3",
+        "--threshold", "1",
+    ),
+    "batch-three-party-intercept-z": _run(
+        THREE, 16, 7, "--trials", "8", "--adversary", "intercept-z", "--attack-fraction", "0.5",
+        "--threshold", "1",
+    ),
     "verify-groups": ("verify-groups",),
     **{
         f"efficiency-table-{fmt}": ("efficiency", "--table", "--format", fmt)
@@ -83,14 +93,17 @@ CASES = {
 # implementation; the n=1024, attacked single-run and text-batch cases from
 # the batched-train store that kept the per-register path beside it; the
 # verify-groups and efficiency cases from the code that still checked the
-# letter products against a copy of the phase-stripping algorithm.
+# letter products against a copy of the phase-stripping algorithm; the
+# attacked batches from the engine whose rings decoded through a function.
 DIGESTS = {
     "batch-dishonest-alice": "11df56a2b63dc4514e60cd5985569f2e5f7ee4470e893561062c8d98af2ae5bc",
     "batch-dishonest-bob": "04a94f44b0002022623585b66e674107e11ff3b9060d3fb29e10409fb1fb459f",
+    "batch-five-party-intercept-z": "21fe7b7c281cb27b23ecc80176284626916f0891439dfbdf42db377284557aa7",
     "batch-intercept-bell": "d6ac84f403897fa877a8c02bbc124f4eee67f73b4d4a53152b8370710eed2776",
     "batch-intercept-z": "930d56d5edd5c3685e6a9962f5024ac79f4f31aa54d0799fce6173affadddc57",
     "batch-text": "bd7814c9907c0e848a96778e2e7e1e78c782fc56e40fe452d1c7224384fe95e4",
     "batch-three-party-intercept-bell": "34b112cfd14e99a31f7a2043a04913120c2c8d2096466a74524589273f519a1b",
+    "batch-three-party-intercept-z": "76665a699c7a0fa49c8179a44b685e0d4f8daf42c61abe888f37ac645abac9a7",
     "efficiency-table-csv": "9a6da73e1251755b6e82c878e1b3a9d9082f87a10bae4b4d26bbba7b1d38e168",
     "efficiency-table-json": "32de63cb45bc24138fd6e83ceeb8fe2c0fe28a5457375062b4d7868d8192d61d",
     "efficiency-table-text": "ea4651fc31c11f5a3027a5c75646e56a0e49d78e323492296f679072b831431b",

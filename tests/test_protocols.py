@@ -21,7 +21,6 @@ from qka.protocols import (
     ProtocolConfig,
     _RunContext,
     bits_to_hex,
-    decode_bell_bits,
     encode_key,
     five_party_round_subgroups,
     insert_decoys_and_permute,
@@ -360,7 +359,7 @@ class TestEncodeDecode:
         ],
     )
     def test_decode_outcome_map(self, outcome, bits):
-        assert decode_bell_bits(outcome) == bits
+        assert (outcome.x_bit, outcome.z_bit) == bits
 
 
 class TestTwoParty:
@@ -463,7 +462,7 @@ class TestThreeParty:
         encode_key(store, [travel], [0], Z_WORD)  # K_C = 0
         outcome = store.measure_bell(kept, travel, np.random.default_rng(0))
         assert outcome is BellOutcome.PHI_PLUS
-        assert decode_bell_bits(outcome) == (1, 0)
+        assert (outcome.x_bit, outcome.z_bit) == (1, 0)
         assert 0 ^ 1 ^ 0 == 1  # K = K_A xor K_B xor K_C
 
     def test_ground_truth_oracle_random_keys(self):
@@ -579,9 +578,9 @@ class TestFiveParty:
             run_five_party(config(n=4, parties=5, five_party_rounds="1235"))
 
     def test_decode_table_is_built_once_and_bad_rounds_always_raise(self):
-        from qka.protocols import _five_party_decoder
+        from qka.protocols import _five_party_ring
 
-        assert _five_party_decoder("cluster", "1256") is _five_party_decoder("cluster", "1256")
+        assert _five_party_ring("cluster", "1256") is _five_party_ring("cluster", "1256")
         for _ in range(2):
             with pytest.raises(InvalidSchemeError):
                 run_five_party(config(n=4, parties=5, five_party_rounds="1245"))

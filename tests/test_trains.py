@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qka import registers
 from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.pauli import GroupElement, PauliLetter
-from qka.protocols import ProtocolConfig, _five_party_decoder, run_protocol
+from qka.protocols import ProtocolConfig, _five_party_ring, run_protocol
 from qka.registers import (
     BELL_VECTORS,
     BellOutcome,
@@ -196,7 +196,7 @@ class TestDifferential:
         assert a.measure_bell_rows(pairs, ga) == [b.measure_bell(p, q, gb) for p, q in pairs]
 
         # Basis measurements of whole 4-qubit rows, plus a reordered row.
-        basis = _five_party_decoder(four_kind.value, "1234")[2]
+        basis = _five_party_ring(four_kind.value, "1234").basis
         groups = []
         for row in range(n_four):
             ids = four[4 * row : 4 * row + 4]
@@ -274,6 +274,41 @@ class TestValidation:
             BellOutcome.PSI_PLUS
         ] * 3 + [BellOutcome.PHI_PLUS] * 2
 
+    def test_incomplete_basis_refused_before_a_cross_row_group(self):
+        # The cross pair would go through the general routine, after the
+        # whole rows; the basis is refused before either is touched.
+        store = QubitStore()
+        a = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        b = store.new_train(BELL_VECTORS[BellOutcome.PHI_PLUS], 2)
+        psi_only = np.vstack([BELL_VECTORS[:2], np.zeros((2, 4))])
+        live, rng = store.live_qubits(), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="does not resolve"):
+            store.measure_rows_in_basis([a[0], a[1], (b[0, 0], b[1, 0])], psi_only, rng)
+        assert store.live_qubits() == live
+        assert rng.bit_generator.state == before
+
+    def test_unknown_id_in_a_later_column_refused_before_drawing(self):
+        store = QubitStore()
+        a = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        live, rng = store.live_qubits(), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(UnknownQubitError):
+            store.measure_bell_rows([a[0], (a[1, 0], 999)], rng)
+        assert store.live_qubits() == live
+        assert rng.bit_generator.state == before
+
+    def test_scalar_measurement_refuses_an_incomplete_basis_before_drawing(self):
+        # psi+ alone holds all of a psi+ pair's mass, yet it is no basis.
+        store = QubitStore()
+        pair = store.new_bell(BellOutcome.PSI_PLUS)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="does not resolve"):
+            store.measure_in_basis(pair, BELL_VECTORS[:1], rng)
+        assert store.live_qubits() == list(pair)
+        assert rng.bit_generator.state == before
+
 
 def _pass_workout(store: QubitStore, seed: int) -> list:
     """Paulis and measurements over trains longer than a pass of three rows.
@@ -294,7 +329,7 @@ def _pass_workout(store: QubitStore, seed: int) -> list:
     pairs = np.concatenate([bells[1][:5], bells[0][[6, 0, 5, 3]]])
     pairs = np.vstack([pairs, [bells[0][2, 0], lone], bells[0][4], bells[1][5:]])
     outcomes = store.measure_bell_rows(pairs, rng)
-    basis = _five_party_decoder("cluster", "1256")[2]
+    basis = _five_party_ring("cluster", "1256").basis
     outcomes += store.measure_rows_in_basis(four[np.r_[2:9, 0, 10, 1, 9]], basis, rng)
     return outcomes
 
