@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .protocols import (
     FIVE_PARTY_ROUND_CHOICES,
     ProtocolConfig,
     ProtocolResult,
+    _json_chunks,
     bits_to_hex,
     check_adversary,
     run_protocol,
@@ -271,9 +272,9 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if spec["trials"] == 1:
         if spec["format"] == "text":
-            output = _render_single(results[0])
+            chunks = [_render_single(results[0])]
         else:
-            output = results[0].to_json()
+            chunks = _json_chunks(results[0].to_dict())
     else:
         payload = {
             "schema": "qka.batch/1",
@@ -289,12 +290,8 @@ def _run_command(args: argparse.Namespace) -> int:
                 for i, r in enumerate(results)
             ],
         }
-        output = (
-            json.dumps(payload, sort_keys=True, indent=2)
-            if spec["format"] == "json"
-            else _render_batch(payload)
-        )
-    _emit(output, spec["out"])
+        chunks = _json_chunks(payload) if spec["format"] == "json" else [_render_batch(payload)]
+    _emit(chunks, spec["out"])
     if spec["fail_on_abort"] and any(r.aborted for r in results):
         return 3
     return 0
@@ -357,7 +354,7 @@ def _efficiency_command(args: argparse.Namespace) -> int:
         output = efficiency_table_json(n)
     else:
         output = efficiency_table_text(n)
-    _emit(output, args.out)
+    _emit([output], args.out)
     return 0
 
 
@@ -423,7 +420,7 @@ def _verify_groups_command(args: argparse.Namespace) -> int:
         lines.append("")
         lines.extend(_dense_coding_table_four(kind))
 
-    _emit("\n".join(lines), args.out)
+    _emit(["\n".join(lines)], args.out)
     return 0 if ok else 1
 
 
@@ -474,13 +471,18 @@ def _check_out_path(path: str | None) -> None:
     raise ConfigError(f"cannot write output to {path!r}: {reason}")
 
 
-def _emit(output: str, path: str | None) -> None:
+def _emit(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks and a final newline to ``path``, or to stdout when there is none."""
     if not path:
-        print(output)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
         return
     try:
         with open(path, "w") as fh:
-            fh.write(output + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.write("\n")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = exc.strerror if isinstance(exc, OSError) else str(exc)
         raise ConfigError(f"cannot write output to {path!r}: {reason}") from exc

@@ -23,7 +23,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,14 +84,22 @@ class InvalidSchemeError(ValueError):
     """A five-party round selection fails the encoding-scheme validation."""
 
 
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+def bits_to_hex(bits: Sequence[int] | np.ndarray) -> str:
+    """Big-endian hex rendering, left-padded to whole nibbles; ``"0"`` for no bits.
 
-
-def bits_to_hex(bits: Sequence[int]) -> str:
-    """Big-endian hex rendering, left-padded to whole nibbles."""
-    value = int(bytes(map(int, bits)).translate(_BIT_DIGITS), 2) if len(bits) else 0
-    width = (len(bits) + 3) // 4
-    return f"{value:0{width}x}"
+    Raises ValueError on any integer other than 0 or 1.
+    """
+    if not isinstance(bits, np.ndarray):
+        bits = np.frombuffer(bytes(bits), dtype=np.uint8)  # refuses ints outside 0..255
+    n = bits.size
+    if bits.ndim != 1 or np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bits must be a flat sequence of 0s and 1s")
+    if not n:
+        return "0"
+    padded = np.zeros(-(-n // 8) * 8, dtype=np.uint8)  # left-padded to whole bytes
+    padded[-n:] = bits
+    text = np.packbits(padded).tobytes().hex()
+    return text[len(text) - (n + 3) // 4 :]
 
 
 def xor_bits(*keys: Sequence[int]) -> tuple[int, ...]:
@@ -331,7 +339,105 @@ class ProtocolResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """``to_dict()`` as JSON with sorted keys and a two-space indent.
+
+        The text is byte for byte what ``json.dumps`` writes with those
+        options; the CLI streams the same chunks instead of joining them.
+        """
+        return "".join(_json_chunks(self.to_dict()))
+
+
+_INFINITY = float("inf")
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# json's spelling of each scalar type; a subclass of str, int or float is
+# spelled as its base is.
+_SCALARS = {
+    str: _ENCODE_STR,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _json_key(key: str) -> str:
+    return _ENCODE_STR(key) + ": "
+
+
+def _json_text(value, indent: str) -> str | None:
+    """A scalar, a list of strings or a dict of scalars as one string; None for anything else."""
+    spell = _SCALARS.get(type(value))
+    if spell is not None:
+        return spell(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        try:
+            body = (",\n" + inner).join(
+                [_json_key(key) + _SCALARS[type(item)](item) for key, item in sorted(value.items())]
+            )
+        except KeyError:  # an item is no plain scalar
+            return None
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # each distinct string is encoded once
+            encoded = {item: _ENCODE_STR(item) for item in set(value)}
+        except TypeError:  # an item is not a string
+            return None
+        body = (",\n" + inner).join(map(encoded.__getitem__, value))
+        return "[\n" + inner + body + "\n" + indent + "]"
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALARS[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(value, indent: str = "") -> Iterator[str]:
+    """``value`` as JSON with sorted keys and a two-space indent, in chunks.
+
+    The chunks join to exactly the text ``json.dumps`` writes with those
+    options (``sort_keys=True`` and an indent of 2).
+
+    Dict keys must be strings. Each list of strings and each dict of
+    scalars is one chunk: the outcome labels and the transcript events,
+    which make up most of a run's output, are joined, not walked.
+    """
+    text = _json_text(value, indent)
+    if text is not None:
+        yield text
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [(_json_key(key), item) for key, item in sorted(value.items())]
+        head, close = "{\n" + inner, "\n" + indent + "}"
+    else:
+        items = [("", item) for item in value]
+        head, close = "[\n" + inner, "\n" + indent + "]"
+    for prefix, item in items:
+        text = _json_text(item, inner)
+        if text is not None:
+            yield head + prefix + text
+        else:
+            yield head + prefix
+            yield from _json_chunks(item, inner)
+        head = ",\n" + inner
+    yield close
 
 
 class _AbortRun(Exception):
@@ -660,7 +766,8 @@ def _run_ring(
     travels = list(copies[:, :, travel].reshape(parties, -1))  # stream s's travel qubits
     keys = [ctx.draw_key(j) for j in range(parties)]
     private = dict(zip(names, keys))
-    key_mask = np.array(keys, dtype=bool).reshape(-1)  # party by party
+    key_bits = np.array(keys, dtype=bool)  # (parties, n)
+    key_mask = key_bits.reshape(-1)  # party by party
 
     try:
         # Each hop runs in lockstep: all parties encode, then send, then
@@ -693,13 +800,14 @@ def _run_ring(
         # Decode each copy with its returned travel qubits in their positions.
         derived: dict[str, tuple[int, ...] | None] = {}
         outcome_records: dict[str, tuple[str, ...]] = {}
+        labels = np.array([label for label, _ in ring.outcomes], dtype=object)
+        parity = np.array([bit for _, bit in ring.outcomes], dtype=bool)
         for j in range(parties):
             groups = copies[j].copy()
             groups[:, travel] = travels[j].reshape(n, len(travel))
-            rows = store.measure_rows_in_basis(groups, ring.basis, rng)
-            decoded = [ring.outcomes[i] for i in rows]
-            outcome_records[names[j]] = tuple(label for label, _ in decoded)
-            derived[names[j]] = tuple(kb ^ bit for kb, (_, bit) in zip(keys[j], decoded))
+            rows = np.array(store.measure_rows_in_basis(groups, ring.basis, rng))
+            outcome_records[names[j]] = tuple(labels[rows].tolist())
+            derived[names[j]] = tuple((key_bits[j] ^ parity[rows]).view(np.uint8).tolist())
 
         counts = count_from_transcript(t)
         return ProtocolResult(

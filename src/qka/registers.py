@@ -210,7 +210,9 @@ def _checked_basis(basis) -> np.ndarray:
     basis = _real(basis)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise ValueError(f"a basis of shape {basis.shape} is not square: it does not resolve")
-    if np.abs(basis @ basis.T - np.eye(len(basis))).sum(axis=1).max() > NORM_TOL:
+    gram = basis @ basis.T
+    gram.ravel()[:: len(basis) + 1] -= 1.0  # minus the identity, in place
+    if np.add.reduce(np.abs(gram, out=gram), axis=1).max() > NORM_TOL:
         raise ValueError("basis rows are not orthonormal: the basis does not resolve")
     return basis
 
@@ -259,17 +261,24 @@ def _members(labels: np.ndarray):
         yield int(ranked[lo]), order[lo:hi]
 
 
+_EMPTY_GROUP = "a group must name at least one qubit"
+
+
 def _id_table(groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Nonempty equal-sized groups of qubit ids as one (groups, size) array.
 
     A 2-D integer array is taken as it is.
     """
     if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
+        if not groups.shape[1]:
+            raise ValueError(_EMPTY_GROUP)
         return groups.astype(np.int64, copy=False)
     sizes = set(map(len, groups))
     if len(sizes) != 1:
         raise ValueError("every group must hold the same number of qubits")
     (size,) = sizes
+    if not size:
+        raise ValueError(_EMPTY_GROUP)
     flat = itertools.chain.from_iterable(groups)
     return np.fromiter(flat, dtype=np.int64, count=len(groups) * size).reshape(-1, size)
 
@@ -575,6 +584,8 @@ class QubitStore:
         listed qubit order. Returns the sampled row index; measured qubits
         retire.
         """
+        if not len(qubits):
+            raise ValueError(_EMPTY_GROUP)
         if len(set(qubits)) != len(qubits):
             raise ValueError("measured qubits must be distinct")
         basis = _checked_basis(basis)

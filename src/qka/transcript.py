@@ -15,9 +15,13 @@ list it holds, so digests are those of the equal list payload.
 
 A digest is the SHA-256 of ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))`` with arrays as their lists. The payload is hashed
-value by value; a nonnegative 1-D or 2-D integer array is rendered by one
-gather from a table of ``",digits"`` words, which gives the bytes json would
-write, and every other value goes through json itself.
+value by value, after the cached ``{"key":`` or ``,"key":`` prefix of each
+key. A nonnegative 1-D or 2-D integer array is rendered by one gather from
+a table of ``",digits"`` words and one ``bytes.translate`` that drops their
+zero padding, which gives the bytes json would write. Plain ints and
+strings are spelled directly, and every other value goes through json
+itself. ``Transcript.to_dict()`` takes the digests, so they cost nothing
+until a JSON result is written.
 
 The classical channel this models is authenticated, ordered and lossless;
 logging an event is the delivery.
@@ -28,6 +32,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,17 +60,31 @@ def payload_digest(payload: dict) -> str:
     """SHA-256 of the payload's canonical JSON, arrays written as their lists."""
     digest = hashlib.sha256()
     if type(payload) is dict and all(type(key) is str for key in payload):
-        separator = b"{"
+        first = True
         for key in sorted(payload):
-            digest.update(separator + _ENCODER.encode(key).encode() + b":")
-            value = payload[key]
-            text = _int_array_json(value)
-            digest.update(text if text is not None else _ENCODER.encode(value).encode())
-            separator = b","
+            digest.update(_key_prefix(key, first))
+            digest.update(_value_json(payload[key]))
+            first = False
         digest.update(b"}" if payload else b"{}")
     else:
         digest.update(_ENCODER.encode(payload).encode())
     return digest.hexdigest()
+
+
+def _value_json(value) -> bytes:
+    """One payload value's canonical JSON; plain ints and strings skip the encoder."""
+    if type(value) is int:
+        return b"%d" % value
+    if type(value) is str:
+        return encode_basestring_ascii(value).encode()
+    text = _int_array_json(value)
+    return text if text is not None else _ENCODER.encode(value).encode()
+
+
+@lru_cache(maxsize=256)
+def _key_prefix(key: str, first: bool) -> bytes:
+    """``{"key":`` for a payload's first key, ``,"key":`` for every later one."""
+    return (b"{" if first else b",") + encode_basestring_ascii(key).encode() + b":"
 
 
 # Below this many ints json's own encoder is as fast as the gather (timed on
@@ -77,12 +97,7 @@ _TABLE_START = 2**12
 _COMMA = np.uint64(ord(","))
 
 
-def _word(text: bytes) -> np.uint64:
-    return np.frombuffer(text.ljust(8, b"\0"), dtype="<u8")[0]
-
-
-_OPEN, _CLOSE = _word(b"["), _word(b"]")
-_OPEN_ROWS, _NEXT_ROW, _CLOSE_ROWS = _word(b"[["), _word(b"],["), _word(b"]]")
+_NEXT_ROW = np.frombuffer(b"],[".ljust(8, b"\0"), dtype="<u8")[0]
 
 
 def _decimal_words(size: int) -> np.ndarray:
@@ -130,8 +145,9 @@ def _int_array_json(value) -> bytes | None:
     """Compact JSON of a nonnegative 1-D or 2-D integer array; None for any other value.
 
     Each int becomes its ``",digits"`` word and the first of each row drops
-    its comma (the comma is the word's low byte). Bracket words go around
-    the rows, and one ``bytes.translate`` removes the zero padding.
+    its comma (the comma is the word's low byte); a 2-D array's rows each
+    start with a ``"],["`` word. One ``bytes.translate`` removes the zero
+    padding, and the outer brackets go on as bytes.
     """
     if not (
         type(value) is np.ndarray
@@ -141,24 +157,25 @@ def _int_array_json(value) -> bytes | None:
     ):
         return None
     if value.dtype.kind == "i":
-        value = value.astype(np.int64, copy=False).view(np.uint64)  # negatives read as huge
-    table = _DECIMALS.covering(int(value.max()))
+        value = value.astype(np.int64, copy=False)
+        top = value.view(np.uint64).max()  # a negative reads as huge
+    else:
+        top = value.max()
+    table = _DECIMALS.covering(int(top))
     if table is None:
         return None
+    # The gather indexes with ``value`` itself: int64 indices take numpy's
+    # fast path, the uint64 view does not.
     if value.ndim == 1:
-        words = np.empty(value.size + 2, dtype="<u8")
-        words[0], words[-1] = _OPEN, _CLOSE
-        words[1:-1] = table[value]
-        words[1] -= _COMMA
-    else:
-        rows, cols = value.shape
-        words = np.empty(rows * (cols + 1) + 1, dtype="<u8")
-        grid = words[:-1].reshape(rows, cols + 1)
-        grid[:, 0] = _NEXT_ROW
-        grid[0, 0], words[-1] = _OPEN_ROWS, _CLOSE_ROWS
-        grid[:, 1:] = table[value]
-        grid[:, 1] -= _COMMA
-    return words.tobytes().translate(None, b"\0")
+        words = table[value]
+        words[0] -= _COMMA
+        return b"[" + words.tobytes().translate(None, b"\0") + b"]"
+    words = np.empty((len(value), value.shape[1] + 1), dtype="<u8")
+    words[:, 0] = _NEXT_ROW
+    words[:, 1:] = table[value]
+    words[:, 1] -= _COMMA
+    # "],[a,b],[c,d" loses its leading "],": "[" + "[a,b],[c,d" + "]]"
+    return b"[" + words.tobytes().translate(None, b"\0")[2:] + b"]]"
 
 
 def _snapshot(value):
@@ -227,16 +244,6 @@ class Transcript:
         )
         self.events.append(event)
         return event
-
-    def kinds(self) -> list[str]:
-        return [e.kind for e in self.events]
-
-    def first_index(self, kind: str) -> int:
-        """Index of the first event of the given kind; -1 when absent."""
-        for event in self.events:
-            if event.kind == kind:
-                return event.index
-        return -1
 
     def to_dict(self) -> dict:
         return {

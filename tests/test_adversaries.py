@@ -386,7 +386,7 @@ class TestAbortedTranscripts:
                 aborted = r
                 break
         assert aborted is not None
-        kinds = aborted.transcript.kinds()
+        kinds = [event.kind for event in aborted.transcript.events]
         assert ABORT in kinds
         assert MESSAGE_ORDER_DISCLOSURE not in kinds
         assert aborted.resource_counts is None

@@ -103,6 +103,52 @@ class TestRunCommand:
         assert json.loads(target.read_text())["agreement"] is True
 
 
+class TestStreamedOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--protocol", "five-party", "--key-bits", "64", "--seed", "2"),
+            ("--protocol", "three-party", "--key-bits", "8", "--trials", "3"),
+            ("--protocol", "two-party", "--key-bits", "8", "--format", "text"),
+            ("--protocol", "two-party", "--key-bits", "8", "--trials", "2", "--format", "text"),
+            ("--protocol", "two-party", "--key-bits", "16", "--adversary", "intercept-z"),
+        ],
+        ids=["json-run", "json-batch", "text-run", "text-batch", "aborted-run"],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        _, out, _ = run_cli(capsys, "run", *argv)
+        code, to_file, _ = run_cli(capsys, "run", *argv, "--out", str(target))
+        assert code == 0 and to_file == ""
+        assert target.read_bytes() == out.encode()
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    @pytest.mark.parametrize(
+        "argv, key_rate, checks_see_errors",
+        [
+            (("--adversary", "none"), 0.0, False),  # every trial agrees: float zeros
+            (("--adversary", "intercept-z", "--key-bits", "16"), None, True),  # all abort: null
+            (("--adversary", "intercept-z", "--attack-fraction", "0.05",
+              "--threshold", "0.5", "--key-bits", "64"), 0.0, True),
+            (("--adversary", "dishonest-bob", "--key-bits", "8"), "float", False),
+        ],
+        ids=["honest", "all-abort", "light-attack", "reorder"],
+    )
+    def test_batch_json_is_json_dumps_of_its_payload(self, capsys, argv, key_rate, checks_see_errors):
+        code, out, _ = run_cli(capsys, "run", "--trials", "6", "--seed", "4", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        summary = payload["summary"]
+        if key_rate == "float":
+            assert isinstance(summary["key_bit_error_rate"], float)
+            assert 0 < summary["key_bit_error_rate"] < 1
+        else:
+            assert summary["key_bit_error_rate"] == key_rate
+        assert isinstance(summary["mean_error_rate"], float)
+        assert (summary["mean_error_rate"] > 0) == checks_see_errors
+
+
 class TestConfigHandling:
     def test_config_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "spec.json"

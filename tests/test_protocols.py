@@ -21,6 +21,7 @@ from qka.protocols import (
     ProtocolConfig,
     _RunContext,
     bits_to_hex,
+    check_adversary,
     encode_key,
     five_party_round_subgroups,
     insert_decoys_and_permute,
@@ -79,6 +80,15 @@ def reference_scramble(message_qubits, store, rng, decoy_pair_count=None):
 
 def reference_restore_order(slots, order):
     return [slots[s] for s in order]
+
+
+def event_kinds(log):
+    return [event.kind for event in log.events]
+
+
+def first_index(log, kind):
+    """Index of the first event of the given kind; -1 when absent."""
+    return next((event.index for event in log.events if event.kind == kind), -1)
 
 
 def reference_payload_digest(payload):
@@ -379,13 +389,13 @@ class TestTwoParty:
     def test_announcement_precedes_order_disclosure(self):
         for run in range(10):
             t = run_two_party(config(n=8, seed=7, run=run)).transcript
-            key_idx = t.first_index(KEY_ANNOUNCEMENT)
-            order_idx = t.first_index(MESSAGE_ORDER_DISCLOSURE)
+            key_idx = first_index(t, KEY_ANNOUNCEMENT)
+            order_idx = first_index(t, MESSAGE_ORDER_DISCLOSURE)
             assert 0 <= key_idx < order_idx
 
     def test_return_leg_withholds_message_order(self):
         t = run_two_party(config(n=8, seed=7)).transcript
-        kinds = t.kinds()
+        kinds = event_kinds(t)
         # outbound leg: one full disclosure; return leg: decoys only, then
         # the order comes after the key announcement
         assert kinds.count(FULL_PERMUTATION_DISCLOSURE) == 1
@@ -632,11 +642,53 @@ class TestFiveParty:
                 assert tag in decoy_seen
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def reference_bits_to_hex(bits):
+    """The one-liner the packbits version replaced, kept as its oracle."""
+    value = int(bytes(map(int, bits)).translate(_BIT_DIGITS), 2) if len(bits) else 0
+    width = (len(bits) + 3) // 4
+    return f"{value:0{width}x}"
+
+
+def _as_form(bits, form):
+    return tuple(bits) if form == "tuple" else np.array(bits, dtype=form)
+
+
+_BIT_LISTS = st.one_of(
+    st.lists(st.integers(0, 1), max_size=70),
+    st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).integers(0, 2, 1024).tolist()),
+)
+
+
 class TestResultRendering:
     def test_hex_rendering(self):
         assert bits_to_hex((1, 0, 1, 1)) == "b"
         assert bits_to_hex((0, 0, 1, 0, 1, 1)) == "0b"
         assert bits_to_hex((1,) * 8) == "ff"
+        assert bits_to_hex(()) == "0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=_BIT_LISTS, form=st.sampled_from(["tuple", "int64", "uint8", "bool"]))
+    def test_hex_matches_the_reference(self, bits, form):
+        value = _as_form(bits, form)
+        assert bits_to_hex(value) == reference_bits_to_hex(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bits=_BIT_LISTS,
+        bad=st.sampled_from([2, -1]),
+        where=st.integers(0, 1024),
+        form=st.sampled_from(["tuple", "int64"]),
+    )
+    def test_hex_refuses_what_is_not_a_bit(self, bits, bad, where, form):
+        bits.insert(where % (len(bits) + 1), bad)
+        value = _as_form(bits, form)
+        with pytest.raises(ValueError):
+            reference_bits_to_hex(value)
+        with pytest.raises(ValueError):
+            bits_to_hex(value)
 
     def test_json_roundtrips_and_has_schema(self):
         r = run_two_party(config(n=8, seed=44))
@@ -784,3 +836,109 @@ class TestPayloadDigest:
                 sizes.append(transcript._DECIMALS.words.size)
         assert sizes[0] == transcript._TABLE_START
         assert sizes[-1] == 2**16  # five-party n=1024 ids reach 46,079
+
+
+def _accepted_adversaries(parties):
+    """Every adversary kind that ``check_adversary`` lets act on this protocol."""
+    kinds = []
+    for kind in AdversaryKind:
+        try:
+            check_adversary(config(n=2, parties=parties), AdversaryModel(kind=kind))
+        except ValueError:
+            continue
+        kinds.append(kind)
+    return kinds
+
+
+_ACCEPTED = {parties: _accepted_adversaries(parties) for parties in (2, 3, 5)}
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def _written(value):
+    return "".join(protocols._json_chunks(value))
+
+
+# JSON trees: strings with escapes and non-ASCII text, every float json
+# spells (NaN and both infinities), empty and nested lists, tuples and dicts.
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(st.characters(blacklist_categories=()))
+    | st.sampled_from(["", "\\", '"', "\n\t", " ", "é", "\U0001f600", "\udc80"]),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    def test_every_protocol_is_checked_with_each_adversary_it_accepts(self):
+        assert [len(kinds) for kinds in _ACCEPTED.values()] == [5, 3, 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_run_output_is_json_dumps_of_to_dict(self, data):
+        parties = data.draw(st.sampled_from([2, 3, 5]))
+        adversary = AdversaryModel(
+            kind=data.draw(st.sampled_from(_ACCEPTED[parties])),
+            fraction=data.draw(st.sampled_from([0.25, 1.0])),
+            transmission_index=data.draw(st.integers(0, 3)),
+        )
+        cfg = config(
+            n=data.draw(st.sampled_from([2, 16, 1024])),
+            parties=parties,
+            seed=data.draw(st.integers(0, 2**16)),
+            error_threshold=data.draw(st.sampled_from([0.0, 0.3])),
+            five_party_state=data.draw(st.sampled_from(["omega", "cluster"])),
+            five_party_rounds=data.draw(st.sampled_from(protocols.FIVE_PARTY_ROUND_CHOICES)),
+        )
+        result = run_protocol(cfg, adversary)
+        assert result.to_json() == _dumps(result.to_dict())
+
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    @pytest.mark.parametrize("aborted", [False, True])
+    def test_aborted_and_completed_runs(self, parties, aborted):
+        kind = AdversaryKind.INTERCEPT_RESEND_Z if aborted else AdversaryKind.NONE
+        adversary = AdversaryModel(kind=kind, fraction=0.5)
+        for seed in range(40):
+            result = run_protocol(config(n=16, parties=parties, seed=seed), adversary)
+            if result.aborted == aborted:
+                break
+        assert result.aborted == aborted
+        assert result.to_json() == _dumps(result.to_dict())
+
+    @settings(max_examples=250, deadline=None)
+    @given(value=_JSON_TREES)
+    def test_any_json_tree(self, value):
+        assert _written(value) == _dumps(value)
+
+    def test_crafted_values(self):
+        value = {
+            "empty": [[], {}, (), [[]], {"": {}}],
+            "text": ["é ", '"quoted"\\', "\x00\x1f", "\udc80", ""],
+            "floats": [float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300, 5e-324],
+            "subclasses": [AdversaryKind.NONE, np.float64(0.1), True, False, None, 2**70],
+            "scalars": {"kind": AdversaryKind.DISHONEST_BOB_REORDER, "rate": np.float64(0.5)},
+        }
+        assert _written(value) == _dumps(value)
+        for scalar in (None, True, 0, -7, 0.5, float("nan"), "x", []):
+            assert _written(scalar) == _dumps(scalar)
+
+    def test_unserializable_value_raises_like_json(self):
+        for value in ({"a": np.int64(3)}, [np.arange(2)], {"a": {1, 2}}):
+            with pytest.raises(TypeError):
+                _dumps(value)
+            with pytest.raises(TypeError):
+                _written(value)
+
+    def test_text_comes_in_chunks(self):
+        result = run_protocol(config(n=64, parties=5, seed=1))
+        chunks = list(protocols._json_chunks(result.to_dict()))
+        assert len(chunks) > len(result.transcript.events)
+        assert "".join(chunks) == result.to_json()

@@ -310,6 +310,54 @@ class TestValidation:
         assert rng.bit_generator.state == before
 
 
+    @pytest.mark.parametrize("call", ["measure_in_basis", "measure_rows_in_basis", "rows_array"])
+    def test_empty_group_refused_before_drawing(self, call):
+        store = QubitStore()
+        store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        live, rng = store.live_qubits(), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least one qubit"):
+            if call == "measure_in_basis":
+                store.measure_in_basis((), np.eye(1), rng)
+            elif call == "measure_rows_in_basis":
+                store.measure_rows_in_basis([(), ()], np.eye(1), rng)
+            else:
+                store.measure_rows_in_basis(np.empty((2, 0), dtype=np.int64), np.eye(1), rng)
+        assert store.live_qubits() == live
+        assert rng.bit_generator.state == before
+
+    def test_basis_rule_holds_at_the_tolerance(self):
+        # The rule as first written: each row's summed distance from its unit
+        # vector in the Gram matrix stays within NORM_TOL.
+        def refused(basis):
+            gram_error = np.abs(basis @ basis.T - np.eye(len(basis))).sum(axis=1).max()
+            return gram_error > registers.NORM_TOL
+
+        plan = np.random.default_rng(11)
+        verdicts = []
+        for dim in (2, 4, 16):
+            for _ in range(12):
+                basis = random_basis(plan, dim)
+                direction = plan.normal(size=(dim, dim))
+                slope = (
+                    np.abs((basis + 1e-9 * direction) @ (basis + 1e-9 * direction).T - np.eye(dim))
+                    .sum(axis=1)
+                    .max()
+                    / 1e-9
+                )
+                for ratio in (1 - 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-3):
+                    candidate = basis + ratio * registers.NORM_TOL / slope * direction
+                    try:
+                        registers._checked_basis(candidate)
+                    except ValueError as exc:
+                        assert "not orthonormal" in str(exc)
+                        verdict = True
+                    else:
+                        verdict = False
+                    assert verdict == refused(candidate)
+                    verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)  # both sides of the tolerance were met
+
 def _pass_workout(store: QubitStore, seed: int) -> list:
     """Paulis and measurements over trains longer than a pass of three rows.
 
