@@ -22,7 +22,6 @@ from .pauli import (
     PauliLetter,
     Subgroup,
     check_disjoint,
-    decode_operator,
     dense_coding_orthogonal,
     mul,
     product_set,
@@ -74,7 +73,6 @@ __all__ = [
     "attack_transit",
     "check_disjoint",
     "count_from_transcript",
-    "decode_operator",
     "dense_coding_orthogonal",
     "encode_key",
     "inner_product",

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .registers import QubitStore
+from .registers import BELL_VECTORS, BELL_X_BITS, QubitStore
 
 
 class AdversaryKind(str, Enum):
@@ -148,8 +148,8 @@ def dishonest_alice_early_measure(
     slots: Sequence[int] | np.ndarray,
     record,
     rng: np.random.Generator,
-    true_partner_key: Sequence[int],
-) -> tuple[tuple[int, ...], dict]:
+    true_partner_key: np.ndarray,
+) -> tuple[np.ndarray, dict]:
     """Decode the peer's key before the message order is public.
 
     The attacker knows which slots hold message qubits (the decoy
@@ -158,8 +158,9 @@ def dishonest_alice_early_measure(
     Correctly guessed pairings decode exactly; wrong ones hit entanglement
     swapping and come out uncorrelated with the true bits.
 
-    Returns the guessed key bits plus a report with the per-bit accuracy
-    against the true key (known to the harness, not the attacker).
+    Returns the guessed key bits, as a read-only uint8 array, plus a report
+    with the per-bit accuracy against the true key (known to the harness,
+    not the attacker).
     """
     n = len(kept)
     is_message = np.ones(len(slots), dtype=bool)
@@ -169,16 +170,17 @@ def dishonest_alice_early_measure(
         raise ValueError("message slot count does not match kept qubits")
     guessed_slots = message_slots[rng.permutation(n)]
     pairs = np.column_stack([kept, np.asarray(slots)[guessed_slots]])
-    guessed_bits = tuple(o.x_bit for o in store.measure_bell_rows(pairs, rng))
-    correct_pairing = (guessed_slots == record.message_order).tolist()
-    hits = [int(bit == key_bit) for bit, key_bit in zip(guessed_bits, true_partner_key)]
-    wrong = [i for i in range(n) if not correct_pairing[i]]
+    guessed_bits = BELL_X_BITS[np.array(store.measure_rows_in_basis(pairs, BELL_VECTORS, rng))]
+    guessed_bits.flags.writeable = False
+    wrong = guessed_slots != record.message_order
+    hits = guessed_bits == true_partner_key
+    wrong_count = int(np.count_nonzero(wrong))
     report = {
         "kind": "early-measure",
-        "correct_pairings": sum(correct_pairing),
-        "per_bit_accuracy": sum(hits) / n,
+        "correct_pairings": n - wrong_count,
+        "per_bit_accuracy": int(np.count_nonzero(hits)) / n,
         "wrong_pair_accuracy": (
-            sum(hits[i] for i in wrong) / len(wrong) if wrong else None
+            int(np.count_nonzero(hits & wrong)) / wrong_count if wrong_count else None
         ),
     }
     return guessed_bits, report

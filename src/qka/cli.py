@@ -244,13 +244,11 @@ def batch_summary(results: Sequence[ProtocolResult]) -> dict:
     completed = [r for r in results if not r.aborted]
     agreement = sum(1 for r in completed if r.agreement())
     error_rates = [c.error_rate for r in results for c in r.checks]
-    bit_errors = 0
-    bit_total = 0
+    bit_errors = bit_total = 0
     for r in completed:
-        truth = r.ground_truth_key()
-        for key in r.derived_keys.values():
-            bit_total += len(truth)
-            bit_errors += sum(1 for a, b in zip(key, truth) if a != b)
+        derived = np.stack(list(r.derived_keys.values()))
+        bit_errors += int(np.count_nonzero(derived != r.ground_truth_key()))
+        bit_total += derived.size
     return {
         "trials": total,
         "abort_rate": aborted / total,
@@ -298,10 +296,8 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def _shared_key_hex(result: ProtocolResult) -> str | None:
-    if result.aborted:
-        return None
-    key = result.derived_keys[result.party_names[0]]
-    return bits_to_hex(key) if key is not None else None
+    """The first party's key in hex; a run that did not abort derived every key."""
+    return None if result.aborted else bits_to_hex(result.derived_keys[result.party_names[0]])
 
 
 def _render_single(result: ProtocolResult) -> str:

@@ -254,26 +254,6 @@ def dense_coding_orthogonal(
     return True
 
 
-def decode_operator(
-    initial: StateRegister,
-    final: StateRegister,
-    targets: Sequence[int],
-    group: Iterable[GroupElement],
-    tol: float = ORTHO_TOL,
-) -> GroupElement:
-    """Find the unique group element mapping ``initial`` to ``final``.
-
-    The match ignores a global sign/phase, consistent with the phase-free
-    group. Raises ValueError when the final state lies outside the basis
-    generated by the group.
-    """
-    for element in canonical_order(group):
-        candidate = apply_element(initial, element, targets)
-        if abs(abs(inner_product(final, candidate)) - 1.0) < tol:
-            return element
-    raise ValueError("final state is not in the basis generated by the group")
-
-
 @dataclass(frozen=True)
 class EncodingScheme:
     """Parameters of a multi-round dense-coding key encoding.

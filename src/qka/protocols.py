@@ -55,7 +55,9 @@ from .pauli import (
     validate_scheme,
 )
 from .registers import (
+    BELL_LABELS,
     BELL_VECTORS,
+    BELL_X_BITS,
     MAX_REGISTER_QUBITS,
     BellOutcome,
     FourQubitState,
@@ -102,8 +104,11 @@ def bits_to_hex(bits: Sequence[int] | np.ndarray) -> str:
     return text[len(text) - (n + 3) // 4 :]
 
 
-def xor_bits(*keys: Sequence[int]) -> tuple[int, ...]:
-    return tuple(np.bitwise_xor.reduce(np.array(keys, dtype=np.int64), axis=0).tolist())
+def xor_bits(*keys: np.ndarray) -> np.ndarray:
+    """The XOR of equal-length uint8 bit arrays, as a new read-only array."""
+    combined = np.bitwise_xor.reduce(keys)
+    combined.flags.writeable = False
+    return combined
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,8 @@ class ProtocolConfig:
             if len(self.fixed_keys) != self.party_count:
                 raise ValueError("fixed_keys must supply one key per party")
             for key in self.fixed_keys:
-                if len(key) != self.key_bits or any(b not in (0, 1) for b in key):
+                bits = np.asarray(key, dtype=object)  # object: a ragged key reaches the check
+                if bits.shape != (self.key_bits,) or not np.isin(bits, (0, 1)).all():
                     raise ValueError("each fixed key must be key_bits bits")
         if self.party_count == 5:  # raises InvalidSchemeError for an undecodable selection
             _five_party_ring(self.five_party_state, self.five_party_rounds)
@@ -268,7 +274,7 @@ def verify_decoys(
 def encode_key(
     store: QubitStore,
     qubits: Sequence[int] | np.ndarray,
-    key: Sequence[int],
+    key: Sequence[int] | np.ndarray,
     word: GroupElement,
 ) -> None:
     """Round encoding: ``word`` on each ``word.arity``-sized group whose key bit is 1."""
@@ -280,13 +286,15 @@ def encode_key(
     store.apply_pauli_groups(word, qubits.reshape(-1, arity)[key_mask])
 
 
-@dataclass
+@dataclass(eq=False)
 class ProtocolResult:
+    """A run's outcome. Keys are 1-D read-only uint8 bit arrays; results compare by identity."""
+
     protocol: str
     key_bits: int
     party_names: tuple[str, ...]
-    private_keys: dict[str, tuple[int, ...]]
-    derived_keys: dict[str, tuple[int, ...] | None]
+    private_keys: dict[str, np.ndarray]
+    derived_keys: dict[str, np.ndarray | None]
     aborted: bool
     abort_reason: str | None
     checks: list[TransmissionCheck]
@@ -295,15 +303,17 @@ class ProtocolResult:
     outcome_records: dict[str, tuple[str, ...]] = field(default_factory=dict)
     attack_report: dict | None = None
 
-    def ground_truth_key(self) -> tuple[int, ...]:
+    def ground_truth_key(self) -> np.ndarray:
         """XOR of all private keys; what every honest run must derive."""
         return xor_bits(*self.private_keys.values())
 
     def agreement(self) -> bool:
         return self._agrees_with(self.ground_truth_key())
 
-    def _agrees_with(self, truth: tuple[int, ...]) -> bool:
-        return not self.aborted and all(key == truth for key in self.derived_keys.values())
+    def _agrees_with(self, truth: np.ndarray) -> bool:
+        return not self.aborted and all(
+            np.array_equal(key, truth) for key in self.derived_keys.values()
+        )
 
     def to_dict(self) -> dict:
         report = (
@@ -463,11 +473,15 @@ class _RunContext:
         self.checks: list[TransmissionCheck] = []
         self._transmissions = 0
 
-    def draw_key(self, party_index: int) -> tuple[int, ...]:
+    def draw_key(self, party_index: int) -> np.ndarray:
+        """The party's private key as a read-only uint8 array: its fixed key, or n drawn bits."""
         fixed = self.config.fixed_keys
         if fixed is not None:
-            return tuple(int(b) for b in fixed[party_index])
-        return tuple(self.rng.integers(0, 2, size=self.config.key_bits).tolist())
+            key = np.array(fixed[party_index], dtype=np.uint8)
+        else:  # an int64 draw, cast: a uint8 draw would take other bits from the stream
+            key = self.rng.integers(0, 2, size=self.config.key_bits).astype(np.uint8)
+        key.flags.writeable = False
+        return key
 
     def log_preparation(self, step: str, actor: str, qubit_count: int, purpose: str) -> None:
         self.transcript.log(
@@ -532,7 +546,7 @@ class _RunContext:
             counted_bits=len(order),
         )
 
-    def announce_key(self, step: str, actor: str, key: Sequence[int]) -> None:
+    def announce_key(self, step: str, actor: str, key: np.ndarray) -> None:
         self.transcript.log(
             step,
             actor,
@@ -634,8 +648,8 @@ def run_two_party(
     ctx = _RunContext(TWO_PARTY, config, adv)
     store, rng, t = ctx.store, ctx.rng, ctx.transcript
 
-    private: dict[str, tuple[int, ...]] = {}
-    derived: dict[str, tuple[int, ...] | None] = {alice: None, bob: None}
+    private: dict[str, np.ndarray] = {}
+    derived: dict[str, np.ndarray | None] = {alice: None, bob: None}
     outcome_records: dict[str, tuple[str, ...]] = {}
     attack_report: dict | None = None
 
@@ -666,12 +680,12 @@ def run_two_party(
         ctx.record_check("step5", bob, alice, idx2, *check2)
 
         # Insider hook: an impatient initiator measures on guessed pairings
-        # now, before committing to her announcement.
-        early_guess: tuple[int, ...] | None = None
+        # now, before committing to her announcement, and takes her key from them.
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
-            early_guess, attack_report = dishonest_alice_early_measure(
+            guess, attack_report = dishonest_alice_early_measure(
                 store, kept, slots2, rec2, rng, key_b
             )
+            derived[alice] = xor_bits(key_a, guess)
 
         # Step 6: the initiator commits; the responder can already finish.
         ctx.announce_key("step6", alice, key_a)
@@ -685,27 +699,22 @@ def run_two_party(
                 swap_pairs = choose_swap_pairs(n, adv.swap_count, rng)
             claimed = dishonest_bob_reorder(range(n), swap_pairs)  # the index each slot carries
             order = rec2.message_order[claimed]
-            claimed_bits = tuple(key_b[i] for i in claimed)
+            target = xor_bits(key_a, key_b[claimed])
             attack_report = {
                 "kind": "reorder",
                 "swap_pairs": [list(p) for p in swap_pairs],
-                "target_key": bits_to_hex(xor_bits(key_a, claimed_bits)),
+                "target_key": bits_to_hex(target),
             }
         ctx.disclose_order("step7", bob, order)
 
-        if early_guess is not None:
-            derived[alice] = xor_bits(key_a, early_guess)
-        else:
-            claimed = slots2[order]
-            outcomes = store.measure_bell_rows(np.column_stack([kept, claimed]), rng)
-            outcome_records[alice] = tuple(o.label for o in outcomes)
-            decoded = tuple(o.x_bit for o in outcomes)
-            derived[alice] = xor_bits(key_a, decoded)  # Step 8
+        if derived[alice] is None:  # Step 8: each bit flip is one of the responder's key bits.
+            pairs = np.column_stack([kept, slots2[order]])
+            rows = np.array(store.measure_rows_in_basis(pairs, BELL_VECTORS, rng))
+            outcome_records[alice] = tuple(BELL_LABELS[rows].tolist())
+            derived[alice] = xor_bits(key_a, BELL_X_BITS[rows])
 
-        if attack_report is not None and attack_report.get("kind") == "reorder":
-            attack_report["alice_key_matches_target"] = (
-                bits_to_hex(derived[alice]) == attack_report["target_key"]
-            )
+        if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
+            attack_report["alice_key_matches_target"] = np.array_equal(derived[alice], target)
 
         counts = count_from_transcript(t)
         return ProtocolResult(
@@ -766,8 +775,7 @@ def _run_ring(
     travels = list(copies[:, :, travel].reshape(parties, -1))  # stream s's travel qubits
     keys = [ctx.draw_key(j) for j in range(parties)]
     private = dict(zip(names, keys))
-    key_bits = np.array(keys, dtype=bool)  # (parties, n)
-    key_mask = key_bits.reshape(-1)  # party by party
+    key_mask = np.concatenate(keys)  # party by party
 
     try:
         # Each hop runs in lockstep: all parties encode, then send, then
@@ -798,16 +806,16 @@ def _run_ring(
             del sent  # free this hop's trains before the next hop's are built
 
         # Decode each copy with its returned travel qubits in their positions.
-        derived: dict[str, tuple[int, ...] | None] = {}
+        derived: dict[str, np.ndarray | None] = {}
         outcome_records: dict[str, tuple[str, ...]] = {}
         labels = np.array([label for label, _ in ring.outcomes], dtype=object)
-        parity = np.array([bit for _, bit in ring.outcomes], dtype=bool)
+        parity = np.array([bit for _, bit in ring.outcomes], dtype=np.uint8)
         for j in range(parties):
             groups = copies[j].copy()
             groups[:, travel] = travels[j].reshape(n, len(travel))
             rows = np.array(store.measure_rows_in_basis(groups, ring.basis, rng))
             outcome_records[names[j]] = tuple(labels[rows].tolist())
-            derived[names[j]] = tuple((key_bits[j] ^ parity[rows]).view(np.uint8).tolist())
+            derived[names[j]] = xor_bits(keys[j], parity[rows])
 
         counts = count_from_transcript(t)
         return ProtocolResult(

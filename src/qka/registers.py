@@ -86,7 +86,7 @@ class BellOutcome(IntEnum):
 
     @property
     def label(self) -> str:
-        return _BELL_LABELS[self]
+        return BELL_LABELS[self]
 
     @property
     def x_bit(self) -> int:
@@ -99,14 +99,10 @@ class BellOutcome(IntEnum):
         return int(self) & 1
 
 
-_BELL_LABELS = {
-    BellOutcome.PSI_PLUS: "psi+",
-    BellOutcome.PSI_MINUS: "psi-",
-    BellOutcome.PHI_PLUS: "phi+",
-    BellOutcome.PHI_MINUS: "phi-",
-}
-
 _BELL_OUTCOMES = tuple(BellOutcome)  # by index, faster than BellOutcome(i)
+# Each outcome's label and x bit, by index: a bulk measurement's rows are read through them.
+BELL_LABELS = np.array(["psi+", "psi-", "phi+", "phi-"], dtype=object)
+BELL_X_BITS = np.array([o.x_bit for o in BellOutcome], dtype=np.uint8)
 
 # Rows indexed by BellOutcome; columns over |00>, |01>, |10>, |11>.
 BELL_VECTORS = np.array(
@@ -192,20 +188,27 @@ def inner_product(a: StateRegister, b: StateRegister) -> float:
 
 
 def _real(values) -> np.ndarray:
-    """Outside amplitudes or basis rows as float64; a nonzero imaginary part is refused."""
+    """Outside amplitudes or basis rows as float64.
+
+    A nonzero imaginary part is refused, and so is a NaN or an infinity,
+    which no later norm, orthonormality or mass check would catch.
+    """
     values = np.asarray(values)
     if np.iscomplexobj(values):
         if np.any(values.imag):
             raise ValueError("amplitudes and basis rows must be real")
         values = values.real
-    return values.astype(np.float64, copy=False)
+    values = values.astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise ValueError("amplitudes and basis rows must be finite")
+    return values
 
 
 def _checked_basis(basis) -> np.ndarray:
     """Outside basis rows as float64; the one home of the basis rule.
 
-    A basis must be real, square, and orthonormal within ``NORM_TOL``: then
-    it resolves every state, and a register's mass under it is its norm.
+    A basis must be real, finite, square and orthonormal within ``NORM_TOL``:
+    then it resolves every state, and a register's mass under it is its norm.
     """
     basis = _real(basis)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
@@ -455,9 +458,6 @@ class QubitStore:
         block.live -= rows
         if not block.live:
             self._blocks[b] = None
-
-    def tracked(self, qubit: int) -> bool:
-        return 0 <= qubit < self._next_id and self._block_of[qubit] >= 0
 
     def live_qubits(self) -> list[int]:
         return np.flatnonzero(self._block_of[: self._next_id] >= 0).tolist()

@@ -109,8 +109,8 @@ def test_criterion_3_two_party_agreement():
             r = run_two_party(ProtocolConfig(key_bits=128, seed=1000, run_index=i))
             assert not r.aborted
             truth = xor_bits(r.private_keys["Alice"], r.private_keys["Bob"])
-            assert r.derived_keys["Alice"] == truth
-            assert r.derived_keys["Bob"] == truth
+            assert np.array_equal(r.derived_keys["Alice"], truth)
+            assert np.array_equal(r.derived_keys["Bob"], truth)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
 
@@ -124,7 +124,7 @@ def test_criterion_4_three_party_agreement():
             )
             assert not r.aborted
             truth = xor_bits(*r.private_keys.values())
-            assert all(key == truth for key in r.derived_keys.values())
+            assert all(np.array_equal(key, truth) for key in r.derived_keys.values())
         elapsed = time.perf_counter() - start
         assert elapsed < 20.0
 
@@ -154,7 +154,7 @@ def test_criterion_5_five_party_construction():
                 )
                 assert not r.aborted
                 truth = xor_bits(*r.private_keys.values())
-                assert all(key == truth for key in r.derived_keys.values())
+                assert all(np.array_equal(key, truth) for key in r.derived_keys.values())
 
 
 def test_criterion_6_dense_coding_orthogonality():

@@ -36,6 +36,10 @@ def config(n=16, parties=2, seed=0, run=0, **kw):
     return ProtocolConfig(key_bits=n, party_count=parties, seed=seed, run_index=run, **kw)
 
 
+def same_keys(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
 def binomial_band(p, trials, sigmas=3.0):
     sigma = math.sqrt(p * (1 - p) / trials)
     return p - sigmas * sigma, p + sigmas * sigma
@@ -86,7 +90,7 @@ class TestTransitAttacks:
         model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
         attack_transit(model, store, slots, np.random.default_rng(4))
         assert set(slots).isdisjoint({a, b})
-        assert not store.tracked(a) and not store.tracked(b)
+        assert {a, b}.isdisjoint(store.live_qubits())
         # the resent pair is a correlated computational product state
         bits = [store.measure_z(q, np.random.default_rng(0)) for q in slots]
         assert bits[0] == bits[1]
@@ -144,7 +148,7 @@ class TestInterceptResendZDetection:
             assert not r.aborted
             assert r.derived_keys["Alice"] is not None
             truth = r.ground_truth_key()
-            assert all(r.derived_keys[name] == truth for name in r.party_names[1:])
+            assert all(np.array_equal(r.derived_keys[name], truth) for name in r.party_names[1:])
 
     def test_detection_monotone_in_fraction(self):
         trials = 1000
@@ -185,7 +189,7 @@ class TestInterceptResendZDetection:
             )
             assert not r.aborted
             # Alice still decodes the responder's key perfectly
-            assert r.derived_keys["Alice"] == r.ground_truth_key()
+            assert np.array_equal(r.derived_keys["Alice"], r.ground_truth_key())
             for label in r.outcome_records["Alice"]:
                 z_bits.append(1 if label.endswith("-") else 0)
         assert abs(sum(z_bits) / len(z_bits) - 0.5) < 0.05
@@ -215,7 +219,7 @@ class TestDishonestBob:
             config(n=8, seed=33),
             AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_count=0),
         )
-        assert honest.derived_keys == attacked.derived_keys
+        assert same_keys(honest.derived_keys, attacked.derived_keys)
         assert attacked.attack_report["alice_key_matches_target"]
 
     def test_target_key_uses_the_bits_the_announced_slots_carry(self):
@@ -268,7 +272,7 @@ class TestDishonestBob:
         r = run_two_party(config(n=8, seed=2), adv)
         assert r.attack_report["swap_pairs"] == []
         assert r.attack_report["alice_key_matches_target"]
-        assert r.derived_keys == run_two_party(config(n=8, seed=2)).derived_keys
+        assert same_keys(r.derived_keys, run_two_party(config(n=8, seed=2)).derived_keys)
 
     def test_single_swap_outcomes_uniform_and_correlated(self):
         adv = AdversaryModel(
@@ -313,7 +317,7 @@ class TestDishonestBob:
         trials = 400
         for i in range(trials):
             r = run_two_party(config(n=32, seed=300, run=i), adv)
-            diverged += r.derived_keys["Alice"] != r.derived_keys["Bob"]
+            diverged += not np.array_equal(r.derived_keys["Alice"], r.derived_keys["Bob"])
         low, _ = binomial_band(1 - 0.5**4, trials, sigmas=4.0)
         assert diverged / trials >= low
 
@@ -322,7 +326,7 @@ class TestDishonestAlice:
     def test_honest_run_reaches_full_accuracy(self):
         r = run_two_party(config(n=16, seed=71))
         decoded = xor_bits(r.derived_keys["Alice"], r.private_keys["Alice"])
-        assert decoded == r.private_keys["Bob"]
+        assert np.array_equal(decoded, r.private_keys["Bob"])
 
     def test_wrongly_paired_bits_are_coin_flips(self):
         adv = AdversaryModel(kind=AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE)
@@ -352,7 +356,7 @@ class TestDishonestAlice:
     def test_bob_still_derives_the_honest_key(self):
         adv = AdversaryModel(kind=AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE)
         r = run_two_party(config(n=8, seed=420), adv)
-        assert r.derived_keys["Bob"] == r.ground_truth_key()
+        assert np.array_equal(r.derived_keys["Bob"], r.ground_truth_key())
 
 
 class TestNoAttackEquivalence:

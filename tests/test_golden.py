@@ -168,3 +168,41 @@ def test_later_party_abort_digest(parties, index):
     assert result.aborted and len(result.checks) == index + 1
     digest = hashlib.sha256(result.to_json().encode()).hexdigest()
     assert digest == ABORT_DIGESTS[(parties, index)]
+
+
+def _fixed_keys(parties, n):
+    return tuple(tuple((i * (2 * j + 3) // 5 + j) % 2 for i in range(n)) for j in range(parties))
+
+
+# Library runs whose keys come from ``ProtocolConfig.fixed_keys``, the one key
+# source no CLI call reaches: ``ProtocolResult.to_json()`` at n=16, seed 4.
+# The attacked runs pass threshold 1, so decode reads the attacked copies.
+# Generated from the engine that still held every key as a tuple of ints.
+FIXED_KEY_CASES = {
+    "two-party": (2, AdversaryKind.NONE),
+    "three-party": (3, AdversaryKind.NONE),
+    "five-party": (5, AdversaryKind.NONE),
+    "five-party-intercept-z": (5, AdversaryKind.INTERCEPT_RESEND_Z),
+    "two-party-dishonest-bob": (2, AdversaryKind.DISHONEST_BOB_REORDER),
+    "two-party-dishonest-alice": (2, AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE),
+}
+FIXED_KEY_DIGESTS = {
+    "two-party": "3b5e59cfadccad59436ffafb0335ab00777fc41b9b5f6360108c8d9baded49e0",
+    "three-party": "177224a6859948f061b49b9f1ead95e8df3298030fe69bd63f1181ee1a351eec",
+    "five-party": "d7392ea25fd053763655e17501b03b4825dac05ebe8605bcd818faf4d97c88bb",
+    "five-party-intercept-z": "3712d7de0d9e414fb5fca5e0dc600d91d557404e77acc73ed31879c267de0a2f",
+    "two-party-dishonest-bob": "2bda358d2a7a910599d64a12b5360195ce73a463b4b1c2376629044c97a13a3e",
+    "two-party-dishonest-alice": "93c3f8c2e51683c31386f90b8381dd577e7df3c1342c08c17372c415fd166672",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_KEY_CASES))
+def test_fixed_keys_digest(name):
+    parties, kind = FIXED_KEY_CASES[name]
+    config = ProtocolConfig(
+        key_bits=16, party_count=parties, seed=4, fixed_keys=_fixed_keys(parties, 16),
+        error_threshold=0.0 if kind is AdversaryKind.NONE else 1.0,
+    )
+    adversary = AdversaryModel(kind=kind, fraction=0.5, swap_count=3)
+    digest = hashlib.sha256(run_protocol(config, adversary).to_json().encode()).hexdigest()
+    assert digest == FIXED_KEY_DIGESTS[name]

