@@ -10,6 +10,13 @@ after learning the peer's key (which triggers entanglement swapping at the
 mismatched measurement pairs).
 
 Resent qubits are fresh ids; the measured originals retire from the store.
+Intercept-z runs a whole train at a time: its draws never depend on an
+outcome, so it walks them first, measures every hit in one
+``QubitStore.measure_qubits`` call and resends every hit from one
+allocation. Intercept-bell stays one slot pair at a time, through the
+scalar ``measure_bell`` and ``new_bell``: ``bench/tracer.py`` counts merges
+only at the scalar joint measurements, so it moves once the tracer sees the
+bulk layer.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .registers import BELL_VECTORS, BELL_X_BITS, QubitStore
+
+_Z_BASIS = np.eye(2)  # the computational basis; row b is also the state |b>
 
 
 class AdversaryKind(str, Enum):
@@ -87,27 +96,61 @@ def attack_transit(
     """Apply an external attack to a train in transit, rewriting its slots.
 
     ``slots`` is a mutable sequence of qubit ids (a list, or the engines'
-    int64 array). The attack runs slot by slot on a list of Python ints and
-    writes it back in place. A NONE model is a no-op (and draws no
+    int64 array), rewritten in place. A NONE model is a no-op (and draws no
     randomness); insider kinds raise.
+
+    Intercept-z walks the slots in order: ``rng.random() < fraction`` picks
+    a hit, and a hit then draws the uniform its measurement uses. No draw
+    depends on an outcome, so every hit is then Z-measured in one
+    ``measure_qubits`` call and resent from one allocation of ``|b>`` rows
+    in hit order, the ids one allocation per hit would have given.
+    Intercept-bell measures and resends one adjacent slot pair at a time.
     """
     if model.kind is AdversaryKind.NONE:
         return
     if not model.is_external:
         raise ValueError(f"{model.kind.value} is not an external transit attack")
-    ids = np.asarray(slots).tolist()
     if model.kind is AdversaryKind.INTERCEPT_RESEND_Z:
-        for k in range(len(ids)):
-            if rng.random() < model.fraction:
-                bit = store.measure_z(ids[k], rng)
-                ids[k] = store.new_computational(bit)
-    else:
-        # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.
-        for k in range(0, len(ids) - 1, 2):
-            if rng.random() < model.fraction:
-                outcome = store.measure_bell(ids[k], ids[k + 1], rng)
-                ids[k], ids[k + 1] = store.new_bell(outcome)
+        ids = np.array(slots, dtype=np.int64)
+        hits, uniforms = _intercept_draws(rng, ids.size, model.fraction)
+        if hits:
+            bits = store.measure_qubits(ids[hits], _Z_BASIS, uniforms)
+            ids[hits] = store.new_states(_Z_BASIS[bits]).ravel()
+            slots[:] = ids if isinstance(slots, np.ndarray) else ids.tolist()
+        return
+    # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.
+    ids = np.asarray(slots).tolist()
+    for k in range(0, len(ids) - 1, 2):
+        if rng.random() < model.fraction:
+            outcome = store.measure_bell(ids[k], ids[k + 1], rng)
+            ids[k], ids[k + 1] = store.new_bell(outcome)
     slots[:] = ids
+
+
+def _intercept_draws(
+    rng: np.random.Generator, slots: int, fraction: float
+) -> tuple[list[int], list[float]]:
+    """The hit slots of an intercept, and each hit's measurement uniform.
+
+    These are the draws of ``slots`` rounds of ``rng.random() < fraction``,
+    each hit followed by one more ``rng.random()``. They come in blocks of
+    ``rng.random(m)``, which yields the values of m scalar draws, and a
+    block never holds more than the draws still certain to come: one per
+    slot left, plus a uniform a hit is still owed.
+    """
+    hits, uniforms = [], []
+    slot, owed = 0, 0
+    while slot < slots or owed:
+        for value in rng.random(slots - slot + owed).tolist():
+            if owed:
+                uniforms.append(value)
+                owed = 0
+                continue
+            if value < fraction:
+                hits.append(slot)
+                owed = 1
+            slot += 1
+    return hits, uniforms
 
 
 def choose_swap_pairs(
@@ -170,7 +213,7 @@ def dishonest_alice_early_measure(
         raise ValueError("message slot count does not match kept qubits")
     guessed_slots = message_slots[rng.permutation(n)]
     pairs = np.column_stack([kept, np.asarray(slots)[guessed_slots]])
-    guessed_bits = BELL_X_BITS[np.array(store.measure_rows_in_basis(pairs, BELL_VECTORS, rng))]
+    guessed_bits = BELL_X_BITS[store.measure_rows_in_basis(pairs, BELL_VECTORS, rng)]
     guessed_bits.flags.writeable = False
     wrong = guessed_slots != record.message_order
     hits = guessed_bits == true_partner_key

@@ -20,6 +20,7 @@ is set and any run aborted on a failed disturbance check.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -125,7 +126,16 @@ def _check_config_types(values: dict) -> None:
             raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qka`` parser, built once per process; every caller gets the same object.
+
+    Reusing it is safe: argparse changes nothing in a parser while it
+    parses, and writes usage, errors and ``--version`` to whatever
+    ``sys.stdout`` and ``sys.stderr`` are at call time. ``--config``,
+    ``--out`` and ``QKA_SEED`` are read per call, after parsing. A caller
+    must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="qka",
         description="Simulate orthogonal-state quantum key agreement protocols.",

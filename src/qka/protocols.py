@@ -266,7 +266,8 @@ def verify_decoys(
     end = 0
     for count in counts:
         start, end = end, end + count
-        error_rates.append((count - outcomes[start:end].count(BellOutcome.PSI_PLUS)) / count)
+        passed = int(np.count_nonzero(outcomes[start:end] == BellOutcome.PSI_PLUS))
+        error_rates.append((count - passed) / count)
     passes = next((i for i, rate in enumerate(error_rates) if rate > threshold), len(counts))
     return passes, tuple(error_rates)
 
@@ -709,7 +710,7 @@ def run_two_party(
 
         if derived[alice] is None:  # Step 8: each bit flip is one of the responder's key bits.
             pairs = np.column_stack([kept, slots2[order]])
-            rows = np.array(store.measure_rows_in_basis(pairs, BELL_VECTORS, rng))
+            rows = store.measure_rows_in_basis(pairs, BELL_VECTORS, rng)
             outcome_records[alice] = tuple(BELL_LABELS[rows].tolist())
             derived[alice] = xor_bits(key_a, BELL_X_BITS[rows])
 
@@ -813,7 +814,7 @@ def _run_ring(
         for j in range(parties):
             groups = copies[j].copy()
             groups[:, travel] = travels[j].reshape(n, len(travel))
-            rows = np.array(store.measure_rows_in_basis(groups, ring.basis, rng))
+            rows = store.measure_rows_in_basis(groups, ring.basis, rng)
             outcome_records[names[j]] = tuple(labels[rows].tolist())
             derived[names[j]] = xor_bits(keys[j], parity[rows])
 

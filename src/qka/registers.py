@@ -9,25 +9,44 @@ Every register is one row of a *block*: ``r`` registers of one width ``w``
 held as an ``(r, 2^w)`` amplitude array. :meth:`QubitStore.new_train` makes
 an r-row block of r identical copies of one resource state and returns its
 ``(r, w)`` id matrix, the ids that r calls of ``new_bell`` or
-``new_four_qubit`` would have allocated; those calls, ``new_computational``,
-every merge and every post-measurement remainder make one-row blocks. One
-int32 map from qubit id to block (-1 once measured) locates every qubit: on
-a block made by allocation, row and position are ``divmod(id - first, w)``;
-any other block is one row over the qubits it lists.
+``new_four_qubit`` would have allocated; :meth:`QubitStore.new_states`
+allocates one block of given rows the same way. One int32 map from qubit id
+to block (-1 once measured) locates every qubit. A block made by allocation
+lists nothing: its row and position of an id are ``divmod(id - first, w)``,
+so an honest run keeps no per-id table beyond that map. Every other block,
+made by a merge or left behind by a measurement, is *listed*: it keeps an
+``(r, w)`` id table and a dict from id to its place in that table, and may
+hold many rows.
 
 A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
 is one index permutation and sign per (block, position), applied to all the
 rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. A measurement
-refuses bad input before it draws: every id must be live and named once, and
-a basis from outside must be real, square and orthonormal, so that it
-resolves every state. Measurement has two routines. Groups that are whole
-rows in register order are measured in bulk, whatever blocks they lie in:
-one matmul per pass, then one inverse-CDF draw per row. Every other group,
-and every scalar ``measure_bell``, ``measure_z`` and ``measure_in_basis``
-call, merges the rows it touches (a Kronecker product in first-seen order,
-capped at 12 qubits; anything larger fails loudly), samples one outcome and
-stores what remains as a one-row block. Measuring across two entangled pairs
-this way is what performs entanglement swapping.
+refuses bad input before it changes anything: every id must be live and
+named once, and a basis from outside must be real, square and orthonormal,
+so that it resolves every state. Measurement has three routines.
+
+* Groups that are whole rows, in register order, of allocated blocks are
+  measured in bulk, whatever blocks they lie in: one matmul per pass, then
+  one inverse-CDF draw per row (``measure_bell_rows``,
+  ``measure_rows_in_basis``).
+* Every other group, and every scalar ``measure_bell``, ``measure_z`` and
+  ``measure_in_basis`` call, goes through the general routine. It merges the
+  rows it touches (a Kronecker product in first-seen order, capped at 12
+  qubits; anything larger fails loudly), built with the measured qubits in
+  front from one cached gather per row, samples one outcome and stores what
+  remains as a one-row listed block. Measuring across two entangled pairs this way
+  is what performs entanglement swapping. Such swaps stay one group at a
+  time. Three prototypes that sorted cross-row groups into vectorized waves
+  gave the same bytes but made the attack benchmark up to 1.6x slower: a
+  bucket of one to eight groups cost 100-250 us against about 30 us per
+  group, and the fifteen guessed pairings of an early-measuring sender
+  chain into about seven buckets.
+* ``measure_qubits`` measures single qubits in bulk, each with its own
+  given uniform, as one-qubit measurements in list order would. A register
+  named more than once is measured once per wave, and each wave measures
+  its qubits in registers of one width with one gather and one matmul,
+  leaving their remainders as one multi-row listed block. Intercept-resend
+  in the Z basis measures a whole train through it.
 
 Every amplitude is float64: the resource states and the letter matrices of
 :mod:`qka.pauli` are real, so every reachable state is, a bra is its ket and
@@ -39,11 +58,12 @@ register is the most significant bit of the basis index. Bell states follow
 |psi+-> = (|00> +- |11>)/sqrt(2) and |phi+-> = (|01> +- |10>)/sqrt(2).
 
 Randomness is never ambient: every sampling operation takes a numpy
-Generator, and identical seeds reproduce identical outcome sequences and
-final stores. Every measurement draws exactly one ``rng.random()``; a
-vector measurement of m groups draws ``rng.random(m)``, which yields the
-same values as m scalar draws, so bulk and one-by-one measurement give the
-same outcomes.
+Generator, or the uniforms one drew, and identical seeds reproduce identical
+outcome sequences and final stores. Every measurement uses exactly one
+uniform; a vector measurement of m groups draws ``rng.random(m)``, which
+yields the same values as m scalar draws, so bulk and one-by-one
+measurement give the same outcomes. Bulk measurements return int64 index
+arrays: a Bell outcome is its ``BellOutcome`` index.
 """
 
 from __future__ import annotations
@@ -220,16 +240,20 @@ def _checked_basis(basis) -> np.ndarray:
     return basis
 
 
-def _sample_index(probs: np.ndarray, uniform: float) -> int:
-    """Born-rule draw from one uniform in [0, 1); zero-probability outcomes are never selected."""
-    total = float(probs.sum())
+def _sample_index(probs: np.ndarray, uniform: float, total: float | None = None) -> int:
+    """Born-rule draw from one uniform in [0, 1); zero-probability outcomes are never selected.
+
+    ``total`` is ``float(probs.sum())``, passed by a caller that has it already.
+    """
+    if total is None:
+        total = float(probs.sum())
     u = uniform * total
     acc = 0.0
     last = 0
-    for i, p in enumerate(probs):
+    for i, p in enumerate(probs.tolist()):
         if p <= 0.0:
             continue
-        acc += float(p)
+        acc += p
         last = i
         if u < acc:
             return i
@@ -242,11 +266,13 @@ def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     The running sum only grows at nonzero bins, so the first bin whose
     running sum exceeds the target is a nonzero one, as in the scalar loop.
     """
-    targets = uniforms * probs.sum(axis=1)
-    outcomes = (np.cumsum(probs, axis=1) <= targets[:, None]).sum(axis=1)
-    for i in np.flatnonzero(outcomes == probs.shape[1]).tolist():
-        nonzero = np.flatnonzero(probs[i] > 0.0)
-        outcomes[i] = nonzero[-1] if nonzero.size else 0  # roundoff: last nonzero bin
+    targets = uniforms * np.add.reduce(probs, 1)
+    outcomes = np.add.reduce(probs.cumsum(axis=1) <= targets[:, None], 1)
+    over = outcomes == probs.shape[1]
+    if over.any():
+        for i in np.flatnonzero(over).tolist():
+            nonzero = np.flatnonzero(probs[i] > 0.0)
+            outcomes[i] = nonzero[-1] if nonzero.size else 0  # roundoff: last nonzero bin
     return outcomes
 
 
@@ -334,39 +360,95 @@ def apply_element(
     return StateRegister._trusted(register.qubits, amplitudes)
 
 
+@lru_cache(maxsize=256)
+def _front_gather(width: int, front: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The gather that moves ``front`` to the most significant bits of a ``width``-qubit row.
+
+    ``row[gather]`` lists the row with the qubits at ``front`` first, in that
+    order, and the others after them in row order; returns the gather and
+    those other positions.
+    """
+    rest = tuple(p for p in range(width) if p not in front)
+    gather = np.arange(2**width).reshape((2,) * width).transpose(front + rest).reshape(-1)
+    gather.flags.writeable = False  # shared through the cache
+    return gather, rest
+
+
+@lru_cache(maxsize=256)
+def _merge_gathers(
+    widths: tuple[int, ...], front: tuple[int, ...]
+) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+    """``_front_gather`` of the Kronecker product of rows of ``widths``, in order.
+
+    Returns one gather per row, such that the product of ``row_i[gather_i]``,
+    left to right, is the merged register with the qubits at ``front``
+    moved first, and the positions ``_front_gather`` leaves.
+    """
+    gather, rest = _front_gather(sum(widths), front)
+    below = np.cumsum((0,) + widths[:0:-1])[::-1]  # merged bits below each row
+    gathers = tuple((gather >> int(s)) & ((1 << w) - 1) for s, w in zip(below, widths))
+    for g in gathers:
+        g.flags.writeable = False  # shared through the cache
+    return gathers, rest
+
+
+@lru_cache(maxsize=None)
+def _single_fronts(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_front_gather`` of each single position of a ``width``-qubit row.
+
+    Returns the gathers as a (width, 2^width) array, and the positions each
+    leaves as a (width, width - 1) array.
+    """
+    fronts = [_front_gather(width, (p,)) for p in range(width)]
+    gathers = np.array([gather for gather, _ in fronts])
+    rests = np.array([rest for _, rest in fronts], dtype=np.int64).reshape(width, width - 1)
+    gathers.flags.writeable = rests.flags.writeable = False  # shared through the cache
+    return gathers, rests
+
+
 class _Block:
     """``live`` registers of one ``width``, one row each of ``amplitudes``.
 
-    A block made by allocation (``qubits`` None) holds the ids ``first +
-    r*width`` onward in row r; any other block is one row over ``qubits``.
-    ``views`` caches the register ``register_of`` hands out, by row.
+    A block made by allocation (``ids`` None) holds the ids ``first +
+    r*width`` onward in row r. Any other block is *listed*: ``ids`` is its
+    (rows, width) id table and ``slots`` maps each id to its flat index
+    ``row*width + position`` there. ``views`` caches the register
+    ``register_of`` hands out, by row.
     """
 
-    __slots__ = ("first", "width", "qubits", "amplitudes", "live", "views")
+    __slots__ = ("first", "width", "ids", "slots", "amplitudes", "live", "views")
 
-    def __init__(self, amplitudes: np.ndarray, width: int, first: int = -1, qubits=None):
+    def __init__(self, amplitudes: np.ndarray, width: int, first: int = -1, ids=None, slots=None):
         self.amplitudes = amplitudes
         self.width = width
         self.first = first
-        self.qubits = qubits
+        self.ids = ids
+        self.slots = slots
         self.live = len(amplitudes)
         self.views: dict[int, StateRegister] = {}
 
     def row_of(self, qubit: int) -> int:
-        return 0 if self.qubits is not None else (qubit - self.first) // self.width
+        return (qubit - self.first if self.ids is None else self.slots[qubit]) // self.width
 
     def row_ids(self, row: int) -> tuple[int, ...]:
-        if self.qubits is not None:
-            return self.qubits
+        if self.ids is not None:
+            return tuple(self.ids[row].tolist())
         start = self.first + row * self.width
         return tuple(range(start, start + self.width))
 
+    def id_table(self, rows: np.ndarray) -> np.ndarray:
+        """The (len(rows), width) ids of ``rows``."""
+        if self.ids is not None:
+            return self.ids[rows]
+        return (self.first + rows * self.width)[:, None] + np.arange(self.width)
+
     def locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row and position in the row of each id."""
-        if self.qubits is None:
+        if self.ids is None:
             return np.divmod(ids - self.first, self.width)
-        positions = [self.qubits.index(q) for q in ids.tolist()]
-        return np.zeros_like(ids), np.array(positions, dtype=np.int64)
+        slots = self.slots
+        flat = np.fromiter((slots[q] for q in ids.tolist()), dtype=np.int64, count=ids.size)
+        return np.divmod(flat, self.width)
 
 
 class QubitStore:
@@ -396,11 +478,22 @@ class QubitStore:
         self._next_id = end
         return first
 
-    def _add_register(self, qubits: tuple[int, ...], amplitudes: np.ndarray) -> None:
+    def _add_listed(self, amplitudes: np.ndarray, ids: np.ndarray, flat=None) -> None:
+        """Store rows over the ids of an (rows, width) table as one listed block.
+
+        ``flat`` may give the table's ids as a list, row after row, when the
+        caller already holds one: a short remainder writes its few map
+        entries one by one, cheaper than one fancy-index write.
+        """
         index = len(self._blocks)
-        self._blocks.append(_Block(amplitudes.reshape(1, -1), len(qubits), qubits=qubits))
-        for q in qubits:
-            self._block_of[q] = index
+        if flat is None:
+            flat = ids.ravel().tolist()
+            self._block_of[ids] = index
+        else:
+            for q in flat:
+                self._block_of[q] = index
+        slots = dict(zip(flat, itertools.count()))
+        self._blocks.append(_Block(amplitudes, ids.shape[1], ids=ids, slots=slots))
 
     def new_bell(self, kind: BellOutcome) -> tuple[int, int]:
         """Allocate a fresh pair prepared in the named Bell state."""
@@ -429,9 +522,29 @@ class QubitStore:
             raise ValueError("train length must be nonnegative")
         width = np.size(vector).bit_length() - 1
         template = StateRegister(tuple(range(width)), vector).amplitudes  # checked
-        rows = np.repeat(template[None], count, axis=0)
-        first = self._new_block(rows, width) if count else self._next_id
-        return np.arange(first, first + count * width, dtype=np.int64).reshape(count, width)
+        return self._new_rows(np.repeat(template[None], count, axis=0), width)
+
+    def new_states(self, states: np.ndarray) -> np.ndarray:
+        """Allocate one register per row of ``states``, an (r, 2^k) array, as one block.
+
+        Every row is checked as a state from outside is. Returns the (r, k)
+        int64 id matrix: row i holds the ids the i-th of r one-register
+        allocations would have returned.
+        """
+        rows = _real(states)
+        dim = rows.shape[-1] if rows.ndim == 2 else 0
+        width = dim.bit_length() - 1
+        if dim != 2**width or not 1 <= width <= MAX_REGISTER_QUBITS:
+            raise ValueError(f"states of shape {rows.shape} are not rows of 2^k amplitudes")
+        norms_sq = np.square(rows).sum(axis=1)
+        if np.any(np.abs(norms_sq - 1.0) > NORM_TOL):
+            raise ValueError("every state's norm^2 must be 1")
+        return self._new_rows(rows.copy(), width)
+
+    def _new_rows(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """Store checked rows as one allocated block; return their id matrix."""
+        first = self._new_block(rows, width) if len(rows) else self._next_id
+        return np.arange(first, first + len(rows) * width, dtype=np.int64).reshape(-1, width)
 
     # -- introspection ---------------------------------------------------
 
@@ -518,43 +631,50 @@ class QubitStore:
     def _measure(self, qubits: Sequence[int], basis: np.ndarray, draw) -> int:
         """Measure distinct ``qubits`` in the orthonormal rows of ``basis``.
 
-        The rows holding the qubits merge in first-seen order. Once the
-        group is known to be measurable, ``draw()`` gives the uniform that
-        picks the outcome; the measured qubits retire, and what remains of
-        the merged register, renormalized, becomes a one-row block.
+        The rows holding the qubits merge in first-seen order, built with the
+        measured qubits in front from one cached gather per row (the products
+        of the Kronecker product, in its order). Once the group is known
+        to be measurable, ``draw()`` gives the uniform that picks the outcome;
+        the measured qubits retire, and what remains of the merged register,
+        renormalized, becomes a one-row listed block.
         """
-        touched: list[tuple[_Block, int, int]] = []  # (block, index, row), first seen first
+        blocks, block_of, end = self._blocks, self._block_of, self._next_id
+        touched: list[tuple[int, int]] = []  # (block index, row), first seen first
+        widths: list[int] = []
         order: list[int] = []  # the merged register's qubits
         for q in qubits:
-            b = self._index(q)
-            block = self._blocks[b]
+            b = int(block_of[q]) if 0 <= q < end else -1
+            if b < 0:
+                raise UnknownQubitError(q)
+            block = blocks[b]
             row = block.row_of(q)
-            if all(b != seen or row != r for _, seen, r in touched):
-                touched.append((block, b, row))
+            if (b, row) not in touched:
+                touched.append((b, row))
+                widths.append(block.width)
                 order.extend(block.row_ids(row))
         if len(order) > MAX_REGISTER_QUBITS:
             raise RegisterCapacityError(
                 f"merge of {len(order)} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit cap"
             )
-        (block, _, row), *others = touched
-        amps = block.amplitudes[row]
-        for block, _, row in others:
-            amps = np.multiply.outer(amps, block.amplitudes[row]).reshape(-1)  # kron of vectors
-        front = [order.index(q) for q in qubits]
-        rest = [p for p in range(len(order)) if p not in front]
-        arr = amps.reshape((2,) * len(order)).transpose(front + rest)
-        branches = basis @ arr.reshape(2 ** len(front), -1)
-        probs = np.einsum("ij,ij->i", branches, branches)
-        if abs(float(probs.sum()) - 1.0) > 1e-9:  # a complete basis: the state is at fault
+        gathers, rest = _merge_gathers(tuple(widths), tuple(map(order.index, qubits)))
+        (b, row), *others = touched
+        amps = blocks[b].amplitudes[row][gathers[0]]
+        for (b, row), gather in zip(others, gathers[1:]):  # the kron, measured qubits first
+            amps = amps * blocks[b].amplitudes[row][gather]
+        branches = basis @ amps.reshape(len(basis), -1)
+        probs = np.add.reduce(np.square(branches), 1)
+        total = float(np.add.reduce(probs))
+        if abs(total - 1.0) > 1e-9:  # a complete basis: the state is at fault
             raise ValueError("the merged register's probability mass deviates from 1")
-        outcome = _sample_index(probs, draw())
+        outcome = _sample_index(probs, draw(), total)
         for q in qubits:
-            self._block_of[q] = -1
-        for _, b, _ in touched:
+            block_of[q] = -1
+        for b, _ in touched:
             self._retire(b, 1)
         if rest:
-            post = branches[outcome] / math.sqrt(probs[outcome])
-            self._add_register(tuple(order[p] for p in rest), post)
+            post = branches[outcome : outcome + 1] / math.sqrt(probs[outcome])
+            kept = [order[p] for p in rest]
+            self._add_listed(post, np.array([kept], dtype=np.int64), kept)
         return outcome
 
     def measure_bell(self, a: int, b: int, rng: np.random.Generator) -> BellOutcome:
@@ -595,26 +715,137 @@ class QubitStore:
 
     def measure_bell_rows(
         self, pairs: Sequence[Sequence[int]] | np.ndarray, rng: np.random.Generator
-    ) -> list[BellOutcome]:
-        """``measure_bell`` on each pair in list order, whole rows in bulk."""
-        outcomes = self._measure_groups(pairs, BELL_VECTORS, rng)
-        return [_BELL_OUTCOMES[o] for o in outcomes]
+    ) -> np.ndarray:
+        """``measure_bell`` on each pair in list order, whole rows in bulk.
+
+        Returns each pair's ``BellOutcome`` index as an int64 array.
+        """
+        return self._measure_groups(pairs, BELL_VECTORS, rng)
 
     def measure_rows_in_basis(
         self,
         groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
         rng: np.random.Generator,
-    ) -> list[int]:
-        """``measure_in_basis`` on each group in list order, whole rows in bulk."""
+    ) -> np.ndarray:
+        """``measure_in_basis`` on each group in list order, whole rows in bulk.
+
+        Returns each group's basis row index as an int64 array.
+        """
         return self._measure_groups(groups, _checked_basis(basis), rng)
+
+    def measure_qubits(
+        self, qubits: Sequence[int] | np.ndarray, basis: np.ndarray, uniforms
+    ) -> np.ndarray:
+        """Measure each qubit on its own in a real orthonormal 2x2 ``basis``.
+
+        Qubit i uses ``uniforms[i]``: the outcomes, as an int64 array, and the
+        store left behind are those of ``measure_in_basis((q,), basis, rng)``
+        on each qubit in list order, with ``rng`` drawing those uniforms.
+        Every id must be live and named once, the basis must obey the basis
+        rule, and there must be one uniform in [0, 1) per id; all of it is
+        checked before anything changes.
+
+        The qubits are measured in waves. A wave takes the first qubit still
+        waiting in each register, in list order, so a register's later
+        qubits wait for a later wave. The wave's qubits in registers of one
+        width are measured together, and what remains of their rows becomes
+        one listed block.
+        """
+        ids = np.array(qubits, dtype=np.int64).reshape(-1)
+        basis = _checked_basis(basis)
+        if basis.shape != (2, 2):
+            raise ValueError("a one-qubit basis must be 2x2")
+        uniforms = np.asarray(uniforms, dtype=np.float64)
+        if uniforms.shape != ids.shape:
+            raise ValueError(f"{uniforms.size} uniforms given for {ids.size} qubits")
+        if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
+            raise ValueError("uniforms must lie in [0, 1)")
+        if _has_repeats(ids):
+            raise ValueError("measured qubits must be distinct")
+        self._indices(ids)
+        outcomes = np.empty(ids.size, dtype=np.int64)
+        if not ids.size:
+            return outcomes
+        places = self._places(ids, np.arange(ids.size))
+        # Wave k takes the k-th qubit named in each register: its rank among
+        # that register's qubits once they are sorted stably by register.
+        key = np.concatenate([(b << 32) | rows for b, _, rows, _ in places])
+        at = np.concatenate([chosen for _, chosen, _, _ in places])
+        ranked = np.argsort(key, kind="stable")
+        ordinal = np.arange(ids.size)
+        starts = np.ones(ids.size, dtype=bool)
+        starts[1:] = key[ranked[1:]] != key[ranked[:-1]]
+        wave = np.empty(ids.size, dtype=np.int64)
+        wave[at[ranked]] = ordinal - np.maximum.accumulate(np.where(starts, ordinal, 0))
+        if not starts.all():  # the first wave keeps each register's first qubit
+            places = [
+                (b, chosen[first], rows[first], positions[first])
+                for b, chosen, rows, positions in places
+                for first in [wave[chosen] == 0]
+            ]
+        for k in range(int(wave.max()) + 1):
+            if k:
+                places = self._places(ids, np.flatnonzero(wave == k))
+            by_width: dict[int, list] = {}
+            for place in places:
+                by_width.setdefault(self._blocks[place[0]].width, []).append(place)
+            for width, parts in by_width.items():
+                at = np.concatenate([chosen for _, chosen, _, _ in parts])
+                outcomes[at] = self._measure_singles(parts, width, basis, uniforms[at])
+        return outcomes
+
+    def _places(self, ids: np.ndarray, chosen: np.ndarray) -> list:
+        """(block, indices, rows, positions) for each block holding some ``ids[chosen]``.
+
+        The indices are the entries of ``chosen`` whose ids lie in the block.
+        """
+        picked = ids[chosen]
+        places = []
+        for b, sel in _members(self._block_of[picked]):
+            rows, positions = self._blocks[b].locate(picked[sel])
+            places.append((b, chosen[sel], rows, positions))
+        return places
+
+    def _measure_singles(
+        self, parts: list, width: int, basis: np.ndarray, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Measure one qubit in each of distinct ``width``-qubit registers, one uniform each.
+
+        ``parts`` holds ``_places`` entries, (block, indices, rows,
+        positions): the qubit at ``positions[i]`` of row ``rows[i]``. Row for
+        row this is ``_measure`` of that one qubit: one gather lays out each
+        row's two branches, the rest of the row in row order; one matmul
+        applies the basis; and the remainders become one listed block.
+        Returns the outcomes in part order.
+        """
+        positions = np.concatenate([positions for _, _, _, positions in parts])
+        count = positions.size
+        gathers, rests = _single_fronts(width)
+        front = gathers[positions].reshape(count, 2, -1).transpose(1, 0, 2)
+        amps = np.concatenate([self._blocks[b].amplitudes[rows] for b, _, rows, _ in parts])
+        laid = amps[np.arange(count)[None, :, None], front]
+        branches = (basis @ laid.reshape(2, -1)).reshape(2, count, -1)
+        probs = np.add.reduce(np.square(branches), 2).T
+        if (np.abs(np.add.reduce(probs, 1) - 1.0) > 1e-9).any():
+            raise ValueError("a register's probability mass deviates from 1")
+        outcomes = _sample_rows(probs, uniforms)
+        table = np.concatenate([self._blocks[b].id_table(rows) for b, _, rows, _ in parts])
+        picked = np.arange(count)
+        self._block_of[table[picked, positions]] = -1
+        for b, _, rows, _ in parts:
+            self._retire(b, rows.size)
+        if width > 1:
+            post = branches[outcomes, picked] / np.sqrt(probs[picked, outcomes])[:, None]
+            self._add_listed(post, table[picked[:, None], rests[positions]])
+        return outcomes
 
     def _measure_groups(
         self,
         groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
         rng: np.random.Generator,
-    ) -> list[int]:
+    ) -> np.ndarray:
         """Measure every group in ``basis``, drawing all uniforms at once.
 
         The group size, and that every id is live and named once, are checked
@@ -625,10 +856,11 @@ class QubitStore:
         across blocks. Every other group then goes through ``_measure`` in
         list order. The only refusal left after the draw is the 12-qubit
         cap, should such a merge outgrow it; no engine reaches it, as
-        ``check_adversary`` refuses five-party intercept-bell.
+        ``check_adversary`` refuses five-party intercept-bell. Returns the
+        outcome indices as an int64 array.
         """
         if not len(groups):
-            return []
+            return np.empty(0, dtype=np.int64)
         targets = _id_table(groups)
         if _has_repeats(targets):
             raise ValueError("measured qubits must be distinct")
@@ -655,7 +887,7 @@ class QubitStore:
         draw = iter(uniforms[rest].tolist()).__next__  # their uniforms, in list order
         for i in rest.tolist():
             outcomes[i] = self._measure(targets[i].tolist(), basis, draw)
-        return outcomes.tolist()
+        return outcomes
 
     def _pass_probs(
         self, targets: np.ndarray, basis: np.ndarray
@@ -676,7 +908,7 @@ class QubitStore:
         parts, amps = [], []
         for b, sel in _members(self._block_of[firsts]):
             block = self._blocks[b]
-            if block.qubits is not None or block.width != m:
+            if block.ids is not None or block.width != m:
                 continue
             rows, positions = np.divmod(firsts[sel] - block.first, m)
             whole = (positions == 0) & consecutive[sel]

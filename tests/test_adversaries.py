@@ -23,13 +23,15 @@ from qka.adversaries import (
 )
 from qka.protocols import (
     ProtocolConfig,
+    _five_party_ring,
     bits_to_hex,
+    insert_decoys_and_permute,
     run_five_party,
     run_three_party,
     run_two_party,
     xor_bits,
 )
-from qka.registers import BellOutcome, QubitStore
+from qka.registers import BELL_VECTORS, BellOutcome, QubitStore
 
 
 def config(n=16, parties=2, seed=0, run=0, **kw):
@@ -95,6 +97,37 @@ class TestTransitAttacks:
         bits = [store.measure_z(q, np.random.default_rng(0)) for q in slots]
         assert bits[0] == bits[1]
 
+    @pytest.mark.parametrize("parties", [2, 5])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
+    def test_intercept_z_matches_the_slot_by_slot_loop(self, parties, fraction):
+        """One bulk measurement and one allocation do what a measure_z and a
+        new_computational per hit did: same draws, slots, ids and states."""
+        model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=fraction)
+        for seed in range(8):
+            twins = []
+            for _ in range(2):
+                store, rng = QubitStore(), np.random.default_rng(seed)
+                if parties == 2:
+                    copies = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 16)[:, 1]
+                else:
+                    ring = _five_party_ring("omega", "1234")
+                    copies = store.new_train(ring.state, 8)[:, [1, 3]].ravel()
+                slots, _ = insert_decoys_and_permute(copies, store, rng)
+                twins.append((store, rng, slots))
+            (a, ga, slots_a), (b, gb, slots_b) = twins
+            attack_transit(model, a, slots_a, ga)
+            ids = slots_b.tolist()
+            for k in range(len(ids)):
+                if gb.random() < fraction:
+                    ids[k] = b.new_computational(b.measure_z(ids[k], gb))
+            assert slots_a.tolist() == ids
+            assert ga.random() == gb.random()
+            assert a.live_qubits() == b.live_qubits()
+            for q in a.live_qubits():
+                ra, rb = a.register_of(q), b.register_of(q)
+                assert ra.qubits == rb.qubits
+                assert np.array_equal(ra.amplitudes, rb.amplitudes)
+
     def test_intercept_bell_repreps_observed_state(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PHI_MINUS)
@@ -134,6 +167,26 @@ class TestInterceptResendZDetection:
         )
         low, high = wilson_band(aborts, trials)
         assert low <= 1 - 0.5**4 <= high
+
+    @pytest.mark.parametrize("parties, fraction, seed", [
+        (2, 0.25, 610), (2, 0.5, 611), (3, 0.25, 612), (3, 0.5, 613),
+    ])
+    def test_abort_rate_matches_the_closed_form(self, parties, fraction, seed):
+        # At threshold 0 the first transmission's n/2 decoy pairs decide the
+        # run. A pair with either qubit hit collapses to |bb> and then fails
+        # its Bell check with probability 1/2, so e = (1 - (1 - f)^2) / 2 and
+        # a run aborts with probability 1 - (1 - e)^(n/2).
+        trials, n = 1000, 16
+        error = (1 - (1 - fraction) ** 2) / 2
+        predicted = 1 - (1 - error) ** (n // 2)
+        adv = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=fraction)
+        run = run_two_party if parties == 2 else run_three_party
+        aborts = sum(
+            run(config(n=n, parties=parties, seed=seed, run=i), adv).aborted
+            for i in range(trials)
+        )
+        low, high = wilson_band(aborts, trials)
+        assert low <= predicted <= high
 
     def test_five_party_last_hop_attack_reaches_decode(self):
         # transmission 24 is the final hop of Alice's stream, so her decode

@@ -472,6 +472,49 @@ class TestBrokenPipe:
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+class TestParserReuse:
+    """One parser serves a process; each call prints what a fresh process prints."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+        monkeypatch.delenv("QKA_SEED", raising=False)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"protocol": "three-party", "key_bits": 8, "seed": 3}))
+        calls = [
+            ({}, ["run", "--protocol", "two-party", "--no-such-flag"]),
+            ({}, ["run", "--protocol", "two-party", "--key-bits", "8", "--seed", "2"]),
+            ({}, ["run", "--config", str(config), "--format", "text"]),
+            ({"QKA_SEED": "41"}, ["run", "--key-bits", "8", "--adversary", "intercept-z"]),
+            ({}, ["--version"]),
+        ]
+        path = [str(Path(qka.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        base = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        for extra, argv in calls:
+            for key, value in extra.items():
+                monkeypatch.setenv(key, value)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            for key in extra:
+                monkeypatch.delenv(key)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "qka.cli", *argv], capture_output=True, text=True,
+                env=dict(base, **extra), timeout=60, check=False,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+            if argv is calls[0][1]:
+                assert code == 2 and "unrecognized arguments: --no-such-flag" in captured.err
+
+
 _FLOATS = st.one_of(st.floats(0, 1), st.floats(-1, 2), st.sampled_from(["nan", "inf", "-inf"]))
 _RUN_FLAGS = {
     "--protocol": st.sampled_from(cli.PROTOCOL_CHOICES),

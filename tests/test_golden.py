@@ -22,6 +22,8 @@ def _run(protocol, n, seed, *flags):
     return ("run", "--protocol", protocol, "--key-bits", str(n), "--seed", str(seed), *flags)
 
 
+FULL_INTERCEPT_Z = ("--adversary", "intercept-z", "--attack-fraction", "1", "--threshold", "1")
+
 CASES = {
     **{
         f"{protocol}-n64-seed{seed}": _run(protocol, 64, seed)
@@ -82,6 +84,13 @@ CASES = {
         THREE, 16, 7, "--trials", "8", "--adversary", "intercept-z", "--attack-fraction", "0.5",
         "--threshold", "1",
     ),
+    # Fully attacked runs that finish: both qubits of every decoy pair are
+    # hit, and each decode measures what the hits left of the kept copies.
+    **{
+        f"{protocol}-intercept-z-f1": _run(protocol, 16, 8, *FULL_INTERCEPT_Z)
+        for protocol in (TWO, THREE, FIVE)
+    },
+    "batch-intercept-z-f1": _run(TWO, 16, 8, "--trials", "8", *FULL_INTERCEPT_Z),
     "verify-groups": ("verify-groups",),
     **{
         f"efficiency-table-{fmt}": ("efficiency", "--table", "--format", fmt)
@@ -94,12 +103,15 @@ CASES = {
 # the batched-train store that kept the per-register path beside it; the
 # verify-groups and efficiency cases from the code that still checked the
 # letter products against a copy of the phase-stripping algorithm; the
-# attacked batches from the engine whose rings decoded through a function.
+# attacked batches from the engine whose rings decoded through a function;
+# the fully attacked (f1) cases from the store whose intercept-z measured
+# and resent one slot at a time.
 DIGESTS = {
     "batch-dishonest-alice": "11df56a2b63dc4514e60cd5985569f2e5f7ee4470e893561062c8d98af2ae5bc",
     "batch-dishonest-bob": "04a94f44b0002022623585b66e674107e11ff3b9060d3fb29e10409fb1fb459f",
     "batch-five-party-intercept-z": "21fe7b7c281cb27b23ecc80176284626916f0891439dfbdf42db377284557aa7",
     "batch-intercept-bell": "d6ac84f403897fa877a8c02bbc124f4eee67f73b4d4a53152b8370710eed2776",
+    "batch-intercept-z-f1": "28a60b0fcc36553910c41882969e1b7084df0a3fd5d32d80a8227821095dce6c",
     "batch-intercept-z": "930d56d5edd5c3685e6a9962f5024ac79f4f31aa54d0799fce6173affadddc57",
     "batch-text": "bd7814c9907c0e848a96778e2e7e1e78c782fc56e40fe452d1c7224384fe95e4",
     "batch-three-party-intercept-bell": "34b112cfd14e99a31f7a2043a04913120c2c8d2096466a74524589273f519a1b",
@@ -111,6 +123,7 @@ DIGESTS = {
     "five-party-cluster-1256": "a130365445a92ae65ba7a3ff501b885d3bd6f6b24e8fe1c67168c0b5f374664d",
     "five-party-cluster-3456": "e5fc925fb145d74bbdeb46de6693f04035f7ac6d0baddf05ca775602bebd3b8c",
     "five-party-intercept-z": "b7159cdc40b2fd4f86a36b8e92ad73fe4c12d9012ee91d3100c29824d7881c49",
+    "five-party-intercept-z-f1": "a4f6b72e4ae2332e5d27ed8ae7d773b6684228dfcd8896afec593d20a6f036e9",
     "five-party-n1024": "b27ccfe09b9fc0568462783e500aedb384ab25f7bbd6128c646733b3b6a634e0",
     "five-party-n64-seed0": "78f6a6d8b846f3d7e7ad2c4b6e5e47b116365f49cc7fe7e7a134cf2914d45dbc",
     "five-party-n64-seed1": "5f9672b65cc65aa5341f1ef667bf68f96ddec8e5af5d5debb045264974ffee4e",
@@ -120,6 +133,7 @@ DIGESTS = {
     "five-party-omega-3456": "e5fc925fb145d74bbdeb46de6693f04035f7ac6d0baddf05ca775602bebd3b8c",
     "three-party-intercept-bell": "7567f320c12a58443ec909364ba6e84887302749c723932e63f5d77249a8ed53",
     "three-party-intercept-z": "90e77519f15f4d8f998708e3ddaa85870e622ec660cdd2d622e893eca7dff2bf",
+    "three-party-intercept-z-f1": "96e79124a079c732390f9567bb3b2196d5ff89abecc59ad7403a242814c81b04",
     "three-party-n1024": "647d59972594723f1121128e77a9c35913ac5b6bd476320a7333e4900833a360",
     "three-party-n64-seed0": "89a9c3c645747845110fc9c568f0c1f3de330c07c9493cacbf84d3cb08062037",
     "three-party-n64-seed1": "d26a97c0c847001839c8d969fcd90ca5be353134a13379412e831fb53645332c",
@@ -128,6 +142,7 @@ DIGESTS = {
     "two-party-dishonest-bob": "52e3da6353be7f783aed00f26168d077f77da7eddf26b0d04d81b875b7ff2428",
     "two-party-intercept-bell": "7e8e45786e4ccb9b3f9dd7a8479481658a3d88f55559da04181578c0fd7557ea",
     "two-party-intercept-z": "71d6a2d3d476c81f2678f5bebda256f3ea63ad9a5c531cab91192498f2bcafe5",
+    "two-party-intercept-z-f1": "73a8a4dd3b448c9f58ff3ba5664c1608b064998bc9f988fc7a98c71494be86f3",
     "two-party-n1024": "8c190085e6acd4bf54ad09a02b42cab53dcdca26f260871ad1d4b6b221331fbe",
     "two-party-n64-seed0": "95efe839cab5ce1528f6d44d9e41f3a45ee683f19d96b9dd5f4f84aa0fac3d54",
     "two-party-n64-seed1": "1c652fea16b00ab3ec22487b99de8c79174db17d76126e31adbc3c478d6c6c3d",

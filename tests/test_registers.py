@@ -459,7 +459,7 @@ class TestRealAmplitudes:
         assert store.live_qubits() == live
         assert rng.bit_generator.state == state
         if bulk:
-            assert store.measure_rows_in_basis(ids, ORACLE_BELL_BRAS, rng) == [2, 2]
+            assert store.measure_rows_in_basis(ids, ORACLE_BELL_BRAS, rng).tolist() == [2, 2]
         else:
             assert store.measure_in_basis(ids[0].tolist(), ORACLE_BELL_BRAS, rng) == 2
 
@@ -597,7 +597,7 @@ class TestAgainstDenseOracle:
             ops = [op for op, need in (("bell", 2), ("four", 4), ("one", 1), ("train", 1))
                    if need <= room]
             if live:
-                ops += ["pauli", "pauli_groups", "z", "basis"]
+                ops += ["pauli", "pauli_groups", "z", "basis", "singles"]
             if len(live) >= 2:
                 ops += ["bell_measure", "bell_rows", "basis_rows"]
             op = data.draw(st.sampled_from(ops), label="op")
@@ -654,14 +654,22 @@ class TestAgainstDenseOracle:
                 basis = random_basis(data.draw(st.integers(0, 2**32 - 1)), 2 ** len(qubits))
                 got = store.measure_in_basis(qubits, basis, rng)
                 assert got == oracle.measure(qubits, basis.conj())
+            elif op == "singles":
+                qubits = _pick(data, live, data.draw(st.integers(1, len(live))))
+                if data.draw(st.booleans()):
+                    basis = np.eye(2)
+                else:
+                    basis = random_basis(data.draw(st.integers(0, 2**32 - 1)), 2)
+                got = store.measure_qubits(qubits, basis, rng.random(len(qubits))).tolist()
+                assert got == [oracle.measure([q], basis.conj()) for q in qubits]
             elif op == "bell_rows":
                 pairs = _groups(data, live, 2)
-                got = store.measure_bell_rows(pairs, rng)
+                got = store.measure_bell_rows(pairs, rng).tolist()
                 assert got == [oracle.measure(p, ORACLE_BELL_BRAS) for p in pairs]
             else:
                 size = data.draw(st.sampled_from([m for m in (2, 4) if m <= len(live)]))
                 groups = _groups(data, live, size)
                 basis = random_basis(data.draw(st.integers(0, 2**32 - 1)), 2**size)
-                got = store.measure_rows_in_basis(groups, basis, rng)
+                got = store.measure_rows_in_basis(groups, basis, rng).tolist()
                 assert got == [oracle.measure(g, basis.conj()) for g in groups]
             assert_matches(store, oracle)

@@ -91,6 +91,34 @@ class TestAllocation:
             store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], -1)
 
 
+class TestStates:
+    def test_ids_are_the_ones_one_allocation_each_gives(self):
+        rows, scalar = QubitStore(), QubitStore()
+        bits = [1, 0, 0, 1, 1]
+        ids = rows.new_states(np.eye(2)[bits])
+        assert ids.dtype == np.int64 and ids.tolist() == [
+            [scalar.new_computational(bit)] for bit in bits
+        ]
+        assert_same_state(rows, scalar)
+        pairs = rows.new_states(BELL_VECTORS[[2, 0]])
+        assert pairs.tolist() == [list(scalar.new_bell(BellOutcome(k))) for k in (2, 0)]
+        assert rows.new_states(np.empty((0, 2))).shape == (0, 1)
+        assert_same_state(rows, scalar)
+
+    @pytest.mark.parametrize("states", [
+        np.ones((2, 2)),  # not normalized
+        np.array([[1.0, np.nan]]),
+        np.array([[1.0, 0.0, 0.0]]),  # not 2^k amplitudes
+        np.array([1.0, 0.0]),  # not rows
+        np.array([[1.0, 1e-3j]]),
+    ])
+    def test_invalid_states_allocate_nothing(self, states):
+        store = QubitStore()
+        with pytest.raises(ValueError):
+            store.new_states(states)
+        assert store.new_computational(0) == 0
+
+
 class TestDetaching:
     def test_register_of_detaches_the_row_once(self):
         store = QubitStore()
@@ -107,7 +135,7 @@ class TestDetaching:
         store = QubitStore()
         (a, b), (c, d) = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).tolist()
         rng = np.random.default_rng(0)
-        assert store.measure_bell_rows([(a, b)], rng) == [BellOutcome.PSI_PLUS]
+        assert store.measure_bell_rows([(a, b)], rng).tolist() == [BellOutcome.PSI_PLUS]
         assert store.live_qubits() == [c, d]
         with pytest.raises(UnknownQubitError):
             store.register_of(a)
@@ -123,7 +151,7 @@ class TestDetaching:
         store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(ids[1],), (ids[3],)])
         rng = np.random.default_rng(0)
         outcomes = store.measure_bell_rows([(ids[0], ids[1]), (ids[2], ids[3])], rng)
-        assert outcomes == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
+        assert outcomes.tolist() == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
 
 
 class TestSampling:
@@ -193,7 +221,8 @@ class TestDifferential:
         pairs += [tuple(leftovers[i : i + 2]) for i in range(0, len(leftovers) - 1, 2)]
         order = plan.permutation(len(pairs)).tolist()
         pairs = [pairs[i] for i in order]
-        assert a.measure_bell_rows(pairs, ga) == [b.measure_bell(p, q, gb) for p, q in pairs]
+        want = [b.measure_bell(p, q, gb) for p, q in pairs]
+        assert a.measure_bell_rows(pairs, ga).tolist() == want
 
         # Basis measurements of whole 4-qubit rows, plus a reordered row.
         basis = _five_party_ring(four_kind.value, "1234").basis
@@ -203,7 +232,7 @@ class TestDifferential:
             ids = four[4 * row : 4 * row + 4]
             if all(q in alive for q in ids):
                 groups.append(ids if plan.random() < 0.8 else ids[::-1])
-        assert a.measure_rows_in_basis(groups, basis, ga) == [
+        assert a.measure_rows_in_basis(groups, basis, ga).tolist() == [
             b.measure_in_basis(g, basis, gb) for g in groups
         ]
         assert_same_state(a, b)
@@ -219,7 +248,7 @@ class TestDifferential:
         groups = [s.new_train(vector, n) for s in stores][0].tolist()
         basis = random_basis(plan, 2**width)
         ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcomes = stores[0].measure_rows_in_basis(groups, basis, ga)
+        outcomes = stores[0].measure_rows_in_basis(groups, basis, ga).tolist()
         assert outcomes == [stores[1].measure_in_basis(g, basis, gb) for g in groups]
         assert stores[0].live_qubits() == stores[1].live_qubits() == []
 
@@ -231,9 +260,9 @@ class TestDifferential:
         for seed in range(20):
             (a, b), bell, _, _ = twin_stores(BellOutcome.PSI_MINUS, FourQubitState.OMEGA, 3, 1)
             ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = a.measure_bell_rows(pairs, ga)
+            got = a.measure_bell_rows(pairs, ga).tolist()
             assert got == [b.measure_bell(p, q, gb) for p, q in pairs]
-            assert got[2] is BellOutcome.PSI_MINUS
+            assert got[2] == BellOutcome.PSI_MINUS
             assert_same_state(a, b)
 
 
@@ -271,7 +300,7 @@ class TestValidation:
             store.measure_rows_in_basis(np.concatenate([a, b]), psi_only, rng)
         assert store.live_qubits() == live
         assert rng.bit_generator.state == before
-        assert store.measure_bell_rows(np.concatenate([a, b]), rng) == [
+        assert store.measure_bell_rows(np.concatenate([a, b]), rng).tolist() == [
             BellOutcome.PSI_PLUS
         ] * 3 + [BellOutcome.PHI_PLUS] * 2
 
@@ -377,9 +406,9 @@ def _pass_workout(store: QubitStore, seed: int) -> list:
     store.measure_z(int(bells[0][2, 1]), rng)  # row 2 leaves the bulk path
     pairs = np.concatenate([bells[1][:5], bells[0][[6, 0, 5, 3]]])
     pairs = np.vstack([pairs, [bells[0][2, 0], lone], bells[0][4], bells[1][5:]])
-    outcomes = store.measure_bell_rows(pairs, rng)
+    outcomes = store.measure_bell_rows(pairs, rng).tolist()
     basis = _five_party_ring("cluster", "1256").basis
-    outcomes += store.measure_rows_in_basis(four[np.r_[2:9, 0, 10, 1, 9]], basis, rng)
+    outcomes += store.measure_rows_in_basis(four[np.r_[2:9, 0, 10, 1, 9]], basis, rng).tolist()
     return outcomes
 
 
@@ -418,7 +447,7 @@ class TestRowPasses:
         groups.insert(3, [int(trains[0][0, 0]), int(trains[1][0, 1])])  # across rows
         basis = random_basis(plan, 4)
         ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcomes = stores[0].measure_rows_in_basis(groups, basis, ga)
+        outcomes = stores[0].measure_rows_in_basis(groups, basis, ga).tolist()
         assert outcomes == [stores[1].measure_in_basis(g, basis, gb) for g in groups]
         assert_same_state(*stores)
 
@@ -451,3 +480,114 @@ class TestProtocolRuns:
             AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5),
         )
         assert not attacked.aborted and one_by_one
+
+
+def _singles_store(plan):
+    """A store with Bell rows, 4-qubit rows, lone qubits and listed remainders.
+
+    Measuring qubits of some rows first leaves listed rows of one, two and
+    three qubits behind; a cross-row Bell measurement leaves a listed pair.
+    """
+    store, rng = QubitStore(), np.random.default_rng(int(plan.integers(2**32)))
+    bell = store.new_train(random_basis(plan, 4)[0], 4)
+    four = store.new_train(random_basis(plan, 16)[0], 3)
+    lone = [store.new_computational(bit) for bit in (0, 1)]
+    store.measure_z(int(bell[0, 0]), rng)
+    store.measure_in_basis([int(four[0, 1])], random_basis(plan, 2), rng)
+    store.measure_bell(int(bell[1, 1]), int(bell[2, 0]), rng)
+    return store, lone
+
+
+class TestSingleQubitMeasurement:
+    """``measure_qubits`` against sequential one-qubit measurements on a twin store."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), z=st.booleans())
+    def test_matches_sequential_measurements(self, seed, z):
+        plan = np.random.default_rng(seed)
+        a, _ = _singles_store(np.random.default_rng(seed))
+        b, _ = _singles_store(np.random.default_rng(seed))
+        live = a.live_qubits()
+        ids = plan.permutation(live)[: int(plan.integers(1, len(live) + 1))].tolist()
+        basis = np.eye(2) if z else random_basis(plan, 2)
+        ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = a.measure_qubits(ids, basis, ga.random(len(ids)))
+        if z:
+            want = [b.measure_z(q, gb) for q in ids]
+        else:
+            want = [b.measure_in_basis([q], basis, gb) for q in ids]
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert_same_state(a, b)
+        for q in a.live_qubits():
+            assert a.register_of(q).qubits == b.register_of(q).qubits
+            if z:  # the same arithmetic: every amplitude is equal
+                assert np.array_equal(a.register_of(q).amplitudes, b.register_of(q).amplitudes)
+
+    @pytest.mark.parametrize(
+        "case", ["two_in_a_row", "listed_remainder", "three_blocks", "four_wide"]
+    )
+    def test_named_cases_match_measure_z(self, case):
+        for seed in range(12):
+            stores = []
+            for _ in range(2):
+                store = QubitStore()
+                bell = store.new_train(BELL_VECTORS[BellOutcome.PSI_MINUS], 3)
+                four = store.new_train(four_qubit_vector(FourQubitState.OMEGA), 2)
+                lone = store.new_computational(1)
+                stores.append(store)
+            if case == "two_in_a_row":
+                ids = [bell[1, 1], bell[0, 0], bell[1, 0]]
+            elif case == "listed_remainder":
+                for store in stores:  # row 0 of the Bell train becomes a listed one-qubit row
+                    store.measure_z(int(bell[0, 1]), np.random.default_rng(seed))
+                ids = [bell[0, 0], bell[2, 1]]
+            elif case == "three_blocks":
+                ids = [four[1, 2], lone, bell[2, 0], four[0, 0]]
+            else:
+                ids = [four[0, 3], four[0, 1], four[1, 0], four[0, 0], four[0, 2]]
+            ids = [int(q) for q in ids]
+            (a, b), ga, gb = stores, np.random.default_rng(seed), np.random.default_rng(seed)
+            got = a.measure_qubits(ids, np.eye(2), ga.random(len(ids)))
+            assert got.tolist() == [b.measure_z(q, gb) for q in ids]
+            assert a.live_qubits() == b.live_qubits()
+            for q in a.live_qubits():
+                ra, rb = a.register_of(q), b.register_of(q)
+                assert ra.qubits == rb.qubits and np.array_equal(ra.amplitudes, rb.amplitudes)
+            assert ga.random() == gb.random()
+
+    @pytest.mark.parametrize("call", [
+        lambda s, ids, u: s.measure_qubits([ids[0], 999], np.eye(2), u[:2]),
+        lambda s, ids, u: s.measure_qubits([ids[1], ids[0], ids[1]], np.eye(2), u[:3]),
+        lambda s, ids, u: s.measure_qubits(ids[:2], np.array([[1.0, 0.0], [0.0, np.nan]]), u[:2]),
+        lambda s, ids, u: s.measure_qubits(ids[:2], np.array([[1.0, 0.0], [0.6, 0.8]]), u[:2]),
+        lambda s, ids, u: s.measure_qubits(ids[:2], np.eye(4), u[:2]),
+        lambda s, ids, u: s.measure_qubits(ids[:3], np.eye(2), u[:2]),
+        lambda s, ids, u: s.measure_qubits(ids[:2], np.eye(2), [0.5, 1.0]),
+    ], ids=["unknown", "repeated", "nan-basis", "not-orthonormal", "wide-basis",
+            "too-few-uniforms", "uniform-out-of-range"])
+    def test_refusals_change_nothing(self, call):
+        store, lone = _singles_store(np.random.default_rng(5))
+        twin, _ = _singles_store(np.random.default_rng(5))
+        measured = [q for q in range(store._next_id) if q not in store.live_qubits()][0]
+        ids = [q for q in store.live_qubits() if q not in lone][:3]
+        rng = np.random.default_rng(1)
+        uniforms = rng.random(3)
+        state = rng.bit_generator.state
+        with pytest.raises((ValueError, UnknownQubitError)):
+            call(store, ids, uniforms)
+        with pytest.raises(UnknownQubitError):
+            store.measure_qubits([measured], np.eye(2), [0.5])
+        assert rng.bit_generator.state == state
+        assert_same_state(store, twin)
+        assert (store.measure_qubits(ids, np.eye(2), uniforms).tolist()
+                == twin.measure_qubits(ids, np.eye(2), uniforms).tolist())
+
+    def test_remainders_of_one_block_and_width_form_one_listed_block(self):
+        store = QubitStore()
+        bell = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 4)
+        store.measure_qubits(bell[:, 1], np.eye(2), [0.1, 0.6, 0.3, 0.9])
+        views = [store.register_of(int(q)) for q in bell[:, 0]]
+        assert [v.qubits for v in views] == [(int(q),) for q in bell[:, 0]]
+        assert len({id(v.amplitudes.base) for v in views}) == 1  # rows of one block
+        outcomes = store.measure_qubits(bell[::-1, 0], np.eye(2), [0.5] * 4)
+        assert outcomes.tolist() == [1, 0, 1, 0] and store.live_qubits() == []
