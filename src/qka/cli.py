@@ -25,7 +25,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +33,9 @@ import numpy as np
 from . import __version__
 from .adversaries import AdversaryKind, AdversaryModel
 from .efficiency import (
+    FIVE_PARTY,
+    THREE_PARTY,
+    TWO_PARTY,
     efficiency_table_csv,
     efficiency_table_json,
     efficiency_table_text,
@@ -52,6 +55,7 @@ from .pauli import (
 )
 from .protocols import (
     FIVE_PARTY_ROUND_CHOICES,
+    FIVE_PARTY_STATES,
     ProtocolConfig,
     ProtocolResult,
     _json_chunks,
@@ -68,62 +72,70 @@ from .registers import (
     four_qubit_vector,
 )
 
-PROTOCOL_CHOICES = ("two-party", "three-party", "five-party")
+PARTY_COUNTS = {TWO_PARTY: 2, THREE_PARTY: 3, FIVE_PARTY: 5}
+PROTOCOL_CHOICES = tuple(PARTY_COUNTS)
+ADVERSARY_CHOICES = tuple(kind.value for kind in AdversaryKind)
 # A batch keeps every trial's result for its summary, about 1.5-2.5 KB per
 # five-party key bit, so one command may ask for at most this many key bits.
 MAX_COMMAND_KEY_BITS = 2**17
-PARTY_COUNTS = {"two-party": 2, "three-party": 3, "five-party": 5}
-ADVERSARY_CHOICES = tuple(kind.value for kind in AdversaryKind)
 
 
 class ConfigError(Exception):
     pass
 
 
-# Flags that may also appear in a JSON config file, with defaults.
-RUN_DEFAULTS = {
-    "protocol": "two-party",
-    "key_bits": 16,
-    "seed": None,
-    "trials": 1,
-    "adversary": "none",
-    "attack_fraction": 1.0,
-    "swap_count": 1,
-    "threshold": 0.0,
-    "five_party_state": "omega",
-    "five_party_rounds": "1234",
-    "format": "json",
-    "out": None,
-    "fail_on_abort": False,
-}
+@dataclass(frozen=True)
+class RunOption:
+    """One ``qka run`` option and config key; its flag is the key with dashes.
+
+    A config value must have one of ``types`` (a bool is never a number),
+    which ``expected`` names; ``types[0]`` parses the flag, and ``(bool,)``
+    makes it a switch. ``refusal`` is the message for a merged spec value
+    outside ``choices``.
+    """
+
+    key: str
+    types: tuple[type, ...]
+    expected: str
+    default: object
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    refusal: str | None = None
+
+    def check_type(self, value: object) -> None:
+        if isinstance(value, bool) != (bool in self.types) or not isinstance(value, self.types):
+            got = json.dumps(value)
+            raise ConfigError(f"config key {self.key!r} must be {self.expected}, got {got}")
+
+    def check_choice(self, spec: dict) -> None:
+        if spec[self.key] not in self.choices:
+            raise ConfigError(self.refusal.format(spec[self.key]))
 
 
-# The JSON types each config key accepts; a bool is never taken for a number.
 _INT = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
+_NUMBER = ((float, int), "a number")
 _STR = ((str,), "a string")
-CONFIG_TYPES = {
-    "protocol": _STR,
-    "key_bits": _INT,
-    "seed": ((int, type(None)), "an integer or null"),
-    "trials": _INT,
-    "adversary": _STR,
-    "attack_fraction": _NUMBER,
-    "swap_count": _INT,
-    "threshold": _NUMBER,
-    "five_party_state": _STR,
-    "five_party_rounds": _STR,
-    "format": _STR,
-    "out": ((str, type(None)), "a string or null"),
-    "fail_on_abort": ((bool,), "true or false"),
-}
-
-
-def _check_config_types(values: dict) -> None:
-    for key, value in values.items():
-        allowed, expected = CONFIG_TYPES[key]
-        if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+RUN_OPTIONS = {option.key: option for option in (
+    RunOption("protocol", *_STR, TWO_PARTY, PROTOCOL_CHOICES, refusal="unknown protocol {!r}"),
+    RunOption("key_bits", *_INT, 16),
+    RunOption("seed", (int, type(None)), "an integer or null", None),
+    RunOption("trials", *_INT, 1),
+    RunOption("adversary", *_STR, AdversaryKind.NONE.value, ADVERSARY_CHOICES,
+              refusal="unknown adversary {!r}"),
+    RunOption("attack_fraction", *_NUMBER, 1.0),
+    RunOption("swap_count", *_INT, 1, help="number of disjoint position swaps for dishonest-bob"),
+    RunOption("threshold", *_NUMBER, 0.0, help="decoy error-rate tolerance"),
+    # ProtocolConfig.validate refuses a bad state, after its key_bits rule.
+    RunOption("five_party_state", *_STR, FourQubitState.OMEGA.value, FIVE_PARTY_STATES),
+    RunOption("five_party_rounds", *_STR, "1234",
+              help="four digits 1-6 naming a decodable round selection, e.g. 1234"),
+    RunOption("format", *_STR, "json", ("json", "text"),
+              refusal="run output format must be json or text"),
+    RunOption("out", (str, type(None)), "a string or null", None,
+              help="write output to this path instead of stdout"),
+    RunOption("fail_on_abort", (bool,), "true or false", False),
+)}
+RUN_DEFAULTS = {key: option.default for key, option in RUN_OPTIONS.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,23 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute protocol trials")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
-    run_p.add_argument("--protocol", choices=PROTOCOL_CHOICES)
-    run_p.add_argument("--key-bits", type=int, dest="key_bits")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--adversary", choices=ADVERSARY_CHOICES)
-    run_p.add_argument("--attack-fraction", type=float, dest="attack_fraction")
-    run_p.add_argument("--swap-count", type=int, dest="swap_count",
-                       help="number of disjoint position swaps for dishonest-bob")
-    run_p.add_argument("--threshold", type=float, help="decoy error-rate tolerance")
-    run_p.add_argument("--five-party-state", choices=("omega", "cluster"),
-                       dest="five_party_state")
-    run_p.add_argument("--five-party-rounds", dest="five_party_rounds",
-                       help="four digits 1-6 naming a decodable round selection, e.g. 1234")
-    run_p.add_argument("--format", choices=("json", "text"))
-    run_p.add_argument("--out", help="write output to this path instead of stdout")
-    run_p.add_argument("--fail-on-abort", action="store_true", default=None,
-                       dest="fail_on_abort")
+    for option in RUN_OPTIONS.values():
+        flag = "--" + option.key.replace("_", "-")
+        if option.types == (bool,):
+            run_p.add_argument(flag, action="store_true", default=None, help=option.help)
+        else:
+            run_p.add_argument(flag, type=option.types[0], choices=option.choices, help=option.help)
 
     eff_p = sub.add_parser("efficiency", help="resource and efficiency table")
     eff_p.add_argument("--table", action="store_true",
@@ -189,7 +190,8 @@ def _load_run_spec(args: argparse.Namespace) -> dict:
         unknown = set(file_values) - set(RUN_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        _check_config_types(file_values)
+        for key, value in file_values.items():
+            RUN_OPTIONS[key].check_type(value)
         spec.update(file_values)
     for key in RUN_DEFAULTS:
         value = getattr(args, key, None)
@@ -208,16 +210,12 @@ def _load_run_spec(args: argparse.Namespace) -> dict:
 
 
 def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
-    if spec["protocol"] not in PROTOCOL_CHOICES:
-        raise ConfigError(f"unknown protocol {spec['protocol']!r}")
+    # Refusals keep this order: protocol, trials, format, adversary, then the library's.
+    RUN_OPTIONS["protocol"].check_choice(spec)
     if spec["trials"] < 1:
         raise ConfigError("trials must be >= 1")
-    if spec["format"] not in ("json", "text"):
-        raise ConfigError("run output format must be json or text")
-    try:
-        kind = AdversaryKind(spec["adversary"])
-    except ValueError:
-        raise ConfigError(f"unknown adversary {spec['adversary']!r}") from None
+    RUN_OPTIONS["format"].check_choice(spec)
+    RUN_OPTIONS["adversary"].check_choice(spec)
     config = ProtocolConfig(
         key_bits=spec["key_bits"],
         party_count=PARTY_COUNTS[spec["protocol"]],
@@ -235,7 +233,7 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
                 f"{MAX_COMMAND_KEY_BITS} key bits per command"
             )
         adversary = AdversaryModel(
-            kind=kind,
+            kind=AdversaryKind(spec["adversary"]),
             fraction=spec["attack_fraction"],
             swap_count=spec["swap_count"],
         )
@@ -286,7 +284,7 @@ def _run_command(args: argparse.Namespace) -> int:
     else:
         payload = {
             "schema": "qka.batch/1",
-            "spec": {k: spec[k] for k in sorted(RUN_DEFAULTS) if k != "out"},
+            "spec": {k: spec[k] for k in sorted(RUN_OPTIONS) if k != "out"},
             "summary": batch_summary(results),
             "trials": [
                 {

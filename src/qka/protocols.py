@@ -74,6 +74,8 @@ PARTY_NAMES = ("Alice", "Bob", "Charlie", "Dave", "Erika")
 # selection too, which ``ProtocolConfig.validate`` decides.
 FIVE_PARTY_ROUND_CHOICES = ("1234", "1256", "3456")
 
+FIVE_PARTY_STATES = tuple(state.value for state in FourQubitState)
+
 # Qubits per resource copy, by party count: Bell pairs, or a 4-qubit state.
 _COPY_QUBITS = {2: 2, 3: 2, 5: 4}
 
@@ -120,7 +122,7 @@ class ProtocolConfig:
     error_threshold: float = 0.0
     seed: int = 0
     run_index: int = 0
-    five_party_state: str = "omega"
+    five_party_state: str = FourQubitState.OMEGA.value
     five_party_rounds: str = "1234"
     fixed_keys: tuple[tuple[int, ...], ...] | None = None
 
@@ -135,8 +137,9 @@ class ProtocolConfig:
             raise ValueError("error_threshold must lie in [0, 1]")
         if self.seed < 0 or self.run_index < 0:
             raise ValueError("seed and run_index must be nonnegative")
-        if self.five_party_state not in ("omega", "cluster"):
-            raise ValueError("five_party_state must be 'omega' or 'cluster'")
+        if self.five_party_state not in FIVE_PARTY_STATES:
+            names = " or ".join(map(repr, FIVE_PARTY_STATES))
+            raise ValueError(f"five_party_state must be {names}")
         if len(self.five_party_rounds) != 4 or any(
             c not in "123456" for c in self.five_party_rounds
         ):

@@ -1,8 +1,10 @@
 """Command-line surface: flags, config file, formats, exit codes."""
 
+import argparse
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -377,6 +379,78 @@ class TestConfigTypes:
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("qka: configuration error: ")
+
+
+class TestRefusalLines:
+    """The exact first refusal for a config file and flags, multi-fault specs included."""
+
+    @pytest.mark.parametrize(
+        "config, flags, line",
+        [
+            # one out-of-choice value per choice option, and one wrong type
+            ({"protocol": "x"}, [], "unknown protocol 'x'"),
+            ({"adversary": "x"}, [], "unknown adversary 'x'"),
+            ({"format": "csv"}, [], "run output format must be json or text"),
+            ({"five_party_state": "x"}, [], "five_party_state must be 'omega' or 'cluster'"),
+            ({"key_bits": "16"}, [], "config key 'key_bits' must be an integer, got \"16\""),
+            # a flag overrides the file before any choice is checked
+            ({"format": "csv"}, ["--format", "json"], None),
+            ({"protocol": "x"}, ["--protocol", "two-party"], None),
+            # type errors come in file order, before any choice
+            ({"trials": "x", "key_bits": "y"}, [],
+             "config key 'trials' must be an integer, got \"x\""),
+            ({"protocol": "x", "key_bits": "y"}, [],
+             "config key 'key_bits' must be an integer, got \"y\""),
+            # then protocol, trials, format and adversary, then the library's rules
+            ({"protocol": "x", "trials": 0}, [], "unknown protocol 'x'"),
+            ({"trials": 0, "format": "csv"}, [], "trials must be >= 1"),
+            ({"format": "csv", "adversary": "x"}, [], "run output format must be json or text"),
+            ({"adversary": "x", "key_bits": 3}, [], "unknown adversary 'x'"),
+            ({"five_party_state": "foo"}, ["--key-bits", "3"],
+             "key_bits must be a positive even integer"),
+            ({"five_party_state": "foo", "threshold": 2}, [],
+             "error_threshold must lie in [0, 1]"),
+        ],
+    )
+    def test_config_refusal_line(self, capsys, tmp_path, config, flags, line):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), *flags)
+        if line is None:
+            assert (code, err) == (0, "") and out
+        else:
+            assert (code, out, err) == (2, "", f"qka: configuration error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "flag, choices",
+        [
+            ("--protocol", ("two-party", "three-party", "five-party")),
+            ("--adversary",
+             ("none", "intercept-z", "intercept-bell", "dishonest-alice", "dishonest-bob")),
+            ("--five-party-state", ("omega", "cluster")),
+            ("--format", ("json", "text")),
+        ],
+    )
+    def test_flag_out_of_choice_is_argparse_line(self, capsys, flag, choices):
+        reference = argparse.ArgumentParser(prog="qka run")
+        reference.add_argument(flag, choices=choices)
+        with pytest.raises(SystemExit):
+            reference.parse_args([flag, "x"])
+        expected = capsys.readouterr().err.splitlines()[-1]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", flag, "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == expected
+
+
+def test_readme_run_flags_are_the_option_table():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("`run` flags:"):].split("\n\n")[0]
+    flags = {"--" + key.replace("_", "-"): option for key, option in cli.RUN_OPTIONS.items()}
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == {*flags, "--config"}
+    for flag, option in flags.items():
+        if option.choices:
+            assert f"`{flag} {{{','.join(option.choices)}}}`" in paragraph
 
 
 def _must_not_run(*args, **kwargs):
