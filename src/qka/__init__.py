@@ -35,6 +35,7 @@ from .protocols import (
     ProtocolResult,
     encode_key,
     insert_decoys_and_permute,
+    run_batch,
     run_five_party,
     run_protocol,
     run_three_party,
@@ -81,6 +82,7 @@ __all__ = [
     "preset_counts",
     "product_set",
     "qubit_efficiency",
+    "run_batch",
     "run_five_party",
     "run_protocol",
     "run_three_party",

@@ -27,9 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .registers import BELL_VECTORS, BELL_X_BITS, QubitStore
-
-_Z_BASIS = np.eye(2)  # the computational basis; row b is also the state |b>
+from .registers import BELL_VECTORS, BELL_X_BITS, Z_BASIS, QubitStore
 
 
 class AdversaryKind(str, Enum):
@@ -114,8 +112,8 @@ def attack_transit(
         ids = np.array(slots, dtype=np.int64)
         hits, uniforms = _intercept_draws(rng, ids.size, model.fraction)
         if hits:
-            bits = store.measure_qubits(ids[hits], _Z_BASIS, uniforms)
-            ids[hits] = store.new_states(_Z_BASIS[bits]).ravel()
+            bits = store.measure_qubits(ids[hits], Z_BASIS, uniforms)
+            ids[hits] = store.new_states(Z_BASIS[bits]).ravel()
             slots[:] = ids if isinstance(slots, np.ndarray) else ids.tolist()
         return
     # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.

@@ -25,7 +25,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +61,7 @@ from .protocols import (
     _json_chunks,
     bits_to_hex,
     check_adversary,
+    run_batch,
     run_protocol,
 )
 from .registers import (
@@ -272,9 +273,10 @@ def _run_command(args: argparse.Namespace) -> int:
     spec = _load_run_spec(args)
     config, adversary = _validate_run_spec(spec)
     _check_out_path(spec["out"])
-    results = []
-    for trial in range(spec["trials"]):
-        results.append(run_protocol(replace(config, run_index=trial), adversary))
+    if spec["trials"] == 1:
+        results = [run_protocol(config, adversary)]
+    else:
+        results = run_batch(config, adversary, spec["trials"])
 
     if spec["trials"] == 1:
         if spec["format"] == "text":
@@ -463,10 +465,12 @@ def _render_ket(amplitudes: np.ndarray) -> str:
 
 
 def _check_out_path(path: str | None) -> None:
-    """Refuse, before any trial runs, an ``--out`` that is a directory or lies in none."""
-    if not path:
+    """Refuse, before any trial runs, an ``--out`` that is empty, a directory or lies in none."""
+    if path is None:
         return
-    if os.path.isdir(path):
+    if not path:
+        reason = "No such file or directory"  # what opening it would say
+    elif os.path.isdir(path):
         reason = "Is a directory"
     elif not os.path.isdir(os.path.dirname(path) or "."):
         reason = "No such directory"
@@ -477,7 +481,7 @@ def _check_out_path(path: str | None) -> None:
 
 def _emit(chunks: Iterable[str], path: str | None) -> None:
     """Write the chunks and a final newline to ``path``, or to stdout when there is none."""
-    if not path:
+    if path is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
         sys.stdout.write("\n")

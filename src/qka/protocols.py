@@ -12,9 +12,15 @@ five-party agreements are one ring construction and share one engine.
 Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
 
-Engines are strictly sequential; parallelize at the run level only. Every
-run owns its store, generator and transcript, and identical (seed,
-run_index) pairs reproduce byte-identical transcripts.
+Every run owns its generator, keys, transcript and checks, and identical
+(seed, run_index) pairs reproduce byte-identical transcripts. A two-party
+run also owns its store. The ring engine runs a stack of *lanes*, one run
+each, through one store in lockstep: every store call serves all lanes, and
+only the draws and the log run lane by lane, in each run's own order. A
+lone run is a stack of one lane; ``run_batch`` stacks a batch's ring trials
+up to ``_STACK_KEY_BITS`` key bits at a time. A stack numbers its qubit ids
+across its lanes, so only the digests of the ``quantum-send`` events, the
+one payload that holds ids, differ from those of a run on its own.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,6 +70,8 @@ from .registers import (
     QubitStore,
     StateRegister,
     apply_element,
+    constant_basis,
+    constant_state,
     four_qubit_vector,
 )
 from .transcript import Transcript
@@ -78,6 +86,14 @@ FIVE_PARTY_STATES = tuple(state.value for state in FourQubitState)
 
 # Qubits per resource copy, by party count: Bell pairs, or a 4-qubit state.
 _COPY_QUBITS = {2: 2, 3: 2, 5: 4}
+
+# The decoy pairs' state, and the two- and three-party resource state.
+_PSI_PLUS = constant_state(BELL_VECTORS[BellOutcome.PSI_PLUS])
+
+# A hop's senders scramble together while their trains hold at most this
+# many items in all: a stack's small trains share one scramble, and a long
+# train's temporaries stay those of one train.
+_SCRAMBLE_ITEMS = 2**12
 
 # The largest key a run accepts; a five-party run at this size peaks near
 # 220 MB of resident memory, during its last hop's decoy checks.
@@ -163,13 +179,12 @@ class PermutationRecord:
     """The sender's secret map for one scrambled train, as read-only int64 arrays.
 
     ``forward[i]`` is the slot of concatenated item i (messages first, then
-    decoy qubits pair by pair); ``inverse`` undoes it. ``message_order[i]``
-    is the slot of message qubit i, and ``decoy_pairs`` is an (m, 2) array
-    holding the slot pair of each decoy Bell pair.
+    decoy qubits pair by pair). ``message_order[i]`` is the slot of message
+    qubit i, and ``decoy_pairs`` is an (m, 2) array holding the slot pair of
+    each decoy Bell pair; both are views of ``forward``.
     """
 
     forward: np.ndarray
-    inverse: np.ndarray
     message_order: np.ndarray
     decoy_pairs: np.ndarray
 
@@ -211,27 +226,40 @@ def insert_decoys_and_permute(
         if m % 2:
             raise ValueError("message qubit count must be even")
         decoy_pair_count = m // 2
-    decoys = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
-    items = np.concatenate([message, decoys.reshape(-1)])
-    total = items.size
-    inverse = rng.permutation(total)
-    forward = np.empty_like(inverse)
-    forward[inverse] = np.arange(total)  # the inverse permutation
-    inverse.flags.writeable = forward.flags.writeable = False
-    record = PermutationRecord(
-        forward=forward,
-        inverse=inverse,
-        message_order=forward[:m],
-        decoy_pairs=forward[m:].reshape(-1, 2),
-    )
-    return items[inverse], record
+    slots, (forward,) = _scramble(message.reshape(1, m), store, [rng], decoy_pair_count)
+    return slots[0], PermutationRecord(forward, forward[:m], forward[m:].reshape(-1, 2))
+
+
+def _scramble(
+    messages: np.ndarray,
+    store: QubitStore,
+    rngs: Sequence[np.random.Generator],
+    decoy_pair_count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``insert_decoys_and_permute`` for a stack of trains, row by row.
+
+    ``messages`` holds one train's message ids per row. One allocation makes
+    every row's decoy pairs, row after row, and ``rngs[i]`` draws row i's
+    ``permutation``, in row order. Returns the (rows, items) slots in
+    transit and the read-only ``forward`` maps.
+    """
+    rows = len(messages)
+    decoys = store.new_train(_PSI_PLUS, rows * decoy_pair_count).reshape(rows, -1)
+    items = np.concatenate([messages, decoys], axis=1)
+    total = items.shape[1]
+    taken = np.array([rng.permutation(total) for rng in rngs])  # the item each slot takes
+    taken += np.arange(rows)[:, None] * total  # as flat indices: 1-D gathers are fast
+    forward = np.empty_like(taken)
+    forward.ravel()[taken] = np.arange(total)  # the inverse permutations
+    forward.flags.writeable = False
+    return items.ravel()[taken], forward
 
 
 def verify_decoys(
     store: QubitStore,
     trains: Sequence[tuple[Sequence[int] | np.ndarray, Sequence[tuple[int, int]] | np.ndarray]],
     threshold: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.ndarray,
 ) -> tuple[int, tuple[float, ...]]:
     """Bell-measure each train's disclosed decoy pairs; any non-psi+ outcome is an error.
 
@@ -240,39 +268,58 @@ def verify_decoys(
     must be nonempty, (m, 2)-shaped, and name m disjoint pairs of distinct
     slots in range. All pairs are then measured in one bulk call, train
     after train, so each train draws the uniforms a call of its own would
-    draw in turn.
+    draw in turn. ``rng`` may instead be those uniforms, one per pair.
 
     Returns ``(passes, error_rates)``: how many trains, from the first,
     pass (an error rate at most ``threshold``) before one fails, and each
     train's error rate.
     """
-    groups = []
-    for slots, decoy_pairs in trains:
-        slots = np.asarray(slots, dtype=np.int64)
-        pairs = np.asarray(decoy_pairs, dtype=np.int64)
-        if not pairs.size:
-            raise ValueError("decoy disclosure is empty")
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"decoy disclosure must hold slot pairs, got shape {pairs.shape}")
-        named = pairs.ravel()  # every slot must be in range and named once
-        if named.min() < 0 or named.max() >= slots.size or np.bincount(named).max() > 1:
-            bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= slots.size)).any(axis=1)
-            if bad.any():
-                a, b = pairs[bad.argmax()].tolist()
-                raise ValueError(f"malformed decoy pair ({a}, {b})")
-            raise ValueError("decoy pairs must be disjoint")
-        groups.append(slots[pairs])
-    counts = [len(g) for g in groups]
-    groups = np.concatenate(groups)  # one array; the per-train ones go before measuring
-    outcomes = store.measure_bell_rows(groups, rng)
-    error_rates = []
-    end = 0
-    for count in counts:
-        start, end = end, end + count
-        passed = int(np.count_nonzero(outcomes[start:end] == BellOutcome.PSI_PLUS))
-        error_rates.append((count - passed) / count)
+    slots = [np.asarray(train, dtype=np.int64) for train, _ in trains]
+    pairs = [np.asarray(disclosed, dtype=np.int64) for _, disclosed in trains]
+    named = _named_slots(slots, pairs)
+    if named is None:  # refuse the first bad disclosure, as checking each in turn would
+        for train, disclosed in zip(slots, pairs):
+            _refuse_disclosure(train, disclosed)
+    outcomes = store.measure_bell_rows(np.concatenate(slots)[named], rng)
+    counts = np.array([len(disclosed) for disclosed in pairs])
+    passed = np.add.reduceat(
+        outcomes == BellOutcome.PSI_PLUS, np.cumsum(counts) - counts, dtype=np.int64
+    )
+    error_rates = ((counts - passed) / counts).tolist()
     passes = next((i for i, rate in enumerate(error_rates) if rate > threshold), len(counts))
     return passes, tuple(error_rates)
+
+
+def _named_slots(slots: list[np.ndarray], pairs: list[np.ndarray]) -> np.ndarray | None:
+    """Every disclosed pair as two indices into the trains laid end to end.
+
+    Returns None unless every disclosure passes ``_refuse_disclosure``,
+    which this decides for all trains at once.
+    """
+    if not all(p.size and p.ndim == 2 and p.shape[1] == 2 for p in pairs):
+        return None
+    sizes = np.array([train.size for train in slots])
+    counts = [len(p) for p in pairs]
+    named = np.concatenate(pairs)
+    if named.min() < 0 or (named >= np.repeat(sizes, counts)[:, None]).any():
+        return None
+    named += np.repeat(np.cumsum(sizes) - sizes, counts)[:, None]
+    return None if np.bincount(named.ravel()).max() > 1 else named
+
+
+def _refuse_disclosure(slots: np.ndarray, pairs: np.ndarray) -> None:
+    """Raise ValueError unless ``pairs`` names disjoint pairs of distinct slots of the train."""
+    if not pairs.size:
+        raise ValueError("decoy disclosure is empty")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"decoy disclosure must hold slot pairs, got shape {pairs.shape}")
+    named = pairs.ravel()  # every slot must be in range and named once
+    if named.min() < 0 or named.max() >= slots.size or np.bincount(named).max() > 1:
+        bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= slots.size)).any(axis=1)
+        if bad.any():
+            a, b = pairs[bad.argmax()].tolist()
+            raise ValueError(f"malformed decoy pair ({a}, {b})")
+        raise ValueError("decoy pairs must be disjoint")
 
 
 def encode_key(
@@ -461,21 +508,27 @@ class _AbortRun(Exception):
 
 
 class _RunContext:
-    """Shared plumbing for one run: store, rng, transcript, attack wiring."""
+    """Shared plumbing for one run: store, rng, transcript, attack wiring.
+
+    A run owns its generator, transcript and checks; the store is its own
+    unless a stack of runs shares one.
+    """
 
     def __init__(
         self,
         protocol: str,
         config: ProtocolConfig,
         adversary: AdversaryModel,
+        store: QubitStore | None = None,
     ):
         self.config = config
         self.adversary = adversary
-        self.store = QubitStore()
+        self.store = QubitStore() if store is None else store
         self.rng = config.make_rng()
         self.transcript = Transcript(protocol, config.key_bits)
         self.checks: list[TransmissionCheck] = []
         self._transmissions = 0
+        self._attacked = adversary.transmission_index if adversary.is_external else -1
 
     def draw_key(self, party_index: int) -> np.ndarray:
         """The party's private key as a read-only uint8 array: its fixed key, or n drawn bits."""
@@ -510,6 +563,13 @@ class _RunContext:
         slots, record = insert_decoys_and_permute(
             message_qubits, self.store, self.rng, decoy_pair_count
         )
+        return slots, record, self.send(step, sender, receiver, slots)
+
+    def send(self, step: str, sender: str, receiver: str, slots: np.ndarray) -> int:
+        """Send a scrambled train and ack it; a transit attack on it rewrites ``slots``.
+
+        Returns the transmission's index.
+        """
         index = self._transmissions
         self._transmissions += 1
         self.transcript.log(
@@ -519,26 +579,28 @@ class _RunContext:
             {"to": receiver, "slots": slots, "transmission": index},
             qubit_count=len(slots),
         )
-        if self.adversary.is_external and self.adversary.transmission_index == index:
+        if index == self._attacked:
             attack_transit(self.adversary, self.store, slots, self.rng)
         self.transcript.log(step, receiver, tr.ACK, {"transmission": index})
-        return slots, record, index
+        return index
 
-    def disclose_full(self, step: str, actor: str, record: PermutationRecord) -> None:
+    def disclose_full(
+        self, step: str, actor: str, message_order: np.ndarray, decoy_pairs: np.ndarray
+    ) -> None:
         self.transcript.log(
             step,
             actor,
             tr.FULL_PERMUTATION_DISCLOSURE,
-            {"message_order": record.message_order, "decoy_pairs": record.decoy_pairs},
-            counted_bits=len(record.message_order),
+            {"message_order": message_order, "decoy_pairs": decoy_pairs},
+            counted_bits=len(message_order),
         )
 
-    def disclose_decoys(self, step: str, actor: str, record: PermutationRecord) -> None:
+    def disclose_decoys(self, step: str, actor: str, decoy_pairs: np.ndarray) -> None:
         self.transcript.log(
             step,
             actor,
             tr.DECOY_POSITIONS_DISCLOSURE,
-            {"decoy_pairs": record.decoy_pairs},
+            {"decoy_pairs": decoy_pairs},
         )
 
     def disclose_order(self, step: str, actor: str, order: np.ndarray) -> None:
@@ -659,7 +721,7 @@ def run_two_party(
 
     try:
         # Step 1: pair preparation and the initiator's key.
-        pairs = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], n)
+        pairs = store.new_train(_PSI_PLUS, n)
         ctx.log_preparation("step1", alice, 2 * n, "message")
         kept, travel = pairs[:, 0], pairs[:, 1]
         key_a = ctx.draw_key(0)
@@ -667,7 +729,7 @@ def run_two_party(
 
         # Steps 2-3: outbound train, full disclosure, responder's decoy check.
         slots1, rec1, idx1 = ctx.send_scrambled("step2", alice, bob, travel, n // 2)
-        ctx.disclose_full("step3", alice, rec1)
+        ctx.disclose_full("step3", alice, rec1.message_order, rec1.decoy_pairs)
         (check1,) = ctx.measure_decoys([(slots1, rec1)])
         ctx.record_check("step3", alice, bob, idx1, *check1)
         at_bob = slots1[rec1.message_order]
@@ -679,7 +741,7 @@ def run_two_party(
         slots2, rec2, idx2 = ctx.send_scrambled("step4", bob, alice, at_bob, n // 2)
 
         # Step 5: decoy coordinates only; the message order stays secret.
-        ctx.disclose_decoys("step5", bob, rec2)
+        ctx.disclose_decoys("step5", bob, rec2.decoy_pairs)
         (check2,) = ctx.measure_decoys([(slots2, rec2)])
         ctx.record_check("step5", bob, alice, idx2, *check2)
 
@@ -759,84 +821,160 @@ class _Ring:
 
 
 def _run_ring(
-    ring: _Ring, config: ProtocolConfig, adversary: AdversaryModel | None
-) -> ProtocolResult:
+    ring: _Ring, configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
+) -> list[ProtocolResult]:
+    """Run one trial per config in lockstep through one store; one result each.
+
+    The configs differ only in ``run_index``, and each is a *lane* with its
+    own generator, keys, transcript and checks. The lanes share every store
+    call: one train of all their copies, one decoy allocation and scramble
+    per run of a hop's senders (``_send_runs``), one ``encode_key`` per
+    round, one ``verify_decoys`` per hop and one decode measurement per
+    party. Only the draws and the log run lane by lane, each lane's in the
+    order a run of its own makes them, and each bulk measurement takes the
+    lanes' uniforms in lane order. A lane whose check fails records it,
+    aborts and leaves the stack. A transit attack acts on its lane's train
+    with that lane's generator. A stack of one lane allocates, draws and
+    logs exactly as a run of its own.
+    """
     adv = _normalize_adversary(adversary)
+    check_adversary(configs[0], adv)
     parties = len(ring.hop_steps)
-    check_adversary(config, adv)
-    n = config.key_bits
+    n = configs[0].key_bits
+    threshold = configs[0].error_threshold
     names = PARTY_NAMES[:parties]
-    ctx = _RunContext(ring.protocol, config, adv)
-    store, rng, t = ctx.store, ctx.rng, ctx.transcript
+    receivers = names[1:] + names[:1]
     width = _COPY_QUBITS[parties]
-
     travel = list(ring.travel)
-    # One train holds every party's copies: copies[j] is party j's (n, width)
-    # ids, the ids the j-th of back-to-back trains of n would have had.
-    copies = store.new_train(ring.state, parties * n).reshape(parties, n, width)
-    for j in range(parties):
-        ctx.log_preparation(ring.prep_step, names[j], width * n, "message")
-    travels = list(copies[:, :, travel].reshape(parties, -1))  # stream s's travel qubits
-    keys = [ctx.draw_key(j) for j in range(parties)]
-    private = dict(zip(names, keys))
-    key_mask = np.concatenate(keys)  # party by party
+    m = n * len(travel)  # message qubits per train
+    pairs = n // 2  # decoy pairs per train
+    attacked = adv.transmission_index if adv.is_external else -1
+    store = QubitStore()
+    lanes = [_RunContext(ring.protocol, config, adv, store) for config in configs]
+    results: list[ProtocolResult] = [None] * len(lanes)
 
-    try:
+    # One train holds every lane's copies: copies[j, l] is party j's (n, width)
+    # ids in lane l. With one lane, copies[j] holds the ids the j-th of
+    # back-to-back trains of n would have had.
+    copies = store.new_train(ring.state, parties * len(lanes) * n)
+    copies = copies.reshape(parties, len(lanes), n, width)
+    keys = []
+    for ctx in lanes:
+        for name in names:
+            ctx.log_preparation(ring.prep_step, name, width * n, "message")
+        keys.append([ctx.draw_key(j) for j in range(parties)])
+    key_masks = np.array(keys).transpose(1, 0, 2)  # by party, lane and bit
+    travels = copies[..., travel].reshape(parties, len(lanes), m)  # stream s's travel qubits
+    active = list(range(len(lanes)))  # the lane on each row of copies, travels and key_masks
+
+    for hop, (send_step, check_step) in enumerate(ring.hop_steps):
         # Each hop runs in lockstep: all parties encode, then send, then
         # every receiver checks, each check recorded between its disclosures.
-        for hop, (send_step, check_step) in enumerate(ring.hop_steps):
-            held = [(j - hop) % parties for j in range(parties)]  # stream party j holds
-            if hop:
-                held_travel = np.concatenate([travels[s] for s in held])
-                encode_key(store, held_travel, key_mask, ring.words[hop - 1])
-            sent = [
-                ctx.send_scrambled(
-                    send_step, names[j], names[(j + 1) % parties], travels[held[j]], n // 2
+        held = [(j - hop) % parties for j in range(parties)]  # stream party j holds
+        if hop:
+            encode_key(store, travels[held].ravel(), key_masks.ravel(), ring.words[hop - 1])
+        rngs = [lanes[lane].rng for lane in active]
+        sent = []  # per party: each lane's slots, message orders and decoy pairs
+        most = max(1, _SCRAMBLE_ITEMS // (len(active) * (m + 2 * pairs)))
+        for senders in _send_runs(hop, parties, attacked, most):
+            # One scramble for the run's parties, party by party; a transit
+            # attack ends a run, so every allocation and draw keeps its order.
+            messages = travels[[held[j] for j in senders]].reshape(-1, m)
+            slots, forward = _scramble(messages, store, rngs * len(senders), pairs)
+            slots = slots.reshape(len(senders), len(active), -1)
+            forward = forward.reshape(len(senders), len(active), -1)
+            for k, j in enumerate(senders):
+                for row, lane in enumerate(active):
+                    ctx = lanes[lane]
+                    ctx.log_preparation(send_step, names[j], 2 * pairs, "decoy")
+                    ctx.send(send_step, names[j], receivers[j], slots[k, row])
+                decoys = forward[k, :, m:].reshape(len(active), pairs, 2)
+                sent.append((slots[k], forward[k, :, :m], decoys))
+        # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
+        _, rates = verify_decoys(
+            store,
+            [(slots[row], decoys[row])
+             for row in range(len(active)) for slots, _, decoys in sent],
+            threshold=threshold,
+            rng=np.concatenate([rng.random(parties * pairs) for rng in rngs]),
+        )
+        kept = []  # the rows whose lanes run on
+        for row, lane in enumerate(active):
+            ctx = lanes[lane]
+            try:
+                for j, (_, orders, decoys) in enumerate(sent):
+                    rate = rates[row * parties + j]
+                    # The plain hop carries no key yet, so its order may go out
+                    # with the decoys; a key-bearing order waits for the check.
+                    if hop:
+                        ctx.disclose_decoys(check_step, names[j], decoys[row])
+                    else:
+                        ctx.disclose_full(check_step, names[j], orders[row], decoys[row])
+                    ctx.record_check(
+                        check_step, names[j], receivers[j], hop * parties + j, rate,
+                        rate <= threshold,
+                    )
+                    if hop:
+                        ctx.disclose_order(check_step, names[j], orders[row])
+            except _AbortRun as abort:
+                results[lane] = ProtocolResult(
+                    ring.protocol, n, names, dict(zip(names, keys[lane])),
+                    {name: None for name in names}, True, abort.reason, ctx.checks,
+                    None, ctx.transcript, {}, None,
                 )
-                for j in range(parties)
-            ]
-            checks = ctx.measure_decoys([(slots, rec) for slots, rec, _ in sent])
-            for j, ((slots, rec, idx), check) in enumerate(zip(sent, checks)):
-                # The plain hop carries no key yet, so its order may go out
-                # with the decoys; a key-bearing order waits for the check.
-                if hop:
-                    ctx.disclose_decoys(check_step, names[j], rec)
-                else:
-                    ctx.disclose_full(check_step, names[j], rec)
-                ctx.record_check(check_step, names[j], names[(j + 1) % parties], idx, *check)
-                if hop:
-                    ctx.disclose_order(check_step, names[j], rec.message_order)
-                travels[held[j]] = slots[rec.message_order]
-            del sent  # free this hop's trains before the next hop's are built
+                continue
+            kept.append(row)
+        row_starts = np.arange(len(active))[:, None] * (m + 2 * pairs)
+        for j, (slots, orders, _) in enumerate(sent):
+            travels[held[j]] = slots.ravel()[orders + row_starts]  # the restored trains
+        del sent  # free this hop's trains before the next hop's are built
+        if not kept:
+            return results
+        if len(kept) < len(active):  # aborted lanes leave the stack
+            copies, travels, key_masks = copies[:, kept], travels[:, kept], key_masks[:, kept]
+            active = [active[row] for row in kept]
 
-        # Decode each copy with its returned travel qubits in their positions.
+    # Decode each copy with its returned travel qubits in their positions.
+    labels = np.array([label for label, _ in ring.outcomes], dtype=object)
+    parity = np.array([bit for _, bit in ring.outcomes], dtype=np.uint8)
+    outcomes = []
+    for j in range(parties):
+        groups = copies[j].copy()
+        groups[..., travel] = travels[j].reshape(len(active), n, len(travel))
+        uniforms = np.concatenate([lanes[lane].rng.random(n) for lane in active])
+        rows = store.measure_rows_in_basis(groups.reshape(-1, width), ring.basis, uniforms)
+        outcomes.append(rows.reshape(len(active), n))
+    for row, lane in enumerate(active):
+        ctx = lanes[lane]
         derived: dict[str, np.ndarray | None] = {}
         outcome_records: dict[str, tuple[str, ...]] = {}
-        labels = np.array([label for label, _ in ring.outcomes], dtype=object)
-        parity = np.array([bit for _, bit in ring.outcomes], dtype=np.uint8)
-        for j in range(parties):
-            groups = copies[j].copy()
-            groups[:, travel] = travels[j].reshape(n, len(travel))
-            rows = store.measure_rows_in_basis(groups, ring.basis, rng)
-            outcome_records[names[j]] = tuple(labels[rows].tolist())
-            derived[names[j]] = xor_bits(keys[j], parity[rows])
+        for j, name in enumerate(names):
+            outcome_records[name] = tuple(labels[outcomes[j][row]].tolist())
+            derived[name] = xor_bits(keys[lane][j], parity[outcomes[j][row]])
+        results[lane] = ProtocolResult(
+            ring.protocol, n, names, dict(zip(names, keys[lane])), derived, False, None,
+            ctx.checks, count_from_transcript(ctx.transcript), ctx.transcript,
+            outcome_records, None,
+        )
+    return results
 
-        counts = count_from_transcript(t)
-        return ProtocolResult(
-            ring.protocol, n, names, private, derived, False, None, ctx.checks,
-            counts, t, outcome_records, None,
-        )
-    except _AbortRun as abort:
-        return ProtocolResult(
-            ring.protocol, n, names, private,
-            {name: None for name in names}, True, abort.reason, ctx.checks,
-            None, t, {}, None,
-        )
+
+def _send_runs(hop: int, parties: int, attacked: int, most: int) -> list[range]:
+    """The senders of a hop in runs that scramble together.
+
+    A run holds at most ``most`` senders and ends at the attacked transmission.
+    """
+    runs, start = [], 0
+    for j in range(parties):
+        if j + 1 - start == most or hop * parties + j == attacked or j == parties - 1:
+            runs.append(range(start, j + 1))
+            start = j + 1
+    return runs
 
 
 _THREE_PARTY_RING = _Ring(
     protocol=THREE_PARTY,
-    state=BELL_VECTORS[BellOutcome.PSI_PLUS],
+    state=_PSI_PLUS,
     travel=(1,),
     words=(GroupElement.of(PauliLetter.X), GroupElement.of(PauliLetter.Z)),
     prep_step="step1",
@@ -860,7 +998,7 @@ def run_three_party(
     config.validate()
     if config.party_count != 3:
         raise ValueError("three-party run requires party_count == 3")
-    return _run_ring(_THREE_PARTY_RING, config, adversary)
+    return _run_ring(_THREE_PARTY_RING, [config], adversary)[0]
 
 
 def five_party_round_subgroups(digits: str):
@@ -901,15 +1039,14 @@ def _five_party_ring(state: str, rounds: str) -> _Ring:
     basis = np.stack(
         [apply_element(reference, u, (0, 2)).amplitudes for u in elements]
     )
-    vector.flags.writeable = basis.flags.writeable = False  # shared through the cache
-    return _Ring(
+    return _Ring(  # read-only constants, shared through the cache
         protocol=FIVE_PARTY,
-        state=vector,
+        state=constant_state(vector),
         travel=(0, 2),
         words=generators,
         prep_step="hop0",
         hop_steps=tuple((f"hop{h}", f"hop{h}") for h in range(1, 6)),
-        basis=basis,
+        basis=constant_basis(basis),
         outcomes=tuple((u.label, parity[u]) for u in elements),
     )
 
@@ -931,7 +1068,7 @@ def run_five_party(
     if config.party_count != 5:
         raise ValueError("five-party run requires party_count == 5")
     ring = _five_party_ring(config.five_party_state, config.five_party_rounds)
-    return _run_ring(ring, config, adversary)
+    return _run_ring(ring, [config], adversary)[0]
 
 
 def run_protocol(
@@ -943,3 +1080,37 @@ def run_protocol(
     if config.party_count == 3:
         return run_three_party(config, adversary)
     return run_five_party(config, adversary)
+
+
+# A batch stacks at most this many key bits of ring trials, and at least
+# one trial, per store.
+_STACK_KEY_BITS = 1024
+
+
+def run_batch(
+    config: ProtocolConfig, adversary: AdversaryModel | None = None, trials: int = 1
+) -> list[ProtocolResult]:
+    """``trials`` runs of ``config``; trial i is ``replace(config, run_index=i)``.
+
+    Two-party trials run one by one. Three- and five-party trials run in
+    stacks of at most ``_STACK_KEY_BITS`` key bits, as lanes of one store
+    (see ``_run_ring``). Each trial's ``to_dict()`` equals that of its own
+    ``run_protocol(replace(config, run_index=i), adversary)`` call, except
+    the digests of ``quantum-send`` events: those payloads are the only ones
+    that hold qubit ids, and a stack numbers its ids across its lanes.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    config.validate()
+    configs = [replace(config, run_index=i) for i in range(trials)]
+    if config.party_count == 2:
+        return [run_two_party(c, adversary) for c in configs]
+    if config.party_count == 3:
+        ring = _THREE_PARTY_RING
+    else:
+        ring = _five_party_ring(config.five_party_state, config.five_party_rounds)
+    per_stack = max(1, _STACK_KEY_BITS // config.key_bits)
+    results = []
+    for lo in range(0, trials, per_stack):
+        results.extend(_run_ring(ring, configs[lo : lo + per_stack], adversary))
+    return results

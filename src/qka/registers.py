@@ -23,7 +23,11 @@ is one index permutation and sign per (block, position), applied to all the
 rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. A measurement
 refuses bad input before it changes anything: every id must be live and
 named once, and a basis from outside must be real, square and orthonormal,
-so that it resolves every state. Measurement has three routines.
+so that it resolves every state. The states and bases the package builds
+itself (``BELL_VECTORS``, ``Z_BASIS`` and the protocols' resource states and
+decode bases) are checked once, by ``constant_state`` and
+``constant_basis``, and taken as they are afterwards. Measurement has three
+routines.
 
 * Groups that are whole rows, in register order, of allocated blocks are
   measured in bulk, whatever blocks they lie in: one matmul per pass, then
@@ -124,17 +128,6 @@ _BELL_OUTCOMES = tuple(BellOutcome)  # by index, faster than BellOutcome(i)
 BELL_LABELS = np.array(["psi+", "psi-", "phi+", "phi-"], dtype=object)
 BELL_X_BITS = np.array([o.x_bit for o in BellOutcome], dtype=np.uint8)
 
-# Rows indexed by BellOutcome; columns over |00>, |01>, |10>, |11>.
-BELL_VECTORS = np.array(
-    [
-        [_INV_SQRT2, 0.0, 0.0, _INV_SQRT2],
-        [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
-        [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
-        [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
-    ]
-)
-_Z_BRAS = np.eye(2)
-
 
 class FourQubitState(Enum):
     OMEGA = "omega"
@@ -229,7 +222,10 @@ def _checked_basis(basis) -> np.ndarray:
 
     A basis must be real, finite, square and orthonormal within ``NORM_TOL``:
     then it resolves every state, and a register's mass under it is its norm.
+    A constant basis (``constant_basis``) passed the rule once and is returned as it is.
     """
+    if _CONSTANT_BASES.get(id(basis)) is basis:
+        return basis
     basis = _real(basis)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise ValueError(f"a basis of shape {basis.shape} is not square: it does not resolve")
@@ -238,6 +234,45 @@ def _checked_basis(basis) -> np.ndarray:
     if np.add.reduce(np.abs(gram, out=gram), axis=1).max() > NORM_TOL:
         raise ValueError("basis rows are not orthonormal: the basis does not resolve")
     return basis
+
+
+# The states and bases the package builds itself, by id. Each was checked
+# once, when it became a read-only constant, and the store takes it as it is;
+# every other state or basis is checked on each call. The dicts keep the
+# arrays alive, so no listed id is reused.
+_CONSTANT_STATES: dict[int, np.ndarray] = {}
+_CONSTANT_BASES: dict[int, np.ndarray] = {}
+
+
+def _constant(values: np.ndarray, table: dict[int, np.ndarray]) -> np.ndarray:
+    values = values.copy()
+    values.flags.writeable = False
+    table[id(values)] = values
+    return values
+
+
+def constant_state(vector) -> np.ndarray:
+    """``vector`` checked once as a state, as a read-only constant the store takes unchecked."""
+    width = np.size(vector).bit_length() - 1
+    return _constant(StateRegister(tuple(range(width)), vector).amplitudes, _CONSTANT_STATES)
+
+
+def constant_basis(basis) -> np.ndarray:
+    """``basis`` checked once by the basis rule, as a read-only constant the store takes unchecked."""
+    return _constant(_checked_basis(basis), _CONSTANT_BASES)
+
+
+# Rows indexed by BellOutcome; columns over |00>, |01>, |10>, |11>.
+BELL_VECTORS = constant_basis(
+    [
+        [_INV_SQRT2, 0.0, 0.0, _INV_SQRT2],
+        [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
+        [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
+        [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
+    ]
+)
+# The computational basis; row b is also the state |b>.
+Z_BASIS = constant_basis(np.eye(2))
 
 
 def _sample_index(probs: np.ndarray, uniform: float, total: float | None = None) -> int:
@@ -310,6 +345,16 @@ def _id_table(groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         raise ValueError(_EMPTY_GROUP)
     flat = itertools.chain.from_iterable(groups)
     return np.fromiter(flat, dtype=np.int64, count=len(groups) * size).reshape(-1, size)
+
+
+def _given_uniforms(uniforms, count: int, what: str) -> np.ndarray:
+    """Given uniforms as float64, one in [0, 1) for each of ``count`` ``what``."""
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    if uniforms.shape != (count,):
+        raise ValueError(f"{uniforms.size} uniforms given for {count} {what}")
+    if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
+        raise ValueError("uniforms must lie in [0, 1)")
+    return uniforms
 
 
 def _has_repeats(values: np.ndarray) -> bool:
@@ -521,7 +566,10 @@ class QubitStore:
         if count < 0:
             raise ValueError("train length must be nonnegative")
         width = np.size(vector).bit_length() - 1
-        template = StateRegister(tuple(range(width)), vector).amplitudes  # checked
+        if _CONSTANT_STATES.get(id(vector)) is vector:  # checked when it became a constant
+            template = vector
+        else:
+            template = StateRegister(tuple(range(width)), vector).amplitudes
         return self._new_rows(np.repeat(template[None], count, axis=0), width)
 
     def new_states(self, states: np.ndarray) -> np.ndarray:
@@ -690,7 +738,7 @@ class QubitStore:
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Computational-basis measurement; the qubit is retired."""
-        return self._measure((qubit,), _Z_BRAS, rng.random)
+        return self._measure((qubit,), Z_BASIS, rng.random)
 
     def measure_in_basis(
         self,
@@ -714,11 +762,13 @@ class QubitStore:
         return self._measure(tuple(qubits), basis, rng.random)
 
     def measure_bell_rows(
-        self, pairs: Sequence[Sequence[int]] | np.ndarray, rng: np.random.Generator
+        self, pairs: Sequence[Sequence[int]] | np.ndarray, rng: np.random.Generator | np.ndarray
     ) -> np.ndarray:
         """``measure_bell`` on each pair in list order, whole rows in bulk.
 
-        Returns each pair's ``BellOutcome`` index as an int64 array.
+        ``rng`` is a Generator, or the uniforms it would draw (see
+        ``_measure_groups``). Returns each pair's ``BellOutcome`` index as an
+        int64 array.
         """
         return self._measure_groups(pairs, BELL_VECTORS, rng)
 
@@ -726,11 +776,13 @@ class QubitStore:
         self,
         groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | np.ndarray,
     ) -> np.ndarray:
         """``measure_in_basis`` on each group in list order, whole rows in bulk.
 
-        Returns each group's basis row index as an int64 array.
+        ``rng`` is a Generator, or the uniforms it would draw (see
+        ``_measure_groups``). Returns each group's basis row index as an
+        int64 array.
         """
         return self._measure_groups(groups, _checked_basis(basis), rng)
 
@@ -756,11 +808,7 @@ class QubitStore:
         basis = _checked_basis(basis)
         if basis.shape != (2, 2):
             raise ValueError("a one-qubit basis must be 2x2")
-        uniforms = np.asarray(uniforms, dtype=np.float64)
-        if uniforms.shape != ids.shape:
-            raise ValueError(f"{uniforms.size} uniforms given for {ids.size} qubits")
-        if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
-            raise ValueError("uniforms must lie in [0, 1)")
+        uniforms = _given_uniforms(uniforms, ids.size, "qubits")
         if _has_repeats(ids):
             raise ValueError("measured qubits must be distinct")
         self._indices(ids)
@@ -844,20 +892,22 @@ class QubitStore:
         self,
         groups: Sequence[Sequence[int]] | np.ndarray,
         basis: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | np.ndarray,
     ) -> np.ndarray:
         """Measure every group in ``basis``, drawing all uniforms at once.
 
         The group size, and that every id is live and named once, are checked
         before the one draw of ``rng.random(len(groups))``; group i uses
         uniform i, the value the i-th of as many scalar measurements would
-        draw. One walk over passes then measures, retires and samples the
-        groups that are whole rows of an allocated block, in register order,
-        across blocks. Every other group then goes through ``_measure`` in
-        list order. The only refusal left after the draw is the 12-qubit
-        cap, should such a merge outgrow it; no engine reaches it, as
-        ``check_adversary`` refuses five-party intercept-bell. Returns the
-        outcome indices as an int64 array.
+        draw. ``rng`` may instead be those uniforms, one in [0, 1) per group,
+        checked after the ids; a caller that stacks runs, each with its own
+        generator, draws each run's share itself. One walk over passes then
+        measures, retires and samples the groups that are whole rows of an
+        allocated block, in register order, across blocks. Every other group
+        then goes through ``_measure`` in list order. The only refusal left
+        after the draw is the 12-qubit cap, should such a merge outgrow it;
+        no engine reaches it, as ``check_adversary`` refuses five-party
+        intercept-bell. Returns the outcome indices as an int64 array.
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)
@@ -868,7 +918,10 @@ class QubitStore:
             raise ValueError("basis row length must be 2^(number of measured qubits)")
         for lo in range(0, len(targets), _ROWS_PER_PASS):  # in passes: small gathers
             self._indices(targets[lo : lo + _ROWS_PER_PASS])
-        uniforms = rng.random(len(groups))
+        if isinstance(rng, np.random.Generator):
+            uniforms = rng.random(len(targets))
+        else:
+            uniforms = _given_uniforms(rng, len(targets), "groups")
         outcomes = np.empty(len(groups), dtype=np.int64)
         one_by_one = np.ones(len(groups), dtype=bool)
         for lo in range(0, len(targets), _ROWS_PER_PASS):

@@ -410,9 +410,16 @@ class TestRefusalLines:
              "key_bits must be a positive even integer"),
             ({"five_party_state": "foo", "threshold": 2}, [],
              "error_threshold must lie in [0, 1]"),
+            # an empty output path is no path: refused in either form, before any trial
+            ({"out": ""}, [], "cannot write output to '': No such file or directory"),
+            ({}, ["--out", ""], "cannot write output to '': No such file or directory"),
+            ({"out": ""}, ["--trials", "3"],
+             "cannot write output to '': No such file or directory"),
         ],
     )
-    def test_config_refusal_line(self, capsys, tmp_path, config, flags, line):
+    def test_config_refusal_line(self, capsys, monkeypatch, tmp_path, config, flags, line):
+        if line is not None:
+            _forbid_runs(monkeypatch)
         cfg = tmp_path / "spec.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "run", "--config", str(cfg), *flags)
@@ -453,13 +460,19 @@ def test_readme_run_flags_are_the_option_table():
             assert f"`{flag} {{{','.join(option.choices)}}}`" in paragraph
 
 
-def _must_not_run(*args, **kwargs):
-    raise AssertionError("an oversized request reached run_protocol")
+def _forbid_runs(monkeypatch):
+    """Make every run entry the CLI calls fail the test if it is reached."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a refused request reached a run entry")
+
+    for entry in ("run_protocol", "run_batch"):
+        monkeypatch.setattr(cli, entry, must_not_run)
 
 
 class TestSizeLimits:
     def test_key_bits_above_the_limit_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_protocol", _must_not_run)
+        _forbid_runs(monkeypatch)
         code, out, err = run_cli(capsys, "run", "--key-bits", str(MAX_KEY_BITS + 2))
         assert code == 2 and out == ""
         assert err.startswith("qka: configuration error: ") and str(MAX_KEY_BITS) in err
@@ -473,7 +486,7 @@ class TestSizeLimits:
     def test_trials_times_key_bits_above_the_limit_exits_2(
         self, capsys, monkeypatch, tmp_path, source
     ):
-        monkeypatch.setattr(cli, "run_protocol", _must_not_run)
+        _forbid_runs(monkeypatch)
         trials = MAX_COMMAND_KEY_BITS // 1024 + 1
         if source == "flags":
             argv = ("run", "--key-bits", "1024", "--trials", str(trials))
@@ -510,7 +523,7 @@ class TestUnwritableOut:
     )
     def test_exits_2_naming_the_path(self, capsys, monkeypatch, tmp_path, argv, where):
         # run refuses before any trial
-        monkeypatch.setattr(cli, "run_protocol", _must_not_run)
+        _forbid_runs(monkeypatch)
         path = _out_path(tmp_path, where)
         code, out, err = run_cli(capsys, *argv, "--out", path)
         assert code == 2 and out == ""

@@ -91,6 +91,22 @@ CASES = {
         for protocol in (TWO, THREE, FIVE)
     },
     "batch-intercept-z-f1": _run(TWO, 16, 8, "--trials", "8", *FULL_INTERCEPT_Z),
+    # Batches the ring engine runs as stacks of trials: the five-party-n16
+    # benchmark shape, an honest three-party batch of several stacks, and a
+    # five-party batch whose trials abort at different checks.
+    **{
+        f"batch-five-party-{state}-{rounds}": _run(
+            FIVE, 16, seed, "--trials", "4", "--format", "json",
+            "--five-party-state", state, "--five-party-rounds", rounds,
+        )
+        for state in ("omega", "cluster")
+        for rounds, seed in (("1234", 1234), ("1256", 1256), ("3456", 3456))
+    },
+    "batch-three-party": _run(THREE, 16, 9, "--trials", "80", "--format", "json"),
+    "batch-five-party-intercept-z-aborts": _run(
+        FIVE, 16, 7, "--trials", "12", "--adversary", "intercept-z", "--attack-fraction", "0.3",
+        "--threshold", "0.25",
+    ),
     "verify-groups": ("verify-groups",),
     **{
         f"efficiency-table-{fmt}": ("efficiency", "--table", "--format", fmt)
@@ -105,8 +121,17 @@ CASES = {
 # letter products against a copy of the phase-stripping algorithm; the
 # attacked batches from the engine whose rings decoded through a function;
 # the fully attacked (f1) cases from the store whose intercept-z measured
-# and resent one slot at a time.
+# and resent one slot at a time; the stacked batches (batch-five-party-*,
+# batch-three-party) from the engine that ran a batch's trials one by one.
 DIGESTS = {
+    "batch-five-party-cluster-1234": "b0b7a4136e210b2e90ef1003588b245eecbc699c8fa7db37c5678f010b9b78a2",
+    "batch-five-party-cluster-1256": "b70b06ffa907c145126ce9c641019143c53105de6cca39c4b28dd5186d5b74e6",
+    "batch-five-party-cluster-3456": "836da7a7ea4611b1221b7c83f319a74f7da227bcd597996aa0b2266335ff54f0",
+    "batch-five-party-intercept-z-aborts": "5d9b0f7a7453e151d6cce7bc7c28a4f74ca5d1acf199ab01756db1ea48454179",
+    "batch-five-party-omega-1234": "b9d3c3708f0ae62e556b75fa1375e822c64c7163a9f633b8f6fa3f3a3636ed83",
+    "batch-five-party-omega-1256": "4cbc3a2972233616f9edca8a2f0740c65bb21bb5c97698f60ea5491de4e02680",
+    "batch-five-party-omega-3456": "33e91be874bf1523a96ae199ff637df0c8d5d5b6be5ca9a7390aad6165f5ed75",
+    "batch-three-party": "6c56cc4cb64d71daed7125699e23d17a45e41d18810ddc6c0e466a0e263bbb37",
     "batch-dishonest-alice": "11df56a2b63dc4514e60cd5985569f2e5f7ee4470e893561062c8d98af2ae5bc",
     "batch-dishonest-bob": "04a94f44b0002022623585b66e674107e11ff3b9060d3fb29e10409fb1fb459f",
     "batch-five-party-intercept-z": "21fe7b7c281cb27b23ecc80176284626916f0891439dfbdf42db377284557aa7",

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qka import protocols, transcript
+from qka import protocols, registers, transcript
 from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.efficiency import TWO_PARTY, preset_counts
 from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
@@ -117,8 +118,9 @@ class TestScrambling:
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(6)]
         slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(3))
+        inverse = np.argsort(rec.forward)
         for item in range(12):
-            assert rec.inverse[rec.forward[item]] == item
+            assert inverse[rec.forward[item]] == item
         for i, qubit in enumerate(message):
             assert slots[rec.message_order[i]] == qubit
 
@@ -179,7 +181,7 @@ class TestScrambling:
         m, k = len(message), len(decoy_pairs)
         assert sent.dtype == np.int64 and sent.tolist() == slots
         assert rec.forward.tolist() == list(forward)
-        assert rec.inverse.tolist() == list(inverse)
+        assert np.argsort(rec.forward).tolist() == list(inverse)
         assert rec.message_order.tolist() == list(order)
         assert rec.decoy_pairs.shape == (k, 2)
         assert rec.decoy_pairs.tolist() == [list(p) for p in decoy_pairs]
@@ -187,7 +189,7 @@ class TestScrambling:
         assert sent[rec.message_order].tolist() == reference_restore_order(slots, order)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert stores[0].live_qubits() == stores[1].live_qubits()
-        for field in (rec.forward, rec.inverse, rec.message_order, rec.decoy_pairs):
+        for field in (rec.forward, rec.message_order, rec.decoy_pairs):
             assert field.dtype == np.int64 and not field.flags.writeable
 
 
@@ -533,6 +535,113 @@ class TestLockstepHops:
         r = run_protocol(config(n=16, parties=parties, seed=4))
         assert r.agreement()
         assert calls == {"verify_decoys": checks, "encode_key": encodes}
+
+
+class TestStackedBatches:
+    """A ring batch runs its trials as lanes of one store; each is still its own run."""
+
+    @staticmethod
+    def _comparable(result):
+        """``to_dict()`` without the quantum-send digests, the only payloads holding qubit ids."""
+        d = result.to_dict()
+        for event in d["transcript"]["events"]:
+            if event["kind"] == QUANTUM_SEND:
+                del event["digest"]
+        return d
+
+    def _assert_each_trial_is_its_own_run(self, base, adversary, trials):
+        batch = protocols.run_batch(base, adversary, trials)
+        assert len(batch) == trials
+        for i, result in enumerate(batch):
+            alone = run_protocol(replace(base, run_index=i), adversary)
+            assert self._comparable(result) == self._comparable(alone), i
+        return batch
+
+    @pytest.mark.parametrize(
+        "parties, kind, fraction, index, threshold, mixed",
+        [
+            # intercept-z on a plain hop, key-bearing hops and the last hop;
+            # in a mixed batch some lanes abort at the attacked check and the
+            # rest run on without them
+            (5, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 0, 0.0, True),
+            (5, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 7, 0.0, True),
+            (5, AdversaryKind.INTERCEPT_RESEND_Z, 1.0, 13, 0.0, False),
+            (5, AdversaryKind.INTERCEPT_RESEND_Z, 1.0, 24, 0.0, False),
+            (3, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 4, 0.0, True),
+            (3, AdversaryKind.INTERCEPT_RESEND_BELL, 0.25, 0, 0.0, False),
+            (3, AdversaryKind.INTERCEPT_RESEND_BELL, 1.0, 5, 0.0, False),
+            # a threshold above 0: attacked lanes that pass decode attacked copies
+            (5, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 2, 0.25, True),
+            (3, AdversaryKind.INTERCEPT_RESEND_BELL, 0.25, 3, 0.25, True),
+            (5, AdversaryKind.NONE, 1.0, 0, 0.0, False),
+            (3, AdversaryKind.NONE, 1.0, 0, 0.0, False),
+        ],
+    )
+    def test_each_trial_is_its_own_run(self, parties, kind, fraction, index, threshold, mixed):
+        base = config(n=16, parties=parties, seed=21, error_threshold=threshold)
+        adversary = AdversaryModel(kind=kind, fraction=fraction, transmission_index=index)
+        batch = self._assert_each_trial_is_its_own_run(base, adversary, 12)
+        assert len({r.aborted for r in batch}) == 1 + mixed
+
+    @pytest.mark.parametrize("parties", [3, 5])
+    def test_a_batch_of_several_stacks(self, parties, monkeypatch):
+        # 3 lanes per stack at n=16: stacks of 3, 3 and 1
+        monkeypatch.setattr(protocols, "_STACK_KEY_BITS", 48)
+        base = config(n=16, parties=parties, seed=2, error_threshold=0.25)
+        adversary = AdversaryModel(
+            kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5, transmission_index=parties
+        )
+        self._assert_each_trial_is_its_own_run(base, adversary, 7)
+
+    def test_the_stack_size_is_a_key_bit_budget(self):
+        n = 16
+        trials = protocols._STACK_KEY_BITS // n + 3
+        self._assert_each_trial_is_its_own_run(config(n=n, parties=3, seed=6), None, trials)
+
+    def test_two_party_trials_run_one_by_one(self):
+        base = config(n=8, seed=3)
+        adversary = AdversaryModel(kind=AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE)
+        for i, result in enumerate(protocols.run_batch(base, adversary, 3)):
+            assert result.to_json() == run_protocol(replace(base, run_index=i), adversary).to_json()
+
+    def test_no_trials_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            protocols.run_batch(config(n=8), None, 0)
+
+    @pytest.mark.parametrize("parties", [3, 5])
+    def test_a_stack_shares_each_store_call(self, parties, monkeypatch):
+        calls = Counter()
+        for name in ("new_train", "measure_rows_in_basis", "measure_bell_rows", "apply_pauli_groups"):
+            original = getattr(QubitStore, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(QubitStore, name, counting)
+        single = Counter()
+        run_protocol(config(n=16, parties=parties, seed=4))
+        single, calls = calls, Counter()
+        batch = protocols.run_batch(config(n=16, parties=parties, seed=4), None, 4)
+        assert all(r.agreement() for r in batch)
+        assert calls == single
+        assert calls["new_train"] == 1 + parties  # the copies, then each hop's decoys
+        assert calls["measure_rows_in_basis"] == parties
+        assert calls["measure_bell_rows"] == parties
+
+    @pytest.mark.parametrize("parties", [3, 5])
+    def test_honest_runs_recheck_no_constant(self, parties, monkeypatch):
+        checks = Counter()
+        real = registers._real
+
+        def counting(values):
+            checks["real"] += 1
+            return real(values)
+
+        monkeypatch.setattr(registers, "_real", counting)
+        assert run_protocol(config(n=16, parties=parties, seed=4)).agreement()
+        assert checks == {}
+        assert not BELL_VECTORS.flags.writeable
 
 
 class TestFiveParty:

@@ -266,7 +266,33 @@ class TestDifferential:
             assert_same_state(a, b)
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_given_uniforms_measure_as_the_generator_would(self, seed):
+        # the uniforms a stack of runs passes in place of one generator
+        (a, b), bell, _, four = twin_stores(BellOutcome.PHI_MINUS, FourQubitState.CLUSTER, 3, 2)
+        pairs = [(bell[1], bell[2]), (bell[0], bell[3]), (bell[4], bell[5])]
+        ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = a.measure_bell_rows(pairs, gb.random(len(pairs)))
+        assert got.tolist() == b.measure_bell_rows(pairs, ga).tolist()
+        basis = _five_party_ring("cluster", "1256").basis
+        groups = np.reshape(four, (2, 4))
+        got = a.measure_rows_in_basis(groups, basis, gb.random(2))
+        assert got.tolist() == b.measure_rows_in_basis(groups, basis, ga).tolist()
+        assert_same_state(a, b)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("uniforms", [[0.5], [0.5, 0.5, 0.5], [0.5, 1.0], [-0.1, 0.5],
+                                          [0.5, np.nan]])
+    def test_given_uniforms_refused_before_anything_changes(self, uniforms):
+        store = QubitStore()
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        live = store.live_qubits()
+        with pytest.raises(ValueError, match="uniforms"):
+            store.measure_bell_rows(ids, uniforms)
+        assert store.live_qubits() == live
+        assert store.measure_bell_rows(ids, [0.25, 0.75]).tolist() == [0, 0]
+
     def test_groups_must_match_the_word(self):
         store = QubitStore()
         ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).ravel().tolist()
