@@ -107,6 +107,23 @@ CASES = {
         FIVE, 16, 7, "--trials", "12", "--adversary", "intercept-z", "--attack-fraction", "0.3",
         "--threshold", "0.25",
     ),
+    # Two-party batches at the attack-batch benchmark's shapes, which a stack
+    # of lanes runs: honest trials past one stack, each adversary's batch,
+    # and an intercept-z batch whose trials abort at different checks.
+    "batch-two-party": _run(TWO, 16, 9, "--trials", "80", "--format", "json"),
+    "batch-intercept-bell-stacks": _run(
+        TWO, 16, 9, "--trials", "100", "--adversary", "intercept-bell", "--attack-fraction", "0.5"
+    ),
+    "batch-dishonest-bob-stacks": _run(
+        TWO, 32, 9, "--trials", "60", "--adversary", "dishonest-bob", "--swap-count", "4"
+    ),
+    "batch-dishonest-alice-stacks": _run(
+        TWO, 16, 9, "--trials", "75", "--adversary", "dishonest-alice"
+    ),
+    "batch-two-party-intercept-z-aborts": _run(
+        TWO, 16, 7, "--trials", "12", "--adversary", "intercept-z", "--attack-fraction", "0.3",
+        "--threshold", "0.25",
+    ),
     "verify-groups": ("verify-groups",),
     **{
         f"efficiency-table-{fmt}": ("efficiency", "--table", "--format", fmt)
@@ -122,8 +139,15 @@ CASES = {
 # attacked batches from the engine whose rings decoded through a function;
 # the fully attacked (f1) cases from the store whose intercept-z measured
 # and resent one slot at a time; the stacked batches (batch-five-party-*,
-# batch-three-party) from the engine that ran a batch's trials one by one.
+# batch-three-party) from the engine that ran a batch's trials one by one;
+# the two-party batches (batch-two-party, batch-*-stacks, batch-two-party-*)
+# from the engine that ran a two-party batch's trials one by one.
 DIGESTS = {
+    "batch-two-party": "f427c9c9f66cebe2cefd9d344a035a41beebaa663ce73cdc47793ea5e2b00c91",
+    "batch-intercept-bell-stacks": "8e6ead28ccdc84423cc7af5043e30eb340c36bf12e04a6b168018f5bb32bcd3a",
+    "batch-dishonest-bob-stacks": "5473d970e9eda13047e11e84a053110d9beb4aa68b29ff52a91669d584885946",
+    "batch-dishonest-alice-stacks": "352dbc25371285135ec72c1b1eb4144237de56c285a9f86ab19c1494077ad3e1",
+    "batch-two-party-intercept-z-aborts": "4a68084be5cc507684ea05ea272623f8f0c21700f32d0226532edf714807960d",
     "batch-five-party-cluster-1234": "b0b7a4136e210b2e90ef1003588b245eecbc699c8fa7db37c5678f010b9b78a2",
     "batch-five-party-cluster-1256": "b70b06ffa907c145126ce9c641019143c53105de6cca39c4b28dd5186d5b74e6",
     "batch-five-party-cluster-3456": "836da7a7ea4611b1221b7c83f319a74f7da227bcd597996aa0b2266335ff54f0",
