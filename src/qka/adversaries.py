@@ -10,13 +10,14 @@ after learning the peer's key (which triggers entanglement swapping at the
 mismatched measurement pairs).
 
 Resent qubits are fresh ids; the measured originals retire from the store.
-Intercept-z runs a whole train at a time: its draws never depend on an
-outcome, so it walks them first, measures every hit in one
-``QubitStore.measure_qubits`` call and resends every hit from one
-allocation. Intercept-bell stays one slot pair at a time, through the
-scalar ``measure_bell`` and ``new_bell``: ``bench/tracer.py`` counts merges
-only at the scalar joint measurements, so it moves once the tracer sees the
-bulk layer.
+Intercept-z acts on a stack of trains, one per run, each with its run's
+generator: its draws never depend on an outcome, so it walks each train's
+draws first, then measures every hit of every train in one
+``QubitStore.measure_qubits`` call and resends them all from one
+allocation. Intercept-bell stays one train and one slot pair at a time,
+through the scalar ``measure_bell`` and ``new_bell``: ``bench/tracer.py``
+counts merges only at the scalar joint measurements, so it moves once the
+tracer sees the bulk layer.
 """
 
 from __future__ import annotations
@@ -89,40 +90,53 @@ def attack_transit(
     model: AdversaryModel,
     store: QubitStore,
     slots: list[int] | np.ndarray,
-    rng: np.random.Generator,
+    rngs: np.random.Generator | Sequence[np.random.Generator],
 ) -> None:
-    """Apply an external attack to a train in transit, rewriting its slots.
+    """Apply an external attack to a stack of trains in transit, rewriting their slots.
 
-    ``slots`` is a mutable sequence of qubit ids (a list, or the engines'
-    int64 array), rewritten in place. A NONE model is a no-op (and draws no
-    randomness); insider kinds raise.
+    ``slots`` is an (rows, items) int64 array holding one train per row, and
+    ``rngs`` one generator per row; both are a stack's, and the slots are
+    rewritten in place. One train may also come alone: a mutable sequence
+    of ids (a list, or a 1-D array) with one generator. A NONE model is a
+    no-op (and draws no randomness); insider kinds raise.
 
-    Intercept-z walks the slots in order: ``rng.random() < fraction`` picks
-    a hit, and a hit then draws the uniform its measurement uses. No draw
-    depends on an outcome, so every hit is then Z-measured in one
-    ``measure_qubits`` call and resent from one allocation of ``|b>`` rows
-    in hit order, the ids one allocation per hit would have given.
-    Intercept-bell measures and resends one adjacent slot pair at a time.
+    Intercept-z walks each row's slots in order with that row's generator:
+    ``rng.random() < fraction`` picks a hit, and a hit then draws the
+    uniform its measurement uses. No draw depends on an outcome, so every
+    hit of every row is then Z-measured in one ``measure_qubits`` call and
+    resent from one allocation of ``|b>`` rows, in row and hit order: a
+    row's ids are those one allocation per hit would have given, had the
+    rows before it been attacked first. Intercept-bell measures and resends
+    one adjacent slot pair at a time, row after row.
     """
     if model.kind is AdversaryKind.NONE:
         return
     if not model.is_external:
         raise ValueError(f"{model.kind.value} is not an external transit attack")
+    if isinstance(rngs, np.random.Generator):  # one train: a stack of one row
+        ids = np.array(slots, dtype=np.int64).reshape(1, -1)
+        attack_transit(model, store, ids, [rngs])
+        slots[:] = ids[0] if isinstance(slots, np.ndarray) else ids[0].tolist()
+        return
     if model.kind is AdversaryKind.INTERCEPT_RESEND_Z:
-        ids = np.array(slots, dtype=np.int64)
-        hits, uniforms = _intercept_draws(rng, ids.size, model.fraction)
+        rows, hits, uniforms = [], [], []
+        for row, rng in enumerate(rngs):
+            row_hits, row_uniforms = _intercept_draws(rng, slots.shape[1], model.fraction)
+            rows += [row] * len(row_hits)
+            hits += row_hits
+            uniforms += row_uniforms
         if hits:
-            bits = store.measure_qubits(ids[hits], Z_BASIS, uniforms)
-            ids[hits] = store.new_states(Z_BASIS[bits]).ravel()
-            slots[:] = ids if isinstance(slots, np.ndarray) else ids.tolist()
+            bits = store.measure_qubits(slots[rows, hits], Z_BASIS, uniforms)
+            slots[rows, hits] = store.new_states(Z_BASIS[bits]).ravel()
         return
     # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.
-    ids = np.asarray(slots).tolist()
-    for k in range(0, len(ids) - 1, 2):
-        if rng.random() < model.fraction:
-            outcome = store.measure_bell(ids[k], ids[k + 1], rng)
-            ids[k], ids[k + 1] = store.new_bell(outcome)
-    slots[:] = ids
+    for row, rng in zip(slots, rngs):
+        ids = row.tolist()
+        for k in range(0, len(ids) - 1, 2):
+            if rng.random() < model.fraction:
+                outcome = store.measure_bell(ids[k], ids[k + 1], rng)
+                ids[k], ids[k + 1] = store.new_bell(outcome)
+        row[:] = ids
 
 
 def _intercept_draws(

@@ -13,14 +13,15 @@ Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
 
 Every run owns its generator, keys, transcript and checks, and identical
-(seed, run_index) pairs reproduce byte-identical transcripts. A two-party
-run also owns its store. The ring engine runs a stack of *lanes*, one run
-each, through one store in lockstep: every store call serves all lanes, and
-only the draws and the log run lane by lane, in each run's own order. A
-lone run is a stack of one lane; ``run_batch`` stacks a batch's ring trials
-up to ``_STACK_KEY_BITS`` key bits at a time. A stack numbers its qubit ids
-across its lanes, so only the digests of the ``quantum-send`` events, the
-one payload that holds ids, differ from those of a run on its own.
+(seed, run_index) pairs reproduce byte-identical transcripts. Both engines
+run a stack of *lanes*, one run each, through one store in lockstep: the
+store calls serve all lanes, a transit attack acts on every lane's train at
+once, and only the draws and the log run lane by lane, in each run's own
+order. A lone run is a stack of one lane; ``run_batch`` stacks a batch's
+trials up to ``_STACK_KEY_BITS`` key bits at a time. A stack numbers its
+qubit ids across its lanes, so only the digests of the ``quantum-send``
+events, the one payload that holds ids, differ from those of a run on its
+own.
 """
 
 from __future__ import annotations
@@ -508,22 +509,18 @@ class _AbortRun(Exception):
 
 
 class _RunContext:
-    """Shared plumbing for one run: store, rng, transcript, attack wiring.
+    """Shared plumbing for one run, a lane of a stack: store, rng, transcript, attack wiring.
 
-    A run owns its generator, transcript and checks; the store is its own
-    unless a stack of runs shares one.
+    A run owns its generator, transcript and checks; the stack's lanes
+    share its store.
     """
 
     def __init__(
-        self,
-        protocol: str,
-        config: ProtocolConfig,
-        adversary: AdversaryModel,
-        store: QubitStore | None = None,
+        self, protocol: str, config: ProtocolConfig, adversary: AdversaryModel, store: QubitStore
     ):
         self.config = config
         self.adversary = adversary
-        self.store = QubitStore() if store is None else store
+        self.store = store
         self.rng = config.make_rng()
         self.transcript = Transcript(protocol, config.key_bits)
         self.checks: list[TransmissionCheck] = []
@@ -550,25 +547,11 @@ class _RunContext:
             purpose=purpose,
         )
 
-    def send_scrambled(
-        self,
-        step: str,
-        sender: str,
-        receiver: str,
-        message_qubits: np.ndarray,
-        decoy_pair_count: int,
-    ) -> tuple[np.ndarray, PermutationRecord, int]:
-        """Decoy prep + scramble + send + ack; transit attack happens here."""
-        self.log_preparation(step, sender, 2 * decoy_pair_count, "decoy")
-        slots, record = insert_decoys_and_permute(
-            message_qubits, self.store, self.rng, decoy_pair_count
-        )
-        return slots, record, self.send(step, sender, receiver, slots)
-
     def send(self, step: str, sender: str, receiver: str, slots: np.ndarray) -> int:
-        """Send a scrambled train and ack it; a transit attack on it rewrites ``slots``.
+        """Log a scrambled train's send and its ack; returns the transmission's index.
 
-        Returns the transmission's index.
+        The log keeps the train as sent: a transit attack (see ``_send``)
+        rewrites ``slots`` only afterwards.
         """
         index = self._transmissions
         self._transmissions += 1
@@ -579,8 +562,6 @@ class _RunContext:
             {"to": receiver, "slots": slots, "transmission": index},
             qubit_count=len(slots),
         )
-        if index == self._attacked:
-            attack_transit(self.adversary, self.store, slots, self.rng)
         self.transcript.log(step, receiver, tr.ACK, {"transmission": index})
         return index
 
@@ -620,23 +601,6 @@ class _RunContext:
             {"key": bits_to_hex(key)},
             counted_bits=len(key),
         )
-
-    def measure_decoys(
-        self, trains: Sequence[tuple[np.ndarray, PermutationRecord]]
-    ) -> list[tuple[float, bool]]:
-        """Receiver-side disturbance estimates: (error rate, passed) per (slots, record).
-
-        One ``verify_decoys`` call measures every train; a train after the
-        first failing one reads as failed, since the run never gets there.
-        """
-        # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
-        passes, error_rates = verify_decoys(
-            self.store,
-            [(slots, record.decoy_pairs) for slots, record in trains],
-            threshold=self.config.error_threshold,
-            rng=self.rng,
-        )
-        return [(rate, i < passes) for i, rate in enumerate(error_rates)]
 
     def record_check(
         self,
@@ -693,6 +657,40 @@ def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
         raise ValueError("swap count too large for the key length")
 
 
+def _lane_uniforms(
+    rngs: Sequence[np.random.Generator], count: int
+) -> np.random.Generator | np.ndarray:
+    """Each lane's ``count`` uniforms, in lane order, for one bulk measurement.
+
+    A lone lane passes its generator, which the measurement draws from
+    itself: the same values, without the checks given uniforms get.
+    """
+    return rngs[0] if len(rngs) == 1 else np.concatenate([rng.random(count) for rng in rngs])
+
+
+def _send(
+    lanes: Sequence[_RunContext],
+    step: str,
+    sender: str,
+    receiver: str,
+    slots: np.ndarray,
+    decoy_pairs: int,
+) -> int:
+    """Each lane's decoy preparation and send of its row of ``slots``, in lane order.
+
+    A transit attack on the transmission then acts on the whole stack: it
+    rewrites the rows in place, each with its lane's generator. Returns the
+    transmission's index.
+    """
+    for ctx, row in zip(lanes, slots):
+        ctx.log_preparation(step, sender, 2 * decoy_pairs, "decoy")
+        index = ctx.send(step, sender, receiver, row)
+    ctx = lanes[0]
+    if index == ctx._attacked:
+        attack_transit(ctx.adversary, ctx.store, slots, [lane.rng for lane in lanes])
+    return index
+
+
 def run_two_party(
     config: ProtocolConfig, adversary: AdversaryModel | None = None
 ) -> ProtocolResult:
@@ -706,93 +704,163 @@ def run_two_party(
     config.validate()
     if config.party_count != 2:
         raise ValueError("two-party run requires party_count == 2")
+    return _run_two_party([config], adversary)[0]
+
+
+def _run_two_party(
+    configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
+) -> list[ProtocolResult]:
+    """``run_two_party`` for a stack of lanes, as ``_run_ring`` runs the rings.
+
+    The lanes share one train of all their Bell pairs, one decoy allocation
+    and scramble and one ``verify_decoys`` per transmission, one
+    ``encode_key`` and one decode measurement. Keys, permutations, attack
+    draws, check and decode uniforms, the reordering receiver's swaps and
+    the early-measuring initiator's guess and measurement go lane by lane,
+    each in its run's order, as does the log. A lane whose check fails
+    records it, aborts and leaves the stack. A stack of one lane allocates,
+    draws and logs exactly as a run of its own.
+    """
     adv = _normalize_adversary(adversary)
-    check_adversary(config, adv)
-    n = config.key_bits
+    check_adversary(configs[0], adv)
+    n = configs[0].key_bits
+    threshold = configs[0].error_threshold
     names = PARTY_NAMES[:2]
     alice, bob = names
-    ctx = _RunContext(TWO_PARTY, config, adv)
-    store, rng, t = ctx.store, ctx.rng, ctx.transcript
+    store = QubitStore()
+    lanes = [_RunContext(TWO_PARTY, config, adv, store) for config in configs]
+    results: list[ProtocolResult] = [None] * len(lanes)
+    keys = []  # each lane's private keys so far
 
-    private: dict[str, np.ndarray] = {}
-    derived: dict[str, np.ndarray | None] = {alice: None, bob: None}
-    outcome_records: dict[str, tuple[str, ...]] = {}
-    attack_report: dict | None = None
-
-    try:
-        # Step 1: pair preparation and the initiator's key.
-        pairs = store.new_train(_PSI_PLUS, n)
+    # Step 1: pair preparation and the initiator's key.
+    pairs = store.new_train(_PSI_PLUS, len(lanes) * n).reshape(len(lanes), n, 2)
+    for ctx in lanes:
         ctx.log_preparation("step1", alice, 2 * n, "message")
-        kept, travel = pairs[:, 0], pairs[:, 1]
-        key_a = ctx.draw_key(0)
-        private[alice] = key_a
+        keys.append([ctx.draw_key(0)])
+    kept = pairs[..., 0]  # the initiator's halves, by the row of each active lane
+    active = list(range(len(lanes)))
 
-        # Steps 2-3: outbound train, full disclosure, responder's decoy check.
-        slots1, rec1, idx1 = ctx.send_scrambled("step2", alice, bob, travel, n // 2)
-        ctx.disclose_full("step3", alice, rec1.message_order, rec1.decoy_pairs)
-        (check1,) = ctx.measure_decoys([(slots1, rec1)])
-        ctx.record_check("step3", alice, bob, idx1, *check1)
-        at_bob = slots1[rec1.message_order]
+    def transmit(messages, send_step, check_step, sender, receiver, outbound):
+        """Scramble, send and check the active lanes' trains; aborted lanes leave.
 
-        # Step 4: responder's key, X-encoding, return train.
-        key_b = ctx.draw_key(1)
-        private[bob] = key_b
-        encode_key(store, at_bob, key_b, GroupElement.of(PauliLetter.X))
-        slots2, rec2, idx2 = ctx.send_scrambled("step4", bob, alice, at_bob, n // 2)
+        Returns the surviving rows' slots and ``forward`` maps.
+        """
+        nonlocal kept, active
+        running = [lanes[lane] for lane in active]
+        rngs = [ctx.rng for ctx in running]
+        slots, forward = _scramble(messages, store, rngs, n // 2)
+        index = _send(running, send_step, sender, receiver, slots, n // 2)
+        decoys = forward[:, n:].reshape(len(active), -1, 2)
+        # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
+        _, rates = verify_decoys(
+            store,
+            list(zip(slots, decoys)),
+            threshold=threshold,
+            rng=_lane_uniforms(rngs, n // 2),
+        )
+        passed = []
+        for row, (lane, ctx) in enumerate(zip(active, running)):
+            # The outbound train carries no key yet, so its order goes out
+            # with the decoys; the return train's order waits for step 7.
+            if outbound:
+                ctx.disclose_full(check_step, sender, forward[row, :n], decoys[row])
+            else:
+                ctx.disclose_decoys(check_step, sender, decoys[row])
+            try:
+                ctx.record_check(
+                    check_step, sender, receiver, index, rates[row], rates[row] <= threshold
+                )
+            except _AbortRun as abort:
+                results[lane] = ProtocolResult(
+                    TWO_PARTY, n, names, dict(zip(names, keys[lane])),
+                    {name: None for name in names}, True, abort.reason, ctx.checks,
+                    None, ctx.transcript, {}, None,
+                )
+                continue
+            passed.append(row)
+        if len(passed) < len(active):  # aborted lanes leave the stack
+            slots, forward, kept = slots[passed], forward[passed], kept[passed]
+            active = [active[row] for row in passed]
+        return slots, forward
 
-        # Step 5: decoy coordinates only; the message order stays secret.
-        ctx.disclose_decoys("step5", bob, rec2.decoy_pairs)
-        (check2,) = ctx.measure_decoys([(slots2, rec2)])
-        ctx.record_check("step5", bob, alice, idx2, *check2)
+    # Steps 2-3: outbound train, full disclosure, responder's decoy check.
+    slots, forward = transmit(pairs[..., 1], "step2", "step3", alice, bob, True)
+    if not active:
+        return results
+    row_starts = np.arange(len(active))[:, None] * (2 * n)
+    at_bob = slots.ravel()[forward[:, :n] + row_starts]
 
+    # Step 4: responder's key, X-encoding, return train.
+    for lane in active:
+        keys[lane].append(lanes[lane].draw_key(1))
+    key_masks = np.concatenate([keys[lane][1] for lane in active])
+    encode_key(store, at_bob.ravel(), key_masks, GroupElement.of(PauliLetter.X))
+    # Step 5: decoy coordinates only; the message order stays secret.
+    slots, forward = transmit(at_bob, "step4", "step5", bob, alice, False)
+    if not active:
+        return results
+
+    finishing = []  # per row: the initiator's early guess, the attack report, the reorder target
+    orders = []
+    for row, lane in enumerate(active):
+        ctx = lanes[lane]
+        key_a, key_b = keys[lane]
+        guess = report = target = None
         # Insider hook: an impatient initiator measures on guessed pairings
         # now, before committing to her announcement, and takes her key from them.
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
-            guess, attack_report = dishonest_alice_early_measure(
-                store, kept, slots2, rec2, rng, key_b
+            record = PermutationRecord(
+                forward[row], forward[row, :n], forward[row, n:].reshape(-1, 2)
             )
-            derived[alice] = xor_bits(key_a, guess)
+            guess, report = dishonest_alice_early_measure(
+                store, kept[row], slots[row], record, ctx.rng, key_b
+            )
 
         # Step 6: the initiator commits; the responder can already finish.
         ctx.announce_key("step6", alice, key_a)
-        derived[bob] = xor_bits(key_a, key_b)
 
-        # Step 7: message order (honest or reordered), then pairwise decoding.
-        order = rec2.message_order
+        # Step 7: message order (honest or reordered).
+        order = forward[row, :n]
         if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
             swap_pairs = adv.swap_pairs
             if swap_pairs is None:
-                swap_pairs = choose_swap_pairs(n, adv.swap_count, rng)
+                swap_pairs = choose_swap_pairs(n, adv.swap_count, ctx.rng)
             claimed = dishonest_bob_reorder(range(n), swap_pairs)  # the index each slot carries
-            order = rec2.message_order[claimed]
+            order = order[claimed]
             target = xor_bits(key_a, key_b[claimed])
-            attack_report = {
+            report = {
                 "kind": "reorder",
                 "swap_pairs": [list(p) for p in swap_pairs],
                 "target_key": bits_to_hex(target),
             }
         ctx.disclose_order("step7", bob, order)
+        orders.append(order)
+        finishing.append((guess, report, target))
 
-        if derived[alice] is None:  # Step 8: each bit flip is one of the responder's key bits.
-            pairs = np.column_stack([kept, slots2[order]])
-            rows = store.measure_rows_in_basis(pairs, BELL_VECTORS, rng)
-            outcome_records[alice] = tuple(BELL_LABELS[rows].tolist())
-            derived[alice] = xor_bits(key_a, BELL_X_BITS[rows])
-
-        if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
-            attack_report["alice_key_matches_target"] = np.array_equal(derived[alice], target)
-
-        counts = count_from_transcript(t)
-        return ProtocolResult(
-            TWO_PARTY, n, names, private, derived, False, None, ctx.checks,
-            counts, t, outcome_records, attack_report,
+    # Step 8: pairwise decoding; each bit flip is one of the responder's key bits.
+    if adv.kind is not AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
+        row_starts = np.arange(len(active))[:, None] * (2 * n)
+        returned = slots.ravel()[np.array(orders) + row_starts]
+        uniforms = _lane_uniforms([lanes[lane].rng for lane in active], n)
+        groups = np.column_stack([kept.ravel(), returned.ravel()])
+        decoded = store.measure_rows_in_basis(groups, BELL_VECTORS, uniforms).reshape(-1, n)
+    for row, lane in enumerate(active):
+        ctx = lanes[lane]
+        key_a, key_b = keys[lane]
+        guess, report, target = finishing[row]
+        outcome_records: dict[str, tuple[str, ...]] = {}
+        if guess is None:
+            outcome_records[alice] = tuple(BELL_LABELS[decoded[row]].tolist())
+            guess = BELL_X_BITS[decoded[row]]
+        derived = {alice: xor_bits(key_a, guess), bob: xor_bits(key_a, key_b)}
+        if target is not None:
+            report["alice_key_matches_target"] = np.array_equal(derived[alice], target)
+        results[lane] = ProtocolResult(
+            TWO_PARTY, n, names, dict(zip(names, keys[lane])), derived, False, None,
+            ctx.checks, count_from_transcript(ctx.transcript), ctx.transcript,
+            outcome_records, report,
         )
-    except _AbortRun as abort:
-        return ProtocolResult(
-            TWO_PARTY, n, names, private,
-            {name: None for name in names}, True, abort.reason, ctx.checks,
-            None, t, outcome_records, attack_report,
-        )
+    return results
 
 
 @dataclass(frozen=True)
@@ -833,9 +901,9 @@ def _run_ring(
     party. Only the draws and the log run lane by lane, each lane's in the
     order a run of its own makes them, and each bulk measurement takes the
     lanes' uniforms in lane order. A lane whose check fails records it,
-    aborts and leaves the stack. A transit attack acts on its lane's train
-    with that lane's generator. A stack of one lane allocates, draws and
-    logs exactly as a run of its own.
+    aborts and leaves the stack. A transit attack acts on every lane's
+    train at once, each with its lane's generator (see ``_send``). A stack
+    of one lane allocates, draws and logs exactly as a run of its own.
     """
     adv = _normalize_adversary(adversary)
     check_adversary(configs[0], adv)
@@ -873,7 +941,8 @@ def _run_ring(
         held = [(j - hop) % parties for j in range(parties)]  # stream party j holds
         if hop:
             encode_key(store, travels[held].ravel(), key_masks.ravel(), ring.words[hop - 1])
-        rngs = [lanes[lane].rng for lane in active]
+        running = [lanes[lane] for lane in active]
+        rngs = [ctx.rng for ctx in running]
         sent = []  # per party: each lane's slots, message orders and decoy pairs
         most = max(1, _SCRAMBLE_ITEMS // (len(active) * (m + 2 * pairs)))
         for senders in _send_runs(hop, parties, attacked, most):
@@ -884,10 +953,7 @@ def _run_ring(
             slots = slots.reshape(len(senders), len(active), -1)
             forward = forward.reshape(len(senders), len(active), -1)
             for k, j in enumerate(senders):
-                for row, lane in enumerate(active):
-                    ctx = lanes[lane]
-                    ctx.log_preparation(send_step, names[j], 2 * pairs, "decoy")
-                    ctx.send(send_step, names[j], receivers[j], slots[k, row])
+                _send(running, send_step, names[j], receivers[j], slots[k], pairs)
                 decoys = forward[k, :, m:].reshape(len(active), pairs, 2)
                 sent.append((slots[k], forward[k, :, :m], decoys))
         # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
@@ -896,7 +962,7 @@ def _run_ring(
             [(slots[row], decoys[row])
              for row in range(len(active)) for slots, _, decoys in sent],
             threshold=threshold,
-            rng=np.concatenate([rng.random(parties * pairs) for rng in rngs]),
+            rng=_lane_uniforms(rngs, parties * pairs),
         )
         kept = []  # the rows whose lanes run on
         for row, lane in enumerate(active):
@@ -941,7 +1007,7 @@ def _run_ring(
     for j in range(parties):
         groups = copies[j].copy()
         groups[..., travel] = travels[j].reshape(len(active), n, len(travel))
-        uniforms = np.concatenate([lanes[lane].rng.random(n) for lane in active])
+        uniforms = _lane_uniforms([lanes[lane].rng for lane in active], n)
         rows = store.measure_rows_in_basis(groups.reshape(-1, width), ring.basis, uniforms)
         outcomes.append(rows.reshape(len(active), n))
     for row, lane in enumerate(active):
@@ -1082,8 +1148,8 @@ def run_protocol(
     return run_five_party(config, adversary)
 
 
-# A batch stacks at most this many key bits of ring trials, and at least
-# one trial, per store.
+# A batch stacks at most this many key bits of trials, and at least one
+# trial, per store.
 _STACK_KEY_BITS = 1024
 
 
@@ -1092,9 +1158,9 @@ def run_batch(
 ) -> list[ProtocolResult]:
     """``trials`` runs of ``config``; trial i is ``replace(config, run_index=i)``.
 
-    Two-party trials run one by one. Three- and five-party trials run in
-    stacks of at most ``_STACK_KEY_BITS`` key bits, as lanes of one store
-    (see ``_run_ring``). Each trial's ``to_dict()`` equals that of its own
+    The trials run in stacks of at most ``_STACK_KEY_BITS`` key bits, as
+    lanes of one store (see ``_run_two_party`` and ``_run_ring``); a
+    transit attack acts on a stack at once. Each trial's ``to_dict()`` equals that of its own
     ``run_protocol(replace(config, run_index=i), adversary)`` call, except
     the digests of ``quantum-send`` events: those payloads are the only ones
     that hold qubit ids, and a stack numbers its ids across its lanes.
@@ -1104,13 +1170,14 @@ def run_batch(
     config.validate()
     configs = [replace(config, run_index=i) for i in range(trials)]
     if config.party_count == 2:
-        return [run_two_party(c, adversary) for c in configs]
-    if config.party_count == 3:
-        ring = _THREE_PARTY_RING
+        run_stack = _run_two_party
+    elif config.party_count == 3:
+        run_stack = functools.partial(_run_ring, _THREE_PARTY_RING)
     else:
         ring = _five_party_ring(config.five_party_state, config.five_party_rounds)
+        run_stack = functools.partial(_run_ring, ring)
     per_stack = max(1, _STACK_KEY_BITS // config.key_bits)
     results = []
     for lo in range(0, trials, per_stack):
-        results.extend(_run_ring(ring, configs[lo : lo + per_stack], adversary))
+        results.extend(run_stack(configs[lo : lo + per_stack], adversary))
     return results

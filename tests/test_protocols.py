@@ -296,9 +296,10 @@ class TestVerifyDecoys:
 
 class TestTranscriptSnapshots:
     def _send(self, adversary):
-        ctx = _RunContext(TWO_PARTY, config(n=8, seed=12), adversary)
+        ctx = _RunContext(TWO_PARTY, config(n=8, seed=12), adversary, QubitStore())
         travel = ctx.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[:, 1]
-        slots, rec, _ = ctx.send_scrambled("step2", "Alice", "Bob", travel, 4)
+        slots, rec = insert_decoys_and_permute(travel, ctx.store, ctx.rng, 4)
+        protocols._send([ctx], "step2", "Alice", "Bob", slots[None], 4)
         (send,) = [e for e in ctx.transcript.events if e.kind == QUANTUM_SEND]
         return travel, slots, rec, send.payload
 
@@ -538,7 +539,7 @@ class TestLockstepHops:
 
 
 class TestStackedBatches:
-    """A ring batch runs its trials as lanes of one store; each is still its own run."""
+    """A batch runs its trials as lanes of one store; each is still its own run."""
 
     @staticmethod
     def _comparable(result):
@@ -575,6 +576,19 @@ class TestStackedBatches:
             (3, AdversaryKind.INTERCEPT_RESEND_BELL, 0.25, 3, 0.25, True),
             (5, AdversaryKind.NONE, 1.0, 0, 0.0, False),
             (3, AdversaryKind.NONE, 1.0, 0, 0.0, False),
+            # two-party: every adversary kind, intercepts on either train,
+            # and at threshold 1 attacked lanes that decode attacked copies
+            (2, AdversaryKind.NONE, 1.0, 0, 0.0, False),
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 0.1, 0, 0.0, True),
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 0.1, 1, 0.0, True),
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 1.0, 1, 1.0, False),
+            (2, AdversaryKind.INTERCEPT_RESEND_BELL, 0.1, 0, 0.0, True),
+            (2, AdversaryKind.INTERCEPT_RESEND_BELL, 0.25, 1, 0.0, True),
+            (2, AdversaryKind.INTERCEPT_RESEND_BELL, 1.0, 1, 1.0, False),
+            (2, AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE, 1.0, 0, 0.0, False),
+            (2, AdversaryKind.DISHONEST_BOB_REORDER, 1.0, 0, 0.0, False),
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 0, 0.25, True),
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 1, 0.25, True),
         ],
     )
     def test_each_trial_is_its_own_run(self, parties, kind, fraction, index, threshold, mixed):
@@ -583,13 +597,31 @@ class TestStackedBatches:
         batch = self._assert_each_trial_is_its_own_run(base, adversary, 12)
         assert len({r.aborted for r in batch}) == 1 + mixed
 
-    @pytest.mark.parametrize("parties", [3, 5])
+    @pytest.mark.parametrize(
+        "kind, keyed",
+        [(AdversaryKind.DISHONEST_BOB_REORDER, False), (AdversaryKind.NONE, True),
+         (AdversaryKind.DISHONEST_BOB_REORDER, True),
+         (AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE, True)],
+    )
+    def test_two_party_pinned_swaps_and_fixed_keys(self, kind, keyed):
+        keys = ((1, 0) * 8, (0, 0, 1, 1) * 4) if keyed else None
+        base = config(n=16, seed=23, fixed_keys=keys)
+        adversary = AdversaryModel(kind=kind, swap_pairs=((3, 11), (0, 15), (6, 7)))
+        batch = self._assert_each_trial_is_its_own_run(base, adversary, 12)
+        assert not any(r.aborted for r in batch)
+        if kind is AdversaryKind.DISHONEST_BOB_REORDER:
+            assert {tuple(map(tuple, r.attack_report["swap_pairs"])) for r in batch} == {
+                adversary.swap_pairs
+            }
+
+    @pytest.mark.parametrize("parties", [2, 3, 5])
     def test_a_batch_of_several_stacks(self, parties, monkeypatch):
         # 3 lanes per stack at n=16: stacks of 3, 3 and 1
         monkeypatch.setattr(protocols, "_STACK_KEY_BITS", 48)
         base = config(n=16, parties=parties, seed=2, error_threshold=0.25)
-        adversary = AdversaryModel(
-            kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5, transmission_index=parties
+        adversary = AdversaryModel(  # on the first key-bearing train
+            kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5,
+            transmission_index=1 if parties == 2 else parties,
         )
         self._assert_each_trial_is_its_own_run(base, adversary, 7)
 
@@ -598,17 +630,34 @@ class TestStackedBatches:
         trials = protocols._STACK_KEY_BITS // n + 3
         self._assert_each_trial_is_its_own_run(config(n=n, parties=3, seed=6), None, trials)
 
-    def test_two_party_trials_run_one_by_one(self):
-        base = config(n=8, seed=3)
-        adversary = AdversaryModel(kind=AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE)
-        for i, result in enumerate(protocols.run_batch(base, adversary, 3)):
-            assert result.to_json() == run_protocol(replace(base, run_index=i), adversary).to_json()
+    # sha256 of ``to_json()`` of n=16 two-party runs at seed 3, threshold 1 (so
+    # attacked runs finish) and fraction 0.5, from the engine that ran
+    # two-party trials one by one, each through a store of its own.
+    ONE_LANE_DIGESTS = {
+        AdversaryKind.NONE: "fa6530b7e42d0a9ef76b1a13ce55478f0bb84bafa3d429278d81879ab90508ba",
+        AdversaryKind.INTERCEPT_RESEND_Z:
+            "6eafe021bd1fc5e10520178d95de148d746525ded8fda1b9f867c15a7ff2204a",
+        AdversaryKind.INTERCEPT_RESEND_BELL:
+            "71fc4c38ca45785e56b982de8a59aa81545621bcefca0b32bceacbcda5335901",
+        AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
+            "fb29720148366f929bee91670d0307e82e8662c65ecf668dc8d222e9366aafd9",
+        AdversaryKind.DISHONEST_BOB_REORDER:
+            "0251ebd58f0292def38101195b48b44f46b589a07f692934b6750735ea8440a5",
+    }
+
+    @pytest.mark.parametrize("kind", list(AdversaryKind))
+    def test_a_one_lane_stack_is_a_two_party_run(self, kind):
+        base = config(n=16, seed=3, error_threshold=1.0)
+        adversary = AdversaryModel(kind=kind, fraction=0.5)
+        alone = run_two_party(base, adversary).to_json()
+        assert hashlib.sha256(alone.encode()).hexdigest() == self.ONE_LANE_DIGESTS[kind]
+        assert protocols.run_batch(base, adversary, 1)[0].to_json() == alone
 
     def test_no_trials_refused(self):
         with pytest.raises(ValueError, match="trials"):
             protocols.run_batch(config(n=8), None, 0)
 
-    @pytest.mark.parametrize("parties", [3, 5])
+    @pytest.mark.parametrize("parties", [2, 3, 5])
     def test_a_stack_shares_each_store_call(self, parties, monkeypatch):
         calls = Counter()
         for name in ("new_train", "measure_rows_in_basis", "measure_bell_rows", "apply_pauli_groups"):
@@ -625,9 +674,10 @@ class TestStackedBatches:
         batch = protocols.run_batch(config(n=16, parties=parties, seed=4), None, 4)
         assert all(r.agreement() for r in batch)
         assert calls == single
-        assert calls["new_train"] == 1 + parties  # the copies, then each hop's decoys
-        assert calls["measure_rows_in_basis"] == parties
-        assert calls["measure_bell_rows"] == parties
+        # the pairs or copies, then one decoy allocation per two-party send or ring hop
+        assert calls["new_train"] == 1 + parties
+        assert calls["measure_rows_in_basis"] == (1 if parties == 2 else parties)  # decodes
+        assert calls["measure_bell_rows"] == parties  # decoy checks
 
     @pytest.mark.parametrize("parties", [3, 5])
     def test_honest_runs_recheck_no_constant(self, parties, monkeypatch):
