@@ -589,6 +589,9 @@ class TestStackedBatches:
             (2, AdversaryKind.DISHONEST_BOB_REORDER, 1.0, 0, 0.0, False),
             (2, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 0, 0.25, True),
             (2, AdversaryKind.INTERCEPT_RESEND_Z, 0.3, 1, 0.25, True),
+            # every lane aborts at the attacked check and the stack ends there
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 1.0, 0, 0.0, False),
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 1.0, 1, 0.0, False),
         ],
     )
     def test_each_trial_is_its_own_run(self, parties, kind, fraction, index, threshold, mixed):
