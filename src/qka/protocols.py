@@ -4,24 +4,27 @@ All three protocols share one transport idiom: the sender interleaves the
 message qubits with decoy Bell pairs, scrambles the whole train under a
 secret uniform permutation, and stages its disclosures so that the receiver
 can always check the decoys for disturbance before any key-bearing order
-becomes public. The two-party run additionally withholds the return train's
-message order until the initiating party has committed to her key
-announcement, so neither side can steer the final key. The three- and
-five-party agreements are one ring construction and share one engine.
+becomes public. The three- and five-party agreements are one ring
+construction and share one engine.
 
 Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
 
 Every run owns its generator, keys, transcript and checks, and identical
 (seed, run_index) pairs reproduce byte-identical transcripts. Both engines
-run a stack of *lanes*, one run each, through one store in lockstep: the
-store calls serve all lanes, a transit attack acts on every lane's train at
-once, and only the draws and the log run lane by lane, in each run's own
-order. A lone run is a stack of one lane; ``run_batch`` stacks a batch's
-trials up to ``_STACK_KEY_BITS`` key bits at a time. A stack numbers its
-qubit ids across its lanes, so only the digests of the ``quantum-send``
-events, the one payload that holds ids, differ from those of a run on its
-own.
+run a ``_Stack`` of *lanes*, one run each, through one store in lockstep,
+and send every train through its one transmission routine,
+``_Stack.transmit``: scramble, send, transit attack, decoy check, and each
+lane's disclosures, checks and abort. What sets a transmission apart is its
+disclosure staging, when a train's message order goes out: with the decoy
+pairs (a train that carries no key yet), right after its check (a
+key-bearing ring hop), or withheld (the two-party return train, whose order
+waits until the initiating party has committed to her key announcement, so
+neither side can steer the final key). A lone run is a stack of one lane;
+``run_batch`` stacks a batch's trials up to ``_STACK_KEY_BITS`` key bits at
+a time. A stack numbers its qubit ids across its lanes, so only the digests
+of the ``quantum-send`` events, the one payload that holds ids, differ from
+those of a run on its own.
 """
 
 from __future__ import annotations
@@ -189,6 +192,16 @@ class PermutationRecord:
     message_order: np.ndarray
     decoy_pairs: np.ndarray
 
+    @classmethod
+    def of(cls, forward: np.ndarray, message_count: int) -> "PermutationRecord":
+        """The record of ``forward`` maps whose first ``message_count`` items are messages.
+
+        ``forward`` may hold one map per row of a stack of trains; every
+        field then keeps its leading axes.
+        """
+        decoy_pairs = forward[..., message_count:].reshape(forward.shape[:-1] + (-1, 2))
+        return cls(forward, forward[..., :message_count], decoy_pairs)
+
 
 @dataclass(frozen=True)
 class TransmissionCheck:
@@ -220,40 +233,32 @@ def insert_decoys_and_permute(
 
     Returns the train in transit, an int64 id array by slot, and the
     sender's record; ``slots[record.message_order]`` restores the message.
+
+    A stack of trains comes as an array whose last axis holds each train's
+    message ids, with ``rng`` a sequence of one generator per train, in
+    row-major order. One allocation makes every train's decoy pairs, train
+    after train, and each generator then draws its train's ``permutation``,
+    in train order; the slots and every record field keep the stack's
+    leading axes.
     """
     message = np.asarray(message_qubits, dtype=np.int64)
-    m = message.size
+    m = message.shape[-1]
     if decoy_pair_count is None:
         if m % 2:
             raise ValueError("message qubit count must be even")
         decoy_pair_count = m // 2
-    slots, (forward,) = _scramble(message.reshape(1, m), store, [rng], decoy_pair_count)
-    return slots[0], PermutationRecord(forward, forward[:m], forward[m:].reshape(-1, 2))
-
-
-def _scramble(
-    messages: np.ndarray,
-    store: QubitStore,
-    rngs: Sequence[np.random.Generator],
-    decoy_pair_count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``insert_decoys_and_permute`` for a stack of trains, row by row.
-
-    ``messages`` holds one train's message ids per row. One allocation makes
-    every row's decoy pairs, row after row, and ``rngs[i]`` draws row i's
-    ``permutation``, in row order. Returns the (rows, items) slots in
-    transit and the read-only ``forward`` maps.
-    """
-    rows = len(messages)
+    rngs = rng if message.ndim > 1 else [rng]
+    rows = len(rngs)
     decoys = store.new_train(_PSI_PLUS, rows * decoy_pair_count).reshape(rows, -1)
-    items = np.concatenate([messages, decoys], axis=1)
+    items = np.concatenate([message.reshape(rows, m), decoys], axis=1)
     total = items.shape[1]
     taken = np.array([rng.permutation(total) for rng in rngs])  # the item each slot takes
     taken += np.arange(rows)[:, None] * total  # as flat indices: 1-D gathers are fast
     forward = np.empty_like(taken)
     forward.ravel()[taken] = np.arange(total)  # the inverse permutations
     forward.flags.writeable = False
-    return items.ravel()[taken], forward
+    stacked = message.shape[:-1] + (total,)
+    return items.ravel()[taken].reshape(stacked), PermutationRecord.of(forward.reshape(stacked), m)
 
 
 def verify_decoys(
@@ -502,30 +507,14 @@ def _json_chunks(value, indent: str = "") -> Iterator[str]:
     yield close
 
 
-class _AbortRun(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class _RunContext:
-    """Shared plumbing for one run, a lane of a stack: store, rng, transcript, attack wiring.
+    """One run, a lane of a stack: its generator, transcript and checks."""
 
-    A run owns its generator, transcript and checks; the stack's lanes
-    share its store.
-    """
-
-    def __init__(
-        self, protocol: str, config: ProtocolConfig, adversary: AdversaryModel, store: QubitStore
-    ):
+    def __init__(self, protocol: str, config: ProtocolConfig):
         self.config = config
-        self.adversary = adversary
-        self.store = store
         self.rng = config.make_rng()
         self.transcript = Transcript(protocol, config.key_bits)
         self.checks: list[TransmissionCheck] = []
-        self._transmissions = 0
-        self._attacked = adversary.transmission_index if adversary.is_external else -1
 
     def draw_key(self, party_index: int) -> np.ndarray:
         """The party's private key as a read-only uint8 array: its fixed key, or n drawn bits."""
@@ -547,14 +536,12 @@ class _RunContext:
             purpose=purpose,
         )
 
-    def send(self, step: str, sender: str, receiver: str, slots: np.ndarray) -> int:
-        """Log a scrambled train's send and its ack; returns the transmission's index.
+    def send(self, step: str, sender: str, receiver: str, slots: np.ndarray, index: int) -> None:
+        """Log a scrambled train's send as transmission ``index``, and its ack.
 
-        The log keeps the train as sent: a transit attack (see ``_send``)
-        rewrites ``slots`` only afterwards.
+        The log keeps the train as sent: a transit attack (see
+        ``_Stack.transmit``) rewrites ``slots`` only afterwards.
         """
-        index = self._transmissions
-        self._transmissions += 1
         self.transcript.log(
             step,
             sender,
@@ -563,7 +550,6 @@ class _RunContext:
             qubit_count=len(slots),
         )
         self.transcript.log(step, receiver, tr.ACK, {"transmission": index})
-        return index
 
     def disclose_full(
         self, step: str, actor: str, message_order: np.ndarray, decoy_pairs: np.ndarray
@@ -603,34 +589,27 @@ class _RunContext:
         )
 
     def record_check(
-        self,
-        step: str,
-        sender: str,
-        receiver: str,
-        index: int,
-        error_rate: float,
-        passed: bool,
-    ) -> None:
-        """Record one transmission's check; a failure aborts the run."""
+        self, step: str, sender: str, receiver: str, index: int, error_rate: float
+    ) -> str | None:
+        """Record one transmission's check; returns why the run aborts if it failed."""
+        threshold = self.config.error_threshold
+        passed = error_rate <= threshold
         self.checks.append(
             TransmissionCheck(index, step, sender, receiver, error_rate, passed)
         )
-        if not passed:
-            self.transcript.log(
-                step,
-                receiver,
-                tr.ABORT,
-                {"transmission": index, "error_rate": error_rate},
-            )
-            self.transcript.aborted = True
-            raise _AbortRun(
-                f"decoy check failed on transmission {index} "
-                f"(error rate {error_rate:.4f} > threshold {self.config.error_threshold})"
-            )
-
-
-def _normalize_adversary(adversary: AdversaryModel | None) -> AdversaryModel:
-    return adversary if adversary is not None else AdversaryModel.none()
+        if passed:
+            return None
+        self.transcript.log(
+            step,
+            receiver,
+            tr.ABORT,
+            {"transmission": index, "error_rate": error_rate},
+        )
+        self.transcript.aborted = True
+        return (
+            f"decoy check failed on transmission {index} "
+            f"(error rate {error_rate:.4f} > threshold {threshold})"
+        )
 
 
 def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
@@ -657,38 +636,207 @@ def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
         raise ValueError("swap count too large for the key length")
 
 
-def _lane_uniforms(
-    rngs: Sequence[np.random.Generator], count: int
-) -> np.random.Generator | np.ndarray:
-    """Each lane's ``count`` uniforms, in lane order, for one bulk measurement.
+# A transmission's disclosure staging, when each train's message order goes
+# out: with its decoy pairs, right after its check, or not at all.
+_WITH_DECOYS = "with-decoys"
+_AFTER_CHECK = "after-check"
+_WITHHELD = "withheld"
 
-    A lone lane passes its generator, which the measurement draws from
-    itself: the same values, without the checks given uniforms get.
+
+class _Stack:
+    """A stack of *lanes*, one run per config, in lockstep through one store.
+
+    The configs differ only in ``run_index``. Each lane keeps its own
+    ``_RunContext`` and keys, and only the draws and the log run lane by
+    lane, each lane's in the order a run of its own makes them; the store
+    calls serve all lanes, and each bulk measurement takes the lanes'
+    uniforms in lane order. ``active`` names the lane on each row of the
+    engine's arrays; a lane whose check fails records its abort, gets its
+    result and leaves. A stack of one lane allocates, draws and logs exactly
+    as a run of its own.
+
+    Each copy circulates its qubits at the ``travel`` positions, so a
+    train carries those of n copies, then n/2 decoy pairs.
     """
-    return rngs[0] if len(rngs) == 1 else np.concatenate([rng.random(count) for rng in rngs])
+
+    def __init__(
+        self,
+        protocol: str,
+        parties: int,
+        travel: Sequence[int],
+        configs: Sequence[ProtocolConfig],
+        adversary: AdversaryModel | None,
+    ):
+        adversary = adversary if adversary is not None else AdversaryModel.none()
+        check_adversary(configs[0], adversary)
+        self.protocol = protocol
+        self.names = PARTY_NAMES[:parties]
+        self.n = configs[0].key_bits
+        self.threshold = configs[0].error_threshold
+        self.travel = list(travel)
+        self.m = len(travel) * self.n  # message qubits per train
+        self.adversary = adversary
+        self.attacked = adversary.transmission_index if adversary.is_external else -1
+        self.store = QubitStore()
+        self.lanes = [_RunContext(protocol, config) for config in configs]
+        self.keys: list[list[np.ndarray]] = [[] for _ in configs]  # each lane's keys so far
+        self.active = list(range(len(configs)))
+        self.results: list[ProtocolResult] = [None] * len(configs)
+        self.transmissions = 0
+        # Where each row of a stack of trains starts in the flat slots.
+        self.row_starts = np.arange(len(configs))[:, None] * (self.m + self.n)
+
+    def prepare(self, state: np.ndarray, step: str, parties: Sequence[int]) -> np.ndarray:
+        """Each of ``parties``' n copies of ``state`` in every lane, and its key.
+
+        One train holds every copy: ``copies[k, l]`` is the (n, width) ids of
+        party ``parties[k]`` in lane l, and with one lane ``copies[k]`` holds
+        the ids the k-th of back-to-back trains of n would have had.
+        """
+        width = _COPY_QUBITS[len(self.names)]
+        copies = self.store.new_train(state, len(parties) * len(self.lanes) * self.n)
+        for ctx in self.lanes:
+            for j in parties:
+                ctx.log_preparation(step, self.names[j], width * self.n, "message")
+        self.draw_keys(*parties)
+        return copies.reshape(len(parties), len(self.lanes), self.n, width)
+
+    def draw_keys(self, *parties: int) -> None:
+        """Each active lane's keys for ``parties``, lane by lane."""
+        for lane in self.active:
+            ctx = self.lanes[lane]
+            self.keys[lane] += [ctx.draw_key(j) for j in parties]
+
+    def uniforms(self, count: int) -> np.random.Generator | np.ndarray:
+        """Each active lane's ``count`` uniforms, in lane order, for one bulk measurement.
+
+        A lone lane passes its generator, which the measurement draws from
+        itself: the same values, without the checks given uniforms get.
+        """
+        rngs = [self.lanes[lane].rng for lane in self.active]
+        return rngs[0] if len(rngs) == 1 else np.concatenate([rng.random(count) for rng in rngs])
+
+    def gather(self, slots: np.ndarray, orders: np.ndarray) -> np.ndarray:
+        """``slots[row][orders[row]]`` for each row of a stack of trains, in one gather."""
+        return slots.ravel()[orders + self.row_starts[: len(slots)]]
+
+    def decode(self, copies: np.ndarray, returned: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Measure every row's (n, width) ``copies``, ``returned`` travel qubits in place.
+
+        One ``measure_rows_in_basis`` call in ``basis``; returns the (rows, n)
+        outcome indices.
+        """
+        groups = copies.copy()
+        groups[..., self.travel] = returned.reshape(*copies.shape[:2], len(self.travel))
+        outcomes = self.store.measure_rows_in_basis(
+            groups.reshape(-1, copies.shape[-1]), basis, self.uniforms(self.n)
+        )
+        return outcomes.reshape(-1, self.n)
+
+    def transmit(
+        self,
+        messages: np.ndarray,
+        senders: Sequence[int],
+        send_step: str,
+        check_step: str,
+        staging: str,
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], slice | list[int]]:
+        """Send one hop's trains and check them; lanes whose check fails leave.
+
+        ``messages[k]`` holds, row by row, the message ids of the train that
+        party ``senders[k]`` sends on to the next party. The senders scramble
+        together in runs (``_send_runs``); each lane logs its decoy
+        preparation and send, and a transit attack on a transmission then
+        rewrites every row's train at once, each with its lane's generator.
+        One ``verify_decoys`` call checks every train, lane by lane, and each
+        lane records its disclosures and checks in sender order, as
+        ``staging`` says. Returns each sender's slots and ``forward`` maps
+        for the rows that run on, and those rows (every row: a full slice).
+        """
+        running = [self.lanes[lane] for lane in self.active]
+        rngs = [ctx.rng for ctx in running]
+        names, m, pairs = self.names, self.m, self.n // 2
+        receivers = names[1:] + names[:1]
+        rows, count, first = len(running), len(senders), self.transmissions
+        most = max(1, _SCRAMBLE_ITEMS // (rows * (m + 2 * pairs)))
+        sent = []  # per sender: the rows' slots, forward maps, message orders and decoy pairs
+        for run in _send_runs(first, count, self.attacked, most):
+            # One scramble for the run's senders, sender by sender; a transit
+            # attack ends a run, so every allocation and draw keeps its order.
+            slots, record = insert_decoys_and_permute(
+                messages[run.start : run.stop], self.store, rngs * len(run), pairs
+            )
+            for k, train in zip(run, slots):
+                index, j = first + k, senders[k]
+                for ctx, row in zip(running, train):
+                    ctx.log_preparation(send_step, names[j], 2 * pairs, "decoy")
+                    ctx.send(send_step, names[j], receivers[j], row, index)
+                if index == self.attacked:
+                    attack_transit(self.adversary, self.store, train, rngs)
+            sent += zip(slots, record.forward, record.message_order, record.decoy_pairs)
+        self.transmissions += count
+        # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
+        _, rates = verify_decoys(
+            self.store,
+            [(slots[row], decoys[row]) for row in range(rows) for slots, _, _, decoys in sent],
+            threshold=self.threshold,
+            rng=self.uniforms(count * pairs),
+        )
+        kept = []  # the rows whose lanes run on
+        for row, (lane, ctx) in enumerate(zip(self.active, running)):
+            for k, (_, _, orders, decoys) in enumerate(sent):
+                j = senders[k]
+                if staging == _WITH_DECOYS:
+                    ctx.disclose_full(check_step, names[j], orders[row], decoys[row])
+                else:
+                    ctx.disclose_decoys(check_step, names[j], decoys[row])
+                reason = ctx.record_check(
+                    check_step, names[j], receivers[j], first + k, rates[row * count + k]
+                )
+                if reason is not None:
+                    self.results[lane] = ProtocolResult(
+                        self.protocol, self.n, names, dict(zip(names, self.keys[lane])),
+                        dict.fromkeys(names), True, reason, ctx.checks, None, ctx.transcript,
+                        {}, None,
+                    )
+                    break
+                if staging == _AFTER_CHECK:
+                    ctx.disclose_order(check_step, names[j], orders[row])
+            else:
+                kept.append(row)
+        if len(kept) < rows:
+            self.active = [self.active[row] for row in kept]
+        else:
+            kept = slice(None)
+        return [(slots[kept], forward[kept]) for slots, forward, _, _ in sent], kept
+
+    def finish(
+        self,
+        lane: int,
+        derived: dict[str, np.ndarray],
+        outcome_records: dict[str, tuple[str, ...]],
+        report: dict | None = None,
+    ) -> None:
+        """The result of a lane that ran to the end."""
+        ctx = self.lanes[lane]
+        self.results[lane] = ProtocolResult(
+            self.protocol, self.n, self.names, dict(zip(self.names, self.keys[lane])), derived,
+            False, None, ctx.checks, count_from_transcript(ctx.transcript), ctx.transcript,
+            outcome_records, report,
+        )
 
 
-def _send(
-    lanes: Sequence[_RunContext],
-    step: str,
-    sender: str,
-    receiver: str,
-    slots: np.ndarray,
-    decoy_pairs: int,
-) -> int:
-    """Each lane's decoy preparation and send of its row of ``slots``, in lane order.
+def _send_runs(first: int, count: int, attacked: int, most: int) -> list[range]:
+    """A hop's ``count`` senders, transmissions ``first`` on, in runs that scramble together.
 
-    A transit attack on the transmission then acts on the whole stack: it
-    rewrites the rows in place, each with its lane's generator. Returns the
-    transmission's index.
+    A run holds at most ``most`` senders and ends at the attacked transmission.
     """
-    for ctx, row in zip(lanes, slots):
-        ctx.log_preparation(step, sender, 2 * decoy_pairs, "decoy")
-        index = ctx.send(step, sender, receiver, row)
-    ctx = lanes[0]
-    if index == ctx._attacked:
-        attack_transit(ctx.adversary, ctx.store, slots, [lane.rng for lane in lanes])
-    return index
+    runs, start = [], 0
+    for k in range(count):
+        if k + 1 - start == most or first + k == attacked or k == count - 1:
+            runs.append(range(start, k + 1))
+            start = k + 1
+    return runs
 
 
 def run_two_party(
@@ -701,119 +849,55 @@ def run_two_party(
     announces her key before the responder reveals the return train's
     message order, then Bell-measures pairwise to decode his.
     """
-    config.validate()
-    if config.party_count != 2:
-        raise ValueError("two-party run requires party_count == 2")
-    return _run_two_party([config], adversary)[0]
+    return _run_alone(config, adversary, 2)
 
 
 def _run_two_party(
     configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
 ) -> list[ProtocolResult]:
-    """``run_two_party`` for a stack of lanes, as ``_run_ring`` runs the rings.
+    """``run_two_party`` for a stack of lanes (see ``_Stack``).
 
-    The lanes share one train of all their Bell pairs, one decoy allocation
-    and scramble and one ``verify_decoys`` per transmission, one
-    ``encode_key`` and one decode measurement. Keys, permutations, attack
-    draws, check and decode uniforms, the reordering receiver's swaps and
-    the early-measuring initiator's guess and measurement go lane by lane,
-    each in its run's order, as does the log. A lane whose check fails
-    records it, aborts and leaves the stack. A stack of one lane allocates,
-    draws and logs exactly as a run of its own.
+    The lanes share one train of all their Bell pairs, each transmission,
+    one ``encode_key`` and one decode measurement; the reordering
+    receiver's swaps and the early-measuring initiator's guess and
+    measurement go lane by lane.
     """
-    adv = _normalize_adversary(adversary)
-    check_adversary(configs[0], adv)
-    n = configs[0].key_bits
-    threshold = configs[0].error_threshold
-    names = PARTY_NAMES[:2]
-    alice, bob = names
-    store = QubitStore()
-    lanes = [_RunContext(TWO_PARTY, config, adv, store) for config in configs]
-    results: list[ProtocolResult] = [None] * len(lanes)
-    keys = []  # each lane's private keys so far
+    stack = _Stack(TWO_PARTY, 2, [1], configs, adversary)
+    n, store, adv = stack.n, stack.store, stack.adversary
+    alice, bob = stack.names
 
     # Step 1: pair preparation and the initiator's key.
-    pairs = store.new_train(_PSI_PLUS, len(lanes) * n).reshape(len(lanes), n, 2)
-    for ctx in lanes:
-        ctx.log_preparation("step1", alice, 2 * n, "message")
-        keys.append([ctx.draw_key(0)])
-    kept = pairs[..., 0]  # the initiator's halves, by the row of each active lane
-    active = list(range(len(lanes)))
-
-    def transmit(messages, send_step, check_step, sender, receiver, outbound):
-        """Scramble, send and check the active lanes' trains; aborted lanes leave.
-
-        Returns the surviving rows' slots and ``forward`` maps.
-        """
-        nonlocal kept, active
-        running = [lanes[lane] for lane in active]
-        rngs = [ctx.rng for ctx in running]
-        slots, forward = _scramble(messages, store, rngs, n // 2)
-        index = _send(running, send_step, sender, receiver, slots, n // 2)
-        decoys = forward[:, n:].reshape(len(active), -1, 2)
-        # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
-        _, rates = verify_decoys(
-            store,
-            list(zip(slots, decoys)),
-            threshold=threshold,
-            rng=_lane_uniforms(rngs, n // 2),
-        )
-        passed = []
-        for row, (lane, ctx) in enumerate(zip(active, running)):
-            # The outbound train carries no key yet, so its order goes out
-            # with the decoys; the return train's order waits for step 7.
-            if outbound:
-                ctx.disclose_full(check_step, sender, forward[row, :n], decoys[row])
-            else:
-                ctx.disclose_decoys(check_step, sender, decoys[row])
-            try:
-                ctx.record_check(
-                    check_step, sender, receiver, index, rates[row], rates[row] <= threshold
-                )
-            except _AbortRun as abort:
-                results[lane] = ProtocolResult(
-                    TWO_PARTY, n, names, dict(zip(names, keys[lane])),
-                    {name: None for name in names}, True, abort.reason, ctx.checks,
-                    None, ctx.transcript, {}, None,
-                )
-                continue
-            passed.append(row)
-        if len(passed) < len(active):  # aborted lanes leave the stack
-            slots, forward, kept = slots[passed], forward[passed], kept[passed]
-            active = [active[row] for row in passed]
-        return slots, forward
+    (pairs,) = stack.prepare(_PSI_PLUS, "step1", [0])
 
     # Steps 2-3: outbound train, full disclosure, responder's decoy check.
-    slots, forward = transmit(pairs[..., 1], "step2", "step3", alice, bob, True)
-    if not active:
-        return results
-    row_starts = np.arange(len(active))[:, None] * (2 * n)
-    at_bob = slots.ravel()[forward[:, :n] + row_starts]
+    ((slots, forward),), kept = stack.transmit(pairs[None, ..., 1], [0], "step2", "step3", _WITH_DECOYS)
+    if not stack.active:
+        return stack.results
+    pairs = pairs[kept]
+    at_bob = stack.gather(slots, forward[:, :n])
 
     # Step 4: responder's key, X-encoding, return train.
-    for lane in active:
-        keys[lane].append(lanes[lane].draw_key(1))
-    key_masks = np.concatenate([keys[lane][1] for lane in active])
+    stack.draw_keys(1)
+    key_masks = np.concatenate([stack.keys[lane][1] for lane in stack.active])
     encode_key(store, at_bob.ravel(), key_masks, GroupElement.of(PauliLetter.X))
     # Step 5: decoy coordinates only; the message order stays secret.
-    slots, forward = transmit(at_bob, "step4", "step5", bob, alice, False)
-    if not active:
-        return results
+    ((slots, forward),), kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
+    if not stack.active:
+        return stack.results
+    pairs = pairs[kept]
 
     finishing = []  # per row: the initiator's early guess, the attack report, the reorder target
-    orders = []
-    for row, lane in enumerate(active):
-        ctx = lanes[lane]
-        key_a, key_b = keys[lane]
+    orders = np.empty((len(stack.active), n), dtype=np.int64)  # each row's step-7 order
+    for row, lane in enumerate(stack.active):
+        ctx = stack.lanes[lane]
+        key_a, key_b = stack.keys[lane]
         guess = report = target = None
         # Insider hook: an impatient initiator measures on guessed pairings
         # now, before committing to her announcement, and takes her key from them.
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
-            record = PermutationRecord(
-                forward[row], forward[row, :n], forward[row, n:].reshape(-1, 2)
-            )
+            record = PermutationRecord.of(forward[row], n)
             guess, report = dishonest_alice_early_measure(
-                store, kept[row], slots[row], record, ctx.rng, key_b
+                store, pairs[row, :, 0], slots[row], record, ctx.rng, key_b
             )
 
         # Step 6: the initiator commits; the responder can already finish.
@@ -834,19 +918,14 @@ def _run_two_party(
                 "target_key": bits_to_hex(target),
             }
         ctx.disclose_order("step7", bob, order)
-        orders.append(order)
+        orders[row] = order
         finishing.append((guess, report, target))
 
     # Step 8: pairwise decoding; each bit flip is one of the responder's key bits.
     if adv.kind is not AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
-        row_starts = np.arange(len(active))[:, None] * (2 * n)
-        returned = slots.ravel()[np.array(orders) + row_starts]
-        uniforms = _lane_uniforms([lanes[lane].rng for lane in active], n)
-        groups = np.column_stack([kept.ravel(), returned.ravel()])
-        decoded = store.measure_rows_in_basis(groups, BELL_VECTORS, uniforms).reshape(-1, n)
-    for row, lane in enumerate(active):
-        ctx = lanes[lane]
-        key_a, key_b = keys[lane]
+        decoded = stack.decode(pairs, stack.gather(slots, orders), BELL_VECTORS)
+    for row, lane in enumerate(stack.active):
+        key_a, key_b = stack.keys[lane]
         guess, report, target = finishing[row]
         outcome_records: dict[str, tuple[str, ...]] = {}
         if guess is None:
@@ -855,12 +934,8 @@ def _run_two_party(
         derived = {alice: xor_bits(key_a, guess), bob: xor_bits(key_a, key_b)}
         if target is not None:
             report["alice_key_matches_target"] = np.array_equal(derived[alice], target)
-        results[lane] = ProtocolResult(
-            TWO_PARTY, n, names, dict(zip(names, keys[lane])), derived, False, None,
-            ctx.checks, count_from_transcript(ctx.transcript), ctx.transcript,
-            outcome_records, report,
-        )
-    return results
+        stack.finish(lane, derived, outcome_records, report)
+    return stack.results
 
 
 @dataclass(frozen=True)
@@ -891,49 +966,18 @@ class _Ring:
 def _run_ring(
     ring: _Ring, configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
 ) -> list[ProtocolResult]:
-    """Run one trial per config in lockstep through one store; one result each.
+    """Run one trial per config as a stack of lanes (see ``_Stack``); one result each.
 
-    The configs differ only in ``run_index``, and each is a *lane* with its
-    own generator, keys, transcript and checks. The lanes share every store
-    call: one train of all their copies, one decoy allocation and scramble
-    per run of a hop's senders (``_send_runs``), one ``encode_key`` per
-    round, one ``verify_decoys`` per hop and one decode measurement per
-    party. Only the draws and the log run lane by lane, each lane's in the
-    order a run of its own makes them, and each bulk measurement takes the
-    lanes' uniforms in lane order. A lane whose check fails records it,
-    aborts and leaves the stack. A transit attack acts on every lane's
-    train at once, each with its lane's generator (see ``_send``). A stack
-    of one lane allocates, draws and logs exactly as a run of its own.
+    The lanes share one train of all their copies, each hop's
+    transmissions, one ``encode_key`` per round and one decode measurement
+    per party.
     """
-    adv = _normalize_adversary(adversary)
-    check_adversary(configs[0], adv)
     parties = len(ring.hop_steps)
-    n = configs[0].key_bits
-    threshold = configs[0].error_threshold
-    names = PARTY_NAMES[:parties]
-    receivers = names[1:] + names[:1]
-    width = _COPY_QUBITS[parties]
-    travel = list(ring.travel)
-    m = n * len(travel)  # message qubits per train
-    pairs = n // 2  # decoy pairs per train
-    attacked = adv.transmission_index if adv.is_external else -1
-    store = QubitStore()
-    lanes = [_RunContext(ring.protocol, config, adv, store) for config in configs]
-    results: list[ProtocolResult] = [None] * len(lanes)
-
-    # One train holds every lane's copies: copies[j, l] is party j's (n, width)
-    # ids in lane l. With one lane, copies[j] holds the ids the j-th of
-    # back-to-back trains of n would have had.
-    copies = store.new_train(ring.state, parties * len(lanes) * n)
-    copies = copies.reshape(parties, len(lanes), n, width)
-    keys = []
-    for ctx in lanes:
-        for name in names:
-            ctx.log_preparation(ring.prep_step, name, width * n, "message")
-        keys.append([ctx.draw_key(j) for j in range(parties)])
-    key_masks = np.array(keys).transpose(1, 0, 2)  # by party, lane and bit
-    travels = copies[..., travel].reshape(parties, len(lanes), m)  # stream s's travel qubits
-    active = list(range(len(lanes)))  # the lane on each row of copies, travels and key_masks
+    stack = _Stack(ring.protocol, parties, ring.travel, configs, adversary)
+    m, store, names = stack.m, stack.store, stack.names
+    copies = stack.prepare(ring.state, ring.prep_step, range(parties))
+    key_masks = np.array(stack.keys).transpose(1, 0, 2)  # by party, lane and bit
+    travels = copies[..., stack.travel].reshape(parties, len(configs), m)  # stream s's travel qubits
 
     for hop, (send_step, check_step) in enumerate(ring.hop_steps):
         # Each hop runs in lockstep: all parties encode, then send, then
@@ -941,101 +985,27 @@ def _run_ring(
         held = [(j - hop) % parties for j in range(parties)]  # stream party j holds
         if hop:
             encode_key(store, travels[held].ravel(), key_masks.ravel(), ring.words[hop - 1])
-        running = [lanes[lane] for lane in active]
-        rngs = [ctx.rng for ctx in running]
-        sent = []  # per party: each lane's slots, message orders and decoy pairs
-        most = max(1, _SCRAMBLE_ITEMS // (len(active) * (m + 2 * pairs)))
-        for senders in _send_runs(hop, parties, attacked, most):
-            # One scramble for the run's parties, party by party; a transit
-            # attack ends a run, so every allocation and draw keeps its order.
-            messages = travels[[held[j] for j in senders]].reshape(-1, m)
-            slots, forward = _scramble(messages, store, rngs * len(senders), pairs)
-            slots = slots.reshape(len(senders), len(active), -1)
-            forward = forward.reshape(len(senders), len(active), -1)
-            for k, j in enumerate(senders):
-                _send(running, send_step, names[j], receivers[j], slots[k], pairs)
-                decoys = forward[k, :, m:].reshape(len(active), pairs, 2)
-                sent.append((slots[k], forward[k, :, :m], decoys))
-        # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
-        _, rates = verify_decoys(
-            store,
-            [(slots[row], decoys[row])
-             for row in range(len(active)) for slots, _, decoys in sent],
-            threshold=threshold,
-            rng=_lane_uniforms(rngs, parties * pairs),
-        )
-        kept = []  # the rows whose lanes run on
-        for row, lane in enumerate(active):
-            ctx = lanes[lane]
-            try:
-                for j, (_, orders, decoys) in enumerate(sent):
-                    rate = rates[row * parties + j]
-                    # The plain hop carries no key yet, so its order may go out
-                    # with the decoys; a key-bearing order waits for the check.
-                    if hop:
-                        ctx.disclose_decoys(check_step, names[j], decoys[row])
-                    else:
-                        ctx.disclose_full(check_step, names[j], orders[row], decoys[row])
-                    ctx.record_check(
-                        check_step, names[j], receivers[j], hop * parties + j, rate,
-                        rate <= threshold,
-                    )
-                    if hop:
-                        ctx.disclose_order(check_step, names[j], orders[row])
-            except _AbortRun as abort:
-                results[lane] = ProtocolResult(
-                    ring.protocol, n, names, dict(zip(names, keys[lane])),
-                    {name: None for name in names}, True, abort.reason, ctx.checks,
-                    None, ctx.transcript, {}, None,
-                )
-                continue
-            kept.append(row)
-        row_starts = np.arange(len(active))[:, None] * (m + 2 * pairs)
-        for j, (slots, orders, _) in enumerate(sent):
-            travels[held[j]] = slots.ravel()[orders + row_starts]  # the restored trains
+        staging = _AFTER_CHECK if hop else _WITH_DECOYS
+        sent, kept = stack.transmit(travels[held], range(parties), send_step, check_step, staging)
+        if not stack.active:
+            return stack.results
+        copies, travels, key_masks = copies[:, kept], travels[:, kept], key_masks[:, kept]
+        for j, (slots, forward) in enumerate(sent):
+            travels[held[j]] = stack.gather(slots, forward[:, :m])  # the restored trains
         del sent  # free this hop's trains before the next hop's are built
-        if not kept:
-            return results
-        if len(kept) < len(active):  # aborted lanes leave the stack
-            copies, travels, key_masks = copies[:, kept], travels[:, kept], key_masks[:, kept]
-            active = [active[row] for row in kept]
 
     # Decode each copy with its returned travel qubits in their positions.
     labels = np.array([label for label, _ in ring.outcomes], dtype=object)
     parity = np.array([bit for _, bit in ring.outcomes], dtype=np.uint8)
-    outcomes = []
-    for j in range(parties):
-        groups = copies[j].copy()
-        groups[..., travel] = travels[j].reshape(len(active), n, len(travel))
-        uniforms = _lane_uniforms([lanes[lane].rng for lane in active], n)
-        rows = store.measure_rows_in_basis(groups.reshape(-1, width), ring.basis, uniforms)
-        outcomes.append(rows.reshape(len(active), n))
-    for row, lane in enumerate(active):
-        ctx = lanes[lane]
+    outcomes = [stack.decode(copies[j], travels[j], ring.basis) for j in range(parties)]
+    for row, lane in enumerate(stack.active):
         derived: dict[str, np.ndarray | None] = {}
         outcome_records: dict[str, tuple[str, ...]] = {}
         for j, name in enumerate(names):
             outcome_records[name] = tuple(labels[outcomes[j][row]].tolist())
-            derived[name] = xor_bits(keys[lane][j], parity[outcomes[j][row]])
-        results[lane] = ProtocolResult(
-            ring.protocol, n, names, dict(zip(names, keys[lane])), derived, False, None,
-            ctx.checks, count_from_transcript(ctx.transcript), ctx.transcript,
-            outcome_records, None,
-        )
-    return results
-
-
-def _send_runs(hop: int, parties: int, attacked: int, most: int) -> list[range]:
-    """The senders of a hop in runs that scramble together.
-
-    A run holds at most ``most`` senders and ends at the attacked transmission.
-    """
-    runs, start = [], 0
-    for j in range(parties):
-        if j + 1 - start == most or hop * parties + j == attacked or j == parties - 1:
-            runs.append(range(start, j + 1))
-            start = j + 1
-    return runs
+            derived[name] = xor_bits(stack.keys[lane][j], parity[outcomes[j][row]])
+        stack.finish(lane, derived, outcome_records)
+    return stack.results
 
 
 _THREE_PARTY_RING = _Ring(
@@ -1061,10 +1031,7 @@ def run_three_party(
     Bell-measures its kept halves against its own returned train and reads
     both neighbors' bits off the outcome.
     """
-    config.validate()
-    if config.party_count != 3:
-        raise ValueError("three-party run requires party_count == 3")
-    return _run_ring(_THREE_PARTY_RING, [config], adversary)[0]
+    return _run_alone(config, adversary, 3)
 
 
 def five_party_round_subgroups(digits: str):
@@ -1130,22 +1097,42 @@ def run_five_party(
     into the four bits. Intercept-z may attack any transmission; see
     ``check_adversary`` for the adversaries refused.
     """
-    config.validate()
-    if config.party_count != 5:
-        raise ValueError("five-party run requires party_count == 5")
-    ring = _five_party_ring(config.five_party_state, config.five_party_rounds)
-    return _run_ring(ring, [config], adversary)[0]
+    return _run_alone(config, adversary, 5)
 
 
 def run_protocol(
     config: ProtocolConfig, adversary: AdversaryModel | None = None
 ) -> ProtocolResult:
     """Dispatch on party_count; ``check_adversary`` says which adversary each takes."""
+    # The entries are looked up per call, so a patched one is the one that runs.
+    run = {2: run_two_party, 3: run_three_party}.get(config.party_count, run_five_party)
+    return run(config, adversary)
+
+
+def _stack_runner(config: ProtocolConfig):
+    """Validate ``config`` and return the engine that runs a stack of its trials.
+
+    The engine takes the trials' configs and the adversary, and returns one
+    result per config.
+    """
+    config.validate()
     if config.party_count == 2:
-        return run_two_party(config, adversary)
+        return _run_two_party
     if config.party_count == 3:
-        return run_three_party(config, adversary)
-    return run_five_party(config, adversary)
+        return functools.partial(_run_ring, _THREE_PARTY_RING)
+    ring = _five_party_ring(config.five_party_state, config.five_party_rounds)
+    return functools.partial(_run_ring, ring)
+
+
+def _run_alone(
+    config: ProtocolConfig, adversary: AdversaryModel | None, party_count: int
+) -> ProtocolResult:
+    """``config`` as a stack of one lane, on the engine for ``party_count`` parties."""
+    run_stack = _stack_runner(config)
+    if config.party_count != party_count:
+        protocol = {2: TWO_PARTY, 3: THREE_PARTY}.get(party_count, FIVE_PARTY)
+        raise ValueError(f"{protocol} run requires party_count == {party_count}")
+    return run_stack([config], adversary)[0]
 
 
 # A batch stacks at most this many key bits of trials, and at least one
@@ -1159,23 +1146,16 @@ def run_batch(
     """``trials`` runs of ``config``; trial i is ``replace(config, run_index=i)``.
 
     The trials run in stacks of at most ``_STACK_KEY_BITS`` key bits, as
-    lanes of one store (see ``_run_two_party`` and ``_run_ring``); a
-    transit attack acts on a stack at once. Each trial's ``to_dict()`` equals that of its own
+    lanes of one store (see ``_Stack``); a transit attack acts on a stack
+    at once. Each trial's ``to_dict()`` equals that of its own
     ``run_protocol(replace(config, run_index=i), adversary)`` call, except
     the digests of ``quantum-send`` events: those payloads are the only ones
     that hold qubit ids, and a stack numbers its ids across its lanes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    config.validate()
+    run_stack = _stack_runner(config)
     configs = [replace(config, run_index=i) for i in range(trials)]
-    if config.party_count == 2:
-        run_stack = _run_two_party
-    elif config.party_count == 3:
-        run_stack = functools.partial(_run_ring, _THREE_PARTY_RING)
-    else:
-        ring = _five_party_ring(config.five_party_state, config.five_party_rounds)
-        run_stack = functools.partial(_run_ring, ring)
     per_stack = max(1, _STACK_KEY_BITS // config.key_bits)
     results = []
     for lo in range(0, trials, per_stack):

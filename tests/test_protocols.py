@@ -1,6 +1,8 @@
 """Protocol engines: transport machinery, choreography and agreement."""
 
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -20,8 +22,8 @@ from qka.efficiency import TWO_PARTY, preset_counts
 from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
 from qka.protocols import (
     InvalidSchemeError,
+    PermutationRecord,
     ProtocolConfig,
-    _RunContext,
     bits_to_hex,
     check_adversary,
     encode_key,
@@ -296,12 +298,17 @@ class TestVerifyDecoys:
 
 class TestTranscriptSnapshots:
     def _send(self, adversary):
-        ctx = _RunContext(TWO_PARTY, config(n=8, seed=12), adversary, QubitStore())
-        travel = ctx.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[:, 1]
-        slots, rec = insert_decoys_and_permute(travel, ctx.store, ctx.rng, 4)
-        protocols._send([ctx], "step2", "Alice", "Bob", slots[None], 4)
-        (send,) = [e for e in ctx.transcript.events if e.kind == QUANTUM_SEND]
-        return travel, slots, rec, send.payload
+        # threshold 1: the attacked train passes its check, so its row runs on
+        stack = protocols._Stack(
+            TWO_PARTY, 2, [1], [config(n=8, seed=12, error_threshold=1.0)], adversary
+        )
+        travel = stack.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[:, 1]
+        ((slots, forward),), _ = stack.transmit(
+            travel[None, None], [0], "step2", "step3", protocols._WITH_DECOYS
+        )
+        rec = PermutationRecord.of(forward[0], 8)
+        (send,) = [e for e in stack.lanes[0].transcript.events if e.kind == QUANTUM_SEND]
+        return travel, slots[0], rec, send.payload
 
     def test_transit_attack_leaves_logged_send_unchanged(self):
         attack = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
@@ -536,6 +543,19 @@ class TestLockstepHops:
         r = run_protocol(config(n=16, parties=parties, seed=4))
         assert r.agreement()
         assert calls == {"verify_decoys": checks, "encode_key": encodes}
+
+
+class TestOneTransmissionPath:
+    def test_each_transport_step_has_one_call_site(self):
+        # both engines scramble, attack and check through _Stack.transmit only
+        tree = ast.parse(inspect.getsource(protocols))
+        calls = Counter(
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        )
+        for name in ("insert_decoys_and_permute", "verify_decoys", "attack_transit"):
+            assert calls[name] == 1, name
 
 
 class TestStackedBatches:
