@@ -199,7 +199,8 @@ class PermutationRecord:
         ``forward`` may hold one map per row of a stack of trains; every
         field then keeps its leading axes.
         """
-        decoy_pairs = forward[..., message_count:].reshape(forward.shape[:-1] + (-1, 2))
+        decoys = forward[..., message_count:]
+        decoy_pairs = decoys.reshape(decoys.shape[:-1] + (decoys.shape[-1] // 2, 2))
         return cls(forward, forward[..., :message_count], decoy_pairs)
 
 
@@ -740,7 +741,7 @@ class _Stack:
         send_step: str,
         check_step: str,
         staging: str,
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], slice | list[int]]:
+    ) -> tuple[list[tuple[np.ndarray, PermutationRecord]], slice | list[int]]:
         """Send one hop's trains and check them; lanes whose check fails leave.
 
         ``messages[k]`` holds, row by row, the message ids of the train that
@@ -750,8 +751,8 @@ class _Stack:
         rewrites every row's train at once, each with its lane's generator.
         One ``verify_decoys`` call checks every train, lane by lane, and each
         lane records its disclosures and checks in sender order, as
-        ``staging`` says. Returns each sender's slots and ``forward`` maps
-        for the rows that run on, and those rows (every row: a full slice).
+        ``staging`` says. Returns each sender's slots and record, one row
+        per lane that runs on, and those rows (every row: a full slice).
         """
         running = [self.lanes[lane] for lane in self.active]
         rngs = [ctx.rng for ctx in running]
@@ -759,37 +760,39 @@ class _Stack:
         receivers = names[1:] + names[:1]
         rows, count, first = len(running), len(senders), self.transmissions
         most = max(1, _SCRAMBLE_ITEMS // (rows * (m + 2 * pairs)))
-        sent = []  # per sender: the rows' slots, forward maps, message orders and decoy pairs
+        sent = []  # per sender: its trains' slots and record, one row per lane
         for run in _send_runs(first, count, self.attacked, most):
             # One scramble for the run's senders, sender by sender; a transit
             # attack ends a run, so every allocation and draw keeps its order.
             slots, record = insert_decoys_and_permute(
                 messages[run.start : run.stop], self.store, rngs * len(run), pairs
             )
-            for k, train in zip(run, slots):
+            fields = zip(run, slots, record.forward, record.message_order, record.decoy_pairs)
+            for k, train, forward, orders, decoys in fields:
                 index, j = first + k, senders[k]
                 for ctx, row in zip(running, train):
                     ctx.log_preparation(send_step, names[j], 2 * pairs, "decoy")
                     ctx.send(send_step, names[j], receivers[j], row, index)
                 if index == self.attacked:
                     attack_transit(self.adversary, self.store, train, rngs)
-            sent += zip(slots, record.forward, record.message_order, record.decoy_pairs)
+                sent.append((train, PermutationRecord(forward, orders, decoys)))
         self.transmissions += count
         # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
         _, rates = verify_decoys(
             self.store,
-            [(slots[row], decoys[row]) for row in range(rows) for slots, _, _, decoys in sent],
+            [(slots[row], record.decoy_pairs[row])
+             for row in range(rows) for slots, record in sent],
             threshold=self.threshold,
             rng=self.uniforms(count * pairs),
         )
         kept = []  # the rows whose lanes run on
         for row, (lane, ctx) in enumerate(zip(self.active, running)):
-            for k, (_, _, orders, decoys) in enumerate(sent):
-                j = senders[k]
+            for k, (_, record) in enumerate(sent):
+                j, order = senders[k], record.message_order[row]
                 if staging == _WITH_DECOYS:
-                    ctx.disclose_full(check_step, names[j], orders[row], decoys[row])
+                    ctx.disclose_full(check_step, names[j], order, record.decoy_pairs[row])
                 else:
-                    ctx.disclose_decoys(check_step, names[j], decoys[row])
+                    ctx.disclose_decoys(check_step, names[j], record.decoy_pairs[row])
                 reason = ctx.record_check(
                     check_step, names[j], receivers[j], first + k, rates[row * count + k]
                 )
@@ -801,14 +804,14 @@ class _Stack:
                     )
                     break
                 if staging == _AFTER_CHECK:
-                    ctx.disclose_order(check_step, names[j], orders[row])
+                    ctx.disclose_order(check_step, names[j], order)
             else:
                 kept.append(row)
-        if len(kept) < rows:
-            self.active = [self.active[row] for row in kept]
-        else:
-            kept = slice(None)
-        return [(slots[kept], forward[kept]) for slots, forward, _, _ in sent], kept
+        if len(kept) == rows:
+            return sent, slice(None)
+        self.active = [self.active[row] for row in kept]
+        return [(slots[kept], PermutationRecord.of(record.forward[kept], m))
+                for slots, record in sent], kept
 
     def finish(
         self,
@@ -870,18 +873,19 @@ def _run_two_party(
     (pairs,) = stack.prepare(_PSI_PLUS, "step1", [0])
 
     # Steps 2-3: outbound train, full disclosure, responder's decoy check.
-    ((slots, forward),), kept = stack.transmit(pairs[None, ..., 1], [0], "step2", "step3", _WITH_DECOYS)
+    outbound = pairs[None, ..., 1]  # the initiator's one train, as a stack of senders
+    ((slots, record),), kept = stack.transmit(outbound, [0], "step2", "step3", _WITH_DECOYS)
     if not stack.active:
         return stack.results
     pairs = pairs[kept]
-    at_bob = stack.gather(slots, forward[:, :n])
+    at_bob = stack.gather(slots, record.message_order)
 
     # Step 4: responder's key, X-encoding, return train.
     stack.draw_keys(1)
     key_masks = np.concatenate([stack.keys[lane][1] for lane in stack.active])
     encode_key(store, at_bob.ravel(), key_masks, GroupElement.of(PauliLetter.X))
     # Step 5: decoy coordinates only; the message order stays secret.
-    ((slots, forward),), kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
+    ((slots, record),), kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
     if not stack.active:
         return stack.results
     pairs = pairs[kept]
@@ -895,16 +899,16 @@ def _run_two_party(
         # Insider hook: an impatient initiator measures on guessed pairings
         # now, before committing to her announcement, and takes her key from them.
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
-            record = PermutationRecord.of(forward[row], n)
             guess, report = dishonest_alice_early_measure(
-                store, pairs[row, :, 0], slots[row], record, ctx.rng, key_b
+                store, pairs[row, :, 0], slots[row], PermutationRecord.of(record.forward[row], n),
+                ctx.rng, key_b,
             )
 
         # Step 6: the initiator commits; the responder can already finish.
         ctx.announce_key("step6", alice, key_a)
 
         # Step 7: message order (honest or reordered).
-        order = forward[row, :n]
+        order = record.message_order[row]
         if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
             swap_pairs = adv.swap_pairs
             if swap_pairs is None:
@@ -977,7 +981,8 @@ def _run_ring(
     m, store, names = stack.m, stack.store, stack.names
     copies = stack.prepare(ring.state, ring.prep_step, range(parties))
     key_masks = np.array(stack.keys).transpose(1, 0, 2)  # by party, lane and bit
-    travels = copies[..., stack.travel].reshape(parties, len(configs), m)  # stream s's travel qubits
+    # travels[s] holds stream s's travel qubits
+    travels = copies[..., stack.travel].reshape(parties, len(configs), m)
 
     for hop, (send_step, check_step) in enumerate(ring.hop_steps):
         # Each hop runs in lockstep: all parties encode, then send, then
@@ -990,8 +995,8 @@ def _run_ring(
         if not stack.active:
             return stack.results
         copies, travels, key_masks = copies[:, kept], travels[:, kept], key_masks[:, kept]
-        for j, (slots, forward) in enumerate(sent):
-            travels[held[j]] = stack.gather(slots, forward[:, :m])  # the restored trains
+        for j, (slots, record) in enumerate(sent):
+            travels[held[j]] = stack.gather(slots, record.message_order)  # the restored trains
         del sent  # free this hop's trains before the next hop's are built
 
     # Decode each copy with its returned travel qubits in their positions.

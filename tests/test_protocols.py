@@ -303,10 +303,10 @@ class TestTranscriptSnapshots:
             TWO_PARTY, 2, [1], [config(n=8, seed=12, error_threshold=1.0)], adversary
         )
         travel = stack.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[:, 1]
-        ((slots, forward),), _ = stack.transmit(
+        ((slots, record),), _ = stack.transmit(
             travel[None, None], [0], "step2", "step3", protocols._WITH_DECOYS
         )
-        rec = PermutationRecord.of(forward[0], 8)
+        rec = PermutationRecord.of(record.forward[0], 8)
         (send,) = [e for e in stack.lanes[0].transcript.events if e.kind == QUANTUM_SEND]
         return travel, slots[0], rec, send.payload
 
