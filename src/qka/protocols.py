@@ -761,6 +761,7 @@ class _Stack:
         rows, count, first = len(running), len(senders), self.transmissions
         most = max(1, _SCRAMBLE_ITEMS // (rows * (m + 2 * pairs)))
         sent = []  # per sender: its trains' slots and record, one row per lane
+        checks = []  # per sender: what each lane logs about its train's check
         for run in _send_runs(first, count, self.attacked, most):
             # One scramble for the run's senders, sender by sender; a transit
             # attack ends a run, so every allocation and draw keeps its order.
@@ -769,33 +770,33 @@ class _Stack:
             )
             fields = zip(run, slots, record.forward, record.message_order, record.decoy_pairs)
             for k, train, forward, orders, decoys in fields:
-                index, j = first + k, senders[k]
+                index, sender, receiver = first + k, names[senders[k]], receivers[senders[k]]
                 for ctx, row in zip(running, train):
-                    ctx.log_preparation(send_step, names[j], 2 * pairs, "decoy")
-                    ctx.send(send_step, names[j], receivers[j], row, index)
+                    ctx.log_preparation(send_step, sender, 2 * pairs, "decoy")
+                    ctx.send(send_step, sender, receiver, row, index)
                 if index == self.attacked:
                     attack_transit(self.adversary, self.store, train, rngs)
                 sent.append((train, PermutationRecord(forward, orders, decoys)))
+                checks.append((index, sender, receiver, orders, decoys))
         self.transmissions += count
         # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
         _, rates = verify_decoys(
             self.store,
-            [(slots[row], record.decoy_pairs[row])
-             for row in range(rows) for slots, record in sent],
+            [(train[row], record.decoy_pairs[row])
+             for row in range(rows) for train, record in sent],
             threshold=self.threshold,
             rng=self.uniforms(count * pairs),
         )
+        with_decoys, after_check = staging == _WITH_DECOYS, staging == _AFTER_CHECK
         kept = []  # the rows whose lanes run on
         for row, (lane, ctx) in enumerate(zip(self.active, running)):
-            for k, (_, record) in enumerate(sent):
-                j, order = senders[k], record.message_order[row]
-                if staging == _WITH_DECOYS:
-                    ctx.disclose_full(check_step, names[j], order, record.decoy_pairs[row])
+            for k, (index, sender, receiver, orders, decoys) in enumerate(checks):
+                if with_decoys:
+                    ctx.disclose_full(check_step, sender, orders[row], decoys[row])
                 else:
-                    ctx.disclose_decoys(check_step, names[j], record.decoy_pairs[row])
-                reason = ctx.record_check(
-                    check_step, names[j], receivers[j], first + k, rates[row * count + k]
-                )
+                    ctx.disclose_decoys(check_step, sender, decoys[row])
+                rate = rates[row * count + k]
+                reason = ctx.record_check(check_step, sender, receiver, index, rate)
                 if reason is not None:
                     self.results[lane] = ProtocolResult(
                         self.protocol, self.n, names, dict(zip(names, self.keys[lane])),
@@ -803,8 +804,8 @@ class _Stack:
                         {}, None,
                     )
                     break
-                if staging == _AFTER_CHECK:
-                    ctx.disclose_order(check_step, names[j], order)
+                if after_check:
+                    ctx.disclose_order(check_step, sender, orders[row])
             else:
                 kept.append(row)
         if len(kept) == rows:

@@ -116,6 +116,26 @@ class TestScrambling:
         assert message_positions | decoy_positions == set(range(4))
         assert message_positions & decoy_positions == set()
 
+    def test_a_stack_scrambles_train_by_train(self):
+        # a (2, 3) stack of 2-qubit trains, one generator per train in row-major order
+        store = QubitStore()
+        messages = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 12)[:, 1].reshape(2, 3, 2)
+        first_decoy = 24  # the next id: the stack's decoys come from one allocation
+        slots, rec = insert_decoys_and_permute(
+            messages, store, [np.random.default_rng(seed) for seed in range(6)], 2
+        )
+        assert slots.shape == rec.forward.shape == (2, 3, 6)
+        assert rec.message_order.shape == (2, 3, 2) and rec.decoy_pairs.shape == (2, 3, 2, 2)
+        for train, (i, j) in enumerate(np.ndindex(2, 3)):
+            alone = QubitStore()
+            _, ref = insert_decoys_and_permute(
+                messages[i, j], alone, np.random.default_rng(train), 2
+            )
+            assert np.array_equal(rec.forward[i, j], ref.forward)
+            assert np.array_equal(slots[i, j][rec.message_order[i, j]], messages[i, j])
+            decoys = sorted(slots[i, j][rec.decoy_pairs[i, j]].ravel().tolist())
+            assert decoys == list(range(first_decoy + 4 * train, first_decoy + 4 * train + 4))
+
     def test_forward_inverse_roundtrip(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(6)]
