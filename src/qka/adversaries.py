@@ -10,14 +10,14 @@ after learning the peer's key (which triggers entanglement swapping at the
 mismatched measurement pairs).
 
 Resent qubits are fresh ids; the measured originals retire from the store.
-Intercept-z acts on a stack of trains, one per run, each with its run's
-generator: its draws never depend on an outcome, so it walks each train's
-draws first, then measures every hit of every train in one
-``QubitStore.measure_qubits`` call and resends them all from one
-allocation. Intercept-bell stays one train and one slot pair at a time,
-through the scalar ``measure_bell`` and ``new_bell``: ``bench/tracer.py``
-counts merges only at the scalar joint measurements, so it moves once the
-tracer sees the bulk layer.
+Both transit attacks take a stack of trains, one row per run, each row with
+its run's generator; a lone train is a stack of one row. Intercept-z's
+draws never depend on an outcome, so it walks each row's draws first, then
+measures every hit of every row in one ``QubitStore.measure_qubits`` call
+and resends them all from one allocation. Intercept-bell goes row by row
+and one slot pair at a time, through the scalar ``measure_bell`` and
+``new_bell``: ``bench/tracer.py`` counts merges only at the scalar joint
+measurements, so it moves once the tracer sees the bulk layer.
 """
 
 from __future__ import annotations
@@ -89,16 +89,15 @@ class AdversaryModel:
 def attack_transit(
     model: AdversaryModel,
     store: QubitStore,
-    slots: list[int] | np.ndarray,
-    rngs: np.random.Generator | Sequence[np.random.Generator],
+    slots: np.ndarray,
+    rngs: Sequence[np.random.Generator],
 ) -> None:
     """Apply an external attack to a stack of trains in transit, rewriting their slots.
 
-    ``slots`` is an (rows, items) int64 array holding one train per row, and
+    ``slots`` is a (rows, items) int64 array holding one train per row, and
     ``rngs`` one generator per row; both are a stack's, and the slots are
-    rewritten in place. One train may also come alone: a mutable sequence
-    of ids (a list, or a 1-D array) with one generator. A NONE model is a
-    no-op (and draws no randomness); insider kinds raise.
+    rewritten in place. A NONE model is a no-op (and draws no randomness);
+    insider kinds raise.
 
     Intercept-z walks each row's slots in order with that row's generator:
     ``rng.random() < fraction`` picks a hit, and a hit then draws the
@@ -113,11 +112,6 @@ def attack_transit(
         return
     if not model.is_external:
         raise ValueError(f"{model.kind.value} is not an external transit attack")
-    if isinstance(rngs, np.random.Generator):  # one train: a stack of one row
-        ids = np.array(slots, dtype=np.int64).reshape(1, -1)
-        attack_transit(model, store, ids, [rngs])
-        slots[:] = ids[0] if isinstance(slots, np.ndarray) else ids[0].tolist()
-        return
     if model.kind is AdversaryKind.INTERCEPT_RESEND_Z:
         rows, hits, uniforms = [], [], []
         for row, rng in enumerate(rngs):

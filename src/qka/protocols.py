@@ -197,8 +197,9 @@ class PermutationRecord:
         """The record of ``forward`` maps whose first ``message_count`` items are messages.
 
         ``forward`` may hold one map per row of a stack of trains; every
-        field then keeps its leading axes.
+        field then keeps its leading axes. ``forward`` is made read-only.
         """
+        forward.flags.writeable = False
         decoys = forward[..., message_count:]
         decoy_pairs = decoys.reshape(decoys.shape[:-1] + (decoys.shape[-1] // 2, 2))
         return cls(forward, forward[..., :message_count], decoy_pairs)
@@ -227,28 +228,24 @@ class TransmissionCheck:
 def insert_decoys_and_permute(
     message_qubits: Sequence[int] | np.ndarray,
     store: QubitStore,
-    rng: np.random.Generator,
-    decoy_pair_count: int | None = None,
+    rngs: Sequence[np.random.Generator],
+    decoy_pair_count: int,
 ) -> tuple[np.ndarray, PermutationRecord]:
-    """Append fresh decoy pairs and scramble everything uniformly.
+    """Append ``decoy_pair_count`` fresh decoy pairs to each train and scramble it uniformly.
 
-    Returns the train in transit, an int64 id array by slot, and the
-    sender's record; ``slots[record.message_order]`` restores the message.
+    ``message_qubits`` is a stack of trains whose last axis holds each
+    train's message ids (one train is a stack of shape ()), and ``rngs``
+    holds one generator per train, in row-major order. One allocation makes
+    every train's decoy pairs, train after train, and each generator then
+    draws its train's ``permutation``, in train order.
 
-    A stack of trains comes as an array whose last axis holds each train's
-    message ids, with ``rng`` a sequence of one generator per train, in
-    row-major order. One allocation makes every train's decoy pairs, train
-    after train, and each generator then draws its train's ``permutation``,
-    in train order; the slots and every record field keep the stack's
-    leading axes.
+    Returns the trains in transit, an int64 id array by slot, and the
+    senders' record; the slots and every record field keep the stack's
+    leading axes. For one train, ``slots[record.message_order]`` restores
+    the message.
     """
     message = np.asarray(message_qubits, dtype=np.int64)
     m = message.shape[-1]
-    if decoy_pair_count is None:
-        if m % 2:
-            raise ValueError("message qubit count must be even")
-        decoy_pair_count = m // 2
-    rngs = rng if message.ndim > 1 else [rng]
     rows = len(rngs)
     decoys = store.new_train(_PSI_PLUS, rows * decoy_pair_count).reshape(rows, -1)
     items = np.concatenate([message.reshape(rows, m), decoys], axis=1)
@@ -257,76 +254,70 @@ def insert_decoys_and_permute(
     taken += np.arange(rows)[:, None] * total  # as flat indices: 1-D gathers are fast
     forward = np.empty_like(taken)
     forward.ravel()[taken] = np.arange(total)  # the inverse permutations
-    forward.flags.writeable = False
     stacked = message.shape[:-1] + (total,)
     return items.ravel()[taken].reshape(stacked), PermutationRecord.of(forward.reshape(stacked), m)
 
 
 def verify_decoys(
     store: QubitStore,
-    trains: Sequence[tuple[Sequence[int] | np.ndarray, Sequence[tuple[int, int]] | np.ndarray]],
+    slots: np.ndarray,
+    disclosed: np.ndarray,
     threshold: float,
     rng: np.random.Generator | np.ndarray,
 ) -> tuple[int, tuple[float, ...]]:
     """Bell-measure each train's disclosed decoy pairs; any non-psi+ outcome is an error.
 
-    ``trains`` holds one ``(slots, decoy_pairs)`` per train. Every
-    disclosure is checked whole before anything is measured or drawn: it
-    must be nonempty, (m, 2)-shaped, and name m disjoint pairs of distinct
-    slots in range. All pairs are then measured in one bulk call, train
-    after train, so each train draws the uniforms a call of its own would
-    draw in turn. ``rng`` may instead be those uniforms, one per pair.
+    ``slots`` is a (trains, items) id array, one train in transit per row,
+    and ``disclosed`` a (trains, pairs, 2) array, each train's decoy pairs
+    as slot pairs. Every disclosure is checked whole before anything is
+    measured or drawn (``_checked_disclosure``). All pairs are then measured
+    in one bulk call, train after train, so each train draws the uniforms a
+    call of its own would draw in turn. ``rng`` may instead be those
+    uniforms, one per pair.
 
     Returns ``(passes, error_rates)``: how many trains, from the first,
     pass (an error rate at most ``threshold``) before one fails, and each
     train's error rate.
     """
-    slots = [np.asarray(train, dtype=np.int64) for train, _ in trains]
-    pairs = [np.asarray(disclosed, dtype=np.int64) for _, disclosed in trains]
-    named = _named_slots(slots, pairs)
-    if named is None:  # refuse the first bad disclosure, as checking each in turn would
-        for train, disclosed in zip(slots, pairs):
-            _refuse_disclosure(train, disclosed)
-    outcomes = store.measure_bell_rows(np.concatenate(slots)[named], rng)
-    counts = np.array([len(disclosed) for disclosed in pairs])
-    passed = np.add.reduceat(
-        outcomes == BellOutcome.PSI_PLUS, np.cumsum(counts) - counts, dtype=np.int64
-    )
-    error_rates = ((counts - passed) / counts).tolist()
-    passes = next((i for i, rate in enumerate(error_rates) if rate > threshold), len(counts))
+    slots = np.asarray(slots, dtype=np.int64)
+    disclosed = np.asarray(disclosed, dtype=np.int64)
+    named = slots.ravel()[_checked_disclosure(slots, disclosed)]
+    trains, pairs = disclosed.shape[:2]
+    outcomes = store.measure_rows_in_basis(named.reshape(-1, 2), BELL_VECTORS, rng)
+    passed = np.count_nonzero(outcomes.reshape(trains, pairs) == BellOutcome.PSI_PLUS, axis=1)
+    error_rates = ((pairs - passed) / pairs).tolist()
+    passes = next((i for i, rate in enumerate(error_rates) if rate > threshold), trains)
     return passes, tuple(error_rates)
 
 
-def _named_slots(slots: list[np.ndarray], pairs: list[np.ndarray]) -> np.ndarray | None:
-    """Every disclosed pair as two indices into the trains laid end to end.
+def _checked_disclosure(slots: np.ndarray, disclosed: np.ndarray) -> np.ndarray:
+    """The disclosed slots as indices into ``slots.ravel()``; the one home of the disclosure rule.
 
-    Returns None unless every disclosure passes ``_refuse_disclosure``,
-    which this decides for all trains at once.
+    ``disclosed[t]`` must be a nonempty (m, 2) array naming m disjoint
+    pairs of distinct slots of train ``slots[t]``. Otherwise this raises
+    ValueError for the first bad train, with the message a check of that
+    train alone would give.
     """
-    if not all(p.size and p.ndim == 2 and p.shape[1] == 2 for p in pairs):
-        return None
-    sizes = np.array([train.size for train in slots])
-    counts = [len(p) for p in pairs]
-    named = np.concatenate(pairs)
-    if named.min() < 0 or (named >= np.repeat(sizes, counts)[:, None]).any():
-        return None
-    named += np.repeat(np.cumsum(sizes) - sizes, counts)[:, None]
-    return None if np.bincount(named.ravel()).max() > 1 else named
-
-
-def _refuse_disclosure(slots: np.ndarray, pairs: np.ndarray) -> None:
-    """Raise ValueError unless ``pairs`` names disjoint pairs of distinct slots of the train."""
-    if not pairs.size:
+    if not disclosed.size:
         raise ValueError("decoy disclosure is empty")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"decoy disclosure must hold slot pairs, got shape {pairs.shape}")
-    named = pairs.ravel()  # every slot must be in range and named once
-    if named.min() < 0 or named.max() >= slots.size or np.bincount(named).max() > 1:
-        bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= slots.size)).any(axis=1)
-        if bad.any():
-            a, b = pairs[bad.argmax()].tolist()
-            raise ValueError(f"malformed decoy pair ({a}, {b})")
-        raise ValueError("decoy pairs must be disjoint")
+    if disclosed.ndim != 3 or disclosed.shape[2] != 2:
+        raise ValueError(f"decoy disclosure must hold slot pairs, got shape {disclosed.shape[1:]}")
+    if slots.ndim != 2 or len(slots) != len(disclosed):
+        raise ValueError(f"{len(disclosed)} disclosures for trains of shape {slots.shape}")
+    trains, items = slots.shape
+    named = disclosed + np.arange(trains)[:, None, None] * items  # as flat indices
+    # Every slot must be in range and named once; in range, no two trains share an index.
+    if disclosed.min() >= 0 and disclosed.max() < items and np.bincount(named.ravel()).max() < 2:
+        return named
+    ordered = np.sort(disclosed.reshape(trains, -1), axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    out_of_range = ((disclosed < 0) | (disclosed >= items)).any(axis=2)
+    malformed = out_of_range | (disclosed[..., 0] == disclosed[..., 1])
+    first = (malformed.any(axis=1) | repeated).argmax()  # the first bad train
+    if malformed[first].any():
+        a, b = disclosed[first, malformed[first].argmax()].tolist()
+        raise ValueError(f"malformed decoy pair ({a}, {b})")
+    raise ValueError("decoy pairs must be disjoint")
 
 
 def encode_key(
@@ -617,23 +608,32 @@ def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
     """Raise ValueError unless the adversary can act on this run.
 
     Intercept-z runs on every protocol and the insiders on two-party only.
-    Intercept-bell Bell-measures adjacent slots, so on copies of more than
-    two qubits it chains copies into ever larger registers. A reordering
-    receiver with no pinned swaps needs room for its disjoint swaps.
+    An external attack must tap a transmission the run makes: two-party
+    sends 2 trains, and a ring of p parties p * p. Intercept-bell
+    Bell-measures adjacent slots, so on copies of more than two qubits it
+    chains copies into ever larger registers. A reordering receiver needs
+    room for its disjoint swaps, and pinned swaps must be well formed.
     """
-    if adversary.is_insider and config.party_count != 2:
+    parties = config.party_count
+    if adversary.is_insider and parties != 2:
         raise ValueError(f"{adversary.kind.value} applies to the two-party protocol only")
-    copy_qubits = _COPY_QUBITS[config.party_count]
+    transmissions = 2 if parties == 2 else parties * parties
+    if adversary.is_external and adversary.transmission_index >= transmissions:
+        raise ValueError(
+            f"transmission index {adversary.transmission_index} is past the last of "
+            f"the {transmissions} transmissions of a {parties}-party run"
+        )
+    copy_qubits = _COPY_QUBITS[parties]
     if adversary.kind is AdversaryKind.INTERCEPT_RESEND_BELL and copy_qubits > 2:
         raise ValueError(
             f"intercept-bell on {copy_qubits}-qubit copies merges registers past "
             f"the {MAX_REGISTER_QUBITS}-qubit cap"
         )
-    if (
-        adversary.kind is AdversaryKind.DISHONEST_BOB_REORDER
-        and adversary.swap_pairs is None
-        and 2 * adversary.swap_count > config.key_bits
-    ):
+    if adversary.kind is not AdversaryKind.DISHONEST_BOB_REORDER:
+        return
+    if adversary.swap_pairs is not None:  # raises for a malformed or overlapping pair
+        dishonest_bob_reorder(range(config.key_bits), adversary.swap_pairs)
+    elif 2 * adversary.swap_count > config.key_bits:
         raise ValueError("swap count too large for the key length")
 
 
@@ -741,7 +741,7 @@ class _Stack:
         send_step: str,
         check_step: str,
         staging: str,
-    ) -> tuple[list[tuple[np.ndarray, PermutationRecord]], slice | list[int]]:
+    ) -> tuple[np.ndarray, PermutationRecord, slice | list[int]]:
         """Send one hop's trains and check them; lanes whose check fails leave.
 
         ``messages[k]`` holds, row by row, the message ids of the train that
@@ -751,46 +751,50 @@ class _Stack:
         rewrites every row's train at once, each with its lane's generator.
         One ``verify_decoys`` call checks every train, lane by lane, and each
         lane records its disclosures and checks in sender order, as
-        ``staging`` says. Returns each sender's slots and record, one row
-        per lane that runs on, and those rows (every row: a full slice).
+        ``staging`` says. Returns the hop's slots and record, stacked by
+        sender with one row per lane that runs on, and those rows (every
+        row: a full slice).
         """
         running = [self.lanes[lane] for lane in self.active]
         rngs = [ctx.rng for ctx in running]
         names, m, pairs = self.names, self.m, self.n // 2
         receivers = names[1:] + names[:1]
         rows, count, first = len(running), len(senders), self.transmissions
-        most = max(1, _SCRAMBLE_ITEMS // (rows * (m + 2 * pairs)))
-        sent = []  # per sender: its trains' slots and record, one row per lane
-        checks = []  # per sender: what each lane logs about its train's check
+        sends = [(first + k, names[j], receivers[j]) for k, j in enumerate(senders)]
+        total = m + 2 * pairs  # items per train
+        most = max(1, _SCRAMBLE_ITEMS // (rows * total))
+        slots = np.empty((count, rows, total), dtype=np.int64)  # by sender, then lane
+        forward = np.empty_like(slots)
         for run in _send_runs(first, count, self.attacked, most):
             # One scramble for the run's senders, sender by sender; a transit
             # attack ends a run, so every allocation and draw keeps its order.
-            slots, record = insert_decoys_and_permute(
-                messages[run.start : run.stop], self.store, rngs * len(run), pairs
+            at = slice(run.start, run.stop)
+            slots[at], record = insert_decoys_and_permute(
+                messages[at], self.store, rngs * len(run), pairs
             )
-            fields = zip(run, slots, record.forward, record.message_order, record.decoy_pairs)
-            for k, train, forward, orders, decoys in fields:
-                index, sender, receiver = first + k, names[senders[k]], receivers[senders[k]]
-                for ctx, row in zip(running, train):
+            forward[at] = record.forward
+            for k in run:
+                index, sender, receiver = sends[k]
+                for ctx, row in zip(running, slots[k]):
                     ctx.log_preparation(send_step, sender, 2 * pairs, "decoy")
                     ctx.send(send_step, sender, receiver, row, index)
                 if index == self.attacked:
-                    attack_transit(self.adversary, self.store, train, rngs)
-                sent.append((train, PermutationRecord(forward, orders, decoys)))
-                checks.append((index, sender, receiver, orders, decoys))
+                    attack_transit(self.adversary, self.store, slots[k], rngs)
         self.transmissions += count
+        record = PermutationRecord.of(forward, m)
         # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
         _, rates = verify_decoys(
             self.store,
-            [(train[row], record.decoy_pairs[row])
-             for row in range(rows) for train, record in sent],
+            slots.swapaxes(0, 1).reshape(-1, total),  # lane by lane, as the uniforms come
+            disclosed=record.decoy_pairs.swapaxes(0, 1).reshape(-1, pairs, 2),
             threshold=self.threshold,
             rng=self.uniforms(count * pairs),
         )
         with_decoys, after_check = staging == _WITH_DECOYS, staging == _AFTER_CHECK
+        checks = list(zip(sends, record.message_order, record.decoy_pairs))  # per sender
         kept = []  # the rows whose lanes run on
         for row, (lane, ctx) in enumerate(zip(self.active, running)):
-            for k, (index, sender, receiver, orders, decoys) in enumerate(checks):
+            for k, ((index, sender, receiver), orders, decoys) in enumerate(checks):
                 if with_decoys:
                     ctx.disclose_full(check_step, sender, orders[row], decoys[row])
                 else:
@@ -809,10 +813,9 @@ class _Stack:
             else:
                 kept.append(row)
         if len(kept) == rows:
-            return sent, slice(None)
+            return slots, record, slice(None)
         self.active = [self.active[row] for row in kept]
-        return [(slots[kept], PermutationRecord.of(record.forward[kept], m))
-                for slots, record in sent], kept
+        return slots[:, kept], PermutationRecord.of(forward[:, kept], m), kept
 
     def finish(
         self,
@@ -875,18 +878,18 @@ def _run_two_party(
 
     # Steps 2-3: outbound train, full disclosure, responder's decoy check.
     outbound = pairs[None, ..., 1]  # the initiator's one train, as a stack of senders
-    ((slots, record),), kept = stack.transmit(outbound, [0], "step2", "step3", _WITH_DECOYS)
+    (slots,), record, kept = stack.transmit(outbound, [0], "step2", "step3", _WITH_DECOYS)
     if not stack.active:
         return stack.results
     pairs = pairs[kept]
-    at_bob = stack.gather(slots, record.message_order)
+    at_bob = stack.gather(slots, record.message_order[0])
 
     # Step 4: responder's key, X-encoding, return train.
     stack.draw_keys(1)
     key_masks = np.concatenate([stack.keys[lane][1] for lane in stack.active])
     encode_key(store, at_bob.ravel(), key_masks, GroupElement.of(PauliLetter.X))
     # Step 5: decoy coordinates only; the message order stays secret.
-    ((slots, record),), kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
+    (slots,), record, kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
     if not stack.active:
         return stack.results
     pairs = pairs[kept]
@@ -901,15 +904,15 @@ def _run_two_party(
         # now, before committing to her announcement, and takes her key from them.
         if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
             guess, report = dishonest_alice_early_measure(
-                store, pairs[row, :, 0], slots[row], PermutationRecord.of(record.forward[row], n),
-                ctx.rng, key_b,
+                store, pairs[row, :, 0], slots[row],
+                PermutationRecord.of(record.forward[0, row], n), ctx.rng, key_b,
             )
 
         # Step 6: the initiator commits; the responder can already finish.
         ctx.announce_key("step6", alice, key_a)
 
         # Step 7: message order (honest or reordered).
-        order = record.message_order[row]
+        order = record.message_order[0, row]
         if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
             swap_pairs = adv.swap_pairs
             if swap_pairs is None:
@@ -992,13 +995,15 @@ def _run_ring(
         if hop:
             encode_key(store, travels[held].ravel(), key_masks.ravel(), ring.words[hop - 1])
         staging = _AFTER_CHECK if hop else _WITH_DECOYS
-        sent, kept = stack.transmit(travels[held], range(parties), send_step, check_step, staging)
+        slots, record, kept = stack.transmit(
+            travels[held], range(parties), send_step, check_step, staging
+        )
         if not stack.active:
             return stack.results
         copies, travels, key_masks = copies[:, kept], travels[:, kept], key_masks[:, kept]
-        for j, (slots, record) in enumerate(sent):
-            travels[held[j]] = stack.gather(slots, record.message_order)  # the restored trains
-        del sent  # free this hop's trains before the next hop's are built
+        for j, orders in enumerate(record.message_order):
+            travels[held[j]] = stack.gather(slots[j], orders)  # the restored trains
+        del slots, record  # free this hop's trains before the next hop's are built
 
     # Decode each copy with its returned travel qubits in their positions.
     labels = np.array([label for label, _ in ring.outcomes], dtype=object)

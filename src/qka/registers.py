@@ -31,8 +31,7 @@ routines.
 
 * Groups that are whole rows, in register order, of allocated blocks are
   measured in bulk, whatever blocks they lie in: one matmul per pass, then
-  one inverse-CDF draw per row (``measure_bell_rows``,
-  ``measure_rows_in_basis``).
+  one inverse-CDF draw per row (``measure_rows_in_basis``).
 * Every other group, and every scalar ``measure_bell``, ``measure_z`` and
   ``measure_in_basis`` call, goes through the general routine. It merges the
   rows it touches (a Kronecker product in first-seen order, capped at 12
@@ -760,17 +759,6 @@ class QubitStore:
         if len(basis) != 2 ** len(qubits):
             raise ValueError("basis row length must be 2^(number of measured qubits)")
         return self._measure(tuple(qubits), basis, rng.random)
-
-    def measure_bell_rows(
-        self, pairs: Sequence[Sequence[int]] | np.ndarray, rng: np.random.Generator | np.ndarray
-    ) -> np.ndarray:
-        """``measure_bell`` on each pair in list order, whole rows in bulk.
-
-        ``rng`` is a Generator, or the uniforms it would draw (see
-        ``_measure_groups``). Returns each pair's ``BellOutcome`` index as an
-        int64 array.
-        """
-        return self._measure_groups(pairs, BELL_VECTORS, rng)
 
     def measure_rows_in_basis(
         self,

@@ -26,7 +26,9 @@ from qka.protocols import (
     _five_party_ring,
     bits_to_hex,
     insert_decoys_and_permute,
+    run_batch,
     run_five_party,
+    run_protocol,
     run_three_party,
     run_two_party,
     xor_bits,
@@ -40,6 +42,10 @@ def config(n=16, parties=2, seed=0, run=0, **kw):
 
 def same_keys(a, b):
     return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def no_generator(config):
+    raise AssertionError("a lane's generator was made")
 
 
 def binomial_band(p, trials, sigmas=3.0):
@@ -67,11 +73,11 @@ class TestModelValidation:
 
     def test_insider_kind_rejected_by_attack_transit(self):
         store = QubitStore()
-        slots = [store.new_computational(0)]
+        slots = np.array([[store.new_computational(0)]])
         with pytest.raises(ValueError):
             attack_transit(
                 AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER),
-                store, slots, np.random.default_rng(0),
+                store, slots, [np.random.default_rng(0)],
             )
 
 
@@ -79,22 +85,22 @@ class TestTransitAttacks:
     def test_none_leaves_everything_alone(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
-        slots = [a, b]
+        slots = np.array([[a, b]])
         before = store.register_of(a).amplitudes.copy()
-        attack_transit(AdversaryModel.none(), store, slots, np.random.default_rng(0))
-        assert slots == [a, b]
+        attack_transit(AdversaryModel.none(), store, slots, [np.random.default_rng(0)])
+        assert slots.tolist() == [[a, b]]
         np.testing.assert_array_equal(store.register_of(a).amplitudes, before)
 
     def test_intercept_z_replaces_slots_with_fresh_ids(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
-        slots = [a, b]
+        slots = np.array([[a, b]])
         model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
-        attack_transit(model, store, slots, np.random.default_rng(4))
-        assert set(slots).isdisjoint({a, b})
+        attack_transit(model, store, slots, [np.random.default_rng(4)])
+        assert set(slots[0].tolist()).isdisjoint({a, b})
         assert {a, b}.isdisjoint(store.live_qubits())
         # the resent pair is a correlated computational product state
-        bits = [store.measure_z(q, np.random.default_rng(0)) for q in slots]
+        bits = [store.measure_z(q, np.random.default_rng(0)) for q in slots[0].tolist()]
         assert bits[0] == bits[1]
 
     @pytest.mark.parametrize("parties", [2, 5])
@@ -112,10 +118,10 @@ class TestTransitAttacks:
                 else:
                     ring = _five_party_ring("omega", "1234")
                     copies = store.new_train(ring.state, 8)[:, [1, 3]].ravel()
-                slots, _ = insert_decoys_and_permute(copies, store, rng)
+                slots, _ = insert_decoys_and_permute(copies, store, [rng], len(copies) // 2)
                 twins.append((store, rng, slots))
             (a, ga, slots_a), (b, gb, slots_b) = twins
-            attack_transit(model, a, slots_a, ga)
+            attack_transit(model, a, slots_a[None], [ga])
             ids = slots_b.tolist()
             for k in range(len(ids)):
                 if gb.random() < fraction:
@@ -131,19 +137,45 @@ class TestTransitAttacks:
     def test_intercept_bell_repreps_observed_state(self):
         store = QubitStore()
         a, b = store.new_bell(BellOutcome.PHI_MINUS)
-        slots = [a, b]
+        slots = np.array([[a, b]])
         model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_BELL, fraction=1.0)
-        attack_transit(model, store, slots, np.random.default_rng(1))
+        attack_transit(model, store, slots, [np.random.default_rng(1)])
         # adjacent pairing hits the true pair here, so the state is faithful
-        assert store.measure_bell(*slots, np.random.default_rng(2)) is BellOutcome.PHI_MINUS
+        resent = slots[0].tolist()
+        assert store.measure_bell(*resent, np.random.default_rng(2)) is BellOutcome.PHI_MINUS
 
     def test_fraction_zero_never_draws_an_attack(self):
         store = QubitStore()
         qubits = [store.new_computational(0) for _ in range(6)]
-        slots = list(qubits)
+        slots = np.array([qubits])
         model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.0)
-        attack_transit(model, store, slots, np.random.default_rng(9))
-        assert slots == qubits
+        attack_transit(model, store, slots, [np.random.default_rng(9)])
+        assert slots.tolist() == [qubits]
+
+
+class TestTransmissionIndex:
+    """An external attack taps a transmission the run makes: 2, or parties^2 on a ring."""
+
+    @pytest.mark.parametrize("parties, transmissions", [(2, 2), (3, 9), (5, 25)])
+    def test_last_transmission_attacked_and_the_next_refused(
+        self, parties, transmissions, monkeypatch
+    ):
+        def tapping(index):
+            return AdversaryModel(
+                kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0, transmission_index=index
+            )
+
+        last = transmissions - 1
+        r = run_protocol(config(n=64, parties=parties, seed=1), tapping(last))
+        assert r.aborted and len(r.checks) == transmissions
+        assert r.checks[-1].transmission == last and not r.checks[-1].passed
+        assert all(check.passed for check in r.checks[:-1])
+        monkeypatch.setattr(ProtocolConfig, "make_rng", no_generator)
+        for index in (transmissions, 99):
+            with pytest.raises(ValueError, match=f"transmission index {index} is past"):
+                run_protocol(config(n=8, parties=parties, seed=1), tapping(index))
+            with pytest.raises(ValueError, match=f"transmission index {index} is past"):
+                run_batch(config(n=8, parties=parties, seed=1), tapping(index), 3)
 
 
 class TestInterceptResendZDetection:
@@ -319,6 +351,15 @@ class TestDishonestBob:
             kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_count=3, swap_pairs=((0, 1),)
         )
         assert run_two_party(config(n=4, seed=2), pinned).attack_report["swap_pairs"] == [[0, 1]]
+
+    @pytest.mark.parametrize("pairs", [((0, 9),), ((0, 0),), ((0, 1), (1, 2))])
+    def test_malformed_pinned_swaps_refused_before_any_generator(self, pairs, monkeypatch):
+        monkeypatch.setattr(ProtocolConfig, "make_rng", no_generator)
+        adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=pairs)
+        with pytest.raises(ValueError, match="swap pair"):
+            run_protocol(config(n=8, seed=1), adv)
+        with pytest.raises(ValueError, match="swap pair"):
+            run_batch(config(n=8, seed=1), adv, 5)
 
     def test_empty_swap_pairs_swap_nothing(self):
         adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=())

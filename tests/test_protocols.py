@@ -63,16 +63,12 @@ def config(n=8, parties=2, seed=0, run=0, **kw):
     return ProtocolConfig(key_bits=n, party_count=parties, seed=seed, run_index=run, **kw)
 
 
-def reference_scramble(message_qubits, store, rng, decoy_pair_count=None):
+def reference_scramble(message_qubits, store, rng, decoy_pair_count):
     """The tuple-based scramble the array version replaced, kept as its oracle.
 
     Returns (slots, forward, inverse, message_order, decoy_pairs).
     """
     m = len(message_qubits)
-    if decoy_pair_count is None:
-        if m % 2:
-            raise ValueError("message qubit count must be even")
-        decoy_pair_count = m // 2
     decoys = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], decoy_pair_count)
     items = [*message_qubits, *decoys.ravel().tolist()]
     permutation = rng.permutation(len(items))
@@ -80,6 +76,24 @@ def reference_scramble(message_qubits, store, rng, decoy_pair_count=None):
     forward = tuple(np.argsort(permutation).tolist())
     slots = [items[item] for item in inverse]
     return slots, forward, inverse, forward[:m], tuple(zip(forward[m::2], forward[m + 1 :: 2]))
+
+
+def reference_refuse_disclosure(slots, pairs):
+    """The per-train disclosure check the stacked rule replaced, kept as its oracle.
+
+    Raises ValueError unless ``pairs`` names disjoint pairs of distinct slots of the train.
+    """
+    if not pairs.size:
+        raise ValueError("decoy disclosure is empty")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"decoy disclosure must hold slot pairs, got shape {pairs.shape}")
+    named = pairs.ravel()  # every slot must be in range and named once
+    if named.min() < 0 or named.max() >= slots.size or np.bincount(named).max() > 1:
+        bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= slots.size)).any(axis=1)
+        if bad.any():
+            a, b = pairs[bad.argmax()].tolist()
+            raise ValueError(f"malformed decoy pair ({a}, {b})")
+        raise ValueError("decoy pairs must be disjoint")
 
 
 def reference_restore_order(slots, order):
@@ -107,7 +121,7 @@ class TestScrambling:
     def test_sequence_and_record_shapes(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2)]
-        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(0))
+        slots, rec = insert_decoys_and_permute(message, store, [np.random.default_rng(0)], 1)
         assert len(slots) == 4
         assert len(rec.decoy_pairs) == 1
         message_positions = set(rec.message_order.tolist())
@@ -129,7 +143,7 @@ class TestScrambling:
         for train, (i, j) in enumerate(np.ndindex(2, 3)):
             alone = QubitStore()
             _, ref = insert_decoys_and_permute(
-                messages[i, j], alone, np.random.default_rng(train), 2
+                messages[i, j], alone, [np.random.default_rng(train)], 2
             )
             assert np.array_equal(rec.forward[i, j], ref.forward)
             assert np.array_equal(slots[i, j][rec.message_order[i, j]], messages[i, j])
@@ -139,18 +153,12 @@ class TestScrambling:
     def test_forward_inverse_roundtrip(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(6)]
-        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(3))
+        slots, rec = insert_decoys_and_permute(message, store, [np.random.default_rng(3)], 3)
         inverse = np.argsort(rec.forward)
         for item in range(12):
             assert inverse[rec.forward[item]] == item
         for i, qubit in enumerate(message):
             assert slots[rec.message_order[i]] == qubit
-
-    def test_odd_message_count_rejected(self):
-        store = QubitStore()
-        message = [store.new_computational(0) for _ in range(3)]
-        with pytest.raises(ValueError):
-            insert_decoys_and_permute(message, store, np.random.default_rng(0))
 
     def test_permutation_is_uniform(self):
         # 4 slots -> 24 orderings; chi-square-style band of 1/24 +- 0.01.
@@ -159,7 +167,7 @@ class TestScrambling:
         counts = Counter()
         draws = 10_000
         for _ in range(draws):
-            _, rec = insert_decoys_and_permute([0, 1], store, rng, decoy_pair_count=1)
+            _, rec = insert_decoys_and_permute([0, 1], store, [rng], decoy_pair_count=1)
             counts[tuple(rec.forward.tolist())] += 1
         assert len(counts) == 24
         for freq in counts.values():
@@ -170,7 +178,8 @@ class TestScrambling:
     def test_roundtrip_property(self, seed, half_n):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2 * half_n)]
-        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(seed))
+        rngs = [np.random.default_rng(seed)]
+        slots, rec = insert_decoys_and_permute(message, store, rngs, half_n)
         restored = [slots[rec.forward[i]] for i in range(len(message))]
         assert restored == message
 
@@ -178,7 +187,7 @@ class TestScrambling:
     @given(
         seed=st.integers(0, 2**64 - 1),
         pairs=st.integers(0, 24),
-        decoys=st.one_of(st.none(), st.integers(0, 30)),
+        decoys=st.integers(0, 30),
     )
     def test_matches_tuple_reference(self, seed, pairs, decoys):
         # twin stores: message qubits are the travel halves of a Bell train
@@ -187,16 +196,7 @@ class TestScrambling:
             s.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], pairs)[:, 1].tolist() for s in stores
         ][0]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if decoys is None and pairs % 2:
-            for run, store, generator in (
-                (insert_decoys_and_permute, stores[0], rng),
-                (reference_scramble, stores[1], ref_rng),
-            ):
-                with pytest.raises(ValueError):
-                    run(message, store, generator)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            return
-        sent, rec = insert_decoys_and_permute(np.array(message), stores[0], rng, decoys)
+        sent, rec = insert_decoys_and_permute(np.array(message), stores[0], [rng], decoys)
         slots, forward, inverse, order, decoy_pairs = reference_scramble(
             message, stores[1], ref_rng, decoys
         )
@@ -207,7 +207,7 @@ class TestScrambling:
         assert rec.message_order.tolist() == list(order)
         assert rec.decoy_pairs.shape == (k, 2)
         assert rec.decoy_pairs.tolist() == [list(p) for p in decoy_pairs]
-        assert k == (m // 2 if decoys is None else decoys)
+        assert k == decoys
         assert sent[rec.message_order].tolist() == reference_restore_order(slots, order)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert stores[0].live_qubits() == stores[1].live_qubits()
@@ -219,9 +219,9 @@ class TestVerifyDecoys:
     def test_undisturbed_channel_passes(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(4)]
-        slots, rec = insert_decoys_and_permute(message, store, np.random.default_rng(1))
+        slots, rec = insert_decoys_and_permute(message, store, [np.random.default_rng(1)], 2)
         passes, (rate,) = verify_decoys(
-            store, [(slots, rec.decoy_pairs)], 0.0, np.random.default_rng(2)
+            store, slots[None], rec.decoy_pairs[None], 0.0, np.random.default_rng(2)
         )
         assert rate == 0.0 and passes == 1
 
@@ -229,22 +229,26 @@ class TestVerifyDecoys:
         store = QubitStore()
         a = store.new_computational(0)
         b = store.new_computational(0)
-        slots, rec = insert_decoys_and_permute([a, b], store, np.random.default_rng(1))
+        slots, rec = insert_decoys_and_permute([a, b], store, [np.random.default_rng(1)], 1)
         # wreck the decoy pair by measuring one half in Z
         decoy_slot = next(iter(set(rec.decoy_pairs.ravel().tolist())))
         store.measure_z(slots[decoy_slot], np.random.default_rng(0))
         slots[decoy_slot] = store.new_computational(0)
-        passes, _ = verify_decoys(store, [(slots, rec.decoy_pairs)], 1.0, np.random.default_rng(3))
+        passes, _ = verify_decoys(
+            store, slots[None], rec.decoy_pairs[None], 1.0, np.random.default_rng(3)
+        )
         assert passes == 1
 
     def test_malformed_disclosure(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2)]
-        slots, _ = insert_decoys_and_permute(message, store, np.random.default_rng(1))
+        slots, _ = insert_decoys_and_permute(message, store, [np.random.default_rng(1)], 1)
         with pytest.raises(ValueError):
-            verify_decoys(store, [(slots, [(0, 0)])], 0.0, np.random.default_rng(0))
+            verify_decoys(store, slots[None], [[(0, 0)]], 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            verify_decoys(store, [(slots, [(0, 1), (1, 2)])], 0.0, np.random.default_rng(0))
+            verify_decoys(store, slots[None], [[(0, 1), (1, 2)]], 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="2 disclosures for trains of shape"):
+            verify_decoys(store, slots[None], [[(0, 1)], [(0, 1)]], 0.0, np.random.default_rng(0))
         # out of range, overlapping or empty: rejected before any random draw
         for disclosure, reason in (
             ([(-1, 0)], "malformed"),
@@ -256,31 +260,35 @@ class TestVerifyDecoys:
             rng = np.random.default_rng(0)
             before = rng.bit_generator.state
             with pytest.raises(ValueError, match=reason):
-                verify_decoys(store, [(slots, disclosure)], 0.0, rng)
+                verify_decoys(store, slots[None], [disclosure], 0.0, rng)
             assert rng.bit_generator.state == before
 
     @staticmethod
     def _wrecked_trains(seed):
-        """A store and three scrambled trains, some decoys of the last two wrecked."""
+        """A store, three scrambled trains and their disclosures; some decoys wrecked in two."""
         store = QubitStore()
         rng = np.random.default_rng(seed)
-        trains = []
+        trains, disclosures = [], []
         for wrecked in (0, 2, 4):
             message = [store.new_computational(0) for _ in range(8)]
-            slots, rec = insert_decoys_and_permute(message, store, rng)
+            slots, rec = insert_decoys_and_permute(message, store, [rng], 4)
             for a, b in rec.decoy_pairs[:wrecked].tolist():
                 bits = [store.measure_z(slots[q], rng) for q in (a, b)]
                 slots[a], slots[b] = (store.new_computational(bit) for bit in bits)
-            trains.append((slots, rec.decoy_pairs))
-        return store, trains
+            trains.append(slots)
+            disclosures.append(rec.decoy_pairs)
+        return store, np.array(trains), np.array(disclosures)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_several_trains_read_as_each_alone(self, seed):
-        together, trains = self._wrecked_trains(seed)
-        alone, alone_trains = self._wrecked_trains(seed)
+        together, trains, disclosures = self._wrecked_trains(seed)
+        alone, alone_trains, alone_disclosures = self._wrecked_trains(seed)
         g1, g2 = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
-        passes, rates = verify_decoys(together, trains, 0.2, g1)
-        one_by_one = [verify_decoys(alone, [train], 0.2, g2) for train in alone_trains]
+        passes, rates = verify_decoys(together, trains, disclosures, 0.2, g1)
+        one_by_one = [
+            verify_decoys(alone, train[None], disclosed[None], 0.2, g2)
+            for train, disclosed in zip(alone_trains, alone_disclosures)
+        ]
         assert rates == tuple(rate for _, (rate,) in one_by_one)
         assert passes == next(
             (i for i, (ok, _) in enumerate(one_by_one) if not ok), len(trains)
@@ -289,13 +297,47 @@ class TestVerifyDecoys:
         assert together.live_qubits() == alone.live_qubits()
 
     def test_malformed_second_train_raises_before_any_draw(self):
-        store, trains = self._wrecked_trains(0)
-        slots, _ = trains[1]
+        store, trains, disclosures = self._wrecked_trains(0)
+        disclosures[1, :2] = [(0, 1), (2, 1)]
         live = store.live_qubits()
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="disjoint"):
-            verify_decoys(store, [trains[0], (slots, [(0, 1), (2, 1)]), trains[2]], 0.0, rng)
+            verify_decoys(store, trains, disclosures, 0.0, rng)
+        assert rng.bit_generator.state == before
+        assert store.live_qubits() == live
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stacked_rule_refuses_as_each_train_alone(self, data):
+        # valid disclosures (a permutation's leading slots), then a few entries replaced
+        trains, items = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 8))
+        width = data.draw(st.sampled_from([2, 2, 1, 3]))
+        pairs = data.draw(st.integers(0, items // width))
+        disclosed = np.array(
+            [data.draw(st.permutations(range(items)))[: pairs * width] for _ in range(trains)],
+            dtype=np.int64,
+        ).reshape(trains, pairs, width)
+        for _ in range(data.draw(st.integers(0, 2)) if disclosed.size else 0):
+            at = tuple(data.draw(st.integers(0, side - 1)) for side in disclosed.shape)
+            disclosed[at] = data.draw(st.integers(-2, items + 1))
+        store = QubitStore()
+        psi_plus = BELL_VECTORS[BellOutcome.PSI_PLUS]
+        slots = store.new_train(psi_plus, trains * items)[:, 0].reshape(trains, items)
+        try:
+            for train, disclosure in zip(slots, disclosed):
+                reference_refuse_disclosure(train, disclosure)
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
+        live, rng = store.live_qubits(), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        if refusal is None:
+            verify_decoys(store, slots, disclosed, 0.0, rng)
+            return
+        with pytest.raises(ValueError) as refused:
+            verify_decoys(store, slots, disclosed, 0.0, rng)
+        assert str(refused.value) == refusal
         assert rng.bit_generator.state == before
         assert store.live_qubits() == live
 
@@ -311,7 +353,7 @@ class TestVerifyDecoys:
             bit_b = store.measure_z(b, rng)
             assert bit_a == bit_b
             resent = [store.new_computational(bit_a), store.new_computational(bit_b)]
-            passes, _ = verify_decoys(store, [(resent, [(0, 1)])], 0.0, rng)
+            passes, _ = verify_decoys(store, [resent], [[(0, 1)]], 0.0, rng)
             fails += passes == 0
         assert abs(fails / trials - 0.5) < 0.05
 
@@ -323,10 +365,10 @@ class TestTranscriptSnapshots:
             TWO_PARTY, 2, [1], [config(n=8, seed=12, error_threshold=1.0)], adversary
         )
         travel = stack.store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)[:, 1]
-        ((slots, record),), _ = stack.transmit(
+        (slots,), record, _ = stack.transmit(
             travel[None, None], [0], "step2", "step3", protocols._WITH_DECOYS
         )
-        rec = PermutationRecord.of(record.forward[0], 8)
+        rec = PermutationRecord.of(record.forward[0, 0], 8)
         (send,) = [e for e in stack.lanes[0].transcript.events if e.kind == QUANTUM_SEND]
         return travel, slots[0], rec, send.payload
 
@@ -696,6 +738,20 @@ class TestStackedBatches:
         assert hashlib.sha256(alone.encode()).hexdigest() == self.ONE_LANE_DIGESTS[kind]
         assert protocols.run_batch(base, adversary, 1)[0].to_json() == alone
 
+    def test_records_stay_read_only_when_lanes_leave(self, monkeypatch):
+        returned = []
+        transmit = protocols._Stack.transmit
+
+        def recording(self, *args):
+            returned.append(transmit(self, *args))
+            return returned[-1]
+
+        monkeypatch.setattr(protocols._Stack, "transmit", recording)
+        adversary = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.1)
+        protocols.run_batch(config(n=16, seed=21), adversary, 12)
+        assert any(kept != slice(None) for _, _, kept in returned)  # some lanes left
+        assert not any(record.forward.flags.writeable for _, record, _ in returned)
+
     def test_no_trials_refused(self):
         with pytest.raises(ValueError, match="trials"):
             protocols.run_batch(config(n=8), None, 0)
@@ -703,7 +759,7 @@ class TestStackedBatches:
     @pytest.mark.parametrize("parties", [2, 3, 5])
     def test_a_stack_shares_each_store_call(self, parties, monkeypatch):
         calls = Counter()
-        for name in ("new_train", "measure_rows_in_basis", "measure_bell_rows", "apply_pauli_groups"):
+        for name in ("new_train", "measure_rows_in_basis", "apply_pauli_groups"):
             original = getattr(QubitStore, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -719,8 +775,8 @@ class TestStackedBatches:
         assert calls == single
         # the pairs or copies, then one decoy allocation per two-party send or ring hop
         assert calls["new_train"] == 1 + parties
-        assert calls["measure_rows_in_basis"] == (1 if parties == 2 else parties)  # decodes
-        assert calls["measure_bell_rows"] == parties  # decoy checks
+        # the decodes, then one decoy check per two-party send or ring hop
+        assert calls["measure_rows_in_basis"] == (1 if parties == 2 else parties) + parties
 
     @pytest.mark.parametrize("parties", [3, 5])
     def test_honest_runs_recheck_no_constant(self, parties, monkeypatch):
@@ -1091,7 +1147,7 @@ class TestJsonWriter:
         adversary = AdversaryModel(
             kind=data.draw(st.sampled_from(_ACCEPTED[parties])),
             fraction=data.draw(st.sampled_from([0.25, 1.0])),
-            transmission_index=data.draw(st.integers(0, 3)),
+            transmission_index=data.draw(st.integers(0, 1 if parties == 2 else 3)),  # sent trains
         )
         cfg = config(
             n=data.draw(st.sampled_from([2, 16, 1024])),

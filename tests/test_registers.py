@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qka.pauli import GroupElement, PauliLetter
 from qka.registers import (
+    BELL_VECTORS,
     BellOutcome,
     FourQubitState,
     QubitStore,
@@ -664,7 +665,7 @@ class TestAgainstDenseOracle:
                 assert got == [oracle.measure([q], basis.conj()) for q in qubits]
             elif op == "bell_rows":
                 pairs = _groups(data, live, 2)
-                got = store.measure_bell_rows(pairs, rng).tolist()
+                got = store.measure_rows_in_basis(pairs, BELL_VECTORS, rng).tolist()
                 assert got == [oracle.measure(p, ORACLE_BELL_BRAS) for p in pairs]
             else:
                 size = data.draw(st.sampled_from([m for m in (2, 4) if m <= len(live)]))

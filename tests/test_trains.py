@@ -135,7 +135,8 @@ class TestDetaching:
         store = QubitStore()
         (a, b), (c, d) = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).tolist()
         rng = np.random.default_rng(0)
-        assert store.measure_bell_rows([(a, b)], rng).tolist() == [BellOutcome.PSI_PLUS]
+        outcomes = store.measure_rows_in_basis([(a, b)], BELL_VECTORS, rng)
+        assert outcomes.tolist() == [BellOutcome.PSI_PLUS]
         assert store.live_qubits() == [c, d]
         with pytest.raises(UnknownQubitError):
             store.register_of(a)
@@ -150,7 +151,8 @@ class TestDetaching:
         store.register_of(ids[0])  # row 0 leaves the train
         store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(ids[1],), (ids[3],)])
         rng = np.random.default_rng(0)
-        outcomes = store.measure_bell_rows([(ids[0], ids[1]), (ids[2], ids[3])], rng)
+        pairs = [(ids[0], ids[1]), (ids[2], ids[3])]
+        outcomes = store.measure_rows_in_basis(pairs, BELL_VECTORS, rng)
         assert outcomes.tolist() == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
 
 
@@ -222,7 +224,7 @@ class TestDifferential:
         order = plan.permutation(len(pairs)).tolist()
         pairs = [pairs[i] for i in order]
         want = [b.measure_bell(p, q, gb) for p, q in pairs]
-        assert a.measure_bell_rows(pairs, ga).tolist() == want
+        assert a.measure_rows_in_basis(pairs, BELL_VECTORS, ga).tolist() == want
 
         # Basis measurements of whole 4-qubit rows, plus a reordered row.
         basis = _five_party_ring(four_kind.value, "1234").basis
@@ -260,7 +262,7 @@ class TestDifferential:
         for seed in range(20):
             (a, b), bell, _, _ = twin_stores(BellOutcome.PSI_MINUS, FourQubitState.OMEGA, 3, 1)
             ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = a.measure_bell_rows(pairs, ga).tolist()
+            got = a.measure_rows_in_basis(pairs, BELL_VECTORS, ga).tolist()
             assert got == [b.measure_bell(p, q, gb) for p, q in pairs]
             assert got[2] == BellOutcome.PSI_MINUS
             assert_same_state(a, b)
@@ -272,8 +274,8 @@ class TestDifferential:
         (a, b), bell, _, four = twin_stores(BellOutcome.PHI_MINUS, FourQubitState.CLUSTER, 3, 2)
         pairs = [(bell[1], bell[2]), (bell[0], bell[3]), (bell[4], bell[5])]
         ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = a.measure_bell_rows(pairs, gb.random(len(pairs)))
-        assert got.tolist() == b.measure_bell_rows(pairs, ga).tolist()
+        got = a.measure_rows_in_basis(pairs, BELL_VECTORS, gb.random(len(pairs)))
+        assert got.tolist() == b.measure_rows_in_basis(pairs, BELL_VECTORS, ga).tolist()
         basis = _five_party_ring("cluster", "1256").basis
         groups = np.reshape(four, (2, 4))
         got = a.measure_rows_in_basis(groups, basis, gb.random(2))
@@ -289,9 +291,9 @@ class TestValidation:
         ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
         live = store.live_qubits()
         with pytest.raises(ValueError, match="uniforms"):
-            store.measure_bell_rows(ids, uniforms)
+            store.measure_rows_in_basis(ids, BELL_VECTORS, uniforms)
         assert store.live_qubits() == live
-        assert store.measure_bell_rows(ids, [0.25, 0.75]).tolist() == [0, 0]
+        assert store.measure_rows_in_basis(ids, BELL_VECTORS, [0.25, 0.75]).tolist() == [0, 0]
 
     def test_groups_must_match_the_word(self):
         store = QubitStore()
@@ -305,7 +307,9 @@ class TestValidation:
         store = QubitStore()
         ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
         with pytest.raises(ValueError):
-            store.measure_bell_rows([ids[0], ids[0]], np.random.default_rng(0))
+            store.measure_rows_in_basis(
+                [ids[0], ids[0]], BELL_VECTORS, np.random.default_rng(0)
+            )
 
     def test_basis_must_resolve_each_row(self):
         store = QubitStore()
@@ -326,9 +330,8 @@ class TestValidation:
             store.measure_rows_in_basis(np.concatenate([a, b]), psi_only, rng)
         assert store.live_qubits() == live
         assert rng.bit_generator.state == before
-        assert store.measure_bell_rows(np.concatenate([a, b]), rng).tolist() == [
-            BellOutcome.PSI_PLUS
-        ] * 3 + [BellOutcome.PHI_PLUS] * 2
+        outcomes = store.measure_rows_in_basis(np.concatenate([a, b]), BELL_VECTORS, rng)
+        assert outcomes.tolist() == [BellOutcome.PSI_PLUS] * 3 + [BellOutcome.PHI_PLUS] * 2
 
     def test_incomplete_basis_refused_before_a_cross_row_group(self):
         # The cross pair would go through the general routine, after the
@@ -350,7 +353,7 @@ class TestValidation:
         live, rng = store.live_qubits(), np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(UnknownQubitError):
-            store.measure_bell_rows([a[0], (a[1, 0], 999)], rng)
+            store.measure_rows_in_basis([a[0], (a[1, 0], 999)], BELL_VECTORS, rng)
         assert store.live_qubits() == live
         assert rng.bit_generator.state == before
 
@@ -432,7 +435,7 @@ def _pass_workout(store: QubitStore, seed: int) -> list:
     store.measure_z(int(bells[0][2, 1]), rng)  # row 2 leaves the bulk path
     pairs = np.concatenate([bells[1][:5], bells[0][[6, 0, 5, 3]]])
     pairs = np.vstack([pairs, [bells[0][2, 0], lone], bells[0][4], bells[1][5:]])
-    outcomes = store.measure_bell_rows(pairs, rng).tolist()
+    outcomes = store.measure_rows_in_basis(pairs, BELL_VECTORS, rng).tolist()
     basis = _five_party_ring("cluster", "1256").basis
     outcomes += store.measure_rows_in_basis(four[np.r_[2:9, 0, 10, 1, 9]], basis, rng).tolist()
     return outcomes
