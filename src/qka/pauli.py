@@ -64,26 +64,6 @@ _SYMBOLS = {
 }
 
 
-def _strip_phase(product: np.ndarray) -> PauliLetter:
-    """Identify the letter whose matrix equals ``product`` up to a unit phase."""
-    for letter in PauliLetter:
-        ref = letter.matrix
-        # anchor the phase on the first nonzero entry of the candidate
-        idx = np.argmax(np.abs(ref) > 0.5)
-        r, c = divmod(int(idx), 2)
-        phase = product[r, c] / ref[r, c]
-        if abs(abs(phase) - 1.0) < 1e-12 and np.allclose(product, phase * ref, atol=1e-12):
-            return letter
-    raise ValueError("matrix is not a unit-phase multiple of a Pauli letter")
-
-
-# Letter-product table, derived once from the 2x2 matrices with the global
-# phase stripped. The test suite re-derives it independently.
-_MUL: dict[tuple[PauliLetter, PauliLetter], PauliLetter] = {
-    (a, b): _strip_phase(a.matrix @ b.matrix) for a in PauliLetter for b in PauliLetter
-}
-
-
 @dataclass(frozen=True, order=True)
 class GroupElement:
     """A phase-free Pauli word; hashable, comparable in canonical order."""
@@ -142,7 +122,9 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Letter-wise phase-free product of two equal-arity elements."""
     if a.arity != b.arity:
         raise ValueError(f"arity mismatch: {a.arity} vs {b.arity}")
-    return GroupElement(tuple(_MUL[x, y] for x, y in zip(a.letters, b.letters)))
+    # Without their phases the letters form Z2 x Z2, whose elements the codes
+    # I=0, X=1, iY=2, Z=3 spell as bit pairs: a product is the XOR of the codes.
+    return GroupElement(tuple(PauliLetter(x ^ y) for x, y in zip(a.letters, b.letters)))
 
 
 def canonical_order(elements: Iterable[GroupElement]) -> list[GroupElement]:

@@ -10,9 +10,10 @@ construction and share one engine.
 Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
 
-Every run owns its generator, keys, transcript and checks, and identical
+Every run is a *lane*, a ``_RunContext`` that owns its generator, keys,
+transcript and checks and, once the run ends, its result; identical
 (seed, run_index) pairs reproduce byte-identical transcripts. Both engines
-run a ``_Stack`` of *lanes*, one run each, through one store in lockstep,
+run a ``_Stack`` of lanes through one store in lockstep,
 and send every train through its one transmission routine,
 ``_Stack.transmit``: scramble, send, transit attack, decoy check, and each
 lane's disclosures, checks and abort. What sets a transmission apart is its
@@ -160,10 +161,7 @@ class ProtocolConfig:
         if self.five_party_state not in FIVE_PARTY_STATES:
             names = " or ".join(map(repr, FIVE_PARTY_STATES))
             raise ValueError(f"five_party_state must be {names}")
-        if len(self.five_party_rounds) != 4 or any(
-            c not in "123456" for c in self.five_party_rounds
-        ):
-            raise ValueError("five_party_rounds must be four digits from 1..6")
+        _checked_rounds(self.five_party_rounds)
         if self.fixed_keys is not None:
             if len(self.fixed_keys) != self.party_count:
                 raise ValueError("fixed_keys must supply one key per party")
@@ -500,23 +498,43 @@ def _json_chunks(value, indent: str = "") -> Iterator[str]:
 
 
 class _RunContext:
-    """One run, a lane of a stack: its generator, transcript and checks."""
+    """One run, a lane of a stack: its generator, transcript, checks, keys and result."""
 
-    def __init__(self, protocol: str, config: ProtocolConfig):
+    def __init__(self, protocol: str, config: ProtocolConfig, names: tuple[str, ...]):
         self.config = config
+        self.names = names
         self.rng = config.make_rng()
         self.transcript = Transcript(protocol, config.key_bits)
         self.checks: list[TransmissionCheck] = []
+        self.keys: list[np.ndarray] = []  # the private keys drawn so far, in party order
+        self.result: ProtocolResult | None = None  # set by ``finish`` once the run ends
 
-    def draw_key(self, party_index: int) -> np.ndarray:
-        """The party's private key as a read-only uint8 array: its fixed key, or n drawn bits."""
+    def draw_key(self, party_index: int) -> None:
+        """Add the party's private key, a read-only uint8 array: its fixed key, or n drawn bits."""
         fixed = self.config.fixed_keys
         if fixed is not None:
             key = np.array(fixed[party_index], dtype=np.uint8)
         else:  # an int64 draw, cast: a uint8 draw would take other bits from the stream
             key = self.rng.integers(0, 2, size=self.config.key_bits).astype(np.uint8)
         key.flags.writeable = False
-        return key
+        self.keys.append(key)
+
+    def finish(
+        self,
+        derived: dict[str, np.ndarray | None],
+        outcome_records: dict[str, tuple[str, ...]] | None = None,
+        report: dict | None = None,
+        reason: str | None = None,
+    ) -> None:
+        """End the run with its result: completed, or aborted for ``reason``."""
+        aborted = reason is not None
+        transcript = self.transcript
+        self.result = ProtocolResult(
+            transcript.protocol, transcript.key_bits, self.names, dict(zip(self.names, self.keys)),
+            derived, aborted, reason, self.checks,
+            None if aborted else count_from_transcript(transcript), transcript,
+            outcome_records or {}, report,
+        )
 
     def log_preparation(self, step: str, actor: str, qubit_count: int, purpose: str) -> None:
         self.transcript.log(
@@ -582,26 +600,27 @@ class _RunContext:
 
     def record_check(
         self, step: str, sender: str, receiver: str, index: int, error_rate: float
-    ) -> str | None:
-        """Record one transmission's check; returns why the run aborts if it failed."""
+    ) -> bool:
+        """Record one transmission's check and whether it passed; a failed check ends the run."""
         threshold = self.config.error_threshold
         passed = error_rate <= threshold
         self.checks.append(
             TransmissionCheck(index, step, sender, receiver, error_rate, passed)
         )
-        if passed:
-            return None
-        self.transcript.log(
-            step,
-            receiver,
-            tr.ABORT,
-            {"transmission": index, "error_rate": error_rate},
-        )
-        self.transcript.aborted = True
-        return (
-            f"decoy check failed on transmission {index} "
-            f"(error rate {error_rate:.4f} > threshold {threshold})"
-        )
+        if not passed:
+            self.transcript.log(
+                step,
+                receiver,
+                tr.ABORT,
+                {"transmission": index, "error_rate": error_rate},
+            )
+            self.transcript.aborted = True
+            reason = (
+                f"decoy check failed on transmission {index} "
+                f"(error rate {error_rate:.4f} > threshold {threshold})"
+            )
+            self.finish(dict.fromkeys(self.names), reason=reason)
+        return passed
 
 
 def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
@@ -647,14 +666,14 @@ _WITHHELD = "withheld"
 class _Stack:
     """A stack of *lanes*, one run per config, in lockstep through one store.
 
-    The configs differ only in ``run_index``. Each lane keeps its own
-    ``_RunContext`` and keys, and only the draws and the log run lane by
-    lane, each lane's in the order a run of its own makes them; the store
-    calls serve all lanes, and each bulk measurement takes the lanes'
-    uniforms in lane order. ``active`` names the lane on each row of the
-    engine's arrays; a lane whose check fails records its abort, gets its
-    result and leaves. A stack of one lane allocates, draws and logs exactly
-    as a run of its own.
+    The configs differ only in ``run_index``. Each lane is a ``_RunContext``
+    that holds its keys and, once it ends, its result, and only the draws
+    and the log run lane by lane, each lane's in the order a run of its own
+    makes them; the store calls serve all lanes, and each bulk measurement
+    takes the lanes' uniforms in lane order. ``active`` holds the lanes
+    still running, one per row of the engine's arrays; a lane whose check
+    fails records its abort and result and leaves. A stack of one lane
+    allocates, draws and logs exactly as a run of its own.
 
     Each copy circulates its qubits at the ``travel`` positions, so a
     train carries those of n copies, then n/2 decoy pairs.
@@ -670,7 +689,6 @@ class _Stack:
     ):
         adversary = adversary if adversary is not None else AdversaryModel.none()
         check_adversary(configs[0], adversary)
-        self.protocol = protocol
         self.names = PARTY_NAMES[:parties]
         self.n = configs[0].key_bits
         self.threshold = configs[0].error_threshold
@@ -679,10 +697,8 @@ class _Stack:
         self.adversary = adversary
         self.attacked = adversary.transmission_index if adversary.is_external else -1
         self.store = QubitStore()
-        self.lanes = [_RunContext(protocol, config) for config in configs]
-        self.keys: list[list[np.ndarray]] = [[] for _ in configs]  # each lane's keys so far
-        self.active = list(range(len(configs)))
-        self.results: list[ProtocolResult] = [None] * len(configs)
+        self.lanes = [_RunContext(protocol, config, self.names) for config in configs]
+        self.active = list(self.lanes)
         self.transmissions = 0
         # Where each row of a stack of trains starts in the flat slots.
         self.row_starts = np.arange(len(configs))[:, None] * (self.m + self.n)
@@ -704,9 +720,9 @@ class _Stack:
 
     def draw_keys(self, *parties: int) -> None:
         """Each active lane's keys for ``parties``, lane by lane."""
-        for lane in self.active:
-            ctx = self.lanes[lane]
-            self.keys[lane] += [ctx.draw_key(j) for j in parties]
+        for ctx in self.active:
+            for j in parties:
+                ctx.draw_key(j)
 
     def uniforms(self, count: int) -> np.random.Generator | np.ndarray:
         """Each active lane's ``count`` uniforms, in lane order, for one bulk measurement.
@@ -714,7 +730,7 @@ class _Stack:
         A lone lane passes its generator, which the measurement draws from
         itself: the same values, without the checks given uniforms get.
         """
-        rngs = [self.lanes[lane].rng for lane in self.active]
+        rngs = [ctx.rng for ctx in self.active]
         return rngs[0] if len(rngs) == 1 else np.concatenate([rng.random(count) for rng in rngs])
 
     def gather(self, slots: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -755,11 +771,10 @@ class _Stack:
         sender with one row per lane that runs on, and those rows (every
         row: a full slice).
         """
-        running = [self.lanes[lane] for lane in self.active]
-        rngs = [ctx.rng for ctx in running]
+        rngs = [ctx.rng for ctx in self.active]
         names, m, pairs = self.names, self.m, self.n // 2
         receivers = names[1:] + names[:1]
-        rows, count, first = len(running), len(senders), self.transmissions
+        rows, count, first = len(self.active), len(senders), self.transmissions
         sends = [(first + k, names[j], receivers[j]) for k, j in enumerate(senders)]
         total = m + 2 * pairs  # items per train
         most = max(1, _SCRAMBLE_ITEMS // (rows * total))
@@ -775,7 +790,7 @@ class _Stack:
             forward[at] = record.forward
             for k in run:
                 index, sender, receiver = sends[k]
-                for ctx, row in zip(running, slots[k]):
+                for ctx, row in zip(self.active, slots[k]):
                     ctx.log_preparation(send_step, sender, 2 * pairs, "decoy")
                     ctx.send(send_step, sender, receiver, row, index)
                 if index == self.attacked:
@@ -793,20 +808,14 @@ class _Stack:
         with_decoys, after_check = staging == _WITH_DECOYS, staging == _AFTER_CHECK
         checks = list(zip(sends, record.message_order, record.decoy_pairs))  # per sender
         kept = []  # the rows whose lanes run on
-        for row, (lane, ctx) in enumerate(zip(self.active, running)):
+        for row, ctx in enumerate(self.active):
             for k, ((index, sender, receiver), orders, decoys) in enumerate(checks):
                 if with_decoys:
                     ctx.disclose_full(check_step, sender, orders[row], decoys[row])
                 else:
                     ctx.disclose_decoys(check_step, sender, decoys[row])
                 rate = rates[row * count + k]
-                reason = ctx.record_check(check_step, sender, receiver, index, rate)
-                if reason is not None:
-                    self.results[lane] = ProtocolResult(
-                        self.protocol, self.n, names, dict(zip(names, self.keys[lane])),
-                        dict.fromkeys(names), True, reason, ctx.checks, None, ctx.transcript,
-                        {}, None,
-                    )
+                if not ctx.record_check(check_step, sender, receiver, index, rate):
                     break
                 if after_check:
                     ctx.disclose_order(check_step, sender, orders[row])
@@ -816,21 +825,6 @@ class _Stack:
             return slots, record, slice(None)
         self.active = [self.active[row] for row in kept]
         return slots[:, kept], PermutationRecord.of(forward[:, kept], m), kept
-
-    def finish(
-        self,
-        lane: int,
-        derived: dict[str, np.ndarray],
-        outcome_records: dict[str, tuple[str, ...]],
-        report: dict | None = None,
-    ) -> None:
-        """The result of a lane that ran to the end."""
-        ctx = self.lanes[lane]
-        self.results[lane] = ProtocolResult(
-            self.protocol, self.n, self.names, dict(zip(self.names, self.keys[lane])), derived,
-            False, None, ctx.checks, count_from_transcript(ctx.transcript), ctx.transcript,
-            outcome_records, report,
-        )
 
 
 def _send_runs(first: int, count: int, attacked: int, most: int) -> list[range]:
@@ -861,8 +855,8 @@ def run_two_party(
 
 def _run_two_party(
     configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
-) -> list[ProtocolResult]:
-    """``run_two_party`` for a stack of lanes (see ``_Stack``).
+) -> list[_RunContext]:
+    """``run_two_party`` for a stack of lanes (see ``_Stack``); returns the ended lanes.
 
     The lanes share one train of all their Bell pairs, each transmission,
     one ``encode_key`` and one decode measurement; the reordering
@@ -880,25 +874,24 @@ def _run_two_party(
     outbound = pairs[None, ..., 1]  # the initiator's one train, as a stack of senders
     (slots,), record, kept = stack.transmit(outbound, [0], "step2", "step3", _WITH_DECOYS)
     if not stack.active:
-        return stack.results
+        return stack.lanes
     pairs = pairs[kept]
     at_bob = stack.gather(slots, record.message_order[0])
 
     # Step 4: responder's key, X-encoding, return train.
     stack.draw_keys(1)
-    key_masks = np.concatenate([stack.keys[lane][1] for lane in stack.active])
+    key_masks = np.concatenate([ctx.keys[1] for ctx in stack.active])
     encode_key(store, at_bob.ravel(), key_masks, GroupElement.of(PauliLetter.X))
     # Step 5: decoy coordinates only; the message order stays secret.
     (slots,), record, kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
     if not stack.active:
-        return stack.results
+        return stack.lanes
     pairs = pairs[kept]
 
     finishing = []  # per row: the initiator's early guess, the attack report, the reorder target
     orders = np.empty((len(stack.active), n), dtype=np.int64)  # each row's step-7 order
-    for row, lane in enumerate(stack.active):
-        ctx = stack.lanes[lane]
-        key_a, key_b = stack.keys[lane]
+    for row, ctx in enumerate(stack.active):
+        key_a, key_b = ctx.keys
         guess = report = target = None
         # Insider hook: an impatient initiator measures on guessed pairings
         # now, before committing to her announcement, and takes her key from them.
@@ -932,8 +925,8 @@ def _run_two_party(
     # Step 8: pairwise decoding; each bit flip is one of the responder's key bits.
     if adv.kind is not AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
         decoded = stack.decode(pairs, stack.gather(slots, orders), BELL_VECTORS)
-    for row, lane in enumerate(stack.active):
-        key_a, key_b = stack.keys[lane]
+    for row, ctx in enumerate(stack.active):
+        key_a, key_b = ctx.keys
         guess, report, target = finishing[row]
         outcome_records: dict[str, tuple[str, ...]] = {}
         if guess is None:
@@ -942,8 +935,8 @@ def _run_two_party(
         derived = {alice: xor_bits(key_a, guess), bob: xor_bits(key_a, key_b)}
         if target is not None:
             report["alice_key_matches_target"] = np.array_equal(derived[alice], target)
-        stack.finish(lane, derived, outcome_records, report)
-    return stack.results
+        ctx.finish(derived, outcome_records, report)
+    return stack.lanes
 
 
 @dataclass(frozen=True)
@@ -973,8 +966,8 @@ class _Ring:
 
 def _run_ring(
     ring: _Ring, configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
-) -> list[ProtocolResult]:
-    """Run one trial per config as a stack of lanes (see ``_Stack``); one result each.
+) -> list[_RunContext]:
+    """Run one trial per config as a stack of lanes (see ``_Stack``); returns the ended lanes.
 
     The lanes share one train of all their copies, each hop's
     transmissions, one ``encode_key`` per round and one decode measurement
@@ -984,7 +977,7 @@ def _run_ring(
     stack = _Stack(ring.protocol, parties, ring.travel, configs, adversary)
     m, store, names = stack.m, stack.store, stack.names
     copies = stack.prepare(ring.state, ring.prep_step, range(parties))
-    key_masks = np.array(stack.keys).transpose(1, 0, 2)  # by party, lane and bit
+    key_masks = np.array([ctx.keys for ctx in stack.active]).swapaxes(0, 1)  # by party, lane, bit
     # travels[s] holds stream s's travel qubits
     travels = copies[..., stack.travel].reshape(parties, len(configs), m)
 
@@ -999,7 +992,7 @@ def _run_ring(
             travels[held], range(parties), send_step, check_step, staging
         )
         if not stack.active:
-            return stack.results
+            return stack.lanes
         copies, travels, key_masks = copies[:, kept], travels[:, kept], key_masks[:, kept]
         for j, orders in enumerate(record.message_order):
             travels[held[j]] = stack.gather(slots[j], orders)  # the restored trains
@@ -1009,14 +1002,14 @@ def _run_ring(
     labels = np.array([label for label, _ in ring.outcomes], dtype=object)
     parity = np.array([bit for _, bit in ring.outcomes], dtype=np.uint8)
     outcomes = [stack.decode(copies[j], travels[j], ring.basis) for j in range(parties)]
-    for row, lane in enumerate(stack.active):
+    for row, ctx in enumerate(stack.active):
         derived: dict[str, np.ndarray | None] = {}
         outcome_records: dict[str, tuple[str, ...]] = {}
         for j, name in enumerate(names):
             outcome_records[name] = tuple(labels[outcomes[j][row]].tolist())
-            derived[name] = xor_bits(stack.keys[lane][j], parity[outcomes[j][row]])
-        stack.finish(lane, derived, outcome_records)
-    return stack.results
+            derived[name] = xor_bits(ctx.keys[j], parity[outcomes[j][row]])
+        ctx.finish(derived, outcome_records)
+    return stack.lanes
 
 
 _THREE_PARTY_RING = _Ring(
@@ -1045,10 +1038,17 @@ def run_three_party(
     return _run_alone(config, adversary, 3)
 
 
+def _checked_rounds(digits: str) -> str:
+    """``digits`` if it is four digits from 1..6; the one home of the round-selection rule."""
+    if len(digits) != 4 or any(c not in "123456" for c in digits):
+        raise ValueError("five_party_rounds must be four digits from 1..6")
+    return digits
+
+
 def five_party_round_subgroups(digits: str):
     """Map a four-digit selection like '1234' onto the standard order-2 subgroups."""
     subs = standard_subgroups_g2()
-    return tuple(subs[int(d) - 1] for d in digits)
+    return tuple(subs[int(d) - 1] for d in _checked_rounds(digits))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1124,7 +1124,7 @@ def _stack_runner(config: ProtocolConfig):
     """Validate ``config`` and return the engine that runs a stack of its trials.
 
     The engine takes the trials' configs and the adversary, and returns one
-    result per config.
+    lane per config, each with its ``result``.
     """
     config.validate()
     if config.party_count == 2:
@@ -1143,7 +1143,7 @@ def _run_alone(
     if config.party_count != party_count:
         protocol = {2: TWO_PARTY, 3: THREE_PARTY}.get(party_count, FIVE_PARTY)
         raise ValueError(f"{protocol} run requires party_count == {party_count}")
-    return run_stack([config], adversary)[0]
+    return run_stack([config], adversary)[0].result
 
 
 # A batch stacks at most this many key bits of trials, and at least one
@@ -1170,5 +1170,5 @@ def run_batch(
     per_stack = max(1, _STACK_KEY_BITS // config.key_bits)
     results = []
     for lo in range(0, trials, per_stack):
-        results.extend(run_stack(configs[lo : lo + per_stack], adversary))
+        results.extend(lane.result for lane in run_stack(configs[lo : lo + per_stack], adversary))
     return results

@@ -134,9 +134,12 @@ class FourQubitState(Enum):
 
 
 def four_qubit_vector(which: FourQubitState) -> np.ndarray:
-    """Amplitudes of the named 4-qubit resource state, ±1/2 on four kets."""
+    """Amplitudes of the named 4-qubit resource state, ±1/2 on four kets.
+
+    ``which`` may be a state's name; anything else raises ValueError.
+    """
     vec = np.zeros(16)
-    if which is FourQubitState.OMEGA:
+    if FourQubitState(which) is FourQubitState.OMEGA:
         terms = {0b0000: 0.5, 0b0110: 0.5, 0b1001: 0.5, 0b1111: -0.5}
     else:
         terms = {0b0000: 0.5, 0b0011: 0.5, 0b1100: 0.5, 0b1111: -0.5}
@@ -540,7 +543,8 @@ class QubitStore:
         self._blocks.append(_Block(amplitudes, ids.shape[1], ids=ids, slots=slots))
 
     def new_bell(self, kind: BellOutcome) -> tuple[int, int]:
-        """Allocate a fresh pair prepared in the named Bell state."""
+        """Allocate a fresh pair prepared in the named Bell state; ValueError for no Bell state."""
+        kind = BellOutcome(kind)  # before the slice below: an index past the rows slices nothing
         first = self._new_block(BELL_VECTORS[kind : kind + 1].copy(), 2)
         return first, first + 1
 
@@ -550,7 +554,9 @@ class QubitStore:
         return first, first + 1, first + 2, first + 3
 
     def new_computational(self, bit: int) -> int:
-        """Allocate one fresh qubit in |0> or |1>."""
+        """Allocate one fresh qubit in |0> or |1>; ValueError for a bit other than 0 or 1."""
+        if bit not in (0, 1):
+            raise ValueError(f"a computational-basis qubit holds bit 0 or 1, not {bit!r}")
         vec = np.zeros((1, 2))
         vec[0, int(bit)] = 1.0
         return self._new_block(vec, 1)

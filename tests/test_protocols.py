@@ -620,6 +620,20 @@ class TestOneTransmissionPath:
             assert calls[name] == 1, name
 
 
+class TestOneResultBuilder:
+    def test_every_result_is_built_at_one_call_site(self):
+        # completed and aborted runs alike end in _RunContext.finish
+        tree = ast.parse(inspect.getsource(protocols))
+        builds = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "ProtocolResult"
+        ]
+        assert len(builds) == 1
+
+
 class TestStackedBatches:
     """A batch runs its trials as lanes of one store; each is still its own run."""
 
@@ -845,6 +859,15 @@ class TestFiveParty:
             run_five_party(config(n=4, parties=5, five_party_rounds="1134"))
         with pytest.raises(InvalidSchemeError):
             run_five_party(config(n=4, parties=5, five_party_rounds="1235"))
+
+    @pytest.mark.parametrize("digits", ["0000", "7", "12", "12345", "123a", ""])
+    def test_malformed_round_selection_refused(self, digits):
+        # the rule ProtocolConfig.validate applies, with the same message
+        message = "five_party_rounds must be four digits from 1..6"
+        with pytest.raises(ValueError, match=message):
+            five_party_round_subgroups(digits)
+        with pytest.raises(ValueError, match=message):
+            config(n=4, parties=2, five_party_rounds=digits).validate()
 
     def test_decode_table_is_built_once_and_bad_rounds_always_raise(self):
         from qka.protocols import _five_party_ring

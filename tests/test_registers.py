@@ -118,6 +118,42 @@ class TestPreparation:
         q = store.new_computational(1)
         np.testing.assert_allclose(store.register_of(q).amplitudes, [0, 1])
 
+    @pytest.mark.parametrize(
+        "allocate, arg",
+        [
+            ("new_bell", 7),
+            ("new_bell", -1),
+            ("new_bell", "psi+"),
+            ("new_computational", -1),
+            ("new_computational", 0.7),
+            ("new_computational", 2),
+            ("new_four_qubit", "ghz"),
+        ],
+    )
+    def test_unrepresentable_input_refused_before_allocating(self, allocate, arg):
+        store = QubitStore()
+        first = store.new_bell(BellOutcome.PSI_PLUS)
+        with pytest.raises(ValueError):
+            getattr(store, allocate)(arg)
+        assert store.live_qubits() == list(first)
+        # the next allocation's ids follow on, with no gap and no reuse
+        assert store.new_bell(BellOutcome.PHI_MINUS) == (2, 3)
+        assert store.new_computational(1) == 4
+        assert store.new_four_qubit(FourQubitState.OMEGA) == (5, 6, 7, 8)
+        assert store.live_qubits() == list(range(9))
+
+    @pytest.mark.parametrize("which", list(FourQubitState))
+    def test_four_qubit_state_by_name(self, which):
+        expected = oracle_four(which).real
+        np.testing.assert_allclose(four_qubit_vector(which.value), expected, atol=1e-12)
+        store = QubitStore()
+        ids = store.new_four_qubit(which.value)
+        np.testing.assert_allclose(store.register_of(ids[0]).amplitudes, expected, atol=1e-12)
+
+    def test_unknown_four_qubit_state_refused(self):
+        with pytest.raises(ValueError):
+            four_qubit_vector("ghz")
+
 
 class TestApplyPauli:
     @pytest.mark.parametrize(
