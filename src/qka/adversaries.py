@@ -13,11 +13,12 @@ Resent qubits are fresh ids; the measured originals retire from the store.
 Both transit attacks take a stack of trains, one row per run, each row with
 its run's generator; a lone train is a stack of one row. Intercept-z's
 draws never depend on an outcome, so it walks each row's draws first, then
-measures every hit of every row in one ``QubitStore.measure_qubits`` call
-and resends them all from one allocation. Intercept-bell goes row by row
-and one slot pair at a time, through the scalar ``measure_bell`` and
-``new_bell``: ``bench/tracer.py`` counts merges only at the scalar joint
-measurements, so it moves once the tracer sees the bulk layer.
+measures every hit of every row, as one-qubit groups, in one
+``QubitStore.measure_rows_in_basis`` call and resends them all from one
+allocation. Intercept-bell goes row by row and one slot pair at a time,
+through the scalar ``measure_bell`` and ``new_bell``: ``bench/tracer.py``
+counts merges only at the scalar joint measurements, so it moves once the
+tracer sees the bulk layer.
 """
 
 from __future__ import annotations
@@ -97,21 +98,27 @@ def attack_transit(
     ``slots`` is a (rows, items) int64 array holding one train per row, and
     ``rngs`` one generator per row; both are a stack's, and the slots are
     rewritten in place. A NONE model is a no-op (and draws no randomness);
-    insider kinds raise.
+    insider kinds raise, and so do a ``slots`` that is not a 2-D integer
+    array and a ``rngs`` of another length, before any draw.
 
     Intercept-z walks each row's slots in order with that row's generator:
     ``rng.random() < fraction`` picks a hit, and a hit then draws the
     uniform its measurement uses. No draw depends on an outcome, so every
-    hit of every row is then Z-measured in one ``measure_qubits`` call and
-    resent from one allocation of ``|b>`` rows, in row and hit order: a
-    row's ids are those one allocation per hit would have given, had the
-    rows before it been attacked first. Intercept-bell measures and resends
-    one adjacent slot pair at a time, row after row.
+    hit of every row is then Z-measured, as a one-qubit group, in one
+    ``measure_rows_in_basis`` call and resent from one allocation of ``|b>``
+    rows, in row and hit order: a row's ids are those one allocation per hit
+    would have given, had the rows before it been attacked first.
+    Intercept-bell measures and resends one adjacent slot pair at a time,
+    row after row.
     """
     if model.kind is AdversaryKind.NONE:
         return
     if not model.is_external:
         raise ValueError(f"{model.kind.value} is not an external transit attack")
+    if not (isinstance(slots, np.ndarray) and slots.ndim == 2 and slots.dtype.kind in "iu"):
+        raise ValueError("slots must be a 2-D integer array, one train per row")
+    if len(rngs) != len(slots):
+        raise ValueError(f"{len(rngs)} generators given for {len(slots)} trains")
     if model.kind is AdversaryKind.INTERCEPT_RESEND_Z:
         rows, hits, uniforms = [], [], []
         for row, rng in enumerate(rngs):
@@ -120,7 +127,7 @@ def attack_transit(
             hits += row_hits
             uniforms += row_uniforms
         if hits:
-            bits = store.measure_qubits(slots[rows, hits], Z_BASIS, uniforms)
+            bits = store.measure_rows_in_basis(slots[rows, hits][:, None], Z_BASIS, uniforms)
             slots[rows, hits] = store.new_states(Z_BASIS[bits]).ravel()
         return
     # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.

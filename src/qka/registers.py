@@ -26,12 +26,18 @@ named once, and a basis from outside must be real, square and orthonormal,
 so that it resolves every state. The states and bases the package builds
 itself (``BELL_VECTORS``, ``Z_BASIS`` and the protocols' resource states and
 decode bases) are checked once, by ``constant_state`` and
-``constant_basis``, and taken as they are afterwards. Measurement has three
-routines.
+``constant_basis``, and taken as they are afterwards. Measurement has one
+bulk entry, ``measure_rows_in_basis``, and two routines.
 
-* Groups that are whole rows, in register order, of allocated blocks are
-  measured in bulk, whatever blocks they lie in: one matmul per pass, then
-  one inverse-CDF draw per row (``measure_rows_in_basis``).
+* One kernel measures groups in bulk, each with its own uniform. Groups
+  that are whole rows, in register order, of allocated blocks go through
+  it whatever blocks they lie in: one matmul per pass, then one inverse-CDF
+  draw per row. Groups of one qubit go through it in waves. A wave takes
+  the first qubit still waiting in each register, in list order, so a
+  register named more than once waits a wave per qubit; the wave's qubits
+  in registers of one width are measured with one gather and one matmul,
+  leaving their remainders as one multi-row listed block. Intercept-resend
+  in the Z basis measures a whole train this way.
 * Every other group, and every scalar ``measure_bell``, ``measure_z`` and
   ``measure_in_basis`` call, goes through the general routine. It merges the
   rows it touches (a Kronecker product in first-seen order, capped at 12
@@ -44,12 +50,6 @@ routines.
   bucket of one to eight groups cost 100-250 us against about 30 us per
   group, and the fifteen guessed pairings of an early-measuring sender
   chain into about seven buckets.
-* ``measure_qubits`` measures single qubits in bulk, each with its own
-  given uniform, as one-qubit measurements in list order would. A register
-  named more than once is measured once per wave, and each wave measures
-  its qubits in registers of one width with one gather and one matmul,
-  leaving their remainders as one multi-row listed block. Intercept-resend
-  in the Z basis measures a whole train through it.
 
 Every amplitude is float64: the resource states and the letter matrices of
 :mod:`qka.pauli` are real, so every reachable state is, a bra is its ket and
@@ -772,70 +772,13 @@ class QubitStore:
         basis: np.ndarray,
         rng: np.random.Generator | np.ndarray,
     ) -> np.ndarray:
-        """``measure_in_basis`` on each group in list order, whole rows in bulk.
+        """``measure_in_basis`` on each group in list order, whole rows and single qubits in bulk.
 
         ``rng`` is a Generator, or the uniforms it would draw (see
         ``_measure_groups``). Returns each group's basis row index as an
         int64 array.
         """
         return self._measure_groups(groups, _checked_basis(basis), rng)
-
-    def measure_qubits(
-        self, qubits: Sequence[int] | np.ndarray, basis: np.ndarray, uniforms
-    ) -> np.ndarray:
-        """Measure each qubit on its own in a real orthonormal 2x2 ``basis``.
-
-        Qubit i uses ``uniforms[i]``: the outcomes, as an int64 array, and the
-        store left behind are those of ``measure_in_basis((q,), basis, rng)``
-        on each qubit in list order, with ``rng`` drawing those uniforms.
-        Every id must be live and named once, the basis must obey the basis
-        rule, and there must be one uniform in [0, 1) per id; all of it is
-        checked before anything changes.
-
-        The qubits are measured in waves. A wave takes the first qubit still
-        waiting in each register, in list order, so a register's later
-        qubits wait for a later wave. The wave's qubits in registers of one
-        width are measured together, and what remains of their rows becomes
-        one listed block.
-        """
-        ids = np.array(qubits, dtype=np.int64).reshape(-1)
-        basis = _checked_basis(basis)
-        if basis.shape != (2, 2):
-            raise ValueError("a one-qubit basis must be 2x2")
-        uniforms = _given_uniforms(uniforms, ids.size, "qubits")
-        if _has_repeats(ids):
-            raise ValueError("measured qubits must be distinct")
-        self._indices(ids)
-        outcomes = np.empty(ids.size, dtype=np.int64)
-        if not ids.size:
-            return outcomes
-        places = self._places(ids, np.arange(ids.size))
-        # Wave k takes the k-th qubit named in each register: its rank among
-        # that register's qubits once they are sorted stably by register.
-        key = np.concatenate([(b << 32) | rows for b, _, rows, _ in places])
-        at = np.concatenate([chosen for _, chosen, _, _ in places])
-        ranked = np.argsort(key, kind="stable")
-        ordinal = np.arange(ids.size)
-        starts = np.ones(ids.size, dtype=bool)
-        starts[1:] = key[ranked[1:]] != key[ranked[:-1]]
-        wave = np.empty(ids.size, dtype=np.int64)
-        wave[at[ranked]] = ordinal - np.maximum.accumulate(np.where(starts, ordinal, 0))
-        if not starts.all():  # the first wave keeps each register's first qubit
-            places = [
-                (b, chosen[first], rows[first], positions[first])
-                for b, chosen, rows, positions in places
-                for first in [wave[chosen] == 0]
-            ]
-        for k in range(int(wave.max()) + 1):
-            if k:
-                places = self._places(ids, np.flatnonzero(wave == k))
-            by_width: dict[int, list] = {}
-            for place in places:
-                by_width.setdefault(self._blocks[place[0]].width, []).append(place)
-            for width, parts in by_width.items():
-                at = np.concatenate([chosen for _, chosen, _, _ in parts])
-                outcomes[at] = self._measure_singles(parts, width, basis, uniforms[at])
-        return outcomes
 
     def _places(self, ids: np.ndarray, chosen: np.ndarray) -> list:
         """(block, indices, rows, positions) for each block holding some ``ids[chosen]``.
@@ -849,35 +792,52 @@ class QubitStore:
             places.append((b, chosen[sel], rows, positions))
         return places
 
-    def _measure_singles(
+    def _measure_rows(
         self, parts: list, width: int, basis: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """Measure one qubit in each of distinct ``width``-qubit registers, one uniform each.
+        """Measure one group in each of distinct ``width``-qubit rows, one uniform each.
 
-        ``parts`` holds ``_places`` entries, (block, indices, rows,
-        positions): the qubit at ``positions[i]`` of row ``rows[i]``. Row for
-        row this is ``_measure`` of that one qubit: one gather lays out each
-        row's two branches, the rest of the row in row order; one matmul
-        applies the basis; and the remainders become one listed block.
-        Returns the outcomes in part order.
+        ``parts`` holds (block, indices, rows, positions) for each block: the
+        group in row ``rows[i]`` is the whole row, in register order, when
+        ``positions`` is None, and else the one qubit at ``positions[i]``. A
+        run of consecutive ascending whole rows is read in place, as a decode
+        reads its copies, and its ids retire as one slice of the id map;
+        other whole rows are gathered, and one matmul scores them all. A
+        one-qubit group's row is laid out as its two branches by one gather,
+        the rest of the row in row order; one matmul applies the basis, and
+        the remainders become one listed block. Since every basis is
+        complete, a row whose mass is not 1 means the store's own state is
+        corrupt; that raises ValueError before anything changes. Returns the
+        outcomes in part order.
         """
-        positions = np.concatenate([positions for _, _, _, positions in parts])
-        count = positions.size
-        gathers, rests = _single_fronts(width)
-        front = gathers[positions].reshape(count, 2, -1).transpose(1, 0, 2)
-        amps = np.concatenate([self._blocks[b].amplitudes[rows] for b, _, rows, _ in parts])
-        laid = amps[np.arange(count)[None, :, None], front]
-        branches = (basis @ laid.reshape(2, -1)).reshape(2, count, -1)
-        probs = np.add.reduce(np.square(branches), 2).T
+        blocks, whole = self._blocks, parts[0][3] is None
+        if whole:
+            amps, dead = [], []  # each part's amplitudes and ids
+            for b, _, rows, _ in parts:
+                block, first, span = blocks[b], int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
+                in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
+                amps.append(block.amplitudes[slice(first, first + span) if in_place else rows])
+                at = block.first + first * width
+                dead.append(slice(at, at + span * width) if in_place else block.id_table(rows))
+            probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)
+        else:
+            table = np.concatenate([blocks[b].id_table(rows) for b, _, rows, _ in parts])
+            positions = np.concatenate([positions for _, _, _, positions in parts])
+            picked = np.arange(positions.size)
+            gathers, rests = _single_fronts(width)
+            front = gathers[positions].reshape(picked.size, 2, -1).transpose(1, 0, 2)
+            amps = np.concatenate([blocks[b].amplitudes[rows] for b, _, rows, _ in parts])
+            laid = amps[picked[None, :, None], front]
+            branches = (basis @ laid.reshape(2, -1)).reshape(2, picked.size, -1)
+            probs = np.add.reduce(np.square(branches), 2).T
         if (np.abs(np.add.reduce(probs, 1) - 1.0) > 1e-9).any():
             raise ValueError("a register's probability mass deviates from 1")
         outcomes = _sample_rows(probs, uniforms)
-        table = np.concatenate([self._blocks[b].id_table(rows) for b, _, rows, _ in parts])
-        picked = np.arange(count)
-        self._block_of[table[picked, positions]] = -1
+        for ids in dead if whole else [table[picked, positions]]:
+            self._block_of[ids] = -1
         for b, _, rows, _ in parts:
             self._retire(b, rows.size)
-        if width > 1:
+        if not whole and width > 1:
             post = branches[outcomes, picked] / np.sqrt(probs[picked, outcomes])[:, None]
             self._add_listed(post, table[picked[:, None], rests[positions]])
         return outcomes
@@ -895,20 +855,24 @@ class QubitStore:
         uniform i, the value the i-th of as many scalar measurements would
         draw. ``rng`` may instead be those uniforms, one in [0, 1) per group,
         checked after the ids; a caller that stacks runs, each with its own
-        generator, draws each run's share itself. One walk over passes then
-        measures, retires and samples the groups that are whole rows of an
-        allocated block, in register order, across blocks. Every other group
-        then goes through ``_measure`` in list order. The only refusal left
-        after the draw is the 12-qubit cap, should such a merge outgrow it;
-        no engine reaches it, as ``check_adversary`` refuses five-party
-        intercept-bell. Returns the outcome indices as an int64 array.
+        generator, draws each run's share itself. Then ``_measure_rows``
+        measures, pass by pass, the groups that are whole rows of an
+        allocated block, in register order, across blocks. Groups of one
+        qubit go through it next in waves: wave k takes the k-th qubit named
+        in each register, and its qubits in registers of one width are
+        measured together. Every other group then goes through ``_measure``
+        in list order. The only refusal left after the draw is the 12-qubit
+        cap, should such a merge outgrow it; no engine reaches it, as
+        ``check_adversary`` refuses five-party intercept-bell. Returns the
+        outcome indices as an int64 array.
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)
         targets = _id_table(groups)
         if _has_repeats(targets):
             raise ValueError("measured qubits must be distinct")
-        if basis.shape[1] != 2 ** targets.shape[1]:
+        m = targets.shape[1]
+        if basis.shape[1] != 2**m:
             raise ValueError("basis row length must be 2^(number of measured qubits)")
         for lo in range(0, len(targets), _ROWS_PER_PASS):  # in passes: small gathers
             self._indices(targets[lo : lo + _ROWS_PER_PASS])
@@ -919,57 +883,57 @@ class QubitStore:
         outcomes = np.empty(len(groups), dtype=np.int64)
         one_by_one = np.ones(len(groups), dtype=bool)
         for lo in range(0, len(targets), _ROWS_PER_PASS):
+            # A group is a whole row if it lists, in register order, every
+            # qubit of one row of a block made by allocation.
             chunk = targets[lo : lo + _ROWS_PER_PASS]
-            parts, probs = self._pass_probs(chunk, basis)
-            if not parts:
-                continue
-            whole = np.concatenate([sel for _, sel, _ in parts])
-            self._block_of[chunk[whole]] = -1
-            for b, sel, _ in parts:
-                self._retire(b, sel.size)
-            whole += lo
-            outcomes[whole] = _sample_rows(probs, uniforms[whole])
-            one_by_one[whole] = False
+            firsts = chunk[:, 0]
+            consecutive = (chunk[:, 1:] == chunk[:, :-1] + 1).all(axis=1)
+            parts = []
+            for b, sel in _members(self._block_of[firsts]):
+                block = self._blocks[b]
+                if block.ids is not None or block.width != m:
+                    continue
+                rows, positions = np.divmod(firsts[sel] - block.first, m)
+                whole = (positions == 0) & consecutive[sel]
+                if not whole.all():
+                    sel, rows = sel[whole], rows[whole]
+                if sel.size:
+                    parts.append((b, sel + lo, rows, None))
+            if parts:
+                at = np.concatenate([sel for _, sel, _, _ in parts])
+                outcomes[at] = self._measure_rows(parts, m, basis, uniforms[at])
+                one_by_one[at] = False
         rest = np.flatnonzero(one_by_one)
+        if m == 1 and rest.size:
+            ids = targets[:, 0]
+            places = self._places(ids, rest)
+            # Wave k takes the k-th qubit named in each register: its rank among
+            # that register's qubits once they are sorted stably by register.
+            key = np.concatenate([(b << 32) | rows for b, _, rows, _ in places])
+            at = np.concatenate([chosen for _, chosen, _, _ in places])
+            ranked = np.argsort(key, kind="stable")
+            ordinal = np.arange(rest.size)
+            starts = np.ones(rest.size, dtype=bool)
+            starts[1:] = key[ranked[1:]] != key[ranked[:-1]]
+            wave = np.full(ids.size, -1)
+            wave[at[ranked]] = ordinal - np.maximum.accumulate(np.where(starts, ordinal, 0))
+            if not starts.all():  # the first wave keeps each register's first qubit
+                places = [
+                    (b, chosen[first], rows[first], positions[first])
+                    for b, chosen, rows, positions in places
+                    for first in [wave[chosen] == 0]
+                ]
+            for k in range(int(wave.max()) + 1):
+                if k:
+                    places = self._places(ids, np.flatnonzero(wave == k))
+                by_width: dict[int, list] = {}
+                for place in places:
+                    by_width.setdefault(self._blocks[place[0]].width, []).append(place)
+                for width, parts in by_width.items():
+                    at = np.concatenate([chosen for _, chosen, _, _ in parts])
+                    outcomes[at] = self._measure_rows(parts, width, basis, uniforms[at])
+            return outcomes
         draw = iter(uniforms[rest].tolist()).__next__  # their uniforms, in list order
         for i in rest.tolist():
             outcomes[i] = self._measure(targets[i].tolist(), basis, draw)
         return outcomes
-
-    def _pass_probs(
-        self, targets: np.ndarray, basis: np.ndarray
-    ) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray | None]:
-        """One pass's whole-row groups and their outcome probabilities, from one matmul.
-
-        The ids are known to be live. A group is a whole row if it lists, in
-        register order, every qubit of one row of a block made by allocation.
-        Returns (block, groups, their rows) for each block holding such
-        groups, and the probabilities in that order. A run of consecutive
-        ascending rows is read in place, as a decode reads its copies; other
-        rows are gathered. Since every basis is complete, a row whose mass is
-        not 1 means the store's own state is corrupt; that raises ValueError.
-        """
-        m = targets.shape[1]
-        firsts = targets[:, 0]
-        consecutive = (targets[:, 1:] == targets[:, :-1] + 1).all(axis=1)
-        parts, amps = [], []
-        for b, sel in _members(self._block_of[firsts]):
-            block = self._blocks[b]
-            if block.ids is not None or block.width != m:
-                continue
-            rows, positions = np.divmod(firsts[sel] - block.first, m)
-            whole = (positions == 0) & consecutive[sel]
-            if not whole.all():
-                sel, rows = sel[whole], rows[whole]
-            if not sel.size:
-                continue
-            parts.append((b, sel, rows))
-            first, span = int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
-            in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
-            amps.append(block.amplitudes[slice(first, first + span) if in_place else rows])
-        if not parts:
-            return parts, None
-        probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)
-        if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("a register's probability mass deviates from 1")
-        return parts, probs

@@ -144,6 +144,33 @@ class TestTransitAttacks:
         resent = slots[0].tolist()
         assert store.measure_bell(*resent, np.random.default_rng(2)) is BellOutcome.PHI_MINUS
 
+    @pytest.mark.parametrize(
+        "kind", [AdversaryKind.INTERCEPT_RESEND_Z, AdversaryKind.INTERCEPT_RESEND_BELL]
+    )
+    def test_malformed_stack_refused_before_any_draw(self, kind):
+        """A stack needs a 2-D integer slot array and one generator per row."""
+        model = AdversaryModel(kind=kind, fraction=1.0)
+        store = QubitStore()
+        train = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 4)
+        live = store.live_qubits()
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
+        states = [rng.bit_generator.state for rng in rngs]
+        cases = [
+            (train.ravel().copy(), rngs[:1]),  # one train, not a stack
+            (train.astype(np.float64), rngs[:2]),
+            (train.tolist(), rngs[:2]),
+            (train.copy(), rngs[:1]),  # two rows, one generator
+            (train.copy(), rngs[:3]),  # two rows, three generators
+            (train[:1].copy(), []),
+        ]
+        for slots, given in cases:
+            before = np.array(slots, dtype=np.float64).copy()
+            with pytest.raises(ValueError):
+                attack_transit(model, store, slots, given)
+            assert np.array_equal(np.array(slots, dtype=np.float64), before)
+        assert [rng.bit_generator.state for rng in rngs] == states
+        assert store.live_qubits() == live
+
     def test_fraction_zero_never_draws_an_attack(self):
         store = QubitStore()
         qubits = [store.new_computational(0) for _ in range(6)]

@@ -239,6 +239,16 @@ class TestVerifyDecoys:
         )
         assert passes == 1
 
+    def test_nan_threshold_fails_as_the_run_check_does(self):
+        """``passes`` follows the pass rule of a run's recorded checks: NaN passes nothing."""
+        store = QubitStore()
+        message = [store.new_computational(0) for _ in range(4)]
+        slots, rec = insert_decoys_and_permute(message, store, [np.random.default_rng(1)], 2)
+        passes, (rate,) = verify_decoys(
+            store, slots[None], rec.decoy_pairs[None], math.nan, np.random.default_rng(2)
+        )
+        assert rate == 0.0 and passes == 0
+
     def test_malformed_disclosure(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(2)]
@@ -431,6 +441,18 @@ class TestEncodeDecode:
         _, b = store.new_bell(BellOutcome.PSI_PLUS)
         with pytest.raises(ValueError):
             encode_key(store, [b], [0, 1], X_WORD)
+
+    @pytest.mark.parametrize(
+        "key", [[2, 0], [0.5, -1], np.array([1, 255], dtype=np.uint8)]
+    )
+    def test_key_of_other_than_bits_refused_before_encoding(self, key):
+        store = QubitStore()
+        pairs = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        before = [store.register_of(int(a)).amplitudes.copy() for a in pairs[:, 0]]
+        with pytest.raises(ValueError, match="bits must be a flat sequence of 0s and 1s"):
+            encode_key(store, pairs[:, 1], key, X_WORD)
+        for a, amplitudes in zip(pairs[:, 0], before):
+            np.testing.assert_array_equal(store.register_of(int(a)).amplitudes, amplitudes)
 
     @pytest.mark.parametrize(
         "outcome,bits",

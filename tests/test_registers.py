@@ -416,6 +416,18 @@ class TestStoreDiscipline:
         with pytest.raises(RegisterCapacityError):
             store.measure_bell(first[2], fifth[0], rng)  # 10 + 4 exceeds the cap
 
+    def test_public_surface_is_pinned(self):
+        """The store's public methods: its bulk entries, the two the dense oracle
+        reads, and the scalar entries ``bench/tracer.py`` patches. Adding or
+        removing an entry is a deliberate edit here."""
+        bulk = ["new_train", "new_states", "apply_pauli_groups", "measure_rows_in_basis"]
+        oracle = ["register_of", "live_qubits"]
+        scalar = ["new_bell", "new_four_qubit", "new_computational", "apply_pauli",
+                  "measure_bell", "measure_in_basis", "measure_z"]
+        public = [name for name in vars(QubitStore) if not name.startswith("_")]
+        assert sorted(public) == sorted(bulk + oracle + scalar)
+        assert all(callable(getattr(QubitStore, name)) for name in public)
+
     def test_register_validation(self):
         with pytest.raises(ValueError):
             StateRegister((0, 0), ORACLE_BELL[BellOutcome.PSI_PLUS].copy())
@@ -697,7 +709,8 @@ class TestAgainstDenseOracle:
                     basis = np.eye(2)
                 else:
                     basis = random_basis(data.draw(st.integers(0, 2**32 - 1)), 2)
-                got = store.measure_qubits(qubits, basis, rng.random(len(qubits))).tolist()
+                groups = np.asarray(qubits)[:, None]
+                got = store.measure_rows_in_basis(groups, basis, rng.random(len(qubits))).tolist()
                 assert got == [oracle.measure([q], basis.conj()) for q in qubits]
             elif op == "bell_rows":
                 pairs = _groups(data, live, 2)

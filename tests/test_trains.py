@@ -448,13 +448,13 @@ class TestRowPasses:
         want = _pass_workout(default, seed)
         monkeypatch.setattr(registers, "_ROWS_PER_PASS", 3)
         sizes = []
-        pass_probs = QubitStore._pass_probs
+        measure_rows = QubitStore._measure_rows
 
-        def recording(self, targets, basis):
-            sizes.append(len(targets))
-            return pass_probs(self, targets, basis)
+        def recording(self, parts, width, basis, uniforms):
+            sizes.append(len(uniforms))
+            return measure_rows(self, parts, width, basis, uniforms)
 
-        monkeypatch.setattr(QubitStore, "_pass_probs", recording)
+        monkeypatch.setattr(QubitStore, "_measure_rows", recording)
         assert _pass_workout(short, seed) == want
         assert max(sizes) == 3 and len(sizes) > 1
         assert short.live_qubits() == default.live_qubits()
@@ -528,7 +528,8 @@ def _singles_store(plan):
 
 
 class TestSingleQubitMeasurement:
-    """``measure_qubits`` against sequential one-qubit measurements on a twin store."""
+    """One-qubit groups of ``measure_rows_in_basis`` against sequential one-qubit
+    measurements on a twin store."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), z=st.booleans())
@@ -540,7 +541,7 @@ class TestSingleQubitMeasurement:
         ids = plan.permutation(live)[: int(plan.integers(1, len(live) + 1))].tolist()
         basis = np.eye(2) if z else random_basis(plan, 2)
         ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = a.measure_qubits(ids, basis, ga.random(len(ids)))
+        got = a.measure_rows_in_basis(np.asarray(ids)[:, None], basis, ga.random(len(ids)))
         if z:
             want = [b.measure_z(q, gb) for q in ids]
         else:
@@ -576,7 +577,9 @@ class TestSingleQubitMeasurement:
                 ids = [four[0, 3], four[0, 1], four[1, 0], four[0, 0], four[0, 2]]
             ids = [int(q) for q in ids]
             (a, b), ga, gb = stores, np.random.default_rng(seed), np.random.default_rng(seed)
-            got = a.measure_qubits(ids, np.eye(2), ga.random(len(ids)))
+            got = a.measure_rows_in_basis(
+                np.asarray(ids)[:, None], np.eye(2), ga.random(len(ids))
+            )
             assert got.tolist() == [b.measure_z(q, gb) for q in ids]
             assert a.live_qubits() == b.live_qubits()
             for q in a.live_qubits():
@@ -585,13 +588,20 @@ class TestSingleQubitMeasurement:
             assert ga.random() == gb.random()
 
     @pytest.mark.parametrize("call", [
-        lambda s, ids, u: s.measure_qubits([ids[0], 999], np.eye(2), u[:2]),
-        lambda s, ids, u: s.measure_qubits([ids[1], ids[0], ids[1]], np.eye(2), u[:3]),
-        lambda s, ids, u: s.measure_qubits(ids[:2], np.array([[1.0, 0.0], [0.0, np.nan]]), u[:2]),
-        lambda s, ids, u: s.measure_qubits(ids[:2], np.array([[1.0, 0.0], [0.6, 0.8]]), u[:2]),
-        lambda s, ids, u: s.measure_qubits(ids[:2], np.eye(4), u[:2]),
-        lambda s, ids, u: s.measure_qubits(ids[:3], np.eye(2), u[:2]),
-        lambda s, ids, u: s.measure_qubits(ids[:2], np.eye(2), [0.5, 1.0]),
+        lambda s, ids, u: s.measure_rows_in_basis(
+            np.asarray([ids[0], 999])[:, None], np.eye(2), u[:2]),
+        lambda s, ids, u: s.measure_rows_in_basis(
+            np.asarray([ids[1], ids[0], ids[1]])[:, None], np.eye(2), u[:3]),
+        lambda s, ids, u: s.measure_rows_in_basis(
+            np.asarray(ids[:2])[:, None], np.array([[1.0, 0.0], [0.0, np.nan]]), u[:2]),
+        lambda s, ids, u: s.measure_rows_in_basis(
+            np.asarray(ids[:2])[:, None], np.array([[1.0, 0.0], [0.6, 0.8]]), u[:2]),
+        lambda s, ids, u: s.measure_rows_in_basis(
+            np.asarray(ids[:2])[:, None], np.eye(4), u[:2]),
+        lambda s, ids, u: s.measure_rows_in_basis(
+            np.asarray(ids[:3])[:, None], np.eye(2), u[:2]),
+        lambda s, ids, u: s.measure_rows_in_basis(
+            np.asarray(ids[:2])[:, None], np.eye(2), [0.5, 1.0]),
     ], ids=["unknown", "repeated", "nan-basis", "not-orthonormal", "wide-basis",
             "too-few-uniforms", "uniform-out-of-range"])
     def test_refusals_change_nothing(self, call):
@@ -605,18 +615,47 @@ class TestSingleQubitMeasurement:
         with pytest.raises((ValueError, UnknownQubitError)):
             call(store, ids, uniforms)
         with pytest.raises(UnknownQubitError):
-            store.measure_qubits([measured], np.eye(2), [0.5])
+            store.measure_rows_in_basis(np.asarray([measured])[:, None], np.eye(2), [0.5])
         assert rng.bit_generator.state == state
         assert_same_state(store, twin)
-        assert (store.measure_qubits(ids, np.eye(2), uniforms).tolist()
-                == twin.measure_qubits(ids, np.eye(2), uniforms).tolist())
+        groups = np.asarray(ids)[:, None]
+        assert (store.measure_rows_in_basis(groups, np.eye(2), uniforms).tolist()
+                == twin.measure_rows_in_basis(groups, np.eye(2), uniforms).tolist())
+
+    def test_whole_rows_repeats_and_listed_remainders_in_one_call(self):
+        """Whole width-1 rows, registers named twice and qubits of listed rows
+        in one call: the outcomes, draws and amplitudes of a measure_z loop."""
+        for seed in range(12):
+            stores = []
+            for _ in range(2):
+                store = QubitStore()
+                bell = store.new_train(BELL_VECTORS[BellOutcome.PHI_MINUS], 3)
+                four = store.new_train(four_qubit_vector(FourQubitState.CLUSTER), 2)
+                ones = store.new_states(np.array([[0.6, 0.8], [0.8, -0.6], [0.0, 1.0]]))
+                lone = store.new_computational(1)
+                store.measure_z(int(four[1, 2]), np.random.default_rng(seed))  # a listed row of 3
+                store.measure_z(int(bell[2, 0]), np.random.default_rng(seed))  # a listed row of 1
+                stores.append(store)
+            ids = [ones[1, 0], four[0, 2], four[1, 3], bell[1, 1], lone, four[0, 0],
+                   bell[2, 1], four[1, 0], ones[0, 0], bell[1, 0], four[0, 3], ones[2, 0]]
+            ids = [int(q) for q in ids]
+            (a, b), ga, gb = stores, np.random.default_rng(seed), np.random.default_rng(seed)
+            got = a.measure_rows_in_basis(np.asarray(ids)[:, None], np.eye(2), ga)
+            assert got.tolist() == [b.measure_z(q, gb) for q in ids]
+            assert ga.random() == gb.random()
+            assert a.live_qubits() == b.live_qubits()
+            for q in a.live_qubits():
+                ra, rb = a.register_of(q), b.register_of(q)
+                assert ra.qubits == rb.qubits and np.array_equal(ra.amplitudes, rb.amplitudes)
 
     def test_remainders_of_one_block_and_width_form_one_listed_block(self):
         store = QubitStore()
         bell = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 4)
-        store.measure_qubits(bell[:, 1], np.eye(2), [0.1, 0.6, 0.3, 0.9])
+        store.measure_rows_in_basis(bell[:, 1:], np.eye(2), [0.1, 0.6, 0.3, 0.9])
         views = [store.register_of(int(q)) for q in bell[:, 0]]
         assert [v.qubits for v in views] == [(int(q),) for q in bell[:, 0]]
         assert len({id(v.amplitudes.base) for v in views}) == 1  # rows of one block
-        outcomes = store.measure_qubits(bell[::-1, 0], np.eye(2), [0.5] * 4)
+        outcomes = store.measure_rows_in_basis(
+            np.asarray(bell[::-1, 0])[:, None], np.eye(2), [0.5] * 4
+        )
         assert outcomes.tolist() == [1, 0, 1, 0] and store.live_qubits() == []
