@@ -17,7 +17,6 @@ from .efficiency import (
     qubit_efficiency,
 )
 from .pauli import (
-    EncodingScheme,
     GroupElement,
     PauliLetter,
     Subgroup,
@@ -57,7 +56,6 @@ __all__ = [
     "AdversaryModel",
     "BellOutcome",
     "EfficiencyReport",
-    "EncodingScheme",
     "FourQubitState",
     "GroupElement",
     "InvalidSchemeError",

@@ -67,10 +67,12 @@ class AdversaryModel:
     transmission_index: int = 0
 
     def __post_init__(self):
+        # A kind given by its name becomes the member, which the dispatch compares by identity.
+        object.__setattr__(self, "kind", AdversaryKind(self.kind))
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("attack fraction must lie in [0, 1]")
-        if self.swap_count < 0:
-            raise ValueError("swap count must be nonnegative")
+        check_swap_count(self.swap_count)
+        require_ints(transmission_index=self.transmission_index)
         if self.transmission_index < 0:
             raise ValueError("transmission index must be nonnegative")
 
@@ -166,12 +168,35 @@ def _intercept_draws(
     return hits, uniforms
 
 
+def require_ints(**values) -> None:
+    """The one home of the integer rule: each named value is an ``int``, not a ``bool``.
+
+    A float or numpy integer would pass the range checks and then fail, or
+    do something else, deep inside a run; it raises ValueError here.
+    """
+    for name, value in values.items():
+        if type(value) is bool or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def check_swap_count(count: int, key_bits: int | None = None) -> None:
+    """The one home of the swap-count rule; ValueError unless ``count`` swaps can be drawn.
+
+    The count must be an int, at least 0, and, if ``key_bits`` is given, at
+    most ``key_bits // 2``: the swaps are disjoint.
+    """
+    require_ints(swap_count=count)
+    if count < 0:
+        raise ValueError("swap count must be nonnegative")
+    if key_bits is not None and 2 * count > key_bits:
+        raise ValueError("swap count too large for the key length")
+
+
 def choose_swap_pairs(
     n: int, count: int, rng: np.random.Generator
 ) -> tuple[tuple[int, int], ...]:
-    """Draw ``count`` disjoint transpositions over message indices 0..n-1."""
-    if 2 * count > n:
-        raise ValueError("cannot place that many disjoint swaps in the key")
+    """Draw ``count`` disjoint transpositions over message indices 0..n-1 (``check_swap_count``)."""
+    check_swap_count(count, n)
     picks = rng.choice(n, size=2 * count, replace=False)
     return tuple(
         (int(picks[2 * i]), int(picks[2 * i + 1])) for i in range(count)

@@ -234,7 +234,7 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
                 f"{MAX_COMMAND_KEY_BITS} key bits per command"
             )
         adversary = AdversaryModel(
-            kind=AdversaryKind(spec["adversary"]),
+            kind=spec["adversary"],
             fraction=spec["attack_fraction"],
             swap_count=spec["swap_count"],
         )

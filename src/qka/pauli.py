@@ -198,9 +198,7 @@ def product_set(subgroups: Sequence[Subgroup]) -> frozenset[GroupElement]:
     """All ordered products, one factor per subgroup, deduplicated."""
     if not subgroups:
         raise ValueError("need at least one subgroup")
-    arities = {s.arity for s in subgroups}
-    if len(arities) != 1:
-        raise ValueError("subgroups must share one arity")
+    _shared_arity(subgroups)
     products = set()
     for combo in itertools.product(*(canonical_order(s.elements) for s in subgroups)):
         acc = combo[0]
@@ -212,9 +210,15 @@ def product_set(subgroups: Sequence[Subgroup]) -> frozenset[GroupElement]:
 
 def check_disjoint(a: Subgroup, b: Subgroup) -> bool:
     """True iff the two subgroups share only the identity word."""
-    if a.arity != b.arity:
+    return a.elements & b.elements == {GroupElement.identity(_shared_arity((a, b)))}
+
+
+def _shared_arity(subgroups: Iterable[Subgroup]) -> int:
+    """The one arity of ``subgroups``; the one home of the rule that they share one."""
+    arities = {s.arity for s in subgroups}
+    if len(arities) != 1:
         raise ValueError("subgroups must share one arity")
-    return a.elements & b.elements == {GroupElement.identity(a.arity)}
+    return arities.pop()
 
 
 def dense_coding_orthogonal(
@@ -225,31 +229,12 @@ def dense_coding_orthogonal(
 ) -> bool:
     """True iff {U|state> : U in group} is pairwise orthogonal on the targets."""
     elements = canonical_order(group)
-    for element in elements:
-        if element.arity != len(targets):
-            raise ValueError("element arity must equal the number of targets")
     transformed = [apply_element(state, u, targets) for u in elements]
     for i, left in enumerate(transformed):
         for right in transformed[i + 1 :]:
             if abs(inner_product(left, right)) > tol:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class EncodingScheme:
-    """Parameters of a multi-round dense-coding key encoding.
-
-    ``total_qubits`` qubits carry the state, ``travel_qubits`` of them
-    circulate, each of ``rounds`` encoders contributes ``bits_per_round``
-    bits using its own subgroup.
-    """
-
-    total_qubits: int
-    travel_qubits: int
-    bits_per_round: int
-    rounds: int
-    round_subgroups: tuple[Subgroup, ...]
 
 
 def _relabel_subgroup(sub: Subgroup, perm: Sequence[int]) -> frozenset[GroupElement]:
@@ -268,47 +253,42 @@ def _closed_under_relabeling(subgroups: Sequence[Subgroup], arity: int) -> bool:
 
 
 def validate_scheme(
-    scheme: EncodingScheme,
+    round_subgroups: Sequence[Subgroup],
     state: StateRegister,
     travel_targets: Sequence[int],
 ) -> bool:
-    """Check that a scheme yields uniquely decodable, orthogonal encodings.
+    """Check that a multi-round dense coding yields uniquely decodable, orthogonal encodings.
 
-    A valid scheme needs pairwise-disjoint round subgroups of order
-    2^bits_per_round, a collision-free product set, and mutually orthogonal
-    outputs on the travel targets. On top of that, the round selection must
-    not depend on which travel qubit is which: permuting the travel-qubit
-    labels has to map the set of round subgroups onto itself. Selections
-    that decode fine but break this symmetry are rejected as outside the
-    supported scheme family.
-
-    Structural mismatches (state size vs total_qubits, target count vs
-    travel_qubits, round count vs subgroup list) raise ValueError; content
-    failures return False.
+    ``state`` carries the encoding, its qubits at ``travel_targets``
+    circulate, and each round encodes with its own subgroup, in order; each
+    count comes from these inputs, and the bits per round from the first
+    subgroup's order 2^bits. A valid scheme has at least one round, more
+    qubits than travel qubits and at least as many travel qubits as bits, at
+    least one. It needs pairwise-disjoint round subgroups of order 2^bits, a
+    collision-free product set, and mutually orthogonal outputs on the
+    travel targets. On top of that, the round selection must not depend on
+    which travel qubit is which: permuting the travel-qubit labels has to
+    map the set of round subgroups onto itself. Selections that decode fine
+    but break this symmetry are rejected as outside the supported scheme
+    family. Any failure returns False.
     """
-    if scheme.total_qubits <= 0 or scheme.travel_qubits <= 0 or scheme.bits_per_round <= 0:
-        raise ValueError("scheme sizes must be positive")
-    if scheme.rounds != len(scheme.round_subgroups):
-        raise ValueError("round count does not match the subgroup list")
-    if len(state.qubits) != scheme.total_qubits:
-        raise ValueError("state size does not match total_qubits")
-    if len(travel_targets) != scheme.travel_qubits:
-        raise ValueError("travel target count does not match travel_qubits")
-
-    if not (scheme.total_qubits > scheme.travel_qubits >= scheme.bits_per_round):
+    subgroups = tuple(round_subgroups)
+    travel = len(travel_targets)
+    if not subgroups:
         return False
-    expected_order = 2 ** scheme.bits_per_round
-    for sub in scheme.round_subgroups:
-        if sub.arity != scheme.travel_qubits:
+    order = len(subgroups[0].elements)
+    bits = order.bit_length() - 1
+    if not state.size > travel >= bits > 0:
+        return False
+    for sub in subgroups:
+        if len(sub.elements) != order or sub.arity != travel or not is_subgroup(sub.elements):
             return False
-        if len(sub.elements) != expected_order or not is_subgroup(sub.elements):
-            return False
-    for a, b in itertools.combinations(scheme.round_subgroups, 2):
+    for a, b in itertools.combinations(subgroups, 2):
         if not check_disjoint(a, b):
             return False
-    if not _closed_under_relabeling(scheme.round_subgroups, scheme.travel_qubits):
+    if not _closed_under_relabeling(subgroups, travel):
         return False
-    products = product_set(scheme.round_subgroups)
-    if len(products) != expected_order ** scheme.rounds:
+    products = product_set(subgroups)
+    if len(products) != order ** len(subgroups):
         return False
     return dense_coding_orthogonal(state, travel_targets, products)

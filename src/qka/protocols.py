@@ -43,9 +43,11 @@ from .adversaries import (
     AdversaryKind,
     AdversaryModel,
     attack_transit,
+    check_swap_count,
     choose_swap_pairs,
     dishonest_alice_early_measure,
     dishonest_bob_reorder,
+    require_ints,
 )
 from .efficiency import (
     FIVE_PARTY,
@@ -56,7 +58,6 @@ from .efficiency import (
     qubit_efficiency,
 )
 from .pauli import (
-    EncodingScheme,
     GroupElement,
     PauliLetter,
     canonical_order,
@@ -112,11 +113,10 @@ class InvalidSchemeError(ValueError):
 def bits_to_hex(bits: Sequence[int] | np.ndarray) -> str:
     """Big-endian hex rendering, left-padded to whole nibbles; ``"0"`` for no bits.
 
-    Raises ValueError on any integer other than 0 or 1.
+    Raises ValueError for anything but a flat sequence of 0s and 1s (``_checked_bits``).
     """
-    if not isinstance(bits, np.ndarray):
-        bits = np.frombuffer(bytes(bits), dtype=np.uint8)  # refuses ints outside 0..255
-    n = _checked_bits(bits).size
+    bits = _checked_bits(bits)
+    n = bits.size
     if not n:
         return "0"
     padded = np.zeros(-(-n // 8) * 8, dtype=np.uint8)  # left-padded to whole bytes
@@ -125,10 +125,15 @@ def bits_to_hex(bits: Sequence[int] | np.ndarray) -> str:
     return text[len(text) - (n + 3) // 4 :]
 
 
-def _checked_bits(bits: np.ndarray) -> np.ndarray:
-    """``bits`` if it is a flat array of 0s and 1s; the one home of the bit rule."""
+def _checked_bits(bits, refusal: str = "bits must be a flat sequence of 0s and 1s") -> np.ndarray:
+    """``bits`` as a flat array if each equals 0 or 1, else ValueError with ``refusal``.
+
+    The one home of the bit rule.
+    """
+    if not isinstance(bits, np.ndarray):
+        bits = np.asarray(bits, dtype=object)  # object: a ragged sequence reaches the check
     if bits.ndim != 1 or np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be a flat sequence of 0s and 1s")
+        raise ValueError(refusal)
     return bits
 
 
@@ -153,6 +158,8 @@ class ProtocolConfig:
     fixed_keys: tuple[tuple[int, ...], ...] | None = None
 
     def validate(self) -> None:
+        require_ints(key_bits=self.key_bits, party_count=self.party_count,
+                     seed=self.seed, run_index=self.run_index)
         if self.key_bits <= 0 or self.key_bits % 2:
             raise ValueError("key_bits must be a positive even integer")
         if self.key_bits > MAX_KEY_BITS:
@@ -170,10 +177,10 @@ class ProtocolConfig:
         if self.fixed_keys is not None:
             if len(self.fixed_keys) != self.party_count:
                 raise ValueError("fixed_keys must supply one key per party")
+            refusal = "each fixed key must be key_bits bits"
             for key in self.fixed_keys:
-                bits = np.asarray(key, dtype=object)  # object: a ragged key reaches the check
-                if bits.shape != (self.key_bits,) or not np.isin(bits, (0, 1)).all():
-                    raise ValueError("each fixed key must be key_bits bits")
+                if _checked_bits(key, refusal).size != self.key_bits:
+                    raise ValueError(refusal)
         if self.party_count == 5:  # raises InvalidSchemeError for an undecodable selection
             _five_party_ring(self.five_party_state, self.five_party_rounds)
 
@@ -342,9 +349,9 @@ def encode_key(
     """
     arity = word.arity
     qubits = np.asarray(qubits, dtype=np.int64)
-    if qubits.size != arity * len(key):
+    key_mask = _checked_bits(key).astype(bool, copy=False)
+    if qubits.size != arity * key_mask.size:
         raise ValueError("qubit list must hold one word-sized group per key bit")
-    key_mask = _checked_bits(np.asarray(key)).astype(bool, copy=False)
     store.apply_pauli_groups(word, qubits.reshape(-1, arity)[key_mask])
 
 
@@ -667,8 +674,8 @@ def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
         return
     if adversary.swap_pairs is not None:  # raises for a malformed or overlapping pair
         dishonest_bob_reorder(range(config.key_bits), adversary.swap_pairs)
-    elif 2 * adversary.swap_count > config.key_bits:
-        raise ValueError("swap count too large for the key length")
+    else:
+        check_swap_count(adversary.swap_count, config.key_bits)
 
 
 # A transmission's disclosure staging, when each train's message order goes
@@ -1054,8 +1061,8 @@ def run_three_party(
 
 
 def _checked_rounds(digits: str) -> str:
-    """``digits`` if it is four digits from 1..6; the one home of the round-selection rule."""
-    if len(digits) != 4 or any(c not in "123456" for c in digits):
+    """``digits`` if it is a string of four digits from 1..6; the one home of the round rule."""
+    if not isinstance(digits, str) or len(digits) != 4 or any(c not in "123456" for c in digits):
         raise ValueError("five_party_rounds must be four digits from 1..6")
     return digits
 
@@ -1077,13 +1084,9 @@ def _five_party_ring(state: str, rounds: str) -> _Ring:
     validation raises InvalidSchemeError on every call.
     """
     subgroups = five_party_round_subgroups(rounds)
-    scheme = EncodingScheme(
-        total_qubits=4, travel_qubits=2, bits_per_round=1, rounds=4,
-        round_subgroups=subgroups,
-    )
     vector = four_qubit_vector(FourQubitState(state))
     reference = StateRegister((0, 1, 2, 3), vector)
-    if not validate_scheme(scheme, reference, (0, 2)):
+    if not validate_scheme(subgroups, reference, (0, 2)):
         raise InvalidSchemeError(
             f"round selection {rounds!r} on {state!r} "
             "does not form a decodable encoding scheme"
@@ -1178,6 +1181,7 @@ def run_batch(
     the digests of ``quantum-send`` events: those payloads are the only ones
     that hold qubit ids, and a stack numbers its ids across its lanes.
     """
+    require_ints(trials=trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     run_stack = _stack_runner(config)

@@ -20,14 +20,16 @@ hold many rows.
 
 A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
 is one index permutation and sign per (block, position), applied to all the
-rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. A measurement
-refuses bad input before it changes anything: every id must be live and
-named once, and a basis from outside must be real, square and orthonormal,
-so that it resolves every state. The states and bases the package builds
-itself (``BELL_VECTORS``, ``Z_BASIS`` and the protocols' resource states and
-decode bases) are checked once, by ``constant_state`` and
-``constant_basis``, and taken as they are afterwards. Measurement has one
-bulk entry, ``measure_rows_in_basis``, and two routines.
+rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. Bad input is
+refused before anything changes, each rule in one home: groups of distinct
+live ids (``_checked_groups``), states (``_checked_states``) and real,
+square, orthonormal bases (``_checked_basis``), which resolve every state.
+The states and bases the package builds itself (``BELL_VECTORS``,
+``Z_BASIS`` and the protocols' resource states and decode bases) are
+checked once, by ``constant_state`` and ``constant_basis``, and taken as
+they are afterwards. Measurement has one bulk entry,
+``measure_rows_in_basis``, and two routines; ``measure_z`` and
+``measure_in_basis`` measure one group through it.
 
 * One kernel measures groups in bulk, each with its own uniform. Groups
   that are whole rows, in register order, of allocated blocks go through
@@ -38,18 +40,18 @@ bulk entry, ``measure_rows_in_basis``, and two routines.
   in registers of one width are measured with one gather and one matmul,
   leaving their remainders as one multi-row listed block. Intercept-resend
   in the Z basis measures a whole train this way.
-* Every other group, and every scalar ``measure_bell``, ``measure_z`` and
-  ``measure_in_basis`` call, goes through the general routine. It merges the
-  rows it touches (a Kronecker product in first-seen order, capped at 12
-  qubits; anything larger fails loudly), built with the measured qubits in
-  front from one cached gather per row, samples one outcome and stores what
-  remains as a one-row listed block. Measuring across two entangled pairs this way
-  is what performs entanglement swapping. Such swaps stay one group at a
-  time. Three prototypes that sorted cross-row groups into vectorized waves
-  gave the same bytes but made the attack benchmark up to 1.6x slower: a
-  bucket of one to eight groups cost 100-250 us against about 30 us per
-  group, and the fifteen guessed pairings of an early-measuring sender
-  chain into about seven buckets.
+* The general routine serves the scalar ``measure_bell`` and every group
+  the kernel leaves. It merges the rows it touches (a Kronecker product in
+  first-seen order, capped at 12 qubits; anything larger fails loudly),
+  built with the measured qubits in front from one cached gather per row,
+  samples one outcome and stores what remains as a one-row listed block.
+  Measuring across two entangled pairs this way is what performs
+  entanglement swapping. Such swaps stay one group at a time. Three
+  prototypes that sorted cross-row groups into vectorized waves gave the
+  same bytes but made the attack benchmark up to 1.6x slower: a bucket of
+  one to eight groups cost 100-250 us against about 30 us per group, and
+  the fifteen guessed pairings of an early-measuring sender chain into
+  about seven buckets.
 
 Every amplitude is float64: the resource states and the letter matrices of
 :mod:`qka.pauli` are real, so every reachable state is, a bra is its ket and
@@ -152,9 +154,9 @@ def four_qubit_vector(which: FourQubitState) -> np.ndarray:
 class StateRegister:
     """Ordered qubits plus their joint real amplitude vector (first qubit = MSB).
 
-    The constructor checks size, distinct qubits, realness and norm, and
-    stores the amplitudes as float64: it is where a state enters from
-    outside. Registers the store hands out skip it.
+    The constructor checks distinct qubits and, by the state rule
+    (``_checked_states``), the amplitudes, and stores them as float64: it is
+    where a state enters from outside. Registers the store hands out skip it.
     """
 
     qubits: tuple[int, ...]
@@ -163,16 +165,11 @@ class StateRegister:
     def __post_init__(self):
         self.qubits = tuple(self.qubits)
         k = len(self.qubits)
-        if not 1 <= k <= MAX_REGISTER_QUBITS:
-            raise RegisterCapacityError(f"register size {k} outside 1..{MAX_REGISTER_QUBITS}")
         if len(set(self.qubits)) != k:
             raise ValueError("duplicate qubit in register")
-        self.amplitudes = _real(self.amplitudes).reshape(-1)
-        if self.amplitudes.shape != (2**k,):
-            raise ValueError("amplitude vector length must be 2^k")
-        norm_sq = float(self.amplitudes @ self.amplitudes)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"register norm^2 {norm_sq} deviates from 1")
+        (self.amplitudes,) = _checked_states(np.reshape(self.amplitudes, (1, -1)))
+        if self.amplitudes.size != 2**k:
+            raise ValueError(f"{self.amplitudes.size} amplitudes given for {k} qubits")
 
     @classmethod
     def _trusted(cls, qubits: tuple[int, ...], amplitudes: np.ndarray) -> "StateRegister":
@@ -219,6 +216,23 @@ def _real(values) -> np.ndarray:
     return values
 
 
+def _checked_states(states) -> np.ndarray:
+    """Outside states as float64 rows; the one home of the state rule.
+
+    ``states`` must be an (r, 2^k) array of real, finite amplitudes, where
+    k runs from 1 to ``MAX_REGISTER_QUBITS``, and every row must have norm 1
+    within ``NORM_TOL``. Rows already float64 are returned as they are.
+    """
+    rows = _real(states)
+    dim = rows.shape[-1] if rows.ndim == 2 else 0
+    width = dim.bit_length() - 1
+    if dim != 2**width or not 1 <= width <= MAX_REGISTER_QUBITS:
+        raise ValueError(f"states of shape {rows.shape} are not rows of 2^k amplitudes")
+    if np.any(np.abs(np.square(rows).sum(axis=1) - 1.0) > NORM_TOL):
+        raise ValueError("every state's norm^2 must be 1")
+    return rows
+
+
 def _checked_basis(basis) -> np.ndarray:
     """Outside basis rows as float64; the one home of the basis rule.
 
@@ -255,8 +269,7 @@ def _constant(values: np.ndarray, table: dict[int, np.ndarray]) -> np.ndarray:
 
 def constant_state(vector) -> np.ndarray:
     """``vector`` checked once as a state, as a read-only constant the store takes unchecked."""
-    width = np.size(vector).bit_length() - 1
-    return _constant(StateRegister(tuple(range(width)), vector).amplitudes, _CONSTANT_STATES)
+    return _constant(_checked_states(np.reshape(vector, (1, -1)))[0], _CONSTANT_STATES)
 
 
 def constant_basis(basis) -> np.ndarray:
@@ -327,28 +340,6 @@ def _members(labels: np.ndarray):
         yield int(ranked[lo]), order[lo:hi]
 
 
-_EMPTY_GROUP = "a group must name at least one qubit"
-
-
-def _id_table(groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """Nonempty equal-sized groups of qubit ids as one (groups, size) array.
-
-    A 2-D integer array is taken as it is.
-    """
-    if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
-        if not groups.shape[1]:
-            raise ValueError(_EMPTY_GROUP)
-        return groups.astype(np.int64, copy=False)
-    sizes = set(map(len, groups))
-    if len(sizes) != 1:
-        raise ValueError("every group must hold the same number of qubits")
-    (size,) = sizes
-    if not size:
-        raise ValueError(_EMPTY_GROUP)
-    flat = itertools.chain.from_iterable(groups)
-    return np.fromiter(flat, dtype=np.int64, count=len(groups) * size).reshape(-1, size)
-
-
 def _given_uniforms(uniforms, count: int, what: str) -> np.ndarray:
     """Given uniforms as float64, one in [0, 1) for each of ``count`` ``what``."""
     uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -359,9 +350,10 @@ def _given_uniforms(uniforms, count: int, what: str) -> np.ndarray:
     return uniforms
 
 
-def _has_repeats(values: np.ndarray) -> bool:
-    ordered = np.sort(values, axis=None)
-    return bool(np.any(ordered[1:] == ordered[:-1]))
+def _check_arity(element: "GroupElement", targets: int) -> None:
+    """The one home of the arity rule: a word acts on one target per letter."""
+    if element.arity != targets:
+        raise ValueError(f"element arity {element.arity} does not match {targets} targets")
 
 
 @lru_cache(maxsize=None)
@@ -396,8 +388,7 @@ def apply_element(
 
     Each letter acts through its cached ``_letter_action``, as in the store.
     """
-    if element.arity != len(targets):
-        raise ValueError("element arity must equal the number of targets")
+    _check_arity(element, len(targets))
     amplitudes = register.amplitudes.copy()
     for letter, qubit in zip(element.letters, targets):
         action = _letter_action(letter, register.size, register.position(qubit))
@@ -570,32 +561,24 @@ class QubitStore:
         """
         if count < 0:
             raise ValueError("train length must be nonnegative")
-        width = np.size(vector).bit_length() - 1
         if _CONSTANT_STATES.get(id(vector)) is vector:  # checked when it became a constant
-            template = vector
+            template = vector[None]
         else:
-            template = StateRegister(tuple(range(width)), vector).amplitudes
-        return self._new_rows(np.repeat(template[None], count, axis=0), width)
+            template = _checked_states(np.reshape(vector, (1, -1)))
+        return self._new_rows(np.repeat(template, count, axis=0))
 
     def new_states(self, states: np.ndarray) -> np.ndarray:
         """Allocate one register per row of ``states``, an (r, 2^k) array, as one block.
 
-        Every row is checked as a state from outside is. Returns the (r, k)
-        int64 id matrix: row i holds the ids the i-th of r one-register
-        allocations would have returned.
+        Every row is checked by the state rule (``_checked_states``). Returns
+        the (r, k) int64 id matrix: row i holds the ids the i-th of r
+        one-register allocations would have returned.
         """
-        rows = _real(states)
-        dim = rows.shape[-1] if rows.ndim == 2 else 0
-        width = dim.bit_length() - 1
-        if dim != 2**width or not 1 <= width <= MAX_REGISTER_QUBITS:
-            raise ValueError(f"states of shape {rows.shape} are not rows of 2^k amplitudes")
-        norms_sq = np.square(rows).sum(axis=1)
-        if np.any(np.abs(norms_sq - 1.0) > NORM_TOL):
-            raise ValueError("every state's norm^2 must be 1")
-        return self._new_rows(rows.copy(), width)
+        return self._new_rows(_checked_states(states).copy())
 
-    def _new_rows(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """Store checked rows as one allocated block; return their id matrix."""
+    def _new_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Store checked (r, 2^k) rows as one allocated block; return their id matrix."""
+        width = rows.shape[1].bit_length() - 1
         first = self._new_block(rows, width) if len(rows) else self._next_id
         return np.arange(first, first + len(rows) * width, dtype=np.int64).reshape(-1, width)
 
@@ -617,6 +600,32 @@ class QubitStore:
         if ids.size and where.min() < 0:
             raise UnknownQubitError(int(ids[where < 0][0]))
         return where
+
+    def _checked_groups(self, groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+        """``groups`` as one (groups, size) int64 id array; the one home of the group rule.
+
+        The groups must be nonempty, of one size, and name distinct live
+        qubits. A 2-D integer array is taken as it is. The ids are looked up
+        ``_ROWS_PER_PASS`` groups at a time, so that gather stays small.
+        """
+        if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
+            targets = groups.astype(np.int64, copy=False)
+        else:
+            sizes = set(map(len, groups))
+            if len(sizes) != 1:
+                raise ValueError("every group must hold the same number of qubits")
+            (size,) = sizes
+            flat = itertools.chain.from_iterable(groups)
+            targets = np.fromiter(flat, dtype=np.int64, count=len(groups) * size)
+            targets = targets.reshape(len(groups), size)
+        if not targets.shape[1]:
+            raise ValueError("a group must name at least one qubit")
+        ordered = np.sort(targets, axis=None)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("groups must name distinct qubits")
+        for lo in range(0, len(targets), _ROWS_PER_PASS):
+            self._indices(targets[lo : lo + _ROWS_PER_PASS])
+        return targets
 
     def _retire(self, b: int, rows: int) -> None:
         """Drop ``rows`` of block ``b`` from the count of live ones."""
@@ -649,21 +658,16 @@ class QubitStore:
     ) -> None:
         """``apply_pauli(element, group)`` for every group.
 
-        Every id is checked before any amplitude changes. Then, for at most
-        ``_ROWS_PER_PASS`` groups at a time, the qubits each letter hits change
-        by one index permutation and sign per (block, position).
+        The groups (``_checked_groups``) and the arity are checked before any
+        amplitude changes. Then, for at most ``_ROWS_PER_PASS`` groups at a
+        time, the qubits each letter hits change by one index permutation and
+        sign per (block, position).
         """
         if not len(groups):
             return
-        targets = _id_table(groups)
-        if targets.shape[1] != element.arity:
-            raise ValueError(
-                f"arity mismatch: element has {element.arity} letters, "
-                f"groups hold {targets.shape[1]} targets"
-            )
-        if _has_repeats(targets):
-            raise ValueError("groups must name distinct qubits")
-        where = self._indices(targets)
+        targets = self._checked_groups(groups)
+        _check_arity(element, targets.shape[1])
+        where = self._block_of[targets]
         for lo in range(0, len(targets), _ROWS_PER_PASS):
             for j, letter in enumerate(element.letters):
                 ids = targets[lo : lo + _ROWS_PER_PASS, j]
@@ -743,7 +747,7 @@ class QubitStore:
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Computational-basis measurement; the qubit is retired."""
-        return self._measure((qubit,), Z_BASIS, rng.random)
+        return int(self.measure_rows_in_basis([[qubit]], Z_BASIS, rng)[0])
 
     def measure_in_basis(
         self,
@@ -751,20 +755,8 @@ class QubitStore:
         basis: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
-        """Projective measurement of ``qubits`` in an orthonormal basis.
-
-        ``basis`` is a (2^m, 2^m) array of orthonormal bra rows over the
-        listed qubit order. Returns the sampled row index; measured qubits
-        retire.
-        """
-        if not len(qubits):
-            raise ValueError(_EMPTY_GROUP)
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("measured qubits must be distinct")
-        basis = _checked_basis(basis)
-        if len(basis) != 2 ** len(qubits):
-            raise ValueError("basis row length must be 2^(number of measured qubits)")
-        return self._measure(tuple(qubits), basis, rng.random)
+        """``measure_rows_in_basis`` of the one group ``qubits``; the row index as an int."""
+        return int(self.measure_rows_in_basis([qubits], basis, rng)[0])
 
     def measure_rows_in_basis(
         self,
@@ -772,9 +764,10 @@ class QubitStore:
         basis: np.ndarray,
         rng: np.random.Generator | np.ndarray,
     ) -> np.ndarray:
-        """``measure_in_basis`` on each group in list order, whole rows and single qubits in bulk.
+        """Measure each group of m qubits, in list order, in the bra rows of ``basis``.
 
-        ``rng`` is a Generator, or the uniforms it would draw (see
+        ``basis`` is a (2^m, 2^m) orthonormal array over each group's qubit
+        order. ``rng`` is a Generator, or the uniforms it would draw (see
         ``_measure_groups``). Returns each group's basis row index as an
         int64 array.
         """
@@ -850,10 +843,10 @@ class QubitStore:
     ) -> np.ndarray:
         """Measure every group in ``basis``, drawing all uniforms at once.
 
-        The group size, and that every id is live and named once, are checked
-        before the one draw of ``rng.random(len(groups))``; group i uses
-        uniform i, the value the i-th of as many scalar measurements would
-        draw. ``rng`` may instead be those uniforms, one in [0, 1) per group,
+        The groups (``_checked_groups``) and that the basis fits their size
+        are checked before the one draw of ``rng.random(len(groups))``; group
+        i uses uniform i, the value the i-th of as many scalar measurements
+        would draw. ``rng`` may instead be those uniforms, one in [0, 1) per group,
         checked after the ids; a caller that stacks runs, each with its own
         generator, draws each run's share itself. Then ``_measure_rows``
         measures, pass by pass, the groups that are whole rows of an
@@ -868,14 +861,10 @@ class QubitStore:
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)
-        targets = _id_table(groups)
-        if _has_repeats(targets):
-            raise ValueError("measured qubits must be distinct")
+        targets = self._checked_groups(groups)
         m = targets.shape[1]
         if basis.shape[1] != 2**m:
             raise ValueError("basis row length must be 2^(number of measured qubits)")
-        for lo in range(0, len(targets), _ROWS_PER_PASS):  # in passes: small gathers
-            self._indices(targets[lo : lo + _ROWS_PER_PASS])
         if isinstance(rng, np.random.Generator):
             uniforms = rng.random(len(targets))
         else:

@@ -15,7 +15,6 @@ from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.cli import main
 from qka.efficiency import preset_counts, qubit_efficiency
 from qka.pauli import (
-    EncodingScheme,
     GroupElement,
     PauliLetter,
     canonical_order,
@@ -137,8 +136,7 @@ def test_criterion_5_five_party_construction():
         multisets = list(itertools.combinations_with_replacement(range(6), 4))
         assert len(multisets) == 126
         for combo in multisets:
-            scheme = EncodingScheme(4, 2, 1, 4, tuple(subs[i] for i in combo))
-            if validate_scheme(scheme, omega, (0, 2)):
+            if validate_scheme(tuple(subs[i] for i in combo), omega, (0, 2)):
                 accepted.add(combo)
         assert accepted == {(0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)}
 

@@ -81,6 +81,39 @@ class TestModelValidation:
             )
 
 
+class TestModelInput:
+    """A kind given by name acts as its member; a count must be a plain int."""
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_intercept_z_by_name_is_intercept_z(self, seed):
+        by_name = AdversaryModel(kind="intercept-z", fraction=0.5)
+        member = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5)
+        bell = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_BELL, fraction=0.5)
+        assert by_name.kind is AdversaryKind.INTERCEPT_RESEND_Z
+        text = run_protocol(config(n=16, seed=seed), by_name).to_json()
+        assert text == run_protocol(config(n=16, seed=seed), member).to_json()
+        assert text != run_protocol(config(n=16, seed=seed), bell).to_json()
+
+    def test_dishonest_alice_by_name_attacks(self):
+        r = run_two_party(config(n=8, seed=420), AdversaryModel(kind="dishonest-alice"))
+        assert r.attack_report["kind"] == "early-measure"
+
+    def test_five_party_intercept_bell_by_name_refused_before_any_generator(self, monkeypatch):
+        monkeypatch.setattr(ProtocolConfig, "make_rng", no_generator)
+        with pytest.raises(ValueError, match="intercept-bell on 4-qubit copies"):
+            run_protocol(config(n=4, parties=5), AdversaryModel(kind="intercept-bell"))
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError):
+            AdversaryModel(kind="intercept-x")
+
+    @pytest.mark.parametrize("field", ["swap_count", "transmission_index"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, np.int64(1), "1"])
+    def test_count_that_is_not_an_int_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, **{field: value})
+
+
 class TestTransitAttacks:
     def test_none_leaves_everything_alone(self):
         store = QubitStore()
@@ -360,6 +393,17 @@ class TestDishonestBob:
     def test_swap_capacity(self):
         with pytest.raises(ValueError):
             choose_swap_pairs(4, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [(-1, "swap count must be nonnegative"), (3, "swap count too large for the key length")],
+    )
+    def test_drawn_swaps_refused_by_the_swap_rule(self, count, message):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            choose_swap_pairs(4, count, rng)
+        assert rng.bit_generator.state == before
 
     def test_library_run_refuses_too_many_swaps_before_allocating(self, monkeypatch):
         allocations = []

@@ -8,6 +8,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -642,6 +643,38 @@ class TestOneTransmissionPath:
             assert calls[name] == 1, name
 
 
+class TestOneHomePerRule:
+    """Each input rule's refusal is spelled once in the package: the rule has one home."""
+
+    RULES = {
+        "group": (
+            "every group must hold the same number of qubits",
+            "a group must name at least one qubit",
+            "groups must name distinct qubits",
+        ),
+        "state": ("are not rows of 2^k amplitudes", "every state's norm^2 must be 1"),
+        "basis size": ("basis row length must be 2^(number of measured qubits)",),
+        "arity": ("element arity {element.arity} does not match {targets} targets",),
+        "subgroup arity": ("subgroups must share one arity",),
+        "bit": ("bits must be a flat sequence of 0s and 1s",),
+        "swap count": ("swap count must be nonnegative", "swap count too large for the key length"),
+        "integer": ("must be an integer, not",),
+        "disclosure": (
+            "decoy disclosure is empty",
+            "malformed decoy pair",
+            "decoy pairs must be disjoint",
+        ),
+        "round": ("five_party_rounds must be four digits from 1..6",),
+    }
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_each_refusal_is_spelled_once(self, rule):
+        package = Path(protocols.__file__).parent
+        source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+        for message in self.RULES[rule]:
+            assert source.count(message) == 1, message
+
+
 class TestOneResultBuilder:
     def test_every_result_is_built_at_one_call_site(self):
         # completed and aborted runs alike end in _RunContext.finish
@@ -788,9 +821,10 @@ class TestStackedBatches:
         assert any(kept != slice(None) for _, _, kept in returned)  # some lanes left
         assert not any(record.forward.flags.writeable for _, record, _ in returned)
 
-    def test_no_trials_refused(self):
+    @pytest.mark.parametrize("trials", [0, 2.0, True])
+    def test_no_trials_refused(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            protocols.run_batch(config(n=8), None, 0)
+            protocols.run_batch(config(n=8), None, trials)
 
     @pytest.mark.parametrize("parties", [2, 3, 5])
     def test_a_stack_shares_each_store_call(self, parties, monkeypatch):
@@ -882,7 +916,7 @@ class TestFiveParty:
         with pytest.raises(InvalidSchemeError):
             run_five_party(config(n=4, parties=5, five_party_rounds="1235"))
 
-    @pytest.mark.parametrize("digits", ["0000", "7", "12", "12345", "123a", ""])
+    @pytest.mark.parametrize("digits", ["0000", "7", "12", "12345", "123a", "", 1234])
     def test_malformed_round_selection_refused(self, digits):
         # the rule ProtocolConfig.validate applies, with the same message
         message = "five_party_rounds must be four digits from 1..6"
@@ -972,6 +1006,12 @@ class TestResultRendering:
         assert bits_to_hex((0, 0, 1, 0, 1, 1)) == "0b"
         assert bits_to_hex((1,) * 8) == "ff"
         assert bits_to_hex(()) == "0"
+
+    def test_list_goes_through_the_bit_rule(self):
+        assert bits_to_hex([1.0, 0.0]) == bits_to_hex([1, 0]) == "2"
+        for bad in ([0.5, 1], [1, (0,)], [1, 2]):
+            with pytest.raises(ValueError, match="bits must be a flat sequence of 0s and 1s"):
+                bits_to_hex(bad)
 
     @settings(max_examples=300, deadline=None)
     @given(bits=_BIT_LISTS, form=st.sampled_from(["tuple", "int64", "uint8", "bool"]))
@@ -1294,6 +1334,21 @@ class TestKeyContract:
         fixed = ((0, 1, 0, 1), bad)
         with pytest.raises(ValueError, match="each fixed key must be key_bits bits"):
             config(n=4, fixed_keys=fixed).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("key_bits", 16.0), ("key_bits", np.int64(16)), ("key_bits", True),
+         ("party_count", 3.0), ("seed", 1.5), ("seed", np.int64(1)), ("run_index", 0.5)],
+    )
+    def test_count_that_is_not_an_int_refused_before_any_generator(
+        self, field, value, monkeypatch
+    ):
+        bad = replace(config(n=16, parties=3), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            bad.validate()
+        monkeypatch.setattr(ProtocolConfig, "make_rng", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            run_protocol(bad)
 
     def test_results_compare_by_identity(self):
         first, second = (run_two_party(config(n=8, seed=5)) for _ in range(2))
