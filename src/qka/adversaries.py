@@ -11,14 +11,12 @@ mismatched measurement pairs).
 
 Resent qubits are fresh ids; the measured originals retire from the store.
 Both transit attacks take a stack of trains, one row per run, each row with
-its run's generator; a lone train is a stack of one row. Intercept-z's
-draws never depend on an outcome, so it walks each row's draws first, then
-measures every hit of every row, as one-qubit groups, in one
-``QubitStore.measure_rows_in_basis`` call and resends them all from one
-allocation. Intercept-bell goes row by row and one slot pair at a time,
-through the scalar ``measure_bell`` and ``new_bell``: ``bench/tracer.py``
-counts merges only at the scalar joint measurements, so it moves once the
-tracer sees the bulk layer.
+its run's generator. Intercept-z measures every hit of every row in one
+bulk call; intercept-bell goes one slot pair at a time, through the scalar
+``measure_bell`` and ``new_bell``, where ``bench/tracer.py`` counts merges.
+
+The scalar input rules have their one home here, shared with the
+protocols: ``require_ints``, ``require_unit_interval`` and ``check_swap_count``.
 """
 
 from __future__ import annotations
@@ -69,16 +67,11 @@ class AdversaryModel:
     def __post_init__(self):
         # A kind given by its name becomes the member, which the dispatch compares by identity.
         object.__setattr__(self, "kind", AdversaryKind(self.kind))
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("attack fraction must lie in [0, 1]")
+        require_unit_interval("attack fraction", self.fraction)
         check_swap_count(self.swap_count)
         require_ints(transmission_index=self.transmission_index)
         if self.transmission_index < 0:
             raise ValueError("transmission index must be nonnegative")
-
-    @classmethod
-    def none(cls) -> "AdversaryModel":
-        return cls()
 
     @property
     def is_external(self) -> bool:
@@ -177,6 +170,17 @@ def require_ints(**values) -> None:
     for name, value in values.items():
         if type(value) is bool or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def require_unit_interval(name: str, value) -> None:
+    """The one home of the unit-interval rule: ``value`` is an int or float in [0, 1].
+
+    A ``bool``, a string and a NaN are refused with ValueError.
+    """
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def check_swap_count(count: int, key_bits: int | None = None) -> None:

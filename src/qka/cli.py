@@ -58,9 +58,10 @@ from .protocols import (
     FIVE_PARTY_STATES,
     ProtocolConfig,
     ProtocolResult,
-    _json_chunks,
     bits_to_hex,
     check_adversary,
+    check_trials,
+    json_chunks,
     run_batch,
     run_protocol,
 )
@@ -212,20 +213,19 @@ def _load_run_spec(args: argparse.Namespace) -> dict:
 
 def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
     # Refusals keep this order: protocol, trials, format, adversary, then the library's.
-    RUN_OPTIONS["protocol"].check_choice(spec)
-    if spec["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
-    RUN_OPTIONS["format"].check_choice(spec)
-    RUN_OPTIONS["adversary"].check_choice(spec)
-    config = ProtocolConfig(
-        key_bits=spec["key_bits"],
-        party_count=PARTY_COUNTS[spec["protocol"]],
-        error_threshold=spec["threshold"],
-        seed=spec["seed"],
-        five_party_state=spec["five_party_state"],
-        five_party_rounds=spec["five_party_rounds"],
-    )
     try:
+        RUN_OPTIONS["protocol"].check_choice(spec)
+        check_trials(spec["trials"])
+        RUN_OPTIONS["format"].check_choice(spec)
+        RUN_OPTIONS["adversary"].check_choice(spec)
+        config = ProtocolConfig(
+            key_bits=spec["key_bits"],
+            party_count=PARTY_COUNTS[spec["protocol"]],
+            error_threshold=spec["threshold"],
+            seed=spec["seed"],
+            five_party_state=spec["five_party_state"],
+            five_party_rounds=spec["five_party_rounds"],
+        )
         config.validate()
         total = spec["trials"] * config.key_bits
         if total > MAX_COMMAND_KEY_BITS:
@@ -239,7 +239,7 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
             swap_count=spec["swap_count"],
         )
         check_adversary(config, adversary)
-    except ValueError as exc:
+    except ValueError as exc:  # a library rule's refusal; a ConfigError passes through
         raise ConfigError(str(exc)) from exc
     return config, adversary
 
@@ -282,7 +282,7 @@ def _run_command(args: argparse.Namespace) -> int:
         if spec["format"] == "text":
             chunks = [_render_single(results[0])]
         else:
-            chunks = _json_chunks(results[0].to_dict())
+            chunks = json_chunks(results[0].to_dict())
     else:
         payload = {
             "schema": "qka.batch/1",
@@ -298,7 +298,7 @@ def _run_command(args: argparse.Namespace) -> int:
                 for i, r in enumerate(results)
             ],
         }
-        chunks = _json_chunks(payload) if spec["format"] == "json" else [_render_batch(payload)]
+        chunks = json_chunks(payload) if spec["format"] == "json" else [_render_batch(payload)]
     _emit(chunks, spec["out"])
     if spec["fail_on_abort"] and any(r.aborted for r in results):
         return 3

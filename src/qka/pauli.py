@@ -264,13 +264,15 @@ def validate_scheme(
     count comes from these inputs, and the bits per round from the first
     subgroup's order 2^bits. A valid scheme has at least one round, more
     qubits than travel qubits and at least as many travel qubits as bits, at
-    least one. It needs pairwise-disjoint round subgroups of order 2^bits, a
-    collision-free product set, and mutually orthogonal outputs on the
-    travel targets. On top of that, the round selection must not depend on
-    which travel qubit is which: permuting the travel-qubit labels has to
-    map the set of round subgroups onto itself. Selections that decode fine
-    but break this symmetry are rejected as outside the supported scheme
-    family. Any failure returns False.
+    least one. It needs round subgroups of order 2^bits, a collision-free
+    product set, and mutually orthogonal outputs on the travel targets. The
+    product set also keeps the subgroups disjoint: a word g in two of them
+    is the product of both (g, I, ...) and (I, g, ...). On top of that, the
+    round selection must not depend on which travel qubit is which:
+    permuting the travel-qubit labels has to map the set of round subgroups
+    onto itself. Selections that decode fine but break this symmetry are
+    rejected as outside the supported scheme family. Any failure returns
+    False.
     """
     subgroups = tuple(round_subgroups)
     travel = len(travel_targets)
@@ -282,9 +284,6 @@ def validate_scheme(
         return False
     for sub in subgroups:
         if len(sub.elements) != order or sub.arity != travel or not is_subgroup(sub.elements):
-            return False
-    for a, b in itertools.combinations(subgroups, 2):
-        if not check_disjoint(a, b):
             return False
     if not _closed_under_relabeling(subgroups, travel):
         return False

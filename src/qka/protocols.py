@@ -48,6 +48,7 @@ from .adversaries import (
     dishonest_alice_early_measure,
     dishonest_bob_reorder,
     require_ints,
+    require_unit_interval,
 )
 from .efficiency import (
     FIVE_PARTY,
@@ -166,8 +167,7 @@ class ProtocolConfig:
             raise ValueError(f"key_bits {self.key_bits} exceeds the limit of {MAX_KEY_BITS}")
         if self.party_count not in (2, 3, 5):
             raise ValueError("party_count must be 2, 3 or 5")
-        if not 0.0 <= self.error_threshold <= 1.0:
-            raise ValueError("error_threshold must lie in [0, 1]")
+        require_unit_interval("error_threshold", self.error_threshold)
         if self.seed < 0 or self.run_index < 0:
             raise ValueError("seed and run_index must be nonnegative")
         if self.five_party_state not in FIVE_PARTY_STATES:
@@ -270,7 +270,7 @@ def insert_decoys_and_permute(
 
 def _check_passed(error_rate: float, threshold: float) -> bool:
     """The decoy pass rule, in its one home: an error rate at most ``threshold``; a NaN fails."""
-    return error_rate <= threshold
+    return bool(error_rate <= threshold)  # a plain bool, whatever float type the threshold has
 
 
 def verify_decoys(
@@ -423,7 +423,7 @@ class ProtocolResult:
         The text is byte for byte what ``json.dumps`` writes with those
         options; the CLI streams the same chunks instead of joining them.
         """
-        return "".join(_json_chunks(self.to_dict()))
+        return "".join(json_chunks(self.to_dict()))
 
 
 _INFINITY = float("inf")
@@ -487,7 +487,7 @@ def _json_text(value, indent: str) -> str | None:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_chunks(value, indent: str = "") -> Iterator[str]:
+def json_chunks(value, indent: str = "") -> Iterator[str]:
     """``value`` as JSON with sorted keys and a two-space indent, in chunks.
 
     The chunks join to exactly the text ``json.dumps`` writes with those
@@ -514,7 +514,7 @@ def _json_chunks(value, indent: str = "") -> Iterator[str]:
             yield head + prefix + text
         else:
             yield head + prefix
-            yield from _json_chunks(item, inner)
+            yield from json_chunks(item, inner)
         head = ",\n" + inner
     yield close
 
@@ -709,7 +709,7 @@ class _Stack:
         configs: Sequence[ProtocolConfig],
         adversary: AdversaryModel | None,
     ):
-        adversary = adversary if adversary is not None else AdversaryModel.none()
+        adversary = adversary if adversary is not None else AdversaryModel()
         check_adversary(configs[0], adversary)
         self.names = PARTY_NAMES[:parties]
         self.n = configs[0].key_bits
@@ -1169,6 +1169,13 @@ def _run_alone(
 _STACK_KEY_BITS = 1024
 
 
+def check_trials(trials: int) -> None:
+    """The one home of the trials rule: ``trials`` is an int, at least 1; else ValueError."""
+    require_ints(trials=trials)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def run_batch(
     config: ProtocolConfig, adversary: AdversaryModel | None = None, trials: int = 1
 ) -> list[ProtocolResult]:
@@ -1181,9 +1188,7 @@ def run_batch(
     the digests of ``quantum-send`` events: those payloads are the only ones
     that hold qubit ids, and a stack numbers its ids across its lanes.
     """
-    require_ints(trials=trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     run_stack = _stack_runner(config)
     configs = [replace(config, run_index=i) for i in range(trials)]
     per_stack = max(1, _STACK_KEY_BITS // config.key_bits)

@@ -584,16 +584,8 @@ class QubitStore:
 
     # -- introspection ---------------------------------------------------
 
-    def _index(self, qubit: int) -> int:
-        """The block holding ``qubit``."""
-        if 0 <= qubit < self._next_id:
-            b = int(self._block_of[qubit])
-            if b >= 0:
-                return b
-        raise UnknownQubitError(qubit)
-
     def _indices(self, ids: np.ndarray) -> np.ndarray:
-        """``_index`` of every id in an int64 array."""
+        """The block holding each id of an int64 array; UnknownQubitError for the first unknown."""
         if ids.size and (ids.min() < 0 or ids.max() >= self._next_id):
             raise UnknownQubitError(int(ids[(ids < 0) | (ids >= self._next_id)][0]))
         where = self._block_of[ids]
@@ -639,7 +631,8 @@ class QubitStore:
 
     def register_of(self, qubit: int) -> StateRegister:
         """The register holding ``qubit``: a view of its row, one object per register."""
-        block = self._blocks[self._index(qubit)]
+        (b,) = self._indices(np.asarray([qubit]))
+        block = self._blocks[b]
         row = block.row_of(qubit)
         view = block.views.get(row)
         if view is None:

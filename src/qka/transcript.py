@@ -17,10 +17,11 @@ A digest is the SHA-256 of ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))`` with arrays as their lists. The payload is hashed
 value by value, after the cached ``{"key":`` or ``,"key":`` prefix of each
 key. A nonnegative 1-D or 2-D integer array is rendered by one gather from
-a table of ``",digits"`` words and one ``bytes.translate`` that drops their
-zero padding, which gives the bytes json would write. Plain ints and
-strings are spelled directly, and every other value goes through json
-itself. ``Transcript.to_dict()`` takes the digests, so they cost nothing
+``_DECIMALS``, a module-level table of ``",digits"`` words that
+``_decimals_covering`` grows by doubling, and one ``bytes.translate`` that
+drops their zero padding, which gives the bytes json would write. Plain
+ints and strings are spelled directly, and every other value goes through
+json itself. ``Transcript.to_dict()`` takes the digests, so they cost nothing
 until a JSON result is written.
 
 The classical channel this models is authenticated, ordered and lossless;
@@ -116,29 +117,23 @@ def _decimal_words(size: int) -> np.ndarray:
     return np.concatenate(blocks)[:size].astype("<u8", copy=False)
 
 
-class _DecimalTable:
-    """``",0"``, ``",1"``, ... as 8-byte words, grown by doubling up to ``_TABLE_BOUND``."""
-
-    def __init__(self):
-        self.words = np.empty(0, dtype="<u8")
-
-    def covering(self, top: int) -> np.ndarray | None:
-        """The table if it holds a word for ``top``, grown as needed; None above the bound."""
-        words = self.words
-        if top < words.size:
-            return words
-        if top >= _TABLE_BOUND:
-            return None
-        size = max(words.size, _TABLE_START)
-        while size <= top:
-            size *= 2
-        words = _decimal_words(size)
-        words.flags.writeable = False
-        self.words = words
-        return words
+# ``",0"``, ``",1"``, ... as 8-byte words, grown by doubling up to ``_TABLE_BOUND``.
+_DECIMALS = np.empty(0, dtype="<u8")
 
 
-_DECIMALS = _DecimalTable()
+def _decimals_covering(top: int) -> np.ndarray | None:
+    """The decimal table if it holds a word for ``top``, grown as needed; None above the bound."""
+    global _DECIMALS
+    if top < _DECIMALS.size:
+        return _DECIMALS
+    if top >= _TABLE_BOUND:
+        return None
+    size = max(_DECIMALS.size, _TABLE_START)
+    while size <= top:
+        size *= 2
+    _DECIMALS = _decimal_words(size)
+    _DECIMALS.flags.writeable = False
+    return _DECIMALS
 
 
 def _int_array_json(value) -> bytes | None:
@@ -161,7 +156,7 @@ def _int_array_json(value) -> bytes | None:
         top = value.view(np.uint64).max()  # a negative reads as huge
     else:
         top = value.max()
-    table = _DECIMALS.covering(int(top))
+    table = _decimals_covering(int(top))
     if table is None:
         return None
     # The gather indexes with ``value`` itself: int64 indices take numpy's

@@ -68,7 +68,7 @@ class TestModelValidation:
             AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.5)
 
     def test_none_is_not_external(self):
-        model = AdversaryModel.none()
+        model = AdversaryModel()
         assert not model.is_external and not model.is_insider
 
     def test_insider_kind_rejected_by_attack_transit(self):
@@ -120,7 +120,7 @@ class TestTransitAttacks:
         a, b = store.new_bell(BellOutcome.PSI_PLUS)
         slots = np.array([[a, b]])
         before = store.register_of(a).amplitudes.copy()
-        attack_transit(AdversaryModel.none(), store, slots, [np.random.default_rng(0)])
+        attack_transit(AdversaryModel(), store, slots, [np.random.default_rng(0)])
         assert slots.tolist() == [[a, b]]
         np.testing.assert_array_equal(store.register_of(a).amplitudes, before)
 
@@ -528,7 +528,7 @@ class TestNoAttackEquivalence:
     def test_none_model_equals_missing_adversary(self):
         for run in range(5):
             bare = run_two_party(config(n=8, seed=55, run=run))
-            modeled = run_two_party(config(n=8, seed=55, run=run), AdversaryModel.none())
+            modeled = run_two_party(config(n=8, seed=55, run=run), AdversaryModel())
             assert bare.to_json() == modeled.to_json()
 
     def test_three_party_rejects_insider_models(self):

@@ -393,6 +393,10 @@ class TestRefusalLines:
             ({"format": "csv"}, [], "run output format must be json or text"),
             ({"five_party_state": "x"}, [], "five_party_state must be 'omega' or 'cluster'"),
             ({"key_bits": "16"}, [], "config key 'key_bits' must be an integer, got \"16\""),
+            # a bool is no number: the config key's type check refuses it first
+            ({"threshold": True}, [], "config key 'threshold' must be a number, got true"),
+            ({"attack_fraction": True}, [],
+             "config key 'attack_fraction' must be a number, got true"),
             # a flag overrides the file before any choice is checked
             ({"format": "csv"}, ["--format", "json"], None),
             ({"protocol": "x"}, ["--protocol", "two-party"], None),
@@ -404,6 +408,7 @@ class TestRefusalLines:
             # then protocol, trials, format and adversary, then the library's rules
             ({"protocol": "x", "trials": 0}, [], "unknown protocol 'x'"),
             ({"trials": 0, "format": "csv"}, [], "trials must be >= 1"),
+            ({"trials": -2, "adversary": "x"}, [], "trials must be >= 1"),
             ({"format": "csv", "adversary": "x"}, [], "run output format must be json or text"),
             ({"adversary": "x", "key_bits": 3}, [], "unknown adversary 'x'"),
             ({"five_party_state": "foo"}, ["--key-bits", "3"],

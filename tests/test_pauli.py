@@ -308,6 +308,26 @@ class TestValidateScheme:
         reg = StateRegister((0, 1, 2, 3), four_qubit_vector(FourQubitState.OMEGA))
         assert not validate_scheme(scheme_for("1134"), reg, (0, 2))
 
+    @pytest.mark.parametrize(
+        "second",
+        [
+            ((I, I), (I, X), (X, I), (X, X)),  # the first subgroup again
+            ((I, I), (X, X), (Z, Z), (IY, IY)),  # another subgroup, sharing XX
+        ],
+    )
+    def test_shared_word_rejected_by_the_product_count(self, second):
+        # a word g in both rounds is the product of (g, I) and of (I, g), so
+        # the product set falls short of order^rounds: no disjointness pass
+        first = ((I, I), (I, X), (X, I), (X, X))
+        subs = tuple(
+            Subgroup(name, frozenset(element(*word) for word in words))
+            for name, words in (("a", first), ("b", second))
+        )
+        assert all(is_subgroup(s.elements) for s in subs) and not check_disjoint(*subs)
+        assert len(product_set(subs)) < 16
+        reg = StateRegister((0, 1, 2, 3), four_qubit_vector(FourQubitState.OMEGA))
+        assert not validate_scheme(subs, reg, (0, 2))
+
     def test_colliding_products_rejected(self):
         # {g1,g2,g3,g5} is pairwise disjoint but its products collide.
         reg = StateRegister((0, 1, 2, 3), four_qubit_vector(FourQubitState.OMEGA))

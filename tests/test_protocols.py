@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qka import protocols, registers, transcript
-from qka.adversaries import AdversaryKind, AdversaryModel
+from qka.adversaries import AdversaryKind, AdversaryModel, attack_transit
 from qka.efficiency import TWO_PARTY, preset_counts
 from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
 from qka.protocols import (
@@ -386,7 +386,7 @@ class TestTranscriptSnapshots:
     def test_transit_attack_leaves_logged_send_unchanged(self):
         attack = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=1.0)
         travel, slots, rec, logged = self._send(attack)
-        _, _, _, honest = self._send(AdversaryModel.none())
+        _, _, _, honest = self._send(AdversaryModel())
         # every slot was replaced in transit, yet the log names the sent train
         assert not np.isin(slots, logged["slots"]).any()
         assert np.array_equal(logged["slots"][rec.message_order], travel)
@@ -665,6 +665,8 @@ class TestOneHomePerRule:
             "decoy pairs must be disjoint",
         ),
         "round": ("five_party_rounds must be four digits from 1..6",),
+        "unit interval": ("must lie in [0, 1]", "must be a number, not"),
+        "trials": ("trials must be >= 1",),
     }
 
     @pytest.mark.parametrize("rule", list(RULES))
@@ -673,6 +675,68 @@ class TestOneHomePerRule:
         source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
         for message in self.RULES[rule]:
             assert source.count(message) == 1, message
+
+
+def _private_imports(source):
+    """Underscore names, dunders aside, that ``source`` imports from qka or a sibling module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "qka")
+        for alias in node.names
+        if alias.name.startswith("_")
+        and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+
+
+class TestNoPrivateImports:
+    def test_no_module_imports_a_private_name_of_a_sibling(self):
+        package = Path(protocols.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            assert _private_imports(path.read_text()) == [], path.name
+
+    def test_the_guard_sees_a_private_import(self):
+        source = "from . import __version__\nfrom .protocols import _json_text, json_chunks\n"
+        assert _private_imports(source) == ["_json_text"]
+        assert _private_imports("from qka.registers import _checked_states") == ["_checked_states"]
+
+
+class TestUnitIntervalRule:
+    """The decoy tolerance and the attack fraction are ints or floats in [0, 1]."""
+
+    @pytest.mark.parametrize("value", ["0.1", True, math.nan])
+    def test_threshold_refused_before_any_allocation_or_draw(self, value, monkeypatch):
+        bad = replace(config(n=16, parties=3), error_threshold=value)
+        with pytest.raises(ValueError, match="error_threshold must"):
+            bad.validate()
+        monkeypatch.setattr(ProtocolConfig, "make_rng", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(QubitStore, "new_train", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="error_threshold must"):
+            run_protocol(bad)
+        with pytest.raises(ValueError, match="error_threshold must"):
+            protocols.run_batch(bad, trials=3)
+
+    @pytest.mark.parametrize("value", ["0.5", True, math.nan])
+    def test_fraction_refused_before_any_allocation_or_draw(self, value):
+        store = QubitStore()
+        slots = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).reshape(1, -1)
+        rng = np.random.default_rng(0)
+        before = (store._next_id, store.live_qubits(), rng.bit_generator.state)
+        with pytest.raises(ValueError, match="attack fraction must"):
+            model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=value)
+            attack_transit(model, store, slots, [rng])
+        assert (store._next_id, store.live_qubits(), rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), 1])
+    def test_int_and_float_subclass_accepted(self, value):
+        base = config(n=16, parties=3, seed=4)
+
+        def run(value):
+            attack = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=value)
+            return run_protocol(replace(base, error_threshold=value), attack).to_json()
+
+        assert run(value) == run(float(value))
 
 
 class TestOneResultBuilder:
@@ -957,7 +1021,7 @@ class TestFiveParty:
     def test_dispatcher_refuses_adversary(self):
         # insiders act on two-party only; intercept-bell would chain the
         # 4-qubit copies past the register cap
-        from qka.adversaries import AdversaryKind, AdversaryModel
+        from qka.adversaries import AdversaryKind, AdversaryModel, attack_transit
 
         for kind in (
             AdversaryKind.INTERCEPT_RESEND_BELL,
@@ -1156,12 +1220,12 @@ class TestPayloadDigest:
         assert payload_digest(payload) == reference_payload_digest(payload)
 
     def test_table_grows_to_cover_each_top(self, monkeypatch):
-        monkeypatch.setattr(transcript, "_DECIMALS", transcript._DecimalTable())
+        monkeypatch.setattr(transcript, "_DECIMALS", np.empty(0, dtype="<u8"))
         start, bound = transcript._TABLE_START, transcript._TABLE_BOUND
         for top in (100, start - 1, start, 2 * start, 2**16 - 1, 2**16, bound - 1):
             values = np.arange(top - 40, top + 1)
             assert transcript._int_array_json(values) == _json_bytes(values)
-            size = transcript._DECIMALS.words.size
+            size = transcript._DECIMALS.size
             assert top < size <= max(2 * top, start) and size & (size - 1) == 0
         assert transcript._int_array_json(np.arange(bound - 40, bound + 1)) is None
 
@@ -1170,14 +1234,14 @@ class TestPayloadDigest:
 
     def test_full_size_runs_and_table_growth(self, monkeypatch):
         # a fresh table: it grows from its first size while the runs below go on
-        monkeypatch.setattr(transcript, "_DECIMALS", transcript._DecimalTable())
+        monkeypatch.setattr(transcript, "_DECIMALS", np.empty(0, dtype="<u8"))
         sizes = []
         for parties in (2, 3, 5):
             for n in (16, 1024, 64):
                 result = run_protocol(config(n=n, parties=parties, seed=n + parties))
                 for event in result.transcript.events:
                     assert event.to_dict()["digest"] == reference_payload_digest(event.payload)
-                sizes.append(transcript._DECIMALS.words.size)
+                sizes.append(transcript._DECIMALS.size)
         assert sizes[0] == transcript._TABLE_START
         assert sizes[-1] == 2**16  # five-party n=1024 ids reach 46,079
 
@@ -1202,7 +1266,7 @@ def _dumps(value):
 
 
 def _written(value):
-    return "".join(protocols._json_chunks(value))
+    return "".join(protocols.json_chunks(value))
 
 
 # JSON trees: strings with escapes and non-ASCII text, every float json
@@ -1283,7 +1347,7 @@ class TestJsonWriter:
 
     def test_text_comes_in_chunks(self):
         result = run_protocol(config(n=64, parties=5, seed=1))
-        chunks = list(protocols._json_chunks(result.to_dict()))
+        chunks = list(protocols.json_chunks(result.to_dict()))
         assert len(chunks) > len(result.transcript.events)
         assert "".join(chunks) == result.to_json()
 
