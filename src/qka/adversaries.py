@@ -11,9 +11,13 @@ mismatched measurement pairs).
 
 Resent qubits are fresh ids; the measured originals retire from the store.
 Both transit attacks take a stack of trains, one row per run, each row with
-its run's generator. Intercept-z measures every hit of every row in one
-bulk call; intercept-bell goes one slot pair at a time, through the scalar
-``measure_bell`` and ``new_bell``, where ``bench/tracer.py`` counts merges.
+its run's generator, and resend every hit of every row from one allocation.
+Intercept-z measures every hit in one bulk call. Intercept-bell measures
+one slot pair at a time through the scalar ``measure_bell``, because
+``bench/tracer.py`` counts merges there; its resend takes the ids one
+``new_bell`` per hit would have. The early-measuring sender also takes a
+stack: each lane draws its guess and uniforms, and one bulk call measures
+every lane's guessed pairs.
 
 The scalar input rules have their one home here, shared with the
 protocols: ``require_ints``, ``require_unit_interval`` and ``check_swap_count``.
@@ -103,8 +107,12 @@ def attack_transit(
     ``measure_rows_in_basis`` call and resent from one allocation of ``|b>``
     rows, in row and hit order: a row's ids are those one allocation per hit
     would have given, had the rows before it been attacked first.
-    Intercept-bell measures and resends one adjacent slot pair at a time,
-    row after row.
+    Intercept-bell walks each row's adjacent slot pairs in order with that
+    row's generator: ``rng.random() < fraction`` picks a hit, which is
+    Bell-measured at once by ``measure_bell`` (its uniform is the next
+    draw). Every hit is then resent from one allocation of Bell rows, in row
+    and hit order; no measurement allocates ids and no hit names a resent
+    qubit, so these are the ids one ``new_bell`` per hit would have given.
     """
     if model.kind is AdversaryKind.NONE:
         return
@@ -126,13 +134,16 @@ def attack_transit(
             slots[rows, hits] = store.new_states(Z_BASIS[bits]).ravel()
         return
     # Bell-basis attack on adjacent slots; a trailing odd slot is left alone.
-    for row, rng in zip(slots, rngs):
-        ids = row.tolist()
+    rows, hits, outcomes = [], [], []
+    for row, (ids, rng) in enumerate(zip(slots.tolist(), rngs)):
         for k in range(0, len(ids) - 1, 2):
             if rng.random() < model.fraction:
-                outcome = store.measure_bell(ids[k], ids[k + 1], rng)
-                ids[k], ids[k + 1] = store.new_bell(outcome)
-        row[:] = ids
+                outcomes.append(store.measure_bell(ids[k], ids[k + 1], rng))
+                rows.append(row)
+                hits.append(k)
+    if hits:
+        resent = store.new_states(BELL_VECTORS[np.fromiter(outcomes, np.int64, len(outcomes))])
+        slots[rows, hits], slots[rows, np.add(hits, 1)] = resent.T
 
 
 def _intercept_draws(
@@ -229,13 +240,13 @@ def dishonest_bob_reorder(
 
 def dishonest_alice_early_measure(
     store: QubitStore,
-    kept: Sequence[int] | np.ndarray,
-    slots: Sequence[int] | np.ndarray,
+    kept: np.ndarray,
+    slots: np.ndarray,
     record,
-    rng: np.random.Generator,
-    true_partner_key: np.ndarray,
-) -> tuple[np.ndarray, dict]:
-    """Decode the peer's key before the message order is public.
+    rngs: Sequence[np.random.Generator],
+    true_partner_keys: np.ndarray,
+) -> tuple[np.ndarray, list[dict]]:
+    """Decode the peer's key before the message order is public, in every lane of a stack.
 
     The attacker knows which slots hold message qubits (the decoy
     coordinates were disclosed for the error check) but not their order,
@@ -243,29 +254,41 @@ def dishonest_alice_early_measure(
     Correctly guessed pairings decode exactly; wrong ones hit entanglement
     swapping and come out uncorrelated with the true bits.
 
-    Returns the guessed key bits, as a read-only uint8 array, plus a report
-    with the per-bit accuracy against the true key (known to the harness,
-    not the attacker).
+    Row l of ``kept`` (lanes, n), ``slots`` (lanes, items), the stacked
+    ``record`` and ``true_partner_keys`` (lanes, n) is lane l, whose
+    generator is ``rngs[l]``. Each lane draws its guess permutation and then
+    its n measurement uniforms, in lane order; one ``measure_rows_in_basis``
+    call then measures every lane's guessed pairs, as one call per lane
+    would have. Returns the guessed key bits, as a read-only (lanes, n)
+    uint8 array, and per lane a report with the per-bit accuracy against
+    the true key (known to the harness, not the attacker).
     """
-    n = len(kept)
-    is_message = np.ones(len(slots), dtype=bool)
-    is_message[record.decoy_pairs] = False
-    message_slots = np.flatnonzero(is_message)
-    if message_slots.size != n:
+    lanes, n = kept.shape
+    is_message = np.ones(slots.shape, dtype=bool)
+    for row, decoys in zip(is_message, record.decoy_pairs):
+        row[decoys] = False
+    message_slots = np.nonzero(is_message)[1]
+    if message_slots.size != lanes * n:
         raise ValueError("message slot count does not match kept qubits")
-    guessed_slots = message_slots[rng.permutation(n)]
-    pairs = np.column_stack([kept, np.asarray(slots)[guessed_slots]])
-    guessed_bits = BELL_X_BITS[store.measure_rows_in_basis(pairs, BELL_VECTORS, rng)]
+    message_slots = message_slots.reshape(lanes, n)
+    guessed, uniforms = np.empty_like(message_slots), np.empty((lanes, n))
+    for row, rng in enumerate(rngs):
+        guessed[row] = message_slots[row, rng.permutation(n)]
+        uniforms[row] = rng.random(n)
+    pairs = np.empty((lanes, n, 2), dtype=np.int64)
+    pairs[..., 0], pairs[..., 1] = kept, slots[np.arange(lanes)[:, None], guessed]
+    outcomes = store.measure_rows_in_basis(pairs.reshape(-1, 2), BELL_VECTORS, uniforms.ravel())
+    guessed_bits = BELL_X_BITS[outcomes].reshape(lanes, n)
     guessed_bits.flags.writeable = False
-    wrong = guessed_slots != record.message_order
-    hits = guessed_bits == true_partner_key
-    wrong_count = int(np.count_nonzero(wrong))
-    report = {
-        "kind": "early-measure",
-        "correct_pairings": n - wrong_count,
-        "per_bit_accuracy": int(np.count_nonzero(hits)) / n,
-        "wrong_pair_accuracy": (
-            int(np.count_nonzero(hits & wrong)) / wrong_count if wrong_count else None
-        ),
-    }
-    return guessed_bits, report
+    reports = []
+    for wrong, hits in zip(guessed != record.message_order, guessed_bits == true_partner_keys):
+        wrong_count = int(np.count_nonzero(wrong))
+        reports.append({
+            "kind": "early-measure",
+            "correct_pairings": n - wrong_count,
+            "per_bit_accuracy": int(np.count_nonzero(hits)) / n,
+            "wrong_pair_accuracy": (
+                int(np.count_nonzero(hits & wrong)) / wrong_count if wrong_count else None
+            ),
+        })
+    return guessed_bits, reports

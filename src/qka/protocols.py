@@ -881,9 +881,9 @@ def _run_two_party(
     """``run_two_party`` for a stack of lanes (see ``_Stack``); returns the ended lanes.
 
     The lanes share one train of all their Bell pairs, each transmission,
-    one ``encode_key`` and one decode measurement; the reordering
-    receiver's swaps and the early-measuring initiator's guess and
-    measurement go lane by lane.
+    one ``encode_key`` and one decode measurement; the early-measuring
+    initiator's guesses and measurement serve every lane in one call, and
+    the reordering receiver's swaps go lane by lane.
     """
     stack = _Stack(TWO_PARTY, 2, [1], configs, adversary)
     n, store, adv = stack.n, stack.store, stack.adversary
@@ -910,18 +910,19 @@ def _run_two_party(
         return stack.lanes
     pairs = pairs[kept]
 
+    # Insider hook: an impatient initiator measures on guessed pairings now,
+    # before committing to her announcement, and takes her key from them.
+    guesses = reports = [None] * len(stack.active)
+    if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
+        guesses, reports = dishonest_alice_early_measure(
+            store, pairs[..., 0], slots, PermutationRecord.of(record.forward[0], n),
+            [ctx.rng for ctx in stack.active], np.array([ctx.keys[1] for ctx in stack.active]),
+        )
     finishing = []  # per row: the initiator's early guess, the attack report, the reorder target
     orders = np.empty((len(stack.active), n), dtype=np.int64)  # each row's step-7 order
     for row, ctx in enumerate(stack.active):
         key_a, key_b = ctx.keys
-        guess = report = target = None
-        # Insider hook: an impatient initiator measures on guessed pairings
-        # now, before committing to her announcement, and takes her key from them.
-        if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
-            guess, report = dishonest_alice_early_measure(
-                store, pairs[row, :, 0], slots[row],
-                PermutationRecord.of(record.forward[0, row], n), ctx.rng, key_b,
-            )
+        guess, report, target = guesses[row], reports[row], None
 
         # Step 6: the initiator commits; the responder can already finish.
         ctx.announce_key("step6", alice, key_a)

@@ -15,8 +15,10 @@ to block (-1 once measured) locates every qubit. A block made by allocation
 lists nothing: its row and position of an id are ``divmod(id - first, w)``,
 so an honest run keeps no per-id table beyond that map. Every other block,
 made by a merge or left behind by a measurement, is *listed*: it keeps an
-``(r, w)`` id table and a dict from id to its place in that table, and may
-hold many rows.
+``(r, w)`` id table, may hold many rows, and writes each of its ids' slot
+``row*w + position`` to a second int32 map, made when the first listed
+block is. Written for every block, that map cost a five-party run of
+65,536 key bits 11-18 MB of peak memory (208 -> 220-226 MB).
 
 A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
 is one index permutation and sign per (block, position), applied to all the
@@ -28,7 +30,7 @@ The states and bases the package builds itself (``BELL_VECTORS``,
 ``Z_BASIS`` and the protocols' resource states and decode bases) are
 checked once, by ``constant_state`` and ``constant_basis``, and taken as
 they are afterwards. Measurement has one bulk entry,
-``measure_rows_in_basis``, and two routines; ``measure_z`` and
+``measure_rows_in_basis``, and three routines; ``measure_z`` and
 ``measure_in_basis`` measure one group through it.
 
 * One kernel measures groups in bulk, each with its own uniform. Groups
@@ -40,18 +42,29 @@ they are afterwards. Measurement has one bulk entry,
   in registers of one width are measured with one gather and one matmul,
   leaving their remainders as one multi-row listed block. Intercept-resend
   in the Z basis measures a whole train this way.
-* The general routine serves the scalar ``measure_bell`` and every group
-  the kernel leaves. It merges the rows it touches (a Kronecker product in
-  first-seen order, capped at 12 qubits; anything larger fails loudly),
-  built with the measured qubits in front from one cached gather per row,
-  samples one outcome and stores what remains as a one-row listed block.
-  Measuring across two entangled pairs this way is what performs
-  entanglement swapping. Such swaps stay one group at a time. Three
-  prototypes that sorted cross-row groups into vectorized waves gave the
-  same bytes but made the attack benchmark up to 1.6x slower: a bucket of
-  one to eight groups cost 100-250 us against about 30 us per group, and
-  the fifteen guessed pairings of an early-measuring sender chain into
-  about seven buckets.
+* The general routine, ``_measure``, measures one group. It merges the
+  rows it touches (a Kronecker product in first-seen order, capped at 12
+  qubits; anything larger fails loudly), built with the measured qubits in
+  front from one cached gather per row, samples one outcome and stores
+  what remains as a one-row listed block. Measuring across two entangled
+  pairs this way is what performs entanglement swapping. It serves the
+  scalar ``measure_bell`` and the groups below the cutovers that follow.
+* Groups that cross registers go through a wave kernel with the same
+  arithmetic. A wave takes every waiting group that names no register an
+  earlier waiting group names, so groups sharing a register keep their
+  list order, and buckets the wave by the widths of the rows each group
+  merges and where its measured qubits sit in the merge. A bucket gets one
+  product of cached gathers, one batched matmul, one draw and one listed
+  remainder block. Below ``_BULK_GROUPS`` (32) waiting groups, or
+  ``_BULK_BUCKET`` (8) groups in a bucket, one ``_measure`` each is
+  cheaper: a wave and a bucket cost about as much as eight to ten such
+  calls, and halving or doubling both cutovers moved the attack benchmark
+  by under 1%.
+  On that benchmark a two-party stack measures 512 and 128 such groups
+  per call under intercept-resend in Z (one wave, one bucket), 389 and 204
+  under intercept-resend in the Bell basis (two waves, 17 buckets in all),
+  256 and 224 under a reordering receiver, and 953 in seven waves and 19
+  buckets for an early-measuring sender's guessed pairings.
 
 Every amplitude is float64: the resource states and the letter matrices of
 :mod:`qka.pauli` are real, so every reachable state is, a bra is its ket and
@@ -91,6 +104,11 @@ MAX_REGISTER_QUBITS = 12
 # The bulk ops work through at most this many groups, and so rows, at a time,
 # so a call over a whole large train keeps its temporaries small.
 _ROWS_PER_PASS = 4096
+# Groups that cross registers are measured in bulk only while this many
+# wait, and only in buckets of at least this many; below either count one
+# ``_measure`` each is cheaper.
+_BULK_GROUPS = 32
+_BULK_BUCKET = 8
 
 _INV_SQRT2 = math.sqrt(0.5)
 
@@ -228,7 +246,7 @@ def _checked_states(states) -> np.ndarray:
     width = dim.bit_length() - 1
     if dim != 2**width or not 1 <= width <= MAX_REGISTER_QUBITS:
         raise ValueError(f"states of shape {rows.shape} are not rows of 2^k amplitudes")
-    if np.any(np.abs(np.square(rows).sum(axis=1) - 1.0) > NORM_TOL):
+    if (np.abs(np.add.reduce(np.square(rows), 1) - 1.0) > NORM_TOL).any():
         raise ValueError("every state's norm^2 must be 1")
     return rows
 
@@ -294,6 +312,8 @@ def _sample_index(probs: np.ndarray, uniform: float, total: float | None = None)
     """Born-rule draw from one uniform in [0, 1); zero-probability outcomes are never selected.
 
     ``total`` is ``float(probs.sum())``, passed by a caller that has it already.
+    The one-group routine draws this way: on one row, ``_sample_rows`` costs
+    several times as much, in numpy's per-call overhead.
     """
     if total is None:
         total = float(probs.sum())
@@ -326,18 +346,57 @@ def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return outcomes
 
 
+def _check_mass(probs: np.ndarray) -> None:
+    """ValueError unless every row of ``probs`` sums to 1.
+
+    Every basis the store measures in is complete, so a row whose mass is
+    not 1 means the store's own state is corrupt.
+    """
+    if (np.abs(np.add.reduce(probs, 1) - 1.0) > 1e-9).any():
+        raise ValueError("a register's probability mass deviates from 1")
+
+
+def _check_cap(qubits: int) -> None:
+    """RegisterCapacityError for a merge of more than ``MAX_REGISTER_QUBITS`` qubits."""
+    if qubits > MAX_REGISTER_QUBITS:
+        raise RegisterCapacityError(
+            f"merge of {qubits} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit cap"
+        )
+
+
 def _members(labels: np.ndarray):
-    """(label, indices holding it) for each distinct label, in label order."""
-    if not labels.size:
+    """(label, indices holding it) for each distinct label, in label order.
+
+    The labels are ints, or the rows of a 2-D array, each yielded as a list.
+    """
+    if not len(labels):
         return
     if (labels == labels[0]).all():  # the common case: one block, or one position
-        yield int(labels[0]), np.arange(labels.size)
+        yield labels[0].tolist(), np.arange(len(labels))
         return
-    order = np.argsort(labels, kind="stable")
-    ranked = labels[order]
-    bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), labels.size]
+    if labels.ndim == 1:
+        order = np.argsort(labels, kind="stable")
+        ranked = labels[order]
+        starts = ranked[1:] != ranked[:-1]
+    else:
+        order = np.lexsort(labels.T[::-1])  # stable, like the argsort
+        ranked = labels[order]
+        starts = (ranked[1:] != ranked[:-1]).any(axis=1)
+    bounds = [0, *(np.flatnonzero(starts) + 1).tolist(), len(labels)]
     for lo, hi in zip(bounds, bounds[1:]):
-        yield int(ranked[lo]), order[lo:hi]
+        yield ranked[lo].tolist(), order[lo:hi]
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the entries of ``keys`` equal to it: how many come before it."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    ordinal = np.arange(keys.size)
+    starts = np.ones(keys.size, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[order] = ordinal - np.maximum.accumulate(np.where(starts, ordinal, 0))
+    return ranks
 
 
 def _given_uniforms(uniforms, count: int, what: str) -> np.ndarray:
@@ -449,24 +508,20 @@ class _Block:
 
     A block made by allocation (``ids`` None) holds the ids ``first +
     r*width`` onward in row r. Any other block is *listed*: ``ids`` is its
-    (rows, width) id table and ``slots`` maps each id to its flat index
-    ``row*width + position`` there. ``views`` caches the register
-    ``register_of`` hands out, by row.
+    (rows, width) id table, and the store's slot map gives each of its ids'
+    flat index ``row*width + position`` there. ``views`` caches the
+    register ``register_of`` hands out, by row.
     """
 
-    __slots__ = ("first", "width", "ids", "slots", "amplitudes", "live", "views")
+    __slots__ = ("first", "width", "ids", "amplitudes", "live", "views")
 
-    def __init__(self, amplitudes: np.ndarray, width: int, first: int = -1, ids=None, slots=None):
+    def __init__(self, amplitudes: np.ndarray, width: int, first: int = -1, ids=None):
         self.amplitudes = amplitudes
         self.width = width
         self.first = first
         self.ids = ids
-        self.slots = slots
         self.live = len(amplitudes)
         self.views: dict[int, StateRegister] = {}
-
-    def row_of(self, qubit: int) -> int:
-        return (qubit - self.first if self.ids is None else self.slots[qubit]) // self.width
 
     def row_ids(self, row: int) -> tuple[int, ...]:
         if self.ids is not None:
@@ -480,13 +535,12 @@ class _Block:
             return self.ids[rows]
         return (self.first + rows * self.width)[:, None] + np.arange(self.width)
 
-    def locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row and position in the row of each id."""
-        if self.ids is None:
-            return np.divmod(ids - self.first, self.width)
-        slots = self.slots
-        flat = np.fromiter((slots[q] for q in ids.tolist()), dtype=np.int64, count=ids.size)
-        return np.divmod(flat, self.width)
+
+def _grown(values: np.ndarray, size: int) -> np.ndarray:
+    """``values`` at the front of a new array of ``size`` entries; the rest is unset."""
+    grown = np.empty(size, dtype=values.dtype)
+    grown[: values.size] = values
+    return grown
 
 
 class QubitStore:
@@ -499,6 +553,7 @@ class QubitStore:
     def __init__(self):
         self._blocks: list[_Block | None] = []  # spent blocks become None
         self._block_of = np.empty(0, dtype=np.int32)  # id -> block index, -1 once measured
+        self._slot_of: np.ndarray | None = None  # id -> row*width + position, listed ids only
         self._next_id = 0
 
     # -- allocation ----------------------------------------------------
@@ -508,9 +563,10 @@ class QubitStore:
         first, count = self._next_id, len(amplitudes) * width
         end = first + count
         if end > self._block_of.size:
-            grown = np.empty(max(end, self._block_of.size * 5 // 4 + 64), dtype=np.int32)
-            grown[:first] = self._block_of[:first]
-            self._block_of = grown
+            size = max(end, self._block_of.size * 5 // 4 + 64)
+            self._block_of = _grown(self._block_of[:first], size)
+            if self._slot_of is not None:
+                self._slot_of = _grown(self._slot_of[:first], size)
         self._block_of[first:end] = len(self._blocks)
         self._blocks.append(_Block(amplitudes, width, first))
         self._next_id = end
@@ -521,17 +577,20 @@ class QubitStore:
 
         ``flat`` may give the table's ids as a list, row after row, when the
         caller already holds one: a short remainder writes its few map
-        entries one by one, cheaper than one fancy-index write.
+        entries one by one, cheaper than two fancy-index writes.
         """
         index = len(self._blocks)
+        self._blocks.append(_Block(amplitudes, ids.shape[1], ids=ids))
+        if self._slot_of is None:
+            self._slot_of = np.empty(self._block_of.size, dtype=np.int32)
         if flat is None:
-            flat = ids.ravel().tolist()
             self._block_of[ids] = index
+            self._slot_of[ids] = np.arange(ids.size).reshape(ids.shape)
         else:
-            for q in flat:
-                self._block_of[q] = index
-        slots = dict(zip(flat, itertools.count()))
-        self._blocks.append(_Block(amplitudes, ids.shape[1], ids=ids, slots=slots))
+            block_of, slot_of = self._block_of, self._slot_of
+            for slot, q in enumerate(flat):
+                block_of[q] = index
+                slot_of[q] = slot
 
     def new_bell(self, kind: BellOutcome) -> tuple[int, int]:
         """Allocate a fresh pair prepared in the named Bell state; ValueError for no Bell state."""
@@ -619,6 +678,16 @@ class QubitStore:
             self._indices(targets[lo : lo + _ROWS_PER_PASS])
         return targets
 
+    def _row_of(self, qubit: int, block: _Block) -> int:
+        """The row of ``block`` holding ``qubit``."""
+        slot = qubit - block.first if block.ids is None else int(self._slot_of[qubit])
+        return slot // block.width
+
+    def _locate(self, ids: np.ndarray, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+        """Row and position of each id in ``block``, as int64."""
+        slots = ids - block.first if block.ids is None else self._slot_of[ids].astype(np.int64)
+        return np.divmod(slots, block.width)
+
     def _retire(self, b: int, rows: int) -> None:
         """Drop ``rows`` of block ``b`` from the count of live ones."""
         block = self._blocks[b]
@@ -633,7 +702,7 @@ class QubitStore:
         """The register holding ``qubit``: a view of its row, one object per register."""
         (b,) = self._indices(np.asarray([qubit]))
         block = self._blocks[b]
-        row = block.row_of(qubit)
+        row = self._row_of(qubit, block)
         view = block.views.get(row)
         if view is None:
             view = StateRegister._trusted(block.row_ids(row), block.amplitudes[row])
@@ -666,7 +735,7 @@ class QubitStore:
                 ids = targets[lo : lo + _ROWS_PER_PASS, j]
                 for b, sel in _members(where[lo : lo + _ROWS_PER_PASS, j]):
                     block = self._blocks[b]
-                    rows, positions = block.locate(ids[sel])
+                    rows, positions = self._locate(ids[sel], block)
                     for pos, at_pos in _members(positions):
                         action = _letter_action(letter, block.width, pos)
                         if action is None:
@@ -678,8 +747,8 @@ class QubitStore:
 
     # -- measurement -----------------------------------------------------
 
-    def _measure(self, qubits: Sequence[int], basis: np.ndarray, draw) -> int:
-        """Measure distinct ``qubits`` in the orthonormal rows of ``basis``.
+    def _measure(self, qubits: list[int], basis: np.ndarray, draw) -> int:
+        """Measure distinct live ``qubits``, checked by the caller, in the rows of ``basis``.
 
         The rows holding the qubits merge in first-seen order, built with the
         measured qubits in front from one cached gather per row (the products
@@ -688,24 +757,19 @@ class QubitStore:
         the measured qubits retire, and what remains of the merged register,
         renormalized, becomes a one-row listed block.
         """
-        blocks, block_of, end = self._blocks, self._block_of, self._next_id
+        blocks, block_of = self._blocks, self._block_of
         touched: list[tuple[int, int]] = []  # (block index, row), first seen first
         widths: list[int] = []
         order: list[int] = []  # the merged register's qubits
         for q in qubits:
-            b = int(block_of[q]) if 0 <= q < end else -1
-            if b < 0:
-                raise UnknownQubitError(q)
+            b = int(block_of[q])
             block = blocks[b]
-            row = block.row_of(q)
+            row = self._row_of(q, block)
             if (b, row) not in touched:
                 touched.append((b, row))
                 widths.append(block.width)
                 order.extend(block.row_ids(row))
-        if len(order) > MAX_REGISTER_QUBITS:
-            raise RegisterCapacityError(
-                f"merge of {len(order)} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit cap"
-            )
+        _check_cap(len(order))
         gathers, rest = _merge_gathers(tuple(widths), tuple(map(order.index, qubits)))
         (b, row), *others = touched
         amps = blocks[b].amplitudes[row][gathers[0]]
@@ -732,11 +796,16 @@ class QubitStore:
 
         Qubits living in different registers are merged first, so measuring
         across two entangled pairs performs entanglement swapping on the
-        partners left behind. Both measured qubits are retired.
+        partners left behind. Both measured qubits are retired. The pair is
+        checked here, in Python: through ``_checked_groups`` a one-pair check
+        costs several numpy calls, and intercept-bell measures one pair per hit.
         """
         if a == b:
             raise ValueError("cannot Bell-measure a qubit against itself")
-        return _BELL_OUTCOMES[self._measure((a, b), BELL_VECTORS, rng.random)]
+        for q in (a, b):
+            if not (0 <= q < self._next_id and self._block_of[q] >= 0):
+                raise UnknownQubitError(q)
+        return _BELL_OUTCOMES[self._measure([a, b], BELL_VECTORS, rng.random)]
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Computational-basis measurement; the qubit is retired."""
@@ -774,7 +843,7 @@ class QubitStore:
         picked = ids[chosen]
         places = []
         for b, sel in _members(self._block_of[picked]):
-            rows, positions = self._blocks[b].locate(picked[sel])
+            rows, positions = self._locate(picked[sel], self._blocks[b])
             places.append((b, chosen[sel], rows, positions))
         return places
 
@@ -816,8 +885,7 @@ class QubitStore:
             laid = amps[picked[None, :, None], front]
             branches = (basis @ laid.reshape(2, -1)).reshape(2, picked.size, -1)
             probs = np.add.reduce(np.square(branches), 2).T
-        if (np.abs(np.add.reduce(probs, 1) - 1.0) > 1e-9).any():
-            raise ValueError("a register's probability mass deviates from 1")
+        _check_mass(probs)
         outcomes = _sample_rows(probs, uniforms)
         for ids in dead if whole else [table[picked, positions]]:
             self._block_of[ids] = -1
@@ -846,11 +914,16 @@ class QubitStore:
         allocated block, in register order, across blocks. Groups of one
         qubit go through it next in waves: wave k takes the k-th qubit named
         in each register, and its qubits in registers of one width are
-        measured together. Every other group then goes through ``_measure``
-        in list order. The only refusal left after the draw is the 12-qubit
-        cap, should such a merge outgrow it; no engine reaches it, as
-        ``check_adversary`` refuses five-party intercept-bell. Returns the
-        outcome indices as an int64 array.
+        measured together. Every other group goes through
+        ``_measure_crossing``: waves of groups on disjoint registers, each
+        wave bucketed by the shape of its merges, with ``_measure`` for the
+        groups below its cutovers. The only refusal left after the draw is
+        the 12-qubit cap, should such a merge outgrow it; no engine reaches
+        it, as ``check_adversary`` refuses five-party intercept-bell. It is
+        checked for a whole wave before the wave measures, so when it fires
+        the groups already measured are the earlier waves', which need not
+        be a prefix of the list. Returns the outcome indices as an int64
+        array.
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)
@@ -863,7 +936,7 @@ class QubitStore:
         else:
             uniforms = _given_uniforms(rng, len(targets), "groups")
         outcomes = np.empty(len(groups), dtype=np.int64)
-        one_by_one = np.ones(len(groups), dtype=bool)
+        left = np.ones(len(groups), dtype=bool)
         for lo in range(0, len(targets), _ROWS_PER_PASS):
             # A group is a whole row if it lists, in register order, every
             # qubit of one row of a block made by allocation.
@@ -884,28 +957,24 @@ class QubitStore:
             if parts:
                 at = np.concatenate([sel for _, sel, _, _ in parts])
                 outcomes[at] = self._measure_rows(parts, m, basis, uniforms[at])
-                one_by_one[at] = False
-        rest = np.flatnonzero(one_by_one)
+                left[at] = False
+        rest = np.flatnonzero(left)
         if m == 1 and rest.size:
             ids = targets[:, 0]
             places = self._places(ids, rest)
-            # Wave k takes the k-th qubit named in each register: its rank among
-            # that register's qubits once they are sorted stably by register.
+            # Wave k takes the k-th qubit named in each register, in list order.
             key = np.concatenate([(b << 32) | rows for b, _, rows, _ in places])
             at = np.concatenate([chosen for _, chosen, _, _ in places])
-            ranked = np.argsort(key, kind="stable")
-            ordinal = np.arange(rest.size)
-            starts = np.ones(rest.size, dtype=bool)
-            starts[1:] = key[ranked[1:]] != key[ranked[:-1]]
             wave = np.full(ids.size, -1)
-            wave[at[ranked]] = ordinal - np.maximum.accumulate(np.where(starts, ordinal, 0))
-            if not starts.all():  # the first wave keeps each register's first qubit
+            wave[at] = _ranks(key)
+            last = int(wave.max())
+            if last:  # the first wave keeps each register's first qubit
                 places = [
                     (b, chosen[first], rows[first], positions[first])
                     for b, chosen, rows, positions in places
                     for first in [wave[chosen] == 0]
                 ]
-            for k in range(int(wave.max()) + 1):
+            for k in range(last + 1):
                 if k:
                     places = self._places(ids, np.flatnonzero(wave == k))
                 by_width: dict[int, list] = {}
@@ -915,7 +984,128 @@ class QubitStore:
                     at = np.concatenate([chosen for _, chosen, _, _ in parts])
                     outcomes[at] = self._measure_rows(parts, width, basis, uniforms[at])
             return outcomes
-        draw = iter(uniforms[rest].tolist()).__next__  # their uniforms, in list order
-        for i in rest.tolist():
-            outcomes[i] = self._measure(targets[i].tolist(), basis, draw)
+        if rest.size:
+            self._measure_crossing(targets, rest, basis, uniforms, outcomes)
         return outcomes
+
+    def _measure_crossing(
+        self,
+        targets: np.ndarray,
+        pending: np.ndarray,
+        basis: np.ndarray,
+        uniforms: np.ndarray,
+        outcomes: np.ndarray,
+    ) -> None:
+        """Measure the groups ``targets[pending]``, in list order, into ``outcomes``.
+
+        While at least ``_BULK_GROUPS`` groups wait, they go in waves. A wave
+        takes every waiting group that names no register named by an earlier
+        waiting group, so groups that share a register keep their list
+        order, and the wave's groups touch disjoint registers. It buckets
+        them by the widths of the rows they merge and where the measured
+        qubits sit in the merge; a bucket of at least ``_BULK_BUCKET`` groups
+        is measured by ``_measure_bucket``, and the others go one by one.
+        Whatever still waits then goes one by one through ``_measure``. Every
+        group uses its own uniform, so the outcomes are those of
+        ``_measure`` in list order.
+        """
+        m = targets.shape[1]
+        while pending.size and pending.size >= _BULK_GROUPS:
+            ids = targets[pending]
+            where = self._block_of[ids].astype(np.int64)
+            present, inverse = np.unique(where, return_inverse=True)
+            blocks = [self._blocks[b] for b in present.tolist()]
+            inverse = inverse.reshape(where.shape)
+            width = np.array([block.width for block in blocks])[inverse]
+            slots = ids - np.array([block.first for block in blocks])[inverse]
+            listed = np.array([block.ids is not None for block in blocks])[inverse]
+            if listed.any():
+                slots[listed] = self._slot_of[ids[listed]]
+            rows, positions = np.divmod(slots, width)
+            register = (where << 32) | rows
+            # Each group's first name in each of its registers; a group joins
+            # the wave if it is the first waiting group to name every one.
+            opener = (register[:, :, None] == register[:, None, :]).argmax(axis=2)
+            opens = opener == np.arange(m)
+            taken = np.ones(pending.size, dtype=bool)
+            taken[np.nonzero(opens)[0][_ranks(register[opens]) > 0]] = False
+            chosen, pending = pending[taken], pending[~taken]
+            where, rows, positions, width, opener, opens = (
+                a[taken] for a in (where, rows, positions, width, opener, opens)
+            )
+            # The merge: each group's registers in first-seen order, measured qubits first.
+            opened = np.where(opens, width, 0)  # widths where first seen
+            offset = np.cumsum(opened, axis=1) - opened
+            front = offset[np.arange(chosen.size)[:, None], opener] + positions
+            _check_cap(int(np.add.reduce(opened, 1).max()))
+            for shape, sel in _members(np.concatenate((opened, front), axis=1)):
+                at = chosen[sel]
+                if at.size < _BULK_BUCKET:
+                    self._one_by_one(targets, at, basis, uniforms, outcomes)
+                else:
+                    outcomes[at] = self._measure_bucket(
+                        targets[at], (where[sel], rows[sel]), shape, basis, uniforms[at]
+                    )
+        self._one_by_one(targets, pending, basis, uniforms, outcomes)
+
+    def _one_by_one(self, targets, chosen, basis, uniforms, outcomes) -> None:
+        """``_measure`` of each group ``targets[chosen]``, in that order, with its uniform."""
+        draw = iter(uniforms[chosen].tolist()).__next__
+        for i in chosen.tolist():
+            outcomes[i] = self._measure(targets[i].tolist(), basis, draw)
+
+    def _measure_bucket(
+        self,
+        ids: np.ndarray,
+        block_rows: tuple[np.ndarray, np.ndarray],
+        shape: list[int],
+        basis: np.ndarray,
+        uniforms: np.ndarray,
+    ) -> np.ndarray:
+        """``_measure`` of each group of ``ids``, all merging rows alike, at once.
+
+        ``ids[i, j]`` lies in row ``rows[i, j]`` of block ``where[i, j]``, for
+        ``where, rows = block_rows``, and the groups touch disjoint registers.
+        ``shape`` is the bucket key: per column, the width of the register it
+        opens (0 if an earlier column opened it), then each qubit's place in
+        the merge. The rows merge by one ``_merge_gathers`` product, in
+        ``_measure``'s order; one batched matmul applies the basis, one
+        ``_sample_rows`` draw picks the outcomes, and the remainders become
+        one listed block. Returns the outcomes.
+        """
+        m = ids.shape[1]
+        opens = [j for j in range(m) if shape[j]]
+        gathers, rest = _merge_gathers(tuple(shape[j] for j in opens), tuple(shape[m:]))
+        where, rows = block_rows
+        amps, tables = None, []
+        for j, gather in zip(opens, gathers):
+            row_amps, table = self._rows(where[:, j], rows[:, j])
+            amps = row_amps[:, gather] if amps is None else amps * row_amps[:, gather]
+            tables.append(table)
+        branches = basis @ amps.reshape(len(ids), len(basis), -1)
+        probs = np.add.reduce(np.square(branches), 2)
+        _check_mass(probs)
+        outcomes = _sample_rows(probs, uniforms)
+        self._block_of[ids] = -1
+        for b, sel in _members(where[:, opens].ravel()):
+            self._retire(b, sel.size)
+        if rest:
+            picked = np.arange(len(ids))
+            post = branches[picked, outcomes] / np.sqrt(probs[picked, outcomes])[:, None]
+            self._add_listed(post, np.concatenate(tables, axis=1)[:, rest])
+        return outcomes
+
+    def _rows(self, where: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The amplitudes and id table of row ``rows[i]`` of block ``where[i]``, for each i.
+
+        The blocks share one width; the rows are gathered block by block.
+        """
+        parts = [(self._blocks[b], sel) for b, sel in _members(where)]
+        if len(parts) == 1:
+            return parts[0][0].amplitudes[rows], parts[0][0].id_table(rows)
+        amps = np.empty((rows.size, parts[0][0].amplitudes.shape[1]))
+        table = np.empty((rows.size, parts[0][0].width), dtype=np.int64)
+        for block, sel in parts:
+            amps[sel] = block.amplitudes[rows[sel]]
+            table[sel] = block.id_table(rows[sel])
+        return amps, table

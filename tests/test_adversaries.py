@@ -19,9 +19,11 @@ from qka.adversaries import (
     AdversaryModel,
     attack_transit,
     choose_swap_pairs,
+    dishonest_alice_early_measure,
     dishonest_bob_reorder,
 )
 from qka.protocols import (
+    PermutationRecord,
     ProtocolConfig,
     _five_party_ring,
     bits_to_hex,
@@ -34,6 +36,7 @@ from qka.protocols import (
     xor_bits,
 )
 from qka.registers import BELL_VECTORS, BellOutcome, QubitStore
+from test_trains import assert_same_state
 
 
 def config(n=16, parties=2, seed=0, run=0, **kw):
@@ -166,6 +169,31 @@ class TestTransitAttacks:
                 ra, rb = a.register_of(q), b.register_of(q)
                 assert ra.qubits == rb.qubits
                 assert np.array_equal(ra.amplitudes, rb.amplitudes)
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 1.0])
+    def test_intercept_bell_matches_the_pair_by_pair_loop(self, fraction):
+        """A stack's hits are measured pair by pair and resent from one
+        allocation: the draws, slots, ids and states of a measure_bell and a
+        new_bell per hit, row after row."""
+        model = AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_BELL, fraction=fraction)
+        for seed in range(8):
+            twins = []
+            for _ in range(2):
+                store = QubitStore()
+                rngs = [np.random.default_rng([seed, row]) for row in range(3)]
+                copies = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 24)[:, 1]
+                slots, _ = insert_decoys_and_permute(copies.reshape(3, 8), store, rngs, 4)
+                twins.append((store, rngs, slots))
+            (a, rngs_a, slots_a), (b, rngs_b, slots_b) = twins
+            attack_transit(model, a, slots_a, rngs_a)
+            for row, rng in zip(slots_b, rngs_b):
+                for k in range(0, len(row) - 1, 2):
+                    if rng.random() < fraction:
+                        outcome = b.measure_bell(int(row[k]), int(row[k + 1]), rng)
+                        row[k], row[k + 1] = b.new_bell(outcome)
+            assert slots_a.tolist() == slots_b.tolist()
+            assert [g.random() for g in rngs_a] == [g.random() for g in rngs_b]
+            assert_same_state(a, b)
 
     def test_intercept_bell_repreps_observed_state(self):
         store = QubitStore()
@@ -522,6 +550,37 @@ class TestDishonestAlice:
         adv = AdversaryModel(kind=AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE)
         r = run_two_party(config(n=8, seed=420), adv)
         assert np.array_equal(r.derived_keys["Bob"], r.ground_truth_key())
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_stack_guesses_as_its_lanes_alone_would(self, seed):
+        """One stacked call over L lanes gives each lane the guess bits and
+        report, and leaves the store and generators, that L one-lane calls do."""
+        lanes, n = 5, 8  # 40 pairs: enough for the bulk kernel, which one lane's 8 are not
+        twins = []
+        for _ in range(2):
+            store = QubitStore()
+            pairs = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], lanes * n)
+            pairs = pairs.reshape(lanes, n, 2)
+            rngs = [np.random.default_rng([seed, lane]) for lane in range(lanes)]
+            slots, record = insert_decoys_and_permute(pairs[..., 1], store, rngs, n // 2)
+            twins.append((store, pairs, slots, record, rngs))
+        (a, pairs, slots, record, rngs_a), (b, _, _, _, rngs_b) = twins
+        keys = np.random.default_rng(seed).integers(0, 2, (lanes, n), dtype=np.uint8)
+        bits, reports = dishonest_alice_early_measure(
+            a, pairs[..., 0], slots, record, rngs_a, keys
+        )
+        assert bits.shape == (lanes, n) and not bits.flags.writeable
+        for lane in range(lanes):
+            at = slice(lane, lane + 1)
+            lone_bits, lone_reports = dishonest_alice_early_measure(
+                b, pairs[at, :, 0], slots[at], PermutationRecord.of(record.forward[at], n),
+                rngs_b[at], keys[at],
+            )
+            assert lone_bits.tolist() == bits[at].tolist()
+            assert lone_reports == reports[at]
+        assert [g.random() for g in rngs_a] == [g.random() for g in rngs_b]
+        assert_same_state(a, b)
 
 
 class TestNoAttackEquivalence:

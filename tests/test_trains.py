@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from qka import registers
 from qka.adversaries import AdversaryKind, AdversaryModel
 from qka.pauli import GroupElement, PauliLetter
-from qka.protocols import ProtocolConfig, _five_party_ring, run_protocol
+from qka.protocols import ProtocolConfig, _five_party_ring, run_batch, run_protocol
 from qka.registers import (
     BELL_VECTORS,
     BellOutcome,
     FourQubitState,
     QubitStore,
+    RegisterCapacityError,
     UnknownQubitError,
     _sample_index,
     _sample_rows,
@@ -489,6 +490,93 @@ class TestRowPasses:
         assert [run_protocol(cfg).to_json(), run_protocol(cfg, adversary).to_json()] == want
 
 
+def _crossing_store(seed):
+    """Bell and four-qubit trains with uneven amplitudes, two lone qubits and
+    listed remainders of one, three and four qubits; the same for one seed."""
+    plan, rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+    store = QubitStore()
+    bell = store.new_train(random_basis(plan, 4)[0], 12)
+    four = store.new_train(random_basis(plan, 16)[0], 6)
+    lone = store.new_states(random_basis(plan, 2)).ravel()
+    store.measure_z(int(bell[10, 0]), rng)
+    store.measure_in_basis([int(four[5, 0])], random_basis(plan, 2), rng)
+    store.measure_bell(int(bell[11, 0]), int(four[4, 3]), rng)
+    return store, bell, four, lone
+
+
+def _crossing_groups(plan, m, bell, four, lone):
+    """Groups that cross registers and chain through shared ones, in a random order.
+
+    For m = 2: rows 0-4 paired as a reordering receiver's swaps leave them,
+    rows 5-9 as an early-measuring sender's random guess, and pairs with the
+    lone qubits and the listed remainders. For m = 4: two qubits of each of
+    rows 0-3 with two of a row of a random pairing, and one group over a
+    listed remainder.
+    """
+    if m == 2:
+        swapped = np.arange(5)
+        swapped[[0, 3]] = swapped[[3, 0]]
+        guessed = 5 + plan.permutation(5)
+        groups = [[bell[i, 0], bell[j, 1]] for i, j in zip(range(5), swapped)]
+        groups += [[bell[i, 0], bell[j, 1]] for i, j in zip(range(5, 10), guessed)]
+        groups += [[lone[0], bell[10, 1]], [four[5, 1], lone[1]], [bell[11, 1], four[5, 3]]]
+    else:
+        guessed = plan.permutation(4)
+        groups = [[four[i, 0], four[i, 1], four[j, 2], four[j, 3]] for i, j in enumerate(guessed)]
+        groups.append([four[4, 1], lone[0], four[4, 0], bell[11, 1]])
+    order = plan.permutation(len(groups))
+    return np.array(groups, dtype=np.int64)[order]
+
+
+class TestCrossingWaves:
+    """The wave kernel for groups that cross registers, with its cutovers at 0,
+    against one ``measure_in_basis`` per group on a twin store."""
+
+    @pytest.mark.parametrize("cutovers", [(0, 0), (4, 3)])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_waves_match_one_group_at_a_time(self, seed, m, cutovers, monkeypatch):
+        (a, bell, four, lone), (b, *_) = _crossing_store(seed), _crossing_store(seed)
+        plan = np.random.default_rng([seed, 2])
+        groups = _crossing_groups(plan, m, bell, four, lone)
+        basis = random_basis(plan, 2**m)
+        gb = np.random.default_rng([seed, 3])
+        want = [b.measure_in_basis(g, basis, gb) for g in groups.tolist()]
+        bulk_groups, bulk_bucket = cutovers
+        monkeypatch.setattr(registers, "_BULK_GROUPS", bulk_groups)
+        monkeypatch.setattr(registers, "_BULK_BUCKET", bulk_bucket)
+        buckets, one_by_one = [], []
+        measure_bucket, measure = QubitStore._measure_bucket, QubitStore._measure
+
+        def recording(self, ids, *args):
+            buckets.append(len(ids))
+            return measure_bucket(self, ids, *args)
+
+        def counting(self, qubits, *args):
+            one_by_one.append(qubits)
+            return measure(self, qubits, *args)
+
+        monkeypatch.setattr(QubitStore, "_measure_bucket", recording)
+        monkeypatch.setattr(QubitStore, "_measure", counting)
+        ga = np.random.default_rng([seed, 3])
+        assert a.measure_rows_in_basis(groups, basis, ga).tolist() == want
+        if not bulk_bucket:  # at 0, every group that crosses registers goes in bulk
+            assert buckets and not one_by_one
+        assert ga.random() == gb.random()
+        assert_same_state(a, b)
+
+    @pytest.mark.parametrize("cutovers", [(0, 0), (32, 8)])
+    def test_capacity_cap_fails_loudly_in_bulk(self, cutovers, monkeypatch):
+        monkeypatch.setattr(registers, "_BULK_GROUPS", cutovers[0])
+        monkeypatch.setattr(registers, "_BULK_BUCKET", cutovers[1])
+        store = QubitStore()
+        rows = store.new_train(four_qubit_vector(FourQubitState.OMEGA), 5)
+        live = store.live_qubits()
+        with pytest.raises(RegisterCapacityError):  # four rows: a 16-qubit merge
+            store.measure_rows_in_basis(rows[:4, :1].T, np.eye(16), np.random.default_rng(0))
+        assert store.live_qubits() == live
+
+
 class TestProtocolRuns:
     @pytest.mark.parametrize("parties", [2, 3, 5])
     def test_honest_runs_stay_in_bulk(self, parties, monkeypatch):
@@ -509,6 +597,37 @@ class TestProtocolRuns:
             AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5),
         )
         assert not attacked.aborted and one_by_one
+
+    @pytest.mark.parametrize("kind", ["intercept-z", "dishonest-bob", "dishonest-alice"])
+    def test_attacked_batches_measure_one_by_one_only_below_the_cutover(self, kind, monkeypatch):
+        """In a 40-trial batch, groups that cross registers go through the wave
+        kernel; ``_measure`` sees only small buckets and short tails."""
+        calls, sizes, buckets = [], [], []
+        measure, one_by_one = QubitStore._measure, QubitStore._one_by_one
+        measure_bucket = QubitStore._measure_bucket
+
+        def counting(self, qubits, *args):
+            calls.append(len(qubits))
+            return measure(self, qubits, *args)
+
+        def recording(self, targets, chosen, *args):
+            sizes.append(len(chosen))
+            return one_by_one(self, targets, chosen, *args)
+
+        def bucketing(self, ids, *args):
+            buckets.append(len(ids))
+            return measure_bucket(self, ids, *args)
+
+        monkeypatch.setattr(QubitStore, "_measure", counting)
+        monkeypatch.setattr(QubitStore, "_one_by_one", recording)
+        monkeypatch.setattr(QubitStore, "_measure_bucket", bucketing)
+        adversary = AdversaryModel(kind=kind, fraction=1.0, swap_count=4)
+        config = ProtocolConfig(key_bits=16, party_count=2, seed=11, error_threshold=1.0)
+        results = run_batch(config, adversary, 40)
+        assert len(results) == 40 and not any(r.aborted for r in results)
+        assert len(calls) == sum(sizes)  # every one-group measurement comes through here
+        assert max(sizes) < registers._BULK_GROUPS
+        assert min(buckets) >= registers._BULK_BUCKET and sum(buckets) > 4 * len(calls)
 
 
 def _singles_store(plan):
