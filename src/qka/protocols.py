@@ -284,15 +284,17 @@ def verify_decoys(
 
     ``slots`` is a (trains, items) id array, one train in transit per row,
     and ``disclosed`` a (trains, pairs, 2) array, each train's decoy pairs
-    as slot pairs. Every disclosure is checked whole before anything is
-    measured or drawn (``_checked_disclosure``). All pairs are then measured
-    in one bulk call, train after train, so each train draws the uniforms a
-    call of its own would draw in turn. ``rng`` may instead be those
-    uniforms, one per pair.
+    as slot pairs. The threshold (``require_unit_interval``, the rule a
+    run's config follows) and every disclosure (``_checked_disclosure``)
+    are checked whole before anything is measured or drawn. All pairs are
+    then measured in one bulk call, train after train, so each train draws
+    the uniforms a call of its own would draw in turn. ``rng`` may instead
+    be those uniforms, one per pair.
 
     Returns ``(passes, error_rates)``: how many trains, from the first,
     pass (``_check_passed``) before one fails, and each train's error rate.
     """
+    require_unit_interval("error_threshold", threshold)
     slots = np.asarray(slots, dtype=np.int64)
     disclosed = np.asarray(disclosed, dtype=np.int64)
     named = slots.ravel()[_checked_disclosure(slots, disclosed)]

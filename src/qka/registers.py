@@ -33,38 +33,33 @@ they are afterwards. Measurement has one bulk entry,
 ``measure_rows_in_basis``, and three routines; ``measure_z`` and
 ``measure_in_basis`` measure one group through it.
 
-* One kernel measures groups in bulk, each with its own uniform. Groups
-  that are whole rows, in register order, of allocated blocks go through
-  it whatever blocks they lie in: one matmul per pass, then one inverse-CDF
-  draw per row. Groups of one qubit go through it in waves. A wave takes
-  the first qubit still waiting in each register, in list order, so a
-  register named more than once waits a wave per qubit; the wave's qubits
-  in registers of one width are measured with one gather and one matmul,
-  leaving their remainders as one multi-row listed block. Intercept-resend
-  in the Z basis measures a whole train this way.
-* The general routine, ``_measure``, measures one group. It merges the
-  rows it touches (a Kronecker product in first-seen order, capped at 12
-  qubits; anything larger fails loudly), built with the measured qubits in
-  front from one cached gather per row, samples one outcome and stores
-  what remains as a one-row listed block. Measuring across two entangled
-  pairs this way is what performs entanglement swapping. It serves the
-  scalar ``measure_bell`` and the groups below the cutovers that follow.
-* Groups that cross registers go through a wave kernel with the same
-  arithmetic. A wave takes every waiting group that names no register an
+* Groups that are whole rows, in register order, of allocated blocks are
+  read in place, whatever blocks they lie in: one matmul per pass, then
+  one inverse-CDF draw per row. An honest run measures nothing else.
+* Every other group, of one qubit or many, goes through one merge kernel
+  in waves. A wave takes every waiting group that names no register an
   earlier waiting group names, so groups sharing a register keep their
-  list order, and buckets the wave by the widths of the rows each group
-  merges and where its measured qubits sit in the merge. A bucket gets one
-  product of cached gathers, one batched matmul, one draw and one listed
-  remainder block. Below ``_BULK_GROUPS`` (32) waiting groups, or
-  ``_BULK_BUCKET`` (8) groups in a bucket, one ``_measure`` each is
-  cheaper: a wave and a bucket cost about as much as eight to ten such
-  calls, and halving or doubling both cutovers moved the attack benchmark
-  by under 1%.
-  On that benchmark a two-party stack measures 512 and 128 such groups
-  per call under intercept-resend in Z (one wave, one bucket), 389 and 204
-  under intercept-resend in the Bell basis (two waves, 17 buckets in all),
-  256 and 224 under a reordering receiver, and 953 in seven waves and 19
-  buckets for an early-measuring sender's guessed pairings.
+  list order (a register named k times waits k waves), and buckets the
+  wave by the widths of the rows each group merges. Each group's rows
+  merge with its measured qubits in front, by the cached gathers of its
+  front; a bucket gets one 2-D matmul, one draw and one listed remainder
+  block. Below ``_BULK_GROUPS`` (32) waiting groups, or ``_BULK_BUCKET``
+  (8) groups in a bucket, one ``_measure`` each is cheaper, one-qubit
+  groups included. On the attack benchmark, intercept-resend in Z
+  measures a 64-lane two-party stack's 2,048 hit qubits in two waves of
+  one bucket each (1,536 on Bell rows, then 512 on what they left), and
+  the 512 Bell pairs of its decoy check and 1,024 of its decode in one
+  wave and one bucket each. Under intercept-resend in the Bell basis such
+  a call takes two waves and three buckets, under a reordering receiver
+  two and two, and an early-measuring sender's 953 guessed pairs seven
+  and 13.
+* The one-group routine, ``_measure``, merges the rows its group touches
+  (a Kronecker product in first-seen order, capped at 12 qubits; anything
+  larger fails loudly), built with the measured qubits in front from one
+  cached gather per row, samples one outcome and stores what remains as
+  a one-row listed block. Measuring across two entangled pairs this way
+  is what performs entanglement swapping. It serves the scalar
+  ``measure_bell`` and the groups below the cutovers.
 
 Every amplitude is float64: the resource states and the letter matrices of
 :mod:`qka.pauli` are real, so every reachable state is, a bra is its ket and
@@ -365,38 +360,30 @@ def _check_cap(qubits: int) -> None:
 
 
 def _members(labels: np.ndarray):
-    """(label, indices holding it) for each distinct label, in label order.
-
-    The labels are ints, or the rows of a 2-D array, each yielded as a list.
-    """
+    """(label, indices holding it) for each distinct int label, in label order."""
     if not len(labels):
         return
     if (labels == labels[0]).all():  # the common case: one block, or one position
         yield labels[0].tolist(), np.arange(len(labels))
         return
-    if labels.ndim == 1:
-        order = np.argsort(labels, kind="stable")
-        ranked = labels[order]
-        starts = ranked[1:] != ranked[:-1]
-    else:
-        order = np.lexsort(labels.T[::-1])  # stable, like the argsort
-        ranked = labels[order]
-        starts = (ranked[1:] != ranked[:-1]).any(axis=1)
-    bounds = [0, *(np.flatnonzero(starts) + 1).tolist(), len(labels)]
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(labels)]
     for lo, hi in zip(bounds, bounds[1:]):
         yield ranked[lo].tolist(), order[lo:hi]
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the entries of ``keys`` equal to it: how many come before it."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    ordinal = np.arange(keys.size)
-    starts = np.ones(keys.size, dtype=bool)
-    starts[1:] = ranked[1:] != ranked[:-1]
-    ranks = np.empty(keys.size, dtype=np.int64)
-    ranks[order] = ordinal - np.maximum.accumulate(np.where(starts, ordinal, 0))
-    return ranks
+def _code(columns: np.ndarray) -> np.ndarray:
+    """Each column of an (m, n) array of ints below 16 as one int, row j its j-th hex digit."""
+    code = columns[0]
+    for j in range(1, len(columns)):
+        code = code + (columns[j] << 4 * j)
+    return code
+
+
+def _digits(code: int, m: int) -> tuple[int, ...]:
+    """The m hex digits of ``code``, lowest first: a column ``_code`` folded."""
+    return tuple(code >> 4 * j & 15 for j in range(m))
 
 
 def _given_uniforms(uniforms, count: int, what: str) -> np.ndarray:
@@ -489,20 +476,6 @@ def _merge_gathers(
     return gathers, rest
 
 
-@lru_cache(maxsize=None)
-def _single_fronts(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_front_gather`` of each single position of a ``width``-qubit row.
-
-    Returns the gathers as a (width, 2^width) array, and the positions each
-    leaves as a (width, width - 1) array.
-    """
-    fronts = [_front_gather(width, (p,)) for p in range(width)]
-    gathers = np.array([gather for gather, _ in fronts])
-    rests = np.array([rest for _, rest in fronts], dtype=np.int64).reshape(width, width - 1)
-    gathers.flags.writeable = rests.flags.writeable = False  # shared through the cache
-    return gathers, rests
-
-
 class _Block:
     """``live`` registers of one ``width``, one row each of ``amplitudes``.
 
@@ -532,7 +505,7 @@ class _Block:
     def id_table(self, rows: np.ndarray) -> np.ndarray:
         """The (len(rows), width) ids of ``rows``."""
         if self.ids is not None:
-            return self.ids[rows]
+            return self.ids.take(rows, axis=0)
         return (self.first + rows * self.width)[:, None] + np.arange(self.width)
 
 
@@ -558,20 +531,6 @@ class QubitStore:
 
     # -- allocation ----------------------------------------------------
 
-    def _new_block(self, amplitudes: np.ndarray, width: int) -> int:
-        """Store fresh rows of ``width`` qubits under the next ids; return the first."""
-        first, count = self._next_id, len(amplitudes) * width
-        end = first + count
-        if end > self._block_of.size:
-            size = max(end, self._block_of.size * 5 // 4 + 64)
-            self._block_of = _grown(self._block_of[:first], size)
-            if self._slot_of is not None:
-                self._slot_of = _grown(self._slot_of[:first], size)
-        self._block_of[first:end] = len(self._blocks)
-        self._blocks.append(_Block(amplitudes, width, first))
-        self._next_id = end
-        return first
-
     def _add_listed(self, amplitudes: np.ndarray, ids: np.ndarray, flat=None) -> None:
         """Store rows over the ids of an (rows, width) table as one listed block.
 
@@ -594,22 +553,18 @@ class QubitStore:
 
     def new_bell(self, kind: BellOutcome) -> tuple[int, int]:
         """Allocate a fresh pair prepared in the named Bell state; ValueError for no Bell state."""
-        kind = BellOutcome(kind)  # before the slice below: an index past the rows slices nothing
-        first = self._new_block(BELL_VECTORS[kind : kind + 1].copy(), 2)
-        return first, first + 1
+        kind = BellOutcome(kind)  # first: the index below would take -1 as the last row
+        return tuple(self.new_train(BELL_VECTORS[kind], 1)[0].tolist())
 
     def new_four_qubit(self, which: FourQubitState) -> tuple[int, int, int, int]:
         """Allocate four fresh qubits in the named 4-qubit resource state."""
-        first = self._new_block(four_qubit_vector(which).reshape(1, -1), 4)
-        return first, first + 1, first + 2, first + 3
+        return tuple(self.new_train(four_qubit_vector(which), 1)[0].tolist())
 
     def new_computational(self, bit: int) -> int:
         """Allocate one fresh qubit in |0> or |1>; ValueError for a bit other than 0 or 1."""
         if bit not in (0, 1):
             raise ValueError(f"a computational-basis qubit holds bit 0 or 1, not {bit!r}")
-        vec = np.zeros((1, 2))
-        vec[0, int(bit)] = 1.0
-        return self._new_block(vec, 1)
+        return int(self.new_states(Z_BASIS[int(bit) : int(bit) + 1])[0, 0])
 
     def new_train(self, vector: np.ndarray, count: int) -> np.ndarray:
         """Allocate ``count`` copies of one k-qubit state as one block.
@@ -636,10 +591,22 @@ class QubitStore:
         return self._new_rows(_checked_states(states).copy())
 
     def _new_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Store checked (r, 2^k) rows as one allocated block; return their id matrix."""
+        """Store checked (r, 2^k) rows as one allocated block under the next ids.
+
+        Returns the (r, k) int64 id matrix; r = 0 allocates nothing.
+        """
         width = rows.shape[1].bit_length() - 1
-        first = self._new_block(rows, width) if len(rows) else self._next_id
-        return np.arange(first, first + len(rows) * width, dtype=np.int64).reshape(-1, width)
+        first, end = self._next_id, self._next_id + len(rows) * width
+        if len(rows):
+            if end > self._block_of.size:
+                size = max(end, self._block_of.size * 5 // 4 + 64)
+                self._block_of = _grown(self._block_of[:first], size)
+                if self._slot_of is not None:
+                    self._slot_of = _grown(self._slot_of[:first], size)
+            self._block_of[first:end] = len(self._blocks)
+            self._blocks.append(_Block(rows, width, first))
+            self._next_id = end
+        return np.arange(first, end, dtype=np.int64).reshape(-1, width)
 
     # -- introspection ---------------------------------------------------
 
@@ -835,65 +802,33 @@ class QubitStore:
         """
         return self._measure_groups(groups, _checked_basis(basis), rng)
 
-    def _places(self, ids: np.ndarray, chosen: np.ndarray) -> list:
-        """(block, indices, rows, positions) for each block holding some ``ids[chosen]``.
-
-        The indices are the entries of ``chosen`` whose ids lie in the block.
-        """
-        picked = ids[chosen]
-        places = []
-        for b, sel in _members(self._block_of[picked]):
-            rows, positions = self._locate(picked[sel], self._blocks[b])
-            places.append((b, chosen[sel], rows, positions))
-        return places
-
     def _measure_rows(
         self, parts: list, width: int, basis: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """Measure one group in each of distinct ``width``-qubit rows, one uniform each.
+        """Measure whole ``width``-qubit rows of allocated blocks, one uniform each.
 
-        ``parts`` holds (block, indices, rows, positions) for each block: the
-        group in row ``rows[i]`` is the whole row, in register order, when
-        ``positions`` is None, and else the one qubit at ``positions[i]``. A
-        run of consecutive ascending whole rows is read in place, as a decode
-        reads its copies, and its ids retire as one slice of the id map;
-        other whole rows are gathered, and one matmul scores them all. A
-        one-qubit group's row is laid out as its two branches by one gather,
-        the rest of the row in row order; one matmul applies the basis, and
-        the remainders become one listed block. Since every basis is
-        complete, a row whose mass is not 1 means the store's own state is
-        corrupt; that raises ValueError before anything changes. Returns the
-        outcomes in part order.
+        ``parts`` holds (block, indices, rows) for each block; each group is
+        a whole row, in register order. A run of consecutive ascending rows
+        is read in place, as a decode reads its copies, and its ids retire
+        as one slice of the id map; other rows are gathered, and one matmul
+        scores them all. Since every basis is complete, a row whose mass is
+        not 1 means the store's own state is corrupt; that raises ValueError
+        before anything changes. Returns the outcomes in part order.
         """
-        blocks, whole = self._blocks, parts[0][3] is None
-        if whole:
-            amps, dead = [], []  # each part's amplitudes and ids
-            for b, _, rows, _ in parts:
-                block, first, span = blocks[b], int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
-                in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
-                amps.append(block.amplitudes[slice(first, first + span) if in_place else rows])
-                at = block.first + first * width
-                dead.append(slice(at, at + span * width) if in_place else block.id_table(rows))
-            probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)
-        else:
-            table = np.concatenate([blocks[b].id_table(rows) for b, _, rows, _ in parts])
-            positions = np.concatenate([positions for _, _, _, positions in parts])
-            picked = np.arange(positions.size)
-            gathers, rests = _single_fronts(width)
-            front = gathers[positions].reshape(picked.size, 2, -1).transpose(1, 0, 2)
-            amps = np.concatenate([blocks[b].amplitudes[rows] for b, _, rows, _ in parts])
-            laid = amps[picked[None, :, None], front]
-            branches = (basis @ laid.reshape(2, -1)).reshape(2, picked.size, -1)
-            probs = np.add.reduce(np.square(branches), 2).T
+        amps, dead = [], []  # each part's amplitudes and ids
+        for b, _, rows in parts:
+            block, first, span = self._blocks[b], int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
+            in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
+            amps.append(block.amplitudes[slice(first, first + span) if in_place else rows])
+            at = block.first + first * width
+            dead.append(slice(at, at + span * width) if in_place else block.id_table(rows))
+        probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)
         _check_mass(probs)
         outcomes = _sample_rows(probs, uniforms)
-        for ids in dead if whole else [table[picked, positions]]:
+        for ids in dead:
             self._block_of[ids] = -1
-        for b, _, rows, _ in parts:
+        for b, _, rows in parts:
             self._retire(b, rows.size)
-        if not whole and width > 1:
-            post = branches[outcomes, picked] / np.sqrt(probs[picked, outcomes])[:, None]
-            self._add_listed(post, table[picked[:, None], rests[positions]])
         return outcomes
 
     def _measure_groups(
@@ -911,19 +846,16 @@ class QubitStore:
         checked after the ids; a caller that stacks runs, each with its own
         generator, draws each run's share itself. Then ``_measure_rows``
         measures, pass by pass, the groups that are whole rows of an
-        allocated block, in register order, across blocks. Groups of one
-        qubit go through it next in waves: wave k takes the k-th qubit named
-        in each register, and its qubits in registers of one width are
-        measured together. Every other group goes through
-        ``_measure_crossing``: waves of groups on disjoint registers, each
-        wave bucketed by the shape of its merges, with ``_measure`` for the
-        groups below its cutovers. The only refusal left after the draw is
-        the 12-qubit cap, should such a merge outgrow it; no engine reaches
-        it, as ``check_adversary`` refuses five-party intercept-bell. It is
-        checked for a whole wave before the wave measures, so when it fires
-        the groups already measured are the earlier waves', which need not
-        be a prefix of the list. Returns the outcome indices as an int64
-        array.
+        allocated block, in register order, across blocks. Every other
+        group, one qubit or many, goes through ``_measure_crossing``: waves
+        of groups on disjoint registers, each wave bucketed by the widths of
+        the rows it merges, with ``_measure`` for the groups below its
+        cutovers. The only refusal left after the draw is the 12-qubit cap,
+        should such a merge outgrow it; no engine reaches it, as
+        ``check_adversary`` refuses five-party intercept-bell. It is checked
+        for a whole wave before the wave measures, so when it fires the
+        groups already measured are the earlier waves', which need not be a
+        prefix of the list. Returns the outcome indices as an int64 array.
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)
@@ -953,37 +885,12 @@ class QubitStore:
                 if not whole.all():
                     sel, rows = sel[whole], rows[whole]
                 if sel.size:
-                    parts.append((b, sel + lo, rows, None))
+                    parts.append((b, sel + lo, rows))
             if parts:
-                at = np.concatenate([sel for _, sel, _, _ in parts])
+                at = np.concatenate([sel for _, sel, _ in parts])
                 outcomes[at] = self._measure_rows(parts, m, basis, uniforms[at])
                 left[at] = False
         rest = np.flatnonzero(left)
-        if m == 1 and rest.size:
-            ids = targets[:, 0]
-            places = self._places(ids, rest)
-            # Wave k takes the k-th qubit named in each register, in list order.
-            key = np.concatenate([(b << 32) | rows for b, _, rows, _ in places])
-            at = np.concatenate([chosen for _, chosen, _, _ in places])
-            wave = np.full(ids.size, -1)
-            wave[at] = _ranks(key)
-            last = int(wave.max())
-            if last:  # the first wave keeps each register's first qubit
-                places = [
-                    (b, chosen[first], rows[first], positions[first])
-                    for b, chosen, rows, positions in places
-                    for first in [wave[chosen] == 0]
-                ]
-            for k in range(last + 1):
-                if k:
-                    places = self._places(ids, np.flatnonzero(wave == k))
-                by_width: dict[int, list] = {}
-                for place in places:
-                    by_width.setdefault(self._blocks[place[0]].width, []).append(place)
-                for width, parts in by_width.items():
-                    at = np.concatenate([chosen for _, chosen, _, _ in parts])
-                    outcomes[at] = self._measure_rows(parts, width, basis, uniforms[at])
-            return outcomes
         if rest.size:
             self._measure_crossing(targets, rest, basis, uniforms, outcomes)
         return outcomes
@@ -1001,51 +908,58 @@ class QubitStore:
         While at least ``_BULK_GROUPS`` groups wait, they go in waves. A wave
         takes every waiting group that names no register named by an earlier
         waiting group, so groups that share a register keep their list
-        order, and the wave's groups touch disjoint registers. It buckets
-        them by the widths of the rows they merge and where the measured
-        qubits sit in the merge; a bucket of at least ``_BULK_BUCKET`` groups
-        is measured by ``_measure_bucket``, and the others go one by one.
+        order, and the wave's groups touch disjoint registers: a register
+        that k one-qubit groups name takes k waves. It buckets them by the
+        widths of the rows they merge; a bucket of at least ``_BULK_BUCKET``
+        groups is measured by ``_measure_bucket``, the others one by one.
         Whatever still waits then goes one by one through ``_measure``. Every
         group uses its own uniform, so the outcomes are those of
         ``_measure`` in list order.
         """
         m = targets.shape[1]
         while pending.size and pending.size >= _BULK_GROUPS:
-            ids = targets[pending]
+            # Column j of the groups as row j: numpy is far faster on a few
+            # long rows than on many short ones, and ``take`` than indexing.
+            ids = targets.T.take(pending, axis=1)
             where = self._block_of[ids].astype(np.int64)
-            present, inverse = np.unique(where, return_inverse=True)
+            present = np.flatnonzero(np.bincount(where.ravel()))
+            # By block index: each block's width, first id (-1 if listed) and
+            # first register, numbering the rows of the blocks present in order.
             blocks = [self._blocks[b] for b in present.tolist()]
-            inverse = inverse.reshape(where.shape)
-            width = np.array([block.width for block in blocks])[inverse]
-            slots = ids - np.array([block.first for block in blocks])[inverse]
-            listed = np.array([block.ids is not None for block in blocks])[inverse]
+            sizes = [len(block.amplitudes) for block in blocks]
+            known = np.zeros((3, present[-1] + 1), dtype=np.int64)
+            known[0, present] = [block.width for block in blocks]
+            known[1, present] = [block.first for block in blocks]
+            known[2, present] = list(itertools.accumulate(sizes[:-1], initial=0))
+            width, first, register = known.take(where, axis=1)
+            slots, listed = ids - first, first < 0
             if listed.any():
                 slots[listed] = self._slot_of[ids[listed]]
             rows, positions = np.divmod(slots, width)
-            register = (where << 32) | rows
-            # Each group's first name in each of its registers; a group joins
-            # the wave if it is the first waiting group to name every one.
-            opener = (register[:, :, None] == register[:, None, :]).argmax(axis=2)
-            opens = opener == np.arange(m)
-            taken = np.ones(pending.size, dtype=bool)
-            taken[np.nonzero(opens)[0][_ranks(register[opens]) > 0]] = False
-            chosen, pending = pending[taken], pending[~taken]
-            where, rows, positions, width, opener, opens = (
-                a[taken] for a in (where, rows, positions, width, opener, opens)
-            )
-            # The merge: each group's registers in first-seen order, measured qubits first.
-            opened = np.where(opens, width, 0)  # widths where first seen
-            offset = np.cumsum(opened, axis=1) - opened
-            front = offset[np.arange(chosen.size)[:, None], opener] + positions
-            _check_cap(int(np.add.reduce(opened, 1).max()))
-            for shape, sel in _members(np.concatenate((opened, front), axis=1)):
-                at = chosen[sel]
+            register += rows
+            # ``seen``: the column of each qubit's group that first names its
+            # register, negative if an earlier group names it. A group joins
+            # the wave if it is the first to name each of its registers.
+            order = np.arange(0, ids.size, m) + np.arange(m)[:, None]  # place in the list
+            earliest = np.full(sum(sizes), ids.size)
+            np.minimum.at(earliest, register.ravel(), order.ravel())
+            seen = earliest[register] - order[0]
+            taken = seen.min(axis=0) >= 0
+            chosen = np.flatnonzero(taken)
+            opened = np.where(seen == np.arange(m)[:, None], width, 0)  # widths where first seen
+            keys = _code(opened)[chosen]
+            buckets = [(_digits(key, m), chosen[sel]) for key, sel in _members(keys)]
+            _check_cap(max(sum(widths) for widths, _ in buckets))
+            for widths, at in buckets:
+                picked = pending[at]
                 if at.size < _BULK_BUCKET:
-                    self._one_by_one(targets, at, basis, uniforms, outcomes)
+                    self._one_by_one(targets, picked, basis, uniforms, outcomes)
                 else:
-                    outcomes[at] = self._measure_bucket(
-                        targets[at], (where[sel], rows[sel]), shape, basis, uniforms[at]
+                    places = [a.take(at, axis=1) for a in (where, rows, seen, positions)]
+                    outcomes[picked] = self._measure_bucket(
+                        targets.take(picked, axis=0), places, widths, basis, uniforms[picked]
                     )
+            pending = pending[~taken]
         self._one_by_one(targets, pending, basis, uniforms, outcomes)
 
     def _one_by_one(self, targets, chosen, basis, uniforms, outcomes) -> None:
@@ -1057,55 +971,72 @@ class QubitStore:
     def _measure_bucket(
         self,
         ids: np.ndarray,
-        block_rows: tuple[np.ndarray, np.ndarray],
-        shape: list[int],
+        places: list,
+        opened: tuple[int, ...],
         basis: np.ndarray,
         uniforms: np.ndarray,
     ) -> np.ndarray:
-        """``_measure`` of each group of ``ids``, all merging rows alike, at once.
+        """``_measure`` of each group of ``ids``, all merging rows of the same widths, at once.
 
-        ``ids[i, j]`` lies in row ``rows[i, j]`` of block ``where[i, j]``, for
-        ``where, rows = block_rows``, and the groups touch disjoint registers.
-        ``shape`` is the bucket key: per column, the width of the register it
-        opens (0 if an earlier column opened it), then each qubit's place in
-        the merge. The rows merge by one ``_merge_gathers`` product, in
-        ``_measure``'s order; one batched matmul applies the basis, one
+        The groups touch disjoint registers. ``places`` holds four arrays
+        shaped like ``ids.T``, column j of the groups in row j: each qubit's
+        block, row and position there, and the column of its group that
+        first names its register. ``opened`` is the bucket key: per column,
+        the width of the register it opens, or 0. Each distinct front (where
+        the measured qubits sit in the merge) takes its gathers from
+        ``_merge_gathers``, so the rows merge in ``_measure``'s order, laid
+        out as (outcome, group, rest) for one 2-D matmul with the basis; one
         ``_sample_rows`` draw picks the outcomes, and the remainders become
         one listed block. Returns the outcomes.
         """
-        m = ids.shape[1]
-        opens = [j for j in range(m) if shape[j]]
-        gathers, rest = _merge_gathers(tuple(shape[j] for j in opens), tuple(shape[m:]))
-        where, rows = block_rows
-        amps, tables = None, []
-        for j, gather in zip(opens, gathers):
-            row_amps, table = self._rows(where[:, j], rows[:, j])
-            amps = row_amps[:, gather] if amps is None else amps * row_amps[:, gather]
+        where, rows, seen, positions = places
+        (n, m), d = ids.shape, len(basis)
+        opens = [j for j, width in enumerate(opened) if width]
+        offsets = np.array(list(itertools.accumulate(opened[:-1], initial=0)))
+        fronts = list(_members(_code(offsets[seen] + positions)))
+        widths = tuple(opened[j] for j in opens)
+        merges = [_merge_gathers(widths, _digits(front, m)) for front, _ in fronts]
+        kind = np.empty(n, dtype=np.int64)  # each group's front, by its index in ``merges``
+        for k, (_, sel) in enumerate(fronts):
+            kind[sel] = k
+        picked = np.arange(n)
+        laid, tables = None, []
+        for j, gathers in zip(opens, zip(*(gathers for gathers, _ in merges))):
+            amps, at, table = self._rows(where[j], rows[j])
+            index = np.array(gathers).take(kind, axis=0).reshape(n, d, -1).transpose(1, 0, 2)
+            part = amps.ravel().take(index + (at * amps.shape[1])[:, None])
+            laid = part if laid is None else laid * part
             tables.append(table)
-        branches = basis @ amps.reshape(len(ids), len(basis), -1)
-        probs = np.add.reduce(np.square(branches), 2)
-        _check_mass(probs)
-        outcomes = _sample_rows(probs, uniforms)
+        branches = (basis @ laid.reshape(d, -1)).reshape(d, n, -1)
+        chance = np.add.reduce(np.square(branches), 2)  # by outcome, then group
+        _check_mass(chance.T)
+        outcomes = _sample_rows(chance.T, uniforms)
         self._block_of[ids] = -1
-        for b, sel in _members(where[:, opens].ravel()):
-            self._retire(b, sel.size)
-        if rest:
-            picked = np.arange(len(ids))
-            post = branches[picked, outcomes] / np.sqrt(probs[picked, outcomes])[:, None]
-            self._add_listed(post, np.concatenate(tables, axis=1)[:, rest])
+        retired = np.bincount(where[opens].ravel())
+        for b in np.flatnonzero(retired).tolist():
+            self._retire(b, int(retired[b]))
+        rests = np.array([rest for _, rest in merges], dtype=np.int64).reshape(len(merges), -1)
+        if rests.size:
+            flat = outcomes * n + picked
+            post = branches.reshape(d * n, -1).take(flat, axis=0)
+            post /= np.sqrt(chance.take(flat))[:, None]
+            table = np.concatenate(tables, axis=1)
+            kept = rests.take(kind, axis=0) + (picked * table.shape[1])[:, None]
+            self._add_listed(post, table.ravel().take(kept))
         return outcomes
 
-    def _rows(self, where: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The amplitudes and id table of row ``rows[i]`` of block ``where[i]``, for each i.
+    def _rows(self, where: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Where to read row ``rows[i]`` of block ``where[i]``, for each i, and its ids.
 
-        The blocks share one width; the rows are gathered block by block.
+        The blocks share one width. Returns (amps, at, table): the row is
+        ``amps[at[i]]`` and its ids are ``table[i]``. Rows of one block are
+        read in place; rows of several are gathered block by block.
         """
         parts = [(self._blocks[b], sel) for b, sel in _members(where)]
         if len(parts) == 1:
-            return parts[0][0].amplitudes[rows], parts[0][0].id_table(rows)
-        amps = np.empty((rows.size, parts[0][0].amplitudes.shape[1]))
-        table = np.empty((rows.size, parts[0][0].width), dtype=np.int64)
-        for block, sel in parts:
-            amps[sel] = block.amplitudes[rows[sel]]
-            table[sel] = block.id_table(rows[sel])
-        return amps, table
+            return parts[0][0].amplitudes, rows, parts[0][0].id_table(rows)
+        at = np.empty(rows.size, dtype=np.int64)
+        at[np.concatenate([sel for _, sel in parts])] = np.arange(rows.size)
+        amps = np.concatenate([block.amplitudes.take(rows[sel], axis=0) for block, sel in parts])
+        table = np.concatenate([block.id_table(rows[sel]) for block, sel in parts])
+        return amps, at, table.take(at, axis=0)

@@ -240,15 +240,18 @@ class TestVerifyDecoys:
         )
         assert passes == 1
 
-    def test_nan_threshold_fails_as_the_run_check_does(self):
-        """``passes`` follows the pass rule of a run's recorded checks: NaN passes nothing."""
+    @pytest.mark.parametrize("threshold", ["0.1", True, math.nan, 1.5])
+    def test_bad_threshold_refused_before_anything_changes(self, threshold):
+        """A threshold a run's config refuses is refused here too, before any
+        qubit is measured or any uniform drawn."""
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(4)]
         slots, rec = insert_decoys_and_permute(message, store, [np.random.default_rng(1)], 2)
-        passes, (rate,) = verify_decoys(
-            store, slots[None], rec.decoy_pairs[None], math.nan, np.random.default_rng(2)
-        )
-        assert rate == 0.0 and passes == 0
+        live, rng = store.live_qubits(), np.random.default_rng(2)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="error_threshold"):
+            verify_decoys(store, slots[None], rec.decoy_pairs[None], threshold, rng)
+        assert store.live_qubits() == live and rng.bit_generator.state == state
 
     def test_malformed_disclosure(self):
         store = QubitStore()

@@ -7,6 +7,7 @@ exactly and the surviving amplitudes to 1e-12.
 """
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from qka.registers import (
     _sample_rows,
     four_qubit_vector,
 )
+
+
+CUTOVERS = (registers._BULK_GROUPS, registers._BULK_BUCKET)  # the kernel's defaults
 
 
 def twin_stores(bell_kind, four_kind, n_bell, n_four):
@@ -505,15 +509,21 @@ def _crossing_store(seed):
 
 
 def _crossing_groups(plan, m, bell, four, lone):
-    """Groups that cross registers and chain through shared ones, in a random order.
+    """Groups that cross registers or share them, in a random order.
 
+    For m = 1: both qubits of Bell rows 0-9, 4-qubit rows 0-3 at every
+    position, the lone qubits, and every qubit of the listed remainders of
+    one, three and four qubits, so registers are named up to four times.
     For m = 2: rows 0-4 paired as a reordering receiver's swaps leave them,
     rows 5-9 as an early-measuring sender's random guess, and pairs with the
     lone qubits and the listed remainders. For m = 4: two qubits of each of
     rows 0-3 with two of a row of a random pairing, and one group over a
     listed remainder.
     """
-    if m == 2:
+    if m == 1:
+        groups = [[q] for q in [*bell[:10].ravel(), *four[:4].ravel(), *lone, bell[10, 1]]]
+        groups += [[q] for q in [*four[5, 1:], bell[11, 1], *four[4, :3]]]
+    elif m == 2:
         swapped = np.arange(5)
         swapped[[0, 3]] = swapped[[3, 0]]
         guessed = 5 + plan.permutation(5)
@@ -529,11 +539,11 @@ def _crossing_groups(plan, m, bell, four, lone):
 
 
 class TestCrossingWaves:
-    """The wave kernel for groups that cross registers, with its cutovers at 0,
+    """The wave kernel for groups that are not whole rows, at several cutovers,
     against one ``measure_in_basis`` per group on a twin store."""
 
-    @pytest.mark.parametrize("cutovers", [(0, 0), (4, 3)])
-    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("cutovers", [(0, 0), (4, 3), CUTOVERS])
+    @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(10))
     def test_waves_match_one_group_at_a_time(self, seed, m, cutovers, monkeypatch):
         (a, bell, four, lone), (b, *_) = _crossing_store(seed), _crossing_store(seed)
@@ -560,7 +570,7 @@ class TestCrossingWaves:
         monkeypatch.setattr(QubitStore, "_measure", counting)
         ga = np.random.default_rng([seed, 3])
         assert a.measure_rows_in_basis(groups, basis, ga).tolist() == want
-        if not bulk_bucket:  # at 0, every group that crosses registers goes in bulk
+        if not bulk_bucket:  # at 0, every group that is not a whole row goes in bulk
             assert buckets and not one_by_one
         assert ga.random() == gb.random()
         assert_same_state(a, b)
@@ -598,13 +608,23 @@ class TestProtocolRuns:
         )
         assert not attacked.aborted and one_by_one
 
-    @pytest.mark.parametrize("kind", ["intercept-z", "dishonest-bob", "dishonest-alice"])
-    def test_attacked_batches_measure_one_by_one_only_below_the_cutover(self, kind, monkeypatch):
-        """In a 40-trial batch, groups that cross registers go through the wave
-        kernel; ``_measure`` sees only small buckets and short tails."""
-        calls, sizes, buckets = [], [], []
+    @pytest.mark.parametrize("kind, parties", [
+        pytest.param("intercept-z", 2, id="intercept-z"),
+        pytest.param("dishonest-bob", 2, id="dishonest-bob"),
+        pytest.param("dishonest-alice", 2, id="dishonest-alice"),
+        pytest.param("intercept-z", 3, id="intercept-z-3p"),
+        pytest.param("intercept-z", 5, id="intercept-z-5p"),
+    ])
+    def test_attacked_batches_measure_one_by_one_only_below_the_cutover(
+        self, kind, parties, monkeypatch
+    ):
+        """In a 40-trial batch, groups that cross registers and one-qubit groups
+        go through the wave kernel; ``_measure`` sees only small buckets and
+        short tails, and each wave's one-qubit groups on rows of one width
+        arrive as one bucket, wherever in their rows the qubits sit."""
+        calls, sizes, buckets, waves = [], [], [], []
         measure, one_by_one = QubitStore._measure, QubitStore._one_by_one
-        measure_bucket = QubitStore._measure_bucket
+        measure_bucket, measure_crossing = QubitStore._measure_bucket, QubitStore._measure_crossing
 
         def counting(self, qubits, *args):
             calls.append(len(qubits))
@@ -612,22 +632,56 @@ class TestProtocolRuns:
 
         def recording(self, targets, chosen, *args):
             sizes.append(len(chosen))
+            waves[-1][1].append(("one", len(chosen)))
             return one_by_one(self, targets, chosen, *args)
 
-        def bucketing(self, ids, *args):
+        def bucketing(self, ids, places, opened, *args):
             buckets.append(len(ids))
-            return measure_bucket(self, ids, *args)
+            waves[-1][1].append(("bucket", opened[0], len(ids)))
+            return measure_bucket(self, ids, places, opened, *args)
+
+        def crossing(self, targets, pending, *args):
+            one_qubit = targets.shape[1] == 1
+            waves.append((_one_qubit_waves(self, targets[pending, 0]) if one_qubit else None, []))
+            return measure_crossing(self, targets, pending, *args)
 
         monkeypatch.setattr(QubitStore, "_measure", counting)
         monkeypatch.setattr(QubitStore, "_one_by_one", recording)
         monkeypatch.setattr(QubitStore, "_measure_bucket", bucketing)
+        monkeypatch.setattr(QubitStore, "_measure_crossing", crossing)
         adversary = AdversaryModel(kind=kind, fraction=1.0, swap_count=4)
-        config = ProtocolConfig(key_bits=16, party_count=2, seed=11, error_threshold=1.0)
+        config = ProtocolConfig(key_bits=16, party_count=parties, seed=11, error_threshold=1.0)
         results = run_batch(config, adversary, 40)
         assert len(results) == 40 and not any(r.aborted for r in results)
         assert len(calls) == sum(sizes)  # every one-group measurement comes through here
         assert max(sizes) < registers._BULK_GROUPS
         assert min(buckets) >= registers._BULK_BUCKET and sum(buckets) > 4 * len(calls)
+        one_qubit = [(want, got) for want, got in waves if want is not None]
+        assert bool(one_qubit) == (kind == "intercept-z")
+        for want, got in one_qubit:
+            assert got == want
+
+
+def _one_qubit_waves(store, ids):
+    """What the wave rule makes of one-qubit groups ``ids``, read from a copy
+    of the store: ``_measure_crossing``'s calls in order, ("bucket", width,
+    groups) or ("one", groups). A qubit's wave is its rank among the named
+    qubits of its register, and a wave's qubits on rows of one width form
+    one bucket, measured one by one if it holds fewer than ``_BULK_BUCKET``."""
+    twin, named, pending = copy.deepcopy(store), {}, []
+    for q in ids.tolist():
+        register = twin.register_of(q).qubits
+        rank = named[register] = named.get(register, -1) + 1
+        pending.append((rank, len(register) - rank))  # its wave, and its row's width then
+    calls, wave = [], 0
+    while len(pending) >= registers._BULK_GROUPS:
+        widths = sorted(width for rank, width in pending if rank == wave)
+        for width in sorted(set(widths)):
+            count = widths.count(width)
+            bulk = count >= registers._BULK_BUCKET
+            calls.append(("bucket", width, count) if bulk else ("one", count))
+        pending, wave = [p for p in pending if p[0] != wave], wave + 1
+    return calls + [("one", len(pending))]
 
 
 def _singles_store(plan):
@@ -650,9 +704,10 @@ class TestSingleQubitMeasurement:
     """One-qubit groups of ``measure_rows_in_basis`` against sequential one-qubit
     measurements on a twin store."""
 
+    @pytest.mark.parametrize("cutovers", [CUTOVERS, (0, 0)])  # (0, 0): all in bulk
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), z=st.booleans())
-    def test_matches_sequential_measurements(self, seed, z):
+    def test_matches_sequential_measurements(self, cutovers, seed, z):
         plan = np.random.default_rng(seed)
         a, _ = _singles_store(np.random.default_rng(seed))
         b, _ = _singles_store(np.random.default_rng(seed))
@@ -660,7 +715,9 @@ class TestSingleQubitMeasurement:
         ids = plan.permutation(live)[: int(plan.integers(1, len(live) + 1))].tolist()
         basis = np.eye(2) if z else random_basis(plan, 2)
         ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = a.measure_rows_in_basis(np.asarray(ids)[:, None], basis, ga.random(len(ids)))
+        groups, uniforms = np.asarray(ids)[:, None], ga.random(len(ids))
+        with mock.patch.multiple(registers, _BULK_GROUPS=cutovers[0], _BULK_BUCKET=cutovers[1]):
+            got = a.measure_rows_in_basis(groups, basis, uniforms)
         if z:
             want = [b.measure_z(q, gb) for q in ids]
         else:
@@ -767,7 +824,9 @@ class TestSingleQubitMeasurement:
                 ra, rb = a.register_of(q), b.register_of(q)
                 assert ra.qubits == rb.qubits and np.array_equal(ra.amplitudes, rb.amplitudes)
 
-    def test_remainders_of_one_block_and_width_form_one_listed_block(self):
+    def test_remainders_of_one_block_and_width_form_one_listed_block(self, monkeypatch):
+        monkeypatch.setattr(registers, "_BULK_GROUPS", 0)  # four groups: in bulk only at 0
+        monkeypatch.setattr(registers, "_BULK_BUCKET", 0)
         store = QubitStore()
         bell = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 4)
         store.measure_rows_in_basis(bell[:, 1:], np.eye(2), [0.1, 0.6, 0.3, 0.9])
