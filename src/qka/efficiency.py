@@ -100,16 +100,16 @@ def count_from_transcript(t: Transcript) -> ResourceCount:
     """
     if t.aborted:
         raise ValueError("cannot count resources of an aborted run")
+    kinds, purposes, qubit_counts, counted_bits = t.tally_columns()
     q_message = 0
     q_decoy = 0
-    b = 0
-    for event in t.events:
-        if event.kind == STATE_PREPARATION:
-            if event.purpose == "decoy":
-                q_decoy += event.qubit_count
+    for kind, purpose, qubits in zip(kinds, purposes, qubit_counts):
+        if kind == STATE_PREPARATION:
+            if purpose == "decoy":
+                q_decoy += qubits
             else:
-                q_message += event.qubit_count
-        b += event.counted_bits
+                q_message += qubits
+    b = sum(counted_bits)
     q = q_message if t.protocol == FIVE_PARTY else q_message + q_decoy
     tally = ResourceCount(t.key_bits, q, b)
     preset = preset_counts(t.protocol, t.key_bits)

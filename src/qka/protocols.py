@@ -11,12 +11,13 @@ Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
 
 Every run is a *lane*, a ``_RunContext`` that owns its generator, keys,
-transcript and checks and, once the run ends, its result; identical
+checks and view of the log and, once the run ends, its result; identical
 (seed, run_index) pairs reproduce byte-identical transcripts. Both engines
-run a ``_Stack`` of lanes through one store in lockstep,
-and send every train through its one transmission routine,
-``_Stack.transmit``: scramble, send, transit attack, decoy check, and each
-lane's disclosures, checks and abort. What sets a transmission apart is its
+run a ``_Stack`` of lanes through one store and one event table in
+lockstep, and send every train through its one transmission routine,
+``_Stack.transmit``: scramble, send, transit attack, decoy check, the
+disclosures, each lane's check, and the abort of each lane whose check
+fails. What sets a transmission apart is its
 disclosure staging, when a train's message order goes out: with the decoy
 pairs (a train that carries no key yet), right after its check (a
 key-bearing ring hop), or withheld (the two-party return train, whose order
@@ -81,7 +82,7 @@ from .registers import (
     constant_state,
     four_qubit_vector,
 )
-from .transcript import Transcript
+from .transcript import EventTable, Transcript
 
 PARTY_NAMES = ("Alice", "Bob", "Charlie", "Dave", "Erika")
 
@@ -268,9 +269,9 @@ def insert_decoys_and_permute(
     return items.ravel()[taken].reshape(stacked), PermutationRecord.of(forward.reshape(stacked), m)
 
 
-def _check_passed(error_rate: float, threshold: float) -> bool:
-    """The decoy pass rule, in its one home: an error rate at most ``threshold``; a NaN fails."""
-    return bool(error_rate <= threshold)  # a plain bool, whatever float type the threshold has
+def _check_passed(error_rates: np.ndarray, threshold: float) -> np.ndarray:
+    """The decoy pass rule, in its one home, for each rate: at most ``threshold``; a NaN fails."""
+    return np.less_equal(error_rates, threshold)
 
 
 def verify_decoys(
@@ -301,11 +302,10 @@ def verify_decoys(
     trains, pairs = disclosed.shape[:2]
     outcomes = store.measure_rows_in_basis(named.reshape(-1, 2), BELL_VECTORS, rng)
     passed = np.count_nonzero(outcomes.reshape(trains, pairs) == BellOutcome.PSI_PLUS, axis=1)
-    error_rates = ((pairs - passed) / pairs).tolist()
-    passes = next(
-        (i for i, rate in enumerate(error_rates) if not _check_passed(rate, threshold)), trains
-    )
-    return passes, tuple(error_rates)
+    error_rates = (pairs - passed) / pairs
+    ok = _check_passed(error_rates, threshold)
+    passes = trains if ok.all() else int(ok.argmin())
+    return passes, tuple(error_rates.tolist())
 
 
 def _checked_disclosure(slots: np.ndarray, disclosed: np.ndarray) -> np.ndarray:
@@ -522,13 +522,13 @@ def json_chunks(value, indent: str = "") -> Iterator[str]:
 
 
 class _RunContext:
-    """One run, a lane of a stack: its generator, transcript, checks, keys and result."""
+    """One run, a lane of a stack: its generator, transcript view, checks, keys and result."""
 
-    def __init__(self, protocol: str, config: ProtocolConfig, names: tuple[str, ...]):
+    def __init__(self, config: ProtocolConfig, names: tuple[str, ...], transcript: Transcript):
         self.config = config
         self.names = names
         self.rng = config.make_rng()
-        self.transcript = Transcript(protocol, config.key_bits)
+        self.transcript = transcript
         self.checks: list[TransmissionCheck] = []
         self.keys: list[np.ndarray] = []  # the private keys drawn so far, in party order
         self.result: ProtocolResult | None = None  # set by ``finish`` once the run ends
@@ -559,92 +559,6 @@ class _RunContext:
             None if aborted else count_from_transcript(transcript), transcript,
             outcome_records or {}, report,
         )
-
-    def log_preparation(self, step: str, actor: str, qubit_count: int, purpose: str) -> None:
-        self.transcript.log(
-            step,
-            actor,
-            tr.STATE_PREPARATION,
-            {"purpose": purpose, "qubit_count": qubit_count},
-            qubit_count=qubit_count,
-            purpose=purpose,
-        )
-
-    def send(self, step: str, sender: str, receiver: str, slots: np.ndarray, index: int) -> None:
-        """Log a scrambled train's send as transmission ``index``, and its ack.
-
-        The log keeps the train as sent: a transit attack (see
-        ``_Stack.transmit``) rewrites ``slots`` only afterwards.
-        """
-        self.transcript.log(
-            step,
-            sender,
-            tr.QUANTUM_SEND,
-            {"to": receiver, "slots": slots, "transmission": index},
-            qubit_count=len(slots),
-        )
-        self.transcript.log(step, receiver, tr.ACK, {"transmission": index})
-
-    def disclose_full(
-        self, step: str, actor: str, message_order: np.ndarray, decoy_pairs: np.ndarray
-    ) -> None:
-        self.transcript.log(
-            step,
-            actor,
-            tr.FULL_PERMUTATION_DISCLOSURE,
-            {"message_order": message_order, "decoy_pairs": decoy_pairs},
-            counted_bits=len(message_order),
-        )
-
-    def disclose_decoys(self, step: str, actor: str, decoy_pairs: np.ndarray) -> None:
-        self.transcript.log(
-            step,
-            actor,
-            tr.DECOY_POSITIONS_DISCLOSURE,
-            {"decoy_pairs": decoy_pairs},
-        )
-
-    def disclose_order(self, step: str, actor: str, order: np.ndarray) -> None:
-        self.transcript.log(
-            step,
-            actor,
-            tr.MESSAGE_ORDER_DISCLOSURE,
-            {"message_order": order},
-            counted_bits=len(order),
-        )
-
-    def announce_key(self, step: str, actor: str, key: np.ndarray) -> None:
-        self.transcript.log(
-            step,
-            actor,
-            tr.KEY_ANNOUNCEMENT,
-            {"key": bits_to_hex(key)},
-            counted_bits=len(key),
-        )
-
-    def record_check(
-        self, step: str, sender: str, receiver: str, index: int, error_rate: float
-    ) -> bool:
-        """Record one transmission's check and whether it passed; a failed check ends the run."""
-        threshold = self.config.error_threshold
-        passed = _check_passed(error_rate, threshold)
-        self.checks.append(
-            TransmissionCheck(index, step, sender, receiver, error_rate, passed)
-        )
-        if not passed:
-            self.transcript.log(
-                step,
-                receiver,
-                tr.ABORT,
-                {"transmission": index, "error_rate": error_rate},
-            )
-            self.transcript.aborted = True
-            reason = (
-                f"decoy check failed on transmission {index} "
-                f"(error rate {error_rate:.4f} > threshold {threshold})"
-            )
-            self.finish(dict.fromkeys(self.names), reason=reason)
-        return passed
 
 
 def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
@@ -691,13 +605,17 @@ class _Stack:
     """A stack of *lanes*, one run per config, in lockstep through one store.
 
     The configs differ only in ``run_index``. Each lane is a ``_RunContext``
-    that holds its keys and, once it ends, its result, and only the draws
-    and the log run lane by lane, each lane's in the order a run of its own
-    makes them; the store calls serve all lanes, and each bulk measurement
-    takes the lanes' uniforms in lane order. ``active`` holds the lanes
-    still running, one per row of the engine's arrays; a lane whose check
-    fails records its abort and result and leaves. A stack of one lane
-    allocates, draws and logs exactly as a run of its own.
+    that holds its keys, checks and, once it ends, its result, and only the
+    draws run lane by lane, each lane's in the order a run of its own makes
+    them; the store calls serve all lanes, and each bulk measurement takes
+    the lanes' uniforms in lane order. ``active`` holds the lanes still
+    running, one per row of the engine's arrays, and ``active_ids`` their
+    lane numbers. The stack logs each event once, in ``table``, for the
+    lanes it reaches, and each lane's transcript is a view of the table.
+    Lanes leave only when their check fails, each logging its abort as a
+    one-lane row, so every lane sees the events a run of its own logs, in
+    the same order. A stack of one lane allocates, draws and logs exactly
+    as a run of its own.
 
     Each copy circulates its qubits at the ``travel`` positions, so a
     train carries those of n copies, then n/2 decoy pairs.
@@ -721,8 +639,13 @@ class _Stack:
         self.adversary = adversary
         self.attacked = adversary.transmission_index if adversary.is_external else -1
         self.store = QubitStore()
-        self.lanes = [_RunContext(protocol, config, self.names) for config in configs]
+        self.table = EventTable()
+        self.lanes = [
+            _RunContext(config, self.names, Transcript(protocol, self.n, self.table, lane))
+            for lane, config in enumerate(configs)
+        ]
         self.active = list(self.lanes)
+        self.active_ids = tuple(range(len(configs)))
         self.transmissions = 0
         # Where each row of a stack of trains starts in the flat slots.
         self.row_starts = np.arange(len(configs))[:, None] * (self.m + self.n)
@@ -736,11 +659,19 @@ class _Stack:
         """
         width = _COPY_QUBITS[len(self.names)]
         copies = self.store.new_train(state, len(parties) * len(self.lanes) * self.n)
-        for ctx in self.lanes:
-            for j in parties:
-                ctx.log_preparation(step, self.names[j], width * self.n, "message")
+        for j in parties:
+            self.log_preparation(step, self.names[j], width * self.n, "message")
         self.draw_keys(*parties)
         return copies.reshape(len(parties), len(self.lanes), self.n, width)
+
+    def log(self, *event, **counts) -> None:
+        """Log one event for every active lane: ``EventTable.log`` without its lanes."""
+        self.table.log(self.active_ids, *event, **counts)
+
+    def log_preparation(self, step: str, actor: str, qubit_count: int, purpose: str) -> None:
+        payload = {"purpose": purpose, "qubit_count": qubit_count}
+        self.table.log(self.active_ids, step, actor, tr.STATE_PREPARATION, payload,
+                       qubit_count=qubit_count, purpose=purpose)
 
     def draw_keys(self, *parties: int) -> None:
         """Each active lane's keys for ``parties``, lane by lane."""
@@ -786,14 +717,15 @@ class _Stack:
 
         ``messages[k]`` holds, row by row, the message ids of the train that
         party ``senders[k]`` sends on to the next party. The senders scramble
-        together in runs (``_send_runs``); each lane logs its decoy
-        preparation and send, and a transit attack on a transmission then
-        rewrites every row's train at once, each with its lane's generator.
-        One ``verify_decoys`` call checks every train, lane by lane, and each
-        lane records its disclosures and checks in sender order, as
-        ``staging`` says. Returns the hop's slots and record, stacked by
-        sender with one row per lane that runs on, and those rows (every
-        row: a full slice).
+        together in runs (``_send_runs``); each send and its decoy
+        preparation are logged once for every lane, and a transit attack on
+        a transmission then rewrites every row's train at once, each with its
+        lane's generator. One ``verify_decoys`` call checks every train, lane
+        by lane. Then, sender by sender, the running lanes' disclosures are
+        logged as ``staging`` says, each lane records its check, and a lane
+        whose check fails logs its abort and leaves. Returns the hop's slots
+        and record, stacked by sender with one row per lane that runs on,
+        and those rows (every row: a full slice).
         """
         rngs = [ctx.rng for ctx in self.active]
         names, m, pairs = self.names, self.m, self.n // 2
@@ -814,9 +746,12 @@ class _Stack:
             forward[at] = record.forward
             for k in run:
                 index, sender, receiver = sends[k]
-                for ctx, row in zip(self.active, slots[k]):
-                    ctx.log_preparation(send_step, sender, 2 * pairs, "decoy")
-                    ctx.send(send_step, sender, receiver, row, index)
+                self.log_preparation(send_step, sender, 2 * pairs, "decoy")
+                sent = slots[k].copy()  # the rows as sent: an attack rewrites them only later
+                sent.flags.writeable = False
+                payload = {"to": receiver, "slots": sent, "transmission": index}
+                self.log(send_step, sender, tr.QUANTUM_SEND, payload, ("slots",), qubit_count=total)
+                self.log(send_step, receiver, tr.ACK, {"transmission": index})
                 if index == self.attacked:
                     attack_transit(self.adversary, self.store, slots[k], rngs)
         self.transmissions += count
@@ -829,26 +764,56 @@ class _Stack:
             threshold=self.threshold,
             rng=self.uniforms(count * pairs),
         )
-        with_decoys, after_check = staging == _WITH_DECOYS, staging == _AFTER_CHECK
-        checks = list(zip(sends, record.message_order, record.decoy_pairs))  # per sender
-        kept = []  # the rows whose lanes run on
-        for row, ctx in enumerate(self.active):
-            for k, ((index, sender, receiver), orders, decoys) in enumerate(checks):
-                if with_decoys:
-                    ctx.disclose_full(check_step, sender, orders[row], decoys[row])
-                else:
-                    ctx.disclose_decoys(check_step, sender, decoys[row])
-                rate = rates[row * count + k]
-                if not ctx.record_check(check_step, sender, receiver, index, rate):
-                    break
-                if after_check:
-                    ctx.disclose_order(check_step, sender, orders[row])
+        passed = _check_passed(np.reshape(rates, (rows, count)), self.threshold).tolist()
+        # ``kept`` holds the rows of the lanes still running, ``lanes`` their
+        # lane numbers and ``shown`` their record.
+        kept, lanes, shown = list(range(rows)), self.active_ids, record
+        for k, (index, sender, receiver) in enumerate(sends):
+            orders, decoys = shown.message_order[k], shown.decoy_pairs[k]
+            if staging == _WITH_DECOYS:
+                payload = {"message_order": orders, "decoy_pairs": decoys}
+                self.table.log(lanes, check_step, sender, tr.FULL_PERMUTATION_DISCLOSURE,
+                               payload, ("message_order", "decoy_pairs"), counted_bits=m)
             else:
-                kept.append(row)
+                self.table.log(lanes, check_step, sender, tr.DECOY_POSITIONS_DISCLOSURE,
+                               {"decoy_pairs": decoys}, ("decoy_pairs",))
+            running, made = [], {}  # lanes with one error rate share its (immutable) check
+            for row in kept:
+                rate, ok = rates[row * count + k], passed[row][k]
+                check = made.get(rate)
+                if check is None:
+                    check = TransmissionCheck(index, check_step, sender, receiver, rate, ok)
+                    made[rate] = check
+                self.active[row].checks.append(check)
+                if ok:
+                    running.append(row)
+                else:
+                    self._abort(row, check_step, receiver, index, rate)
+            if len(running) < len(kept):
+                kept, lanes = running, tuple(self.active_ids[row] for row in running)
+                shown = PermutationRecord.of(forward[:, kept], m)  # one read-only gather
+                if not kept:
+                    break
+            if staging == _AFTER_CHECK:
+                self.table.log(lanes, check_step, sender, tr.MESSAGE_ORDER_DISCLOSURE,
+                               {"message_order": shown.message_order[k]}, ("message_order",),
+                               counted_bits=m)
         if len(kept) == rows:
             return slots, record, slice(None)
-        self.active = [self.active[row] for row in kept]
-        return slots[:, kept], PermutationRecord.of(forward[:, kept], m), kept
+        self.active, self.active_ids = [self.active[row] for row in kept], lanes
+        return slots[:, kept], shown, kept
+
+    def _abort(self, row: int, step: str, receiver: str, index: int, rate: float) -> None:
+        """End the lane of active ``row`` at its failed check: its abort is a one-lane row."""
+        payload = {"transmission": index, "error_rate": rate}
+        self.table.log((self.active_ids[row],), step, receiver, tr.ABORT, payload)
+        ctx = self.active[row]
+        ctx.transcript.aborted = True
+        reason = (
+            f"decoy check failed on transmission {index} "
+            f"(error rate {rate:.4f} > threshold {self.threshold})"
+        )
+        ctx.finish(dict.fromkeys(self.names), reason=reason)
 
 
 def _send_runs(first: int, count: int, attacked: int, most: int) -> list[range]:
@@ -914,45 +879,46 @@ def _run_two_party(
 
     # Insider hook: an impatient initiator measures on guessed pairings now,
     # before committing to her announcement, and takes her key from them.
-    guesses = reports = [None] * len(stack.active)
+    rows = len(stack.active)
+    guesses, reports = [None] * rows, [None] * rows
     if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
         guesses, reports = dishonest_alice_early_measure(
             store, pairs[..., 0], slots, PermutationRecord.of(record.forward[0], n),
             [ctx.rng for ctx in stack.active], np.array([ctx.keys[1] for ctx in stack.active]),
         )
-    finishing = []  # per row: the initiator's early guess, the attack report, the reorder target
-    orders = np.empty((len(stack.active), n), dtype=np.int64)  # each row's step-7 order
-    for row, ctx in enumerate(stack.active):
-        key_a, key_b = ctx.keys
-        guess, report, target = guesses[row], reports[row], None
 
-        # Step 6: the initiator commits; the responder can already finish.
-        ctx.announce_key("step6", alice, key_a)
+    # Step 6: the initiator commits; the responder can already finish.
+    announced = [bits_to_hex(ctx.keys[0]) for ctx in stack.active]
+    stack.log("step6", alice, tr.KEY_ANNOUNCEMENT, {"key": announced}, ("key",), counted_bits=n)
 
-        # Step 7: message order (honest or reordered).
-        order = record.message_order[0, row]
-        if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
+    # Step 7: message order (honest or reordered).
+    orders = record.message_order[0]  # each row's step-7 order
+    targets = [None] * rows  # each row's reorder target
+    if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
+        orders = orders.copy()
+        for row, ctx in enumerate(stack.active):
+            key_a, key_b = ctx.keys
             swap_pairs = adv.swap_pairs
             if swap_pairs is None:
                 swap_pairs = choose_swap_pairs(n, adv.swap_count, ctx.rng)
             claimed = dishonest_bob_reorder(range(n), swap_pairs)  # the index each slot carries
-            order = order[claimed]
-            target = xor_bits(key_a, key_b[claimed])
-            report = {
+            orders[row] = orders[row][claimed]
+            targets[row] = xor_bits(key_a, key_b[claimed])
+            reports[row] = {
                 "kind": "reorder",
                 "swap_pairs": [list(p) for p in swap_pairs],
-                "target_key": bits_to_hex(target),
+                "target_key": bits_to_hex(targets[row]),
             }
-        ctx.disclose_order("step7", bob, order)
-        orders[row] = order
-        finishing.append((guess, report, target))
+        orders.flags.writeable = False
+    stack.log("step7", bob, tr.MESSAGE_ORDER_DISCLOSURE, {"message_order": orders},
+              ("message_order",), counted_bits=n)
 
     # Step 8: pairwise decoding; each bit flip is one of the responder's key bits.
     if adv.kind is not AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
         decoded = stack.decode(pairs, stack.gather(slots, orders), BELL_VECTORS)
     for row, ctx in enumerate(stack.active):
         key_a, key_b = ctx.keys
-        guess, report, target = finishing[row]
+        guess, report, target = guesses[row], reports[row], targets[row]
         outcome_records: dict[str, tuple[str, ...]] = {}
         if guess is None:
             outcome_records[alice] = tuple(BELL_LABELS[decoded[row]].tolist())

@@ -709,7 +709,7 @@ class QubitStore:
                             continue
                         perm, sign = action
                         chosen = rows[at_pos]
-                        moved = block.amplitudes[np.ix_(chosen, perm)]
+                        moved = block.amplitudes.take(chosen, axis=0)[:, perm]
                         block.amplitudes[chosen] = moved if sign is None else moved * sign
 
     # -- measurement -----------------------------------------------------
@@ -819,7 +819,8 @@ class QubitStore:
         for b, _, rows in parts:
             block, first, span = self._blocks[b], int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
             in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
-            amps.append(block.amplitudes[slice(first, first + span) if in_place else rows])
+            held = block.amplitudes
+            amps.append(held[first : first + span] if in_place else held.take(rows, axis=0))
             at = block.first + first * width
             dead.append(slice(at, at + span * width) if in_place else block.id_table(rows))
         probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)

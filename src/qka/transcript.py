@@ -7,6 +7,13 @@ tally needs: ``qubit_count`` for preparations/sends and ``counted_bits``
 for classical bits that pay for decoding (eavesdropping-check traffic
 carries zero).
 
+A stack of runs (*lanes*) keeps one ``EventTable`` and logs each event once,
+for the lanes it reaches; a payload value may hold one row per lane. Each
+run's ``Transcript`` is a view of its lane's events: they become
+``TranscriptEvent``s, numbered in the lane's own order, only when read, and
+the resource tally reads the table's columns instead. A ``Transcript`` made
+on its own owns a table, and ``Transcript.log`` logs one event for it.
+
 Payload values are JSON data or int64 arrays (qubit ids, permutations,
 decoy pairs). The log keeps each array as a read-only snapshot, so a later
 change to the array it came from (a transit attack rewriting the train's
@@ -32,8 +39,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -209,37 +218,107 @@ class TranscriptEvent:
         return out
 
 
-@dataclass
-class Transcript:
-    protocol: str
-    key_bits: int
-    events: list[TranscriptEvent] = field(default_factory=list)
-    aborted: bool = False
+class EventTable:
+    """The events of a stack of runs (*lanes*), each logged once for all the lanes it reaches.
+
+    One entry per event in each column: its lanes (a map from lane to row),
+    step, actor and kind, its payload, the payload keys whose values hold
+    one entry per row, and its ``qubit_count``, ``counted_bits`` and
+    ``purpose``. A lane's events are the ones that name it, in log order.
+    """
+
+    def __init__(self):
+        self.lanes: list[dict[int, int]] = []
+        self.steps, self.actors, self.kinds, self.payloads, self.by_lane = [], [], [], [], []
+        self.qubit_counts, self.counted_bits, self.purposes = [], [], []
+        self._last: tuple[tuple[int, ...], dict[int, int]] = ((), {})
 
     def log(
-        self,
-        step: str,
-        actor: str,
-        kind: str,
-        payload: dict | None = None,
-        *,
-        qubit_count: int = 0,
-        counted_bits: int = 0,
-        purpose: str = "",
+        self, lanes: tuple[int, ...], step: str, actor: str, kind: str,
+        payload: dict | None = None, by_lane: tuple[str, ...] = (), *,
+        qubit_count: int = 0, counted_bits: int = 0, purpose: str = "",
+    ) -> None:
+        """Log one event for ``lanes``; under a ``by_lane`` key, row i of the value is lane i's.
+
+        The table keeps ``payload`` itself, so the caller hands over a dict
+        whose arrays are read-only (``Transcript.log`` snapshots them). Events
+        logged with the same ``lanes`` tuple in a row share one row map.
+        """
+        if lanes is not self._last[0]:
+            self._last = (lanes, {lane: row for row, lane in enumerate(lanes)})
+        self.lanes.append(self._last[1])
+        self.steps.append(step)
+        self.actors.append(actor)
+        self.kinds.append(kind)
+        self.payloads.append(payload or {})
+        self.by_lane.append(by_lane)
+        self.qubit_counts.append(qubit_count)
+        self.counted_bits.append(counted_bits)
+        self.purposes.append(purpose)
+
+
+class Transcript:
+    """One lane's events, a view of an ``EventTable``; a transcript made alone owns its table.
+
+    ``events`` become ``TranscriptEvent``s on first access, numbered in the
+    lane's own order; later reads return the same list, extended by any
+    event logged since.
+    """
+
+    def __init__(
+        self, protocol: str, key_bits: int, table: EventTable | None = None, lane: int = 0
+    ):
+        self.protocol = protocol
+        self.key_bits = key_bits
+        self.aborted = False
+        self._table = table if table is not None else EventTable()
+        self._lane = lane
+        self._picks: list[int] = []  # the table index of each of the lane's events
+        self._scanned = 0  # table events looked at so far
+        self._events: list[TranscriptEvent] = []
+
+    def _indices(self) -> list[int]:
+        """The table index of each of this lane's events, in order."""
+        lanes, seen = self._table.lanes, self._scanned
+        named = map(dict.__contains__, lanes[seen:], repeat(self._lane))
+        self._picks += compress(count(seen), named)
+        self._scanned = len(lanes)
+        return self._picks
+
+    @property
+    def events(self) -> list[TranscriptEvent]:
+        picks, events, t = self._indices(), self._events, self._table
+        for index in range(len(events), len(picks)):
+            i = picks[index]
+            row, keys = t.lanes[i][self._lane], t.by_lane[i]
+            payload = {key: value[row] if key in keys else value
+                       for key, value in t.payloads[i].items()}
+            events.append(TranscriptEvent(  # positional arguments are cheaper
+                index, t.steps[i], t.actors[i], t.kinds[i], payload,
+                t.qubit_counts[i], t.counted_bits[i], t.purposes[i],
+            ))
+        return events
+
+    def tally_columns(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The kind, purpose, qubit_count and counted_bits of each event, as four columns."""
+        picks, t = self._indices(), self._table
+        columns = (t.kinds, t.purposes, t.qubit_counts, t.counted_bits)
+        if len(picks) < 2:  # one index makes itemgetter return the item itself
+            return tuple(tuple(column[i] for i in picks) for column in columns)
+        take = itemgetter(*picks)
+        return tuple(take(column) for column in columns)
+
+    def log(
+        self, step: str, actor: str, kind: str, payload: dict | None = None, **counts
     ) -> TranscriptEvent:
-        events = self.events
-        event = TranscriptEvent(  # positional arguments are cheaper, and a run logs ~25 per party
-            len(events),
-            step,
-            actor,
-            kind,
-            {key: _snapshot(value) for key, value in payload.items()} if payload else {},
-            qubit_count,
-            counted_bits,
-            purpose,
-        )
-        events.append(event)
-        return event
+        """Log one event for this lane alone, its arrays as read-only snapshots, and return it.
+
+        ``counts`` are ``EventTable.log``'s ``qubit_count``, ``counted_bits``
+        and ``purpose``.
+        """
+        snapshot = {key: _snapshot(value) for key, value in payload.items()} if payload else {}
+        self._table.log((self._lane,), step, actor, kind, snapshot, **counts)
+        return self.events[-1]
 
     def to_dict(self) -> dict:
         return {

@@ -19,7 +19,13 @@ from hypothesis.extra import numpy as hnp
 
 from qka import protocols, registers, transcript
 from qka.adversaries import AdversaryKind, AdversaryModel, attack_transit
-from qka.efficiency import TWO_PARTY, preset_counts
+from qka.efficiency import (
+    FIVE_PARTY,
+    TWO_PARTY,
+    ResourceCount,
+    count_from_transcript,
+    preset_counts,
+)
 from qka.pauli import GroupElement, PauliLetter, canonical_order, product_set
 from qka.protocols import (
     InvalidSchemeError,
@@ -52,6 +58,7 @@ from qka.transcript import (
     KEY_ANNOUNCEMENT,
     MESSAGE_ORDER_DISCLOSURE,
     QUANTUM_SEND,
+    STATE_PREPARATION,
     Transcript,
     payload_digest,
 )
@@ -108,6 +115,20 @@ def event_kinds(log):
 def first_index(log, kind):
     """Index of the first event of the given kind; -1 when absent."""
     return next((event.index for event in log.events if event.kind == kind), -1)
+
+
+def reference_tally(log):
+    """The per-event tally the column one replaced, kept as its oracle."""
+    q_message = q_decoy = b = 0
+    for event in log.events:
+        if event.kind == STATE_PREPARATION:
+            if event.purpose == "decoy":
+                q_decoy += event.qubit_count
+            else:
+                q_message += event.qubit_count
+        b += event.counted_bits
+    q = q_message if log.protocol == FIVE_PARTY else q_message + q_decoy
+    return ResourceCount(log.key_bits, q, b)
 
 
 def reference_payload_digest(payload):
@@ -397,17 +418,27 @@ class TestTranscriptSnapshots:
         assert payload_digest(logged) == payload_digest(honest)
         assert not logged["slots"].flags.writeable
 
-    @pytest.mark.parametrize("parties", [2, 3, 5])
-    def test_payload_arrays_are_read_only(self, parties):
-        r = run_protocol(config(n=8, parties=parties, seed=4))
-        arrays = [
-            v for e in r.transcript.events for v in e.payload.values() if isinstance(v, np.ndarray)
-        ]
-        assert arrays
-        for values in arrays:
-            assert values.dtype == np.int64 and not values.flags.writeable
-            with pytest.raises(ValueError):
-                values[...] = 0
+    @pytest.mark.parametrize(
+        "parties, kind",
+        [pytest.param(2, AdversaryKind.NONE, id="2"), pytest.param(3, AdversaryKind.NONE, id="3"),
+         pytest.param(5, AdversaryKind.NONE, id="5"),
+         pytest.param(2, AdversaryKind.DISHONEST_BOB_REORDER, id="2-dishonest-bob"),
+         pytest.param(3, AdversaryKind.INTERCEPT_RESEND_Z, id="3-intercept-z")],
+    )
+    def test_payload_arrays_are_read_only(self, parties, kind):
+        # lone runs and the lanes of a batch, a reordered step-7 order included
+        base = config(n=8, parties=parties, seed=4, error_threshold=1.0)
+        adversary = AdversaryModel(kind=kind, fraction=0.5)
+        for r in [run_protocol(base, adversary), *protocols.run_batch(base, adversary, 3)]:
+            arrays = [
+                v for e in r.transcript.events for v in e.payload.values()
+                if isinstance(v, np.ndarray)
+            ]
+            assert arrays
+            for values in arrays:
+                assert values.dtype == np.int64 and not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[...] = 0
 
     def test_log_copies_a_writeable_array(self):
         t = Transcript("two-party", 2)
@@ -646,6 +677,29 @@ class TestOneTransmissionPath:
             assert calls[name] == 1, name
 
 
+class TestOneLoggingPath:
+    def test_the_stack_table_is_the_only_log(self):
+        # the engines log each event once, through the stack's event table;
+        # no per-lane logging path through a lane's transcript may come back
+        tree = ast.parse(inspect.getsource(protocols))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "log":
+                    owner = node.func.value
+                    assert not (isinstance(owner, ast.Name) and owner.id == "Transcript")
+                    assert not (isinstance(owner, ast.Attribute) and owner.attr == "transcript")
+        (lane,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_RunContext"]
+        attributes = {
+            node.func.attr
+            for node in ast.walk(lane)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "log" not in attributes
+        helpers = {"log_preparation", "send", "disclose_full", "disclose_decoys",
+                   "disclose_order", "announce_key", "record_check"}
+        assert not helpers & {n.name for n in lane.body if isinstance(n, ast.FunctionDef)}
+
+
 class TestOneHomePerRule:
     """Each input rule's refusal is spelled once in the package: the rule has one home."""
 
@@ -817,6 +871,40 @@ class TestStackedBatches:
         adversary = AdversaryModel(kind=kind, fraction=fraction, transmission_index=index)
         batch = self._assert_each_trial_is_its_own_run(base, adversary, 12)
         assert len({r.aborted for r in batch}) == 1 + mixed
+
+    @pytest.mark.parametrize(
+        "parties, index, threshold",
+        [
+            # three-party: the first, middle and last sender of the plain hop
+            # and of the first key-bearing hop
+            (3, 0, 0.25), (3, 1, 0.25), (3, 2, 0.25), (3, 3, 0.25), (3, 4, 0.0), (3, 5, 0.25),
+            # five-party: the same on the plain hop and on the second key-bearing hop
+            (5, 0, 0.25), (5, 2, 0.0), (5, 4, 0.25), (5, 10, 0.25), (5, 12, 0.25),
+            (5, 14, 0.0),
+        ],
+    )
+    def test_lanes_that_leave_mid_hop(self, parties, index, threshold):
+        # the attacked train fails for some lanes only: they abort at that
+        # sender, and the rest disclose and check the hop's later senders
+        base = config(n=16, parties=parties, seed=31, error_threshold=threshold)
+        adversary = AdversaryModel(
+            kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.3, transmission_index=index
+        )
+        batch = self._assert_each_trial_is_its_own_run(base, adversary, 12)
+        assert len({r.aborted for r in batch}) == 2
+        for result in batch:
+            log = result.transcript
+            events = log.events
+            assert log.events is events
+            assert [e.index for e in events] == list(range(len(events)))
+            arrays = [v for e in events for v in e.payload.values() if isinstance(v, np.ndarray)]
+            assert arrays and not any(values.flags.writeable for values in arrays)
+            assert log.tally_columns() == tuple(
+                tuple(getattr(e, column) for e in events)
+                for column in ("kind", "purpose", "qubit_count", "counted_bits")
+            )
+            if not result.aborted:
+                assert count_from_transcript(log) == reference_tally(log)
 
     @pytest.mark.parametrize(
         "kind, keyed",
