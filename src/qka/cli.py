@@ -246,27 +246,41 @@ def _validate_run_spec(spec: dict) -> tuple[ProtocolConfig, AdversaryModel]:
 
 def batch_summary(results: Sequence[ProtocolResult]) -> dict:
     """Agreement/abort/error statistics over a nonempty batch of runs."""
+    return _batch_statistics(results)[0]
+
+
+def _batch_statistics(results: Sequence[ProtocolResult]) -> tuple[dict, list[bool]]:
+    """``batch_summary(results)`` and each run's ``agreement()``, in one pass over the runs.
+
+    A completed run agrees when none of its derived key bits differs from
+    the XOR ground truth, so its truth is worked out once, for both.
+    """
     if not results:
         raise ValueError("batch_summary needs at least one result")
-    total = len(results)
-    aborted = sum(1 for r in results if r.aborted)
-    completed = [r for r in results if not r.aborted]
-    agreement = sum(1 for r in completed if r.agreement())
-    error_rates = [c.error_rate for r in results for c in r.checks]
-    bit_errors = bit_total = 0
-    for r in completed:
+    agreements, error_rates = [], []
+    aborted = bit_errors = bit_total = 0
+    for r in results:
+        error_rates.extend(c.error_rate for c in r.checks)
+        if r.aborted:
+            aborted += 1
+            agreements.append(False)
+            continue
         derived = np.stack(list(r.derived_keys.values()))
-        bit_errors += int(np.count_nonzero(derived != r.ground_truth_key()))
+        errors = int(np.count_nonzero(derived != r.ground_truth_key()))
+        agreements.append(not errors)
+        bit_errors += errors
         bit_total += derived.size
-    return {
+    total = len(results)
+    summary = {
         "trials": total,
         "abort_rate": aborted / total,
-        "agreement_rate": agreement / total,
+        "agreement_rate": sum(agreements) / total,
         "mean_error_rate": (
             sum(error_rates) / len(error_rates) if error_rates else 0.0
         ),
         "key_bit_error_rate": (bit_errors / bit_total) if bit_total else None,
     }
+    return summary, agreements
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -284,18 +298,19 @@ def _run_command(args: argparse.Namespace) -> int:
         else:
             chunks = json_chunks(results[0].to_dict())
     else:
+        summary, agreements = _batch_statistics(results)
         payload = {
             "schema": "qka.batch/1",
             "spec": {k: spec[k] for k in sorted(RUN_OPTIONS) if k != "out"},
-            "summary": batch_summary(results),
+            "summary": summary,
             "trials": [
                 {
                     "run_index": i,
                     "aborted": r.aborted,
-                    "agreement": r.agreement(),
+                    "agreement": agreed,
                     "shared_key": _shared_key_hex(r),
                 }
-                for i, r in enumerate(results)
+                for i, (r, agreed) in enumerate(zip(results, agreements))
             ],
         }
         chunks = json_chunks(payload) if spec["format"] == "json" else [_render_batch(payload)]

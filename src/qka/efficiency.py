@@ -75,20 +75,24 @@ def qubit_efficiency(rc: ResourceCount) -> EfficiencyReport:
     )
 
 
+# The closed-form (q, b) of each protocol, as multiples of the key length n.
+_PRESET_FACTORS = {
+    TWO_PARTY: (4, 3),
+    THREE_PARTY: (15, 9),
+    FIVE_PARTY: (20, 50),
+    PPGV: (4, 2),
+}
+
+
 def preset_counts(protocol: str, n: int) -> ResourceCount:
     """Closed-form resource counts for an n-bit key under each protocol."""
     if n <= 0:
         raise ValueError("n must be positive")
-    presets = {
-        TWO_PARTY: ResourceCount(n, 4 * n, 3 * n),
-        THREE_PARTY: ResourceCount(n, 15 * n, 9 * n),
-        FIVE_PARTY: ResourceCount(n, 20 * n, 50 * n),
-        PPGV: ResourceCount(n, 4 * n, 2 * n),
-    }
     try:
-        return presets[protocol]
+        q, b = _PRESET_FACTORS[protocol]
     except KeyError:
         raise ValueError(f"unknown protocol {protocol!r}") from None
+    return ResourceCount(n, q * n, b * n)
 
 
 def count_from_transcript(t: Transcript) -> ResourceCount:

@@ -10,11 +10,11 @@ construction and share one engine.
 Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
 
-Every run is a *lane*, a ``_RunContext`` that owns its generator, keys,
-checks and view of the log and, once the run ends, its result; identical
+Every run is a *lane*, a ``_RunContext`` that owns its generator, checks
+and view of the log and, once the run ends, its result; identical
 (seed, run_index) pairs reproduce byte-identical transcripts. Both engines
-run a ``_Stack`` of lanes through one store and one event table in
-lockstep, and send every train through its one transmission routine,
+run a ``_Stack`` of lanes through one store, one event table and one key
+array in lockstep, and send every train through its one transmission routine,
 ``_Stack.transmit``: scramble, send, transit attack, decoy check, the
 disclosures, each lane's check, and the abort of each lane whose check
 fails. What sets a transmission apart is its
@@ -99,8 +99,10 @@ _COPY_QUBITS = {2: 2, 3: 2, 5: 4}
 _PSI_PLUS = constant_state(BELL_VECTORS[BellOutcome.PSI_PLUS])
 
 # A hop's senders scramble together while their trains hold at most this
-# many items in all: a stack's small trains share one scramble, and a long
-# train's temporaries stay those of one train.
+# many items in all, and the ring's parties decode together while their
+# copies hold at most this many qubits: a stack's small trains share one
+# scramble and its small decodes one measurement, and a long train's or one
+# party's temporaries stay those of one train or one party.
 _SCRAMBLE_ITEMS = 2**12
 
 # The largest key a run accepts; a five-party run at this size peaks near
@@ -522,7 +524,10 @@ def json_chunks(value, indent: str = "") -> Iterator[str]:
 
 
 class _RunContext:
-    """One run, a lane of a stack: its generator, transcript view, checks, keys and result."""
+    """One run, a lane of a stack: its generator, transcript view, checks and result.
+
+    Its keys are its row of the stack's key array (``_Stack.keys``).
+    """
 
     def __init__(self, config: ProtocolConfig, names: tuple[str, ...], transcript: Transcript):
         self.config = config
@@ -530,33 +535,25 @@ class _RunContext:
         self.rng = config.make_rng()
         self.transcript = transcript
         self.checks: list[TransmissionCheck] = []
-        self.keys: list[np.ndarray] = []  # the private keys drawn so far, in party order
         self.result: ProtocolResult | None = None  # set by ``finish`` once the run ends
-
-    def draw_key(self, party_index: int) -> None:
-        """Add the party's private key, a read-only uint8 array: its fixed key, or n drawn bits."""
-        fixed = self.config.fixed_keys
-        if fixed is not None:
-            key = np.array(fixed[party_index], dtype=np.uint8)
-        else:  # an int64 draw, cast: a uint8 draw would take other bits from the stream
-            key = self.rng.integers(0, 2, size=self.config.key_bits).astype(np.uint8)
-        key.flags.writeable = False
-        self.keys.append(key)
 
     def finish(
         self,
+        private: dict[str, np.ndarray],
         derived: dict[str, np.ndarray | None],
+        counts: ResourceCount | None,
         outcome_records: dict[str, tuple[str, ...]] | None = None,
         report: dict | None = None,
         reason: str | None = None,
     ) -> None:
-        """End the run with its result: completed, or aborted for ``reason``."""
-        aborted = reason is not None
+        """End the run with its result: completed with ``counts``, or aborted for ``reason``.
+
+        ``private`` holds the keys drawn so far, by party.
+        """
         transcript = self.transcript
         self.result = ProtocolResult(
-            transcript.protocol, transcript.key_bits, self.names, dict(zip(self.names, self.keys)),
-            derived, aborted, reason, self.checks,
-            None if aborted else count_from_transcript(transcript), transcript,
+            transcript.protocol, transcript.key_bits, self.names, private, derived,
+            reason is not None, reason, self.checks, counts, transcript,
             outcome_records or {}, report,
         )
 
@@ -605,17 +602,20 @@ class _Stack:
     """A stack of *lanes*, one run per config, in lockstep through one store.
 
     The configs differ only in ``run_index``. Each lane is a ``_RunContext``
-    that holds its keys, checks and, once it ends, its result, and only the
-    draws run lane by lane, each lane's in the order a run of its own makes
-    them; the store calls serve all lanes, and each bulk measurement takes
-    the lanes' uniforms in lane order. ``active`` holds the lanes still
-    running, one per row of the engine's arrays, and ``active_ids`` their
-    lane numbers. The stack logs each event once, in ``table``, for the
-    lanes it reaches, and each lane's transcript is a view of the table.
-    Lanes leave only when their check fails, each logging its abort as a
-    one-lane row, so every lane sees the events a run of its own logs, in
-    the same order. A stack of one lane allocates, draws and logs exactly
-    as a run of its own.
+    that holds its generator, checks and, once it ends, its result, and only
+    the draws run lane by lane, each lane's in the order a run of its own
+    makes them; the store calls serve all lanes, and each bulk measurement
+    takes the lanes' uniforms in lane order. ``active`` holds the lanes
+    still running, one per row of the engine's arrays, and ``active_ids``
+    their lane numbers. The stack logs each event once, in ``table``, for
+    the lanes it reaches, and each lane's transcript is a view of the table.
+    Every lane's private keys are its row of ``keys``, a read-only view of
+    the (lanes, parties, n) uint8 array that ``draw_keys`` fills, of which
+    the first ``drawn`` parties' are drawn. Lanes leave only when their check fails, each logging its
+    abort as a one-lane row, so every lane sees the events a run of its own
+    logs, in the same order. The lanes that complete end together in
+    ``finish``, from stacked derived keys and one shared tally. A stack of
+    one lane allocates, draws and logs exactly as a run of its own.
 
     Each copy circulates its qubits at the ``travel`` positions, so a
     train carries those of n copies, then n/2 decoy pairs.
@@ -646,23 +646,27 @@ class _Stack:
         ]
         self.active = list(self.lanes)
         self.active_ids = tuple(range(len(configs)))
+        self._keys = np.zeros((len(configs), parties, self.n), dtype=np.uint8)
+        self.keys = self._keys.view()  # what the engines and results read: read-only
+        self.keys.flags.writeable = False
+        self.drawn = 0
         self.transmissions = 0
         # Where each row of a stack of trains starts in the flat slots.
         self.row_starts = np.arange(len(configs))[:, None] * (self.m + self.n)
 
-    def prepare(self, state: np.ndarray, step: str, parties: Sequence[int]) -> np.ndarray:
-        """Each of ``parties``' n copies of ``state`` in every lane, and its key.
+    def prepare(self, state: np.ndarray, step: str, parties: int) -> np.ndarray:
+        """Each of the first ``parties`` parties' n copies of ``state`` in every lane, and its key.
 
         One train holds every copy: ``copies[k, l]`` is the (n, width) ids of
-        party ``parties[k]`` in lane l, and with one lane ``copies[k]`` holds
-        the ids the k-th of back-to-back trains of n would have had.
+        party k in lane l, and with one lane ``copies[k]`` holds the ids the
+        k-th of back-to-back trains of n would have had.
         """
         width = _COPY_QUBITS[len(self.names)]
-        copies = self.store.new_train(state, len(parties) * len(self.lanes) * self.n)
-        for j in parties:
-            self.log_preparation(step, self.names[j], width * self.n, "message")
-        self.draw_keys(*parties)
-        return copies.reshape(len(parties), len(self.lanes), self.n, width)
+        copies = self.store.new_train(state, parties * len(self.lanes) * self.n)
+        for name in self.names[:parties]:
+            self.log_preparation(step, name, width * self.n, "message")
+        self.draw_keys(parties)
+        return copies.reshape(parties, len(self.lanes), self.n, width)
 
     def log(self, *event, **counts) -> None:
         """Log one event for every active lane: ``EventTable.log`` without its lanes."""
@@ -673,11 +677,28 @@ class _Stack:
         self.table.log(self.active_ids, step, actor, tr.STATE_PREPARATION, payload,
                        qubit_count=qubit_count, purpose=purpose)
 
-    def draw_keys(self, *parties: int) -> None:
-        """Each active lane's keys for ``parties``, lane by lane."""
-        for ctx in self.active:
-            for j in parties:
-                ctx.draw_key(j)
+    def draw_keys(self, count: int) -> None:
+        """The next ``count`` parties' keys of every running lane, into ``keys``.
+
+        Fixed keys go to every lane at once. Otherwise each lane, in lane
+        order, draws each party's n bits in party order, as int64 draws
+        cast to uint8: a uint8 draw would take other bits from the stream.
+        """
+        parties = range(self.drawn, self.drawn + count)
+        keys, fixed = self._keys, self.lanes[0].config.fixed_keys
+        if fixed is not None:
+            keys[:, parties.start : parties.stop] = [fixed[j] for j in parties]
+        else:
+            for lane, ctx in zip(self.active_ids, self.active):
+                for j in parties:
+                    keys[lane, j] = ctx.rng.integers(0, 2, size=self.n)
+        self.drawn = parties.stop
+
+    def running_keys(self) -> np.ndarray:
+        """The running lanes' rows of ``keys``, one per row of the engine's arrays."""
+        if len(self.active) == len(self.lanes):
+            return self.keys
+        return self.keys[list(self.active_ids)]
 
     def uniforms(self, count: int) -> np.random.Generator | np.ndarray:
         """Each active lane's ``count`` uniforms, in lane order, for one bulk measurement.
@@ -693,17 +714,31 @@ class _Stack:
         return slots.ravel()[orders + self.row_starts[: len(slots)]]
 
     def decode(self, copies: np.ndarray, returned: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Measure every row's (n, width) ``copies``, ``returned`` travel qubits in place.
+        """Measure each party's copies in ``basis``, returned travel qubits in place.
 
-        One ``measure_rows_in_basis`` call in ``basis``; returns the (rows, n)
-        outcome indices.
+        ``copies[k]`` holds party k's (rows, n, width) ids and ``returned[k]``
+        the travel qubits back with it. Parties measure together, in one
+        ``measure_rows_in_basis`` call ordered (party, lane, copy), while the
+        call holds at most ``_SCRAMBLE_ITEMS`` qubits. Each lane draws a
+        call's uniforms at once, the values it would draw party by party.
+        Returns the (parties, rows, n) outcome indices.
         """
-        groups = copies.copy()
-        groups[..., self.travel] = returned.reshape(*copies.shape[:2], len(self.travel))
-        outcomes = self.store.measure_rows_in_basis(
-            groups.reshape(-1, copies.shape[-1]), basis, self.uniforms(self.n)
+        parties, rows, n, width = copies.shape
+        most = max(1, _SCRAMBLE_ITEMS // copies[0].size)
+        outcomes = []
+        for lo in range(0, parties, most):
+            groups = copies[lo : lo + most].copy()
+            k = len(groups)
+            groups[..., self.travel] = returned[lo : lo + k].reshape(k, rows, n, -1)
+            uniforms = self.uniforms(k * n)
+            if k > 1 and rows > 1:  # lane by lane, as drawn, to party by party
+                uniforms = uniforms.reshape(rows, k, n).swapaxes(0, 1).ravel()
+            outcomes.append(
+                self.store.measure_rows_in_basis(groups.reshape(-1, width), basis, uniforms)
+            )
+        return (outcomes[0] if len(outcomes) == 1 else np.concatenate(outcomes)).reshape(
+            parties, rows, n
         )
-        return outcomes.reshape(-1, self.n)
 
     def transmit(
         self,
@@ -813,7 +848,31 @@ class _Stack:
             f"decoy check failed on transmission {index} "
             f"(error rate {rate:.4f} > threshold {self.threshold})"
         )
-        ctx.finish(dict.fromkeys(self.names), reason=reason)
+        ctx.finish(self._private(self.active_ids[row]), dict.fromkeys(self.names), None,
+                   reason=reason)
+
+    def _private(self, lane: int) -> dict[str, np.ndarray]:
+        """Lane ``lane``'s drawn keys by party, as read-only views of ``keys``."""
+        return dict(zip(self.names, self.keys[lane, : self.drawn]))
+
+    def finish(
+        self,
+        derived: np.ndarray,
+        outcome_records: Sequence[dict[str, tuple[str, ...]]],
+        reports: Sequence[dict | None] | None = None,
+    ) -> None:
+        """End every running lane, row by row, with its (parties, n) row of ``derived``.
+
+        Abort rows carry no counts, so every completed lane tallies the same
+        (c, q, b), and one ``count_from_transcript`` call serves them all.
+        ``derived`` is made read-only.
+        """
+        derived.flags.writeable = False
+        counts = count_from_transcript(self.active[0].transcript)
+        reports = reports or [None] * len(self.active)
+        for row, (lane, ctx) in enumerate(zip(self.active_ids, self.active)):
+            ctx.finish(self._private(lane), dict(zip(self.names, derived[row])), counts,
+                       outcome_records[row], reports[row])
 
 
 def _send_runs(first: int, count: int, attacked: int, most: int) -> list[range]:
@@ -857,7 +916,7 @@ def _run_two_party(
     alice, bob = stack.names
 
     # Step 1: pair preparation and the initiator's key.
-    (pairs,) = stack.prepare(_PSI_PLUS, "step1", [0])
+    (pairs,) = stack.prepare(_PSI_PLUS, "step1", 1)
 
     # Steps 2-3: outbound train, full disclosure, responder's decoy check.
     outbound = pairs[None, ..., 1]  # the initiator's one train, as a stack of senders
@@ -869,26 +928,26 @@ def _run_two_party(
 
     # Step 4: responder's key, X-encoding, return train.
     stack.draw_keys(1)
-    key_masks = np.concatenate([ctx.keys[1] for ctx in stack.active])
-    encode_key(store, at_bob.ravel(), key_masks, GroupElement.of(PauliLetter.X))
+    keys = stack.running_keys()
+    encode_key(store, at_bob.ravel(), keys[:, 1].ravel(), GroupElement.of(PauliLetter.X))
     # Step 5: decoy coordinates only; the message order stays secret.
     (slots,), record, kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
     if not stack.active:
         return stack.lanes
-    pairs = pairs[kept]
+    pairs, keys = pairs[kept], stack.running_keys()
 
     # Insider hook: an impatient initiator measures on guessed pairings now,
     # before committing to her announcement, and takes her key from them.
     rows = len(stack.active)
-    guesses, reports = [None] * rows, [None] * rows
+    guesses, reports = None, [None] * rows
     if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
         guesses, reports = dishonest_alice_early_measure(
             store, pairs[..., 0], slots, PermutationRecord.of(record.forward[0], n),
-            [ctx.rng for ctx in stack.active], np.array([ctx.keys[1] for ctx in stack.active]),
+            [ctx.rng for ctx in stack.active], keys[:, 1],
         )
 
     # Step 6: the initiator commits; the responder can already finish.
-    announced = [bits_to_hex(ctx.keys[0]) for ctx in stack.active]
+    announced = [bits_to_hex(key) for key in keys[:, 0]]
     stack.log("step6", alice, tr.KEY_ANNOUNCEMENT, {"key": announced}, ("key",), counted_bits=n)
 
     # Step 7: message order (honest or reordered).
@@ -897,7 +956,7 @@ def _run_two_party(
     if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
         orders = orders.copy()
         for row, ctx in enumerate(stack.active):
-            key_a, key_b = ctx.keys
+            key_a, key_b = keys[row]
             swap_pairs = adv.swap_pairs
             if swap_pairs is None:
                 swap_pairs = choose_swap_pairs(n, adv.swap_count, ctx.rng)
@@ -914,19 +973,18 @@ def _run_two_party(
               ("message_order",), counted_bits=n)
 
     # Step 8: pairwise decoding; each bit flip is one of the responder's key bits.
-    if adv.kind is not AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
-        decoded = stack.decode(pairs, stack.gather(slots, orders), BELL_VECTORS)
-    for row, ctx in enumerate(stack.active):
-        key_a, key_b = ctx.keys
-        guess, report, target = guesses[row], reports[row], targets[row]
-        outcome_records: dict[str, tuple[str, ...]] = {}
-        if guess is None:
-            outcome_records[alice] = tuple(BELL_LABELS[decoded[row]].tolist())
-            guess = BELL_X_BITS[decoded[row]]
-        derived = {alice: xor_bits(key_a, guess), bob: xor_bits(key_a, key_b)}
+    records = [{}] * rows
+    if guesses is None:
+        (decoded,) = stack.decode(pairs[None], stack.gather(slots, orders)[None], BELL_VECTORS)
+        guesses = BELL_X_BITS[decoded]
+        records = [{alice: tuple(labels)} for labels in BELL_LABELS[decoded].tolist()]
+    derived = np.empty_like(keys)
+    derived[:, 0] = keys[:, 0] ^ guesses  # the initiator: her key XOR her decoded bits
+    derived[:, 1] = keys[:, 0] ^ keys[:, 1]  # the responder: his key XOR her announced one
+    for row, target in enumerate(targets):
         if target is not None:
-            report["alice_key_matches_target"] = np.array_equal(derived[alice], target)
-        ctx.finish(derived, outcome_records, report)
+            reports[row]["alice_key_matches_target"] = np.array_equal(derived[row, 0], target)
+    stack.finish(derived, records, reports)
     return stack.lanes
 
 
@@ -967,8 +1025,8 @@ def _run_ring(
     parties = len(ring.hop_steps)
     stack = _Stack(ring.protocol, parties, ring.travel, configs, adversary)
     m, store, names = stack.m, stack.store, stack.names
-    copies = stack.prepare(ring.state, ring.prep_step, range(parties))
-    key_masks = np.array([ctx.keys for ctx in stack.active]).swapaxes(0, 1)  # by party, lane, bit
+    copies = stack.prepare(ring.state, ring.prep_step, parties)
+    key_masks = stack.keys.swapaxes(0, 1)  # by party, lane, bit
     # travels[s] holds stream s's travel qubits
     travels = copies[..., stack.travel].reshape(parties, len(configs), m)
 
@@ -989,17 +1047,13 @@ def _run_ring(
             travels[held[j]] = stack.gather(slots[j], orders)  # the restored trains
         del slots, record  # free this hop's trains before the next hop's are built
 
-    # Decode each copy with its returned travel qubits in their positions.
+    # Decode each copy with its returned travel qubits in their positions;
+    # each party's key XOR the parity of its outcomes is its derived key.
     labels = np.array([label for label, _ in ring.outcomes], dtype=object)
     parity = np.array([bit for _, bit in ring.outcomes], dtype=np.uint8)
-    outcomes = [stack.decode(copies[j], travels[j], ring.basis) for j in range(parties)]
-    for row, ctx in enumerate(stack.active):
-        derived: dict[str, np.ndarray | None] = {}
-        outcome_records: dict[str, tuple[str, ...]] = {}
-        for j, name in enumerate(names):
-            outcome_records[name] = tuple(labels[outcomes[j][row]].tolist())
-            derived[name] = xor_bits(ctx.keys[j], parity[outcomes[j][row]])
-        ctx.finish(derived, outcome_records)
+    outcomes = stack.decode(copies, travels, ring.basis).swapaxes(0, 1)  # by lane, party, copy
+    records = [dict(zip(names, map(tuple, lane))) for lane in labels[outcomes].tolist()]
+    stack.finish(stack.running_keys() ^ parity[outcomes], records)
     return stack.lanes
 
 

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 import qka
 from qka import cli, transcript
 from qka.cli import MAX_COMMAND_KEY_BITS, RUN_DEFAULTS, batch_summary, main
-from qka.protocols import MAX_KEY_BITS, InvalidSchemeError, ProtocolConfig, run_two_party
+from qka.adversaries import AdversaryModel
+from qka.protocols import (
+    MAX_KEY_BITS,
+    InvalidSchemeError,
+    ProtocolConfig,
+    run_batch,
+    run_two_party,
+)
 
 
 def run_cli(capsys, *argv):
@@ -706,7 +713,55 @@ class TestVerifyGroupsCommand:
             assert name in out
 
 
+def reference_summary(results):
+    """The per-run summary the one-pass one replaced, kept as its oracle."""
+    total = len(results)
+    completed = [r for r in results if not r.aborted]
+    error_rates = [c.error_rate for r in results for c in r.checks]
+    bit_errors = bit_total = 0
+    for r in completed:
+        truth = r.ground_truth_key()
+        for key in r.derived_keys.values():
+            bit_errors += int(sum(int(a) != int(b) for a, b in zip(key, truth)))
+            bit_total += key.size
+    return {
+        "trials": total,
+        "abort_rate": sum(r.aborted for r in results) / total,
+        "agreement_rate": sum(r.agreement() for r in completed) / total,
+        "mean_error_rate": sum(error_rates) / len(error_rates) if error_rates else 0.0,
+        "key_bit_error_rate": bit_errors / bit_total if bit_total else None,
+    }
+
+
 class TestBatchSummary:
+    @pytest.mark.parametrize(
+        "protocol, adversary, fraction, threshold",
+        [
+            ("two-party", "intercept-z", 0.3, 0.0),  # aborts
+            ("two-party", "intercept-z", 0.3, 0.25),  # aborts, and attacked lanes that finish
+            ("two-party", "dishonest-alice", 1.0, 0.0),  # lanes that disagree
+            ("two-party", "dishonest-bob", 1.0, 0.0),
+            ("three-party", "intercept-z", 0.3, 0.25),
+            ("five-party", "intercept-z", 0.3, 0.25),
+        ],
+    )
+    def test_one_pass_matches_each_run(self, capsys, protocol, adversary, fraction, threshold):
+        argv = ["run", "--protocol", protocol, "--key-bits", "16", "--seed", "31",
+                "--trials", "12", "--adversary", adversary,
+                "--attack-fraction", str(fraction), "--threshold", str(threshold)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        base = ProtocolConfig(key_bits=16, party_count=cli.PARTY_COUNTS[protocol],
+                              error_threshold=threshold, seed=31)
+        results = run_batch(base, AdversaryModel(kind=adversary, fraction=fraction), 12)
+        assert payload["summary"] == batch_summary(results) == reference_summary(results)
+        agreements = [r.agreement() for r in results]
+        assert [trial["agreement"] for trial in payload["trials"]] == agreements
+        assert [trial["aborted"] for trial in payload["trials"]] == [r.aborted for r in results]
+        assert False in agreements  # aborts, or lanes that finish and disagree
+        assert any(r.aborted for r in results) == (adversary == "intercept-z")
+
     def test_statistics(self):
         results = [
             run_two_party(ProtocolConfig(key_bits=8, seed=6, run_index=i))

@@ -700,6 +700,19 @@ class TestOneLoggingPath:
         assert not helpers & {n.name for n in lane.body if isinstance(n, ast.FunctionDef)}
 
 
+class TestOneKeyArray:
+    def test_lanes_hold_no_keys_of_their_own(self):
+        # every lane's keys are its row of the stack's one key array; no
+        # per-lane key list or per-lane draw may come back
+        tree = ast.parse(inspect.getsource(protocols))
+        (lane,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_RunContext"]
+        assert "draw_key" not in {n.name for n in lane.body if isinstance(n, ast.FunctionDef)}
+        assert not [
+            node for node in ast.walk(lane)
+            if isinstance(node, ast.Attribute) and node.attr in ("keys", "draw_key")
+        ]
+
+
 class TestOneHomePerRule:
     """Each input rule's refusal is spelled once in the package: the rule has one home."""
 
@@ -907,6 +920,42 @@ class TestStackedBatches:
                 assert count_from_transcript(log) == reference_tally(log)
 
     @pytest.mark.parametrize(
+        "parties, kind, index, threshold",
+        [
+            # lanes that leave mid-hop, on the plain and on a key-bearing hop
+            (3, AdversaryKind.INTERCEPT_RESEND_Z, 1, 0.25),
+            (3, AdversaryKind.INTERCEPT_RESEND_Z, 4, 0.0),
+            (5, AdversaryKind.INTERCEPT_RESEND_Z, 2, 0.0),
+            (5, AdversaryKind.INTERCEPT_RESEND_Z, 12, 0.25),
+            (2, AdversaryKind.INTERCEPT_RESEND_Z, 1, 0.0),
+            (2, AdversaryKind.DISHONEST_BOB_REORDER, 0, 0.0),
+        ],
+    )
+    def test_completed_lanes_share_one_tally(self, parties, kind, index, threshold, monkeypatch):
+        # abort rows carry no counts, so each stack tallies once for its completed lanes
+        monkeypatch.setattr(protocols, "_STACK_KEY_BITS", 96)  # stacks of 6 lanes at n=16
+        tallied = []
+
+        def counting(log):
+            tallied.append(log)
+            return count_from_transcript(log)
+
+        monkeypatch.setattr(protocols, "count_from_transcript", counting)
+        base = config(n=16, parties=parties, seed=31, error_threshold=threshold)
+        adversary = AdversaryModel(kind=kind, fraction=0.3, transmission_index=index)
+        batch = protocols.run_batch(base, adversary, 12)
+        stacks = [batch[:6], batch[6:]]
+        completed = [[r for r in stack if not r.aborted] for stack in stacks]
+        assert len(tallied) == sum(1 for lanes in completed if lanes)
+        for lanes in completed:
+            for r in lanes:
+                assert r.resource_counts == count_from_transcript(r.transcript)
+                assert r.resource_counts == reference_tally(r.transcript)
+                assert r.resource_counts is lanes[0].resource_counts
+        if kind is AdversaryKind.INTERCEPT_RESEND_Z:
+            assert any(lanes and len(lanes) < 6 for lanes in completed)  # a mixed stack
+
+    @pytest.mark.parametrize(
         "kind, keyed",
         [(AdversaryKind.DISHONEST_BOB_REORDER, False), (AdversaryKind.NONE, True),
          (AdversaryKind.DISHONEST_BOB_REORDER, True),
@@ -1000,8 +1049,9 @@ class TestStackedBatches:
         assert calls == single
         # the pairs or copies, then one decoy allocation per two-party send or ring hop
         assert calls["new_train"] == 1 + parties
-        # the decodes, then one decoy check per two-party send or ring hop
-        assert calls["measure_rows_in_basis"] == (1 if parties == 2 else parties) + parties
+        # one decode (a ring's parties decode together at n=16), then one
+        # decoy check per two-party send or ring hop
+        assert calls["measure_rows_in_basis"] == 1 + parties
 
     @pytest.mark.parametrize("parties", [3, 5])
     def test_honest_runs_recheck_no_constant(self, parties, monkeypatch):
@@ -1463,6 +1513,24 @@ class TestKeyContract:
         assert not r.aborted
         for key in [*r.private_keys.values(), *r.derived_keys.values(), r.ground_truth_key()]:
             _assert_key(key, 8)
+
+    @pytest.mark.parametrize(
+        "parties, kind", [(p, kind) for p in (2, 3, 5) for kind in _ACCEPTED[p]]
+    )
+    def test_batch_keys_are_read_only_uint8_arrays(self, parties, kind):
+        # lanes that abort and lanes that complete, their keys views of stacked arrays
+        adversary = AdversaryModel(kind=kind, fraction=0.3, transmission_index=1)
+        batch = protocols.run_batch(config(n=8, parties=parties, seed=3), adversary, 9)
+        for r in batch:
+            drawn = 1 if r.aborted and parties == 2 and r.checks[-1].transmission == 0 else parties
+            assert list(r.private_keys) == list(r.party_names[:drawn])
+            keys = [*r.private_keys.values(), r.ground_truth_key()]
+            if not r.aborted:
+                keys += r.derived_keys.values()
+            for key in keys:
+                _assert_key(key, 8)
+                with pytest.raises(ValueError, match="read-only"):
+                    key[0] = 1 - key[0]
 
     @pytest.mark.parametrize("parties", [2, 3, 5])
     def test_aborted_run_keeps_its_drawn_keys(self, parties):
