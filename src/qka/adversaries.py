@@ -223,12 +223,17 @@ def dishonest_bob_reorder(
 ) -> list[int]:
     """Announce a message order with the given index pairs transposed.
 
-    The swaps touch message positions only; overlapping or out-of-range
-    pairs are malformed and raise.
+    The swaps touch message positions only. A pair that is not two ints
+    (``require_ints``), overlapping pairs and out-of-range pairs are
+    malformed and raise ValueError.
     """
     out = list(order)
     touched: set[int] = set()
-    for i, j in swap_pairs:
+    for pair in swap_pairs:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValueError(f"swap pair {pair!r} is not two positions")
+        i, j = pair
+        require_ints(swap_position=i, partner_position=j)
         if i == j or not (0 <= i < len(out)) or not (0 <= j < len(out)):
             raise ValueError(f"malformed swap pair ({i}, {j})")
         if i in touched or j in touched:

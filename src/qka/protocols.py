@@ -10,14 +10,14 @@ construction and share one engine.
 Keys combine by XOR: every party's private key flips exactly its own bits
 of the shared key, and nobody learns anything before committing.
 
-Every run is a *lane*, a ``_RunContext`` that owns its generator, checks
-and view of the log and, once the run ends, its result; identical
-(seed, run_index) pairs reproduce byte-identical transcripts. Both engines
-run a ``_Stack`` of lanes through one store, one event table and one key
-array in lockstep, and send every train through its one transmission routine,
-``_Stack.transmit``: scramble, send, transit attack, decoy check, the
-disclosures, each lane's check, and the abort of each lane whose check
-fails. What sets a transmission apart is its
+Every run is a *lane*, a row of a ``_Stack``: the stack holds each lane's
+generator, keys, checks and result, and logs each event once, in one event
+table, of which each lane's transcript is a view; identical (seed,
+run_index) pairs reproduce byte-identical transcripts. Both engines run a
+stack's lanes through one store in lockstep, and send every train through
+its one transmission routine, ``_Stack.transmit``: scramble, send, transit
+attack, decoy check, the disclosures, each lane's check, and the abort of
+each lane whose check fails. What sets a transmission apart is its
 disclosure staging, when a train's message order goes out: with the decoy
 pairs (a train that carries no key yet), right after its check (a
 key-bearing ring hop), or withheld (the two-party return train, whose order
@@ -298,8 +298,7 @@ def verify_decoys(
     pass (``_check_passed``) before one fails, and each train's error rate.
     """
     require_unit_interval("error_threshold", threshold)
-    slots = np.asarray(slots, dtype=np.int64)
-    disclosed = np.asarray(disclosed, dtype=np.int64)
+    slots, disclosed = np.asarray(slots), np.asarray(disclosed)
     named = slots.ravel()[_checked_disclosure(slots, disclosed)]
     trains, pairs = disclosed.shape[:2]
     outcomes = store.measure_rows_in_basis(named.reshape(-1, 2), BELL_VECTORS, rng)
@@ -313,10 +312,10 @@ def verify_decoys(
 def _checked_disclosure(slots: np.ndarray, disclosed: np.ndarray) -> np.ndarray:
     """The disclosed slots as indices into ``slots.ravel()``; the one home of the disclosure rule.
 
-    ``disclosed[t]`` must be a nonempty (m, 2) array naming m disjoint
-    pairs of distinct slots of train ``slots[t]``. Otherwise this raises
-    ValueError for the first bad train, with the message a check of that
-    train alone would give.
+    ``slots`` and ``disclosed`` must be integer arrays, and ``disclosed[t]``
+    a nonempty (m, 2) array naming m disjoint pairs of distinct slots of
+    train ``slots[t]``. Otherwise this raises ValueError for the first bad
+    train, with the message a check of that train alone would give.
     """
     if not disclosed.size:
         raise ValueError("decoy disclosure is empty")
@@ -324,6 +323,9 @@ def _checked_disclosure(slots: np.ndarray, disclosed: np.ndarray) -> np.ndarray:
         raise ValueError(f"decoy disclosure must hold slot pairs, got shape {disclosed.shape[1:]}")
     if slots.ndim != 2 or len(slots) != len(disclosed):
         raise ValueError(f"{len(disclosed)} disclosures for trains of shape {slots.shape}")
+    if slots.dtype.kind not in "iu" or disclosed.dtype.kind not in "iu":
+        raise ValueError("decoy slots and disclosures must be integers")
+    disclosed = disclosed.astype(np.int64, copy=False)
     trains, items = slots.shape
     named = disclosed + np.arange(trains)[:, None, None] * items  # as flat indices
     # Every slot must be in range and named once; in range, no two trains share an index.
@@ -523,41 +525,6 @@ def json_chunks(value, indent: str = "") -> Iterator[str]:
     yield close
 
 
-class _RunContext:
-    """One run, a lane of a stack: its generator, transcript view, checks and result.
-
-    Its keys are its row of the stack's key array (``_Stack.keys``).
-    """
-
-    def __init__(self, config: ProtocolConfig, names: tuple[str, ...], transcript: Transcript):
-        self.config = config
-        self.names = names
-        self.rng = config.make_rng()
-        self.transcript = transcript
-        self.checks: list[TransmissionCheck] = []
-        self.result: ProtocolResult | None = None  # set by ``finish`` once the run ends
-
-    def finish(
-        self,
-        private: dict[str, np.ndarray],
-        derived: dict[str, np.ndarray | None],
-        counts: ResourceCount | None,
-        outcome_records: dict[str, tuple[str, ...]] | None = None,
-        report: dict | None = None,
-        reason: str | None = None,
-    ) -> None:
-        """End the run with its result: completed with ``counts``, or aborted for ``reason``.
-
-        ``private`` holds the keys drawn so far, by party.
-        """
-        transcript = self.transcript
-        self.result = ProtocolResult(
-            transcript.protocol, transcript.key_bits, self.names, private, derived,
-            reason is not None, reason, self.checks, counts, transcript,
-            outcome_records or {}, report,
-        )
-
-
 def check_adversary(config: ProtocolConfig, adversary: AdversaryModel) -> None:
     """Raise ValueError unless the adversary can act on this run.
 
@@ -601,21 +568,23 @@ _WITHHELD = "withheld"
 class _Stack:
     """A stack of *lanes*, one run per config, in lockstep through one store.
 
-    The configs differ only in ``run_index``. Each lane is a ``_RunContext``
-    that holds its generator, checks and, once it ends, its result, and only
-    the draws run lane by lane, each lane's in the order a run of its own
-    makes them; the store calls serve all lanes, and each bulk measurement
-    takes the lanes' uniforms in lane order. ``active`` holds the lanes
-    still running, one per row of the engine's arrays, and ``active_ids``
-    their lane numbers. The stack logs each event once, in ``table``, for
-    the lanes it reaches, and each lane's transcript is a view of the table.
-    Every lane's private keys are its row of ``keys``, a read-only view of
-    the (lanes, parties, n) uint8 array that ``draw_keys`` fills, of which
-    the first ``drawn`` parties' are drawn. Lanes leave only when their check fails, each logging its
-    abort as a one-lane row, so every lane sees the events a run of its own
-    logs, in the same order. The lanes that complete end together in
-    ``finish``, from stacked derived keys and one shared tally. A stack of
-    one lane allocates, draws and logs exactly as a run of its own.
+    The configs differ only in ``run_index``. A lane is a row of the stack,
+    which holds every lane's state: ``active_ids`` holds the numbers of the
+    lanes still running, one per row of the engine's arrays, and ``rngs``
+    their generators, row by row; ``checks`` and ``results`` are indexed by
+    lane. Only the draws run lane by lane, each lane's in the order a run
+    of its own makes them; the store calls serve all lanes, and each bulk
+    measurement takes the lanes' uniforms in lane order. The stack logs
+    each event once, in ``table``, for the lanes it reaches. Every lane's
+    private keys are its row of ``keys``, a read-only view of the (lanes,
+    parties, n) uint8 array that ``draw_keys`` fills, of which the first
+    ``drawn`` parties' are drawn. Lanes leave only when their check fails,
+    each logging its abort as a one-lane row, so every lane sees the events
+    a run of its own logs, in the same order. ``_end`` builds every result
+    and its transcript, a view of the table: an aborted lane's as it leaves,
+    and the completed lanes' together in ``finish``, from stacked derived
+    keys and one shared tally. A stack of one lane allocates, draws and
+    logs exactly as a run of its own.
 
     Each copy circulates its qubits at the ``travel`` positions, so a
     train carries those of n copies, then n/2 decoy pairs.
@@ -631,21 +600,21 @@ class _Stack:
     ):
         adversary = adversary if adversary is not None else AdversaryModel()
         check_adversary(configs[0], adversary)
+        self.protocol = protocol
         self.names = PARTY_NAMES[:parties]
         self.n = configs[0].key_bits
         self.threshold = configs[0].error_threshold
+        self.fixed_keys = configs[0].fixed_keys
         self.travel = list(travel)
         self.m = len(travel) * self.n  # message qubits per train
         self.adversary = adversary
         self.attacked = adversary.transmission_index if adversary.is_external else -1
         self.store = QubitStore()
         self.table = EventTable()
-        self.lanes = [
-            _RunContext(config, self.names, Transcript(protocol, self.n, self.table, lane))
-            for lane, config in enumerate(configs)
-        ]
-        self.active = list(self.lanes)
         self.active_ids = tuple(range(len(configs)))
+        self.rngs = [config.make_rng() for config in configs]
+        self.checks: list[list[TransmissionCheck]] = [[] for _ in configs]
+        self.results: list[ProtocolResult | None] = [None] * len(configs)  # set by ``_end``
         self._keys = np.zeros((len(configs), parties, self.n), dtype=np.uint8)
         self.keys = self._keys.view()  # what the engines and results read: read-only
         self.keys.flags.writeable = False
@@ -662,11 +631,11 @@ class _Stack:
         k-th of back-to-back trains of n would have had.
         """
         width = _COPY_QUBITS[len(self.names)]
-        copies = self.store.new_train(state, parties * len(self.lanes) * self.n)
+        copies = self.store.new_train(state, parties * len(self.keys) * self.n)
         for name in self.names[:parties]:
             self.log_preparation(step, name, width * self.n, "message")
         self.draw_keys(parties)
-        return copies.reshape(parties, len(self.lanes), self.n, width)
+        return copies.reshape(parties, len(self.keys), self.n, width)
 
     def log(self, *event, **counts) -> None:
         """Log one event for every active lane: ``EventTable.log`` without its lanes."""
@@ -685,18 +654,18 @@ class _Stack:
         cast to uint8: a uint8 draw would take other bits from the stream.
         """
         parties = range(self.drawn, self.drawn + count)
-        keys, fixed = self._keys, self.lanes[0].config.fixed_keys
+        keys, fixed = self._keys, self.fixed_keys
         if fixed is not None:
             keys[:, parties.start : parties.stop] = [fixed[j] for j in parties]
         else:
-            for lane, ctx in zip(self.active_ids, self.active):
+            for lane, rng in zip(self.active_ids, self.rngs):
                 for j in parties:
-                    keys[lane, j] = ctx.rng.integers(0, 2, size=self.n)
+                    keys[lane, j] = rng.integers(0, 2, size=self.n)
         self.drawn = parties.stop
 
     def running_keys(self) -> np.ndarray:
         """The running lanes' rows of ``keys``, one per row of the engine's arrays."""
-        if len(self.active) == len(self.lanes):
+        if len(self.active_ids) == len(self.keys):
             return self.keys
         return self.keys[list(self.active_ids)]
 
@@ -706,7 +675,7 @@ class _Stack:
         A lone lane passes its generator, which the measurement draws from
         itself: the same values, without the checks given uniforms get.
         """
-        rngs = [ctx.rng for ctx in self.active]
+        rngs = self.rngs
         return rngs[0] if len(rngs) == 1 else np.concatenate([rng.random(count) for rng in rngs])
 
     def gather(self, slots: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -757,15 +726,14 @@ class _Stack:
         a transmission then rewrites every row's train at once, each with its
         lane's generator. One ``verify_decoys`` call checks every train, lane
         by lane. Then, sender by sender, the running lanes' disclosures are
-        logged as ``staging`` says, each lane records its check, and a lane
-        whose check fails logs its abort and leaves. Returns the hop's slots
-        and record, stacked by sender with one row per lane that runs on,
-        and those rows (every row: a full slice).
+        logged as ``staging`` says, each lane's check is recorded, and a
+        lane whose check fails logs its abort and leaves. Returns the hop's
+        slots and record, stacked by sender with one row per lane that runs
+        on, and those rows (every row: a full slice).
         """
-        rngs = [ctx.rng for ctx in self.active]
-        names, m, pairs = self.names, self.m, self.n // 2
+        rngs, names, m, pairs = self.rngs, self.names, self.m, self.n // 2
         receivers = names[1:] + names[:1]
-        rows, count, first = len(self.active), len(senders), self.transmissions
+        rows, count, first = len(rngs), len(senders), self.transmissions
         sends = [(first + k, names[j], receivers[j]) for k, j in enumerate(senders)]
         total = m + 2 * pairs  # items per train
         most = max(1, _SCRAMBLE_ITEMS // (rows * total))
@@ -819,7 +787,7 @@ class _Stack:
                 if check is None:
                     check = TransmissionCheck(index, check_step, sender, receiver, rate, ok)
                     made[rate] = check
-                self.active[row].checks.append(check)
+                self.checks[self.active_ids[row]].append(check)
                 if ok:
                     running.append(row)
                 else:
@@ -835,25 +803,19 @@ class _Stack:
                                counted_bits=m)
         if len(kept) == rows:
             return slots, record, slice(None)
-        self.active, self.active_ids = [self.active[row] for row in kept], lanes
+        self.active_ids, self.rngs = lanes, [rngs[row] for row in kept]
         return slots[:, kept], shown, kept
 
     def _abort(self, row: int, step: str, receiver: str, index: int, rate: float) -> None:
         """End the lane of active ``row`` at its failed check: its abort is a one-lane row."""
+        lane = self.active_ids[row]
         payload = {"transmission": index, "error_rate": rate}
-        self.table.log((self.active_ids[row],), step, receiver, tr.ABORT, payload)
-        ctx = self.active[row]
-        ctx.transcript.aborted = True
+        self.table.log((lane,), step, receiver, tr.ABORT, payload)
         reason = (
             f"decoy check failed on transmission {index} "
             f"(error rate {rate:.4f} > threshold {self.threshold})"
         )
-        ctx.finish(self._private(self.active_ids[row]), dict.fromkeys(self.names), None,
-                   reason=reason)
-
-    def _private(self, lane: int) -> dict[str, np.ndarray]:
-        """Lane ``lane``'s drawn keys by party, as read-only views of ``keys``."""
-        return dict(zip(self.names, self.keys[lane, : self.drawn]))
+        self._end((lane,), [dict.fromkeys(self.names)], [{}], [None], reason)
 
     def finish(
         self,
@@ -863,16 +825,39 @@ class _Stack:
     ) -> None:
         """End every running lane, row by row, with its (parties, n) row of ``derived``.
 
-        Abort rows carry no counts, so every completed lane tallies the same
-        (c, q, b), and one ``count_from_transcript`` call serves them all.
         ``derived`` is made read-only.
         """
         derived.flags.writeable = False
-        counts = count_from_transcript(self.active[0].transcript)
-        reports = reports or [None] * len(self.active)
-        for row, (lane, ctx) in enumerate(zip(self.active_ids, self.active)):
-            ctx.finish(self._private(lane), dict(zip(self.names, derived[row])), counts,
-                       outcome_records[row], reports[row])
+        rows = [dict(zip(self.names, keys)) for keys in derived]
+        self._end(self.active_ids, rows, outcome_records, reports or [None] * len(rows))
+
+    def _end(
+        self,
+        lanes: Sequence[int],
+        derived: Sequence[dict[str, np.ndarray | None]],
+        outcome_records: Sequence[dict[str, tuple[str, ...]]],
+        reports: Sequence[dict | None],
+        reason: str | None = None,
+    ) -> None:
+        """Build the result of each of ``lanes``: completed, or aborted for ``reason``.
+
+        Each lane's transcript is a view of ``table``, and its private keys
+        are read-only views of its drawn rows of ``keys``. Abort rows carry
+        no counts, so every completed lane tallies the same (c, q, b), and
+        one ``count_from_transcript`` call serves them all.
+        """
+        aborted = reason is not None
+        transcripts = [Transcript(self.protocol, self.n, self.table, lane) for lane in lanes]
+        counts = None if aborted else count_from_transcript(transcripts[0])
+        for lane, transcript, keys, records, report in zip(
+            lanes, transcripts, derived, outcome_records, reports
+        ):
+            transcript.aborted = aborted
+            private = dict(zip(self.names, self.keys[lane, : self.drawn]))
+            self.results[lane] = ProtocolResult(
+                self.protocol, self.n, self.names, private, keys, aborted, reason,
+                self.checks[lane], counts, transcript, records, report,
+            )
 
 
 def _send_runs(first: int, count: int, attacked: int, most: int) -> list[range]:
@@ -903,8 +888,8 @@ def run_two_party(
 
 def _run_two_party(
     configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
-) -> list[_RunContext]:
-    """``run_two_party`` for a stack of lanes (see ``_Stack``); returns the ended lanes.
+) -> list[ProtocolResult]:
+    """``run_two_party`` for a stack of lanes (see ``_Stack``); returns their results.
 
     The lanes share one train of all their Bell pairs, each transmission,
     one ``encode_key`` and one decode measurement; the early-measuring
@@ -921,8 +906,8 @@ def _run_two_party(
     # Steps 2-3: outbound train, full disclosure, responder's decoy check.
     outbound = pairs[None, ..., 1]  # the initiator's one train, as a stack of senders
     (slots,), record, kept = stack.transmit(outbound, [0], "step2", "step3", _WITH_DECOYS)
-    if not stack.active:
-        return stack.lanes
+    if not stack.active_ids:
+        return stack.results
     pairs = pairs[kept]
     at_bob = stack.gather(slots, record.message_order[0])
 
@@ -932,18 +917,18 @@ def _run_two_party(
     encode_key(store, at_bob.ravel(), keys[:, 1].ravel(), GroupElement.of(PauliLetter.X))
     # Step 5: decoy coordinates only; the message order stays secret.
     (slots,), record, kept = stack.transmit(at_bob[None], [1], "step4", "step5", _WITHHELD)
-    if not stack.active:
-        return stack.lanes
+    if not stack.active_ids:
+        return stack.results
     pairs, keys = pairs[kept], stack.running_keys()
 
     # Insider hook: an impatient initiator measures on guessed pairings now,
     # before committing to her announcement, and takes her key from them.
-    rows = len(stack.active)
+    rows = len(stack.active_ids)
     guesses, reports = None, [None] * rows
     if adv.kind is AdversaryKind.DISHONEST_ALICE_EARLY_MEASURE:
         guesses, reports = dishonest_alice_early_measure(
             store, pairs[..., 0], slots, PermutationRecord.of(record.forward[0], n),
-            [ctx.rng for ctx in stack.active], keys[:, 1],
+            stack.rngs, keys[:, 1],
         )
 
     # Step 6: the initiator commits; the responder can already finish.
@@ -955,11 +940,11 @@ def _run_two_party(
     targets = [None] * rows  # each row's reorder target
     if adv.kind is AdversaryKind.DISHONEST_BOB_REORDER:
         orders = orders.copy()
-        for row, ctx in enumerate(stack.active):
+        for row, rng in enumerate(stack.rngs):
             key_a, key_b = keys[row]
             swap_pairs = adv.swap_pairs
             if swap_pairs is None:
-                swap_pairs = choose_swap_pairs(n, adv.swap_count, ctx.rng)
+                swap_pairs = choose_swap_pairs(n, adv.swap_count, rng)
             claimed = dishonest_bob_reorder(range(n), swap_pairs)  # the index each slot carries
             orders[row] = orders[row][claimed]
             targets[row] = xor_bits(key_a, key_b[claimed])
@@ -973,7 +958,7 @@ def _run_two_party(
               ("message_order",), counted_bits=n)
 
     # Step 8: pairwise decoding; each bit flip is one of the responder's key bits.
-    records = [{}] * rows
+    records = [{} for _ in range(rows)]
     if guesses is None:
         (decoded,) = stack.decode(pairs[None], stack.gather(slots, orders)[None], BELL_VECTORS)
         guesses = BELL_X_BITS[decoded]
@@ -985,7 +970,7 @@ def _run_two_party(
         if target is not None:
             reports[row]["alice_key_matches_target"] = np.array_equal(derived[row, 0], target)
     stack.finish(derived, records, reports)
-    return stack.lanes
+    return stack.results
 
 
 @dataclass(frozen=True)
@@ -1015,8 +1000,8 @@ class _Ring:
 
 def _run_ring(
     ring: _Ring, configs: Sequence[ProtocolConfig], adversary: AdversaryModel | None
-) -> list[_RunContext]:
-    """Run one trial per config as a stack of lanes (see ``_Stack``); returns the ended lanes.
+) -> list[ProtocolResult]:
+    """Run one trial per config as a stack of lanes (see ``_Stack``); returns their results.
 
     The lanes share one train of all their copies, each hop's
     transmissions, one ``encode_key`` per round and one decode measurement
@@ -1040,8 +1025,8 @@ def _run_ring(
         slots, record, kept = stack.transmit(
             travels[held], range(parties), send_step, check_step, staging
         )
-        if not stack.active:
-            return stack.lanes
+        if not stack.active_ids:
+            return stack.results
         copies, travels, key_masks = copies[:, kept], travels[:, kept], key_masks[:, kept]
         for j, orders in enumerate(record.message_order):
             travels[held[j]] = stack.gather(slots[j], orders)  # the restored trains
@@ -1054,7 +1039,7 @@ def _run_ring(
     outcomes = stack.decode(copies, travels, ring.basis).swapaxes(0, 1)  # by lane, party, copy
     records = [dict(zip(names, map(tuple, lane))) for lane in labels[outcomes].tolist()]
     stack.finish(stack.running_keys() ^ parity[outcomes], records)
-    return stack.lanes
+    return stack.results
 
 
 _THREE_PARTY_RING = _Ring(
@@ -1165,7 +1150,7 @@ def _stack_runner(config: ProtocolConfig):
     """Validate ``config`` and return the engine that runs a stack of its trials.
 
     The engine takes the trials' configs and the adversary, and returns one
-    lane per config, each with its ``result``.
+    result per config.
     """
     config.validate()
     if config.party_count == 2:
@@ -1184,7 +1169,7 @@ def _run_alone(
     if config.party_count != party_count:
         protocol = {2: TWO_PARTY, 3: THREE_PARTY}.get(party_count, FIVE_PARTY)
         raise ValueError(f"{protocol} run requires party_count == {party_count}")
-    return run_stack([config], adversary)[0].result
+    return run_stack([config], adversary)[0]
 
 
 # A batch stacks at most this many key bits of trials, and at least one
@@ -1217,5 +1202,5 @@ def run_batch(
     per_stack = max(1, _STACK_KEY_BITS // config.key_bits)
     results = []
     for lo in range(0, trials, per_stack):
-        results.extend(lane.result for lane in run_stack(configs[lo : lo + per_stack], adversary))
+        results.extend(run_stack(configs[lo : lo + per_stack], adversary))
     return results

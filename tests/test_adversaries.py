@@ -460,6 +460,26 @@ class TestDishonestBob:
         with pytest.raises(ValueError, match="swap pair"):
             run_batch(config(n=8, seed=1), adv, 5)
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((True, 0),), "swap_position must be an integer, not True"),
+            (((np.int64(0), np.int64(1)),), "swap_position must be an integer"),
+            (((0, 1.0),), "partner_position must be an integer, not 1.0"),
+            (((0, 1, 2),), r"swap pair \(0, 1, 2\) is not two positions"),
+            ((3,), "swap pair 3 is not two positions"),
+        ],
+    )
+    def test_pinned_swaps_follow_the_integer_rule(self, pairs, message, monkeypatch):
+        with pytest.raises(ValueError, match=message):
+            dishonest_bob_reorder(range(8), pairs)
+        monkeypatch.setattr(ProtocolConfig, "make_rng", no_generator)
+        adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=pairs)
+        with pytest.raises(ValueError, match=message):
+            run_protocol(config(n=8, seed=1), adv)
+        with pytest.raises(ValueError, match=message):
+            run_batch(config(n=8, seed=1), adv, 5)
+
     def test_empty_swap_pairs_swap_nothing(self):
         adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=())
         r = run_two_party(config(n=8, seed=2), adv)

@@ -298,6 +298,19 @@ class TestVerifyDecoys:
                 verify_decoys(store, slots[None], [disclosure], 0.0, rng)
             assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize(
+        "shift, disclosure",
+        [(0.9, [[(0, 1)]]), (0, [[(0.7, 1.2)]]), (0, [[(0.0, 1.0)]]), (0, [[(True, False)]])],
+    )
+    def test_non_integer_slots_and_disclosures_refused_before_any_draw(self, shift, disclosure):
+        store = QubitStore()
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).reshape(1, -1)
+        rng = np.random.default_rng(0)
+        before = (store.live_qubits(), rng.bit_generator.state)
+        with pytest.raises(ValueError, match="decoy slots and disclosures must be integers"):
+            verify_decoys(store, ids + shift, disclosure, 0.0, rng)
+        assert (store.live_qubits(), rng.bit_generator.state) == before
+
     @staticmethod
     def _wrecked_trains(seed):
         """A store, three scrambled trains and their disclosures; some decoys wrecked in two."""
@@ -404,7 +417,8 @@ class TestTranscriptSnapshots:
             travel[None, None], [0], "step2", "step3", protocols._WITH_DECOYS
         )
         rec = PermutationRecord.of(record.forward[0, 0], 8)
-        (send,) = [e for e in stack.lanes[0].transcript.events if e.kind == QUANTUM_SEND]
+        lane = Transcript(TWO_PARTY, 8, stack.table)
+        (send,) = [e for e in lane.events if e.kind == QUANTUM_SEND]
         return travel, slots[0], rec, send.payload
 
     def test_transit_attack_leaves_logged_send_unchanged(self):
@@ -677,6 +691,21 @@ class TestOneTransmissionPath:
             assert calls[name] == 1, name
 
 
+def _classes_beside_the_stack():
+    """Every class ``protocols`` defines, ``_Stack`` aside, as AST nodes."""
+    tree = ast.parse(inspect.getsource(protocols))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert "_Stack" in {node.name for node in classes}
+    return [node for node in classes if node.name != "_Stack"]
+
+
+def _names_used(node):
+    """The attribute and method names ``node`` defines or reads."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} | {
+        n.name for n in ast.walk(node) if isinstance(n, ast.FunctionDef)
+    }
+
+
 class TestOneLoggingPath:
     def test_the_stack_table_is_the_only_log(self):
         # the engines log each event once, through the stack's event table;
@@ -688,29 +717,37 @@ class TestOneLoggingPath:
                     owner = node.func.value
                     assert not (isinstance(owner, ast.Name) and owner.id == "Transcript")
                     assert not (isinstance(owner, ast.Attribute) and owner.attr == "transcript")
-        (lane,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_RunContext"]
-        attributes = {
-            node.func.attr
-            for node in ast.walk(lane)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        }
-        assert "log" not in attributes
-        helpers = {"log_preparation", "send", "disclose_full", "disclose_decoys",
+        helpers = {"log", "log_preparation", "send", "disclose_full", "disclose_decoys",
                    "disclose_order", "announce_key", "record_check"}
-        assert not helpers & {n.name for n in lane.body if isinstance(n, ast.FunctionDef)}
+        for cls in _classes_beside_the_stack():
+            assert not helpers & _names_used(cls), cls.name
+
+    def test_no_per_lane_class(self):
+        # a lane is a row of its stack: no class beside _Stack keeps state of
+        # its own (the others are records), so no per-lane record may come back
+        for cls in _classes_beside_the_stack():
+            assigned = [
+                target
+                for node in ast.walk(cls)
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ]
+            assert assigned == [], cls.name
 
 
 class TestOneKeyArray:
     def test_lanes_hold_no_keys_of_their_own(self):
-        # every lane's keys are its row of the stack's one key array; no
-        # per-lane key list or per-lane draw may come back
-        tree = ast.parse(inspect.getsource(protocols))
-        (lane,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_RunContext"]
-        assert "draw_key" not in {n.name for n in lane.body if isinstance(n, ast.FunctionDef)}
-        assert not [
-            node for node in ast.walk(lane)
-            if isinstance(node, ast.Attribute) and node.attr in ("keys", "draw_key")
-        ]
+        # every lane's keys are its row of the stack's one key array, and its
+        # generator its row of the stack's ``rngs``; no other class may hold
+        # a generator, a key list or a key draw
+        stack = _names_used(ast.parse(inspect.getsource(protocols._Stack)))
+        assert {"rngs", "keys", "draw_keys"} <= stack
+        held = {"rng", "rngs", "keys", "_keys", "draw_key", "draw_keys"}
+        for cls in _classes_beside_the_stack():
+            assert not held & _names_used(cls), cls.name
 
 
 class TestOneHomePerRule:
@@ -731,6 +768,7 @@ class TestOneHomePerRule:
         "integer": ("must be an integer, not",),
         "disclosure": (
             "decoy disclosure is empty",
+            "decoy slots and disclosures must be integers",
             "malformed decoy pair",
             "decoy pairs must be disjoint",
         ),
@@ -811,7 +849,7 @@ class TestUnitIntervalRule:
 
 class TestOneResultBuilder:
     def test_every_result_is_built_at_one_call_site(self):
-        # completed and aborted runs alike end in _RunContext.finish
+        # completed and aborted lanes alike end in _Stack._end
         tree = ast.parse(inspect.getsource(protocols))
         builds = [
             node
