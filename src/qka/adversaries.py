@@ -76,6 +76,9 @@ class AdversaryModel:
         require_ints(transmission_index=self.transmission_index)
         if self.transmission_index < 0:
             raise ValueError("transmission index must be nonnegative")
+        if self.swap_pairs is not None:  # frozen once: the pair rule sees each item as given
+            pairs = (tuple(p) if isinstance(p, (tuple, list)) else p for p in self.swap_pairs)
+            object.__setattr__(self, "swap_pairs", tuple(pairs))
 
     @property
     def is_external(self) -> bool:

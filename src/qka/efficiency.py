@@ -64,9 +64,7 @@ def render_percent(eta: Fraction) -> str:
 
 
 def qubit_efficiency(rc: ResourceCount) -> EfficiencyReport:
-    """Exact eta = c/(q+b); raises on a zero denominator."""
-    if rc.q + rc.b == 0:
-        raise ZeroDivisionError("q + b must be positive")
+    """Exact eta = c/(q+b)."""
     eta = Fraction(rc.c, rc.q + rc.b)
     return EfficiencyReport(
         eta=eta,

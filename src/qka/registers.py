@@ -483,7 +483,7 @@ class _Block:
     r*width`` onward in row r. Any other block is *listed*: ``ids`` is its
     (rows, width) id table, and the store's slot map gives each of its ids'
     flat index ``row*width + position`` there. ``views`` caches the
-    register ``register_of`` hands out, by row.
+    read-only register ``register_of`` hands out, by row.
     """
 
     __slots__ = ("first", "width", "ids", "amplitudes", "live", "views")
@@ -666,13 +666,14 @@ class QubitStore:
         return np.flatnonzero(self._block_of[: self._next_id] >= 0).tolist()
 
     def register_of(self, qubit: int) -> StateRegister:
-        """The register holding ``qubit``: a view of its row, one object per register."""
+        """The register holding ``qubit``: a read-only view of its row, one object per register."""
         (b,) = self._indices(np.asarray([qubit]))
         block = self._blocks[b]
         row = self._row_of(qubit, block)
         view = block.views.get(row)
         if view is None:
             view = StateRegister._trusted(block.row_ids(row), block.amplitudes[row])
+            view.amplitudes.flags.writeable = False  # the store writes through the block
             block.views[row] = view
         return view
 

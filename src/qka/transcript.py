@@ -11,7 +11,7 @@ A stack of runs (*lanes*) keeps one ``EventTable`` and logs each event once,
 for the lanes it reaches; a payload value may hold one row per lane. Each
 run's ``Transcript`` is a view of its lane's events: they become
 ``TranscriptEvent``s, numbered in the lane's own order, only when read, and
-the resource tally reads the table's columns instead. A ``Transcript`` made
+the resource tally reads the lane's table rows instead. A ``Transcript`` made
 on its own owns a table, and ``Transcript.log`` logs one event for it.
 
 Payload values are JSON data or int64 arrays (qubit ids, permutations,
@@ -221,16 +221,14 @@ class TranscriptEvent:
 class EventTable:
     """The events of a stack of runs (*lanes*), each logged once for all the lanes it reaches.
 
-    One entry per event in each column: its lanes (a map from lane to row),
-    step, actor and kind, its payload, the payload keys whose values hold
-    one entry per row, and its ``qubit_count``, ``counted_bits`` and
-    ``purpose``. A lane's events are the ones that name it, in log order.
+    ``rows`` holds one tuple per event: its lanes (a map from lane to row),
+    step, actor, kind, payload, the payload keys whose values hold one
+    entry per row, and its ``qubit_count``, ``counted_bits`` and
+    ``purpose``. A lane's events are the rows that name it, in log order.
     """
 
     def __init__(self):
-        self.lanes: list[dict[int, int]] = []
-        self.steps, self.actors, self.kinds, self.payloads, self.by_lane = [], [], [], [], []
-        self.qubit_counts, self.counted_bits, self.purposes = [], [], []
+        self.rows: list[tuple] = []
         self._last: tuple[tuple[int, ...], dict[int, int]] = ((), {})
 
     def log(
@@ -246,15 +244,8 @@ class EventTable:
         """
         if lanes is not self._last[0]:
             self._last = (lanes, {lane: row for row, lane in enumerate(lanes)})
-        self.lanes.append(self._last[1])
-        self.steps.append(step)
-        self.actors.append(actor)
-        self.kinds.append(kind)
-        self.payloads.append(payload or {})
-        self.by_lane.append(by_lane)
-        self.qubit_counts.append(qubit_count)
-        self.counted_bits.append(counted_bits)
-        self.purposes.append(purpose)
+        self.rows.append((self._last[1], step, actor, kind, payload or {}, by_lane,
+                          qubit_count, counted_bits, purpose))
 
 
 class Transcript:
@@ -279,34 +270,31 @@ class Transcript:
 
     def _indices(self) -> list[int]:
         """The table index of each of this lane's events, in order."""
-        lanes, seen = self._table.lanes, self._scanned
-        named = map(dict.__contains__, lanes[seen:], repeat(self._lane))
+        rows, seen = self._table.rows, self._scanned
+        named = map(dict.__contains__, map(itemgetter(0), rows[seen:]), repeat(self._lane))
         self._picks += compress(count(seen), named)
-        self._scanned = len(lanes)
+        self._scanned = len(rows)
         return self._picks
 
     @property
     def events(self) -> list[TranscriptEvent]:
-        picks, events, t = self._indices(), self._events, self._table
+        picks, events, rows = self._indices(), self._events, self._table.rows
         for index in range(len(events), len(picks)):
-            i = picks[index]
-            row, keys = t.lanes[i][self._lane], t.by_lane[i]
+            lanes, step, actor, kind, payload, keys, qubits, bits, purpose = rows[picks[index]]
+            row = lanes[self._lane]
             payload = {key: value[row] if key in keys else value
-                       for key, value in t.payloads[i].items()}
+                       for key, value in payload.items()}
             events.append(TranscriptEvent(  # positional arguments are cheaper
-                index, t.steps[i], t.actors[i], t.kinds[i], payload,
-                t.qubit_counts[i], t.counted_bits[i], t.purposes[i],
+                index, step, actor, kind, payload, qubits, bits, purpose
             ))
         return events
 
     def tally_columns(self) -> tuple[tuple, tuple, tuple, tuple]:
         """The kind, purpose, qubit_count and counted_bits of each event, as four columns."""
-        picks, t = self._indices(), self._table
-        columns = (t.kinds, t.purposes, t.qubit_counts, t.counted_bits)
-        if len(picks) < 2:  # one index makes itemgetter return the item itself
-            return tuple(tuple(column[i] for i in picks) for column in columns)
-        take = itemgetter(*picks)
-        return tuple(take(column) for column in columns)
+        rows = self._table.rows
+        picked = [rows[i] for i in self._indices()]
+        columns = (3, 8, 6, 7)  # where a row holds kind, purpose, qubit_count, counted_bits
+        return tuple(tuple(map(itemgetter(column), picked)) for column in columns)
 
     def log(
         self, step: str, actor: str, kind: str, payload: dict | None = None, **counts

@@ -116,6 +116,15 @@ class TestModelInput:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("swap_count", "swap count must be nonnegative"),
+         ("transmission_index", "transmission index must be nonnegative")],
+    )
+    def test_negative_count_refused(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, **{field: -1})
+
 
 class TestTransitAttacks:
     def test_none_leaves_everything_alone(self):
@@ -468,6 +477,7 @@ class TestDishonestBob:
             (((0, 1.0),), "partner_position must be an integer, not 1.0"),
             (((0, 1, 2),), r"swap pair \(0, 1, 2\) is not two positions"),
             ((3,), "swap pair 3 is not two positions"),
+            ([5], "swap pair 5 is not two positions"),
         ],
     )
     def test_pinned_swaps_follow_the_integer_rule(self, pairs, message, monkeypatch):
@@ -479,6 +489,21 @@ class TestDishonestBob:
             run_protocol(config(n=8, seed=1), adv)
         with pytest.raises(ValueError, match=message):
             run_batch(config(n=8, seed=1), adv, 5)
+
+    def test_one_shot_swap_pairs_reach_the_run(self):
+        # the model keeps its own tuple, so checking the pairs spends nothing the run needs
+        pairs = (p for p in [(0, 1), (2, 3)])
+        adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=pairs)
+        assert adv.swap_pairs == ((0, 1), (2, 3))
+        r = run_two_party(config(n=8, seed=1), adv)
+        assert r.attack_report["swap_pairs"] == [[0, 1], [2, 3]]
+
+    def test_list_swap_pairs_leave_the_model_hashable(self):
+        listed = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=[[0, 1]])
+        pinned = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=((0, 1),))
+        assert listed == pinned and hash(listed) == hash(pinned)
+        runs = [run_two_party(config(n=8, seed=1), adv).to_json() for adv in (listed, pinned)]
+        assert runs[0] == runs[1]
 
     def test_empty_swap_pairs_swap_nothing(self):
         adv = AdversaryModel(kind=AdversaryKind.DISHONEST_BOB_REORDER, swap_pairs=())

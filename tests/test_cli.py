@@ -180,6 +180,28 @@ class TestConfigHandling:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("content", [None, "directory", b"{\"seed\": \xff}", b"{seed: 1}"],
+                             ids=["missing", "directory", "non-utf8", "invalid-json"])
+    def test_unreadable_config_file_exits_2(self, capsys, monkeypatch, tmp_path, content):
+        _forbid_runs(monkeypatch)
+        cfg = tmp_path / "spec.json"
+        if content == "directory":
+            cfg.mkdir()
+        elif content is not None:
+            cfg.write_bytes(content)
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("qka: configuration error: cannot read config file: ")
+        assert len(err.splitlines()) == 1
+
+    def test_env_seed_that_is_not_an_integer_exits_2(self, capsys, monkeypatch):
+        _forbid_runs(monkeypatch)
+        monkeypatch.setenv("QKA_SEED", "7.5")
+        code, out, err = run_cli(capsys, "run", "--key-bits", "8")
+        assert (code, out, err) == (
+            2, "", "qka: configuration error: QKA_SEED must be an integer, got '7.5'\n"
+        )
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("QKA_SEED", "77")
         _, with_env, _ = run_cli(capsys, "run", "--protocol", "two-party", "--key-bits", "8")
@@ -422,6 +444,7 @@ class TestRefusalLines:
              "key_bits must be a positive even integer"),
             ({"five_party_state": "foo", "threshold": 2}, [],
              "error_threshold must lie in [0, 1]"),
+            ({}, ["--seed", "-1"], "seed and run_index must be nonnegative"),
             # an empty output path is no path: refused in either form, before any trial
             ({"out": ""}, [], "cannot write output to '': No such file or directory"),
             ({}, ["--out", ""], "cannot write output to '': No such file or directory"),
@@ -698,6 +721,11 @@ class TestEfficiencyCommand:
         code, out, _ = run_cli(capsys, "efficiency", "--table", "--format", "json")
         assert code == 0
         assert json.loads(out)["schema"] == "qka.efficiency/1"
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_nonpositive_key_bits_exit_2(self, capsys, n):
+        code, out, err = run_cli(capsys, "efficiency", "--key-bits", n)
+        assert (code, out, err) == (2, "", "qka: configuration error: key-bits must be positive\n")
 
 
 class TestVerifyGroupsCommand:

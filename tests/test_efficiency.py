@@ -93,6 +93,11 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset_counts("four-party", 2)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_key_length_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            preset_counts(TWO_PARTY, n)
+
 
 class TestTranscriptTally:
     def test_two_party_tally(self):

@@ -146,6 +146,13 @@ class TestTensorAndLabels:
         assert element(IY).label == "Y*"
         assert element(X, IY).label == "XY*"
 
+    @pytest.mark.parametrize("make", [lambda: GroupElement(()), lambda: GroupElement.of(),
+                                      lambda: GroupElement.from_label("")],
+                             ids=["tuple", "of", "label"])
+    def test_empty_word_rejected(self, make):
+        with pytest.raises(ValueError, match="a group element needs at least one letter"):
+            make()
+
     def test_label_parsing_errors(self):
         with pytest.raises(ValueError):
             GroupElement.from_label("YX")  # bare Y is not a letter
@@ -217,6 +224,10 @@ class TestProductSet:
         two = standard_subgroups_g2()[0]
         with pytest.raises(ValueError):
             product_set([one, two])
+
+    def test_no_subgroups_rejected(self):
+        with pytest.raises(ValueError, match="need at least one subgroup"):
+            product_set([])
 
 
 class TestDenseCoding:

@@ -1611,6 +1611,25 @@ class TestKeyContract:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             run_protocol(bad)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"party_count": 4}, "party_count must be 2, 3 or 5"),
+            ({"seed": -1}, "seed and run_index must be nonnegative"),
+            ({"run_index": -1}, "seed and run_index must be nonnegative"),
+            ({"fixed_keys": ((0, 1, 0, 1),) * 2}, "fixed_keys must supply one key per party"),
+        ],
+    )
+    def test_out_of_range_value_refused_before_any_generator(
+        self, changes, message, monkeypatch
+    ):
+        bad = replace(config(n=4, parties=3), **changes)
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+        monkeypatch.setattr(ProtocolConfig, "make_rng", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match=message):
+            run_protocol(bad)
+
     def test_results_compare_by_identity(self):
         first, second = (run_two_party(config(n=8, seed=5)) for _ in range(2))
         assert first == first and first != second

@@ -433,6 +433,8 @@ class TestStoreDiscipline:
             StateRegister((0, 0), ORACLE_BELL[BellOutcome.PSI_PLUS].copy())
         with pytest.raises(ValueError):
             StateRegister((0, 1), np.array([1.0, 0.0, 0.0, 0.5]))
+        with pytest.raises(ValueError, match="2 amplitudes given for 2 qubits"):
+            StateRegister((0, 1), np.array([1.0, 0.0]))
 
     def test_determinism_of_outcomes_and_store(self):
         def run(seed):

@@ -136,6 +136,17 @@ class TestDetaching:
         assert store.register_of(ids[0, 0]) is not reg
         assert store.live_qubits() == ids.ravel().tolist()
 
+    def test_register_view_is_read_only_and_live(self):
+        store = QubitStore()
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2)
+        reg = store.register_of(int(ids[0, 0]))
+        with pytest.raises(ValueError, match="read-only"):
+            reg.amplitudes[:] = 0.0
+        np.testing.assert_array_equal(reg.amplitudes, BELL_VECTORS[BellOutcome.PSI_PLUS])
+        store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(int(ids[0, 1]),)])
+        assert store.register_of(int(ids[0, 0])) is reg
+        np.testing.assert_array_equal(reg.amplitudes, BELL_VECTORS[BellOutcome.PHI_PLUS])
+
     def test_measured_rows_are_gone(self):
         store = QubitStore()
         (a, b), (c, d) = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).tolist()
@@ -307,6 +318,20 @@ class TestValidation:
             store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(ids[0], ids[1])])
         with pytest.raises(ValueError):
             store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(ids[0],), (ids[0],)])
+
+    @pytest.mark.parametrize("call", ["apply_pauli_groups", "measure_rows_in_basis"])
+    def test_ragged_groups_refused_before_anything_changes(self, call):
+        store = QubitStore()
+        a, b, c, d = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 2).ravel().tolist()
+        live, rng = store.live_qubits(), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="every group must hold the same number of qubits"):
+            if call == "apply_pauli_groups":
+                store.apply_pauli_groups(GroupElement.of(PauliLetter.X), [(a,), (c, d)])
+            else:
+                store.measure_rows_in_basis([(a, b), (c,)], BELL_VECTORS, rng)
+        assert store.live_qubits() == live
+        assert rng.bit_generator.state == before
 
     def test_measured_qubits_must_be_distinct(self):
         store = QubitStore()
