@@ -20,22 +20,23 @@ made by a merge or left behind by a measurement, is *listed*: it keeps an
 block is. Written for every block, that map cost a five-party run of
 65,536 key bits 11-18 MB of peak memory (208 -> 220-226 MB).
 
-A Pauli letter maps each basis ket to one ket times a sign, so every Pauli
-is one index permutation and sign per (block, position), applied to all the
-rows it hits in a pass of at most ``_ROWS_PER_PASS`` groups. Bad input is
-refused before anything changes, each rule in one home: groups of distinct
-live ids (``_checked_groups``), states (``_checked_states``) and real,
-square, orthonormal bases (``_checked_basis``), which resolve every state.
-The states and bases the package builds itself (``BELL_VECTORS``,
-``Z_BASIS`` and the protocols' resource states and decode bases) are
-checked once, by ``constant_state`` and ``constant_basis``, and taken as
-they are afterwards. Measurement has one bulk entry,
-``measure_rows_in_basis``, and three routines; ``measure_z`` and
-``measure_in_basis`` measure one group through it.
+A Pauli letter maps each basis ket to one ket times a sign, so every letter
+but the identity (skipped) is a column permutation, a sign or both per
+(block, position), applied to all the rows it hits in a pass of at most
+``_ROWS_PER_PASS`` groups. Bad input is refused before anything changes,
+each rule in one home: groups of distinct live ids (``_checked_groups``),
+states (``_checked_states``) and real, square, orthonormal bases
+(``_checked_basis``), which resolve every state. The states and bases the
+package builds itself (``BELL_VECTORS``, ``Z_BASIS`` and the protocols'
+resource states and decode bases) are checked once, by ``constant_state``
+and ``constant_basis``, and taken as they are afterwards. Measurement has
+one bulk entry, ``measure_rows_in_basis``, and three routines;
+``measure_z`` and ``measure_in_basis`` measure one group through it.
 
 * Groups that are whole rows, in register order, of allocated blocks are
   read in place, whatever blocks they lie in: one matmul per pass, then
-  one inverse-CDF draw per row. An honest run measures nothing else.
+  one inverse-CDF draw that runs outcome-major, each numpy call over the
+  whole pass (``_sample_rows``). An honest run measures nothing else.
 * Every other group, of one qubit or many, goes through one merge kernel
   in waves. A wave takes every waiting group that names no register an
   earlier waiting group names, so groups sharing a register keep their
@@ -104,6 +105,9 @@ _ROWS_PER_PASS = 4096
 # ``_measure`` each is cheaper.
 _BULK_GROUPS = 32
 _BULK_BUCKET = 8
+# A numpy fact, not a tuning knob: ``np.add.reduce`` adds a contiguous row of
+# fewer terms in order, as ``cumsum`` does; from this many up it adds pairwise.
+_PAIRWISE_FROM = 8
 
 _INV_SQRT2 = math.sqrt(0.5)
 
@@ -326,14 +330,22 @@ def _sample_index(probs: np.ndarray, uniform: float, total: float | None = None)
 
 
 def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``_sample_index`` on every row of ``probs``, each with its own uniform.
+    """``_sample_index`` on every row of ``probs``, each with its own uniform; writes no input.
 
-    The running sum only grows at nonzero bins, so the first bin whose
+    Outcome-major, each numpy call over all rows at once: on a copy of
+    ``probs.T``, d - 1 whole-row additions build the running sums in
+    ``cumsum``'s order, bit for bit ``probs.cumsum(axis=1)``, and below
+    ``_PAIRWISE_FROM`` outcomes the last is the row total ``np.add.reduce``
+    gives. The running sum only grows at nonzero bins, so the first bin whose
     running sum exceeds the target is a nonzero one, as in the scalar loop.
     """
-    targets = uniforms * np.add.reduce(probs, 1)
-    outcomes = np.add.reduce(probs.cumsum(axis=1) <= targets[:, None], 1)
-    over = outcomes == probs.shape[1]
+    d = probs.shape[1]
+    running = probs.T.copy()  # (outcome, row), C-contiguous
+    for i in range(1, d):
+        np.add(running[i - 1], running[i], out=running[i])
+    totals = running[-1] if d < _PAIRWISE_FROM else np.add.reduce(probs, 1)
+    outcomes = np.add.reduce(running <= uniforms * totals, 0)
+    over = outcomes == d
     if over.any():
         for i in np.flatnonzero(over).tolist():
             nonzero = np.flatnonzero(probs[i] > 0.0)
@@ -342,12 +354,13 @@ def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _check_mass(probs: np.ndarray) -> None:
-    """ValueError unless every row of ``probs`` sums to 1.
+    """ValueError unless every row of ``probs`` sums to 1 within 1e-9, a NaN row included.
 
     Every basis the store measures in is complete, so a row whose mass is
-    not 1 means the store's own state is corrupt.
+    not 1 means the store's own state is corrupt. A tolerance check needs
+    no exact bits, so the row sums are one matvec.
     """
-    if (np.abs(np.add.reduce(probs, 1) - 1.0) > 1e-9).any():
+    if not (np.abs(probs @ np.ones(probs.shape[1]) - 1.0) <= 1e-9).all():
         raise ValueError("a register's probability mass deviates from 1")
 
 
@@ -403,12 +416,15 @@ def _check_arity(element: "GroupElement", targets: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _letter_action(letter, width: int, pos: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+def _letter_action(
+    letter, width: int, pos: int
+) -> tuple[np.ndarray | None, np.ndarray | None] | None:
     """How one letter acts at ``pos`` of a ``width``-qubit amplitude row.
 
     Every Pauli letter maps each basis ket to one ket times a sign, so the
-    new row is ``old[perm] * sign``. Returns (perm, sign), with sign None
-    when it is all ones, or None for the identity.
+    new row is ``old[perm] * sign``. Returns (perm, sign), with perm None
+    when it moves nothing and sign None when it is all ones, or None for
+    the identity.
     """
     mat = letter.matrix
     source = np.abs(mat).argmax(axis=1)  # the input bit feeding each output bit
@@ -420,11 +436,11 @@ def _letter_action(letter, width: int, pos: int) -> tuple[np.ndarray, np.ndarray
     bit = (index >> shift) & 1
     perm = index ^ ((bit ^ source[bit]) << shift)
     sign = coef[bit]
-    trivial_sign = bool(np.all(sign == 1))
-    if trivial_sign and np.array_equal(perm, index):
+    trivial_perm, trivial_sign = np.array_equal(perm, index), bool(np.all(sign == 1))
+    if trivial_perm and trivial_sign:
         return None
     perm.flags.writeable = sign.flags.writeable = False  # shared through the cache
-    return perm, (None if trivial_sign else sign)
+    return (None if trivial_perm else perm), (None if trivial_sign else sign)
 
 
 def apply_element(
@@ -440,7 +456,8 @@ def apply_element(
         action = _letter_action(letter, register.size, register.position(qubit))
         if action is not None:
             perm, sign = action
-            amplitudes = amplitudes[perm] if sign is None else amplitudes[perm] * sign
+            amplitudes = amplitudes if perm is None else amplitudes[perm]
+            amplitudes = amplitudes if sign is None else amplitudes * sign
     return StateRegister._trusted(register.qubits, amplitudes)
 
 
@@ -690,28 +707,33 @@ class QubitStore:
 
         The groups (``_checked_groups``) and the arity are checked before any
         amplitude changes. Then, for at most ``_ROWS_PER_PASS`` groups at a
-        time, the qubits each letter hits change by one index permutation and
-        sign per (block, position).
+        time, the qubits each letter other than the identity hits change by
+        a column permutation, a sign or both per (block, position).
         """
         if not len(groups):
             return
         targets = self._checked_groups(groups)
         _check_arity(element, targets.shape[1])
+        from .pauli import PauliLetter  # here, not at the top: pauli imports this module
+
+        # Identity letters change nothing: each five-party encoding word is one letter and Is.
+        letters = [(j, x) for j, x in enumerate(element.letters) if x is not PauliLetter.I]
         where = self._block_of[targets]
         for lo in range(0, len(targets), _ROWS_PER_PASS):
-            for j, letter in enumerate(element.letters):
+            for j, letter in letters:
                 ids = targets[lo : lo + _ROWS_PER_PASS, j]
                 for b, sel in _members(where[lo : lo + _ROWS_PER_PASS, j]):
                     block = self._blocks[b]
                     rows, positions = self._locate(ids[sel], block)
                     for pos, at_pos in _members(positions):
-                        action = _letter_action(letter, block.width, pos)
-                        if action is None:
-                            continue
-                        perm, sign = action
+                        perm, sign = _letter_action(letter, block.width, pos)
                         chosen = rows[at_pos]
-                        moved = block.amplitudes.take(chosen, axis=0)[:, perm]
-                        block.amplitudes[chosen] = moved if sign is None else moved * sign
+                        moved = block.amplitudes.take(chosen, axis=0)
+                        if perm is not None:
+                            moved = moved[:, perm]
+                        if sign is not None:
+                            moved *= sign
+                        block.amplitudes[chosen] = moved
 
     # -- measurement -----------------------------------------------------
 
@@ -746,7 +768,7 @@ class QubitStore:
         branches = basis @ amps.reshape(len(basis), -1)
         probs = np.add.reduce(np.square(branches), 1)
         total = float(np.add.reduce(probs))
-        if abs(total - 1.0) > 1e-9:  # a complete basis: the state is at fault
+        if not abs(total - 1.0) <= 1e-9:  # a complete basis: the state is at fault; NaN too
             raise ValueError("the merged register's probability mass deviates from 1")
         outcome = _sample_index(probs, draw(), total)
         for q in qubits:
@@ -852,12 +874,13 @@ class QubitStore:
         group, one qubit or many, goes through ``_measure_crossing``: waves
         of groups on disjoint registers, each wave bucketed by the widths of
         the rows it merges, with ``_measure`` for the groups below its
-        cutovers. The only refusal left after the draw is the 12-qubit cap,
-        should such a merge outgrow it; no engine reaches it, as
-        ``check_adversary`` refuses five-party intercept-bell. It is checked
-        for a whole wave before the wave measures, so when it fires the
-        groups already measured are the earlier waves', which need not be a
-        prefix of the list. Returns the outcome indices as an int64 array.
+        cutovers. Two refusals are left after the draw: a probability mass
+        other than 1, only in a corrupt store, checked for each pass, bucket
+        or group before it retires anything, and the 12-qubit cap, checked
+        for a whole wave before the wave measures; no engine reaches the
+        cap, as ``check_adversary`` refuses five-party intercept-bell. So
+        when either fires, the groups already measured need not be a prefix
+        of the list. Returns the outcome indices as an int64 array.
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)

@@ -24,9 +24,11 @@ from qka.registers import (
     FourQubitState,
     QubitStore,
     RegisterCapacityError,
+    StateRegister,
     UnknownQubitError,
     _sample_index,
     _sample_rows,
+    apply_element,
     four_qubit_vector,
 )
 
@@ -174,7 +176,7 @@ class TestDetaching:
 
 class TestSampling:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 16]))
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8, 16, 32]))
     def test_rows_reproduce_the_scalar_draw(self, seed, dim):
         plan = np.random.default_rng(seed)
         probs = plan.random((40, dim)) * (plan.random((40, dim)) < 0.6)
@@ -188,6 +190,62 @@ class TestSampling:
         uniforms[:3] = [0.0, 1 - 2**-53, 0.5]  # row 2 lands exactly on a bin edge
         expected = [_sample_index(p, float(u)) for p, u in zip(probs, uniforms)]
         assert _sample_rows(probs, uniforms).tolist() == expected
+        # A transposed, F-ordered view, as the merge kernel passes its outcome-major chances.
+        # Only below the pairwise boundary: from there up numpy totals a strided row in
+        # order, not pairwise, so a knife-edge row can draw otherwise (a FOUND line in
+        # CHANGES.md).
+        if dim < registers._PAIRWISE_FROM:
+            assert _sample_rows(np.ascontiguousarray(probs.T).T, uniforms).tolist() == expected
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_probs_are_not_written(self, dim, layout):
+        plan = np.random.default_rng(dim)
+        probs = plan.random((50, dim))
+        probs /= probs.sum(axis=1, keepdims=True)
+        if layout == "F":
+            probs = np.ascontiguousarray(probs.T).T
+        before = probs.copy()
+        _sample_rows(probs, plan.random(50))
+        assert probs.view(np.uint64).tolist() == before.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("dim", [registers._PAIRWISE_FROM, 16])
+    def test_long_rows_keep_the_pairwise_total(self, dim):
+        """From the pairwise boundary up, a row's total is ``np.add.reduce``'s, as
+        the scalar draw's is, not the last running sum; the two can differ in
+        the last bit, and each uniform here puts its target between them and
+        the first bin edge."""
+        plan = np.random.default_rng(dim)
+        rows, uniforms = [], []
+        for _ in range(100_000):  # bounded, so a change in numpy's summation fails, not hangs
+            if len(rows) == 20:
+                break
+            row = plan.random(dim)
+            row /= row.sum()
+            total, last = np.add.reduce(row), row.cumsum()[-1]
+            u = row[0] / total
+            if (u * total >= row[0]) != (u * last >= row[0]):
+                rows.append(row)
+                uniforms.append(u)
+        assert len(rows) == 20
+        want = [_sample_index(row, u) for row, u in zip(rows, uniforms)]
+        assert _sample_rows(np.array(rows), np.array(uniforms)).tolist() == want
+
+    @pytest.mark.parametrize("dim", range(2, registers._PAIRWISE_FROM))
+    def test_numpy_sums_short_rows_in_order(self, dim):
+        """The numpy facts the outcome-major draw rests on, bit for bit.
+
+        Whole-row additions build ``cumsum``'s running sums, and below the
+        pairwise boundary the last of them is ``np.add.reduce``'s row sum.
+        Should numpy change its summation order, these fail before any draw moves.
+        """
+        plan = np.random.default_rng(dim)
+        probs = plan.random((500, dim)) * 10.0 ** plan.integers(-12, 1, (500, dim))
+        running = probs.T.copy()
+        for i in range(1, dim):
+            np.add(running[i - 1], running[i], out=running[i])
+        assert np.array_equal(running.T.view(np.uint64), probs.cumsum(axis=1).view(np.uint64))
+        assert np.array_equal(running[-1].view(np.uint64), np.add.reduce(probs, 1).view(np.uint64))
 
     def test_vector_draw_equals_scalar_draws(self):
         a, b = np.random.default_rng([7, 1]), np.random.default_rng([7, 1])
@@ -297,6 +355,107 @@ class TestDifferential:
         got = a.measure_rows_in_basis(groups, basis, gb.random(2))
         assert got.tolist() == b.measure_rows_in_basis(groups, basis, ga).tolist()
         assert_same_state(a, b)
+
+
+class TestMassGuard:
+    """A row whose probability mass is not 1, NaN included, is refused by each
+    measurement routine before any qubit retires. Only a corrupt store holds
+    such a row, so the tests corrupt one through the private blocks."""
+
+    MESSAGE = "probability mass deviates from 1"
+
+    @pytest.mark.parametrize("factor", [2.0, np.nan])
+    def test_whole_rows(self, factor):
+        store = QubitStore()
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 8)
+        store._blocks[0].amplitudes[3] *= factor
+        live = store.live_qubits()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            store.measure_rows_in_basis(ids, BELL_VECTORS, np.random.default_rng(0))
+        assert store.live_qubits() == live
+
+    @pytest.mark.parametrize("factor", [2.0, np.nan])
+    def test_one_group(self, factor):
+        store = QubitStore()
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PHI_MINUS], 2)
+        store._blocks[0].amplitudes[1] *= factor
+        live = store.live_qubits()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            store.measure_bell(int(ids[1, 0]), int(ids[1, 1]), np.random.default_rng(0))
+        assert store.live_qubits() == live
+
+    @pytest.mark.parametrize("factor", [2.0, np.nan])
+    def test_cross_register_bucket(self, factor):
+        store = QubitStore()
+        ids = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], 80)
+        groups = np.stack([ids[0::2, 1], ids[1::2, 0]], axis=1)  # 40 groups over two rows each
+        store._blocks[0].amplitudes[0] *= factor
+        live = store.live_qubits()
+        bucket = QubitStore._measure_bucket
+        with mock.patch.object(
+            QubitStore, "_measure_bucket", autospec=True, side_effect=bucket
+        ) as spy:
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                store.measure_rows_in_basis(groups, BELL_VECTORS, np.random.default_rng(0))
+        assert spy.call_count == 1 and len(spy.call_args.args[1]) == 40
+        assert store.live_qubits() == live
+
+
+class TestPauliBits:
+    """The store's Pauli action is ``apply_element``'s, bit for bit, signed zeros included."""
+
+    LETTERS = (PauliLetter.X, PauliLetter.Z, PauliLetter.IY)
+
+    @staticmethod
+    def signed_rows(width):
+        """Six normalized rows of uneven signs, holding 0.0 and -0.0 entries."""
+        plan = np.random.default_rng(width)
+        rows = plan.normal(size=(6, 2**width))
+        dim = 2**width
+        for r in range(6):
+            zeros = plan.choice(dim, size=max(1, dim // 2), replace=False)
+            rows[r, zeros] = 0.0
+            rows[r, zeros[r % 2 :: 2]] = -0.0
+        rows /= np.sqrt(np.square(rows).sum(axis=1, keepdims=True))
+        assert np.signbit(rows[rows == 0.0]).any() and not np.signbit(rows[rows == 0.0]).all()
+        return rows
+
+    @staticmethod
+    def bits_after(width, element, positions):
+        """Rows after ``element`` on ``positions``, by the store and by ``apply_element``,
+        and the rows before, each as uint64 bits."""
+        rows = TestPauliBits.signed_rows(width)
+        store = QubitStore()
+        ids = store.new_states(rows)
+        store.apply_pauli_groups(element, ids[:, positions])
+        got = np.array([store.register_of(int(q)).amplitudes for q in ids[:, 0]])
+        want = [
+            apply_element(StateRegister(tuple(q), row), element, q[positions].tolist()).amplitudes
+            for q, row in zip(ids, rows)
+        ]
+        return got.view(np.uint64), np.array(want).view(np.uint64), rows.view(np.uint64)
+
+    @pytest.mark.parametrize("letter", LETTERS, ids=lambda letter: letter.name)
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_every_letter_at_every_position(self, width, letter):
+        for pos in range(width):
+            got, want, _ = self.bits_after(width, GroupElement.of(letter), [pos])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_identity_letters_leave_their_positions(self, width):
+        letters = [PauliLetter.I] * width
+        letters[1] = PauliLetter.IY
+        got, want, _ = self.bits_after(width, GroupElement(tuple(letters)), list(range(width)))
+        alone, _, _ = self.bits_after(width, GroupElement.of(PauliLetter.IY), [1])
+        assert np.array_equal(got, want) and np.array_equal(got, alone)
+        got, _, before = self.bits_after(width, GroupElement.identity(width), list(range(width)))
+        assert np.array_equal(got, before)
+
+    def test_a_word_of_three_letters(self):
+        word = GroupElement.of(PauliLetter.X, PauliLetter.I, PauliLetter.Z, PauliLetter.IY)
+        got, want, _ = self.bits_after(4, word, [0, 1, 2, 3])
+        assert np.array_equal(got, want)
 
 
 class TestValidation:
