@@ -250,7 +250,8 @@ def insert_decoys_and_permute(
     train's message ids (one train is a stack of shape ()), and ``rngs``
     holds one generator per train, in row-major order. One allocation makes
     every train's decoy pairs, train after train, and each generator then
-    draws its train's ``permutation``, in train order.
+    shuffles its train's slots, in train order: the draws and the order of
+    ``rng.permutation(items)``.
 
     Returns the trains in transit, an int64 id array by slot, and the
     senders' record; the slots and every record field keep the stack's
@@ -263,7 +264,11 @@ def insert_decoys_and_permute(
     decoys = store.new_train(_PSI_PLUS, rows * decoy_pair_count).reshape(rows, -1)
     items = np.concatenate([message.reshape(rows, m), decoys], axis=1)
     total = items.shape[1]
-    taken = np.array([rng.permutation(total) for rng in rngs])  # the item each slot takes
+    # The item each slot takes: ``rng.permutation(total)`` is an arange shuffled in place.
+    taken = np.empty((rows, total), dtype=np.int64)
+    taken[:] = np.arange(total)
+    for rng, row in zip(rngs, taken):
+        rng.shuffle(row)
     taken += np.arange(rows)[:, None] * total  # as flat indices: 1-D gathers are fast
     forward = np.empty_like(taken)
     forward.ravel()[taken] = np.arange(total)  # the inverse permutations

@@ -26,17 +26,26 @@ but the identity (skipped) is a column permutation, a sign or both per
 ``_ROWS_PER_PASS`` groups. Bad input is refused before anything changes,
 each rule in one home: groups of distinct live ids (``_checked_groups``),
 states (``_checked_states``) and real, square, orthonormal bases
-(``_checked_basis``), which resolve every state. The states and bases the
-package builds itself (``BELL_VECTORS``, ``Z_BASIS`` and the protocols'
-resource states and decode bases) are checked once, by ``constant_state``
-and ``constant_basis``, and taken as they are afterwards. Measurement has
+(``_checked_basis``), which resolve every state. The group rule first looks
+for a *lattice* (``_lattice``): every group in one intact row of one
+allocated block, column j always at position ``pos[j]``, no row named
+twice. That test takes a dozen numpy calls, each over one column or once
+over the ids, and no sort; what it finds, ``(block, rows, pos)``, goes
+straight to the Pauli and whole-row kernels, which then look nothing up.
+Any other input is sorted to show its ids distinct and looked up once,
+and the kernels reuse that lookup. The states and bases the package
+builds itself (``BELL_VECTORS``, ``Z_BASIS`` and the protocols' resource
+states and decode bases) are checked once, by ``constant_state`` and
+``constant_basis``, and taken as they are afterwards. Measurement has
 one bulk entry, ``measure_rows_in_basis``, and three routines;
 ``measure_z`` and ``measure_in_basis`` measure one group through it.
 
 * Groups that are whole rows, in register order, of allocated blocks are
   read in place, whatever blocks they lie in: one matmul per pass, then
   one inverse-CDF draw that runs outcome-major, each numpy call over the
-  whole pass (``_sample_rows``). An honest run measures nothing else.
+  whole pass (``_sample_rows``). An honest run measures nothing else. A
+  lattice at positions ``range(width)`` is such a call as it stands; other
+  input is sorted into whole rows block by block, from its one lookup.
 * Every other group, of one qubit or many, goes through one merge kernel
   in waves. A wave takes every waiting group that names no register an
   earlier waiting group names, so groups sharing a register keep their
@@ -636,12 +645,18 @@ class QubitStore:
             raise UnknownQubitError(int(ids[where < 0][0]))
         return where
 
-    def _checked_groups(self, groups: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    def _checked_groups(
+        self, groups: Sequence[Sequence[int]] | np.ndarray
+    ) -> tuple[np.ndarray, tuple | np.ndarray]:
         """``groups`` as one (groups, size) int64 id array; the one home of the group rule.
 
         The groups must be nonempty, of one size, and name distinct live
-        qubits. A 2-D integer array is taken as it is. The ids are looked up
-        ``_ROWS_PER_PASS`` groups at a time, so that gather stays small.
+        qubits. A 2-D integer array is taken as it is. Returns the array and
+        what locates its ids: ``(block, rows, pos)`` for a lattice
+        (``_lattice``), as every group an honest run names is but a decoy
+        check over trains of several allocations, or else the block index of
+        every id, looked up once after a sort over all ids has shown them
+        distinct.
         """
         if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
             targets = groups.astype(np.int64, copy=False)
@@ -655,12 +670,55 @@ class QubitStore:
             targets = targets.reshape(len(groups), size)
         if not targets.shape[1]:
             raise ValueError("a group must name at least one qubit")
+        lattice = self._lattice(targets)
+        if lattice is not None:
+            return targets, lattice
         ordered = np.sort(targets, axis=None)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("groups must name distinct qubits")
-        for lo in range(0, len(targets), _ROWS_PER_PASS):
-            self._indices(targets[lo : lo + _ROWS_PER_PASS])
-        return targets
+        return targets, self._indices(targets)
+
+    def _lattice(self, targets: np.ndarray) -> tuple[int, np.ndarray, tuple[int, ...]] | None:
+        """``(block, rows, pos)`` if the groups form a lattice, else None; never raises.
+
+        In a lattice every group lies in one intact row of one allocated
+        block, ``rows[i]`` for group i, no row is named twice, and column j
+        always sits at position ``pos[j]``, the positions distinct. Then the
+        ids are distinct and live, so the group rule holds. Two facts make
+        the test cheap, with no sort and no gather of every id:
+
+        * a row of an allocated block is intact (every qubit of it live and
+          still there) exactly when its first id still maps to the block:
+          every measurement that touches an allocated row retires the
+          measured qubits and moves every survivor to a listed block
+          (``_measure_rows``, ``_measure``, ``_measure_bucket``);
+        * distinct rows, with distinct positions that stay constant per
+          column, mean distinct ids; a bincount over the rows tests the
+          first, whatever their order.
+        """
+        q = int(targets[0, 0])
+        if not 0 <= q < self._next_id:  # first: numpy would wrap a negative id
+            return None
+        b = int(self._block_of[q])
+        block = self._blocks[b] if b >= 0 else None
+        if block is None or block.ids is not None:
+            return None
+        width, first = block.width, block.first
+        start = q - (q - first) % width  # of the first group's row
+        pos = tuple([x - start for x in targets[0].tolist()])
+        if len(set(pos)) != len(pos) or min(pos) < 0 or max(pos) >= width:
+            return None
+        rows = (targets[:, 0] - first) // width
+        if np.minimum.reduce(rows) < 0 or np.maximum.reduce(rows) >= len(block.amplitudes):
+            return None
+        starts = rows * width + first
+        if not np.equal(targets, starts[:, None] + np.array(pos)).all():
+            return None
+        if np.maximum.reduce(np.bincount(rows)) > 1:
+            return None
+        if not np.logical_and.reduce(self._block_of[starts] == b):
+            return None
+        return b, rows, pos
 
     def _row_of(self, qubit: int, block: _Block) -> int:
         """The row of ``block`` holding ``qubit``."""
@@ -708,32 +766,43 @@ class QubitStore:
         The groups (``_checked_groups``) and the arity are checked before any
         amplitude changes. Then, for at most ``_ROWS_PER_PASS`` groups at a
         time, the qubits each letter other than the identity hits change by
-        a column permutation, a sign or both per (block, position).
+        a column permutation, a sign or both per (block, position). A
+        lattice names that (block, ``pos[j]``) for letter j itself, so its
+        rows are changed with no lookup; other groups are sorted by the
+        block of each id and then by position.
         """
         if not len(groups):
             return
-        targets = self._checked_groups(groups)
+        targets, found = self._checked_groups(groups)
         _check_arity(element, targets.shape[1])
         from .pauli import PauliLetter  # here, not at the top: pauli imports this module
 
         # Identity letters change nothing: each five-party encoding word is one letter and Is.
         letters = [(j, x) for j, x in enumerate(element.letters) if x is not PauliLetter.I]
-        where = self._block_of[targets]
         for lo in range(0, len(targets), _ROWS_PER_PASS):
+            hi = lo + _ROWS_PER_PASS
             for j, letter in letters:
-                ids = targets[lo : lo + _ROWS_PER_PASS, j]
-                for b, sel in _members(where[lo : lo + _ROWS_PER_PASS, j]):
+                if isinstance(found, tuple):
+                    b, rows, pos = found
+                    self._apply_letter(self._blocks[b], letter, pos[j], rows[lo:hi])
+                    continue
+                ids = targets[lo:hi, j]
+                for b, sel in _members(found[lo:hi, j]):
                     block = self._blocks[b]
                     rows, positions = self._locate(ids[sel], block)
                     for pos, at_pos in _members(positions):
-                        perm, sign = _letter_action(letter, block.width, pos)
-                        chosen = rows[at_pos]
-                        moved = block.amplitudes.take(chosen, axis=0)
-                        if perm is not None:
-                            moved = moved[:, perm]
-                        if sign is not None:
-                            moved *= sign
-                        block.amplitudes[chosen] = moved
+                        self._apply_letter(block, letter, pos, rows[at_pos])
+
+    @staticmethod
+    def _apply_letter(block: _Block, letter, pos: int, rows: np.ndarray) -> None:
+        """One letter at ``pos`` of each of ``rows``, distinct rows of ``block``."""
+        perm, sign = _letter_action(letter, block.width, pos)
+        moved = block.amplitudes.take(rows, axis=0)
+        if perm is not None:
+            moved = moved[:, perm]
+        if sign is not None:
+            moved *= sign
+        block.amplitudes[rows] = moved
 
     # -- measurement -----------------------------------------------------
 
@@ -830,16 +899,18 @@ class QubitStore:
     ) -> np.ndarray:
         """Measure whole ``width``-qubit rows of allocated blocks, one uniform each.
 
-        ``parts`` holds (block, indices, rows) for each block; each group is
-        a whole row, in register order. A run of consecutive ascending rows
-        is read in place, as a decode reads its copies, and its ids retire
-        as one slice of the id map; other rows are gathered, and one matmul
-        scores them all. Since every basis is complete, a row whose mass is
-        not 1 means the store's own state is corrupt; that raises ValueError
-        before anything changes. Returns the outcomes in part order.
+        ``parts`` holds (block, rows) for each block, distinct intact rows
+        whose groups list each row whole, in register order: a lattice
+        (``_lattice``) with positions ``range(width)`` is one such part. A
+        run of consecutive ascending rows is read in place, as a decode
+        reads its copies, and its ids retire as one slice of the id map;
+        other rows are gathered, and one matmul scores them all. Since every
+        basis is complete, a row whose mass is not 1 means the store's own
+        state is corrupt; that raises ValueError before anything changes.
+        Returns the outcomes in part order.
         """
         amps, dead = [], []  # each part's amplitudes and ids
-        for b, _, rows in parts:
+        for b, rows in parts:
             block, first, span = self._blocks[b], int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
             in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
             held = block.amplitudes
@@ -851,7 +922,7 @@ class QubitStore:
         outcomes = _sample_rows(probs, uniforms)
         for ids in dead:
             self._block_of[ids] = -1
-        for b, _, rows in parts:
+        for b, rows in parts:
             self._retire(b, rows.size)
         return outcomes
 
@@ -870,7 +941,10 @@ class QubitStore:
         checked after the ids; a caller that stacks runs, each with its own
         generator, draws each run's share itself. Then ``_measure_rows``
         measures, pass by pass, the groups that are whole rows of an
-        allocated block, in register order, across blocks. Every other
+        allocated block, in register order, across blocks. A lattice needs
+        no whole-row detection: at positions ``range(m)`` of an m-qubit
+        block its rows are the one part of each pass, and otherwise none of
+        its groups is a whole row. Every other
         group, one qubit or many, goes through ``_measure_crossing``: waves
         of groups on disjoint registers, each wave bucketed by the widths of
         the rows it merges, with ``_measure`` for the groups below its
@@ -884,24 +958,33 @@ class QubitStore:
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)
-        targets = self._checked_groups(groups)
-        m = targets.shape[1]
+        targets, found = self._checked_groups(groups)
+        n, m = targets.shape
         if basis.shape[1] != 2**m:
             raise ValueError("basis row length must be 2^(number of measured qubits)")
         if isinstance(rng, np.random.Generator):
-            uniforms = rng.random(len(targets))
+            uniforms = rng.random(n)
         else:
-            uniforms = _given_uniforms(rng, len(targets), "groups")
-        outcomes = np.empty(len(groups), dtype=np.int64)
-        left = np.ones(len(groups), dtype=bool)
-        for lo in range(0, len(targets), _ROWS_PER_PASS):
+            uniforms = _given_uniforms(rng, n, "groups")
+        outcomes = np.empty(n, dtype=np.int64)
+        if isinstance(found, tuple):  # a lattice: every group is a whole row, or none is
+            b, rows, pos = found
+            if self._blocks[b].width != m or pos != tuple(range(m)):
+                self._measure_crossing(targets, np.arange(n), basis, uniforms, outcomes)
+                return outcomes
+            for lo in range(0, n, _ROWS_PER_PASS):
+                at = slice(lo, lo + _ROWS_PER_PASS)
+                outcomes[at] = self._measure_rows([(b, rows[at])], m, basis, uniforms[at])
+            return outcomes
+        left = np.ones(n, dtype=bool)
+        for lo in range(0, n, _ROWS_PER_PASS):
             # A group is a whole row if it lists, in register order, every
             # qubit of one row of a block made by allocation.
             chunk = targets[lo : lo + _ROWS_PER_PASS]
             firsts = chunk[:, 0]
             consecutive = (chunk[:, 1:] == chunk[:, :-1] + 1).all(axis=1)
-            parts = []
-            for b, sel in _members(self._block_of[firsts]):
+            parts, at = [], []
+            for b, sel in _members(found[lo : lo + _ROWS_PER_PASS, 0]):
                 block = self._blocks[b]
                 if block.ids is not None or block.width != m:
                     continue
@@ -910,9 +993,10 @@ class QubitStore:
                 if not whole.all():
                     sel, rows = sel[whole], rows[whole]
                 if sel.size:
-                    parts.append((b, sel + lo, rows))
+                    parts.append((b, rows))
+                    at.append(sel + lo)
             if parts:
-                at = np.concatenate([sel for _, sel, _ in parts])
+                at = np.concatenate(at)
                 outcomes[at] = self._measure_rows(parts, m, basis, uniforms[at])
                 left[at] = False
         rest = np.flatnonzero(left)
@@ -1034,8 +1118,10 @@ class QubitStore:
             tables.append(table)
         branches = (basis @ laid.reshape(d, -1)).reshape(d, n, -1)
         chance = np.add.reduce(np.square(branches), 2)  # by outcome, then group
-        _check_mass(chance.T)
-        outcomes = _sample_rows(chance.T, uniforms)
+        # C-ordered, so each row totals pairwise from 8 outcomes up, as ``_measure``'s does.
+        probs = np.ascontiguousarray(chance.T)
+        _check_mass(probs)
+        outcomes = _sample_rows(probs, uniforms)
         self._block_of[ids] = -1
         retired = np.bincount(where[opens].ravel())
         for b in np.flatnonzero(retired).tolist():

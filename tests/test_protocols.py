@@ -172,6 +172,24 @@ class TestScrambling:
             decoys = sorted(slots[i, j][rec.decoy_pairs[i, j]].ravel().tolist())
             assert decoys == list(range(first_decoy + 4 * train, first_decoy + 4 * train + 4))
 
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("message, pairs", [(0, 1), (16, 16), (2048, 512)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_each_train_takes_what_permutation_draws(self, seed, message, pairs, lanes):
+        """A train's slots follow ``rng.permutation(items)``, and each generator
+        ends where that draw leaves it: the shuffle into a preset row keeps the stream."""
+        store = QubitStore()
+        messages = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], lanes * message)
+        messages = messages[:, 1].reshape(lanes, message)
+        decoys = np.arange(store._next_id, store._next_id + lanes * 2 * pairs).reshape(lanes, -1)
+        rngs = [np.random.default_rng([seed, lane]) for lane in range(lanes)]
+        twins = [np.random.default_rng([seed, lane]) for lane in range(lanes)]
+        slots, _ = insert_decoys_and_permute(messages, store, rngs, pairs)
+        for lane, twin in enumerate(twins):
+            items = np.concatenate([messages[lane], decoys[lane]])
+            assert np.array_equal(slots[lane], items[twin.permutation(items.size)])
+            assert rngs[lane].bit_generator.state == twin.bit_generator.state
+
     def test_forward_inverse_roundtrip(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(6)]

@@ -190,10 +190,9 @@ class TestSampling:
         uniforms[:3] = [0.0, 1 - 2**-53, 0.5]  # row 2 lands exactly on a bin edge
         expected = [_sample_index(p, float(u)) for p, u in zip(probs, uniforms)]
         assert _sample_rows(probs, uniforms).tolist() == expected
-        # A transposed, F-ordered view, as the merge kernel passes its outcome-major chances.
-        # Only below the pairwise boundary: from there up numpy totals a strided row in
-        # order, not pairwise, so a knife-edge row can draw otherwise (a FOUND line in
-        # CHANGES.md).
+        # A transposed, F-ordered view. Only below the pairwise boundary: from there up
+        # numpy totals a strided row in order, not pairwise, so a knife-edge row can draw
+        # otherwise, which is why the merge kernel passes its chances C-ordered.
         if dim < registers._PAIRWISE_FROM:
             assert _sample_rows(np.ascontiguousarray(probs.T).T, uniforms).tolist() == expected
 
@@ -678,6 +677,178 @@ class TestRowPasses:
         assert [run_protocol(cfg).to_json(), run_protocol(cfg, adversary).to_json()] == want
 
 
+def _lattice_store(seed):
+    """Two allocated blocks of uneven rows, Bell-sized and 4-qubit, each with
+    one row broken by a measurement; the same for one seed."""
+    plan, rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+    store = QubitStore()
+    bell = store.new_states(random_basis(plan, 4)[plan.integers(0, 4, 12)])
+    four = store.new_states(random_basis(plan, 16)[plan.integers(0, 16, 9)])
+    store.measure_z(int(bell[5, 1]), rng)
+    store.measure_z(int(four[2, 3]), rng)
+    return store, bell, four
+
+
+def _lattice_workout(seed: int) -> tuple:
+    """Paulis and measurements on lattices of ``_lattice_store(seed)``.
+
+    Each call names intact rows of one block in a shuffled order, every
+    group at one set of positions: Pauli words with identity letters on
+    position subsets, whole rows in register order and position subsets
+    measured. Returns the store, the outcomes and the generator.
+    """
+    store, bell, four = _lattice_store(seed)
+    plan, rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 3])
+
+    def lattice(ids, positions, share=1.0):
+        """Some of the intact rows of ``ids``, in a shuffled order, at ``positions``."""
+        live = set(store.live_qubits())
+        intact = np.array([r for r in range(len(ids)) if live.issuperset(ids[r].tolist())])
+        most = int(share * len(intact))
+        return ids[plan.permutation(intact)[: int(plan.integers(most // 2, most)) + 1]][:, positions]
+
+    for ids in (bell, four):
+        m = int(plan.integers(1, ids.shape[1] + 1))
+        word = random_word(plan, m)
+        if m > 1:
+            word = GroupElement((PauliLetter.I, *word.letters[1:]))
+        store.apply_pauli_groups(word, lattice(ids, plan.permutation(ids.shape[1])[:m]))
+    outcomes = store.measure_rows_in_basis(lattice(bell, [0, 1]), BELL_VECTORS, rng).tolist()
+    some = plan.permutation(4)[:2]
+    basis = random_basis(plan, 4)
+    outcomes += store.measure_rows_in_basis(lattice(four, some, 0.5), basis, rng).tolist()
+    store.apply_pauli_groups(random_word(plan, 4), lattice(four, [0, 1, 2, 3]))
+    outcomes += store.measure_rows_in_basis(
+        lattice(four, [0, 1, 2, 3]), random_basis(plan, 16), rng
+    ).tolist()
+    return store, outcomes, rng
+
+
+def _declined(self, targets):
+    """A lattice detector that declines every input: the general route."""
+    return None
+
+
+def _answer(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_bits(a: QubitStore, b: QubitStore) -> None:
+    """Same live qubits, and every register of each holds the same qubits and amplitude bits."""
+    assert a.live_qubits() == b.live_qubits()
+    for q in a.live_qubits():
+        ra, rb = a.register_of(q), b.register_of(q)
+        assert ra.qubits == rb.qubits
+        assert ra.amplitudes.view(np.uint64).tolist() == rb.amplitudes.view(np.uint64).tolist()
+
+
+class TestLatticeRoute:
+    """Groups that form a lattice skip the general route's sort and lookups;
+    every answer is the general route's, forced by a detector that declines."""
+
+    @pytest.mark.parametrize("tuning", [
+        {}, {"_ROWS_PER_PASS": 3}, {"_BULK_GROUPS": 0, "_BULK_BUCKET": 0},
+    ], ids=["default", "short-passes", "all-in-bulk"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lattices_match_the_general_route(self, seed, tuning, monkeypatch):
+        for name, value in tuning.items():
+            monkeypatch.setattr(registers, name, value)
+        found, detect = [], QubitStore._lattice
+
+        def spying(self, targets):
+            found.append(detect(self, targets))
+            return found[-1]
+
+        with mock.patch.object(QubitStore, "_lattice", spying):
+            fast, outcomes, rng = _lattice_workout(seed)
+        assert len(found) == 8 and None not in found  # two build the store, six work it
+        with mock.patch.object(QubitStore, "_lattice", _declined):
+            general, want, twin = _lattice_workout(seed)
+        assert outcomes == want
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert_same_bits(fast, general)
+
+    REFUSED = {  # each near lattice's refusal, or None for a valid input
+        "row-named-twice": ValueError,
+        "qubit-named-twice": ValueError,
+        "row-with-a-measured-qubit": UnknownQubitError,
+        "next-id": UnknownQubitError,
+        "negative-id": UnknownQubitError,  # numpy would read id -2 from the map's end
+        "negative-later-id": UnknownQubitError,
+        "far-id": UnknownQubitError,  # past either end of the id map
+        "far-negative-id": UnknownQubitError,
+        "positions-vary": None,
+        "across-rows": None,
+        "two-blocks": None,  # the second block's first row sits where a seventh row of a would
+        "listed-block": None,  # ids 0, 2, 4, 6 of a listed block whose first is -1: rows 1, 3, 5, 7
+    }
+
+    @staticmethod
+    def near_lattice(case):
+        """A store, and groups for ``case`` that miss being a lattice by one rule."""
+        plan = np.random.default_rng(5)
+        store = QubitStore()
+        d = store.new_states(random_basis(plan, 4)[plan.integers(0, 4, 8)])
+        a = store.new_states(random_basis(plan, 4)[[0, 1, 2, 3, 0, 1]])
+        c = store.new_states(random_basis(plan, 4)[[2, 3]])
+        with mock.patch.multiple(registers, _BULK_GROUPS=0, _BULK_BUCKET=0):
+            store.measure_rows_in_basis(d[:, 1:], np.eye(2), plan.random(8))  # one listed block
+        store.measure_z(int(a[2, 1]), np.random.default_rng(1))
+        end = store._next_id
+        groups = {
+            "row-named-twice": a[[0, 4, 0]],
+            "qubit-named-twice": a[[0, 1]][:, [1, 1]],
+            "row-with-a-measured-qubit": a[[3, 2, 1]],
+            "next-id": np.vstack([c[[1, 0]], [end, end + 1]]),
+            "negative-id": np.vstack([[-2, -1], a[[0, 1]]]),
+            "negative-later-id": np.vstack([a[[0, 1]], [-2, -1]]),
+            "far-id": np.vstack([[2**40, 2**40 + 1], a[[0, 1]]]),
+            "far-negative-id": np.vstack([[-(2**40), 1 - 2**40], a[[0, 1]]]),
+            "positions-vary": np.vstack([a[0], a[1, ::-1]]),
+            "across-rows": np.vstack([a[0], [a[3, 0], a[4, 1]]]),
+            "two-blocks": np.vstack([a[[4, 5]], c[:1]]),
+            "listed-block": d[:4, :1],
+        }[case]
+        return store, groups
+
+    @pytest.mark.parametrize("call", ["apply_pauli_groups", "measure_rows_in_basis"])
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_near_lattices_answer_as_the_general_route(self, case, call):
+        """Inputs that nearly form a lattice are declined, and the store then
+        answers as the general route does: the same refusal, type and
+        message, before any draw or change, or the same outcomes and state."""
+        store, groups = self.near_lattice(case)
+        assert store._lattice(groups) is None
+        m = groups.shape[1]
+        word = GroupElement(tuple(PauliLetter(1 + j % 3) for j in range(m)))
+        basis = random_basis(np.random.default_rng(7), 2**m)
+        answers = []
+        for detector in (QubitStore._lattice, _declined):
+            (store, _), (twin, _) = self.near_lattice(case), self.near_lattice(case)
+            rng = np.random.default_rng(9)
+            before = rng.bit_generator.state
+            with mock.patch.object(QubitStore, "_lattice", detector):
+                if call == "apply_pauli_groups":
+                    answer = _answer(lambda: store.apply_pauli_groups(word, groups))
+                else:
+                    answer = _answer(lambda: store.measure_rows_in_basis(groups, basis, rng))
+            if self.REFUSED[case] is None:
+                assert not isinstance(answer, tuple)
+            else:
+                assert answer[0] is self.REFUSED[case]
+                assert rng.bit_generator.state == before
+                assert_same_bits(store, twin)
+            answer = answer.tolist() if isinstance(answer, np.ndarray) else answer
+            answers.append((answer, rng.bit_generator.state, store))
+        (got, state, fast), (want, twin_state, general) = answers
+        assert got == want and state == twin_state
+        assert_same_bits(fast, general)
+
+
 def _crossing_store(seed):
     """Bell and four-qubit trains with uneven amplitudes, two lone qubits and
     listed remainders of one, three and four qubits; the same for one seed."""
@@ -759,6 +930,37 @@ class TestCrossingWaves:
         assert ga.random() == gb.random()
         assert_same_state(a, b)
 
+    def test_knife_edge_buckets_draw_as_one_group_at_a_time(self):
+        """A bucket totals each group's 16 chances pairwise, as ``_measure`` does.
+
+        Each group is two 2-qubit rows measured whole in the identity basis,
+        so both routines see the same chance bits. Each uniform puts its
+        target between the pairwise total and the in-order one, which the
+        bucket would use if it drew from an F-ordered chance array."""
+        plan = np.random.default_rng(16)
+        rows, uniforms = [], []
+        for _ in range(10_000):  # bounded, so a change in numpy's summation fails, not hangs
+            if len(uniforms) == 40:
+                break
+            a, b = random_basis(plan, 4)[0], random_basis(plan, 4)[0]
+            chance = np.square(np.repeat(a, 4) * np.tile(b, 4))  # the merge's product, bit for bit
+            total, last = np.add.reduce(chance), chance.cumsum()[-1]
+            u = chance[0] / total
+            if u < 1.0 and (u * total >= chance[0]) != (u * last >= chance[0]):
+                rows += [a, b]
+                uniforms.append(u)
+        assert len(uniforms) == 40
+        bucket, one = QubitStore(), QubitStore()
+        groups = [s.new_states(np.array(rows)) for s in (bucket, one)][0].reshape(40, 4)
+        measure_bucket = QubitStore._measure_bucket
+        with mock.patch.object(
+            QubitStore, "_measure_bucket", autospec=True, side_effect=measure_bucket
+        ) as spy:
+            got = bucket.measure_rows_in_basis(groups, np.eye(16), uniforms)
+        assert spy.call_count == 1 and len(spy.call_args.args[1]) == 40
+        want = [one.measure_in_basis(g, np.eye(16), [u]) for g, u in zip(groups.tolist(), uniforms)]
+        assert got.tolist() == want
+
     @pytest.mark.parametrize("cutovers", [(0, 0), (32, 8)])
     def test_capacity_cap_fails_loudly_in_bulk(self, cutovers, monkeypatch):
         monkeypatch.setattr(registers, "_BULK_GROUPS", cutovers[0])
@@ -791,6 +993,36 @@ class TestProtocolRuns:
             AdversaryModel(kind=AdversaryKind.INTERCEPT_RESEND_Z, fraction=0.5),
         )
         assert not attacked.aborted and one_by_one
+
+    @pytest.mark.parametrize("parties, state", [(2, "omega"), (3, "omega"), (5, "omega"),
+                                                (5, "cluster")])
+    def test_honest_runs_take_the_lattice_route(self, parties, state, monkeypatch):
+        """Every group an honest n=16 run hands the store is a lattice, lone or
+        in a batch of three: the general route's lookup and the crossing
+        kernel are never reached, so no change can drop the fast route unseen."""
+        detected, general = [], []
+        detect, indices, crossing = (
+            QubitStore._lattice, QubitStore._indices, QubitStore._measure_crossing
+        )
+
+        def detecting(self, targets):
+            detected.append(detect(self, targets))
+            return detected[-1]
+
+        def spying(route):
+            def spy(self, *args):
+                general.append(route.__name__)
+                return route(self, *args)
+            return spy
+
+        monkeypatch.setattr(QubitStore, "_lattice", detecting)
+        monkeypatch.setattr(QubitStore, "_indices", spying(indices))
+        monkeypatch.setattr(QubitStore, "_measure_crossing", spying(crossing))
+        config = ProtocolConfig(key_bits=16, party_count=parties, seed=4, five_party_state=state)
+        assert run_protocol(config).agreement()
+        assert all(result.agreement() for result in run_batch(config, None, 3))
+        assert detected and None not in detected
+        assert general == []
 
     @pytest.mark.parametrize("kind, parties", [
         pytest.param("intercept-z", 2, id="intercept-z"),
