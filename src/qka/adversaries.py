@@ -20,7 +20,8 @@ stack: each lane draws its guess and uniforms, and one bulk call measures
 every lane's guessed pairs.
 
 The scalar input rules have their one home here, shared with the
-protocols: ``require_ints``, ``require_unit_interval`` and ``check_swap_count``.
+protocols: ``require_ints``, ``require_unit_interval``, ``check_swap_count``
+and ``check_generators``.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ def attack_transit(
         raise ValueError(f"{model.kind.value} is not an external transit attack")
     if not (isinstance(slots, np.ndarray) and slots.ndim == 2 and slots.dtype.kind in "iu"):
         raise ValueError("slots must be a 2-D integer array, one train per row")
-    if len(rngs) != len(slots):
-        raise ValueError(f"{len(rngs)} generators given for {len(slots)} trains")
+    check_generators(rngs, len(slots))
     if model.kind is AdversaryKind.INTERCEPT_RESEND_Z:
         rows, hits, uniforms = [], [], []
         for row, rng in enumerate(rngs):
@@ -184,6 +184,12 @@ def require_ints(**values) -> None:
     for name, value in values.items():
         if type(value) is bool or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def check_generators(rngs: Sequence[np.random.Generator], trains: int) -> None:
+    """The one home of the generator rule: a stack of trains takes one generator per train."""
+    if len(rngs) != trains:
+        raise ValueError(f"{len(rngs)} generators given for {trains} trains")
 
 
 def require_unit_interval(name: str, value) -> None:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -44,6 +45,7 @@ from .adversaries import (
     AdversaryKind,
     AdversaryModel,
     attack_transit,
+    check_generators,
     check_swap_count,
     choose_swap_pairs,
     dishonest_alice_early_measure,
@@ -98,15 +100,14 @@ _COPY_QUBITS = {2: 2, 3: 2, 5: 4}
 # The decoy pairs' state, and the two- and three-party resource state.
 _PSI_PLUS = constant_state(BELL_VECTORS[BellOutcome.PSI_PLUS])
 
-# A hop's senders scramble together while their trains hold at most this
-# many items in all, and the ring's parties decode together while their
-# copies hold at most this many qubits: a stack's small trains share one
-# scramble and its small decodes one measurement, and a long train's or one
-# party's temporaries stay those of one train or one party.
-_SCRAMBLE_ITEMS = 2**12
+# The ring's parties decode together while their copies hold at most this
+# many qubits: a stack's small decodes share one measurement, and a long
+# key's temporaries stay those of one party.
+_DECODE_QUBITS = 2**12
 
 # The largest key a run accepts; a five-party run at this size peaks near
-# 207.7 MB of resident memory, during its last hop's decoy checks.
+# 208.4 MB of resident memory, during its last hop's decoy checks and the
+# decode after them.
 MAX_KEY_BITS = 65_536
 
 
@@ -248,32 +249,44 @@ def insert_decoys_and_permute(
 
     ``message_qubits`` is a stack of trains whose last axis holds each
     train's message ids (one train is a stack of shape ()), and ``rngs``
-    holds one generator per train, in row-major order. One allocation makes
-    every train's decoy pairs, train after train, and each generator then
-    shuffles its train's slots, in train order: the draws and the order of
-    ``rng.permutation(items)``.
+    holds one generator per train, in row-major order (``check_generators``).
+    A ``decoy_pair_count`` that is not an int (``require_ints``) or the
+    wrong number of generators raises ValueError before any decoy is made.
+    One allocation makes every train's decoy pairs, train after train, and
+    each generator then shuffles its train's slots, in train order: the
+    draws and the order of ``rng.permutation(items)``.
 
     Returns the trains in transit, an int64 id array by slot, and the
     senders' record; the slots and every record field keep the stack's
     leading axes. For one train, ``slots[record.message_order]`` restores
     the message.
     """
+    require_ints(decoy_pair_count=decoy_pair_count)
     message = np.asarray(message_qubits, dtype=np.int64)
-    m = message.shape[-1]
-    rows = len(rngs)
-    decoys = store.new_train(_PSI_PLUS, rows * decoy_pair_count).reshape(rows, -1)
-    items = np.concatenate([message.reshape(rows, m), decoys], axis=1)
-    total = items.shape[1]
+    *stack, m = message.shape
+    rows = math.prod(stack)
+    check_generators(rngs, rows)
+    total = m + 2 * decoy_pair_count
+    decoys = store.new_train(_PSI_PLUS, rows * decoy_pair_count)
+    decoys = decoys.reshape(rows, 2 * decoy_pair_count)
     # The item each slot takes: ``rng.permutation(total)`` is an arange shuffled in place.
     taken = np.empty((rows, total), dtype=np.int64)
     taken[:] = np.arange(total)
     for rng, row in zip(rngs, taken):
         rng.shuffle(row)
-    taken += np.arange(rows)[:, None] * total  # as flat indices: 1-D gathers are fast
+    starts = np.arange(rows)[:, None] * total
+    taken += starts  # as flat indices: 1-D scatters are fast
     forward = np.empty_like(taken)
     forward.ravel()[taken] = np.arange(total)  # the inverse permutations
-    stacked = message.shape[:-1] + (total,)
-    return items.ravel()[taken].reshape(stacked), PermutationRecord.of(forward.reshape(stacked), m)
+    # Each item's id goes to its slot, in the buffer ``taken`` is done with:
+    # no (rows, total) array of items is ever made.
+    slots = taken.ravel()
+    forward += starts
+    slots[forward[:, :m]] = message.reshape(rows, m)
+    slots[forward[:, m:]] = decoys
+    forward -= starts
+    stacked = (*stack, total)
+    return slots.reshape(stacked), PermutationRecord.of(forward.reshape(stacked), m)
 
 
 def _check_passed(error_rates: np.ndarray, threshold: float) -> np.ndarray:
@@ -334,8 +347,11 @@ def _checked_disclosure(slots: np.ndarray, disclosed: np.ndarray) -> np.ndarray:
     trains, items = slots.shape
     named = disclosed + np.arange(trains)[:, None, None] * items  # as flat indices
     # Every slot must be in range and named once; in range, no two trains share an index.
-    if disclosed.min() >= 0 and disclosed.max() < items and np.bincount(named.ravel()).max() < 2:
-        return named
+    if disclosed.min() >= 0 and disclosed.max() < items:
+        marked = np.zeros(slots.size, dtype=bool)
+        marked[named] = True
+        if np.count_nonzero(marked) == named.size:
+            return named
     ordered = np.sort(disclosed.reshape(trains, -1), axis=1)
     repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     out_of_range = ((disclosed < 0) | (disclosed >= items)).any(axis=2)
@@ -693,12 +709,12 @@ class _Stack:
         ``copies[k]`` holds party k's (rows, n, width) ids and ``returned[k]``
         the travel qubits back with it. Parties measure together, in one
         ``measure_rows_in_basis`` call ordered (party, lane, copy), while the
-        call holds at most ``_SCRAMBLE_ITEMS`` qubits. Each lane draws a
+        call holds at most ``_DECODE_QUBITS`` qubits. Each lane draws a
         call's uniforms at once, the values it would draw party by party.
         Returns the (parties, rows, n) outcome indices.
         """
         parties, rows, n, width = copies.shape
-        most = max(1, _SCRAMBLE_ITEMS // copies[0].size)
+        most = max(1, _DECODE_QUBITS // copies[0].size)
         outcomes = []
         for lo in range(0, parties, most):
             groups = copies[lo : lo + most].copy()
@@ -726,11 +742,14 @@ class _Stack:
 
         ``messages[k]`` holds, row by row, the message ids of the train that
         party ``senders[k]`` sends on to the next party. The senders scramble
-        together in runs (``_send_runs``); each send and its decoy
-        preparation are logged once for every lane, and a transit attack on
-        a transmission then rewrites every row's train at once, each with its
-        lane's generator. One ``verify_decoys`` call checks every train, lane
-        by lane. Then, sender by sender, the running lanes' disclosures are
+        together, in one ``insert_decoys_and_permute`` call for every lane,
+        or two when an attacked transmission splits the hop
+        (``_send_runs``): an unattacked hop's decoys are one allocation, and
+        its check one lattice. Each send and its decoy preparation are
+        logged once for every lane, and a transit attack on a transmission
+        then rewrites every row's train at once, each with its lane's
+        generator. One ``verify_decoys`` call checks every train, lane by
+        lane. Then, sender by sender, the running lanes' disclosures are
         logged as ``staging`` says, each lane's check is recorded, and a
         lane whose check fails logs its abort and leaves. Returns the hop's
         slots and record, stacked by sender with one row per lane that runs
@@ -741,29 +760,30 @@ class _Stack:
         rows, count, first = len(rngs), len(senders), self.transmissions
         sends = [(first + k, names[j], receivers[j]) for k, j in enumerate(senders)]
         total = m + 2 * pairs  # items per train
-        most = max(1, _SCRAMBLE_ITEMS // (rows * total))
-        slots = np.empty((count, rows, total), dtype=np.int64)  # by sender, then lane
-        forward = np.empty_like(slots)
-        for run in _send_runs(first, count, self.attacked, most):
+        scrambled = []  # each run's slots (by sender, then lane) and record
+        for run in _send_runs(first, count, self.attacked):
             # One scramble for the run's senders, sender by sender; a transit
             # attack ends a run, so every allocation and draw keeps its order.
-            at = slice(run.start, run.stop)
-            slots[at], record = insert_decoys_and_permute(
-                messages[at], self.store, rngs * len(run), pairs
+            trains, record = insert_decoys_and_permute(
+                messages[run.start : run.stop], self.store, rngs * len(run), pairs
             )
-            forward[at] = record.forward
-            for k in run:
+            scrambled.append((trains, record))
+            for k, train in zip(run, trains):
                 index, sender, receiver = sends[k]
                 self.log_preparation(send_step, sender, 2 * pairs, "decoy")
-                sent = slots[k].copy()  # the rows as sent: an attack rewrites them only later
+                sent = train.copy()  # the rows as sent: an attack rewrites them only later
                 sent.flags.writeable = False
                 payload = {"to": receiver, "slots": sent, "transmission": index}
                 self.log(send_step, sender, tr.QUANTUM_SEND, payload, ("slots",), qubit_count=total)
                 self.log(send_step, receiver, tr.ACK, {"transmission": index})
                 if index == self.attacked:
-                    attack_transit(self.adversary, self.store, slots[k], rngs)
+                    attack_transit(self.adversary, self.store, train, rngs)
         self.transmissions += count
-        record = PermutationRecord.of(forward, m)
+        if len(scrambled) == 1:
+            ((slots, record),) = scrambled
+        else:
+            slots = np.concatenate([trains for trains, _ in scrambled])
+            record = PermutationRecord.of(np.concatenate([r.forward for _, r in scrambled]), m)
         # Keywords: bench/tracer.py reads a third positional argument as a disclosure.
         _, rates = verify_decoys(
             self.store,
@@ -799,7 +819,7 @@ class _Stack:
                     self._abort(row, check_step, receiver, index, rate)
             if len(running) < len(kept):
                 kept, lanes = running, tuple(self.active_ids[row] for row in running)
-                shown = PermutationRecord.of(forward[:, kept], m)  # one read-only gather
+                shown = PermutationRecord.of(record.forward[:, kept], m)  # one read-only gather
                 if not kept:
                     break
             if staging == _AFTER_CHECK:
@@ -865,17 +885,14 @@ class _Stack:
             )
 
 
-def _send_runs(first: int, count: int, attacked: int, most: int) -> list[range]:
+def _send_runs(first: int, count: int, attacked: int) -> list[range]:
     """A hop's ``count`` senders, transmissions ``first`` on, in runs that scramble together.
 
-    A run holds at most ``most`` senders and ends at the attacked transmission.
+    A run ends at the attacked transmission, so its attack comes before the
+    next run allocates or draws anything; a hop without it is one run.
     """
-    runs, start = [], 0
-    for k in range(count):
-        if k + 1 - start == most or first + k == attacked or k == count - 1:
-            runs.append(range(start, k + 1))
-            start = k + 1
-    return runs
+    end = attacked - first + 1
+    return [range(end), range(end, count)] if 0 < end < count else [range(count)]
 
 
 def run_two_party(

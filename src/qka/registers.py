@@ -37,32 +37,31 @@ and the kernels reuse that lookup. The states and bases the package
 builds itself (``BELL_VECTORS``, ``Z_BASIS`` and the protocols' resource
 states and decode bases) are checked once, by ``constant_state`` and
 ``constant_basis``, and taken as they are afterwards. Measurement has
-one bulk entry, ``measure_rows_in_basis``, and three routines;
+one bulk entry, ``measure_rows_in_basis``, two routes and three routines;
 ``measure_z`` and ``measure_in_basis`` measure one group through it.
 
-* Groups that are whole rows, in register order, of allocated blocks are
-  read in place, whatever blocks they lie in: one matmul per pass, then
-  one inverse-CDF draw that runs outcome-major, each numpy call over the
-  whole pass (``_sample_rows``). An honest run measures nothing else. A
-  lattice at positions ``range(width)`` is such a call as it stands; other
-  input is sorted into whole rows block by block, from its one lookup.
-* Every other group, of one qubit or many, goes through one merge kernel
-  in waves. A wave takes every waiting group that names no register an
-  earlier waiting group names, so groups sharing a register keep their
-  list order (a register named k times waits k waves), and buckets the
-  wave by the widths of the rows each group merges. Each group's rows
+* A lattice at positions ``range(width)``, whole rows in register order of
+  one allocated block, is read in place: one matmul per pass, then one
+  inverse-CDF draw that runs outcome-major, each numpy call over the whole
+  pass (``_sample_rows``). An honest run measures nothing else, since each
+  hop's decoys and each party's copies come from one allocation.
+* Every other call, its groups of one qubit or many, whole rows included,
+  goes through one merge kernel in waves. A wave takes every waiting
+  group that names no register an earlier waiting group names, so groups
+  sharing a register keep their list order (a register named k times
+  waits k waves), and buckets the wave by the widths of the rows each
+  group merges. Each group's rows
   merge with its measured qubits in front, by the cached gathers of its
   front; a bucket gets one 2-D matmul, one draw and one listed remainder
   block. Below ``_BULK_GROUPS`` (32) waiting groups, or ``_BULK_BUCKET``
   (8) groups in a bucket, one ``_measure`` each is cheaper, one-qubit
-  groups included. On the attack benchmark, intercept-resend in Z
-  measures a 64-lane two-party stack's 2,048 hit qubits in two waves of
+  groups included. On the attack benchmark (seed 7), intercept-resend in
+  Z measures a 64-lane two-party stack's 2,048 hit qubits in two waves of
   one bucket each (1,536 on Bell rows, then 512 on what they left), and
-  the 512 Bell pairs of its decoy check and 1,024 of its decode in one
-  wave and one bucket each. Under intercept-resend in the Bell basis such
-  a call takes two waves and three buckets, under a reordering receiver
-  two and two, and an early-measuring sender's 953 guessed pairs seven
-  and 13.
+  the 512 Bell pairs of its decoy check in one wave and one bucket. Under
+  intercept-resend in the Bell basis that check takes two waves and four
+  buckets, a reordering receiver's decode of 1,024 pairs two and three,
+  and an early-measuring sender's 1,024 guessed pairs seven and 14.
 * The one-group routine, ``_measure``, merges the rows its group touches
   (a Kronecker product in first-seen order, capped at 12 qubits; anything
   larger fails loudly), built with the measured qubits in front from one
@@ -653,10 +652,9 @@ class QubitStore:
         The groups must be nonempty, of one size, and name distinct live
         qubits. A 2-D integer array is taken as it is. Returns the array and
         what locates its ids: ``(block, rows, pos)`` for a lattice
-        (``_lattice``), as every group an honest run names is but a decoy
-        check over trains of several allocations, or else the block index of
-        every id, looked up once after a sort over all ids has shown them
-        distinct.
+        (``_lattice``), as every group an honest run names is, or else the
+        block index of every id, looked up once after a sort over all ids
+        has shown them distinct.
         """
         if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
             targets = groups.astype(np.int64, copy=False)
@@ -895,35 +893,29 @@ class QubitStore:
         return self._measure_groups(groups, _checked_basis(basis), rng)
 
     def _measure_rows(
-        self, parts: list, width: int, basis: np.ndarray, uniforms: np.ndarray
+        self, b: int, rows: np.ndarray, basis: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """Measure whole ``width``-qubit rows of allocated blocks, one uniform each.
+        """Measure whole rows of allocated block ``b``, one uniform each.
 
-        ``parts`` holds (block, rows) for each block, distinct intact rows
-        whose groups list each row whole, in register order: a lattice
-        (``_lattice``) with positions ``range(width)`` is one such part. A
-        run of consecutive ascending rows is read in place, as a decode
-        reads its copies, and its ids retire as one slice of the id map;
-        other rows are gathered, and one matmul scores them all. Since every
-        basis is complete, a row whose mass is not 1 means the store's own
-        state is corrupt; that raises ValueError before anything changes.
-        Returns the outcomes in part order.
+        ``rows`` are distinct intact rows whose groups list each row whole,
+        in register order: a lattice (``_lattice``) at positions
+        ``range(width)``. A run of consecutive ascending rows is read in
+        place, as a decode reads its copies, and its ids retire as one slice
+        of the id map; other rows are gathered, and one matmul scores them
+        all. Since every basis is complete, a row whose mass is not 1 means
+        the store's own state is corrupt; that raises ValueError before
+        anything changes. Returns the outcomes in row order.
         """
-        amps, dead = [], []  # each part's amplitudes and ids
-        for b, rows in parts:
-            block, first, span = self._blocks[b], int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
-            in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
-            held = block.amplitudes
-            amps.append(held[first : first + span] if in_place else held.take(rows, axis=0))
-            at = block.first + first * width
-            dead.append(slice(at, at + span * width) if in_place else block.id_table(rows))
-        probs = np.square((amps[0] if len(amps) == 1 else np.concatenate(amps)) @ basis.T)
+        block, first, span = self._blocks[b], int(rows[0]), int(rows[-1]) - int(rows[0]) + 1
+        width, held = block.width, block.amplitudes
+        in_place = span == rows.size and (rows[1:] > rows[:-1]).all()
+        amps = held[first : first + span] if in_place else held.take(rows, axis=0)
+        probs = np.square(amps @ basis.T)
         _check_mass(probs)
         outcomes = _sample_rows(probs, uniforms)
-        for ids in dead:
-            self._block_of[ids] = -1
-        for b, rows in parts:
-            self._retire(b, rows.size)
+        at = block.first + first * width
+        self._block_of[slice(at, at + span * width) if in_place else block.id_table(rows)] = -1
+        self._retire(b, rows.size)
         return outcomes
 
     def _measure_groups(
@@ -934,27 +926,24 @@ class QubitStore:
     ) -> np.ndarray:
         """Measure every group in ``basis``, drawing all uniforms at once.
 
-        The groups (``_checked_groups``) and that the basis fits their size
-        are checked before the one draw of ``rng.random(len(groups))``; group
-        i uses uniform i, the value the i-th of as many scalar measurements
-        would draw. ``rng`` may instead be those uniforms, one in [0, 1) per group,
-        checked after the ids; a caller that stacks runs, each with its own
-        generator, draws each run's share itself. Then ``_measure_rows``
-        measures, pass by pass, the groups that are whole rows of an
-        allocated block, in register order, across blocks. A lattice needs
-        no whole-row detection: at positions ``range(m)`` of an m-qubit
-        block its rows are the one part of each pass, and otherwise none of
-        its groups is a whole row. Every other
-        group, one qubit or many, goes through ``_measure_crossing``: waves
-        of groups on disjoint registers, each wave bucketed by the widths of
-        the rows it merges, with ``_measure`` for the groups below its
-        cutovers. Two refusals are left after the draw: a probability mass
-        other than 1, only in a corrupt store, checked for each pass, bucket
-        or group before it retires anything, and the 12-qubit cap, checked
-        for a whole wave before the wave measures; no engine reaches the
-        cap, as ``check_adversary`` refuses five-party intercept-bell. So
-        when either fires, the groups already measured need not be a prefix
-        of the list. Returns the outcome indices as an int64 array.
+        The groups (``_checked_groups``) and that the basis fits their size are
+        checked before the one draw of ``rng.random(len(groups))``; group i uses
+        uniform i, the value the i-th of as many scalar measurements would draw.
+        ``rng`` may instead be those uniforms, one in [0, 1) per group, checked
+        after the ids; a caller that stacks runs, each with its own generator,
+        draws each run's share itself. There are two routes. A lattice
+        (``_lattice``) at positions ``range(m)`` of an m-qubit block lists whole
+        rows in register order, and ``_measure_rows`` measures them pass by
+        pass. Every other call, one qubit or many per group, goes whole through
+        ``_measure_crossing``: waves of groups on disjoint registers, each wave
+        bucketed by the widths of the rows it merges, with ``_measure`` for the
+        groups below its cutovers. Two refusals are left after the draw: a
+        probability mass other than 1, only in a corrupt store, checked for each
+        pass, bucket or group before it retires anything, and the 12-qubit cap,
+        checked for a whole wave before the wave measures; no engine reaches the
+        cap, as ``check_adversary`` refuses five-party intercept-bell. So when
+        either fires, the groups already measured need not be a prefix of the
+        list. Returns the outcome indices as an int64 array.
         """
         if not len(groups):
             return np.empty(0, dtype=np.int64)
@@ -967,41 +956,13 @@ class QubitStore:
         else:
             uniforms = _given_uniforms(rng, n, "groups")
         outcomes = np.empty(n, dtype=np.int64)
-        if isinstance(found, tuple):  # a lattice: every group is a whole row, or none is
-            b, rows, pos = found
-            if self._blocks[b].width != m or pos != tuple(range(m)):
-                self._measure_crossing(targets, np.arange(n), basis, uniforms, outcomes)
-                return outcomes
+        if isinstance(found, tuple) and found[2] == tuple(range(self._blocks[found[0]].width)):
+            b, rows, _ = found  # whole rows: the positions cover the block's width
             for lo in range(0, n, _ROWS_PER_PASS):
                 at = slice(lo, lo + _ROWS_PER_PASS)
-                outcomes[at] = self._measure_rows([(b, rows[at])], m, basis, uniforms[at])
-            return outcomes
-        left = np.ones(n, dtype=bool)
-        for lo in range(0, n, _ROWS_PER_PASS):
-            # A group is a whole row if it lists, in register order, every
-            # qubit of one row of a block made by allocation.
-            chunk = targets[lo : lo + _ROWS_PER_PASS]
-            firsts = chunk[:, 0]
-            consecutive = (chunk[:, 1:] == chunk[:, :-1] + 1).all(axis=1)
-            parts, at = [], []
-            for b, sel in _members(found[lo : lo + _ROWS_PER_PASS, 0]):
-                block = self._blocks[b]
-                if block.ids is not None or block.width != m:
-                    continue
-                rows, positions = np.divmod(firsts[sel] - block.first, m)
-                whole = (positions == 0) & consecutive[sel]
-                if not whole.all():
-                    sel, rows = sel[whole], rows[whole]
-                if sel.size:
-                    parts.append((b, rows))
-                    at.append(sel + lo)
-            if parts:
-                at = np.concatenate(at)
-                outcomes[at] = self._measure_rows(parts, m, basis, uniforms[at])
-                left[at] = False
-        rest = np.flatnonzero(left)
-        if rest.size:
-            self._measure_crossing(targets, rest, basis, uniforms, outcomes)
+                outcomes[at] = self._measure_rows(b, rows[at], basis, uniforms[at])
+        else:
+            self._measure_crossing(targets, np.arange(n), basis, uniforms, outcomes)
         return outcomes
 
     def _measure_crossing(

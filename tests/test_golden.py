@@ -234,6 +234,31 @@ def test_later_party_abort_digest(parties, index):
     assert digest == ABORT_DIGESTS[(parties, index)]
 
 
+# Ring runs attacked in a hop of more than 4,096 items, which pins the
+# order of each hop's decoy allocations, shuffles and attack:
+# ``ProtocolResult.to_json()`` of n=1024 runs at seed 3 and threshold 1,
+# keyed (parties, kind, fraction, transmission). Generated from the engine
+# that scrambled a hop's trains in runs of at most 4,096 items.
+LARGE_ATTACK_DIGESTS = {
+    (3, "intercept-z", 0.25, 4): "039314d81f43668a173a78b6a04bced4695b47275dc2958a5e2f780506e27e11",
+    (5, "intercept-z", 0.25, 12): "539ba170f04573b7f2ff35ff21476b411100de89083cf5f4da5e65f70fc83b62",
+    (5, "intercept-z", 1.0, 2): "6c963a37995e83ba45ab287b02334c48c660cfbbde74379e90d21e4935bfcc29",
+    (3, "intercept-bell", 0.25, 4): "777e8b9ef9788c8120fc6030704bb801131116a99b658eadcc6e284e12a6fdfb",
+}
+
+
+@pytest.mark.parametrize("parties, kind, fraction, index", sorted(LARGE_ATTACK_DIGESTS))
+def test_large_attacked_ring_digest(parties, kind, fraction, index):
+    config = ProtocolConfig(key_bits=1024, party_count=parties, seed=3, error_threshold=1.0)
+    adversary = AdversaryModel(
+        kind=AdversaryKind(kind), fraction=fraction, transmission_index=index
+    )
+    result = run_protocol(config, adversary)
+    assert not result.aborted
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    assert digest == LARGE_ATTACK_DIGESTS[(parties, kind, fraction, index)]
+
+
 def _fixed_keys(parties, n):
     return tuple(tuple((i * (2 * j + 3) // 5 + j) % 2 for i in range(n)) for j in range(parties))
 

@@ -190,6 +190,33 @@ class TestScrambling:
             assert np.array_equal(slots[lane], items[twin.permutation(items.size)])
             assert rngs[lane].bit_generator.state == twin.bit_generator.state
 
+    @pytest.mark.parametrize("shape, generators, pairs, message", [
+        ((2, 4), 1, 2, "1 generators given for 2 trains"),
+        ((2, 3, 2), 4, 1, "4 generators given for 6 trains"),
+        ((4,), 1, 2.0, "decoy_pair_count must be an integer, not 2.0"),
+        ((4,), 1, True, "decoy_pair_count must be an integer, not True"),
+    ], ids=["too-few-generators", "too-many-generators", "float-count", "bool-count"])
+    def test_bad_input_refused_before_any_decoy(self, shape, generators, pairs, message):
+        """The generator rule and the integer rule refuse before an id is
+        allocated or a generator drawn from."""
+        store = QubitStore()
+        messages = store.new_train(BELL_VECTORS[BellOutcome.PSI_PLUS], math.prod(shape))
+        messages = messages[:, 1].reshape(shape)
+        rngs = [np.random.default_rng(seed) for seed in range(generators)]
+        states = [rng.bit_generator.state for rng in rngs]
+        next_id, live = store._next_id, store.live_qubits()
+        with pytest.raises(ValueError) as refused:
+            insert_decoys_and_permute(messages, store, rngs, pairs)
+        assert str(refused.value) == message
+        assert store._next_id == next_id and store.live_qubits() == live
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+    def test_an_empty_stack_scrambles_nothing(self):
+        store = QubitStore()
+        slots, rec = insert_decoys_and_permute(np.empty((0, 4), dtype=np.int64), store, [], 2)
+        assert slots.shape == rec.forward.shape == (0, 8)
+        assert rec.decoy_pairs.shape == (0, 2, 2) and store._next_id == 0
+
     def test_forward_inverse_roundtrip(self):
         store = QubitStore()
         message = [store.new_computational(0) for _ in range(6)]
@@ -784,6 +811,7 @@ class TestOneHomePerRule:
         "bit": ("bits must be a flat sequence of 0s and 1s",),
         "swap count": ("swap count must be nonnegative", "swap count too large for the key length"),
         "integer": ("must be an integer, not",),
+        "generators": ("generators given for {trains} trains",),
         "disclosure": (
             "decoy disclosure is empty",
             "decoy slots and disclosures must be integers",

@@ -638,9 +638,9 @@ class TestRowPasses:
         sizes = []
         measure_rows = QubitStore._measure_rows
 
-        def recording(self, parts, width, basis, uniforms):
+        def recording(self, b, rows, basis, uniforms):
             sizes.append(len(uniforms))
-            return measure_rows(self, parts, width, basis, uniforms)
+            return measure_rows(self, b, rows, basis, uniforms)
 
         monkeypatch.setattr(QubitStore, "_measure_rows", recording)
         assert _pass_workout(short, seed) == want
@@ -994,12 +994,14 @@ class TestProtocolRuns:
         )
         assert not attacked.aborted and one_by_one
 
+    @pytest.mark.parametrize("key_bits", [16, 1024])
     @pytest.mark.parametrize("parties, state", [(2, "omega"), (3, "omega"), (5, "omega"),
                                                 (5, "cluster")])
-    def test_honest_runs_take_the_lattice_route(self, parties, state, monkeypatch):
-        """Every group an honest n=16 run hands the store is a lattice, lone or
-        in a batch of three: the general route's lookup and the crossing
-        kernel are never reached, so no change can drop the fast route unseen."""
+    def test_honest_runs_take_the_lattice_route(self, parties, state, key_bits, monkeypatch):
+        """Every group an honest run hands the store is a lattice, lone or in a
+        batch of three, at n=16 and at n=1024, where a hop's trains hold more
+        than 4,096 items: the general route's lookup and the crossing kernel
+        are never reached, so no change can drop the fast route unseen."""
         detected, general = [], []
         detect, indices, crossing = (
             QubitStore._lattice, QubitStore._indices, QubitStore._measure_crossing
@@ -1018,7 +1020,9 @@ class TestProtocolRuns:
         monkeypatch.setattr(QubitStore, "_lattice", detecting)
         monkeypatch.setattr(QubitStore, "_indices", spying(indices))
         monkeypatch.setattr(QubitStore, "_measure_crossing", spying(crossing))
-        config = ProtocolConfig(key_bits=16, party_count=parties, seed=4, five_party_state=state)
+        config = ProtocolConfig(
+            key_bits=key_bits, party_count=parties, seed=4, five_party_state=state
+        )
         assert run_protocol(config).agreement()
         assert all(result.agreement() for result in run_batch(config, None, 3))
         assert detected and None not in detected
